@@ -711,6 +711,16 @@ impl Controller {
         self.clusters[id.0].backend.as_mut()
     }
 
+    /// Every attached cluster's backend, in [`ClusterId`] order.
+    pub fn clusters_mut(&mut self) -> impl Iterator<Item = &mut (dyn ClusterBackend + 'static)> {
+        self.clusters.iter_mut().map(|c| c.backend.as_mut())
+    }
+
+    /// The image registries the deployment pipeline pulls from.
+    pub fn registries(&self) -> &RegistrySet {
+        &self.registries
+    }
+
     pub fn memory(&self) -> &FlowMemory {
         &self.memory
     }

@@ -27,13 +27,17 @@
 //!
 //! * [`par`] — the **windowed parallel engine** (the default for
 //!   `shards >= 2`): thread-per-shard conservative PDES with deterministic
-//!   lookahead windows. Each shard owns its controller, switch and event
-//!   queue on one worker thread and everything cross-shard exchanges at
-//!   window barriers in one canonical merge order, so the mesh trace hash
-//!   is byte-identical for any thread count.
+//!   lookahead windows. Each shard is one `testbed::ingress::IngressShard` —
+//!   the same switch / controller / event-queue core the single-controller
+//!   testbed runs to completion — driven to each window end on one worker
+//!   thread; everything cross-shard exchanges at window barriers in one
+//!   canonical merge order, so the mesh trace hash is byte-identical for any
+//!   thread count.
 //! * [`mod@reference`] — the original interleaved single-event-loop engine, kept
 //!   as the executable specification the parallel engine is held equivalent
-//!   to by the model-based lockstep test.
+//!   to by the model-based lockstep test. It keeps its own event loop — the
+//!   only statement of the cross-shard protocol that is independent of the
+//!   window machinery — and shares only the bring-up (`testbed::bringup`).
 //!
 //! `shards = 1` bypasses both and delegates to the plain
 //! [`testbed::Testbed`], so every pinned single-controller trace stays

@@ -1,8 +1,9 @@
 //! The windowed parallel mesh engine: thread-per-shard conservative PDES.
 //!
-//! Each ingress shard owns its controller, its switch, its event queue
-//! ([`simcore::ShardRunner`]) and a full set of *replica* site backends, all
-//! living on one worker thread of a [`simcore::ShardCrew`]. Shards advance
+//! Each ingress shard is one [`testbed::ingress::IngressShard`] — the same
+//! switch / controller / event-queue core the single-controller testbed runs
+//! to completion — plus a full set of *replica* site backends, all living on
+//! one worker thread of a [`simcore::ShardCrew`]. Shards run their core
 //! freely to a common window end `T_min + lookahead` (`T_min` = earliest
 //! pending activity across the mesh, lookahead = the inter-shard link
 //! latency), then exchange everything cross-shard at a barrier:
@@ -15,8 +16,9 @@
 //!   service. A shard that optimistically started a deployment and lost the
 //!   merge receives a *revocation* and aborts the machine
 //!   ([`edgectl::Controller::abort_deployment`]) at the next window start;
-//! * **site backend mutations**, logged by a `LoggingBackend` wrapper and
-//!   replayed onto every peer's replicas at the barrier instant.
+//! * **site backend mutations**, logged by each replica's observed
+//!   [`SharedBackend`] view and replayed onto every peer's replicas at the
+//!   barrier instant.
 //!
 //! Everything cross-shard is merged in one canonical order — sorted by
 //! `(time, origin shard, per-shard sequence)` — on the coordinator thread,
@@ -45,30 +47,18 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use cluster::{
-    ClusterBackend, ClusterError, ClusterKind, CrashOutcome, DockerCluster, K8sCluster, K8sTimings,
-    ScaleReceipt, ServiceStatus, ServiceTemplate,
-};
-use containers::{ImageRef, Runtime};
-use edgectl::{
-    ClusterId, Controller, ControllerOutput, DeployGate, RoundRobinLocal, SchedulerRegistry,
-    ServiceId, StatusDelta,
-};
+use cluster::ClusterBackend;
+use containers::ImageRef;
+use edgectl::{ClusterId, Controller, DeployGate, ServiceId, StatusDelta};
 use edgeverify::{MeshView, Verifier, Violation};
-use registry::RegistrySet;
-use simcore::{ShardActor, ShardCrew, ShardRunner, SimDuration, SimRng, SimTime};
-use simnet::openflow::{BufferId, PacketVerdict, PortId, Switch};
-use simnet::{Packet, SocketAddr};
-use testbed::topology::NodeClass;
-use testbed::{C3Topology, PhaseSetup, ScenarioConfig, CLOUD_PORT};
-use workload::{departures, ingress_at, ServiceProfile, Trace};
+use simcore::{ShardActor, ShardCrew, SimDuration, SimRng, SimTime};
+use testbed::bringup;
+use testbed::ingress::{Engine, IngressShard, Released};
+use testbed::ScenarioConfig;
+use workload::{departures, ingress_at, Trace};
 
 use crate::result::{MeshRecord, MeshRunResult, ShardSummary};
-use crate::shared::{share, SharedHandle};
-
-/// Latency of each shard's SDN control channel (same figure as the
-/// reference engine and the single-controller testbed).
-const CTRL_LATENCY: SimDuration = SimDuration::from_micros(150);
+use crate::shared::{share, SharedBackend, SharedHandle, SiteCall};
 
 /// Retransmission cap per delta delivery (see `reference::MAX_RETRANSMITS`).
 const MAX_RETRANSMITS: u32 = 64;
@@ -109,19 +99,6 @@ pub fn validate_threads(threads: usize, shards: usize) -> Result<usize, ThreadsE
 // Cross-shard messages. Everything here is plain `Send` data: the only values
 // that ever cross a thread boundary.
 // ---------------------------------------------------------------------------
-
-/// A mutating call performed on one site's backend, by argument value so a
-/// peer can replay it on its own replica.
-#[derive(Debug, Clone)]
-enum SiteCall {
-    Pull { template: String },
-    Create { template: String },
-    ScaleUp { service: String, replicas: u32 },
-    ScaleDown { service: String, replicas: u32 },
-    Remove { service: String },
-    DeleteImage { image: String },
-    InjectCrash { service: String },
-}
 
 #[derive(Debug, Clone)]
 struct SiteOp {
@@ -333,240 +310,41 @@ impl Outbox {
     }
 }
 
-/// One shard's view of its own replica of a site: delegates every call and
-/// logs the successful mutations for barrier broadcast (reads don't gossip;
-/// failed mutations have no side effect to replicate).
-struct LoggingBackend {
-    site: usize,
-    origin: usize,
-    name: String,
-    kind: ClusterKind,
-    inner: SharedHandle,
-    outbox: Rc<RefCell<Outbox>>,
-}
-
-impl LoggingBackend {
-    fn new(site: usize, origin: usize, inner: SharedHandle, outbox: Rc<RefCell<Outbox>>) -> Self {
-        let (name, kind) = {
-            let b = inner.borrow();
-            (b.cluster_name().to_string(), b.kind())
-        };
-        LoggingBackend {
-            site,
-            origin,
-            name,
-            kind,
-            inner,
-            outbox,
-        }
-    }
-
-    fn log(&self, time: SimTime, call: SiteCall) {
-        let mut ob = self.outbox.borrow_mut();
-        let seq = ob.next_seq();
-        ob.site_ops.push(SiteOp {
-            time,
-            origin: self.origin,
-            seq,
-            site: self.site,
-            call,
-        });
-    }
-}
-
-impl ClusterBackend for LoggingBackend {
-    fn cluster_name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> ClusterKind {
-        self.kind
-    }
-
-    fn pull(
-        &mut self,
-        now: SimTime,
-        template: &ServiceTemplate,
-        registries: &RegistrySet,
-    ) -> Result<SimTime, ClusterError> {
-        let r = self.inner.borrow_mut().pull(now, template, registries);
-        if r.is_ok() {
-            self.log(
-                now,
-                SiteCall::Pull {
-                    template: template.name.clone(),
-                },
-            );
-        }
-        r
-    }
-
-    fn create(
-        &mut self,
-        now: SimTime,
-        template: &ServiceTemplate,
-    ) -> Result<SimTime, ClusterError> {
-        let r = self.inner.borrow_mut().create(now, template);
-        if r.is_ok() {
-            self.log(
-                now,
-                SiteCall::Create {
-                    template: template.name.clone(),
-                },
-            );
-        }
-        r
-    }
-
-    fn scale_up(
-        &mut self,
-        now: SimTime,
-        service: &str,
-        replicas: u32,
-    ) -> Result<ScaleReceipt, ClusterError> {
-        let r = self.inner.borrow_mut().scale_up(now, service, replicas);
-        if r.is_ok() {
-            self.log(
-                now,
-                SiteCall::ScaleUp {
-                    service: service.to_string(),
-                    replicas,
-                },
-            );
-        }
-        r
-    }
-
-    fn scale_down(
-        &mut self,
-        now: SimTime,
-        service: &str,
-        replicas: u32,
-    ) -> Result<SimTime, ClusterError> {
-        let r = self.inner.borrow_mut().scale_down(now, service, replicas);
-        if r.is_ok() {
-            self.log(
-                now,
-                SiteCall::ScaleDown {
-                    service: service.to_string(),
-                    replicas,
-                },
-            );
-        }
-        r
-    }
-
-    fn remove(&mut self, now: SimTime, service: &str) -> Result<SimTime, ClusterError> {
-        let r = self.inner.borrow_mut().remove(now, service);
-        if r.is_ok() {
-            self.log(
-                now,
-                SiteCall::Remove {
-                    service: service.to_string(),
-                },
-            );
-        }
-        r
-    }
-
-    fn delete_image(&mut self, now: SimTime, image: &ImageRef) -> bool {
-        let deleted = self.inner.borrow_mut().delete_image(now, image);
-        if deleted {
-            self.log(
-                now,
-                SiteCall::DeleteImage {
-                    image: image.0.clone(),
-                },
-            );
-        }
-        deleted
-    }
-
-    fn status(&self, now: SimTime, service: &str) -> ServiceStatus {
-        self.inner.borrow().status(now, service)
-    }
-
-    fn has_images(&self, template: &ServiceTemplate) -> bool {
-        self.inner.borrow().has_images(template)
-    }
-
-    fn replica_endpoints(&self, now: SimTime, service: &str) -> Vec<SocketAddr> {
-        self.inner.borrow().replica_endpoints(now, service)
-    }
-
-    fn services(&self) -> Vec<String> {
-        self.inner.borrow().services()
-    }
-
-    fn load(&self) -> f64 {
-        self.inner.borrow().load()
-    }
-
-    fn inject_crash(&mut self, now: SimTime, service: &str) -> CrashOutcome {
-        let outcome = self.inner.borrow_mut().inject_crash(now, service);
-        self.log(
-            now,
-            SiteCall::InjectCrash {
-                service: service.to_string(),
-            },
-        );
-        outcome
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The shard actor.
 // ---------------------------------------------------------------------------
 
-/// Events of one windowed shard (same dispatch as the reference engine's
-/// global `Ev`, minus the shard index — the queue itself is per shard).
-enum Ev2 {
-    Syn {
-        tag: u64,
-    },
-    CtrlPacketIn {
-        packet: Packet,
-        buffer_id: BufferId,
-        in_port: PortId,
-    },
-    Apply {
-        output: ControllerOutput,
-    },
-    Wakeup,
-    Deliver {
-        delta: StatusDelta,
-    },
-    /// `client` hands over away from this ingress: tear down its flows.
-    Handover {
-        client: usize,
-    },
-}
-
+/// One windowed shard: the shared ingress core (`testbed::ingress`) driven
+/// to each window end, plus what only this engine has — the replica
+/// backends, the lease view, the barrier outbox and gossip deliveries (the
+/// core's engine event is a delivered [`StatusDelta`]).
 struct MeshShard {
-    shard: usize,
-    c3: C3Topology,
+    core: IngressShard<StatusDelta>,
     /// This shard's replicas of every site, in site order.
     handles: Vec<SharedHandle>,
-    templates: Vec<ServiceTemplate>,
-    registries: RegistrySet,
-    service_addrs: Vec<SocketAddr>,
-    controller: Controller,
-    switch: Switch,
     gate: Option<Rc<RefCell<GateState>>>,
-    outbox: Rc<RefCell<Outbox>>,
-    runner: ShardRunner<Ev2>,
-    /// `tag -> (client, service)` for this shard's not-yet-released requests.
-    in_flight: BTreeMap<u64, (usize, usize)>,
-    records: Vec<MeshRecord>,
-    lost: u64,
-    lost_tags: Vec<u64>,
+    mesh: MeshEngine,
     revocations: u64,
-    wakeup_armed: Option<SimTime>,
+    /// Real windows in which this shard executed zero events — it only
+    /// stalled at the barrier while other shards worked.
+    stalls: u64,
 }
 
-impl MeshShard {
-    fn drain_deltas(&mut self, now: SimTime) {
-        let deltas = self.controller.drain_status_deltas();
+/// What the windowed engine makes of the core's events: a released request
+/// becomes a [`MeshRecord`], a delivery is applied to the controller, and
+/// every event's status deltas go to the barrier outbox.
+struct MeshEngine {
+    shard: usize,
+    /// Trace tag of each of this shard's requests, by core lane index (a
+    /// shard's lanes hold its own requests only).
+    tags: Vec<u64>,
+    records: Vec<MeshRecord>,
+    outbox: Rc<RefCell<Outbox>>,
+}
+
+impl MeshEngine {
+    fn drain_deltas(&mut self, controller: &mut Controller, now: SimTime) {
+        let deltas = controller.drain_status_deltas();
         if deltas.is_empty() {
             return;
         }
@@ -581,17 +359,28 @@ impl MeshShard {
             });
         }
     }
+}
 
-    fn arm_wakeup(&mut self, now: SimTime) {
-        if let Some(at) = self.controller.next_wakeup() {
-            let at = at.max(now);
-            if self.wakeup_armed.is_none_or(|t| at < t) {
-                self.runner.inject(at, Ev2::Wakeup);
-                self.wakeup_armed = Some(at);
-            }
-        }
+impl Engine<StatusDelta> for MeshEngine {
+    fn released(&mut self, _: &mut IngressShard<StatusDelta>, now: SimTime, r: Released) {
+        self.records.push(MeshRecord {
+            tag: self.tags[r.idx],
+            shard: self.shard,
+            released: now,
+            port: r.out_port.0,
+        });
     }
 
+    fn on_event(&mut self, core: &mut IngressShard<StatusDelta>, now: SimTime, delta: StatusDelta) {
+        core.controller.apply_remote_delta(now, &delta);
+    }
+
+    fn after_event(&mut self, core: &mut IngressShard<StatusDelta>, now: SimTime) {
+        self.drain_deltas(&mut core.controller, now);
+    }
+}
+
+impl MeshShard {
     /// Replay a peer's backend op on the local replica at the barrier
     /// instant. Errors are swallowed: they mean this replica had already
     /// diverged inside the accepted envelope (e.g. a revoked machine's
@@ -599,15 +388,16 @@ impl MeshShard {
     /// a correctness gate.
     fn replay(&mut self, at: SimTime, op: &SiteOp) {
         let mut b = self.handles[op.site].borrow_mut();
+        let controller = &self.core.controller;
         match &op.call {
             SiteCall::Pull { template } => {
-                if let Some(t) = self.templates.iter().find(|t| &t.name == template) {
-                    let _ = b.pull(at, t, &self.registries);
+                if let Some(s) = controller.catalog.lookup_name(template) {
+                    let _ = b.pull(at, &s.template, controller.registries());
                 }
             }
             SiteCall::Create { template } => {
-                if let Some(t) = self.templates.iter().find(|t| &t.name == template) {
-                    let _ = b.create(at, t);
+                if let Some(s) = controller.catalog.lookup_name(template) {
+                    let _ = b.create(at, &s.template);
                 }
             }
             SiteCall::ScaleUp { service, replicas } => {
@@ -627,87 +417,6 @@ impl MeshShard {
             }
         }
     }
-
-    fn complete(&mut self, now: SimTime, tag: u64, out_port: PortId) {
-        if self.in_flight.remove(&tag).is_some() {
-            self.records.push(MeshRecord {
-                tag,
-                shard: self.shard,
-                released: now,
-                port: out_port.0,
-            });
-        }
-    }
-
-    fn on_syn(&mut self, now: SimTime, tag: u64) {
-        let Some(&(client, service)) = self.in_flight.get(&tag) else {
-            return;
-        };
-        let src = SocketAddr::new(self.c3.client_ips[client], 40000 + service as u16);
-        let packet = Packet::syn(src, self.service_addrs[service], tag);
-        match self.switch.receive(now, packet) {
-            PacketVerdict::Forward { out_port, .. } => self.complete(now, tag, out_port),
-            PacketVerdict::PacketIn { buffer_id, packet } => {
-                let in_port = self.c3.client_port(client);
-                self.runner.inject(
-                    now + CTRL_LATENCY,
-                    Ev2::CtrlPacketIn {
-                        packet,
-                        buffer_id,
-                        in_port,
-                    },
-                );
-            }
-            PacketVerdict::Dropped => {
-                self.lost += 1;
-                self.lost_tags.push(tag);
-                self.in_flight.remove(&tag);
-            }
-        }
-    }
-
-    fn on_apply(&mut self, now: SimTime, output: ControllerOutput) {
-        match output {
-            ControllerOutput::FlowMod { spec, .. } => {
-                self.switch.flow_mod(now, spec);
-            }
-            ControllerOutput::ReleaseViaTable { buffer_id, .. } => {
-                let tag = self.switch.buffered_packet(buffer_id).map(|p| p.tag);
-                match self.switch.packet_out_via_table(now, buffer_id) {
-                    Some(PacketVerdict::Forward { packet, out_port }) => {
-                        self.complete(now, packet.tag, out_port);
-                    }
-                    Some(_) | None => {
-                        self.lost += 1;
-                        if let Some(tag) = tag {
-                            self.lost_tags.push(tag);
-                            self.in_flight.remove(&tag);
-                        }
-                    }
-                }
-            }
-            ControllerOutput::DropBuffered { buffer_id, .. } => {
-                if let Some(packet) = self.switch.discard_buffer(buffer_id) {
-                    self.lost_tags.push(packet.tag);
-                    self.in_flight.remove(&packet.tag);
-                }
-                self.lost += 1;
-            }
-            ControllerOutput::FlowDelete { matcher, .. } => {
-                self.switch.table.delete_matching(now, &matcher);
-            }
-        }
-    }
-
-    fn push_outputs(&mut self, outputs: Vec<ControllerOutput>) {
-        for output in outputs {
-            // An output stamped before the horizon applies "now": abort
-            // fallout re-stamps waiters with their original decision times,
-            // which lie in the executed past of the windowed clock.
-            let at = (output.at() + CTRL_LATENCY).max(self.runner.horizon());
-            self.runner.inject(at, Ev2::Apply { output });
-        }
-    }
 }
 
 impl ShardActor for MeshShard {
@@ -716,7 +425,7 @@ impl ShardActor for MeshShard {
     type Final = ShardFinal;
 
     fn run_window(&mut self, cmd: WindowCmd) -> WindowReport {
-        let at = self.runner.horizon();
+        let at = self.core.horizon();
         // Barrier inbox, in order: canonical lease state first (so revocation
         // fallout sees it), then peer backend ops (already merged-sorted),
         // then revocations, then future delta deliveries.
@@ -735,315 +444,221 @@ impl ShardActor for MeshShard {
         }
         let barrier_work = cmd.inbox.needs_barrier_work();
         for &(cluster, service) in &cmd.inbox.revocations {
-            if let Some(outputs) = self.controller.abort_deployment(at, cluster, service) {
+            if let Some(outputs) = self.core.controller.abort_deployment(at, cluster, service) {
                 self.revocations += 1;
-                self.push_outputs(outputs);
+                self.core.push_outputs(outputs);
             }
         }
         if barrier_work {
             // Aborts emit `Gone` deltas and change machine timing; gossip and
             // re-arm exactly as after an ordinary event.
-            self.drain_deltas(at);
-            self.arm_wakeup(at);
+            self.mesh.drain_deltas(&mut self.core.controller, at);
+            self.core.arm_wakeup(at);
         }
         for &(t, delta) in &cmd.inbox.deliveries {
-            self.runner.inject(t, Ev2::Deliver { delta });
+            self.core.schedule(t, delta);
         }
-        // The window body: free-running dispatch up to the horizon.
-        self.runner.begin_window(cmd.end);
-        while let Some((now, ev)) = self.runner.pop() {
-            self.switch.sweep(now);
-            match ev {
-                Ev2::Syn { tag } => self.on_syn(now, tag),
-                Ev2::CtrlPacketIn {
-                    packet,
-                    buffer_id,
-                    in_port,
-                } => {
-                    let outputs = self
-                        .controller
-                        .on_packet_in(now, packet, buffer_id, in_port);
-                    self.push_outputs(outputs);
-                }
-                Ev2::Apply { output } => self.on_apply(now, output),
-                Ev2::Wakeup => {
-                    self.wakeup_armed = None;
-                    let outputs = self.controller.on_wakeup(now);
-                    self.push_outputs(outputs);
-                }
-                Ev2::Deliver { delta } => {
-                    self.controller.apply_remote_delta(now, &delta);
-                }
-                Ev2::Handover { client } => {
-                    let ip = self.c3.client_ips[client];
-                    let outputs = self.controller.on_client_handover(now, ip);
-                    self.push_outputs(outputs);
-                }
-            }
-            self.drain_deltas(now);
-            self.arm_wakeup(now);
+        // The window body: the core runs free up to the window end. A probe
+        // (`end == horizon`) executes nothing and is not a window.
+        let executed = self.core.run_until(cmd.end, &mut self.mesh);
+        if cmd.end > at && executed == 0 {
+            self.stalls += 1;
         }
-        self.runner.end_window();
-        let mut ob = self.outbox.borrow_mut();
+        let mut ob = self.mesh.outbox.borrow_mut();
         WindowReport {
-            next_time: self.runner.next_time(),
+            next_time: self.core.next_time(),
             lease_ops: std::mem::take(&mut ob.lease_ops),
             site_ops: std::mem::take(&mut ob.site_ops),
             deltas: std::mem::take(&mut ob.deltas),
-            in_flight: self.controller.in_flight_deployments(self.runner.horizon()),
+            in_flight: self.core.controller.in_flight_deployments(cmd.end),
         }
     }
 
     fn finish(self) -> ShardFinal {
-        let now = self.runner.horizon();
-        let st = &self.controller.stats;
-        let summary = ShardSummary {
-            deployments: st.deployments.len() as u64,
-            memory_hits: st.memory_hits,
-            cloud_forwards: st.cloud_forwards,
-            held_requests: st.held_requests,
-            detoured_requests: st.detoured_requests,
-            retargets: st.retargets,
-            scale_downs: st.scale_downs,
-            removes: st.removals,
-            lease_rejections: st.lease_rejections,
-            lease_revocations: self.revocations,
-            remote_deltas: st.remote_deltas,
-        };
-        let in_flight = self
-            .controller
+        let now = self.core.horizon();
+        let controller = &self.core.controller;
+        let in_flight = controller
             .in_flight_deployments(now)
             .into_iter()
             .map(|(svc, c)| (svc.0, c.0))
             .collect();
-        let redirects = self
-            .controller
+        let redirects = controller
             .memory()
             .iter()
             .filter(|f| !f.pending)
             .filter_map(|f| f.cluster.map(|c| (f.service.0, c.0)))
             .collect();
         let mut ready = Vec::new();
-        for (c, handle) in self.handles.iter().enumerate() {
-            let cluster = handle.borrow();
-            for (i, template) in self.templates.iter().enumerate() {
-                if cluster.status(now, &template.name).is_ready() {
-                    ready.push((i as u32, c));
+        for service in controller.catalog.services() {
+            for (c, handle) in self.handles.iter().enumerate() {
+                if handle
+                    .borrow()
+                    .status(now, &service.template.name)
+                    .is_ready()
+                {
+                    ready.push((service.id.0, c));
                 }
             }
         }
+        let tags = &self.mesh.tags;
         ShardFinal {
-            summary,
-            records: self.records,
-            lost: self.lost,
-            lost_tags: self.lost_tags,
-            handovers: st.handovers,
+            summary: ShardSummary::of(&controller.stats, self.revocations),
+            lost: self.core.lost(),
+            lost_tags: self
+                .core
+                .lost_idx()
+                .iter()
+                .map(|&i| tags[i as usize])
+                .collect(),
+            handovers: controller.stats.handovers,
             in_flight,
             redirects,
             ready,
-            stalls: self.runner.stalls(),
-            events: self.runner.events(),
+            stalls: self.stalls,
+            events: self.core.events_executed(),
+            records: self.mesh.records,
         }
     }
 }
 
+/// The test-only hooks of a run ([`run_windowed_hooked`]); all off in
+/// production.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TestHooks {
+    /// Sensitivity hook: perturb the barrier merge order (tie-break and
+    /// fan-out order reversed). The determinism regression suite asserts the
+    /// canonical hash *changes* under this mutation — proof the pinned
+    /// hashes actually pin the merge order.
+    pub perturb: bool,
+    /// Seeded fault for the session-continuity analysis: this client's
+    /// post-handover requests are silently swallowed (never served, never
+    /// accounted lost). The mutation test asserts the continuity check flags
+    /// the blackholed sessions — proof the analysis is live, not vacuously
+    /// green.
+    pub blackhole_victim: Option<usize>,
+    /// `IngressShard::debug_unbatched` on every shard: the reference
+    /// schedule of `tests/batching_equivalence.rs`.
+    pub unbatched: bool,
+    /// `IngressShard::debug_reverse_batches` on every shard: the mutation
+    /// that must change the trace.
+    pub reverse_batches: bool,
+}
+
 /// Build shard `shard`'s full state. Runs *on the worker thread that owns
 /// the shard* ([`ShardCrew::spawn`]'s contract), so everything here —
-/// `Rc`/`RefCell` graphs, trait objects — stays thread-local. Every shard
-/// derives its replica RNG streams from the same `(seed, stream name)`
-/// pairs, so all replicas of a site are byte-identical at birth and stay so
-/// under the identical prewarm performed here.
-fn build_shard(
-    shard: usize,
-    cfg: &ScenarioConfig,
-    trace: &Trace,
-    blackhole_victim: Option<usize>,
-) -> MeshShard {
+/// `Rc`/`RefCell` graphs, trait objects — stays thread-local. Bring-up is
+/// `testbed::bringup`'s, so all replicas of a site are byte-identical at
+/// birth and stay so under the identical prewarm performed here.
+fn build_shard(shard: usize, cfg: &ScenarioConfig, trace: &Trace, hooks: TestHooks) -> MeshShard {
     let n = cfg.mesh.shards;
-    let rng = SimRng::seed_from_u64(cfg.seed);
-    let sites = cfg.resolved_sites();
-    let c3 = C3Topology::build_sites(
-        &sites.iter().map(|(s, _)| s.clone()).collect::<Vec<_>>(),
-        cfg.clients,
-    );
-    let profile = ServiceProfile::of(cfg.service);
-    let service_addrs = trace.service_addrs.clone();
-
-    let mut handles: Vec<SharedHandle> = Vec::with_capacity(sites.len());
-    for (i, (spec, kind)) in sites.iter().enumerate() {
-        let nodes = spec.nodes.max(1) as u32;
-        let runtime = match spec.class {
-            NodeClass::Egs => Runtime::new(
-                containers::CostModel::egs(),
-                rng.stream(&format!("rt-{i}")),
-                12_000 * nodes,
-                32 * (1u64 << 30) * nodes as u64,
-            ),
-            NodeClass::RaspberryPi => Runtime::new(
-                containers::CostModel::raspberry_pi(),
-                rng.stream(&format!("rt-{i}")),
-                4_000 * nodes,
-                4 * (1u64 << 30) * nodes as u64,
-            ),
-        };
-        let ip = c3.site_ips[i];
-        let backend: Box<dyn ClusterBackend> = match kind {
-            ClusterKind::Docker => Box::new(DockerCluster::new(
-                format!("{}-docker", spec.name),
-                ip,
-                runtime,
-                rng.stream(&format!("docker-{i}")),
-            )),
-            ClusterKind::Kubernetes => Box::new(K8sCluster::new(
-                format!("{}-k8s", spec.name),
-                ip,
-                runtime,
-                rng.stream(&format!("k8s-{i}")),
-                cfg.k8s_timings.clone().unwrap_or_else(K8sTimings::egs),
-            )),
-            ClusterKind::Wasm => Box::new(cluster::WasmEdgeCluster::new(
-                format!("{}-wasm", spec.name),
-                ip,
-                rng.stream(&format!("wasm-{i}")),
-                cluster::WasmTimings::egs(),
-            )),
-        };
-        handles.push(share(backend));
-    }
-
-    let mut templates = Vec::with_capacity(service_addrs.len());
-    for i in 0..service_addrs.len() {
-        let mut template = profile.template.clone();
-        template.name = format!("{}-{i:02}", profile.template.name);
-        templates.push(template);
-    }
+    let c3 = bringup::topology(cfg);
+    let mut backends = bringup::site_backends(cfg, &c3);
+    let templates = bringup::service_templates(cfg, trace.service_addrs.len());
+    // Prewarm the replicas themselves, before the LoggingBackend wraps them:
+    // every shard performs it, so broadcasting it would double-apply.
+    let setup_end = bringup::prewarm(cfg, &templates, backends.iter_mut().map(|b| b.as_mut()));
+    let handles: Vec<SharedHandle> = backends.into_iter().map(share).collect();
 
     let outbox = Rc::new(RefCell::new(Outbox::default()));
     let gate = cfg
         .mesh
         .leases
         .then(|| Rc::new(RefCell::new(GateState::default())));
-
-    let global = SchedulerRegistry::builtin()
-        .create(&cfg.scheduler)
-        .unwrap_or_else(|e| panic!("scenario scheduler: {e}"));
-    let mut builder = Controller::builder(cfg.controller.clone())
-        .global(global)
-        .local(RoundRobinLocal::default())
-        .registries(workload::services::standard_registries(
-            cfg.private_registry,
-        ))
-        .cloud_port(CLOUD_PORT)
-        .emit_status_deltas();
-    if let Some(state) = &gate {
-        builder = builder.deploy_gate(WindowGate {
-            shard,
-            state: Rc::clone(state),
-            outbox: Rc::clone(&outbox),
-        });
-    }
-    let mut controller = builder.build();
-    for (i, handle) in handles.iter().enumerate() {
-        let id = controller.attach_cluster(
-            Box::new(LoggingBackend::new(
-                i,
-                shard,
-                handle.clone(),
-                Rc::clone(&outbox),
-            )),
-            c3.switch_site_latency(i),
-            c3.site_port(i),
-        );
-        controller.configure_site(id, sites[i].0.capacity, sites[i].0.labels.clone());
-    }
-    for (i, addr) in service_addrs.iter().enumerate() {
-        controller.catalog.register(*addr, templates[i].clone());
-    }
-    let mut switch = Switch::new(c3.port_count());
-    for spec in cfg.seed_flows.clone() {
-        switch.flow_mod(SimTime::ZERO, spec);
-    }
-
-    // Identical prewarm on every shard's replicas, applied directly (not
-    // through the LoggingBackend — broadcasting it would double-apply).
-    let registries = workload::services::standard_registries(cfg.private_registry);
-    let setup = cfg.phase_setup;
-    let mut setup_end = SimTime::ZERO;
-    if setup != PhaseSetup::Cold {
-        for (c, handle) in handles.iter().enumerate() {
-            if let Some(only) = &cfg.prewarm_sites {
-                if !only.contains(&c) {
-                    continue;
-                }
+    // The controller steers each replica through a view that logs its
+    // successful mutations for barrier broadcast.
+    let replicas = handles.iter().enumerate().map(|(site, handle)| {
+        let outbox = Rc::clone(&outbox);
+        Box::new(SharedBackend::observed(
+            handle.clone(),
+            move |time, call| {
+                let mut ob = outbox.borrow_mut();
+                let seq = ob.next_seq();
+                ob.site_ops.push(SiteOp {
+                    time,
+                    origin: shard,
+                    seq,
+                    site,
+                    call,
+                });
+            },
+        )) as Box<dyn ClusterBackend>
+    });
+    let controller = bringup::controller(
+        cfg,
+        &c3,
+        replicas,
+        &trace.service_addrs,
+        templates,
+        |builder| {
+            let builder = builder.emit_status_deltas();
+            match &gate {
+                Some(state) => builder.deploy_gate(WindowGate {
+                    shard,
+                    state: Rc::clone(state),
+                    outbox: Rc::clone(&outbox),
+                }),
+                None => builder,
             }
-            let mut cluster = handle.borrow_mut();
-            let mut t = SimTime::ZERO;
-            for template in &templates {
-                t = cluster
-                    .pull(t, template, &registries)
-                    .expect("prewarm pull");
-                if matches!(setup, PhaseSetup::Created | PhaseSetup::Running) {
-                    t = cluster.create(t, template).expect("prewarm create");
-                }
-                if setup == PhaseSetup::Running {
-                    t = cluster
-                        .scale_up(t, &template.name, 1)
-                        .expect("prewarm scale-up")
-                        .expected_ready;
-                }
-            }
-            setup_end = setup_end.max(t);
-        }
-    }
+        },
+    );
+    let switch = bringup::seeded_switch(cfg, &c3);
+    let mut core = IngressShard::new(c3, switch, controller, trace.service_addrs.clone());
+    core.debug_unbatched = hooks.unbatched;
+    core.debug_reverse_batches = hooks.reverse_batches;
 
-    let mut runner = ShardRunner::new();
-    let mut in_flight = BTreeMap::new();
     let offset = (setup_end - SimTime::ZERO) + SimDuration::from_secs(5);
-    for (idx, req) in trace.requests.iter().enumerate() {
-        // Static ingress assignment (home shard advanced by the client's
-        // prior handovers) — a pure function of the trace, so every shard
-        // and the reference engine partition identically with no cross-shard
-        // machinery.
-        if ingress_at(&trace.handovers, req.client, req.at, n) != shard {
-            continue;
-        }
-        // Seeded-fault hook: swallow the victim's post-handover requests —
-        // the session is neither served nor accounted lost, exactly the
-        // blackhole the continuity analysis exists to catch.
-        if blackhole_victim == Some(req.client)
-            && ingress_at(&trace.handovers, req.client, req.at, n) != req.client % n
-        {
-            continue;
-        }
-        let at = req.at + offset + c3.client_switch_latency(req.client);
-        in_flight.insert(idx as u64, (req.client, req.service));
-        runner.inject(at, Ev2::Syn { tag: idx as u64 });
+    let tags: Vec<u64> = trace
+        .requests
+        .iter()
+        .enumerate()
+        .filter(|(_, req)| {
+            // Static ingress assignment (home shard advanced by the client's
+            // prior handovers) — a pure function of the trace, so every shard
+            // and the reference engine partition identically with no
+            // cross-shard machinery.
+            let ingress = ingress_at(&trace.handovers, req.client, req.at, n);
+            // Seeded-fault hook: swallow the victim's post-handover requests
+            // — the session is neither served nor accounted lost, exactly the
+            // blackhole the continuity analysis exists to catch.
+            let blackholed =
+                hooks.blackhole_victim == Some(req.client) && ingress != req.client % n;
+            ingress == shard && !blackholed
+        })
+        .map(|(idx, _)| idx as u64)
+        .collect();
+    core.reserve(tags.len());
+    // One routing query per client, not per request.
+    let access: Vec<SimDuration> = (0..core.c3.client_ips.len())
+        .map(|c| core.c3.client_switch_latency(c))
+        .collect();
+    for &tag in &tags {
+        let req = &trace.requests[tag as usize];
+        core.admit(
+            req.at + offset + access[req.client],
+            req.client,
+            req.service,
+        );
     }
     for (old, h) in departures(&trace.handovers, n) {
-        if old != shard {
-            continue;
+        if old == shard {
+            core.schedule_handover(h.at + offset, h.client);
         }
-        runner.inject(h.at + offset, Ev2::Handover { client: h.client });
     }
+    core.start();
 
     MeshShard {
-        shard,
-        c3,
+        core,
         handles,
-        templates,
-        registries,
-        service_addrs,
-        controller,
-        switch,
         gate,
-        outbox,
-        runner,
-        in_flight,
-        records: Vec::new(),
-        lost: 0,
-        lost_tags: Vec::new(),
+        mesh: MeshEngine {
+            shard,
+            tags,
+            records: Vec::new(),
+            outbox,
+        },
         revocations: 0,
-        wakeup_armed: None,
+        stalls: 0,
     }
 }
 
@@ -1068,7 +683,7 @@ fn merge_cmp(a: (SimTime, usize, u64), b: (SimTime, usize, u64), perturb: bool) 
 /// Run `trace` through the windowed engine with `threads` worker threads
 /// (clamped to the shard count). Requires `cfg.mesh.shards >= 2`.
 pub fn run_windowed(cfg: ScenarioConfig, trace: &Trace, threads: usize) -> MeshRunResult {
-    run_inner(cfg, trace, threads, false, None).0
+    run_windowed_hooked(cfg, trace, threads, TestHooks::default()).0
 }
 
 /// [`run_windowed`] plus the mesh-coherence audit over the final state and
@@ -1078,39 +693,32 @@ pub fn run_windowed_audited(
     trace: &Trace,
     threads: usize,
 ) -> (MeshRunResult, Vec<Violation>) {
-    run_inner(cfg, trace, threads, false, None)
+    run_windowed_hooked(cfg, trace, threads, TestHooks::default())
 }
 
-/// Test-only sensitivity hook: run with the barrier merge order perturbed
-/// (tie-break and fan-out order reversed). The determinism regression suite
-/// asserts the canonical hash *changes* under this mutation — proof the
-/// pinned hashes actually pin the merge order.
+/// Test-only: the per-site bookings shard `shard`'s controller ends bring-up
+/// with (`tests/bringup.rs` holds them to the single-controller testbed's).
 #[doc(hidden)]
-pub fn run_windowed_perturbed(cfg: ScenarioConfig, trace: &Trace, threads: usize) -> MeshRunResult {
-    run_inner(cfg, trace, threads, true, None).0
+pub fn shard_site_allocations(
+    cfg: &ScenarioConfig,
+    trace: &Trace,
+    shard: usize,
+) -> Vec<cluster::ResourceAllocation> {
+    let built = build_shard(shard, cfg, trace, TestHooks::default());
+    (0..built.handles.len())
+        .map(|site| built.core.controller.site_allocation(ClusterId(site)))
+        .collect()
 }
 
-/// Seeded-fault hook for the session-continuity analysis: run with
-/// `victim`'s post-handover requests silently swallowed (never served, never
-/// accounted lost). The mutation test asserts the continuity check flags the
-/// blackholed sessions — proof the analysis is live, not vacuously green.
+/// [`run_windowed_audited`] with test hooks switched on.
 #[doc(hidden)]
-pub fn run_windowed_blackholed(
+pub fn run_windowed_hooked(
     cfg: ScenarioConfig,
     trace: &Trace,
     threads: usize,
-    victim: usize,
+    hooks: TestHooks,
 ) -> (MeshRunResult, Vec<Violation>) {
-    run_inner(cfg, trace, threads, false, Some(victim))
-}
-
-fn run_inner(
-    cfg: ScenarioConfig,
-    trace: &Trace,
-    threads: usize,
-    perturb: bool,
-    blackhole_victim: Option<usize>,
-) -> (MeshRunResult, Vec<Violation>) {
+    let perturb = hooks.perturb;
     let n = cfg.mesh.shards;
     assert!(
         n >= 2,
@@ -1131,7 +739,7 @@ fn run_inner(
     let shared = Arc::new((cfg, trace.clone()));
     let build_input = Arc::clone(&shared);
     let mut crew: ShardCrew<MeshShard> = ShardCrew::spawn(n, threads, move |shard| {
-        build_shard(shard, &build_input.0, &build_input.1, blackhole_victim)
+        build_shard(shard, &build_input.0, &build_input.1, hooks)
     });
     let effective_threads = crew.effective_threads();
 

@@ -27,33 +27,32 @@
 //! This module is the **interleaved reference engine**: one global event
 //! queue, every shard's events executed in a single stream. It is the
 //! executable specification that the windowed parallel engine
-//! ([`crate::par`]) is held equivalent to by the lockstep model test.
+//! ([`crate::par`]) is held equivalent to by the lockstep model test, which
+//! is why it does *not* run on the shared ingress core (`testbed::ingress`)
+//! that engine and the single-controller testbed use: its event loop,
+//! synchronous lease gate, gossip pump and duplicate scan are a second,
+//! independent statement of the protocol. Only site / controller / switch
+//! bring-up (`testbed::bringup`) and the same-instant order of a handover
+//! and a SYN (teardown first) are shared.
 //! `shards = 1` never builds a [`MeshSim`] at all:
 //! [`crate::run_mesh_scenario`] delegates to [`testbed::Testbed`], keeping
 //! pinned traces byte-identical.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use cluster::{
-    ClusterBackend, ClusterKind, DockerCluster, K8sCluster, K8sTimings, ServiceTemplate,
-};
-use containers::Runtime;
-use edgectl::{Controller, ControllerOutput, RoundRobinLocal, SchedulerRegistry, StatusDelta};
+use cluster::ClusterBackend;
+use edgectl::{Controller, ControllerOutput, StatusDelta};
 use edgeverify::{MeshView, Verifier, Violation};
 use simcore::{EventQueue, SimDuration, SimRng, SimTime};
 use simnet::openflow::{BufferId, PacketVerdict, PortId, Switch};
 use simnet::{Packet, SocketAddr};
-use testbed::topology::NodeClass;
-use testbed::{C3Topology, PhaseSetup, ScenarioConfig, CLOUD_PORT};
-use workload::{departures, ingress_at, ServiceProfile, Trace};
+use testbed::ingress::CTRL_LATENCY;
+use testbed::{bringup, C3Topology, ScenarioConfig};
+use workload::{departures, ingress_at, Trace};
 
 use crate::lease::LeaseTable;
 use crate::result::{MeshRecord, MeshRunResult, ShardSummary};
 use crate::shared::{share, SharedBackend, SharedHandle};
-
-/// Latency of each shard's SDN control channel (same figure as the
-/// single-controller testbed: switch and controller share the EGS).
-const CTRL_LATENCY: SimDuration = SimDuration::from_micros(150);
 
 /// Retransmission cap per delta delivery. With `loss < 1` the chance of
 /// hitting it is astronomically small; it exists so a pre-rolled loss chain
@@ -116,7 +115,8 @@ pub struct MeshSim {
     /// One shared backend per edge site, in site order.
     handles: Vec<SharedHandle>,
     lease: Option<LeaseTable>,
-    templates: Vec<ServiceTemplate>,
+    /// When the build-time pre-warm of the shared sites finished.
+    setup_end: SimTime,
     service_addrs: Vec<SocketAddr>,
     gossip_rng: SimRng,
     events: EventQueue<Ev>,
@@ -153,114 +153,50 @@ impl MeshSim {
             n >= 2,
             "MeshSim needs >= 2 shards; one controller is the plain Testbed"
         );
-        let rng = SimRng::seed_from_u64(cfg.seed);
-        let sites = cfg.resolved_sites();
-        let c3 = C3Topology::build_sites(
-            &sites.iter().map(|(s, _)| s.clone()).collect::<Vec<_>>(),
-            cfg.clients,
-        );
-        let profile = ServiceProfile::of(cfg.service);
-
-        // One shared backend per site — identical construction to the
-        // single-controller testbed, shared by every shard.
-        let mut handles: Vec<SharedHandle> = Vec::with_capacity(sites.len());
-        for (i, (spec, kind)) in sites.iter().enumerate() {
-            let nodes = spec.nodes.max(1) as u32;
-            let runtime = match spec.class {
-                NodeClass::Egs => Runtime::new(
-                    containers::CostModel::egs(),
-                    rng.stream(&format!("rt-{i}")),
-                    12_000 * nodes,
-                    32 * (1u64 << 30) * nodes as u64,
-                ),
-                NodeClass::RaspberryPi => Runtime::new(
-                    containers::CostModel::raspberry_pi(),
-                    rng.stream(&format!("rt-{i}")),
-                    4_000 * nodes,
-                    4 * (1u64 << 30) * nodes as u64,
-                ),
-            };
-            let ip = c3.site_ips[i];
-            let backend: Box<dyn ClusterBackend> = match kind {
-                ClusterKind::Docker => Box::new(DockerCluster::new(
-                    format!("{}-docker", spec.name),
-                    ip,
-                    runtime,
-                    rng.stream(&format!("docker-{i}")),
-                )),
-                ClusterKind::Kubernetes => Box::new(K8sCluster::new(
-                    format!("{}-k8s", spec.name),
-                    ip,
-                    runtime,
-                    rng.stream(&format!("k8s-{i}")),
-                    cfg.k8s_timings.clone().unwrap_or_else(K8sTimings::egs),
-                )),
-                ClusterKind::Wasm => Box::new(cluster::WasmEdgeCluster::new(
-                    format!("{}-wasm", spec.name),
-                    ip,
-                    rng.stream(&format!("wasm-{i}")),
-                    cluster::WasmTimings::egs(),
-                )),
-            };
-            handles.push(share(backend));
-        }
-
+        let c3 = bringup::topology(&cfg);
+        let mut backends = bringup::site_backends(&cfg, &c3);
+        let templates = bringup::service_templates(&cfg, service_addrs.len());
+        // Pre-warm every shared site once (not once per shard — the sites
+        // are shared).
+        let setup_end = bringup::prewarm(&cfg, &templates, backends.iter_mut().map(|b| b.as_mut()));
+        // One shared backend per site, shared by every shard.
+        let handles: Vec<SharedHandle> = backends.into_iter().map(share).collect();
         let lease = cfg.mesh.leases.then(LeaseTable::new);
-
-        let mut templates = Vec::with_capacity(service_addrs.len());
-        for i in 0..service_addrs.len() {
-            let mut template = profile.template.clone();
-            template.name = format!("{}-{i:02}", profile.template.name);
-            templates.push(template);
-        }
 
         let mut shards = Vec::with_capacity(n);
         for s in 0..n {
-            let global = SchedulerRegistry::builtin()
-                .create(&cfg.scheduler)
-                .unwrap_or_else(|e| panic!("scenario scheduler: {e}"));
-            let mut builder = Controller::builder(cfg.controller.clone())
-                .global(global)
-                .local(RoundRobinLocal::default())
-                .registries(workload::services::standard_registries(
-                    cfg.private_registry,
-                ))
-                .cloud_port(CLOUD_PORT)
-                .emit_status_deltas();
-            if let Some(table) = &lease {
-                builder = builder.deploy_gate(table.handle(s));
-            }
-            let mut controller = builder.build();
-            for (i, handle) in handles.iter().enumerate() {
-                let id = controller.attach_cluster(
-                    Box::new(SharedBackend::new(handle.clone())),
-                    c3.switch_site_latency(i),
-                    c3.site_port(i),
-                );
-                controller.configure_site(id, sites[i].0.capacity, sites[i].0.labels.clone());
-            }
-            // Identical registration order on every shard, so ServiceId
-            // values are comparable across controllers (gossip relies on it).
-            for (i, addr) in service_addrs.iter().enumerate() {
-                controller.catalog.register(*addr, templates[i].clone());
-            }
-            let mut switch = Switch::new(c3.port_count());
-            for spec in cfg.seed_flows.clone() {
-                switch.flow_mod(SimTime::ZERO, spec);
-            }
+            let views = handles
+                .iter()
+                .map(|h| Box::new(SharedBackend::new(h.clone())) as Box<dyn ClusterBackend>);
+            let controller = bringup::controller(
+                &cfg,
+                &c3,
+                views,
+                &service_addrs,
+                templates.iter().cloned(),
+                |builder| {
+                    let builder = builder.emit_status_deltas();
+                    match &lease {
+                        Some(table) => builder.deploy_gate(table.handle(s)),
+                        None => builder,
+                    }
+                },
+            );
+            let switch = bringup::seeded_switch(&cfg, &c3);
             shards.push(Shard { switch, controller });
         }
 
         let wakeup_armed = vec![None; n];
+        let gossip_rng = SimRng::seed_from_u64(cfg.seed).stream("mesh-gossip");
         MeshSim {
             cfg,
             c3,
             shards,
             handles,
             lease,
-            templates,
+            setup_end,
             service_addrs,
-            gossip_rng: rng.stream("mesh-gossip"),
+            gossip_rng,
             events: EventQueue::new(),
             in_flight: Vec::new(),
             records: Vec::new(),
@@ -304,9 +240,21 @@ impl MeshSim {
             trace.service_addrs, self.service_addrs,
             "mesh must be built with the trace's addresses"
         );
-        let setup_end = self.prewarm();
-        let offset = (setup_end - SimTime::ZERO) + SimDuration::from_secs(5);
+        let offset = (self.setup_end - SimTime::ZERO) + SimDuration::from_secs(5);
         let n = self.shards.len();
+        // Handovers are pushed before the SYNs: at equal instants the
+        // teardown runs before the arriving SYN, the mobility model's
+        // boundary rule (a request at the handover instant already belongs
+        // to the new ingress) and the ingress core's tie order.
+        for (shard, h) in departures(&trace.handovers, n) {
+            self.events.push(
+                h.at + offset,
+                Ev::Handover {
+                    shard,
+                    client: h.client,
+                },
+            );
+        }
         self.in_flight.resize_with(trace.requests.len(), || None);
         for (idx, req) in trace.requests.iter().enumerate() {
             // Ingress assignment is a static function of the trace (home
@@ -321,52 +269,7 @@ impl MeshSim {
             });
             self.events.push(at, Ev::Syn { tag: idx as u64 });
         }
-        for (shard, h) in departures(&trace.handovers, n) {
-            self.events.push(
-                h.at + offset,
-                Ev::Handover {
-                    shard,
-                    client: h.client,
-                },
-            );
-        }
         self.run_loop();
-    }
-
-    /// Pre-warm every shared site once (not once per shard — the sites are
-    /// shared), mirroring the single-controller testbed's setup.
-    fn prewarm(&mut self) -> SimTime {
-        let setup = self.cfg.phase_setup;
-        if setup == PhaseSetup::Cold {
-            return SimTime::ZERO;
-        }
-        let registries = workload::services::standard_registries(self.cfg.private_registry);
-        let mut t_end = SimTime::ZERO;
-        for (c, handle) in self.handles.iter().enumerate() {
-            if let Some(only) = &self.cfg.prewarm_sites {
-                if !only.contains(&c) {
-                    continue;
-                }
-            }
-            let mut cluster = handle.borrow_mut();
-            let mut t = SimTime::ZERO;
-            for template in &self.templates {
-                t = cluster
-                    .pull(t, template, &registries)
-                    .expect("prewarm pull");
-                if matches!(setup, PhaseSetup::Created | PhaseSetup::Running) {
-                    t = cluster.create(t, template).expect("prewarm create");
-                }
-                if setup == PhaseSetup::Running {
-                    t = cluster
-                        .scale_up(t, &template.name, 1)
-                        .expect("prewarm scale-up")
-                        .expected_ready;
-                }
-            }
-            t_end = t_end.max(t);
-        }
-        t_end
     }
 
     fn run_loop(&mut self) {
@@ -631,11 +534,16 @@ impl MeshSim {
                     .collect(),
             );
         }
-        for (c, handle) in self.handles.iter().enumerate() {
-            let cluster = handle.borrow();
-            for (i, template) in self.templates.iter().enumerate() {
-                if cluster.status(now, &template.name).is_ready() {
-                    view.ready.insert((i as u32, c));
+        // Registration order is identical on every shard: any catalog names
+        // the same services under the same ids.
+        for service in self.shards[0].controller.catalog.services() {
+            for (c, handle) in self.handles.iter().enumerate() {
+                if handle
+                    .borrow()
+                    .status(now, &service.template.name)
+                    .is_ready()
+                {
+                    view.ready.insert((service.id.0, c));
                 }
             }
         }
@@ -663,22 +571,7 @@ impl MeshSim {
         let shard_stats: Vec<ShardSummary> = self
             .shards
             .iter()
-            .map(|s| {
-                let st = &s.controller.stats;
-                ShardSummary {
-                    deployments: st.deployments.len() as u64,
-                    memory_hits: st.memory_hits,
-                    cloud_forwards: st.cloud_forwards,
-                    held_requests: st.held_requests,
-                    detoured_requests: st.detoured_requests,
-                    retargets: st.retargets,
-                    scale_downs: st.scale_downs,
-                    removes: st.removals,
-                    lease_rejections: st.lease_rejections,
-                    lease_revocations: 0,
-                    remote_deltas: st.remote_deltas,
-                }
-            })
+            .map(|s| ShardSummary::of(&s.controller.stats, 0))
             .collect();
         let total = |f: fn(&ShardSummary) -> u64| shard_stats.iter().map(f).sum::<u64>();
         MeshRunResult {

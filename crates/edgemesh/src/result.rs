@@ -44,6 +44,26 @@ pub struct ShardSummary {
     pub remote_deltas: u64,
 }
 
+impl ShardSummary {
+    /// One shard's counters: its controller's stats plus the machines it
+    /// aborted on a lease revocation.
+    pub fn of(st: &edgectl::ControllerStats, lease_revocations: u64) -> ShardSummary {
+        ShardSummary {
+            deployments: st.deployments.len() as u64,
+            memory_hits: st.memory_hits,
+            cloud_forwards: st.cloud_forwards,
+            held_requests: st.held_requests,
+            detoured_requests: st.detoured_requests,
+            retargets: st.retargets,
+            scale_downs: st.scale_downs,
+            removes: st.removals,
+            lease_rejections: st.lease_rejections,
+            lease_revocations,
+            remote_deltas: st.remote_deltas,
+        }
+    }
+}
+
 /// Everything a mesh run produces.
 #[derive(Debug)]
 pub struct MeshRunResult {

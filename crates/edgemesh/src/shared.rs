@@ -14,8 +14,9 @@
 //! * The **windowed parallel engine** ([`crate::par`]) cannot share a
 //!   `Rc<RefCell<..>>` across worker threads, so every shard owns an
 //!   identical *replica* of every site (same seed, same RNG streams) and
-//!   logs its own successful mutations; peers replay those logs at the next
-//!   window boundary in the canonical `(time, origin_shard, seq)` merge
+//!   steers it through an *observed* [`SharedBackend`] that logs its own
+//!   successful mutations as [`SiteCall`]s; peers replay those logs at the
+//!   next window boundary in the canonical `(time, origin_shard, seq)` merge
 //!   order. Replaying the same mutations in the same total order against
 //!   the same initial state keeps all replicas convergent without any
 //!   cross-thread aliasing — the serialized-interleaving argument above,
@@ -41,6 +42,19 @@ pub fn share(backend: Box<dyn ClusterBackend>) -> SharedHandle {
     Rc::new(RefCell::new(backend))
 }
 
+/// A mutating call performed on one site's backend, by argument value so a
+/// peer can replay it on its own replica.
+#[derive(Debug, Clone)]
+pub enum SiteCall {
+    Pull { template: String },
+    Create { template: String },
+    ScaleUp { service: String, replicas: u32 },
+    ScaleDown { service: String, replicas: u32 },
+    Remove { service: String },
+    DeleteImage { image: String },
+    InjectCrash { service: String },
+}
+
 /// One shard's view of a shared site backend. Implements [`ClusterBackend`]
 /// by delegation; the name and kind are cached at wrap time because the
 /// trait returns `&str` (a `RefCell` borrow cannot escape a method).
@@ -48,6 +62,10 @@ pub struct SharedBackend {
     name: String,
     kind: ClusterKind,
     inner: SharedHandle,
+    /// Told about every successful mutation (reads don't gossip; failed
+    /// mutations have no side effect to replicate) — how the windowed
+    /// engine's replicas log their ops for barrier broadcast.
+    observer: Option<Box<dyn FnMut(SimTime, SiteCall)>>,
 }
 
 impl SharedBackend {
@@ -56,7 +74,30 @@ impl SharedBackend {
             let b = inner.borrow();
             (b.cluster_name().to_string(), b.kind())
         };
-        SharedBackend { name, kind, inner }
+        SharedBackend {
+            name,
+            kind,
+            inner,
+            observer: None,
+        }
+    }
+
+    /// [`SharedBackend::new`] with `observer` told about every successful
+    /// mutation made through this view.
+    pub fn observed(
+        inner: SharedHandle,
+        observer: impl FnMut(SimTime, SiteCall) + 'static,
+    ) -> SharedBackend {
+        SharedBackend {
+            observer: Some(Box::new(observer)),
+            ..SharedBackend::new(inner)
+        }
+    }
+
+    fn note(&mut self, happened: bool, now: SimTime, call: impl FnOnce() -> SiteCall) {
+        if let (true, Some(observer)) = (happened, &mut self.observer) {
+            observer(now, call());
+        }
     }
 }
 
@@ -75,7 +116,11 @@ impl ClusterBackend for SharedBackend {
         template: &ServiceTemplate,
         registries: &RegistrySet,
     ) -> Result<SimTime, ClusterError> {
-        self.inner.borrow_mut().pull(now, template, registries)
+        let r = self.inner.borrow_mut().pull(now, template, registries);
+        self.note(r.is_ok(), now, || SiteCall::Pull {
+            template: template.name.clone(),
+        });
+        r
     }
 
     fn create(
@@ -83,7 +128,11 @@ impl ClusterBackend for SharedBackend {
         now: SimTime,
         template: &ServiceTemplate,
     ) -> Result<SimTime, ClusterError> {
-        self.inner.borrow_mut().create(now, template)
+        let r = self.inner.borrow_mut().create(now, template);
+        self.note(r.is_ok(), now, || SiteCall::Create {
+            template: template.name.clone(),
+        });
+        r
     }
 
     fn scale_up(
@@ -92,7 +141,12 @@ impl ClusterBackend for SharedBackend {
         service: &str,
         replicas: u32,
     ) -> Result<ScaleReceipt, ClusterError> {
-        self.inner.borrow_mut().scale_up(now, service, replicas)
+        let r = self.inner.borrow_mut().scale_up(now, service, replicas);
+        self.note(r.is_ok(), now, || SiteCall::ScaleUp {
+            service: service.to_string(),
+            replicas,
+        });
+        r
     }
 
     fn scale_down(
@@ -101,15 +155,28 @@ impl ClusterBackend for SharedBackend {
         service: &str,
         replicas: u32,
     ) -> Result<SimTime, ClusterError> {
-        self.inner.borrow_mut().scale_down(now, service, replicas)
+        let r = self.inner.borrow_mut().scale_down(now, service, replicas);
+        self.note(r.is_ok(), now, || SiteCall::ScaleDown {
+            service: service.to_string(),
+            replicas,
+        });
+        r
     }
 
     fn remove(&mut self, now: SimTime, service: &str) -> Result<SimTime, ClusterError> {
-        self.inner.borrow_mut().remove(now, service)
+        let r = self.inner.borrow_mut().remove(now, service);
+        self.note(r.is_ok(), now, || SiteCall::Remove {
+            service: service.to_string(),
+        });
+        r
     }
 
     fn delete_image(&mut self, now: SimTime, image: &ImageRef) -> bool {
-        self.inner.borrow_mut().delete_image(now, image)
+        let deleted = self.inner.borrow_mut().delete_image(now, image);
+        self.note(deleted, now, || SiteCall::DeleteImage {
+            image: image.0.clone(),
+        });
+        deleted
     }
 
     fn status(&self, now: SimTime, service: &str) -> ServiceStatus {
@@ -133,7 +200,11 @@ impl ClusterBackend for SharedBackend {
     }
 
     fn inject_crash(&mut self, now: SimTime, service: &str) -> CrashOutcome {
-        self.inner.borrow_mut().inject_crash(now, service)
+        let outcome = self.inner.borrow_mut().inject_crash(now, service);
+        self.note(true, now, || SiteCall::InjectCrash {
+            service: service.to_string(),
+        });
+        outcome
     }
 }
 

@@ -120,8 +120,12 @@ fn blackholed_handover_is_flagged() {
             })
         })
         .expect("some client must issue post-handover requests");
+    let hooks = edgemesh::par::TestHooks {
+        blackhole_victim: Some(victim),
+        ..Default::default()
+    };
     let (result, violations) =
-        edgemesh::par::run_windowed_blackholed(mesh_cfg(31, shards), &trace, 2, victim);
+        edgemesh::par::run_windowed_hooked(mesh_cfg(31, shards), &trace, 2, hooks);
     let blackholed: Vec<_> = violations
         .iter()
         .filter_map(|v| match v {
@@ -162,4 +166,93 @@ fn flash_crowd_contention_is_resolved_by_leases() {
          concentrated enough to exercise the protocol"
     );
     assert_eq!(result.completed + result.lost, trace.requests.len() as u64);
+}
+
+/// One tie rule for a handover and a SYN at the same instant, in all three
+/// engines: the teardown runs first (a request at the handover instant
+/// already belongs to the new ingress; this one left a link latency earlier
+/// and still enters through the old one). Generated traces have ns-resolution
+/// `f64` times and never tie, so the tie is engineered: client 0's second
+/// request starts exactly one access latency before its handover, so its SYN
+/// reaches the departing shard's switch at the handover instant.
+#[test]
+fn handover_and_syn_at_the_same_instant_agree_across_engines() {
+    use simcore::{SimDuration, SimTime};
+    use workload::{Handover, TraceRequest};
+
+    let cfg = ScenarioConfig {
+        clients: 2,
+        ..mesh_cfg(5, 2)
+    };
+    let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+    let handover_at = at(20_000);
+    let access = testbed::bringup::topology(&cfg).client_switch_latency(0);
+    let request = |at, client| TraceRequest {
+        at,
+        service: 0,
+        client,
+    };
+    let trace = Trace {
+        requests: vec![
+            request(at(1_000), 0),
+            request(at(2_000), 1),
+            request(handover_at - access, 0),
+            request(at(30_000), 0),
+        ],
+        service_addrs: vec![simnet::SocketAddr::new(
+            simnet::IpAddr::new(93, 184, 1, 1),
+            80,
+        )],
+        config: TraceConfig {
+            services: 1,
+            total_requests: 4,
+            clients: 2,
+            min_per_service: 1,
+            ..TraceConfig::default()
+        },
+        handovers: vec![Handover {
+            at: handover_at,
+            client: 0,
+        }],
+    };
+    // The tie request still belongs to the departing shard.
+    assert_eq!(ingress_at(&trace.handovers, 0, trace.requests[2].at, 2), 0);
+    assert_eq!(ingress_at(&trace.handovers, 0, trace.requests[3].at, 2), 1);
+
+    let single = testbed::Testbed::build(
+        ScenarioConfig {
+            mesh: MeshParams::default(),
+            ..cfg.clone()
+        },
+        trace.service_addrs.clone(),
+    )
+    .run_trace(&trace);
+    let windowed = edgemesh::run_windowed(cfg.clone(), &trace, 1);
+    let reference = MeshSim::build(cfg, trace.service_addrs.clone()).run_trace(&trace);
+
+    let counters = |completed: u64, lost: u64, handovers: u64| (completed, lost, handovers);
+    let expected = counters(4, 0, 1);
+    assert_eq!(
+        counters(single.records.len() as u64, single.lost, single.handovers),
+        expected,
+        "single-controller testbed"
+    );
+    assert_eq!(
+        counters(windowed.completed, windowed.lost, windowed.handovers),
+        expected,
+        "windowed engine"
+    );
+    assert_eq!(
+        counters(reference.completed, reference.lost, reference.handovers),
+        expected,
+        "reference engine"
+    );
+    // The mesh engines additionally agree request by request on who released
+    // what through which port.
+    let released = |r: &edgemesh::MeshRunResult| -> Vec<(u64, usize, usize)> {
+        let mut v: Vec<_> = r.records.iter().map(|r| (r.tag, r.shard, r.port)).collect();
+        v.sort_unstable();
+        v
+    };
+    assert_eq!(released(&windowed), released(&reference));
 }

@@ -135,7 +135,11 @@ fn perturbed_merge_tie_break_changes_the_hash() {
         ..ScenarioConfig::default()
     };
     let canonical = edgemesh::run_windowed(cfg.clone(), &trace, 1);
-    let perturbed = edgemesh::par::run_windowed_perturbed(cfg, &trace, 1);
+    let hooks = edgemesh::par::TestHooks {
+        perturb: true,
+        ..Default::default()
+    };
+    let (perturbed, _) = edgemesh::par::run_windowed_hooked(cfg, &trace, 1, hooks);
     assert_ne!(
         canonical.mesh_hash(),
         perturbed.mesh_hash(),

@@ -14,7 +14,7 @@
 //! * [`runner`] — a crossbeam-based fan-out runner that executes many independent
 //!   (seed, config) simulation replicas in parallel and returns results in seed order,
 //! * [`shard_runner`] — conservative-PDES window execution *within* one replica:
-//!   the per-shard [`shard_runner::ShardRunner`] horizon primitive and the
+//!   the [`shard_runner::ShardActor`] contract and the
 //!   [`shard_runner::ShardCrew`] thread-per-shard pool with deterministic
 //!   barrier synchronization.
 //!
@@ -41,6 +41,6 @@ pub use fnv::FnvStream;
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use runner::{run_seeds, run_seeds_meta, RunnerMeta};
-pub use shard_runner::{ShardActor, ShardCrew, ShardRunner};
+pub use shard_runner::{ShardActor, ShardCrew};
 pub use stats::{LogHistogram, Percentiles, Summary, TimeSeries};
 pub use time::{SimDuration, SimTime};

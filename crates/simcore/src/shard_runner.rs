@@ -1,6 +1,5 @@
-//! Conservative-PDES window execution: the per-shard [`ShardRunner`] event
-//! primitive and the [`ShardCrew`] thread pool that drives many shards in
-//! lockstep windows.
+//! Conservative-PDES window execution: the [`ShardActor`] contract and the
+//! [`ShardCrew`] thread pool that drives many shards in lockstep windows.
 //!
 //! The mesh federation (and any other sharded simulation) advances each
 //! shard's event queue *freely* up to a synchronization horizon
@@ -12,8 +11,9 @@
 //!
 //! * **Strictly-increasing horizon.** A shard never executes an event at or
 //!   beyond its window end, and nothing may be injected before the horizon
-//!   already passed ([`ShardRunner::inject`] asserts this). Messages created
-//!   inside a window therefore always land in a *later* window.
+//!   already passed (the actor's event core asserts this — for the mesh,
+//!   `testbed::ingress::IngressShard`). Messages created inside a window
+//!   therefore always land in a *later* window.
 //! * **Thread-free shard state.** Each shard's window is a sequential
 //!   computation over its own state plus the commands handed to it at the
 //!   barrier. Threads only decide *which worker* runs a shard, never what
@@ -35,123 +35,6 @@ use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
-
-use crate::queue::EventQueue;
-use crate::time::SimTime;
-
-/// Per-shard window-execution primitive: an [`EventQueue`] plus the horizon
-/// bookkeeping of conservative PDES. All event flow of a windowed shard goes
-/// through this type so the horizon invariant is enforced in one place.
-pub struct ShardRunner<E> {
-    queue: EventQueue<E>,
-    /// Everything strictly before this instant has been executed.
-    horizon: SimTime,
-    /// End of the currently open window (`None` between windows).
-    open_end: Option<SimTime>,
-    events_in_window: u64,
-    windows: u64,
-    events: u64,
-    /// Windows in which this shard executed zero events — it only stalled at
-    /// the barrier while other shards worked.
-    stalls: u64,
-}
-
-impl<E> Default for ShardRunner<E> {
-    fn default() -> Self {
-        ShardRunner::new()
-    }
-}
-
-impl<E> ShardRunner<E> {
-    pub fn new() -> ShardRunner<E> {
-        ShardRunner {
-            queue: EventQueue::new(),
-            horizon: SimTime::ZERO,
-            open_end: None,
-            events_in_window: 0,
-            windows: 0,
-            events: 0,
-            stalls: 0,
-        }
-    }
-
-    /// Schedule an event. Injections must respect the horizon: scheduling
-    /// into the executed past would mean a message arrived inside a window
-    /// that already ran, i.e. the lookahead was violated.
-    pub fn inject(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.horizon,
-            "shard-runner horizon violated: inject at {at:?} behind horizon {:?}",
-            self.horizon
-        );
-        self.queue.push(at, event);
-    }
-
-    /// Earliest pending event, if any.
-    pub fn next_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Open a window ending (exclusively) at `end`. `end == horizon` is an
-    /// empty probe window (used to learn `next_time` before the first real
-    /// window); `end < horizon` would rewind time and is rejected.
-    pub fn begin_window(&mut self, end: SimTime) {
-        assert!(
-            end >= self.horizon,
-            "shard-runner horizon violated: window end {end:?} behind horizon {:?}",
-            self.horizon
-        );
-        assert!(self.open_end.is_none(), "window already open");
-        self.open_end = Some(end);
-        self.events_in_window = 0;
-    }
-
-    /// Pop the next event strictly before the open window's end.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let end = self.open_end.expect("pop outside an open window");
-        let popped = self.queue.pop_if(|t, _| t < end);
-        if popped.is_some() {
-            self.events_in_window += 1;
-            self.events += 1;
-        }
-        popped
-    }
-
-    /// Close the open window: the horizon advances to its end and the window
-    /// counters update. Returns the number of events executed in the window.
-    /// Probe windows (`end == previous horizon`) are not counted.
-    pub fn end_window(&mut self) -> u64 {
-        let end = self.open_end.take().expect("no window open");
-        if end > self.horizon {
-            self.windows += 1;
-            if self.events_in_window == 0 {
-                self.stalls += 1;
-            }
-        }
-        self.horizon = end;
-        self.events_in_window
-    }
-
-    /// The execution horizon: everything strictly before it has run.
-    pub fn horizon(&self) -> SimTime {
-        self.horizon
-    }
-
-    /// Real (non-probe) windows executed.
-    pub fn windows(&self) -> u64 {
-        self.windows
-    }
-
-    /// Total events executed.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Real windows in which this shard executed zero events.
-    pub fn stalls(&self) -> u64 {
-        self.stalls
-    }
-}
 
 /// One shard's role in a windowed simulation: execute a window when told to,
 /// produce a report, and yield a final result when the run ends. Commands,

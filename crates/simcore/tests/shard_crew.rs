@@ -8,11 +8,15 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use simcore::{ShardActor, ShardCrew, ShardRunner, SimDuration, SimTime};
+use simcore::{EventQueue, ShardActor, ShardCrew, SimDuration, SimTime};
 
 struct CounterShard {
     id: usize,
-    runner: ShardRunner<u64>,
+    queue: EventQueue<u64>,
+    /// Everything strictly before this instant has been executed.
+    horizon: SimTime,
+    events: u64,
+    windows: u64,
     /// Non-`Send` on purpose: proves shard state never migrates.
     log: Rc<RefCell<Vec<u64>>>,
 }
@@ -46,28 +50,32 @@ impl ShardActor for CounterShard {
 
     fn run_window(&mut self, cmd: WindowCmd) -> WindowReport {
         for (at, payload) in cmd.inject {
-            self.runner.inject(at, payload);
+            assert!(at >= self.horizon, "message behind the horizon");
+            self.queue.push(at, payload);
         }
-        self.runner.begin_window(cmd.end);
         let mut sum = 0;
-        while let Some((_, payload)) = self.runner.pop() {
+        let mut executed = 0;
+        while let Some((_, payload)) = self.queue.pop_if(|t, _| t < cmd.end) {
             sum += payload;
+            executed += 1;
             self.log.borrow_mut().push(payload);
         }
-        let executed = self.runner.end_window();
+        self.events += executed;
+        self.windows += 1;
+        self.horizon = cmd.end;
         WindowReport {
             shard: self.id,
             executed,
             sum,
-            horizon: self.runner.horizon(),
+            horizon: self.horizon,
         }
     }
 
     fn finish(self) -> FinalState {
         FinalState {
             shard: self.id,
-            events: self.runner.events(),
-            windows: self.runner.windows(),
+            events: self.events,
+            windows: self.windows,
             log: self.log.borrow().clone(),
         }
     }
@@ -86,16 +94,19 @@ fn window_end(w: usize) -> SimTime {
 /// cross-shard messages, exactly the mesh engine's traffic shape.
 fn drive(threads: usize) -> (Vec<Vec<WindowReport>>, Vec<FinalState>) {
     let mut crew: ShardCrew<CounterShard> = ShardCrew::spawn(SHARDS, threads, |id| {
-        let mut runner = ShardRunner::new();
+        let mut queue = EventQueue::new();
         for w in 0..WINDOWS {
-            runner.inject(
+            queue.push(
                 SimTime::ZERO + SimDuration::from_millis(10 * w as u64 + id as u64 + 1),
                 (w * 100 + id) as u64,
             );
         }
         CounterShard {
             id,
-            runner,
+            queue,
+            horizon: SimTime::ZERO,
+            events: 0,
+            windows: 0,
             log: Rc::new(RefCell::new(Vec::new())),
         }
     });

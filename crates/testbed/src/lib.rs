@@ -10,13 +10,25 @@
 //! * [`scenario`] — run configuration (service type, backend(s), scheduler
 //!   policy, registry setup, pre-warm level) mirroring the paper's test
 //!   matrix,
-//! * [`sim`] — the event loop: client SYNs traverse the OpenFlow switch,
-//!   table misses reach the controller (with control-channel latency), the
-//!   controller deploys / redirects / holds, released packets complete as
-//!   flow-level TCP exchanges measured with timecurl semantics.
+//! * [`bringup`] — site backends, service templates, controller, seeded
+//!   switch and pre-warm for a scenario, written once for every engine
+//!   (this crate's [`Testbed`] and both `edgemesh` engines),
+//! * [`ingress`] — the ingress shard core, the one implementation of the
+//!   event loop: client SYNs traverse the OpenFlow switch, table misses reach
+//!   the controller (with control-channel latency), the controller deploys /
+//!   redirects / holds, and forwarded SYNs are handed to the driving engine.
+//!   Driven to a horizon: to completion by [`Testbed`], window by window by
+//!   `edgemesh`'s PDES shards,
+//! * [`sim`] — [`Testbed`]: the core run to completion, with released
+//!   packets completing as flow-level TCP exchanges measured with timecurl
+//!   semantics,
+//! * [`fabric`] — the multi-switch chain with roaming clients (its own
+//!   topology and loop).
 
+pub mod bringup;
 pub mod config;
 pub mod fabric;
+pub mod ingress;
 pub mod scenario;
 pub mod sim;
 pub mod topology;

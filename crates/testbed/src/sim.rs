@@ -1,60 +1,32 @@
-//! The event loop: clients, switch, controller and clusters in one
-//! deterministic simulation.
+//! The single-controller testbed: clients, switch, controller and clusters
+//! in one deterministic simulation.
 //!
-//! Per request, only the **first packet** (the TCP SYN) travels through the
-//! OpenFlow machinery — matching reality, where subsequent packets hit the
-//! installed flow in the data plane. Once the SYN is forwarded (immediately
-//! on a table hit, or after the controller's decision/deployment released the
-//! buffered packet), the rest of the exchange is computed with the flow-level
-//! TCP model and recorded with timecurl `time_total` semantics: from the
-//! client starting the connection until the full response arrived. The time
-//! the SYN spent buffered at the switch (on-demand deployment *with waiting*)
-//! is part of that total, exactly as the paper measures it.
+//! [`Testbed`] drives one [`IngressShard`] — the shared SYN → switch →
+//! PacketIn → controller → FlowMod + release pipeline — once, to completion.
+//! What it adds is what a released request becomes: once the SYN is
+//! forwarded (immediately on a table hit, or after the controller's
+//! decision/deployment released the buffered packet), the rest of the
+//! exchange is computed with the flow-level TCP model and recorded with
+//! timecurl `time_total` semantics: from the client starting the connection
+//! until the full response arrived. The time the SYN spent buffered at the
+//! switch (on-demand deployment *with waiting*) is part of that total,
+//! exactly as the paper measures it.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use cluster::{
-    ClusterBackend, ClusterKind, DockerCluster, K8sCluster, K8sTimings, ServiceTemplate,
-};
-use containers::Runtime;
-use edgectl::controller::INGRESS;
-use edgectl::{Controller, ControllerOutput, RoundRobinLocal, SchedulerRegistry};
+use edgectl::ClusterId;
 use edgeverify::{CoherenceView, Fabric, FabricSwitch, Link, PacketClass, Verifier, Violation};
-use simcore::{EventQueue, SimDuration, SimRng, SimTime};
-use simnet::openflow::{BufferId, PacketVerdict, PortId, Switch};
-use simnet::{Packet, PathCache, SocketAddr, TcpModel};
+use simcore::{SimDuration, SimRng, SimTime};
+use simnet::openflow::{FlowId, FlowTable};
+use simnet::{PathCache, SocketAddr, TcpModel};
 use workload::client::RequestRecord;
 use workload::{ServiceProfile, Trace};
 
-use crate::scenario::{PhaseSetup, PredictorKind, ScenarioConfig};
-use crate::topology::{C3Topology, NodeClass, CLOUD_PORT};
-
-/// Latency of the SDN control channel (switch ↔ controller, both on the EGS).
-const CTRL_LATENCY: SimDuration = SimDuration::from_micros(150);
-
-/// Events of the testbed simulation. Client SYN arrivals are *not* queued:
-/// they are fed lazily from the sorted arrival index (see
-/// [`Testbed::run_loop`]), so the future-event list holds only the live
-/// control-plane horizon instead of the whole trace.
-enum Ev {
-    /// A PacketIn reaches the controller.
-    CtrlPacketIn {
-        packet: Packet,
-        buffer_id: BufferId,
-        in_port: PortId,
-    },
-    /// A controller output reaches the switch.
-    ApplyOutput { output: ControllerOutput },
-    /// The controller asked to be woken: deployment machine steps, retarget
-    /// drains, FlowMemory housekeeping and predictor runs all ride on this
-    /// one event (the controller's `next_wakeup`/`on_wakeup` surface).
-    Wakeup,
-    /// Fault injection: crash one running instance of a random service.
-    CrashTick,
-    /// A mobile client hands over away from this ingress: tear down its
-    /// flows so the next request re-runs the Dispatcher.
-    Handover { client: u32 },
-}
+use crate::bringup;
+use crate::ingress::{Engine, IngressShard, Released};
+use crate::scenario::{PredictorKind, ScenarioConfig};
+use crate::topology::CLOUD_PORT;
 
 /// Everything a run produces.
 #[derive(Debug)]
@@ -108,7 +80,7 @@ pub struct RunResult {
 /// `event_loop` lane is the numerator of the pinned allocs/request budget.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AllocProfile {
-    /// Cluster pre-warm per the scenario's [`PhaseSetup`].
+    /// Cluster pre-warm per the scenario's [`crate::PhaseSetup`].
     pub prewarm: u64,
     /// Predictor/crash-schedule arming plus request-lane construction.
     pub schedule: u64,
@@ -268,44 +240,34 @@ impl AuditState {
     }
 }
 
+/// Fault injection: crash one running instance of a random service. The
+/// testbed's only event beyond the ingress core's own.
+struct CrashTick;
+
 /// The assembled testbed.
 pub struct Testbed {
     cfg: ScenarioConfig,
-    c3: C3Topology,
-    switch: Switch,
-    controller: Controller,
+    shard: IngressShard<CrashTick>,
+    model: FlowModel,
+    /// Per-phase allocation counts of the last `run_trace` (populated when
+    /// the `counting-alloc` feature is on).
+    alloc_profile: Option<AllocProfile>,
+}
+
+/// What the testbed makes of the core's events: a released request becomes
+/// a flow-level TCP exchange against a single-server instance queue, a
+/// FlowMod is audited when a verifier rides along, and crash ticks kill
+/// instances.
+struct FlowModel {
     profile: ServiceProfile,
-    /// Cloud addresses of the registered services (trace order).
-    service_addrs: Vec<SocketAddr>,
-    /// Per-service deployable templates (trace order).
-    templates: Vec<ServiceTemplate>,
     rng: SimRng,
-    events: EventQueue<Ev>,
-    // --- Per-request state as SoA lanes (DESIGN.md §5i), indexed by the
-    // dense trace tag. The packet path touches only the lanes it needs —
-    // no boxed per-request struct, no hashing.
+    /// When each client started its connection, by request lane index.
     req_started: Vec<SimTime>,
-    req_syn_at: Vec<SimTime>,
-    req_service: Vec<u32>,
-    req_client: Vec<u32>,
-    /// Deployment machines started before this request's PacketIn — the
-    /// lower bound of the window used to attribute `triggered_deployment`.
-    req_machines_before: Vec<u64>,
-    req_live: Vec<bool>,
-    /// Lazy SYN feed: `(syn_at_switch, tag)` ascending, `arrival_next` the
-    /// cursor. Future SYNs never enter the event queue, so its depth tracks
-    /// the live control-plane horizon instead of the whole trace.
-    arrivals: Vec<(SimTime, u32)>,
-    arrival_next: usize,
-    /// Queue seq watermark captured right before the run starts: an entry
-    /// with `seq >= runtime_seq_floor` was pushed *during* the run and loses
-    /// same-instant ties against a fed SYN (the eager loop pushed all SYNs
-    /// first), while setup-time pushes (crash ticks, the initial predictor
-    /// wakeup) keep winning them.
-    runtime_seq_floor: u64,
-    /// SYNs delivered from `arrivals`, counted into `events_scheduled` so
-    /// the diagnostic matches the eager loop's accounting.
-    fed_arrivals: u64,
+    /// Access latency client → switch, one Dijkstra per *client* instead of
+    /// one per request (the graph is immutable after build), measured when
+    /// the first request is admitted. A request's SYN reaches the switch at
+    /// `started + client_latency[client]`.
+    client_latency: Vec<SimDuration>,
     /// Memoized routing queries over the (immutable after build) fabric;
     /// saves a Dijkstra per completed request.
     paths: PathCache,
@@ -315,12 +277,7 @@ pub struct Testbed {
     /// machine-ordinal windows, resolved against the dispatcher's completion
     /// log in [`Testbed::finish`].
     triggered_windows: Vec<(usize, u64, u64)>,
-    lost: u64,
     crashes_injected: u64,
-    /// Earliest armed controller wakeup (one outstanding event is enough —
-    /// `on_wakeup` is idempotent and re-arms from the authoritative
-    /// `next_wakeup`).
-    wakeup_armed: Option<SimTime>,
     /// `Some` while a `run_trace_audited` run checks every flow install.
     audit: Option<AuditState>,
     /// Single-server FIFO queue per (service, serving port): the instant the
@@ -330,143 +287,58 @@ pub struct Testbed {
     /// the site ports (`SimTime::ZERO` = idle).
     busy: Vec<SimTime>,
     busy_stride: usize,
-    /// Reused buffer for controller outputs — the event loop's only `Vec`,
-    /// drained and put back after every controller call.
-    outputs_scratch: Vec<ControllerOutput>,
-    /// Per-phase allocation counts of the last `run_trace` (populated when
-    /// the `counting-alloc` feature is on).
-    alloc_profile: Option<AllocProfile>,
-    /// Test-only: disable the same-instant PacketIn batch drain and process
-    /// one event per loop iteration — the reference schedule the batched
-    /// path must match byte-for-byte (`tests/batching_equivalence.rs`).
-    #[doc(hidden)]
-    pub debug_unbatched: bool,
-    /// Test-only mutation: process each same-instant PacketIn batch in
-    /// reverse order. Exists to prove the equivalence property can fail.
-    #[doc(hidden)]
-    pub debug_reverse_batches: bool,
 }
 
 impl Testbed {
     /// Build the testbed for `cfg`, registering `n_services` instances of the
     /// configured service type at the given cloud addresses.
     pub fn build(cfg: ScenarioConfig, service_addrs: Vec<SocketAddr>) -> Testbed {
-        let rng = SimRng::seed_from_u64(cfg.seed);
-        let sites = cfg.resolved_sites();
-        let c3 = C3Topology::build_sites(
-            &sites.iter().map(|(s, _)| s.clone()).collect::<Vec<_>>(),
-            cfg.clients,
+        let c3 = bringup::topology(&cfg);
+        let controller = bringup::controller(
+            &cfg,
+            &c3,
+            bringup::site_backends(&cfg, &c3),
+            &service_addrs,
+            bringup::service_templates(&cfg, service_addrs.len()),
+            |builder| builder,
         );
-        let mut switch = Switch::new(c3.port_count());
-        let registries = workload::services::standard_registries(cfg.private_registry);
-        let profile = ServiceProfile::of(cfg.service);
-
-        let global = SchedulerRegistry::builtin()
-            .create(&cfg.scheduler)
-            .unwrap_or_else(|e| panic!("scenario scheduler: {e}"));
-        let mut controller = Controller::builder(cfg.controller.clone())
-            .global(global)
-            .local(RoundRobinLocal::default())
-            .registries(registries)
-            .cloud_port(CLOUD_PORT)
-            .build();
-
-        for (i, (spec, kind)) in sites.iter().enumerate() {
-            let nodes = spec.nodes.max(1) as u32;
-            let runtime = match spec.class {
-                NodeClass::Egs => Runtime::new(
-                    containers::CostModel::egs(),
-                    rng.stream_indexed("rt", i),
-                    12_000 * nodes,
-                    32 * (1u64 << 30) * nodes as u64,
-                ),
-                NodeClass::RaspberryPi => Runtime::new(
-                    containers::CostModel::raspberry_pi(),
-                    rng.stream_indexed("rt", i),
-                    4_000 * nodes,
-                    4 * (1u64 << 30) * nodes as u64,
-                ),
-            };
-            let ip = c3.site_ips[i];
-            let backend: Box<dyn ClusterBackend> = match kind {
-                ClusterKind::Docker => Box::new(DockerCluster::new(
-                    format!("{}-docker", spec.name),
-                    ip,
-                    runtime,
-                    rng.stream_indexed("docker", i),
-                )),
-                ClusterKind::Kubernetes => Box::new(K8sCluster::new(
-                    format!("{}-k8s", spec.name),
-                    ip,
-                    runtime,
-                    rng.stream_indexed("k8s", i),
-                    cfg.k8s_timings.clone().unwrap_or_else(K8sTimings::egs),
-                )),
-                ClusterKind::Wasm => Box::new(cluster::WasmEdgeCluster::new(
-                    format!("{}-wasm", spec.name),
-                    ip,
-                    rng.stream_indexed("wasm", i),
-                    cluster::WasmTimings::egs(),
-                )),
-            };
-            let id = controller.attach_cluster(backend, c3.switch_site_latency(i), c3.site_port(i));
-            controller.configure_site(id, spec.capacity, spec.labels.clone());
-        }
-
-        // Register one service per cloud address; all are instances of the
-        // same Table I service type (paper: one type per test run).
-        let mut templates = Vec::with_capacity(service_addrs.len());
-        for (i, addr) in service_addrs.iter().enumerate() {
-            let mut template = profile.template.clone();
-            template.name = format!("{}-{i:02}", profile.template.name);
-            controller.catalog.register(*addr, template.clone());
-            templates.push(template);
-        }
-
-        // Operator pre-provisioning: the scenario's seed flows go onto the
-        // switch before the run starts.
-        for spec in cfg.seed_flows.clone() {
-            switch.flow_mod(SimTime::ZERO, spec);
-        }
-
+        let switch = bringup::seeded_switch(&cfg, &c3);
         // One busy lane per service × {cloud, site…} pair, sized up front
         // from the scenario metadata (a few MB even at 1000×).
         let busy_stride = 1 + c3.site_hosts.len();
-        let busy = vec![SimTime::ZERO; service_addrs.len() * busy_stride];
-        Testbed {
-            cfg,
-            c3,
-            switch,
-            controller,
-            profile,
-            service_addrs,
-            templates,
-            rng,
-            events: EventQueue::new(),
+        let model = FlowModel {
+            profile: ServiceProfile::of(cfg.service),
+            rng: SimRng::seed_from_u64(cfg.seed),
             req_started: Vec::new(),
-            req_syn_at: Vec::new(),
-            req_service: Vec::new(),
-            req_client: Vec::new(),
-            req_machines_before: Vec::new(),
-            req_live: Vec::new(),
-            arrivals: Vec::new(),
-            arrival_next: 0,
-            runtime_seq_floor: 0,
-            fed_arrivals: 0,
+            client_latency: Vec::new(),
             paths: PathCache::new(),
             records: Vec::new(),
             triggered_windows: Vec::new(),
-            lost: 0,
             crashes_injected: 0,
-            wakeup_armed: None,
             audit: None,
-            busy,
+            busy: vec![SimTime::ZERO; service_addrs.len() * busy_stride],
             busy_stride,
-            outputs_scratch: Vec::new(),
+        };
+        Testbed {
+            cfg,
+            shard: IngressShard::new(c3, switch, controller, service_addrs),
+            model,
             alloc_profile: None,
-            debug_unbatched: false,
-            debug_reverse_batches: false,
         }
+    }
+
+    /// Test-only: select the PacketIn schedule of the ingress core (see
+    /// `IngressShard::debug_unbatched` / `debug_reverse_batches`).
+    #[doc(hidden)]
+    pub fn debug_schedule(&mut self, unbatched: bool, reverse_batches: bool) {
+        self.shard.debug_unbatched = unbatched;
+        self.shard.debug_reverse_batches = reverse_batches;
+    }
+
+    /// The controller, for inspection in tests.
+    #[doc(hidden)]
+    pub fn controller(&self) -> &edgectl::Controller {
+        &self.shard.controller
     }
 
     /// Allocation counter snapshot (zero when `counting-alloc` is off).
@@ -482,66 +354,38 @@ impl Testbed {
         }
     }
 
-    /// Pre-size every per-request structure from the trace metadata so the
-    /// event loop itself never grows them.
-    fn reserve_requests(&mut self, n: usize) {
-        self.req_started.reserve(n);
-        self.req_syn_at.reserve(n);
-        self.req_service.reserve(n);
-        self.req_client.reserve(n);
-        self.req_machines_before.reserve(n);
-        self.req_live.reserve(n);
-        self.arrivals.reserve(n);
-        self.records.reserve(n);
-        // The queue holds only the live horizon (SYNs are fed lazily), but
-        // seeding the node slab skips the doubling ramp.
-        self.events.reserve((n / 8).clamp(64, 65_536));
-        // Flow rules are bounded by live client × service pairs (two rules
-        // per redirect); buffers by concurrently held SYNs.
-        let clients = self.c3.client_ips.len();
-        self.switch.reserve(4 * clients, clients);
-    }
-
-    /// Pre-warm the pipeline per the scenario's [`PhaseSetup`] on every
+    /// Pre-warm the pipeline per the scenario's `PhaseSetup` on every
     /// attached cluster. Returns the instant the setup finished.
     fn prewarm(&mut self) -> SimTime {
-        let setup = self.cfg.phase_setup;
-        if setup == PhaseSetup::Cold {
-            return SimTime::ZERO;
+        let controller = &mut self.shard.controller;
+        let templates: Vec<_> = self
+            .shard
+            .service_addrs
+            .iter()
+            .map(|&addr| {
+                Arc::clone(
+                    &controller
+                        .catalog
+                        .lookup(addr)
+                        .expect("registered")
+                        .template,
+                )
+            })
+            .collect();
+        bringup::prewarm(&self.cfg, &templates, controller.clusters_mut())
+    }
+
+    /// `client` starts a connection to `service` at `started`.
+    fn admit(&mut self, started: SimTime, client: usize, service: usize) {
+        if self.model.client_latency.is_empty() {
+            let c3 = &self.shard.c3;
+            self.model.client_latency = (0..c3.client_ips.len())
+                .map(|c| c3.client_switch_latency(c))
+                .collect();
         }
-        let registries = workload::services::standard_registries(self.cfg.private_registry);
-        let mut t_end = SimTime::ZERO;
-        for c in 0..self.c3.site_hosts.len() {
-            if let Some(only) = &self.cfg.prewarm_sites {
-                if !only.contains(&c) {
-                    continue;
-                }
-            }
-            let mut t = SimTime::ZERO;
-            for template in self.templates.clone() {
-                let cluster = self.controller.cluster_mut(edgectl::ClusterId(c));
-                t = cluster
-                    .pull(t, &template, &registries)
-                    .expect("prewarm pull");
-                if matches!(setup, PhaseSetup::Created | PhaseSetup::Running) {
-                    t = cluster.create(t, &template).expect("prewarm create");
-                }
-                if setup == PhaseSetup::Running {
-                    t = cluster
-                        .scale_up(t, &template.name, 1)
-                        .expect("prewarm scale-up")
-                        .expected_ready;
-                    // Booked like any controller-driven deployment so finite
-                    // capacities account for the pre-warmed replica.
-                    if let Some(sid) = self.controller.catalog.id_of(&template.name) {
-                        self.controller
-                            .note_external_deployment(edgectl::ClusterId(c), sid, 1);
-                    }
-                }
-            }
-            t_end = t_end.max(t);
-        }
-        t_end
+        self.model.req_started.push(started);
+        let syn_at = started + self.model.client_latency[client];
+        self.shard.admit(syn_at, client, service);
     }
 
     /// Run a full trace through the testbed.
@@ -558,8 +402,8 @@ impl Testbed {
         let mut audit = AuditState::new();
         // The seed flows are already on the switch: audit the table they
         // produced before any traffic moves.
-        audit.record(audit.verifier.check(&self.switch.table));
-        self.audit = Some(audit);
+        audit.record(audit.verifier.check(&self.shard.switch.table));
+        self.model.audit = Some(audit);
         let offset = self.run_trace_inner(trace);
         let report = self.final_audit();
         (self.finish(offset), report)
@@ -569,7 +413,7 @@ impl Testbed {
     /// offset [`Testbed::finish`] needs.
     fn run_trace_inner(&mut self, trace: &Trace) -> SimDuration {
         assert_eq!(
-            trace.service_addrs, self.service_addrs,
+            trace.service_addrs, self.shard.service_addrs,
             "testbed must be built with the trace's addresses"
         );
         let a_start = Self::alloc_snapshot();
@@ -586,7 +430,8 @@ impl Testbed {
                 // Nominate generously (the controller skips services that are
                 // already running or being deployed): every service whose
                 // decayed score clears the threshold.
-                self.controller
+                self.shard
+                    .controller
                     .set_predictor(Box::new(edgectl::PopularityPredictor::new(
                         SimDuration::from_secs(120),
                         usize::MAX,
@@ -599,13 +444,14 @@ impl Testbed {
                     .iter()
                     .map(|r| (r.at + offset, trace.service_addrs[r.service]))
                     .collect();
-                self.controller
+                self.shard
+                    .controller
                     .set_predictor(Box::new(edgectl::OraclePredictor::with_schedule(schedule)));
             }
         }
         // Fault injection: exponential inter-crash times over the window.
         if let Some(mtbf) = self.cfg.crash_mtbf {
-            let mut crash_rng = self.rng.stream("crash-schedule");
+            let mut crash_rng = self.model.rng.stream("crash-schedule");
             let mut t = SimTime::ZERO + offset;
             let end = SimTime::ZERO + offset + trace.config.duration;
             loop {
@@ -615,7 +461,7 @@ impl Testbed {
                 if t >= end {
                     break;
                 }
-                self.events.push(t, Ev::CrashTick);
+                self.shard.schedule(t, CrashTick);
             }
         }
 
@@ -632,53 +478,33 @@ impl Testbed {
             // Look one interval plus the typical deployment time ahead so
             // instances are up before their requests arrive.
             let horizon = self.cfg.predict_interval + SimDuration::from_secs(5);
-            self.controller
-                .set_predict_schedule(first, self.cfg.predict_interval, end, horizon);
-            // Arm the first wakeup before the SYNs enter the queue so that
-            // at equal instants the predictor (like the old pre-pushed tick
-            // chain) runs first.
-            self.arm_wakeup(SimTime::ZERO);
+            self.shard.controller.set_predict_schedule(
+                first,
+                self.cfg.predict_interval,
+                end,
+                horizon,
+            );
+            // Arm the first wakeup at setup time so that at equal instants
+            // the predictor (like the old pre-pushed tick chain) runs before
+            // an arriving SYN.
+            self.shard.arm_wakeup(SimTime::ZERO);
         }
 
-        // SoA request lanes plus the sorted arrival index that feeds SYNs
-        // lazily into the loop (per-client propagation delays differ, so
-        // switch-arrival order is not trace order; ties stay in tag order,
-        // the eager loop's push order).
-        self.reserve_requests(trace.requests.len());
-        // Per-client access latency, one Dijkstra per *client* instead of
-        // one per request (the graph is immutable after build).
-        let mut client_latency = vec![SimDuration::ZERO; self.c3.client_ips.len()];
-        for (c, lat) in client_latency.iter_mut().enumerate() {
-            *lat = self.c3.client_switch_latency(c);
-        }
+        // Pre-size every per-request structure from the trace metadata so
+        // the event loop itself never grows them.
+        let n = trace.requests.len();
+        self.shard.reserve(n);
+        self.model.req_started.reserve(n);
+        self.model.records.reserve(n);
         for req in &trace.requests {
-            let started = req.at + offset;
-            let syn_at_switch = started + client_latency[req.client];
-            let tag = self.req_started.len() as u32;
-            self.req_started.push(started);
-            self.req_syn_at.push(syn_at_switch);
-            self.req_service.push(req.service as u32);
-            self.req_client.push(req.client as u32);
-            self.req_machines_before.push(0);
-            self.req_live.push(true);
-            self.arrivals.push((syn_at_switch, tag));
+            self.admit(req.at + offset, req.client, req.service);
         }
-        self.arrivals.sort_unstable();
-        // Handover events are setup-time pushes: at equal instants the
-        // teardown runs before the arriving SYN, matching the mobility
-        // model's boundary rule (a request at the handover instant already
-        // belongs to the new ingress).
         for h in &trace.handovers {
-            self.events.push(
-                h.at + offset,
-                Ev::Handover {
-                    client: h.client as u32,
-                },
-            );
+            self.shard.schedule_handover(h.at + offset, h.client);
         }
-        self.runtime_seq_floor = self.events.scheduled_total();
+        self.shard.start();
         let a_schedule = Self::alloc_snapshot();
-        self.run_loop();
+        self.shard.run_until(SimTime::FAR_FUTURE, &mut self.model);
         if cfg!(feature = "counting-alloc") {
             self.alloc_profile = Some(AllocProfile {
                 prewarm: a_prewarm - a_start,
@@ -692,30 +518,36 @@ impl Testbed {
     /// The final-state audit of an audited run: fabric reachability for every
     /// client × service class plus FlowMemory ↔ switch coherence.
     fn final_audit(&mut self) -> AuditReport {
-        let audit = self.audit.take().expect("audit state enabled");
+        let audit = self.model.audit.take().expect("audit state enabled");
         let now = audit.last_event;
+        let IngressShard {
+            c3,
+            switch,
+            controller,
+            service_addrs,
+            ..
+        } = &self.shard;
 
         // The C³ fabric as the verifier sees it: one switch, port 0 to the
         // cloud, one port per site, then the client access ports.
         let mut links = vec![Link::Cloud];
-        links.resize(1 + self.c3.site_hosts.len(), Link::Site);
-        links.resize(self.c3.port_count(), Link::Client);
-        let classes = self
-            .c3
+        links.resize(1 + c3.site_hosts.len(), Link::Site);
+        links.resize(c3.port_count(), Link::Client);
+        let classes = c3
             .client_ips
             .iter()
             .flat_map(|&client| {
-                self.service_addrs.iter().map(move |&svc| {
+                service_addrs.iter().map(move |&svc| {
                     PacketClass::client_to_service(SocketAddr::new(client, 40000), svc, 0)
                 })
             })
             .collect();
         let fabric = Fabric {
             switches: vec![FabricSwitch {
-                table: &self.switch.table,
+                table: &switch.table,
                 links,
             }],
-            service_addrs: self.service_addrs.to_vec(),
+            service_addrs: service_addrs.to_vec(),
             classes,
         };
         let mut final_violations = Vec::new();
@@ -728,32 +560,28 @@ impl Testbed {
         }
 
         let mut live_targets = HashSet::new();
-        for c in 0..self.c3.site_hosts.len() {
-            let cluster = self.controller.cluster(edgectl::ClusterId(c));
-            for template in &self.templates {
-                live_targets.extend(cluster.replica_endpoints(now, &template.name));
+        for c in 0..c3.site_hosts.len() {
+            let cluster = controller.cluster(ClusterId(c));
+            for service in controller.catalog.services() {
+                live_targets.extend(cluster.replica_endpoints(now, &service.template.name));
             }
         }
         let view = CoherenceView {
             now,
-            memory: self.controller.memory(),
-            tables: vec![&self.switch.table],
+            memory: controller.memory(),
+            tables: vec![&switch.table],
             live_targets,
-            in_flight: self
-                .controller
-                .in_flight_deployments(now)
-                .into_iter()
-                .collect(),
+            in_flight: controller.in_flight_deployments(now).into_iter().collect(),
         };
         final_violations.extend(audit.verifier.check_coherence(&view));
 
-        let books: Vec<edgeverify::SiteBooks> = (0..self.c3.site_hosts.len())
+        let books: Vec<edgeverify::SiteBooks> = (0..c3.site_hosts.len())
             .map(|c| {
-                let id = edgectl::ClusterId(c);
+                let id = ClusterId(c);
                 (
                     c,
-                    self.controller.site_capacity(id),
-                    self.controller.site_allocation(id),
+                    controller.site_capacity(id),
+                    controller.site_allocation(id),
                 )
             })
             .collect();
@@ -771,31 +599,26 @@ impl Testbed {
     pub fn run_single_request(mut self) -> RunResult {
         let setup_end = self.prewarm();
         let offset = (setup_end - SimTime::ZERO) + SimDuration::from_secs(5);
-        let started = SimTime::ZERO + offset;
-        let syn_at_switch = started + self.c3.client_switch_latency(0);
-        self.req_started.push(started);
-        self.req_syn_at.push(syn_at_switch);
-        self.req_service.push(0);
-        self.req_client.push(0);
-        self.req_machines_before.push(0);
-        self.req_live.push(true);
-        self.arrivals.push((syn_at_switch, 0));
-        self.runtime_seq_floor = self.events.scheduled_total();
-        self.run_loop();
+        self.admit(SimTime::ZERO + offset, 0, 0);
+        self.shard.start();
+        self.shard.run_until(SimTime::FAR_FUTURE, &mut self.model);
         self.finish(offset)
     }
 
-    fn finish(mut self, offset: SimDuration) -> RunResult {
+    fn finish(self, offset: SimDuration) -> RunResult {
+        let Testbed {
+            shard, mut model, ..
+        } = self;
         // Resolve deferred `triggered_deployment` verdicts: the event loop
         // has drained, so every machine in a window has completed or failed.
-        for (idx, lo, hi) in std::mem::take(&mut self.triggered_windows) {
-            self.records[idx].triggered_deployment = self.controller.completed_machine_in(lo, hi);
+        for (idx, lo, hi) in std::mem::take(&mut model.triggered_windows) {
+            model.records[idx].triggered_deployment = shard.controller.completed_machine_in(lo, hi);
         }
-        let stats = &self.controller.stats;
+        let stats = &shard.controller.stats;
         RunResult {
             deployments: stats.deployments.clone(),
-            lost: self.lost,
-            switch_stats: self.switch.stats,
+            lost: shard.lost(),
+            switch_stats: shard.switch.stats,
             memory_hits: stats.memory_hits,
             cloud_forwards: stats.cloud_forwards,
             held_requests: stats.held_requests,
@@ -807,315 +630,49 @@ impl Testbed {
             retargets: stats.retargets,
             handovers: stats.handovers,
             proactive_deployments: stats.proactive_deployments,
-            crashes_injected: self.crashes_injected,
-            events_scheduled: self.events.scheduled_total() + self.fed_arrivals,
-            peak_queue_depth: self.events.peak_len(),
+            crashes_injected: model.crashes_injected,
+            events_scheduled: shard.events_executed(),
+            peak_queue_depth: shard.peak_queue_depth(),
             alloc_profile: self.alloc_profile,
-            records: self.records,
+            records: model.records,
             trace_offset: offset,
         }
     }
+}
 
-    fn run_loop(&mut self) {
-        loop {
-            // Pick the earlier of the next queued event and the next lazy
-            // SYN arrival. A fed SYN behaves exactly like the eager loop's
-            // pre-pushed event: it loses same-instant ties to setup-time
-            // pushes (seq below the floor) and wins them against anything
-            // pushed during the run.
-            let take_arrival = match (
-                self.arrivals.get(self.arrival_next),
-                self.events.peek_time_seq(),
-            ) {
-                (Some(&(a, _)), Some((qt, qs))) => {
-                    a < qt || (a == qt && qs >= self.runtime_seq_floor)
-                }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_arrival {
-                let (now, tag) = self.arrivals[self.arrival_next];
-                self.arrival_next += 1;
-                self.fed_arrivals += 1;
-                self.pre_event(now);
-                self.on_syn(now, u64::from(tag));
-                self.arm_wakeup(now);
-                continue;
-            }
-            let (now, ev) = self.events.pop().expect("peeked a non-empty queue");
-            self.pre_event(now);
-            match ev {
-                Ev::CtrlPacketIn {
-                    packet,
-                    buffer_id,
-                    in_port,
-                } => self.on_packet_in_batch(now, packet, buffer_id, in_port),
-                Ev::ApplyOutput { output } => self.on_apply_output(now, output),
-                Ev::Wakeup => self.on_wakeup(now),
-                Ev::CrashTick => self.on_crash_tick(now),
-                Ev::Handover { client } => self.on_handover(now, client as usize),
-            }
-            // Every event can change when the controller next needs to run
-            // (a machine stepped, a flow was memorized, a crash landed), so
-            // re-arm from the authoritative `next_wakeup` after each one.
-            self.arm_wakeup(now);
-        }
-    }
-
-    /// Per-event prologue: the lazy data-plane timeout sweep (skipped
-    /// entirely while the switch reports nothing due — its expiry heap keeps
-    /// an accurate top, so the check is an O(1) peek) and the audit
-    /// timestamp.
-    fn pre_event(&mut self, now: SimTime) {
-        if self.switch.next_expiry().is_some_and(|t| t <= now) {
-            self.switch.sweep_discard(now);
-        }
-        if let Some(audit) = &mut self.audit {
-            audit.last_event = now;
-        }
-    }
-
-    /// Handle a PacketIn, then drain every further PacketIn queued at the
-    /// same instant — a *maximal same-time run*: the drain stops at the
-    /// first event of any other kind, so interleavings with same-instant
-    /// wakeups or crash ticks are preserved. Batching amortizes the sweep
-    /// check and the wakeup re-arm; the only wakeups it elides are stale
-    /// duplicates that are documented no-ops. Equivalence with the
-    /// one-event-per-iteration schedule is enforced by
-    /// `tests/batching_equivalence.rs`.
-    fn on_packet_in_batch(
-        &mut self,
-        now: SimTime,
-        packet: Packet,
-        buffer_id: BufferId,
-        in_port: PortId,
-    ) {
-        if self.debug_unbatched {
-            self.on_ctrl_packet_in(now, packet, buffer_id, in_port);
-            return;
-        }
-        if self.debug_reverse_batches {
-            let mut batch = vec![(packet, buffer_id, in_port)];
-            while let Some((_, ev)) = self
-                .events
-                .pop_if(|t, e| t == now && matches!(e, Ev::CtrlPacketIn { .. }))
-            {
-                let Ev::CtrlPacketIn {
-                    packet,
-                    buffer_id,
-                    in_port,
-                } = ev
-                else {
-                    unreachable!("pop_if predicate admitted only PacketIns")
-                };
-                batch.push((packet, buffer_id, in_port));
-            }
-            batch.reverse();
-            for (packet, buffer_id, in_port) in batch {
-                self.on_ctrl_packet_in(now, packet, buffer_id, in_port);
-            }
-            return;
-        }
-        self.on_ctrl_packet_in(now, packet, buffer_id, in_port);
-        while let Some((_, ev)) = self
-            .events
-            .pop_if(|t, e| t == now && matches!(e, Ev::CtrlPacketIn { .. }))
-        {
-            let Ev::CtrlPacketIn {
-                packet,
-                buffer_id,
-                in_port,
-            } = ev
-            else {
-                unreachable!("pop_if predicate admitted only PacketIns")
-            };
-            self.on_ctrl_packet_in(now, packet, buffer_id, in_port);
-        }
-    }
-
-    /// Deliver a due wakeup to the controller and ship its outputs.
-    fn on_wakeup(&mut self, now: SimTime) {
-        self.wakeup_armed = None;
-        let mut out = std::mem::take(&mut self.outputs_scratch);
-        self.controller.on_wakeup_into(now, &mut out);
-        for output in out.drain(..) {
-            self.events
-                .push(output.at() + CTRL_LATENCY, Ev::ApplyOutput { output });
-        }
-        self.outputs_scratch = out;
-    }
-
-    /// Keep exactly one wakeup event in flight, at the earliest instant the
-    /// controller reports. Stale (superseded) events are harmless: `on_wakeup`
-    /// with nothing due is a no-op.
-    /// The client left this ingress: forget its flows and tear down its
-    /// switch entries so its next request (at whatever ingress) re-runs the
-    /// Dispatcher from scratch.
-    fn on_handover(&mut self, now: SimTime, client: usize) {
-        let client_ip = self.c3.client_ips[client];
-        let outputs = self.controller.on_client_handover(now, client_ip);
-        for output in outputs {
-            let at = output.at() + CTRL_LATENCY;
-            self.events.push(at, Ev::ApplyOutput { output });
-        }
-    }
-
-    fn arm_wakeup(&mut self, now: SimTime) {
-        if let Some(at) = self.controller.next_wakeup() {
-            let at = at.max(now);
-            if self.wakeup_armed.is_none_or(|t| at < t) {
-                self.events.push(at, Ev::Wakeup);
-                self.wakeup_armed = Some(at);
-            }
-        }
-    }
-
-    fn on_syn(&mut self, now: SimTime, tag: u64) {
-        let idx = tag as usize;
-        debug_assert!(self.req_live[idx], "SYN for untracked request tag");
-        let client = self.req_client[idx] as usize;
-        let service = self.req_service[idx] as usize;
-        let src = SocketAddr::new(self.c3.client_ips[client], 40000 + service as u16);
-        let dst = self.service_addrs[service];
-        let packet = Packet::syn(src, dst, tag);
-        match self.switch.receive(now, packet) {
-            PacketVerdict::Forward { packet, out_port } => {
-                self.complete_request(now, tag, packet, out_port);
-            }
-            PacketVerdict::PacketIn { buffer_id, packet } => {
-                let in_port = self.c3.client_port(client);
-                self.events.push(
-                    now + CTRL_LATENCY,
-                    Ev::CtrlPacketIn {
-                        packet,
-                        buffer_id,
-                        in_port,
-                    },
-                );
-            }
-            PacketVerdict::Dropped => {
-                self.lost += 1;
-                self.req_live[idx] = false;
-            }
-        }
-    }
-
-    fn on_ctrl_packet_in(
-        &mut self,
-        now: SimTime,
-        packet: Packet,
-        buffer_id: BufferId,
-        in_port: PortId,
-    ) {
-        let idx = packet.tag as usize;
-        if idx < self.req_live.len() && self.req_live[idx] {
-            self.req_machines_before[idx] = self.controller.machines_started();
-        }
-        let mut out = std::mem::take(&mut self.outputs_scratch);
-        self.controller
-            .on_packet_in_at_into(now, INGRESS, packet, buffer_id, in_port, &mut out);
-        for output in out.drain(..) {
-            let at = output.at() + CTRL_LATENCY;
-            self.events.push(at, Ev::ApplyOutput { output });
-        }
-        self.outputs_scratch = out;
-    }
-
-    fn on_apply_output(&mut self, now: SimTime, output: ControllerOutput) {
-        match output {
-            ControllerOutput::FlowMod { spec, .. } => {
-                let id = self.switch.flow_mod(now, spec);
-                if let Some(mut audit) = self.audit.take() {
-                    audit.checked_installs += 1;
-                    audit.record(audit.verifier.check_install(0, &self.switch.table, id));
-                    self.audit = Some(audit);
-                }
-            }
-            ControllerOutput::ReleaseViaTable { buffer_id, .. } => {
-                match self.switch.packet_out_via_table(now, buffer_id) {
-                    Some(PacketVerdict::Forward { packet, out_port }) => {
-                        self.complete_request(now, packet.tag, packet, out_port);
-                    }
-                    Some(_) | None => {
-                        self.lost += 1;
-                    }
-                }
-            }
-            ControllerOutput::DropBuffered { buffer_id, .. } => {
-                self.switch.discard_buffer(buffer_id);
-                self.lost += 1;
-            }
-            ControllerOutput::FlowDelete { matcher, .. } => {
-                self.switch.table.delete_matching(now, &matcher);
-            }
-        }
-    }
-
-    /// Kill one running instance of a uniformly chosen service on a
-    /// uniformly chosen cluster (if any is up).
-    fn on_crash_tick(&mut self, now: SimTime) {
-        let mut rng = self.rng.stream_u64(now.as_nanos());
-        let cluster = edgectl::ClusterId(rng.index(self.c3.site_hosts.len()));
-        let start = rng.index(self.templates.len());
-        for k in 0..self.templates.len() {
-            let name = self.templates[(start + k) % self.templates.len()]
-                .name
-                .clone();
-            if self
-                .controller
-                .cluster_mut(cluster)
-                .inject_crash(now, &name)
-                .crashed()
-            {
-                self.crashes_injected += 1;
-                return;
-            }
-        }
-    }
-
+impl Engine<CrashTick> for FlowModel {
     /// The SYN was forwarded at `release` towards `out_port`; compute the
     /// remainder of the exchange analytically and record timecurl's
     /// `time_total`.
-    fn complete_request(&mut self, release: SimTime, tag: u64, _packet: Packet, out_port: PortId) {
-        let idx = tag as usize;
-        if idx >= self.req_live.len() || !self.req_live[idx] {
-            return; // duplicate completion (cannot happen by construction)
-        }
-        self.req_live[idx] = false;
-        let started = self.req_started[idx];
-        let syn_at_switch = self.req_syn_at[idx];
-        let service = self.req_service[idx] as usize;
-        let client = self.req_client[idx] as usize;
-        let machines_before = self.req_machines_before[idx];
-        let (host, busy_lane) = if out_port == CLOUD_PORT {
-            (self.c3.cloud, service * self.busy_stride)
-        } else if let Some(site) = self.c3.site_of_port(out_port) {
-            (
-                self.c3.site_hosts[site],
-                service * self.busy_stride + 1 + site,
-            )
+    fn released(&mut self, shard: &mut IngressShard<CrashTick>, release: SimTime, r: Released) {
+        let c3 = &shard.c3;
+        let (host, busy_lane) = if r.out_port == CLOUD_PORT {
+            (c3.cloud, r.service * self.busy_stride)
+        } else if let Some(site) = c3.site_of_port(r.out_port) {
+            (c3.site_hosts[site], r.service * self.busy_stride + 1 + site)
         } else {
             // Forwarded to a client port: a misinstalled flow. Count as
             // lost rather than fabricating a response.
             debug_assert!(
-                out_port.0 >= self.c3.client_port_base(),
-                "unknown port {out_port:?}"
+                r.out_port.0 >= c3.client_port_base(),
+                "unknown port {:?}",
+                r.out_port
             );
-            self.lost += 1;
+            shard.lose(r.idx);
             return;
         };
+        let started = self.req_started[r.idx];
         let (rtt, bottleneck_bps) = {
             let path = self
                 .paths
-                .path(&self.c3.net, self.c3.clients[client], host)
+                .path(&c3.net, c3.clients[r.client], host)
                 .expect("client reaches host");
             (path.rtt(), path.bottleneck_bps)
         };
         let tcp = TcpModel::new(rtt, bottleneck_bps);
         let server_time = self.profile.server_time.sample(&mut self.rng);
         // Time the SYN spent buffered at the switch (deployment wait).
-        let hold = release - syn_at_switch;
+        let hold = release - (started + self.client_latency[r.client]);
         // Queueing at the instance: the request's processing starts when the
         // instance frees up (single-server FIFO per service instance), so
         // concurrent requests to a hot service serialize on its CPU.
@@ -1136,18 +693,55 @@ impl Testbed {
         // and the request was held for it. The machine may still be mid-
         // flight here, so the verdict is resolved in `finish` against the
         // dispatcher's completion log.
-        let hi = self.controller.machines_started();
-        if hold > SimDuration::ZERO && machines_before < hi {
+        let hi = shard.controller.machines_started();
+        if hold > SimDuration::ZERO && r.machines_before < hi {
             self.triggered_windows
-                .push((self.records.len(), machines_before, hi));
+                .push((self.records.len(), r.machines_before, hi));
         }
         self.records.push(RequestRecord {
             started,
             finished,
-            service,
-            client,
+            service: r.service,
+            client: r.client,
             triggered_deployment: false,
         });
+    }
+
+    /// Kill one running instance of a uniformly chosen service on a
+    /// uniformly chosen cluster (if any is up).
+    fn on_event(&mut self, shard: &mut IngressShard<CrashTick>, now: SimTime, _: CrashTick) {
+        let mut rng = self.rng.stream_u64(now.as_nanos());
+        let cluster = ClusterId(rng.index(shard.c3.site_hosts.len()));
+        let services = shard.service_addrs.len();
+        let start = rng.index(services);
+        for k in 0..services {
+            let addr = shard.service_addrs[(start + k) % services];
+            let catalog = &shard.controller.catalog;
+            let name = catalog.name_arc(catalog.lookup(addr).expect("registered").id);
+            if shard
+                .controller
+                .cluster_mut(cluster)
+                .inject_crash(now, &name)
+                .crashed()
+            {
+                self.crashes_injected += 1;
+                return;
+            }
+        }
+    }
+
+    fn installed(&mut self, table: &FlowTable, id: FlowId) {
+        if let Some(audit) = &mut self.audit {
+            audit.checked_installs += 1;
+            let found = audit.verifier.check_install(0, table, id);
+            audit.record(found);
+        }
+    }
+
+    fn after_event(&mut self, _: &mut IngressShard<CrashTick>, now: SimTime) {
+        if let Some(audit) = &mut self.audit {
+            audit.last_event = now;
+        }
     }
 }
 

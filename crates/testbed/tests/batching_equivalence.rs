@@ -1,12 +1,16 @@
 //! Model-based equivalence test of the same-instant PacketIn batch drain
 //! (DESIGN.md §5i).
 //!
-//! `Testbed::on_packet_in_batch` drains every further PacketIn queued at
-//! the *same instant* in one sweep, amortizing the sweep check and wakeup
-//! re-arm across the batch. The claimed contract: the batched schedule is
-//! **behaviourally identical** to the reference one-event-per-iteration
-//! loop — the canonical metrics trace (every measured time, counter and
-//! deployment) is byte-for-byte the same string.
+//! The ingress core (`testbed::ingress`) drains every further PacketIn
+//! queued at the *same instant* in one sweep, amortizing the sweep check and
+//! the feed/queue selection across the batch. The claimed contract: the
+//! batched schedule is **behaviourally identical** to the reference
+//! one-event-per-iteration loop — the canonical metrics trace (every
+//! measured time, counter and deployment) is byte-for-byte the same string.
+//! Both drivers of the core are inputs: the single-controller `Testbed` and
+//! the windowed mesh engine at two shards, whose trace additionally hashes
+//! the executed-event, window and stall counts — a batch that elided or
+//! added one `Wakeup` push would show there.
 //!
 //! Traces here are hand-dense on purpose: millisecond-granularity arrival
 //! times drawn from a tiny set of instants, with a small client pool, so
@@ -18,10 +22,11 @@
 //! each batch in reverse order, and the trace MUST differ — proving the
 //! property is sharp enough to notice a reordering bug, not vacuously true.
 
+use edgemesh::par::{run_windowed_hooked, TestHooks};
 use proptest::prelude::*;
 use simcore::{SimDuration, SimTime};
 use simnet::{IpAddr, SocketAddr};
-use testbed::{ScenarioConfig, Testbed};
+use testbed::{MeshParams, ScenarioConfig, Testbed};
 use workload::{Trace, TraceConfig, TraceRequest};
 
 /// Build a trace from raw `(millisecond, service, client)` triples, with the
@@ -68,9 +73,28 @@ fn run(trace: &Trace, unbatched: bool, reversed: bool) -> String {
         ..ScenarioConfig::default()
     };
     let mut testbed = Testbed::build(cfg, trace.service_addrs.clone());
-    testbed.debug_unbatched = unbatched;
-    testbed.debug_reverse_batches = reversed;
+    testbed.debug_schedule(unbatched, reversed);
     testbed.run_trace(trace).metrics_trace()
+}
+
+/// The same trace through the windowed engine at two shards; the canonical
+/// mesh trace, `events=` / `windows=` / `stalls=` header included.
+fn run_windowed(trace: &Trace, unbatched: bool, reversed: bool) -> String {
+    let cfg = ScenarioConfig {
+        seed: 7,
+        clients: trace.config.clients,
+        mesh: MeshParams {
+            shards: 2,
+            ..MeshParams::default()
+        },
+        ..ScenarioConfig::default()
+    };
+    let hooks = TestHooks {
+        unbatched,
+        reverse_batches: reversed,
+        ..TestHooks::default()
+    };
+    run_windowed_hooked(cfg, trace, 1, hooks).0.mesh_trace()
 }
 
 proptest! {
@@ -89,6 +113,9 @@ proptest! {
         let trace = dense_trace(&triples, 4, 2);
         let batched = run(&trace, false, false);
         let unbatched = run(&trace, true, false);
+        prop_assert_eq!(batched, unbatched);
+        let batched = run_windowed(&trace, false, false);
+        let unbatched = run_windowed(&trace, true, false);
         prop_assert_eq!(batched, unbatched);
     }
 }
@@ -121,4 +148,14 @@ fn reversed_batches_are_detected_by_the_metrics_trace() {
     // And the reference loop agrees with the *forward* batch order.
     let unbatched = run(&trace, true, false);
     assert_eq!(batched, unbatched);
+
+    // The windowed engine runs the same core: the client's home shard sees
+    // the same batches, so the reversal must show in the mesh trace too.
+    let batched = run_windowed(&trace, false, false);
+    let reversed = run_windowed(&trace, false, true);
+    assert_ne!(
+        batched, reversed,
+        "reversing same-instant batches must change the mesh trace"
+    );
+    assert_eq!(batched, run_windowed(&trace, true, false));
 }
