@@ -48,6 +48,23 @@ pub struct ServiceCatalog {
     /// Interner: name → id and id → name.
     ids: HashMap<Arc<str>, ServiceId>,
     names: Vec<Arc<str>>,
+    /// [`cookie_for`] of each interned name, hashed once here instead of on
+    /// every flow the controller emits.
+    cookies: Vec<u64>,
+}
+
+/// Stable flow cookie derived from a service name (diagnostics only): FNV-1a
+/// over its bytes.
+pub(crate) const fn cookie_for(name: &str) -> u64 {
+    let bytes = name.as_bytes();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+        i += 1;
+    }
+    h
 }
 
 impl ServiceCatalog {
@@ -63,6 +80,7 @@ impl ServiceCatalog {
         let arc: Arc<str> = Arc::from(name);
         let id = ServiceId(self.names.len() as u32);
         self.names.push(Arc::clone(&arc));
+        self.cookies.push(cookie_for(name));
         self.ids.insert(arc, id);
         id
     }
@@ -76,6 +94,12 @@ impl ServiceCatalog {
     /// The interned name behind `id`, borrowed.
     pub fn name_of(&self, id: ServiceId) -> &str {
         &self.names[id.0 as usize]
+    }
+
+    /// The flow cookie of service `id` — its name's hash, computed when the
+    /// name was interned.
+    pub fn cookie_of(&self, id: ServiceId) -> u64 {
+        self.cookies[id.0 as usize]
     }
 
     /// The id a name was interned under, if any.
@@ -198,5 +222,9 @@ mod tests {
         c.unregister(addr(1));
         assert_eq!(c.name_of(alpha), "alpha");
         assert_eq!(&*c.name_arc(alpha), "alpha");
+        // The cookie is the name's hash, whichever way the name got here.
+        assert_eq!(c.cookie_of(alpha), cookie_for("alpha"));
+        assert_ne!(c.cookie_of(alpha), c.cookie_of(beta));
+        assert_eq!(cookie_for(""), 0xcbf2_9ce4_8422_2325);
     }
 }

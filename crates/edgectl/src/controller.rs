@@ -13,7 +13,8 @@
 //! event loop (the `testbed` crate) delivers them with the control-channel
 //! latency applied.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use cluster::{
@@ -24,10 +25,10 @@ use simcore::{DetHashMap, SimDuration, SimTime};
 use simnet::openflow::{Action, BufferId, FlowMatch, FlowSpec, PortId};
 use simnet::{IpAddr, Packet, SocketAddr};
 
-use crate::catalog::{ServiceCatalog, ServiceId};
+use crate::catalog::{cookie_for, ServiceCatalog, ServiceId};
 use crate::dispatcher::{
-    reference, AdmissionError, DeployError, DeployPhaseKind, Dispatcher, MachineOutcome, StepCtx,
-    Waiter,
+    reference, AdmissionError, DeployError, DeployMachine, DeployPhaseKind, Dispatcher,
+    InstanceKey, MachineOutcome, StepCtx, Waiter,
 };
 use crate::flowmemory::{FlowKey, FlowMemory};
 use crate::predictor::{NoPrediction, Predictor};
@@ -404,6 +405,119 @@ impl PredictSchedule {
     }
 }
 
+/// Work items due at recorded instants — pending retargets, scale-down
+/// retries — ordered by due instant so the wakeup surface reads the head
+/// instead of scanning. Due items come back in insertion order, the order
+/// the plain lists this replaces were processed in.
+struct DueQueue {
+    /// `(due, insertion ordinal, item)`.
+    heap: BinaryHeap<Reverse<(SimTime, u64, InstanceKey)>>,
+    pushed: u64,
+}
+
+impl DueQueue {
+    fn new() -> DueQueue {
+        DueQueue {
+            heap: BinaryHeap::new(),
+            pushed: 0,
+        }
+    }
+
+    fn push(&mut self, at: SimTime, cluster: ClusterId, service: ServiceId) {
+        self.heap
+            .push(Reverse((at, self.pushed, (cluster, service))));
+        self.pushed += 1;
+    }
+
+    /// Earliest due instant.
+    fn next_at(&self) -> Option<SimTime> {
+        self.heap.peek().map(|&Reverse((at, _, _))| at)
+    }
+
+    fn is_due(&self, now: SimTime) -> bool {
+        self.next_at().is_some_and(|at| at <= now)
+    }
+
+    /// Remove and return every item due at or before `now`, in insertion
+    /// order.
+    fn take_due(&mut self, now: SimTime) -> impl Iterator<Item = (SimTime, ClusterId, ServiceId)> {
+        let mut due = Vec::new();
+        while self.is_due(now) {
+            let Reverse(item) = self.heap.pop().expect("peeked a due item");
+            due.push(item);
+        }
+        due.sort_unstable_by_key(|&(_, ordinal, _)| ordinal);
+        due.into_iter()
+            .map(|(at, _, (cluster, service))| (at, cluster, service))
+    }
+}
+
+/// Services scaled to zero, awaiting the Remove phase: when each was scaled
+/// down, by key, plus the same records in time order so the oldest is a peek.
+#[derive(Default)]
+struct ScaledToZero {
+    since: DetHashMap<InstanceKey, SimTime>,
+    /// Lazy-deletion companion of `since`. Invariant ("accurate top", as in
+    /// `FlowMemory`): after every `&mut self` method the top is an entry of
+    /// `since`, so [`ScaledToZero::oldest`] is the minimum over all of them.
+    by_time: BinaryHeap<Reverse<(SimTime, InstanceKey)>>,
+}
+
+impl ScaledToZero {
+    /// When the longest-idle service was scaled down.
+    fn oldest(&self) -> Option<SimTime> {
+        self.by_time.peek().map(|&Reverse((at, _))| at)
+    }
+
+    fn insert(&mut self, key: InstanceKey, at: SimTime) {
+        self.since.insert(key, at);
+        self.by_time.push(Reverse((at, key)));
+        self.normalize();
+    }
+
+    /// Put back the entry a failed deployment displaced, unless the service
+    /// was scaled down again in the meantime.
+    fn restore(&mut self, key: InstanceKey, at: SimTime) {
+        if !self.since.contains_key(&key) {
+            self.insert(key, at);
+        }
+    }
+
+    fn remove(&mut self, key: InstanceKey) -> Option<SimTime> {
+        let at = self.since.remove(&key);
+        self.normalize();
+        at
+    }
+
+    /// Remove and return the services that have been at zero for at least
+    /// `idle_for`, in key order: the Remove phase's backend calls and `Gone`
+    /// deltas follow this order, and federated replays diverge if it depends
+    /// on anything but the keys.
+    fn take_idle(&mut self, now: SimTime, idle_for: SimDuration) -> Vec<InstanceKey> {
+        let mut idle = Vec::new();
+        while let Some(&Reverse((at, key))) = self.by_time.peek() {
+            if now.since(at) < idle_for {
+                break;
+            }
+            self.by_time.pop();
+            self.since.remove(&key);
+            idle.push(key);
+            self.normalize();
+        }
+        idle.sort_unstable();
+        idle
+    }
+
+    fn normalize(&mut self) {
+        while let Some(&Reverse((at, key))) = self.by_time.peek() {
+            if self.since.get(&key) == Some(&at) {
+                break;
+            }
+            self.by_time.pop();
+        }
+    }
+}
+
 /// The transparent-edge SDN controller.
 pub struct Controller {
     config: ControllerConfig,
@@ -425,15 +539,11 @@ pub struct Controller {
     views_scratch: Vec<ClusterView>,
     /// Reused buffer for Local-Scheduler endpoint listing (same rationale).
     endpoints_scratch: Vec<SocketAddr>,
-    /// Pending flow moves produced by BEST deployments:
-    /// (ready instant, cluster, service).
-    retarget_queue: Vec<(SimTime, ClusterId, ServiceId)>,
-    /// Services scaled to zero, awaiting the Remove phase: when each was
-    /// scaled down.
-    // BTreeMap: the Remove phase iterates to collect due services; removal
-    // (and the `Gone` delta it gossips) must happen in key order, not hash
-    // order, or federated replays diverge.
-    scaled_to_zero: BTreeMap<(ClusterId, ServiceId), SimTime>,
+    /// Pending flow moves produced by BEST deployments, due at the ready
+    /// instant.
+    retarget_queue: DueQueue,
+    /// Services scaled to zero, awaiting the Remove phase.
+    scaled_to_zero: ScaledToZero,
     predictor: Box<dyn Predictor>,
     predict: Option<PredictSchedule>,
     /// Most recent dispatcher deployment failure (diagnostics; see
@@ -448,9 +558,9 @@ pub struct Controller {
     emit_deltas: bool,
     /// Deltas produced since the last [`Controller::drain_status_deltas`].
     status_deltas: Vec<StatusDelta>,
-    /// Idle scale-downs whose backend call failed transiently:
-    /// (retry instant, cluster, service). Re-checked at the next due wakeup.
-    scale_down_retries: Vec<(SimTime, ClusterId, ServiceId)>,
+    /// Idle scale-downs whose backend call failed transiently, due at the
+    /// retry instant.
+    scale_down_retries: DueQueue,
     pub stats: ControllerStats,
 }
 
@@ -571,8 +681,8 @@ impl ControllerBuilder {
             client_ports: DetHashMap::default(),
             views_scratch: Vec::new(),
             endpoints_scratch: Vec::new(),
-            retarget_queue: Vec::new(),
-            scaled_to_zero: BTreeMap::new(),
+            retarget_queue: DueQueue::new(),
+            scaled_to_zero: ScaledToZero::default(),
             predictor: self.predictor,
             predict: None,
             last_deploy_failure: None,
@@ -580,7 +690,7 @@ impl ControllerBuilder {
             gate: self.gate,
             emit_deltas: self.emit_deltas,
             status_deltas: Vec::new(),
-            scale_down_retries: Vec::new(),
+            scale_down_retries: DueQueue::new(),
             stats: ControllerStats::default(),
         }
     }
@@ -999,15 +1109,9 @@ impl Controller {
             }
             return;
         }
-        let existing = match &self.engine {
-            Engine::Stepped(d) => d.find(best, sid),
-            Engine::Reference(_) => None,
-        };
-        if let Some(i) = existing {
+        if let Some(m) = self.machine_mut(best, sid) {
             // Piggyback: the in-flight deployment will retarget when ready.
-            if let Engine::Stepped(d) = &mut self.engine {
-                d.machines[i].wants_retarget = true;
-            }
+            m.wants_retarget = true;
             return;
         }
         let name = self.catalog.name_arc(sid);
@@ -1022,10 +1126,8 @@ impl Controller {
             self.stats.lease_rejections += 1;
             return;
         }
-        let i = self.start_machine(now, best, sid, template, false, false);
-        if let Engine::Stepped(d) = &mut self.engine {
-            d.machines[i].wants_retarget = true;
-        }
+        self.start_machine(now, best, sid, template, false, false)
+            .wants_retarget = true;
     }
 
     /// FAST-side with-waiting path: hold the buffered packet until the
@@ -1106,36 +1208,31 @@ impl Controller {
         // scale-down protection and the coherence audit without serving the
         // fast path (it converts to a real entry when the redirect installs).
         self.memory.remember_pending(now, key, sid, Some(fast));
-        let existing = match &self.engine {
-            Engine::Stepped(d) => d.find(fast, sid),
-            Engine::Reference(_) => None,
-        };
-        let i = match existing {
-            Some(i) => i,
-            None => {
-                if !self.gate_acquire(now, fast, sid) {
-                    // Lease lost to a mesh peer: there is no local machine to
-                    // hold this request on, so fall back to the cloud
-                    // (accepted with-waiting divergence, DESIGN.md §5f). The
-                    // flow is memorized cloud-bound so the holder's Ready
-                    // delta retargets it to the edge instance.
-                    self.stats.lease_rejections += 1;
-                    self.memory.forget(key);
-                    return self.cloud_outputs(
-                        decide_at,
-                        sw,
-                        packet,
-                        in_port,
-                        buffer_id,
-                        Some(sid),
-                        out,
-                    );
-                }
-                self.start_machine(now, fast, sid, template, true, false)
+        if self.machine_mut(fast, sid).is_none() {
+            if !self.gate_acquire(now, fast, sid) {
+                // Lease lost to a mesh peer: there is no local machine to
+                // hold this request on, so fall back to the cloud
+                // (accepted with-waiting divergence, DESIGN.md §5f). The
+                // flow is memorized cloud-bound so the holder's Ready
+                // delta retargets it to the edge instance.
+                self.stats.lease_rejections += 1;
+                self.memory.forget(key);
+                return self.cloud_outputs(
+                    decide_at,
+                    sw,
+                    packet,
+                    in_port,
+                    buffer_id,
+                    Some(sid),
+                    out,
+                );
             }
-        };
-        if let Engine::Stepped(d) = &mut self.engine {
-            d.machines[i].waiters.push(Waiter {
+            self.start_machine(now, fast, sid, template, true, false);
+        }
+        self.machine_mut(fast, sid)
+            .expect("found or just started")
+            .waiters
+            .push(Waiter {
                 key,
                 sw,
                 in_port,
@@ -1143,6 +1240,14 @@ impl Controller {
                 decide_at,
                 packet,
             });
+    }
+
+    /// The in-flight machine deploying `sid` at `cluster`, if any (stepped
+    /// engine only).
+    fn machine_mut(&mut self, cluster: ClusterId, sid: ServiceId) -> Option<&mut DeployMachine> {
+        match &mut self.engine {
+            Engine::Stepped(d) => d.find_mut(cluster, sid),
+            Engine::Reference(_) => None,
         }
     }
 
@@ -1391,7 +1496,7 @@ impl Controller {
                 self.stats.retried_operations += retried;
                 let ready_detected = record.ready_detected;
                 self.stats.deployments.push(*record);
-                self.scaled_to_zero.remove(&(cluster, id));
+                self.scaled_to_zero.remove((cluster, id));
                 let Engine::Reference(r) = &mut self.engine else {
                     unreachable!("reference engine required")
                 };
@@ -1407,8 +1512,7 @@ impl Controller {
     }
 
     /// Stepped engine only: start a deployment machine at `now` (steps
-    /// already due run on the next pump, same call stack). Returns the
-    /// machine's index.
+    /// already due run on the next pump, same call stack).
     fn start_machine(
         &mut self,
         now: SimTime,
@@ -1417,7 +1521,7 @@ impl Controller {
         template: &Arc<cluster::ServiceTemplate>,
         waited: bool,
         proactive: bool,
-    ) -> usize {
+    ) -> &mut DeployMachine {
         self.book(cluster, sid, template.resource_request(), 1);
         let record = self.record_seed(now, cluster, waited, template.name.as_str());
         let backend = &mut self.clusters[cluster.0].backend;
@@ -1425,7 +1529,7 @@ impl Controller {
         let images_cached = backend.has_images(template);
         // The machine owns the displaced Remove-phase bookkeeping so a
         // failure can restore it.
-        let saved = self.scaled_to_zero.remove(&(cluster, sid));
+        let saved = self.scaled_to_zero.remove((cluster, sid));
         let Engine::Stepped(d) = &mut self.engine else {
             unreachable!("stepped engine required")
         };
@@ -1440,22 +1544,21 @@ impl Controller {
             saved,
         );
         m.proactive = proactive;
-        d.machines.len() - 1
+        m
     }
 
     /// Advance every machine whose next step is due at or before `now`,
     /// appending any outputs produced by terminal transitions.
     fn pump_machines(&mut self, now: SimTime, out: &mut Vec<ControllerOutput>) {
         loop {
-            let (idx, outcome) = {
+            let (key, outcome) = {
                 let Engine::Stepped(d) = &mut self.engine else {
                     return;
                 };
-                let Some(idx) = d.due_index(now) else {
+                let Some(key) = d.due(now) else {
                     return;
                 };
-                let m = &mut d.machines[idx];
-                let cluster_idx = m.cluster.0;
+                let (ClusterId(cluster_idx), _) = key;
                 let probe_rtt = self.clusters[cluster_idx].distances[0] * 2;
                 let mut ctx = StepCtx {
                     backend: self.clusters[cluster_idx].backend.as_mut(),
@@ -1466,16 +1569,16 @@ impl Controller {
                     probe_timeout: self.config.probe_timeout,
                     probe_rtt,
                 };
-                (idx, m.advance(&mut ctx))
+                (key, d.advance(key, &mut ctx))
             };
             match outcome {
                 MachineOutcome::Progressed => {}
                 MachineOutcome::Recovered => self.stats.crash_recoveries += 1,
                 MachineOutcome::Ready { ready_detected } => {
-                    self.finalize_machine(idx, ready_detected, out)
+                    self.finalize_machine(key, ready_detected, out)
                 }
                 MachineOutcome::Failed { phase, error } => {
-                    self.fail_machine(idx, phase, error, out)
+                    self.fail_machine(key, phase, error, out)
                 }
             }
         }
@@ -1485,7 +1588,7 @@ impl Controller {
     /// request to the fresh instance, schedule the piggybacked retarget.
     fn finalize_machine(
         &mut self,
-        idx: usize,
+        key: InstanceKey,
         ready_detected: SimTime,
         out: &mut Vec<ControllerOutput>,
     ) {
@@ -1493,7 +1596,7 @@ impl Controller {
             let Engine::Stepped(d) = &mut self.engine else {
                 unreachable!("stepped engine required")
             };
-            let m = d.remove(idx);
+            let m = d.remove(key);
             d.record_completed(m.seq);
             m
         };
@@ -1503,7 +1606,7 @@ impl Controller {
         if m.proactive {
             self.stats.proactive_deployments += 1;
         }
-        self.scaled_to_zero.remove(&(m.cluster, m.service));
+        self.scaled_to_zero.remove(key);
         self.gate_release(ready_detected, m.cluster, m.service);
         self.push_delta(ready_detected, m.cluster, m.service, DeltaKind::Ready);
         if m.wants_retarget {
@@ -1530,7 +1633,7 @@ impl Controller {
     /// bookkeeping, and fall every held request back to the cloud.
     fn fail_machine(
         &mut self,
-        idx: usize,
+        key: InstanceKey,
         phase: DeployPhaseKind,
         error: DeployError,
         out: &mut Vec<ControllerOutput>,
@@ -1539,7 +1642,7 @@ impl Controller {
             let Engine::Stepped(d) = &mut self.engine else {
                 unreachable!("stepped engine required")
             };
-            d.remove(idx)
+            d.remove(key)
         };
         let revoked = matches!(error, DeployError::LeaseRevoked);
         self.release_booking(m.cluster, m.service);
@@ -1552,11 +1655,9 @@ impl Controller {
             error,
         });
         if let Some(at) = m.saved_scaled_to_zero {
-            self.scaled_to_zero
-                .entry((m.cluster, m.service))
-                .or_insert(at);
+            self.scaled_to_zero.restore(key, at);
         }
-        let failed_at = m.next_step;
+        let failed_at = m.next_step();
         self.gate_release(failed_at, m.cluster, m.service);
         self.push_delta(failed_at, m.cluster, m.service, DeltaKind::Gone);
         for w in m.waiters {
@@ -1587,7 +1688,7 @@ impl Controller {
     /// redirected to this optimal location as soon as the new instance is
     /// running").
     fn schedule_retarget(&mut self, ready_at: SimTime, cluster: ClusterId, service: ServiceId) {
-        self.retarget_queue.push((ready_at, cluster, service));
+        self.retarget_queue.push(ready_at, cluster, service);
     }
 
     // -----------------------------------------------------------------------
@@ -1596,8 +1697,10 @@ impl Controller {
 
     /// The earliest instant any controller-internal work is due: a machine
     /// step, a pending flow retarget, FlowMemory expiry / Remove-phase
-    /// housekeeping, or a predict tick. The event loop schedules exactly one
-    /// wakeup event at this instant (re-arming after every event).
+    /// housekeeping, or a predict tick. The event loop re-arms from it after
+    /// every event, so every source here is read off the head of a
+    /// time-ordered structure: the cost does not depend on how many
+    /// machines, retargets, flows or scaled-to-zero services exist.
     pub fn next_wakeup(&self) -> Option<SimTime> {
         let mut next: Option<SimTime> = None;
         let mut merge = |t: SimTime| {
@@ -1608,20 +1711,20 @@ impl Controller {
                 merge(t);
             }
         }
-        if let Some(t) = self.retarget_queue.iter().map(|(at, _, _)| *at).min() {
+        if let Some(t) = self.retarget_queue.next_at() {
             merge(t);
         }
         if self.config.scale_down_idle {
             if let Some(t) = self.memory.next_expiry() {
                 merge(t);
             }
-            if let Some(t) = self.scale_down_retries.iter().map(|(at, _, _)| *at).min() {
+            if let Some(t) = self.scale_down_retries.next_at() {
                 merge(t);
             }
         }
         if let Some(remove_after) = self.config.remove_after {
-            if let Some(&soonest) = self.scaled_to_zero.values().min() {
-                merge(soonest + remove_after);
+            if let Some(oldest) = self.scaled_to_zero.oldest() {
+                merge(oldest + remove_after);
             }
         }
         if let Some(p) = &self.predict {
@@ -1675,7 +1778,7 @@ impl Controller {
     /// the coherence audit's orphaned-pending check.
     pub fn in_flight_deployments(&self, now: SimTime) -> Vec<(ServiceId, ClusterId)> {
         match &self.engine {
-            Engine::Stepped(d) => d.machines.iter().map(|m| (m.service, m.cluster)).collect(),
+            Engine::Stepped(d) => d.in_flight(),
             Engine::Reference(r) => r
                 .pending
                 .iter()
@@ -1694,7 +1797,7 @@ impl Controller {
         service: ServiceId,
     ) -> Option<DeployPhaseKind> {
         match &self.engine {
-            Engine::Stepped(d) => d.find(cluster, service).map(|i| d.machines[i].phase.kind()),
+            Engine::Stepped(d) => d.find(cluster, service).map(|m| m.phase.kind()),
             Engine::Reference(_) => None,
         }
     }
@@ -1751,25 +1854,17 @@ impl Controller {
         cluster: ClusterId,
         service: ServiceId,
     ) -> Option<Vec<ControllerOutput>> {
-        let idx = {
-            let Engine::Stepped(d) = &mut self.engine else {
-                return None;
-            };
-            let idx = d.find(cluster, service)?;
-            // Fail at the abort instant, not the machine's own next step:
-            // `fail_machine` stamps the failure (and the `Gone` delta) with
-            // `next_step`.
-            d.machines[idx].next_step = now;
-            idx
+        let Engine::Stepped(d) = &mut self.engine else {
+            return None;
         };
-        let phase = {
-            let Engine::Stepped(d) = &self.engine else {
-                unreachable!("checked above")
-            };
-            d.machines[idx].phase.kind()
-        };
+        let phase = d.find(cluster, service)?.phase.kind();
+        let key = (cluster, service);
+        // Fail at the abort instant, not the machine's own next step:
+        // `fail_machine` stamps the failure (and the `Gone` delta) with
+        // `next_step`.
+        d.reschedule(key, now);
         let mut out = Vec::new();
-        self.fail_machine(idx, phase, DeployError::LeaseRevoked, &mut out);
+        self.fail_machine(key, phase, DeployError::LeaseRevoked, &mut out);
         Some(out)
     }
 
@@ -1819,22 +1914,11 @@ impl Controller {
 
     /// Append the FlowMods produced by retargets due at or before `upto`.
     fn drain_retargets(&mut self, upto: SimTime, outputs: &mut Vec<ControllerOutput>) {
-        // Fast path: most wakeups have no due retarget — don't shuffle the
-        // queue (three Vec builds) just to discover that.
-        if !self.retarget_queue.iter().any(|item| item.0 <= upto) {
+        // Most wakeups have no due retarget: one peek says so.
+        if !self.retarget_queue.is_due(upto) {
             return;
         }
-        let mut due: Vec<(SimTime, ClusterId, ServiceId)> = Vec::new();
-        let mut remaining: Vec<(SimTime, ClusterId, ServiceId)> = Vec::new();
-        for item in std::mem::take(&mut self.retarget_queue) {
-            if item.0 <= upto {
-                due.push(item);
-            } else {
-                remaining.push(item);
-            }
-        }
-        self.retarget_queue = remaining;
-        for (at, cluster, service) in due {
+        for (at, cluster, service) in self.retarget_queue.take_due(upto) {
             let name = self.catalog.name_arc(service);
             let status = self.clusters[cluster.0].backend.status(at, &name);
             let Some(target) = status.endpoint.filter(|_| status.is_ready()) else {
@@ -1851,7 +1935,7 @@ impl Controller {
                         self.clusters[cluster.0].ports[sw.0],
                         client_port,
                         Some(self.config.switch_idle_timeout),
-                        cookie_for(&name),
+                        self.catalog.cookie_of(service),
                     );
                     outputs.extend(pair.into_iter().map(|spec| ControllerOutput::FlowMod {
                         at,
@@ -1954,13 +2038,11 @@ impl Controller {
     fn run_housekeeping(&mut self, now: SimTime) {
         let expiry_due =
             self.config.scale_down_idle && self.memory.next_expiry().is_some_and(|t| t <= now);
-        let retry_due = self.config.scale_down_idle
-            && self.scale_down_retries.iter().any(|&(at, _, _)| at <= now);
+        let retry_due = self.config.scale_down_idle && self.scale_down_retries.is_due(now);
         let remove_due = self.config.remove_after.is_some_and(|remove_after| {
             self.scaled_to_zero
-                .values()
-                .min()
-                .is_some_and(|&at| now.since(at) >= remove_after)
+                .oldest()
+                .is_some_and(|at| now.since(at) >= remove_after)
         });
         if !expiry_due && !retry_due && !remove_due {
             return;
@@ -2017,15 +2099,11 @@ impl Controller {
                 .iter()
                 .filter_map(|f| f.cluster.map(|c| (f.service, c)))
                 .collect();
-            let mut waiting: Vec<(SimTime, ClusterId, ServiceId)> = Vec::new();
-            for (at, cluster, service) in std::mem::take(&mut self.scale_down_retries) {
-                if at <= now {
-                    candidates.push((service, cluster));
-                } else {
-                    waiting.push((at, cluster, service));
-                }
-            }
-            self.scale_down_retries = waiting;
+            candidates.extend(
+                self.scale_down_retries
+                    .take_due(now)
+                    .map(|(_, cluster, service)| (service, cluster)),
+            );
             candidates.sort();
             candidates.dedup();
             for (service, cluster) in candidates {
@@ -2047,11 +2125,11 @@ impl Controller {
                         // Transient backend fault (e.g. a flaky cluster API):
                         // keep the instance a candidate and retry after the
                         // configured back-off instead of leaking it forever.
-                        self.scale_down_retries.push((
+                        self.scale_down_retries.push(
                             now + self.config.retry_backoff,
                             cluster,
                             service,
-                        ));
+                        );
                     }
                 }
             }
@@ -2061,13 +2139,7 @@ impl Controller {
         // are deleted entirely; their cached images stay on disk, so a later
         // request pays Create + Scale-Up but not Pull.
         if let Some(remove_after) = self.config.remove_after {
-            let due: Vec<(ClusterId, ServiceId)> = self
-                .scaled_to_zero
-                .iter()
-                .filter(|(_, &at)| now.since(at) >= remove_after)
-                .map(|(&k, _)| k)
-                .collect();
-            for (cluster, service) in due {
+            for (cluster, service) in self.scaled_to_zero.take_idle(now, remove_after) {
                 let name = self.catalog.name_arc(service);
                 let backend = &mut self.clusters[cluster.0].backend;
                 // A request may have revived the service in the meantime.
@@ -2078,7 +2150,6 @@ impl Controller {
                     self.release_booking(cluster, service);
                     self.push_delta(now, cluster, service, DeltaKind::Gone);
                 }
-                self.scaled_to_zero.remove(&(cluster, service));
             }
         }
     }
@@ -2151,7 +2222,7 @@ impl Controller {
             self.clusters[cluster.0].ports[sw.0],
             client_port,
             Some(self.config.switch_idle_timeout),
-            cookie_for(self.catalog.name_of(service)),
+            self.catalog.cookie_of(service),
         );
         out.extend(pair.into_iter().map(|spec| ControllerOutput::FlowMod {
             at,
@@ -2204,7 +2275,7 @@ impl Controller {
                     .priority(self.config.flow_priority - 1)
                     .action(Action::Output(port))
                     .idle(self.config.switch_idle_timeout)
-                    .cookie(cookie_for("host-route")),
+                    .cookie(HOST_ROUTE_COOKIE),
             });
         }
     }
@@ -2231,7 +2302,7 @@ impl Controller {
             };
             self.memory.remember(at, key, service, packet.dst, None);
         }
-        let cookie = cookie_for("cloud");
+        let cookie = CLOUD_COOKIE;
         outputs.push(ControllerOutput::FlowMod {
             at,
             switch: sw,
@@ -2357,12 +2428,9 @@ fn debug_check_flow_pair(pair: &[FlowSpec; 2], key: FlowKey, target: SocketAddr)
     );
 }
 
-/// Stable cookie derived from the service name (diagnostics only).
-fn cookie_for(service: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in service.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+/// Cookies of the flows that belong to no registered service.
+const CLOUD_COOKIE: u64 = cookie_for("cloud");
+const HOST_ROUTE_COOKIE: u64 = cookie_for("host-route");
+
+#[cfg(test)]
+mod wakeup_tests;

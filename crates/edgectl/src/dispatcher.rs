@@ -22,11 +22,13 @@
 //! land while a deployment is mid-flight and are observed by the next step,
 //! which can retry the phase or fail over to the cloud.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use cluster::{ClusterBackend, ClusterError, ServiceTemplate};
 use registry::RegistrySet;
-use simcore::{SimDuration, SimTime};
+use simcore::{DetHashMap, SimDuration, SimTime};
 use simnet::openflow::{BufferId, PortId};
 use simnet::Packet;
 
@@ -204,7 +206,9 @@ pub(crate) struct DeployMachine {
     pub phase: DeployPhase,
     /// Virtual instant the next step is issued at. Steps run when a wakeup
     /// reaches this instant, so phase issue times are wakeup-jitter free.
-    pub next_step: SimTime,
+    /// Private: the dispatcher's due heap is keyed on it, so while a machine
+    /// is in flight it changes only inside [`Dispatcher::rekey`].
+    next_step: SimTime,
     /// Retry attempt within the current phase.
     attempt: u32,
     /// Total retried operations across phases (drained into stats at the
@@ -227,10 +231,16 @@ pub(crate) struct DeployMachine {
 }
 
 impl DeployMachine {
+    /// The instant the machine's next step is due — after a terminal
+    /// transition, the instant it ended.
+    pub(crate) fn next_step(&self) -> SimTime {
+        self.next_step
+    }
+
     /// Issue the one step due at `self.next_step`, mirroring the reference
     /// pipeline's per-phase behaviour exactly (issue instants, retry
     /// back-off, probe cadence, the post-increment deadline check).
-    pub(crate) fn advance(&mut self, ctx: &mut StepCtx<'_>) -> MachineOutcome {
+    fn advance(&mut self, ctx: &mut StepCtx<'_>) -> MachineOutcome {
         let issued = self.next_step;
         let name = self.template.name.as_str();
         match self.phase {
@@ -347,7 +357,7 @@ impl DeployMachine {
 
     /// A scale-up receipt starts (or restarts) the probe loop: probes every
     /// `probe_interval` from the accept instant, a fresh timeout window.
-    pub(crate) fn enter_probing(&mut self, receipt: cluster::ScaleReceipt, ctx: &StepCtx<'_>) {
+    fn enter_probing(&mut self, receipt: cluster::ScaleReceipt, ctx: &StepCtx<'_>) {
         self.phase = DeployPhase::Probing {
             deadline: receipt.accepted_at + ctx.probe_timeout,
             expected_ready: receipt.expected_ready,
@@ -376,12 +386,28 @@ impl DeployMachine {
     }
 }
 
+/// One service at one cluster. A machine's identity while in flight: at most
+/// one deployment of a service runs per cluster (callers
+/// [`Dispatcher::find`] before they start one).
+pub(crate) type InstanceKey = (ClusterId, ServiceId);
+
 /// The set of in-flight deployment machines plus the bookkeeping the event
 /// loop needs: the next due step and which machine ordinals completed
 /// successfully (for attributing `triggered_deployment` to requests).
+///
+/// Nothing here scans the machines: they are indexed by key, counted per
+/// service, and ordered by due step in a lazy-deletion min-heap.
 #[derive(Default)]
 pub(crate) struct Dispatcher {
-    pub machines: Vec<DeployMachine>,
+    machines: DetHashMap<InstanceKey, DeployMachine>,
+    /// In-flight machines per service, over all clusters.
+    per_service: DetHashMap<ServiceId, u32>,
+    /// Due order: `(next_step, seq, key)`. Invariant ("accurate top", as in
+    /// `FlowMemory`): after every `&mut self` method the top names a machine
+    /// that is in flight with exactly that `next_step` and `seq`, so the
+    /// earliest step is a peek. Records of removed or re-keyed machines stay
+    /// behind until they surface.
+    due: BinaryHeap<Reverse<(SimTime, u64, InstanceKey)>>,
     next_seq: u64,
     /// Seqs of machines that reached `Ready`, ascending.
     completed: Vec<u64>,
@@ -393,14 +419,29 @@ impl Dispatcher {
         self.next_seq
     }
 
-    pub fn find(&self, cluster: ClusterId, service: ServiceId) -> Option<usize> {
-        self.machines
-            .iter()
-            .position(|m| m.cluster == cluster && m.service == service)
+    pub fn find(&self, cluster: ClusterId, service: ServiceId) -> Option<&DeployMachine> {
+        self.machines.get(&(cluster, service))
+    }
+
+    /// Mutable access to everything about a machine except when it steps.
+    pub fn find_mut(
+        &mut self,
+        cluster: ClusterId,
+        service: ServiceId,
+    ) -> Option<&mut DeployMachine> {
+        self.machines.get_mut(&(cluster, service))
     }
 
     pub fn any_for_service(&self, service: ServiceId) -> bool {
-        self.machines.iter().any(|m| m.service == service)
+        self.per_service.contains_key(&service)
+    }
+
+    /// `(service, cluster)` of every in-flight machine, oldest first.
+    pub fn in_flight(&self) -> Vec<(ServiceId, ClusterId)> {
+        // edgelint: allow(det-collections) — sorted by seq before exposure
+        let mut by_seq: Vec<&DeployMachine> = self.machines.values().collect();
+        by_seq.sort_unstable_by_key(|m| m.seq);
+        by_seq.iter().map(|m| (m.service, m.cluster)).collect()
     }
 
     /// Start a machine at `now`; phases whose issue instants are already due
@@ -427,7 +468,8 @@ impl Dispatcher {
         } else {
             DeployPhase::ScalingUp
         };
-        self.machines.push(DeployMachine {
+        let key = (cluster, service);
+        let machine = DeployMachine {
             seq,
             cluster,
             service,
@@ -443,28 +485,78 @@ impl Dispatcher {
             proactive: false,
             skip_create: created,
             saved_scaled_to_zero,
-        });
-        self.machines.last_mut().expect("just pushed")
+        };
+        let displaced = self.machines.insert(key, machine);
+        debug_assert!(displaced.is_none(), "one machine per (cluster, service)");
+        *self.per_service.entry(service).or_insert(0) += 1;
+        // The old top is still live, so the invariant holds without a sweep.
+        self.due.push(Reverse((now, seq, key)));
+        self.machines.get_mut(&key).expect("just inserted")
     }
 
-    /// Index of the due machine with the smallest `(next_step, seq)`, if any
-    /// step is due at or before `now`.
-    pub fn due_index(&self, now: SimTime) -> Option<usize> {
-        self.machines
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.next_step <= now)
-            .min_by_key(|(_, m)| (m.next_step, m.seq))
-            .map(|(i, _)| i)
+    /// The machine with the smallest `(next_step, seq)`, if its step is due
+    /// at or before `now`.
+    pub fn due(&self, now: SimTime) -> Option<InstanceKey> {
+        self.due
+            .peek()
+            .filter(|Reverse((at, _, _))| *at <= now)
+            .map(|&Reverse((_, _, key))| key)
     }
 
     /// Earliest pending step across all machines.
     pub fn next_step_at(&self) -> Option<SimTime> {
-        self.machines.iter().map(|m| m.next_step).min()
+        self.due.peek().map(|&Reverse((at, _, _))| at)
     }
 
-    pub fn remove(&mut self, index: usize) -> DeployMachine {
-        self.machines.remove(index)
+    /// Issue the step machine `key` has due.
+    pub fn advance(&mut self, key: InstanceKey, ctx: &mut StepCtx<'_>) -> MachineOutcome {
+        self.rekey(key, |m| m.advance(ctx))
+    }
+
+    /// Make machine `key` due at `at` instead of its own next step (a lease
+    /// revocation ends it at the abort instant).
+    pub fn reschedule(&mut self, key: InstanceKey, at: SimTime) {
+        self.rekey(key, |m| m.next_step = at);
+    }
+
+    /// The one writer of an in-flight machine's `next_step`: run `write`,
+    /// then file the machine under its new due instant.
+    fn rekey<R>(&mut self, key: InstanceKey, write: impl FnOnce(&mut DeployMachine) -> R) -> R {
+        let m = self.machines.get_mut(&key).expect("machine is in flight");
+        let before = m.next_step;
+        let result = write(m);
+        if m.next_step != before {
+            self.due.push(Reverse((m.next_step, m.seq, key)));
+            self.normalize_due();
+        }
+        result
+    }
+
+    pub fn remove(&mut self, key: InstanceKey) -> DeployMachine {
+        let machine = self.machines.remove(&key).expect("machine is in flight");
+        match self.per_service.get_mut(&machine.service) {
+            Some(n) if *n > 1 => *n -= 1,
+            _ => {
+                self.per_service.remove(&machine.service);
+            }
+        }
+        self.normalize_due();
+        machine
+    }
+
+    /// Restore the accurate-top invariant: pop records whose machine is gone
+    /// or has moved to another due instant.
+    fn normalize_due(&mut self) {
+        while let Some(&Reverse((at, seq, key))) = self.due.peek() {
+            let live = self
+                .machines
+                .get(&key)
+                .is_some_and(|m| m.seq == seq && m.next_step == at);
+            if live {
+                break;
+            }
+            self.due.pop();
+        }
     }
 
     pub fn record_completed(&mut self, seq: u64) {
@@ -480,6 +572,9 @@ impl Dispatcher {
         self.completed.get(start).is_some_and(|&s| s < hi)
     }
 }
+
+#[cfg(test)]
+mod index_tests;
 
 pub mod reference {
     //! The historical **synchronous** deployment pipeline, retained verbatim

@@ -628,17 +628,10 @@ fn build_shard(shard: usize, cfg: &ScenarioConfig, trace: &Trace, hooks: TestHoo
         .map(|(idx, _)| idx as u64)
         .collect();
     core.reserve(tags.len());
-    // One routing query per client, not per request.
-    let access: Vec<SimDuration> = (0..core.c3.client_ips.len())
-        .map(|c| core.c3.client_switch_latency(c))
-        .collect();
     for &tag in &tags {
         let req = &trace.requests[tag as usize];
-        core.admit(
-            req.at + offset + access[req.client],
-            req.client,
-            req.service,
-        );
+        let access = core.c3.client_switch_latency(req.client);
+        core.admit(req.at + offset + access, req.client, req.service);
     }
     for (old, h) in departures(&trace.handovers, n) {
         if old == shard {

@@ -34,4 +34,4 @@ pub use openflow::{
 };
 pub use packet::{Packet, Protocol};
 pub use tcp::TcpModel;
-pub use topology::{LinkId, NodeId, NodeKind, PathCache, PathInfo, Topology};
+pub use topology::{LinkId, NodeId, NodeKind, PathInfo, PathTree, Topology};

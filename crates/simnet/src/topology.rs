@@ -1,15 +1,19 @@
 //! Network topology: nodes joined by links with propagation latency and
-//! bandwidth. Routing is shortest-path by latency (Dijkstra), computed on
-//! demand; long-running consumers memoize queries with a [`PathCache`].
+//! bandwidth. Routing is shortest-path by latency (Dijkstra): one query with
+//! [`Topology::path`], or every source toward one destination at once with
+//! [`Topology::tree_to`] — what long-running consumers hold, one
+//! [`PathTree`] per destination they route to.
 //!
 //! The evaluation topology (paper Fig. 8) is small — one OVS switch, the EGS,
 //! a cloud uplink and 20 Raspberry Pi clients — but the model supports the
 //! hierarchical multi-cluster layouts of §IV-A2 (small near edges, larger
 //! ones towards the cloud), which the scheduler experiments use.
 
+use std::cell::Cell;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use simcore::{DetHashMap, SimDuration};
+use simcore::SimDuration;
 
 /// Index of a node in a [`Topology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -71,7 +75,25 @@ pub struct Topology {
     /// adjacency: node -> [(neighbor, link)]
     adj: Vec<Vec<(NodeId, LinkId)>>,
     by_name: HashMap<String, NodeId>,
+    /// Shortest-path searches run so far (see [`Topology::searches`]).
+    searches: Cell<u64>,
 }
+
+/// One node's label in a shortest-path search: cumulative latency from the
+/// root, the widest bottleneck among the paths of that latency, and the
+/// neighbour one hop nearer the root.
+#[derive(Debug, Clone, Copy)]
+struct Label {
+    dist_ns: u64,
+    bottleneck_bps: u64,
+    toward_root: Option<NodeId>,
+}
+
+const UNREACHED: Label = Label {
+    dist_ns: u64::MAX,
+    bottleneck_bps: 0,
+    toward_root: None,
+};
 
 impl Topology {
     pub fn new() -> Topology {
@@ -146,108 +168,129 @@ impl Topology {
         self.adj[id.0].iter().copied()
     }
 
-    /// Shortest path from `src` to `dst` by cumulative latency.
+    /// Shortest path from `src` to `dst` by cumulative latency; among paths
+    /// of equal latency, the one with the widest bottleneck — so latency and
+    /// bottleneck are functions of the graph, not of the search direction.
     /// Returns `None` if unreachable.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<PathInfo> {
-        if src == dst {
-            return Some(PathInfo {
-                latency: SimDuration::ZERO,
-                bottleneck_bps: u64::MAX,
-                hops: vec![src],
-            });
+        // The graph is undirected: search outward from `dst`, stop once
+        // `src` is settled, and read the hops off toward the root.
+        PathTree {
+            root: dst,
+            labels: self.search(dst, Some(src)),
         }
-        // Dijkstra over latency in nanoseconds.
-        let n = self.nodes.len();
-        let mut dist = vec![u64::MAX; n];
-        let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
-        let mut heap = BinaryHeap::new();
-        dist[src.0] = 0;
-        heap.push(std::cmp::Reverse((0u64, src.0)));
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
-            if d > dist[u] {
-                continue;
-            }
-            if u == dst.0 {
-                break;
-            }
-            for &(v, link) in &self.adj[u] {
-                let nd = d.saturating_add(self.links[link.0].latency.as_nanos());
-                if nd < dist[v.0] {
-                    dist[v.0] = nd;
-                    prev[v.0] = Some((NodeId(u), link));
-                    heap.push(std::cmp::Reverse((nd, v.0)));
-                }
-            }
-        }
-        if dist[dst.0] == u64::MAX {
-            return None;
-        }
-        // Reconstruct.
-        let mut hops = vec![dst];
-        let mut bottleneck = u64::MAX;
-        let mut cur = dst;
-        while let Some((p, link)) = prev[cur.0] {
-            bottleneck = bottleneck.min(self.links[link.0].bandwidth_bps);
-            hops.push(p);
-            cur = p;
-        }
-        hops.reverse();
-        debug_assert_eq!(hops[0], src);
-        Some(PathInfo {
-            latency: SimDuration::from_nanos(dist[dst.0]),
-            bottleneck_bps: bottleneck,
-            hops,
-        })
+        .path(src)
     }
 
     /// One-way latency between two nodes (None if unreachable).
     pub fn latency(&self, src: NodeId, dst: NodeId) -> Option<SimDuration> {
         self.path(src, dst).map(|p| p.latency)
     }
+
+    /// The shortest-path tree rooted at `dst`: one search answers latency,
+    /// bottleneck and hops toward `dst` from *every* source, each equal to
+    /// what [`Topology::path`] reports for that pair. A snapshot — rebuild it
+    /// after mutating the graph.
+    pub fn tree_to(&self, dst: NodeId) -> PathTree {
+        PathTree {
+            root: dst,
+            labels: self.search(dst, None),
+        }
+    }
+
+    /// How many shortest-path searches ([`Topology::path`] /
+    /// [`Topology::tree_to`]) this topology has run. Each is O(links · log
+    /// nodes) plus O(nodes) of allocation, so consumers with many sources
+    /// hold trees; tests pin the count so a per-pair search creeping back
+    /// into a per-request path fails there rather than in a benchmark.
+    pub fn searches(&self) -> u64 {
+        self.searches.get()
+    }
+
+    /// Dijkstra from `root` over (latency ascending, bottleneck descending)
+    /// labels; stops early once `stop_at` is settled. Extending a label never
+    /// improves it and preserves order, so the first settlement of a node is
+    /// final even across zero-latency links.
+    fn search(&self, root: NodeId, stop_at: Option<NodeId>) -> Vec<Label> {
+        self.searches.set(self.searches.get() + 1);
+        let mut labels = vec![UNREACHED; self.nodes.len()];
+        labels[root.0] = Label {
+            dist_ns: 0,
+            bottleneck_bps: u64::MAX,
+            toward_root: None,
+        };
+        let mut heap = BinaryHeap::new();
+        heap.push((Reverse(0u64), u64::MAX, root.0));
+        while let Some((Reverse(d), b, u)) = heap.pop() {
+            if (d, b) != (labels[u].dist_ns, labels[u].bottleneck_bps) {
+                continue; // superseded by a better label
+            }
+            if stop_at == Some(NodeId(u)) {
+                break;
+            }
+            for &(v, link) in &self.adj[u] {
+                let link = &self.links[link.0];
+                let nd = d.saturating_add(link.latency.as_nanos());
+                let nb = b.min(link.bandwidth_bps);
+                let cur = labels[v.0];
+                if nd < cur.dist_ns || (nd == cur.dist_ns && nb > cur.bottleneck_bps) {
+                    labels[v.0] = Label {
+                        dist_ns: nd,
+                        bottleneck_bps: nb,
+                        toward_root: Some(NodeId(u)),
+                    };
+                    heap.push((Reverse(nd), nb, v.0));
+                }
+            }
+        }
+        labels
+    }
 }
 
-/// Memoized shortest-path queries over an (immutable) [`Topology`].
-///
-/// The testbed's per-request hot path resolves the same (client, host) pairs
-/// over and over while the topology never changes mid-run, so each distinct
-/// pair pays Dijkstra once and a hash probe afterwards. Kept separate from
-/// [`Topology`] so the graph stays freely mutable; callers that alter the
-/// graph must [`PathCache::clear`] (or build a fresh cache).
-#[derive(Debug, Clone, Default)]
-pub struct PathCache {
-    paths: DetHashMap<(NodeId, NodeId), Option<PathInfo>>,
+/// Shortest paths from every node toward one destination (the root), as
+/// built by [`Topology::tree_to`]. Dense by [`NodeId`]: a query is an array
+/// read, no hashing and no allocation (hops aside).
+#[derive(Debug, Clone)]
+pub struct PathTree {
+    root: NodeId,
+    labels: Vec<Label>,
 }
 
-impl PathCache {
-    pub fn new() -> PathCache {
-        PathCache::default()
+impl PathTree {
+    /// The destination every path in this tree leads to.
+    pub fn root(&self) -> NodeId {
+        self.root
     }
 
-    /// Cached equivalent of [`Topology::path`].
-    pub fn path(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<&PathInfo> {
-        self.paths
-            .entry((src, dst))
-            .or_insert_with(|| topo.path(src, dst))
-            .as_ref()
+    fn label(&self, src: NodeId) -> Option<&Label> {
+        self.labels.get(src.0).filter(|l| l.dist_ns != u64::MAX)
     }
 
-    /// Cached equivalent of [`Topology::latency`].
-    pub fn latency(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<SimDuration> {
-        self.path(topo, src, dst).map(|p| p.latency)
+    /// One-way latency `src` → root (`None` if unreachable).
+    pub fn latency(&self, src: NodeId) -> Option<SimDuration> {
+        self.label(src).map(|l| SimDuration::from_nanos(l.dist_ns))
     }
 
-    /// Number of memoized (src, dst) pairs.
-    pub fn len(&self) -> usize {
-        self.paths.len()
+    /// Bottleneck bandwidth along the path `src` → root.
+    pub fn bottleneck_bps(&self, src: NodeId) -> Option<u64> {
+        self.label(src).map(|l| l.bottleneck_bps)
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
-    }
-
-    /// Forget everything — required after mutating the underlying topology.
-    pub fn clear(&mut self) {
-        self.paths.clear();
+    /// The full path `src` → root, hops included (allocates the hop list).
+    pub fn path(&self, src: NodeId) -> Option<PathInfo> {
+        let label = self.label(src)?;
+        let mut hops = vec![src];
+        let mut cur = label;
+        while let Some(next) = cur.toward_root {
+            hops.push(next);
+            cur = &self.labels[next.0];
+        }
+        debug_assert_eq!(hops.last(), Some(&self.root));
+        Some(PathInfo {
+            latency: SimDuration::from_nanos(label.dist_ns),
+            bottleneck_bps: label.bottleneck_bps,
+            hops,
+        })
     }
 }
 
@@ -355,28 +398,64 @@ mod tests {
     }
 
     #[test]
-    fn path_cache_agrees_with_direct_queries() {
+    fn tree_answers_every_source_like_path() {
         let (t, a, b, c) = triangle();
-        let mut cache = PathCache::new();
-        for &(src, dst) in &[(a, c), (c, a), (a, b), (a, a)] {
-            // Twice: once computing, once served from the memo.
-            assert_eq!(cache.path(&t, src, dst).cloned(), t.path(src, dst));
-            assert_eq!(cache.path(&t, src, dst).cloned(), t.path(src, dst));
-            assert_eq!(cache.latency(&t, src, dst), t.latency(src, dst));
+        for dst in [a, b, c] {
+            let tree = t.tree_to(dst);
+            assert_eq!(tree.root(), dst);
+            for src in [a, b, c] {
+                let want = t.path(src, dst).unwrap();
+                assert_eq!(tree.latency(src), Some(want.latency));
+                assert_eq!(tree.bottleneck_bps(src), Some(want.bottleneck_bps));
+                assert_eq!(tree.path(src), Some(want));
+            }
         }
-        assert_eq!(cache.len(), 4);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]
-    fn path_cache_memoizes_unreachable_pairs() {
+    fn tree_reports_unreachable_sources() {
         let mut t = Topology::new();
         let a = t.add_node("a", NodeKind::Host);
         let b = t.add_node("b", NodeKind::Host);
-        let mut cache = PathCache::new();
-        assert!(cache.path(&t, a, b).is_none());
-        assert!(cache.path(&t, a, b).is_none());
-        assert_eq!(cache.len(), 1, "negative results are memoized too");
+        let tree = t.tree_to(a);
+        assert_eq!(tree.latency(a), Some(SimDuration::ZERO));
+        assert!(tree.latency(b).is_none());
+        assert!(tree.bottleneck_bps(b).is_none());
+        assert!(tree.path(b).is_none());
+    }
+
+    #[test]
+    fn equal_latency_ties_take_the_wider_path() {
+        // a → d over b (1 Gbps) or over c (10 Gbps), 2 ms either way.
+        let mut t = Topology::new();
+        let a = t.add_node("a", NodeKind::Host);
+        let b = t.add_node("b", NodeKind::Switch);
+        let c = t.add_node("c", NodeKind::Switch);
+        let d = t.add_node("d", NodeKind::Host);
+        t.add_link(a, b, ms(1), GBPS);
+        t.add_link(b, d, ms(1), GBPS);
+        t.add_link(a, c, ms(1), 10 * GBPS);
+        t.add_link(c, d, ms(1), 10 * GBPS);
+        for (src, dst) in [(a, d), (d, a)] {
+            let p = t.path(src, dst).unwrap();
+            assert_eq!(p.bottleneck_bps, 10 * GBPS);
+            assert_eq!(p.hops, vec![src, c, dst]);
+            assert_eq!(t.tree_to(dst).path(src), Some(p));
+        }
+    }
+
+    #[test]
+    fn searches_counts_one_per_path_and_one_per_tree() {
+        let (t, a, _b, c) = triangle();
+        assert_eq!(t.searches(), 0);
+        t.path(a, c);
+        t.latency(c, a);
+        assert_eq!(t.searches(), 2);
+        let tree = t.tree_to(c);
+        for src in [a, c] {
+            tree.latency(src);
+            tree.path(src);
+        }
+        assert_eq!(t.searches(), 3, "tree queries run no search");
     }
 }

@@ -110,9 +110,8 @@ pub struct IngressShard<X> {
     /// may be scheduled behind it.
     horizon: SimTime,
     executed: u64,
-    /// Earliest armed controller wakeup (one outstanding event is enough —
-    /// `on_wakeup` is idempotent and re-arms from the authoritative
-    /// `next_wakeup`).
+    /// Instant of the most recently armed controller wakeup, cleared when
+    /// *any* wakeup event fires (see [`IngressShard::arm_wakeup`]).
     wakeup_armed: Option<SimTime>,
     /// Reused buffer for controller outputs — the event loop's only `Vec`,
     /// drained and put back after every controller call.
@@ -240,9 +239,16 @@ impl<X> IngressShard<X> {
         }
     }
 
-    /// Keep exactly one wakeup event in flight, at the earliest instant the
-    /// controller reports. Stale (superseded) events are harmless: a wakeup
-    /// with nothing due is a no-op.
+    /// Make sure a wakeup event is queued at (or before) the earliest instant
+    /// the controller reports: push one when that instant undercuts the
+    /// armed one. This does **not** keep a single event in flight. The
+    /// superseded event stays queued; when it fires it clears `wakeup_armed`
+    /// and the next call here arms again, so from then on two events fire at
+    /// every due instant — a chain that never ends while a FlowMemory expiry
+    /// lies ahead. Each extra firing is a no-op `on_wakeup` plus this re-arm,
+    /// both O(1) in the controller's state (DESIGN.md §5i), and the mesh
+    /// trace hashes the event count, so the chains are kept as they are here;
+    /// removing them is ROADMAP's "shrinking `events_per_req`" item.
     pub fn arm_wakeup(&mut self, now: SimTime) {
         if let Some(at) = self.controller.next_wakeup() {
             let at = at.max(now);

@@ -19,7 +19,7 @@ use edgectl::ClusterId;
 use edgeverify::{CoherenceView, Fabric, FabricSwitch, Link, PacketClass, Verifier, Violation};
 use simcore::{SimDuration, SimRng, SimTime};
 use simnet::openflow::{FlowId, FlowTable};
-use simnet::{PathCache, SocketAddr, TcpModel};
+use simnet::{PathTree, SocketAddr, TcpModel};
 use workload::client::RequestRecord;
 use workload::{ServiceProfile, Trace};
 
@@ -70,6 +70,10 @@ pub struct RunResult {
     pub events_scheduled: u64,
     /// High-water mark of the future-event list (engine diagnostic).
     pub peak_queue_depth: usize,
+    /// Shortest-path searches the topology ran, build included (engine
+    /// diagnostic): the switch's tree plus one per host, whatever the number
+    /// of clients and requests.
+    pub routing_searches: u64,
     /// Per-phase heap-allocation counts (populated when the
     /// `counting-alloc` feature is on; `None` otherwise).
     pub alloc_profile: Option<AllocProfile>,
@@ -263,14 +267,10 @@ struct FlowModel {
     rng: SimRng,
     /// When each client started its connection, by request lane index.
     req_started: Vec<SimTime>,
-    /// Access latency client → switch, one Dijkstra per *client* instead of
-    /// one per request (the graph is immutable after build), measured when
-    /// the first request is admitted. A request's SYN reaches the switch at
-    /// `started + client_latency[client]`.
-    client_latency: Vec<SimDuration>,
-    /// Memoized routing queries over the (immutable after build) fabric;
-    /// saves a Dijkstra per completed request.
-    paths: PathCache,
+    /// Routes toward the cloud (index 0) and each site (`1 + site`), built
+    /// once over the (immutable after build) fabric: a released request's
+    /// RTT and bottleneck are two array reads, however many clients exist.
+    host_trees: Vec<PathTree>,
     records: Vec<RequestRecord>,
     /// Requests whose `triggered_deployment` flag depends on a machine that
     /// may still be in flight at completion time: `(record index, lo, hi)`
@@ -310,8 +310,7 @@ impl Testbed {
             profile: ServiceProfile::of(cfg.service),
             rng: SimRng::seed_from_u64(cfg.seed),
             req_started: Vec::new(),
-            client_latency: Vec::new(),
-            paths: PathCache::new(),
+            host_trees: c3.host_trees(),
             records: Vec::new(),
             triggered_windows: Vec::new(),
             crashes_injected: 0,
@@ -377,14 +376,8 @@ impl Testbed {
 
     /// `client` starts a connection to `service` at `started`.
     fn admit(&mut self, started: SimTime, client: usize, service: usize) {
-        if self.model.client_latency.is_empty() {
-            let c3 = &self.shard.c3;
-            self.model.client_latency = (0..c3.client_ips.len())
-                .map(|c| c3.client_switch_latency(c))
-                .collect();
-        }
         self.model.req_started.push(started);
-        let syn_at = started + self.model.client_latency[client];
+        let syn_at = started + self.shard.c3.client_switch_latency(client);
         self.shard.admit(syn_at, client, service);
     }
 
@@ -633,6 +626,7 @@ impl Testbed {
             crashes_injected: model.crashes_injected,
             events_scheduled: shard.events_executed(),
             peak_queue_depth: shard.peak_queue_depth(),
+            routing_searches: shard.c3.net.searches(),
             alloc_profile: self.alloc_profile,
             records: model.records,
             trace_offset: offset,
@@ -646,10 +640,12 @@ impl Engine<CrashTick> for FlowModel {
     /// `time_total`.
     fn released(&mut self, shard: &mut IngressShard<CrashTick>, release: SimTime, r: Released) {
         let c3 = &shard.c3;
-        let (host, busy_lane) = if r.out_port == CLOUD_PORT {
-            (c3.cloud, r.service * self.busy_stride)
+        // Host lane: 0 is the cloud, `1 + site` a site — the index of the
+        // host's routing tree and of its busy lane within the service.
+        let host = if r.out_port == CLOUD_PORT {
+            0
         } else if let Some(site) = c3.site_of_port(r.out_port) {
-            (c3.site_hosts[site], r.service * self.busy_stride + 1 + site)
+            1 + site
         } else {
             // Forwarded to a client port: a misinstalled flow. Count as
             // lost rather than fabricating a response.
@@ -661,18 +657,16 @@ impl Engine<CrashTick> for FlowModel {
             shard.lose(r.idx);
             return;
         };
+        let busy_lane = r.service * self.busy_stride + host;
         let started = self.req_started[r.idx];
-        let (rtt, bottleneck_bps) = {
-            let path = self
-                .paths
-                .path(&c3.net, c3.clients[r.client], host)
-                .expect("client reaches host");
-            (path.rtt(), path.bottleneck_bps)
-        };
-        let tcp = TcpModel::new(rtt, bottleneck_bps);
+        let tree = &self.host_trees[host];
+        let client = c3.clients[r.client];
+        let latency = tree.latency(client).expect("client reaches host");
+        let bottleneck_bps = tree.bottleneck_bps(client).expect("client reaches host");
+        let tcp = TcpModel::new(latency * 2, bottleneck_bps);
         let server_time = self.profile.server_time.sample(&mut self.rng);
         // Time the SYN spent buffered at the switch (deployment wait).
-        let hold = release - (started + self.client_latency[r.client]);
+        let hold = release - (started + c3.client_switch_latency(r.client));
         // Queueing at the instance: the request's processing starts when the
         // instance frees up (single-server FIFO per service instance), so
         // concurrent requests to a hot service serialize on its CPU.

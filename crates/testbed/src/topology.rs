@@ -8,7 +8,7 @@
 use cluster::SiteCapacity;
 use simcore::SimDuration;
 use simnet::openflow::PortId;
-use simnet::topology::{NodeId, NodeKind, Topology};
+use simnet::topology::{NodeId, NodeKind, PathTree, Topology};
 use simnet::IpAddr;
 
 /// Switch port toward the cloud/WAN.
@@ -116,6 +116,9 @@ pub struct C3Topology {
     pub clients: Vec<NodeId>,
     /// IPs assigned to the Pi clients, indexed like `clients`.
     pub client_ips: Vec<IpAddr>,
+    /// Shortest paths toward the switch, searched once at build: every
+    /// switch-relative latency below is a read of this tree.
+    switch_tree: PathTree,
 }
 
 impl C3Topology {
@@ -156,8 +159,10 @@ impl C3Topology {
             client_ips.push(IpAddr::new(10, 1, (i / 250) as u8, (i % 250 + 1) as u8));
         }
 
+        let switch_tree = net.tree_to(switch);
         C3Topology {
             net,
+            switch_tree,
             switch,
             cloud,
             site_hosts,
@@ -193,25 +198,36 @@ impl C3Topology {
         self.client_port_base() + self.clients.len()
     }
 
-    /// One-way latency client → switch.
+    /// One-way latency client → switch. An array read: cheap enough to call
+    /// per request.
     pub fn client_switch_latency(&self, i: usize) -> SimDuration {
-        self.net
-            .latency(self.clients[i], self.switch)
+        self.switch_tree
+            .latency(self.clients[i])
             .expect("client is attached")
     }
 
     /// One-way latency switch → site `i`.
     pub fn switch_site_latency(&self, i: usize) -> SimDuration {
-        self.net
-            .latency(self.switch, self.site_hosts[i])
+        self.switch_tree
+            .latency(self.site_hosts[i])
             .expect("site attached")
     }
 
     /// One-way latency switch → cloud.
     pub fn switch_cloud_latency(&self) -> SimDuration {
-        self.net
-            .latency(self.switch, self.cloud)
+        self.switch_tree
+            .latency(self.cloud)
             .expect("cloud attached")
+    }
+
+    /// One shortest-path tree per place a released request can be served —
+    /// the cloud, then each site in order (the flow model's busy-lane
+    /// order): `1 + sites` searches answer every client → host query.
+    pub fn host_trees(&self) -> Vec<PathTree> {
+        std::iter::once(self.cloud)
+            .chain(self.site_hosts.iter().copied())
+            .map(|host| self.net.tree_to(host))
+            .collect()
     }
 }
 
