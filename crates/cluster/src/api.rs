@@ -5,6 +5,9 @@
 //!
 //! All mutating operations return the **completion instant** of the work they
 //! start; queries take `now` and answer consistently with in-flight work.
+//! Service state is read through exactly one method, [`ClusterBackend::observe`]
+//! (`status` / `is_ready` / `replica_endpoints` are provided views of it), and
+//! [`ClusterBackend::epoch`] says when a held read must be taken again.
 
 use containers::ImageRef;
 use registry::RegistrySet;
@@ -33,7 +36,7 @@ impl std::fmt::Display for ClusterKind {
 }
 
 /// Status snapshot of one service on one cluster.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStatus {
     /// Are all images of the service cached on the cluster?
     pub images_cached: bool,
@@ -46,31 +49,69 @@ pub struct ServiceStatus {
     pub endpoint: Option<SocketAddr>,
 }
 
-/// A [`ServiceStatus`] plus an explicit validity window, for controller-side
-/// caching (DESIGN.md §5i). The snapshot stays *exact* — bit-identical to a
-/// fresh [`ClusterBackend::status`] call — until either the backend's
-/// mutation epoch changes (any `&mut` operation) or sim time reaches
-/// `stable_until` (the next container state/readiness transition).
+/// What one [`ClusterBackend::observe`] read returns: the [`ServiceStatus`]
+/// at the read instant plus how long it stays true (DESIGN.md §5i). Simulated
+/// status is piecewise-constant in time, so the read is *exact* — bit-identical
+/// to a fresh one, ready-endpoint list included — at every instant from the
+/// read up to `stable_until`, as long as [`ClusterBackend::epoch`] has not
+/// moved.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceSnapshot {
     pub status: ServiceStatus,
     /// First future instant at which `status` (or the endpoint list) could
-    /// change without a backend mutation; `SimTime::FAR_FUTURE` once every
-    /// container has settled.
+    /// change without a backend mutation — Docker: the next container
+    /// state/port transition; Kubernetes: the next pod `connectable_at`;
+    /// wasm: the next instance-callable instant. `SimTime::FAR_FUTURE` once
+    /// everything has settled.
     pub stable_until: SimTime,
-    /// The backend's mutation epoch at snapshot time.
-    pub epoch: u64,
+}
+
+impl ServiceSnapshot {
+    /// A service the backend does not know: nothing is there until a
+    /// `create`, which is a mutation, so absence never expires by time.
+    pub fn absent() -> ServiceSnapshot {
+        ServiceSnapshot {
+            status: ServiceStatus::absent(),
+            stable_until: SimTime::FAR_FUTURE,
+        }
+    }
+
+    /// The snapshot of a backend whose service address load-balances
+    /// internally (Kubernetes Services via kube-proxy, the wasm gateway) and
+    /// whose replicas each turn ready at an instant known up front
+    /// (`ready_at`). Counts into `status.ready_replicas` the instants that
+    /// have passed; the earliest one still ahead bounds the validity; the
+    /// ready-endpoint list is the one virtual endpoint, once any replica is
+    /// ready behind it.
+    pub(crate) fn behind_virtual_endpoint(
+        now: SimTime,
+        mut status: ServiceStatus,
+        ready_at: impl Iterator<Item = SimTime>,
+        endpoints: Option<&mut Vec<SocketAddr>>,
+    ) -> ServiceSnapshot {
+        let mut stable_until = SimTime::FAR_FUTURE;
+        for t in ready_at {
+            if now >= t {
+                status.ready_replicas += 1;
+            } else {
+                stable_until = stable_until.min(t);
+            }
+        }
+        if let (true, Some(out)) = (status.is_ready(), endpoints) {
+            out.extend(status.endpoint);
+        }
+        ServiceSnapshot {
+            status,
+            stable_until,
+        }
+    }
 }
 
 impl ServiceStatus {
+    /// The status of a service the cluster does not know: nothing cached,
+    /// nothing created, no replicas, no address.
     pub fn absent() -> ServiceStatus {
-        ServiceStatus {
-            images_cached: false,
-            created: false,
-            desired_replicas: 0,
-            ready_replicas: 0,
-            endpoint: None,
-        }
+        ServiceStatus::default()
     }
 
     pub fn is_ready(&self) -> bool {
@@ -164,61 +205,51 @@ pub trait ClusterBackend {
     /// Delete a cached image from the node (Fig. 4's optional Delete phase).
     fn delete_image(&mut self, now: SimTime, image: &ImageRef) -> bool;
 
-    /// Status of `service` at `now`. Note `images_cached` is only meaningful
-    /// once the service is created; use [`ClusterBackend::has_images`] to ask
-    /// about the node's layer store independently of service objects.
-    fn status(&self, now: SimTime, service: &str) -> ServiceStatus;
+    /// The one status read: status of `service` at `now`, its validity
+    /// bound, and — when `endpoints` is given — the addresses of the
+    /// individual *ready* replicas appended to it, for Local-Scheduler
+    /// instance selection (Docker exposes one host port per replica; backends
+    /// that balance internally report their one virtual endpoint). A caller
+    /// that only wants the status passes `None` and pays for no list.
+    ///
+    /// Note `images_cached` is only meaningful once the service is created;
+    /// use [`ClusterBackend::has_images`] to ask about the node's layer store
+    /// independently of service objects.
+    fn observe(
+        &self,
+        now: SimTime,
+        service: &str,
+        endpoints: Option<&mut Vec<SocketAddr>>,
+    ) -> ServiceSnapshot;
+
+    /// Monotonic counter that moves on every `&mut` operation: a reader
+    /// holding a [`ServiceSnapshot`] taken at the same epoch may reuse it
+    /// for any `now` in `snapped_at <= now < stable_until`. Wrappers forward
+    /// the epoch of the backend they wrap, where the mutations land.
+    fn epoch(&self) -> u64;
+
+    /// Status of `service` at `now` ([`ClusterBackend::observe`] without the
+    /// endpoint list). Provided; no backend overrides it.
+    fn status(&self, now: SimTime, service: &str) -> ServiceStatus {
+        self.observe(now, service, None).status
+    }
 
     /// Are all images of `template` present on the node (regardless of
     /// whether the service has been created)?
     fn has_images(&self, template: &ServiceTemplate) -> bool;
 
     /// Is the service port connectable at `now`? (The controller's probe.)
+    /// Provided; no backend overrides it.
     fn is_ready(&self, now: SimTime, service: &str) -> bool {
         self.status(now, service).is_ready()
     }
 
-    /// Addresses of the individual *ready* replicas, for Local-Scheduler
-    /// instance selection. Backends whose service address already load
-    /// balances internally (Kubernetes Services via kube-proxy, the wasm
-    /// gateway) report the one virtual endpoint; Docker exposes one host
-    /// port per replica.
+    /// Addresses of the individual *ready* replicas at `now`, as a fresh
+    /// list. Provided; no backend overrides it.
     fn replica_endpoints(&self, now: SimTime, service: &str) -> Vec<SocketAddr> {
-        match self.status(now, service) {
-            s if s.is_ready() => s.endpoint.into_iter().collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Allocation-free variant of [`ClusterBackend::replica_endpoints`] for
-    /// the controller's per-packet-in path: append the ready endpoints to a
-    /// caller-owned scratch buffer instead of returning a fresh `Vec`.
-    fn replica_endpoints_into(&self, now: SimTime, service: &str, out: &mut Vec<SocketAddr>) {
-        out.extend(self.replica_endpoints(now, service));
-    }
-
-    /// One-shot status + ready-endpoints snapshot with a validity window, so
-    /// the controller can cache per-service state densely instead of paying
-    /// a name-keyed probe on every packet-in. Appends the ready endpoints to
-    /// `endpoints` (same contents as
-    /// [`ClusterBackend::replica_endpoints_into`]). Backends that cannot
-    /// bound validity return `None` (the default) and callers fall back to
-    /// per-call queries.
-    fn service_snapshot(
-        &self,
-        now: SimTime,
-        service: &str,
-        endpoints: &mut Vec<SocketAddr>,
-    ) -> Option<ServiceSnapshot> {
-        let _ = (now, service, endpoints);
-        None
-    }
-
-    /// Monotonic counter that changes on every `&mut` operation, letting
-    /// callers cheaply validate cached [`ServiceSnapshot`]s. `None` (the
-    /// default) means the backend does not support snapshot caching.
-    fn mutation_epoch(&self) -> Option<u64> {
-        None
+        let mut out = Vec::new();
+        self.observe(now, service, Some(&mut out));
+        out
     }
 
     /// Names of all created services (for inventory / scale-down sweeps).

@@ -50,9 +50,9 @@ pub struct DockerCluster {
     // exposing names, so order never depends on map internals.
     services: DetHashMap<String, DockerService>,
     next_host_port: u16,
-    /// Mutation counter backing [`ClusterBackend::mutation_epoch`]: bumped
-    /// by every `&mut` backend operation so controller-side snapshot caches
-    /// can tell "nothing changed" apart from "re-query needed".
+    /// Mutation counter backing [`ClusterBackend::epoch`]: bumped by every
+    /// `&mut` backend operation so a reader holding a snapshot can tell
+    /// "nothing changed" apart from "read again".
     epoch: u64,
 }
 
@@ -339,67 +339,19 @@ impl ClusterBackend for DockerCluster {
         self.runtime.store.remove_image(image)
     }
 
-    fn status(&self, now: SimTime, service: &str) -> ServiceStatus {
-        let Ok(svc) = self.service(service) else {
-            return ServiceStatus::absent();
-        };
-        let images_cached = svc
-            .template
-            .images()
-            .all(|i| self.runtime.store.has_image(i));
-        // Single pass, no intermediate Vec: `status` sits on the controller's
-        // per-packet-in path, so it must stay allocation-free.
-        let mut ready = 0u32;
-        let mut first_ready_port: Option<u16> = None;
-        for r in &svc.replicas {
-            if r.started
-                && r.containers
-                    .iter()
-                    .all(|&id| self.runtime.is_port_open(now, id))
-            {
-                ready += 1;
-                first_ready_port.get_or_insert(r.host_port);
-            }
-        }
-        ServiceStatus {
-            images_cached,
-            created: true,
-            desired_replicas: svc.desired,
-            ready_replicas: ready,
-            endpoint: Some(SocketAddr::new(
-                self.ip,
-                first_ready_port.unwrap_or(svc.replicas[0].host_port),
-            )),
-        }
-    }
-
-    fn replica_endpoints(&self, now: SimTime, service: &str) -> Vec<SocketAddr> {
-        let mut out = Vec::new();
-        self.replica_endpoints_into(now, service, &mut out);
-        out
-    }
-
-    fn service_snapshot(
+    fn observe(
         &self,
         now: SimTime,
         service: &str,
-        endpoints: &mut Vec<SocketAddr>,
-    ) -> Option<ServiceSnapshot> {
+        mut endpoints: Option<&mut Vec<SocketAddr>>,
+    ) -> ServiceSnapshot {
         let Ok(svc) = self.service(service) else {
-            // Absence is stable until a mutation (create) bumps the epoch.
-            return Some(ServiceSnapshot {
-                status: ServiceStatus::absent(),
-                stable_until: SimTime::FAR_FUTURE,
-                epoch: self.epoch,
-            });
+            return ServiceSnapshot::absent();
         };
-        let images_cached = svc
-            .template
-            .images()
-            .all(|i| self.runtime.store.has_image(i));
-        // One pass over the replicas: readiness, ready endpoints, and the
+        // The one walk over the replicas: readiness, ready endpoints, and the
         // earliest future instant any container's observable state can flip
-        // without a mutation (which bounds the snapshot's validity).
+        // without a mutation (which bounds the snapshot's validity). No
+        // intermediate Vec: this sits on the controller's per-packet-in path.
         let mut ready = 0u32;
         let mut first_ready_port: Option<u16> = None;
         let mut stable_until = SimTime::FAR_FUTURE;
@@ -416,12 +368,14 @@ impl ClusterBackend for DockerCluster {
             {
                 ready += 1;
                 first_ready_port.get_or_insert(r.host_port);
-                endpoints.push(SocketAddr::new(self.ip, r.host_port));
+                if let Some(out) = endpoints.as_deref_mut() {
+                    out.push(SocketAddr::new(self.ip, r.host_port));
+                }
             }
         }
-        Some(ServiceSnapshot {
+        ServiceSnapshot {
             status: ServiceStatus {
-                images_cached,
+                images_cached: self.has_images(&svc.template),
                 created: true,
                 desired_replicas: svc.desired,
                 ready_replicas: ready,
@@ -431,29 +385,11 @@ impl ClusterBackend for DockerCluster {
                 )),
             },
             stable_until,
-            epoch: self.epoch,
-        })
+        }
     }
 
-    fn mutation_epoch(&self) -> Option<u64> {
-        Some(self.epoch)
-    }
-
-    fn replica_endpoints_into(&self, now: SimTime, service: &str, out: &mut Vec<SocketAddr>) {
-        let Ok(svc) = self.service(service) else {
-            return;
-        };
-        out.extend(
-            svc.replicas
-                .iter()
-                .filter(|r| {
-                    r.started
-                        && r.containers
-                            .iter()
-                            .all(|&id| self.runtime.is_port_open(now, id))
-                })
-                .map(|r| SocketAddr::new(self.ip, r.host_port)),
-        );
+    fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     fn services(&self) -> Vec<String> {

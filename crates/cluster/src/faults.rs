@@ -7,9 +7,10 @@
 use containers::ImageRef;
 use registry::RegistrySet;
 use simcore::{DurationDist, SimRng, SimTime};
+use simnet::SocketAddr;
 
 use crate::api::{
-    ClusterBackend, ClusterError, ClusterKind, CrashOutcome, ScaleReceipt, ServiceStatus,
+    ClusterBackend, ClusterError, ClusterKind, CrashOutcome, ScaleReceipt, ServiceSnapshot,
 };
 use crate::template::ServiceTemplate;
 
@@ -158,8 +159,20 @@ impl<B: ClusterBackend> ClusterBackend for FaultyCluster<B> {
         self.inner.delete_image(now, image)
     }
 
-    fn status(&self, now: SimTime, service: &str) -> ServiceStatus {
-        self.inner.status(now, service)
+    // Reads and the epoch forward to the wrapped backend: that is where
+    // every mutation lands, and a call failed by the plan never reaches it,
+    // so it changes nothing a reader could see.
+    fn observe(
+        &self,
+        now: SimTime,
+        service: &str,
+        endpoints: Option<&mut Vec<SocketAddr>>,
+    ) -> ServiceSnapshot {
+        self.inner.observe(now, service, endpoints)
+    }
+
+    fn epoch(&self) -> u64 {
+        self.inner.epoch()
     }
 
     fn has_images(&self, template: &ServiceTemplate) -> bool {

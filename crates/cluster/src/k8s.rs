@@ -26,7 +26,8 @@ use simcore::{DurationDist, SimDuration, SimRng, SimTime};
 use simnet::{IpAddr, SocketAddr};
 
 use crate::api::{
-    ClusterBackend, ClusterError, ClusterKind, CrashOutcome, ScaleReceipt, ServiceStatus,
+    ClusterBackend, ClusterError, ClusterKind, CrashOutcome, ScaleReceipt, ServiceSnapshot,
+    ServiceStatus,
 };
 use crate::template::ServiceTemplate;
 
@@ -102,6 +103,8 @@ pub struct K8sCluster {
     // BTreeMap: `services()` iterates; name order must not depend on hash seed.
     services: BTreeMap<String, K8sService>,
     next_node_port: u16,
+    /// Backs [`ClusterBackend::epoch`]: bumped by every `&mut` operation.
+    epoch: u64,
 }
 
 impl K8sCluster {
@@ -120,6 +123,7 @@ impl K8sCluster {
             timings,
             services: BTreeMap::new(),
             next_node_port: 30000,
+            epoch: 0,
         }
     }
 
@@ -229,6 +233,7 @@ impl ClusterBackend for K8sCluster {
         template: &ServiceTemplate,
         registries: &RegistrySet,
     ) -> Result<SimTime, ClusterError> {
+        self.epoch += 1;
         let mut t = now;
         for image in template.images() {
             let reg = registries
@@ -251,6 +256,7 @@ impl ClusterBackend for K8sCluster {
         now: SimTime,
         template: &ServiceTemplate,
     ) -> Result<SimTime, ClusterError> {
+        self.epoch += 1;
         if self.services.contains_key(&template.name) {
             return Err(ClusterError::AlreadyCreated(template.name.clone()));
         }
@@ -275,6 +281,7 @@ impl ClusterBackend for K8sCluster {
         service: &str,
         replicas: u32,
     ) -> Result<ScaleReceipt, ClusterError> {
+        self.epoch += 1;
         if !self.services.contains_key(service) {
             return Err(ClusterError::NotCreated(service.to_string()));
         }
@@ -322,6 +329,7 @@ impl ClusterBackend for K8sCluster {
         service: &str,
         replicas: u32,
     ) -> Result<SimTime, ClusterError> {
+        self.epoch += 1;
         if !self.services.contains_key(service) {
             return Err(ClusterError::UnknownService(service.to_string()));
         }
@@ -361,6 +369,7 @@ impl ClusterBackend for K8sCluster {
         if !self.services.contains_key(service) {
             return Err(ClusterError::UnknownService(service.to_string()));
         }
+        // The scale-down is what bumps the epoch for the whole removal.
         let done = self.scale_down(now, service, 0)?;
         let svc = self.services.remove(service).unwrap();
         let mut t = done + self.sample(|t| &t.api_call) + self.sample(|t| &t.api_call);
@@ -378,29 +387,40 @@ impl ClusterBackend for K8sCluster {
     }
 
     fn delete_image(&mut self, _now: SimTime, image: &containers::ImageRef) -> bool {
+        self.epoch += 1;
         self.runtime.store.remove_image(image)
     }
 
-    fn status(&self, now: SimTime, service: &str) -> ServiceStatus {
+    fn observe(
+        &self,
+        now: SimTime,
+        service: &str,
+        endpoints: Option<&mut Vec<SocketAddr>>,
+    ) -> ServiceSnapshot {
         let Some(svc) = self.services.get(service) else {
-            return ServiceStatus::absent();
+            return ServiceSnapshot::absent();
         };
-        let images_cached = svc
-            .template
-            .images()
-            .all(|i| self.runtime.store.has_image(i));
-        let ready = svc
-            .pods
-            .iter()
-            .filter(|p| !p.terminating && now >= p.connectable_at)
-            .count() as u32;
-        ServiceStatus {
-            images_cached,
-            created: true,
-            desired_replicas: svc.desired,
-            ready_replicas: ready,
-            endpoint: Some(SocketAddr::new(self.ip, svc.node_port)),
-        }
+        // Between mutations a pod's only observable change is becoming
+        // connectable, so the next such instant bounds the read's validity.
+        ServiceSnapshot::behind_virtual_endpoint(
+            now,
+            ServiceStatus {
+                images_cached: self.has_images(&svc.template),
+                created: true,
+                desired_replicas: svc.desired,
+                ready_replicas: 0,
+                endpoint: Some(SocketAddr::new(self.ip, svc.node_port)),
+            },
+            svc.pods
+                .iter()
+                .filter(|p| !p.terminating)
+                .map(|p| p.connectable_at),
+            endpoints,
+        )
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     fn services(&self) -> Vec<String> {
@@ -420,6 +440,7 @@ impl ClusterBackend for K8sCluster {
     /// (restartPolicy: Always): sync pickup, container starts, readiness
     /// probe, endpoints propagation — self-healing with no controller help.
     fn inject_crash(&mut self, now: SimTime, service: &str) -> CrashOutcome {
+        self.epoch += 1;
         let Some(svc) = self.services.get(service) else {
             return CrashOutcome::NoInstance;
         };

@@ -28,7 +28,8 @@ use simcore::{DurationDist, SimRng, SimTime};
 use simnet::{IpAddr, SocketAddr};
 
 use crate::api::{
-    ClusterBackend, ClusterError, ClusterKind, CrashOutcome, ScaleReceipt, ServiceStatus,
+    ClusterBackend, ClusterError, ClusterKind, CrashOutcome, ScaleReceipt, ServiceSnapshot,
+    ServiceStatus,
 };
 use crate::template::ServiceTemplate;
 
@@ -78,6 +79,8 @@ pub struct WasmEdgeCluster {
     /// Modules already compiled on this node (first-use cache).
     compiled: HashSet<ImageRef>,
     next_port: u16,
+    /// Backs [`ClusterBackend::epoch`]: bumped by every `&mut` operation.
+    epoch: u64,
 }
 
 impl WasmEdgeCluster {
@@ -96,6 +99,7 @@ impl WasmEdgeCluster {
             functions: BTreeMap::new(),
             compiled: HashSet::new(),
             next_port: 9000,
+            epoch: 0,
         }
     }
 }
@@ -115,6 +119,7 @@ impl ClusterBackend for WasmEdgeCluster {
         template: &ServiceTemplate,
         registries: &RegistrySet,
     ) -> Result<SimTime, ClusterError> {
+        self.epoch += 1;
         let mut t = now;
         for image in template.images() {
             let reg = registries
@@ -134,6 +139,7 @@ impl ClusterBackend for WasmEdgeCluster {
         now: SimTime,
         template: &ServiceTemplate,
     ) -> Result<SimTime, ClusterError> {
+        self.epoch += 1;
         if self.functions.contains_key(&template.name) {
             return Err(ClusterError::AlreadyCreated(template.name.clone()));
         }
@@ -165,6 +171,7 @@ impl ClusterBackend for WasmEdgeCluster {
         service: &str,
         replicas: u32,
     ) -> Result<ScaleReceipt, ClusterError> {
+        self.epoch += 1;
         if !self.functions.contains_key(service) {
             return Err(ClusterError::NotCreated(service.to_string()));
         }
@@ -210,6 +217,7 @@ impl ClusterBackend for WasmEdgeCluster {
         service: &str,
         replicas: u32,
     ) -> Result<SimTime, ClusterError> {
+        self.epoch += 1;
         let f = self
             .functions
             .get_mut(service)
@@ -221,6 +229,7 @@ impl ClusterBackend for WasmEdgeCluster {
     }
 
     fn remove(&mut self, now: SimTime, service: &str) -> Result<SimTime, ClusterError> {
+        self.epoch += 1;
         self.functions
             .remove(service)
             .ok_or_else(|| ClusterError::UnknownService(service.to_string()))?;
@@ -228,21 +237,38 @@ impl ClusterBackend for WasmEdgeCluster {
     }
 
     fn delete_image(&mut self, _now: SimTime, image: &ImageRef) -> bool {
+        self.epoch += 1;
         self.compiled.remove(image);
         self.store.remove_image(image)
     }
 
-    fn status(&self, now: SimTime, service: &str) -> ServiceStatus {
+    fn observe(
+        &self,
+        now: SimTime,
+        service: &str,
+        endpoints: Option<&mut Vec<SocketAddr>>,
+    ) -> ServiceSnapshot {
         let Some(f) = self.functions.get(service) else {
-            return ServiceStatus::absent();
+            return ServiceSnapshot::absent();
         };
-        ServiceStatus {
-            images_cached: f.template.images().all(|i| self.store.has_image(i)),
-            created: true,
-            desired_replicas: f.desired,
-            ready_replicas: f.instances.iter().filter(|&&r| now >= r).count() as u32,
-            endpoint: Some(SocketAddr::new(self.ip, f.gateway_port)),
-        }
+        // Between mutations an instance's only observable change is becoming
+        // callable, so the next such instant bounds the read's validity.
+        ServiceSnapshot::behind_virtual_endpoint(
+            now,
+            ServiceStatus {
+                images_cached: self.has_images(&f.template),
+                created: true,
+                desired_replicas: f.desired,
+                ready_replicas: 0,
+                endpoint: Some(SocketAddr::new(self.ip, f.gateway_port)),
+            },
+            f.instances.iter().copied(),
+            endpoints,
+        )
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     fn services(&self) -> Vec<String> {
@@ -268,6 +294,7 @@ impl ClusterBackend for WasmEdgeCluster {
     /// A trapped/killed instance is simply re-instantiated by the gateway —
     /// milliseconds, the serverless self-healing story.
     fn inject_crash(&mut self, now: SimTime, service: &str) -> CrashOutcome {
+        self.epoch += 1;
         let Some(f) = self.functions.get_mut(service) else {
             return CrashOutcome::NoInstance;
         };

@@ -312,15 +312,16 @@ pub struct AttachedCluster {
     /// replicas are booked.
     admitted: HashMap<ServiceId, (ResourceRequest, u32)>,
     /// Dense per-service snapshot cache (DESIGN.md §5i), indexed by
-    /// [`ServiceId`]. Each entry is validated against the backend's mutation
-    /// epoch and its own `stable_until` before reuse, so a hit is exact —
-    /// bit-identical to a fresh `status`/`replica_endpoints` query. Unused
-    /// (always empty) for backends without snapshot support.
-    snap_cache: Vec<Option<SnapEntry>>,
+    /// [`ServiceId`]. Each entry is validated against the backend's epoch
+    /// and its own validity window before reuse, so a hit is exact —
+    /// bit-identical to a fresh [`ClusterBackend::observe`].
+    snap_cache: Vec<SnapEntry>,
 }
 
 /// One cached [`cluster::ServiceSnapshot`] plus the endpoint list that came
-/// with it.
+/// with it. The default is the slot of a service not read yet: no instant
+/// validates it (`now < stable_until` never holds at `SimTime::ZERO`).
+#[derive(Default)]
 struct SnapEntry {
     epoch: u64,
     snapped_at: SimTime,
@@ -330,53 +331,39 @@ struct SnapEntry {
 }
 
 impl AttachedCluster {
-    /// Cached status + ready endpoints of `sid` at `now`, refreshed from the
-    /// backend when the cached entry is missing, from a different mutation
-    /// epoch, or past its validity window. Returns `None` when the backend
-    /// does not support snapshots (callers fall back to direct queries).
+    /// The controller's one accessor for backend service state: status +
+    /// ready endpoints of `sid` at `now`, read from the backend only when
+    /// the cached entry is from another epoch or `now` is outside its
+    /// validity window (earlier than the read — PDES re-stamping — or at or
+    /// past `stable_until`).
     fn snapshot(
         &mut self,
         now: SimTime,
         sid: ServiceId,
         name: &str,
-    ) -> Option<(&ServiceStatus, &[SocketAddr])> {
-        let cur_epoch = self.backend.mutation_epoch()?;
+    ) -> (&ServiceStatus, &[SocketAddr]) {
+        let epoch = self.backend.epoch();
         let idx = sid.0 as usize;
         if idx >= self.snap_cache.len() {
-            self.snap_cache.resize_with(idx + 1, || None);
+            self.snap_cache.resize_with(idx + 1, SnapEntry::default);
         }
-        let valid = self.snap_cache[idx]
-            .as_ref()
-            .is_some_and(|e| e.epoch == cur_epoch && e.snapped_at <= now && now < e.stable_until);
-        if !valid {
-            // Reuse the old entry's endpoint buffer to stay allocation-free
-            // in steady state.
-            let mut endpoints = self.snap_cache[idx]
-                .take()
-                .map(|e| e.endpoints)
-                .unwrap_or_default();
-            endpoints.clear();
-            let snap = self.backend.service_snapshot(now, name, &mut endpoints)?;
-            self.snap_cache[idx] = Some(SnapEntry {
-                epoch: snap.epoch,
-                snapped_at: now,
-                stable_until: snap.stable_until,
-                status: snap.status,
-                endpoints,
-            });
+        let e = &mut self.snap_cache[idx];
+        if !(e.epoch == epoch && e.snapped_at <= now && now < e.stable_until) {
+            // The entry keeps its endpoint buffer, so a re-read allocates
+            // nothing in steady state.
+            e.endpoints.clear();
+            let snap = self.backend.observe(now, name, Some(&mut e.endpoints));
+            e.epoch = epoch;
+            e.snapped_at = now;
+            e.stable_until = snap.stable_until;
+            e.status = snap.status;
         }
-        let e = self.snap_cache[idx].as_ref().expect("entry just ensured");
-        Some((&e.status, &e.endpoints[..]))
+        (&e.status, &e.endpoints)
     }
 
-    /// Convenience wrapper over [`AttachedCluster::snapshot`] that falls
-    /// back to a direct backend query, preserving exact semantics for
-    /// backends without snapshot support.
+    /// The status half of [`AttachedCluster::snapshot`].
     fn status_of(&mut self, now: SimTime, sid: ServiceId, name: &str) -> ServiceStatus {
-        match self.snapshot(now, sid, name) {
-            Some((status, _)) => status.clone(),
-            None => self.backend.status(now, name),
-        }
+        self.snapshot(now, sid, name).0.clone()
     }
 }
 
@@ -537,8 +524,6 @@ pub struct Controller {
     /// Reused buffer for the per-decision scheduler view (cleared between
     /// PacketIns; only its capacity survives).
     views_scratch: Vec<ClusterView>,
-    /// Reused buffer for Local-Scheduler endpoint listing (same rationale).
-    endpoints_scratch: Vec<SocketAddr>,
     /// Pending flow moves produced by BEST deployments, due at the ready
     /// instant.
     retarget_queue: DueQueue,
@@ -680,7 +665,6 @@ impl ControllerBuilder {
             engine,
             client_ports: DetHashMap::default(),
             views_scratch: Vec::new(),
-            endpoints_scratch: Vec::new(),
             retarget_queue: DueQueue::new(),
             scaled_to_zero: ScaledToZero::default(),
             predictor: self.predictor,
@@ -1115,7 +1099,7 @@ impl Controller {
             return;
         }
         let name = self.catalog.name_arc(sid);
-        if self.clusters[best.0].backend.status(now, &name).is_ready() {
+        if self.clusters[best.0].status_of(now, sid, &name).is_ready() {
             self.schedule_retarget(now, best, sid);
             return;
         }
@@ -1155,11 +1139,14 @@ impl Controller {
             let name = self.catalog.name_arc(sid);
             let fallback = self
                 .clusters
-                .iter()
+                .iter_mut()
                 .enumerate()
-                .filter(|(i, c)| ClusterId(*i) != fast && c.backend.status(now, &name).is_ready())
-                .min_by_key(|(i, c)| (c.distances[sw.0], *i))
-                .map(|(i, _)| ClusterId(i));
+                .filter_map(|(i, c)| {
+                    (ClusterId(i) != fast && c.status_of(now, sid, &name).is_ready())
+                        .then(|| (c.distances[sw.0], i))
+                })
+                .min()
+                .map(|(_, i)| ClusterId(i));
             return match fallback {
                 Some(cluster) => {
                     self.stats.detoured_requests += 1;
@@ -1291,15 +1278,14 @@ impl Controller {
     /// Is a deployment of `sid` at `cluster` already in flight (either
     /// engine), or an instance already ready there? Either way no new
     /// replicas would start, so admission control does not apply.
-    fn deployment_exists(&self, now: SimTime, cluster: ClusterId, sid: ServiceId) -> bool {
+    fn deployment_exists(&mut self, now: SimTime, cluster: ClusterId, sid: ServiceId) -> bool {
         let in_flight = match &self.engine {
             Engine::Stepped(d) => d.find(cluster, sid).is_some(),
             Engine::Reference(r) => r.pending.get(&(cluster, sid)).is_some_and(|&t| t > now),
         };
         in_flight
             || self.clusters[cluster.0]
-                .backend
-                .status(now, self.catalog.name_of(sid))
+                .status_of(now, sid, self.catalog.name_of(sid))
                 .is_ready()
     }
 
@@ -1524,9 +1510,9 @@ impl Controller {
     ) -> &mut DeployMachine {
         self.book(cluster, sid, template.resource_request(), 1);
         let record = self.record_seed(now, cluster, waited, template.name.as_str());
-        let backend = &mut self.clusters[cluster.0].backend;
-        let status = backend.status(now, &template.name);
-        let images_cached = backend.has_images(template);
+        let site = &mut self.clusters[cluster.0];
+        let created = site.status_of(now, sid, &template.name).created;
+        let images_cached = site.backend.has_images(template);
         // The machine owns the displaced Remove-phase bookkeeping so a
         // failure can restore it.
         let saved = self.scaled_to_zero.remove((cluster, sid));
@@ -1540,7 +1526,7 @@ impl Controller {
             Arc::clone(template),
             record,
             images_cached,
-            status.created,
+            created,
             saved,
         );
         m.proactive = proactive;
@@ -1920,7 +1906,7 @@ impl Controller {
         }
         for (at, cluster, service) in self.retarget_queue.take_due(upto) {
             let name = self.catalog.name_arc(service);
-            let status = self.clusters[cluster.0].backend.status(at, &name);
+            let status = self.clusters[cluster.0].status_of(at, service, &name);
             let Some(target) = status.endpoint.filter(|_| status.is_ready()) else {
                 continue; // instance vanished before the hand-over
             };
@@ -1974,8 +1960,10 @@ impl Controller {
             let template = Arc::clone(&service.template);
             let name = self.catalog.name_arc(sid);
             // Already running (or being deployed) somewhere? Nothing to do.
-            let anywhere_ready = (0..self.clusters.len())
-                .any(|i| self.clusters[i].backend.status(now, &name).is_ready());
+            let anywhere_ready = self
+                .clusters
+                .iter_mut()
+                .any(|c| c.status_of(now, sid, &name).is_ready());
             let in_flight = match &self.engine {
                 Engine::Stepped(d) => d.any_for_service(sid),
                 Engine::Reference(r) => r.pending.iter().any(|(&(_, n), &t)| n == sid && t > now),
@@ -2056,8 +2044,7 @@ impl Controller {
                     continue; // cloud-served flows have no replicas to scale
                 };
                 let name = self.catalog.name_arc(service);
-                let backend = &mut self.clusters[cluster.0].backend;
-                let status = backend.status(now, &name);
+                let status = self.clusters[cluster.0].status_of(now, service, &name);
                 if !status.created {
                     continue;
                 }
@@ -2109,11 +2096,11 @@ impl Controller {
             for (service, cluster) in candidates {
                 if self.memory.flows_for_service(service, Some(cluster)) == 0 {
                     let name = self.catalog.name_arc(service);
-                    let backend = &mut self.clusters[cluster.0].backend;
-                    if backend.status(now, &name).ready_replicas == 0 {
+                    let site = &mut self.clusters[cluster.0];
+                    if site.status_of(now, service, &name).ready_replicas == 0 {
                         continue; // already down (or never revived)
                     }
-                    if backend.scale_down(now, &name, 0).is_ok() {
+                    if site.backend.scale_down(now, &name, 0).is_ok() {
                         self.stats.scale_downs += 1;
                         self.release_booking(cluster, service);
                         self.push_delta(now, cluster, service, DeltaKind::Gone);
@@ -2141,10 +2128,10 @@ impl Controller {
         if let Some(remove_after) = self.config.remove_after {
             for (cluster, service) in self.scaled_to_zero.take_idle(now, remove_after) {
                 let name = self.catalog.name_arc(service);
-                let backend = &mut self.clusters[cluster.0].backend;
+                let site = &mut self.clusters[cluster.0];
                 // A request may have revived the service in the meantime.
-                if backend.status(now, &name).ready_replicas == 0
-                    && backend.remove(now, &name).is_ok()
+                if site.status_of(now, service, &name).ready_replicas == 0
+                    && site.backend.remove(now, &name).is_ok()
                 {
                     self.stats.removals += 1;
                     self.release_booking(cluster, service);
@@ -2165,32 +2152,13 @@ impl Controller {
         service: ServiceId,
     ) -> SocketAddr {
         let name = self.catalog.name_arc(service);
-        // Snapshot hit: pick straight out of the cached endpoint list.
-        if let Some((_, endpoints)) = self.clusters[cluster.0].snapshot(now, service, &name) {
-            assert!(
-                !endpoints.is_empty(),
-                "pick_instance on a service with no ready replica"
-            );
-            let n = endpoints.len();
-            let idx = (self.local.pick(service, n as u32) as usize).min(n - 1);
-            return self.clusters[cluster.0].snap_cache[service.0 as usize]
-                .as_ref()
-                .expect("snapshot just validated")
-                .endpoints[idx];
-        }
-        let mut endpoints = std::mem::take(&mut self.endpoints_scratch);
-        endpoints.clear();
-        self.clusters[cluster.0]
-            .backend
-            .replica_endpoints_into(now, &name, &mut endpoints);
+        let (_, endpoints) = self.clusters[cluster.0].snapshot(now, service, &name);
         assert!(
             !endpoints.is_empty(),
             "pick_instance on a service with no ready replica"
         );
         let idx = self.local.pick(service, endpoints.len() as u32) as usize;
-        let chosen = endpoints[idx.min(endpoints.len() - 1)];
-        self.endpoints_scratch = endpoints;
-        chosen
+        endpoints[idx.min(endpoints.len() - 1)]
     }
 
     // -----------------------------------------------------------------------

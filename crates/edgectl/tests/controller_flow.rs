@@ -1033,3 +1033,152 @@ fn revived_service_escapes_pending_removal() {
             .created
     );
 }
+
+/// A Kubernetes backend that counts the reads it answers. Every way of
+/// reading service state — `status`, `is_ready`, `replica_endpoints` — is a
+/// provided view of `observe`, so counting that one method counts them all.
+struct CountingK8s {
+    inner: K8sCluster,
+    reads: std::rc::Rc<std::cell::Cell<u64>>,
+}
+
+impl ClusterBackend for CountingK8s {
+    fn cluster_name(&self) -> &str {
+        self.inner.cluster_name()
+    }
+    fn kind(&self) -> cluster::ClusterKind {
+        self.inner.kind()
+    }
+    fn pull(
+        &mut self,
+        now: SimTime,
+        template: &ServiceTemplate,
+        registries: &RegistrySet,
+    ) -> Result<SimTime, cluster::ClusterError> {
+        self.inner.pull(now, template, registries)
+    }
+    fn create(
+        &mut self,
+        now: SimTime,
+        template: &ServiceTemplate,
+    ) -> Result<SimTime, cluster::ClusterError> {
+        self.inner.create(now, template)
+    }
+    fn scale_up(
+        &mut self,
+        now: SimTime,
+        service: &str,
+        replicas: u32,
+    ) -> Result<cluster::ScaleReceipt, cluster::ClusterError> {
+        self.inner.scale_up(now, service, replicas)
+    }
+    fn scale_down(
+        &mut self,
+        now: SimTime,
+        service: &str,
+        replicas: u32,
+    ) -> Result<SimTime, cluster::ClusterError> {
+        self.inner.scale_down(now, service, replicas)
+    }
+    fn remove(&mut self, now: SimTime, service: &str) -> Result<SimTime, cluster::ClusterError> {
+        self.inner.remove(now, service)
+    }
+    fn delete_image(&mut self, now: SimTime, image: &containers::ImageRef) -> bool {
+        self.inner.delete_image(now, image)
+    }
+    fn observe(
+        &self,
+        now: SimTime,
+        service: &str,
+        endpoints: Option<&mut Vec<SocketAddr>>,
+    ) -> cluster::ServiceSnapshot {
+        self.reads.set(self.reads.get() + 1);
+        self.inner.observe(now, service, endpoints)
+    }
+    fn epoch(&self) -> u64 {
+        self.inner.epoch()
+    }
+    fn has_images(&self, template: &ServiceTemplate) -> bool {
+        self.inner.has_images(template)
+    }
+    fn services(&self) -> Vec<String> {
+        self.inner.services()
+    }
+    fn load(&self) -> f64 {
+        self.inner.load()
+    }
+    fn inject_crash(&mut self, now: SimTime, service: &str) -> cluster::CrashOutcome {
+        self.inner.inject_crash(now, service)
+    }
+}
+
+/// The snapshot cache serves Kubernetes like Docker: PacketIns for a ready
+/// service at one backend epoch share one backend read (scheduler view and
+/// Local-Scheduler endpoint pick included), and a mutation that reaches the
+/// backend behind the controller's back — a crash — forces the next one to
+/// read again.
+#[test]
+fn k8s_packet_ins_at_one_epoch_share_one_backend_read() {
+    let reads = std::rc::Rc::new(std::cell::Cell::new(0));
+    let rng = SimRng::seed_from_u64(61);
+    let backend = CountingK8s {
+        inner: K8sCluster::new(
+            "edge-k8s",
+            IpAddr::new(10, 0, 1, 100),
+            Runtime::egs(rng.stream("rt")),
+            rng.stream("k8s"),
+            K8sTimings::egs(),
+        ),
+        reads: reads.clone(),
+    };
+    let mut c = Controller::builder(ControllerConfig::default())
+        .global(NearestWaiting)
+        .registries(registries())
+        .cloud_port(CLOUD_PORT)
+        .build();
+    c.attach_cluster(Box::new(backend), SimDuration::from_micros(300), K8S_PORT);
+    c.catalog.register(service_addr(), nginx_template());
+
+    let out = deliver(
+        &mut c,
+        SimTime::ZERO,
+        packet(1, 1),
+        BufferId(0),
+        CLIENT_PORT,
+    );
+    let t1 = release_time(&out) + SimDuration::from_secs(1);
+
+    // Move the epoch with a mutation that changes nothing (the image is
+    // cached): two new clients then find the service ready with nothing
+    // mutating in between — the first PacketIn re-reads, once, and the
+    // second is served from the cache.
+    c.cluster_mut(edgectl::ClusterId(0))
+        .pull(t1, &nginx_template(), &registries())
+        .expect("cached pull");
+    let before = reads.get();
+    let first = c.on_packet_in(t1, packet(2, 2), BufferId(1), CLIENT_PORT);
+    assert_eq!(release_time(&first), t1 + c.config().processing_delay);
+    assert_eq!(reads.get(), before + 1);
+    let t2 = t1 + SimDuration::from_millis(5);
+    let second = c.on_packet_in(t2, packet(3, 3), BufferId(2), CLIENT_PORT);
+    assert_eq!(release_time(&second), t2 + c.config().processing_delay);
+    assert_eq!(reads.get(), before + 1, "the second PacketIn reads nothing");
+
+    // A crash moves the backend's epoch: the next PacketIn must read again —
+    // and sees the pod down, so it waits for the recovery instead of being
+    // redirected to the dead endpoint.
+    let t3 = t2 + SimDuration::from_millis(5);
+    let outcome = c
+        .cluster_mut(edgectl::ClusterId(0))
+        .inject_crash(t3, "edge-nginx");
+    let recovered = outcome.recovery().expect("the kubelet restarts the pod");
+    let before = reads.get();
+    let third = c.on_packet_in(t3, packet(4, 4), BufferId(3), CLIENT_PORT);
+    assert!(
+        reads.get() > before,
+        "the crash invalidated the cached read"
+    );
+    assert!(flow_mods(&third).is_empty(), "held, not redirected");
+    let released = release_time(&pump(&mut c));
+    assert!(released >= recovered, "{released} < {recovered}");
+}

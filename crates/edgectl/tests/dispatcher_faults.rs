@@ -8,7 +8,7 @@
 
 use cluster::{
     ClusterBackend, ClusterError, ClusterKind, CrashOutcome, DockerCluster, FaultPlan,
-    FaultyCluster, ScaleReceipt, ServiceStatus, ServiceTemplate, SiteCapacity,
+    FaultyCluster, ScaleReceipt, ServiceSnapshot, ServiceTemplate, SiteCapacity,
 };
 use containers::image::synthesize_layers;
 use containers::{ImageManifest, ImageRef, Runtime};
@@ -120,17 +120,19 @@ impl ClusterBackend for FailingScaleUp {
     fn delete_image(&mut self, now: SimTime, image: &ImageRef) -> bool {
         self.inner.delete_image(now, image)
     }
-    fn status(&self, now: SimTime, service: &str) -> ServiceStatus {
-        self.inner.status(now, service)
+    fn observe(
+        &self,
+        now: SimTime,
+        service: &str,
+        endpoints: Option<&mut Vec<SocketAddr>>,
+    ) -> ServiceSnapshot {
+        self.inner.observe(now, service, endpoints)
+    }
+    fn epoch(&self) -> u64 {
+        self.inner.epoch()
     }
     fn has_images(&self, template: &ServiceTemplate) -> bool {
         self.inner.has_images(template)
-    }
-    fn is_ready(&self, now: SimTime, service: &str) -> bool {
-        self.inner.is_ready(now, service)
-    }
-    fn replica_endpoints(&self, now: SimTime, service: &str) -> Vec<SocketAddr> {
-        self.inner.replica_endpoints(now, service)
     }
     fn services(&self) -> Vec<String> {
         self.inner.services()

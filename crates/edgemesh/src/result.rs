@@ -189,11 +189,25 @@ impl MeshRunResult {
     /// testbed trace verbatim, so its hash equals the pinned
     /// single-controller hash by construction.
     pub fn mesh_trace(&self) -> String {
-        use std::fmt::Write as _;
-        if let Some(single) = &self.single {
-            return single.metrics_trace();
-        }
         let mut out = String::with_capacity(48 * self.records.len() + 1024);
+        self.write_trace(&mut out);
+        out
+    }
+
+    /// FNV-1a over [`MeshRunResult::mesh_trace`], streamed into the hash
+    /// state without materializing the trace (see `simcore::FnvStream`).
+    pub fn mesh_hash(&self) -> u64 {
+        let mut h = simcore::FnvStream::new();
+        self.write_trace(&mut h);
+        h.finish()
+    }
+
+    /// The one formatter behind [`MeshRunResult::mesh_trace`] and
+    /// [`MeshRunResult::mesh_hash`].
+    fn write_trace<W: std::fmt::Write>(&self, out: &mut W) {
+        if let Some(single) = &self.single {
+            return single.write_metrics(out);
+        }
         let _ = writeln!(
             out,
             "mesh shards={} leases={} completed={} lost={} duplicates={} avoided={} \
@@ -250,16 +264,5 @@ impl MeshRunResult {
                 r.port,
             );
         }
-        out
-    }
-
-    /// FNV-1a over [`MeshRunResult::mesh_trace`].
-    pub fn mesh_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.mesh_trace().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
     }
 }

@@ -26,7 +26,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use cluster::{
-    ClusterBackend, ClusterError, ClusterKind, CrashOutcome, ScaleReceipt, ServiceStatus,
+    ClusterBackend, ClusterError, ClusterKind, CrashOutcome, ScaleReceipt, ServiceSnapshot,
     ServiceTemplate,
 };
 use containers::ImageRef;
@@ -179,16 +179,23 @@ impl ClusterBackend for SharedBackend {
         deleted
     }
 
-    fn status(&self, now: SimTime, service: &str) -> ServiceStatus {
-        self.inner.borrow().status(now, service)
+    // Reads and the epoch forward to the shared backend: mutations through
+    // any view, through the handle, and replayed from peers all land there.
+    fn observe(
+        &self,
+        now: SimTime,
+        service: &str,
+        endpoints: Option<&mut Vec<SocketAddr>>,
+    ) -> ServiceSnapshot {
+        self.inner.borrow().observe(now, service, endpoints)
+    }
+
+    fn epoch(&self) -> u64 {
+        self.inner.borrow().epoch()
     }
 
     fn has_images(&self, template: &ServiceTemplate) -> bool {
         self.inner.borrow().has_images(template)
-    }
-
-    fn replica_endpoints(&self, now: SimTime, service: &str) -> Vec<SocketAddr> {
-        self.inner.borrow().replica_endpoints(now, service)
     }
 
     fn services(&self) -> Vec<String> {

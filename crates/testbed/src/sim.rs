@@ -124,7 +124,7 @@ impl RunResult {
     /// the one formatter behind both [`RunResult::metrics_trace`] (a `String`
     /// for dumps/diffs) and [`RunResult::metrics_hash`] (a streaming FNV
     /// state, so hashing never materializes the multi-hundred-MB trace).
-    fn write_metrics<W: std::fmt::Write>(&self, out: &mut W) {
+    pub fn write_metrics<W: std::fmt::Write>(&self, out: &mut W) {
         let _ = writeln!(
             out,
             "lost={} memory_hits={} cloud_forwards={} held={} detoured={} \
