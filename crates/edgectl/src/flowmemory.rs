@@ -13,8 +13,9 @@
 //! a `(service, cluster)` secondary index makes the scale-down queries
 //! (`flows_for_service`, `forget_service`, `services_with_flows`,
 //! `retarget_service`) proportional to the flows of the touched service, and
-//! a lazy-deletion min-heap keeps `next_expiry` an O(1) peek (see DESIGN.md,
-//! "Flow pipeline complexity").
+//! a min-heap holding one expiry record per flow keeps `next_expiry` an O(1)
+//! peek without a push per `recall` (see DESIGN.md, "Flow pipeline
+//! complexity").
 //!
 //! Flows served by the real cloud carry `cluster: None` (no edge instance);
 //! flows held on an in-flight deployment are stored as **pending**
@@ -24,6 +25,7 @@
 //! redirect installs.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use simcore::{DetHashMap, DetHashSet, SimDuration, SimTime};
@@ -109,10 +111,15 @@ pub struct FlowMemory {
     /// (`services_with_flows`, `retarget_service`) sort before exposure.
     /// Keys are copyable pairs, so probing the index never allocates.
     by_service: DetHashMap<(ServiceId, Option<ClusterId>), DetHashSet<FlowKey>>,
-    /// Lazy-deletion expiry schedule of `(last_seen + idle_timeout, key)`.
-    /// Invariant ("accurate top"): after every `&mut self` method the heap
-    /// top is live — its flow exists and still expires at that instant — so
-    /// [`FlowMemory::next_expiry`] is a plain peek.
+    /// Expiry schedule of `(deadline, key)` records, one per flow. After
+    /// every `&mut self` method, *covered:* each flow has a record at or
+    /// before its `last_seen + idle_timeout` — pushed when it is first
+    /// remembered; a later touch leaves the record alone and only a touch at
+    /// an earlier instant (PDES re-stamping) pushes another — and *accurate
+    /// top:* the heap top's flow exists and expires at exactly that instant,
+    /// so [`FlowMemory::next_expiry`] is a plain peek and equals the minimum
+    /// deadline. `normalize_expiry` re-keys a touched flow's record, and pops
+    /// a forgotten flow's, when it surfaces.
     expiry: BinaryHeap<Reverse<(SimTime, FlowKey)>>,
     /// Idle timeout of *memorized* flows — longer than the switch's.
     idle_timeout: SimDuration,
@@ -162,7 +169,7 @@ impl FlowMemory {
                 f.target = target;
                 f.cluster = cluster;
                 f.service = service;
-                f.last_seen = now;
+                Self::touch(&mut self.expiry, self.idle_timeout, f, now);
             }
             None => {
                 self.by_service
@@ -181,9 +188,9 @@ impl FlowMemory {
                         pending: false,
                     },
                 );
+                self.expiry.push(Reverse((now + self.idle_timeout, key)));
             }
         }
-        self.expiry.push(Reverse((now + self.idle_timeout, key)));
         self.normalize_expiry();
     }
 
@@ -208,7 +215,7 @@ impl FlowMemory {
                         .insert(key);
                     f.cluster = cluster;
                 }
-                f.last_seen = now;
+                Self::touch(&mut self.expiry, self.idle_timeout, f, now);
             }
             None => {
                 self.by_service
@@ -227,9 +234,9 @@ impl FlowMemory {
                         pending: true,
                     },
                 );
+                self.expiry.push(Reverse((now + self.idle_timeout, key)));
             }
         }
-        self.expiry.push(Reverse((now + self.idle_timeout, key)));
         self.normalize_expiry();
     }
 
@@ -238,22 +245,31 @@ impl FlowMemory {
     /// invisible here (the dispatcher owns their lifecycle) and are neither
     /// refreshed nor evicted.
     pub fn recall(&mut self, now: SimTime, key: FlowKey) -> Option<&MemorizedFlow> {
-        let expired = match self.flows.get(&key) {
-            Some(f) if f.pending => return None,
-            Some(f) => now.since(f.last_seen) >= self.idle_timeout,
-            None => return None,
-        };
-        if expired {
+        let f = self.flows.get_mut(&key).filter(|f| !f.pending)?;
+        if now.since(f.last_seen) >= self.idle_timeout {
             self.detach(key);
             self.normalize_expiry();
             return None;
         }
-        let deadline = now + self.idle_timeout;
-        self.expiry.push(Reverse((deadline, key)));
-        let f = self.flows.get_mut(&key).expect("checked live above");
-        f.last_seen = now;
+        Self::touch(&mut self.expiry, self.idle_timeout, f, now);
         self.normalize_expiry();
-        Some(self.flows.get(&key).expect("checked live above"))
+        self.flows.get(&key)
+    }
+
+    /// Stamp `flow` as seen at `now`. A touch at or after the previous one
+    /// only moves the deadline later, which the flow's record already covers;
+    /// a touch at an earlier instant pulls the deadline in and needs a record
+    /// there for the top to stay the minimum.
+    fn touch(
+        expiry: &mut BinaryHeap<Reverse<(SimTime, FlowKey)>>,
+        idle_timeout: SimDuration,
+        flow: &mut MemorizedFlow,
+        now: SimTime,
+    ) {
+        if now < flow.last_seen {
+            expiry.push(Reverse((now + idle_timeout, flow.key)));
+        }
+        flow.last_seen = now;
     }
 
     /// Peek without refreshing (diagnostics).
@@ -360,6 +376,14 @@ impl FlowMemory {
         self.expiry.peek().map(|&Reverse((deadline, _))| deadline)
     }
 
+    /// How many expiry records the memory holds: one per flow, plus at most
+    /// one per forgotten flow until its deadline passes (tests assert the
+    /// bound).
+    #[doc(hidden)]
+    pub fn expiry_records(&self) -> usize {
+        self.expiry.len()
+    }
+
     /// How many live flows reference `service` on `cluster` — zero means the
     /// instance is idle and a candidate for scale-down. Pending placeholders
     /// count too: a held request protects its deployment from scale-down.
@@ -392,7 +416,7 @@ impl FlowMemory {
     }
 
     /// Remove a flow from the primary map and the service index (the expiry
-    /// heap keeps a stale record until it surfaces).
+    /// heap keeps its record until it surfaces).
     fn detach(&mut self, key: FlowKey) -> Option<MemorizedFlow> {
         let flow = self.flows.remove(&key)?;
         Self::index_remove(&mut self.by_service, (flow.service, flow.cluster), key);
@@ -412,19 +436,26 @@ impl FlowMemory {
         }
     }
 
-    /// Restore the accurate-top invariant: pop records whose flow is gone or
-    /// has been refreshed past the recorded deadline.
+    /// Restore the accurate-top invariant: pop a top record whose flow is
+    /// gone, and re-key one whose flow has been touched since to the flow's
+    /// current deadline.
     fn normalize_expiry(&mut self) {
-        while let Some(&Reverse((deadline, key))) = self.expiry.peek() {
-            let live = self
+        while let Some(mut top) = self.expiry.peek_mut() {
+            let Reverse((deadline, key)) = *top;
+            match self
                 .flows
                 .get(&key)
                 .map(|f| f.last_seen + self.idle_timeout)
-                == Some(deadline);
-            if live {
-                break;
+            {
+                Some(d) if d == deadline => break,
+                // Touched since: the record sifts down to `d` when `top`
+                // drops. (`d` is later — a touch that pulled the deadline in
+                // pushed a record there, which sorts above this one.)
+                Some(d) => *top = Reverse((d, key)),
+                None => {
+                    PeekMut::pop(top);
+                }
             }
-            self.expiry.pop();
         }
     }
 }
@@ -777,5 +808,138 @@ mod tests {
         assert_eq!(expired.len(), 1);
         assert!(expired[0].pending);
         assert!(m.is_empty());
+    }
+    /// The minimum deadline by walking every flow — what `next_expiry()`
+    /// must equal.
+    fn brute_force_next_expiry(m: &FlowMemory) -> Option<SimTime> {
+        m.flows.values().map(|f| f.last_seen + m.idle_timeout).min()
+    }
+
+    #[test]
+    fn a_touch_at_an_earlier_instant_moves_next_expiry_earlier() {
+        let mut m = mem();
+        m.remember(t(5000), key(1, 1), ServiceId(0), target(8000), None);
+        m.remember(t(6000), key(2, 1), ServiceId(0), target(8000), None);
+        // A PDES shard re-stamps its input: the refresh carries an instant
+        // before the flow's last one.
+        m.remember(t(1000), key(2, 1), ServiceId(0), target(8000), None);
+        assert_eq!(m.next_expiry(), Some(t(61_000)));
+        assert!(m.recall(t(500), key(1, 1)).is_some());
+        assert_eq!(m.next_expiry(), Some(t(60_500)));
+        assert_eq!(m.expire(t(60_500)).len(), 1);
+        assert_eq!(m.next_expiry(), Some(t(61_000)));
+    }
+
+    /// Mutation: a backward touch with the "deadline moved earlier ⇒ push"
+    /// arm left out — `last_seen` written, no record — on a flow that is not
+    /// the top, and the brute-force comparison notices.
+    #[test]
+    fn a_backwards_touch_that_skips_the_push_is_caught() {
+        let mut m = mem();
+        m.remember(t(5000), key(1, 1), ServiceId(0), target(8000), None);
+        m.remember(t(6000), key(2, 1), ServiceId(0), target(8000), None);
+        m.flows.get_mut(&key(2, 1)).unwrap().last_seen = t(1000);
+        m.normalize_expiry();
+        assert_eq!(brute_force_next_expiry(&m), Some(t(61_000)));
+        assert_eq!(m.next_expiry(), Some(t(65_000)), "the late answer");
+
+        // Through the one door the same touch keeps the top exact.
+        m.flows.get_mut(&key(2, 1)).unwrap().last_seen = t(6000);
+        m.recall(t(1000), key(2, 1));
+        assert_eq!(m.next_expiry(), Some(t(61_000)));
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Remember {
+                c: u8,
+                s: u8,
+                cluster: Option<usize>,
+            },
+            RememberPending {
+                c: u8,
+                s: u8,
+            },
+            Recall {
+                c: u8,
+                s: u8,
+            },
+            Forget {
+                c: u8,
+                s: u8,
+            },
+            ForgetService {
+                s: u8,
+                cluster: Option<usize>,
+            },
+            Expire,
+        }
+
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            let cluster = || prop::option::of(0usize..2);
+            prop_oneof![
+                4 => (0u8..4, 0u8..3, cluster()).prop_map(|(c, s, cluster)| Op::Remember { c, s, cluster }),
+                1 => (0u8..4, 0u8..3).prop_map(|(c, s)| Op::RememberPending { c, s }),
+                4 => (0u8..4, 0u8..3).prop_map(|(c, s)| Op::Recall { c, s }),
+                1 => (0u8..4, 0u8..3).prop_map(|(c, s)| Op::Forget { c, s }),
+                1 => (0u8..3, cluster()).prop_map(|(s, cluster)| Op::ForgetService { s, cluster }),
+                2 => Just(Op::Expire),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Every op at an arbitrary instant — `now` steps backwards as
+            /// often as forwards — leaves `next_expiry()` the brute-force
+            /// minimum, and `expire` evicts exactly the flows whose deadline
+            /// has passed.
+            #[test]
+            fn next_expiry_is_the_brute_force_minimum_under_non_monotone_time(
+                ops in prop::collection::vec((op_strategy(), 0u64..200_000), 0..120),
+            ) {
+                let mut m = mem();
+                for (op, at_ms) in ops {
+                    let now = t(at_ms);
+                    match op {
+                        Op::Remember { c, s, cluster } => {
+                            m.remember(now, key(c, s), ServiceId(s as u32), target(8000), cluster.map(ClusterId));
+                        }
+                        Op::RememberPending { c, s } => {
+                            // Placeholders never downgrade a live entry.
+                            if m.get(key(c, s)).is_none_or(|f| f.pending) {
+                                m.remember_pending(now, key(c, s), ServiceId(s as u32), Some(ClusterId(0)));
+                            }
+                        }
+                        Op::Recall { c, s } => {
+                            m.recall(now, key(c, s));
+                        }
+                        Op::Forget { c, s } => {
+                            m.forget(key(c, s));
+                        }
+                        Op::ForgetService { s, cluster } => {
+                            m.forget_service(ServiceId(s as u32), cluster.map(ClusterId));
+                        }
+                        Op::Expire => {
+                            let mut due: Vec<FlowKey> = m
+                                .flows
+                                .values()
+                                .filter(|f| f.last_seen + m.idle_timeout <= now)
+                                .map(|f| f.key)
+                                .collect();
+                            due.sort();
+                            let evicted: Vec<FlowKey> = m.expire(now).iter().map(|f| f.key).collect();
+                            prop_assert_eq!(evicted, due, "evicted set at {}", now);
+                        }
+                    }
+                    prop_assert_eq!(m.next_expiry(), brute_force_next_expiry(&m), "next_expiry");
+                    prop_assert!(m.expiry_records() >= m.len(), "a flow lost its record");
+                }
+            }
+        }
     }
 }

@@ -169,10 +169,17 @@ impl Zipf {
     /// Sample a 0-based rank (0 = most popular).
     pub fn sample(&self, rng: &mut SimRng) -> usize {
         let total = *self.cum.last().unwrap();
-        let x = rng.f64() * total;
+        self.rank_at(rng.f64() * total)
+    }
+
+    /// The rank whose cumulative-weight interval `[cum[i-1], cum[i])` holds
+    /// `x`, clamped to the support. An exact hit on `cum[i]` belongs to the
+    /// interval that starts there.
+    fn rank_at(&self, x: f64) -> usize {
+        let last = self.cum.len() - 1;
         match self.cum.binary_search_by(|c| c.total_cmp(&x)) {
-            Ok(i) => i + 1.min(self.cum.len() - 1),
-            Err(i) => i.min(self.cum.len() - 1),
+            Ok(i) => (i + 1).min(last),
+            Err(i) => i.min(last),
         }
     }
 
@@ -327,6 +334,26 @@ mod tests {
         let p0 = z.probability(0);
         let f0 = counts[0] as f64 / 100_000.0;
         assert!((f0 - p0).abs() < 0.01, "f0={f0} p0={p0}");
+    }
+
+    #[test]
+    fn zipf_exact_hit_on_a_cumulative_weight_stays_in_support() {
+        // s = 0: weights are exactly 1.0 each, so cum = [1, 2, 3, 4].
+        let z = Zipf::new(4, 0.0);
+        assert_eq!(z.rank_at(0.5), 0);
+        assert_eq!(z.rank_at(2.0), 2, "interior hit opens the next interval");
+        assert_eq!(z.rank_at(2.5), 2);
+        assert_eq!(z.rank_at(4.0), 3, "hit on the last weight is clamped");
+        assert_eq!(z.rank_at(5.0), 3);
+    }
+
+    #[test]
+    fn zipf_one_rank_support_always_samples_it() {
+        let z = Zipf::new(1, 1.1);
+        assert_eq!(z.rank_at(0.0), 0);
+        assert_eq!(z.rank_at(1.0), 0, "exact hit on the only weight");
+        let mut r = rng();
+        assert!((0..100).all(|_| z.sample(&mut r) == 0));
     }
 
     #[test]

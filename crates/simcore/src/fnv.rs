@@ -62,10 +62,50 @@ impl std::fmt::Write for FnvStream {
     }
 }
 
+/// Write `v` in decimal — the bytes `write!(out, "{v}")` produces, without
+/// the `fmt` machinery. The metrics formatter's per-request line goes through
+/// here whether the sink is an [`FnvStream`] or a `String`.
+pub fn write_u64<W: std::fmt::Write>(out: &mut W, mut v: u64) -> std::fmt::Result {
+    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
+}
+
+/// Write `v` as `write!(out, "{v}")` would: `true` or `false`.
+pub fn write_bool<W: std::fmt::Write>(out: &mut W, v: bool) -> std::fmt::Result {
+    out.write_str(if v { "true" } else { "false" })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::fmt::Write as _;
+
+    #[test]
+    fn decimal_writer_equals_fmt() {
+        let edges = (0..20).flat_map(|d| {
+            let p = 10u64.pow(d);
+            [p - 1, p, p + 1]
+        });
+        for v in edges.chain([0, u64::MAX - 1, u64::MAX]) {
+            let mut fast = String::new();
+            write_u64(&mut fast, v).unwrap();
+            assert_eq!(fast, format!("{v}"));
+        }
+        for v in [true, false] {
+            let mut fast = String::new();
+            write_bool(&mut fast, v).unwrap();
+            assert_eq!(fast, format!("{v}"));
+        }
+    }
 
     #[test]
     fn matches_one_shot_fold() {

@@ -25,16 +25,20 @@
 //!   list that is scanned only until it can no longer beat the best hash hit,
 //! * a `FlowId → slot` map and a cookie index make `get`, `delete_by_cookie`
 //!   and strict deletes O(1)/O(matches) instead of O(table),
-//! * expiry runs off a lazy-deletion min-heap of `(deadline, id)` records
-//!   whose top is kept accurate after every mutation, so `next_expiry` is an
-//!   O(1) peek and an eviction sweep is O(evicted · log table).
+//! * expiry runs off a min-heap holding one `(deadline, id, slot)` record per
+//!   entry: a hit only stamps `last_used`, and a record whose entry has since
+//!   been touched is re-keyed when it surfaces. The top is kept accurate
+//!   after every mutation, so `next_expiry` is an O(1) peek and an eviction
+//!   sweep is O(evicted · log table) however many hits came before it.
 //!
 //! The observable semantics are unchanged: OpenFlow priority order with
 //! stable insertion order inside a priority level, `OFPFC_ADD` replace
 //! semantics, and `FlowRemoved` notifications in table order.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
+use std::hash::{Hash, Hasher};
 
 use simcore::{DetHashMap, SimDuration, SimTime};
 
@@ -287,37 +291,86 @@ impl FlowMatch {
 /// matcher uniquely. A packet is probed once per shape present in the table
 /// (tuple-space search); a bucket hit is a guaranteed match, no re-check
 /// needed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// Packed into two words so a probe hashes two words, not five `Option`s:
+/// `meta` holds the shape in bits 0..5, the protocol in 8..16, the source
+/// port in 16..32 and the destination port in 32..48; `addrs` holds the
+/// source ip in its low half and the destination ip in its high half. A field
+/// outside the shape is zero, so equal keys are equal matchers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ExactKey {
-    protocol: Option<Protocol>,
-    src_ip: Option<IpAddr>,
-    src_port: Option<u16>,
-    dst_ip: Option<IpAddr>,
-    dst_port: Option<u16>,
+    meta: u64,
+    addrs: u64,
 }
 
 impl ExactKey {
+    /// `(meta, addrs)` bits of the fields each shape constrains.
+    const FIELD_MASKS: [(u64, u64); 32] = {
+        let mut masks = [(0u64, 0u64); 32];
+        let mut shape = 0;
+        while shape < 32 {
+            let (mut meta, mut addrs) = (0u64, 0u64);
+            if shape & 1 != 0 {
+                meta |= 0xff << 8;
+            }
+            if shape & 2 != 0 {
+                addrs |= 0xffff_ffff;
+            }
+            if shape & 4 != 0 {
+                meta |= 0xffff << 16;
+            }
+            if shape & 8 != 0 {
+                addrs |= 0xffff_ffff << 32;
+            }
+            if shape & 16 != 0 {
+                meta |= 0xffff << 32;
+            }
+            masks[shape] = (meta, addrs);
+            shape += 1;
+        }
+        masks
+    };
+
     fn of_matcher(m: &FlowMatch) -> ExactKey {
         debug_assert!(m.is_exact());
         ExactKey {
-            protocol: m.protocol,
-            src_ip: m.src_ip,
-            src_port: m.src_port,
-            dst_ip: m.dst_ip,
-            dst_port: m.dst_port,
+            meta: m.shape() as u64
+                | m.protocol.map_or(0, |p| p as u64) << 8
+                | m.src_port.map_or(0, u64::from) << 16
+                | m.dst_port.map_or(0, u64::from) << 32,
+            addrs: m.src_ip.map_or(0, |ip| ip.0 as u64)
+                | m.dst_ip.map_or(0, |ip| ip.0 as u64) << 32,
         }
     }
 
-    /// Project a packet onto a shape: the key an exact matcher of that shape
-    /// must equal for the packet to match it.
-    fn of_packet(shape: u8, p: &Packet) -> ExactKey {
+    /// All five fields of a packet, shape bits clear — computed once per
+    /// lookup and [`ExactKey::project`]ed onto each live shape.
+    fn fields_of(p: &Packet) -> ExactKey {
         ExactKey {
-            protocol: (shape & 1 != 0).then_some(p.protocol),
-            src_ip: (shape & 2 != 0).then_some(p.src.ip),
-            src_port: (shape & 4 != 0).then_some(p.src.port),
-            dst_ip: (shape & 8 != 0).then_some(p.dst.ip),
-            dst_port: (shape & 16 != 0).then_some(p.dst.port),
+            meta: (p.protocol as u64) << 8 | (p.src.port as u64) << 16 | (p.dst.port as u64) << 32,
+            addrs: p.src.ip.0 as u64 | (p.dst.ip.0 as u64) << 32,
         }
+    }
+
+    /// Project a packet's fields onto a shape: the key an exact matcher of
+    /// that shape must equal for the packet to match it.
+    fn project(self, shape: u8) -> ExactKey {
+        let (meta, addrs) = Self::FIELD_MASKS[shape as usize];
+        ExactKey {
+            meta: shape as u64 | self.meta & meta,
+            addrs: self.addrs & addrs,
+        }
+    }
+}
+
+impl Hash for ExactKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // `DetHasher` is multiply-rotate: the low bits of its output — the
+        // bucket index — see only the low bits of the last word written, so
+        // fold the destination ip (high half) down into them first.
+        let addrs = self.addrs.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        state.write_u64(self.meta);
+        state.write_u64(addrs ^ addrs >> 32);
     }
 }
 
@@ -685,11 +738,11 @@ pub struct FlowTable {
     /// is installed at several priorities — [`SlotBucket`] keeps the common
     /// 1–2 entry case inline, so an install allocates nothing here.
     exact: DetHashMap<ExactKey, SlotBucket>,
-    /// How many exact entries exist per shape — the set of keys to probe per
-    /// packet.
-    // BTreeMap: `find_slot` iterates the live shapes per lookup; the probe
-    // order must not depend on the process hash seed.
-    shape_counts: BTreeMap<u8, usize>,
+    /// How many exact entries exist per shape.
+    shape_counts: [usize; 32],
+    /// Bit `s` set iff `shape_counts[s] > 0` — the set of keys to probe per
+    /// packet, walked in ascending shape order.
+    live_shapes: u32,
     /// Masked (`IpNet`) matchers, sorted by table order.
     masked: Vec<usize>,
     /// Cookie → slots holding that cookie (unordered). Buckets are kept
@@ -700,12 +753,18 @@ pub struct FlowTable {
     /// detach-side bucket removal O(1) `swap_remove` instead of an O(bucket)
     /// scan (hot: every expiry sweeps through here).
     cookie_pos: Vec<usize>,
-    /// Lazy-deletion expiry schedule. Invariant ("accurate top"): after every
-    /// `&mut self` method returns, the heap top — if any — is a *live* record
-    /// (its entry exists and still expires at exactly that instant), so
-    /// [`FlowTable::next_expiry`] is a plain peek. Stale records below the
-    /// top are tolerated and popped when they surface.
-    expiry: BinaryHeap<Reverse<(SimTime, FlowId)>>,
+    /// Expiry schedule of `(deadline, id, slot)` records, one per entry that
+    /// has a timeout. Two invariants hold after every `&mut self` method
+    /// returns. *Covered:* every such entry has a record at or before its
+    /// current deadline — pushed at install; a hit moves the deadline later
+    /// and leaves the record alone, and only a touch at an earlier instant
+    /// pushes a second one. *Accurate top:* the heap top — if any — names a
+    /// live entry (slot occupied by that `id`) that expires at exactly that
+    /// instant, so [`FlowTable::next_expiry`] is a plain peek and equals the
+    /// minimum deadline. Records below the top may be early or (one per
+    /// removed entry) dead; `normalize_expiry` re-keys or pops them when
+    /// they surface.
+    expiry: BinaryHeap<Reverse<(SimTime, FlowId, usize)>>,
     next_id: u64,
     len: usize,
 }
@@ -776,7 +835,9 @@ impl FlowTable {
         self.cookie_pos[slot] = bucket.len() - 1;
 
         if matcher.is_exact() {
-            *self.shape_counts.entry(matcher.shape()).or_insert(0) += 1;
+            let shape = matcher.shape();
+            self.shape_counts[shape as usize] += 1;
+            self.live_shapes |= 1 << shape;
             match self.exact.entry(ExactKey::of_matcher(&matcher)) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
                     let pos = Self::ordered_position(&self.slots, e.get().slice(), priority);
@@ -792,7 +853,7 @@ impl FlowTable {
         }
 
         if let Some(d) = deadline {
-            self.expiry.push(Reverse((d, id)));
+            self.expiry.push(Reverse((d, id, slot)));
         }
         self.len += 1;
         self.normalize_expiry();
@@ -845,8 +906,12 @@ impl FlowTable {
             }
         };
 
-        for &shape in self.shape_counts.keys() {
-            if let Some(bucket) = self.exact.get(&ExactKey::of_packet(shape, p)) {
+        let fields = ExactKey::fields_of(p);
+        let mut live = self.live_shapes;
+        while live != 0 {
+            let shape = live.trailing_zeros() as u8;
+            live &= live - 1;
+            if let Some(bucket) = self.exact.get(&fields.project(shape)) {
                 // Bucket heads are guaranteed matches: the key pins every
                 // constrained field to the packet's values.
                 if let Some(&head) = bucket.slice().first() {
@@ -880,18 +945,18 @@ impl FlowTable {
     /// Find the highest-priority matching entry, updating its stats.
     pub fn lookup(&mut self, now: SimTime, p: &Packet) -> Option<&FlowEntry> {
         let slot = self.find_slot(p)?;
-        let (id, refresh) = {
-            let e = self.slots[slot].as_mut().expect("indexed slot occupied");
-            e.last_used = now;
-            e.packets += 1;
-            // Touching only moves the deadline if an idle timeout exists.
-            (
-                e.id,
-                e.idle_timeout.is_some().then(|| e.deadline()).flatten(),
-            )
-        };
-        if let Some(d) = refresh {
-            self.expiry.push(Reverse((d, id)));
+        let e = self.slots[slot].as_mut().expect("indexed slot occupied");
+        // A touch at or after the previous one can only move the deadline
+        // later, which the entry's record already covers. Only a touch at an
+        // earlier instant can pull the deadline in, and then the entry needs
+        // a record there for the top to stay the minimum.
+        let earlier = now < e.last_used;
+        e.last_used = now;
+        e.packets += 1;
+        if earlier {
+            if let Some(d) = e.deadline() {
+                self.expiry.push(Reverse((d, e.id, slot)));
+            }
         }
         self.normalize_expiry();
         self.slots[slot].as_ref()
@@ -970,9 +1035,8 @@ impl FlowTable {
         loop {
             // The top is accurate, so `> now` means nothing else is due.
             match self.expiry.peek() {
-                Some(&Reverse((deadline, id))) if deadline <= now => {
+                Some(&Reverse((deadline, _, slot))) if deadline <= now => {
                     self.expiry.pop();
-                    let slot = self.by_id[&id];
                     let entry = self.detach(slot);
                     let hard_elapsed = entry
                         .hard_timeout
@@ -1001,12 +1065,11 @@ impl FlowTable {
     /// no-`Vec`, no-sort variant; the eviction *order* is unobservable here
     /// because nothing is reported.
     pub fn expire_discard(&mut self, now: SimTime) {
-        while let Some(&Reverse((deadline, id))) = self.expiry.peek() {
+        while let Some(&Reverse((deadline, _, slot))) = self.expiry.peek() {
             if deadline > now {
                 break;
             }
             self.expiry.pop();
-            let slot = self.by_id[&id];
             self.detach(slot);
             self.normalize_expiry();
         }
@@ -1016,7 +1079,17 @@ impl FlowTable {
     /// schedules its next eviction sweep there. O(1): the heap top is kept
     /// accurate by every mutation.
     pub fn next_expiry(&self) -> Option<SimTime> {
-        self.expiry.peek().map(|&Reverse((deadline, _))| deadline)
+        self.expiry
+            .peek()
+            .map(|&Reverse((deadline, _, _))| deadline)
+    }
+
+    /// How many expiry records the table holds: one per entry with a timeout,
+    /// plus at most one per removed entry until its deadline passes (tests
+    /// assert the bound).
+    #[doc(hidden)]
+    pub fn expiry_records(&self) -> usize {
+        self.expiry.len()
     }
 
     /// Pre-size the slab and hash indexes for `additional` more entries.
@@ -1045,8 +1118,8 @@ impl FlowTable {
             .map(|e| e.id)
     }
 
-    /// Unlink an entry from every index and free its slot. Stale expiry
-    /// records are left behind for `normalize_expiry` to reap.
+    /// Unlink an entry from every index and free its slot. Its expiry record
+    /// is left behind for `normalize_expiry` to reap.
     fn detach(&mut self, slot: usize) -> FlowEntry {
         let entry = self.slots[slot].take().expect("detach of empty slot");
         self.by_id.remove(&entry.id);
@@ -1067,13 +1140,10 @@ impl FlowTable {
 
         if entry.matcher.is_exact() {
             let shape = entry.matcher.shape();
-            let count = self
-                .shape_counts
-                .get_mut(&shape)
-                .expect("shape counted while entries remain");
+            let count = &mut self.shape_counts[shape as usize];
             *count -= 1;
             if *count == 0 {
-                self.shape_counts.remove(&shape);
+                self.live_shapes &= !(1 << shape);
             }
             let key = ExactKey::of_matcher(&entry.matcher);
             let bucket = self
@@ -1093,20 +1163,26 @@ impl FlowTable {
         entry
     }
 
-    /// Restore the accurate-top invariant: pop records whose entry is gone or
-    /// no longer expires at the recorded instant (it was touched since).
+    /// Restore the accurate-top invariant: pop a top record whose entry is
+    /// gone (the slot is empty or holds a later id), and re-key one whose
+    /// entry has been touched since to the entry's current deadline.
     fn normalize_expiry(&mut self) {
-        while let Some(&Reverse((deadline, id))) = self.expiry.peek() {
-            let live = self
-                .by_id
-                .get(&id)
-                .and_then(|&s| self.slots[s].as_ref())
-                .and_then(FlowEntry::deadline)
-                == Some(deadline);
-            if live {
-                break;
+        while let Some(mut top) = self.expiry.peek_mut() {
+            let Reverse((deadline, id, slot)) = *top;
+            let current = self.slots[slot]
+                .as_ref()
+                .filter(|e| e.id == id)
+                .and_then(FlowEntry::deadline);
+            match current {
+                Some(d) if d == deadline => break,
+                // Touched since: the record sifts down to `d` when `top`
+                // drops. (`d` is later — a touch that pulled the deadline in
+                // pushed a record there, which sorts above this one.)
+                Some(d) => *top = Reverse((d, id, slot)),
+                None => {
+                    PeekMut::pop(top);
+                }
             }
-            self.expiry.pop();
         }
     }
 }
@@ -1971,6 +2047,116 @@ mod tests {
         let e = table.get(id).unwrap();
         assert_eq!(e.packets, 2);
         assert_eq!(e.last_used, t(9));
+    }
+
+    /// The minimum deadline by walking every entry — what `next_expiry()`
+    /// must equal.
+    fn brute_force_next_expiry(table: &FlowTable) -> Option<SimTime> {
+        table
+            .slots
+            .iter()
+            .flatten()
+            .filter_map(FlowEntry::deadline)
+            .min()
+    }
+
+    #[test]
+    fn a_touch_at_an_earlier_instant_moves_next_expiry_earlier() {
+        let mut table = FlowTable::new();
+        let idle = |ms| SimDuration::from_millis(ms);
+        table.install(
+            t(1000),
+            FlowSpec::new(FlowMatch::to_service(sa(200, 80))).idle(idle(100)),
+        );
+        table.install(
+            t(1000),
+            FlowSpec::new(FlowMatch::to_service(sa(201, 80))).idle(idle(300)),
+        );
+        assert_eq!(table.next_expiry(), Some(t(1100)));
+        // Forward touch: no new record, the frontier moves to the other flow.
+        assert!(table.lookup(t(1250), &service_packet()).is_some());
+        assert_eq!(table.next_expiry(), Some(t(1300)));
+        assert_eq!(table.expiry_records(), 2);
+        // Backward touch: the deadline moves in, and so must the top.
+        assert!(table.lookup(t(500), &service_packet()).is_some());
+        assert_eq!(table.next_expiry(), Some(t(600)));
+        assert_eq!(table.next_expiry(), brute_force_next_expiry(&table));
+        let evicted = table.expire(t(600));
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(table.next_expiry(), Some(t(1300)));
+    }
+
+    /// Mutation: a backward touch with the "deadline moved earlier ⇒ push"
+    /// arm left out — `last_used` written, no record — on an entry that is
+    /// not the top, and the brute-force comparison notices.
+    #[test]
+    fn a_backwards_touch_that_skips_the_push_is_caught() {
+        let mut table = FlowTable::new();
+        let idle = |ms| SimDuration::from_millis(ms);
+        table.install(
+            t(1000),
+            FlowSpec::new(FlowMatch::to_service(sa(201, 80))).idle(idle(100)),
+        );
+        table.install(
+            t(1000),
+            FlowSpec::new(FlowMatch::to_service(sa(200, 80))).idle(idle(300)),
+        );
+        let slot = table.find_slot(&service_packet()).unwrap();
+        table.slots[slot].as_mut().unwrap().last_used = t(500);
+        table.normalize_expiry();
+        assert_eq!(brute_force_next_expiry(&table), Some(t(800)));
+        assert_eq!(table.next_expiry(), Some(t(1100)), "the late answer");
+
+        // Through the one door the same touch keeps the top exact.
+        table.slots[slot].as_mut().unwrap().last_used = t(1000);
+        table.lookup(t(500), &service_packet());
+        assert_eq!(table.next_expiry(), Some(t(800)));
+    }
+
+    #[test]
+    fn exact_key_of_a_packet_equals_the_matchers_on_every_shape() {
+        let p = Packet::syn(sa(1, 40000), sa(200, 80), 7);
+        let other = Packet {
+            protocol: Protocol::Udp,
+            ..Packet::syn(sa(2, 40001), sa(201, 81), 7)
+        };
+        for shape in 0u8..32 {
+            let on = |bit: u8| shape & bit != 0;
+            let m = FlowMatch {
+                protocol: on(1).then_some(p.protocol),
+                src_ip: on(2).then_some(p.src.ip),
+                src_port: on(4).then_some(p.src.port),
+                dst_ip: on(8).then_some(p.dst.ip),
+                dst_port: on(16).then_some(p.dst.port),
+                ..FlowMatch::default()
+            };
+            assert_eq!(m.shape(), shape);
+            let key = ExactKey::of_matcher(&m);
+            assert_eq!(key, ExactKey::fields_of(&p).project(shape));
+            // Any constrained field differing changes the key; with none
+            // constrained every packet projects onto the catch-all key.
+            assert_eq!(
+                key == ExactKey::fields_of(&other).project(shape),
+                shape == 0
+            );
+        }
+    }
+
+    #[test]
+    fn exact_key_hash_spreads_over_the_bucket_index_bits() {
+        use std::hash::BuildHasher;
+        // 100 clients × 100 services differing only in their addresses' low
+        // bytes: the low 14 bits of the hash (the bucket index of a table
+        // this size) must look random — ≈ 7 480 of 16 384 distinct values.
+        let mut seen = std::collections::BTreeSet::new();
+        for c in 0..100u8 {
+            for d in 0..100u8 {
+                let m = FlowMatch::client_to_service(IpAddr::new(10, 1, 0, c), sa(d, 80));
+                let h = simcore::dethash::DetBuildHasher.hash_one(ExactKey::of_matcher(&m));
+                seen.insert(h & 0x3fff);
+            }
+        }
+        assert!(seen.len() > 6_500, "{} distinct bucket indexes", seen.len());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! entries, the hash-indexed implementation must behave exactly like a naive
 //! linear scan over a priority-ordered list — identical match results,
 //! identical eviction order, identical `FlowRemoved` reasons, identical
-//! `next_expiry` schedule.
+//! `next_expiry` schedule — also when a packet is stamped with an instant
+//! before the previous touch, as a PDES shard re-stamping its input does.
 
 use proptest::prelude::*;
 use simcore::{SimDuration, SimTime};
@@ -68,6 +69,14 @@ enum Op {
         dst: u8,
         advance_ms: u64,
     },
+    /// A packet stamped `back_ms` *before* the current instant: time steps
+    /// backwards for this touch only, pulling the hit entry's idle deadline
+    /// in.
+    PacketBefore {
+        client: u8,
+        dst: u8,
+        back_ms: u64,
+    },
     Expire {
         advance_ms: u64,
     },
@@ -93,6 +102,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             }),
         4 => (0u8..4, 0u8..4, 0u64..500).prop_map(|(client, dst, advance_ms)| Op::Packet {
             client, dst, advance_ms
+        }),
+        2 => (0u8..4, 0u8..4, 1u64..4000).prop_map(|(client, dst, back_ms)| Op::PacketBefore {
+            client, dst, back_ms
         }),
         1 => (0u64..3000).prop_map(|advance_ms| Op::Expire { advance_ms }),
         1 => matcher_strategy().prop_map(|matcher| Op::DeleteMatching { matcher }),
@@ -267,6 +279,13 @@ proptest! {
                     let got = table.lookup(now, &p).map(|e| e.id.0);
                     let want = model.lookup(now, &p);
                     prop_assert_eq!(got, want, "lookup winner at {}", now);
+                }
+                Op::PacketBefore { client, dst, back_ms } => {
+                    let at = now - SimDuration::from_millis(back_ms);
+                    let p = packet(client, dst);
+                    let got = table.lookup(at, &p).map(|e| e.id.0);
+                    let want = model.lookup(at, &p);
+                    prop_assert_eq!(got, want, "lookup winner at {} (before {})", at, now);
                 }
                 Op::Expire { advance_ms } => {
                     now += SimDuration::from_millis(advance_ms);

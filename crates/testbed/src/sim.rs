@@ -148,15 +148,7 @@ impl RunResult {
             let _ = writeln!(out, "deploy={d:?}");
         }
         for r in &self.records {
-            let _ = writeln!(
-                out,
-                "req started={} finished={} service={} client={} triggered={}",
-                r.started.as_nanos(),
-                r.finished.as_nanos(),
-                r.service,
-                r.client,
-                r.triggered_deployment,
-            );
+            write_request_line(out, r);
         }
     }
 
@@ -181,6 +173,24 @@ impl RunResult {
         self.write_metrics(&mut h);
         h.finish()
     }
+}
+
+/// One `req started=… finished=… service=… client=… triggered=…` line of the
+/// metrics text. There is one per request, so it bypasses `fmt`: the bytes
+/// are those of the `writeln!` it replaces (`metrics_line_equals_fmt`).
+fn write_request_line<W: std::fmt::Write>(out: &mut W, r: &RequestRecord) {
+    use simcore::fnv::{write_bool, write_u64};
+    let _ = out.write_str("req started=");
+    let _ = write_u64(out, r.started.as_nanos());
+    let _ = out.write_str(" finished=");
+    let _ = write_u64(out, r.finished.as_nanos());
+    let _ = out.write_str(" service=");
+    let _ = write_u64(out, r.service as u64);
+    let _ = out.write_str(" client=");
+    let _ = write_u64(out, r.client as u64);
+    let _ = out.write_str(" triggered=");
+    let _ = write_bool(out, r.triggered_deployment);
+    let _ = out.write_str("\n");
 }
 
 /// What `Testbed::run_trace_audited` found: the static verifier's view of
@@ -271,6 +281,12 @@ struct FlowModel {
     /// once over the (immutable after build) fabric: a released request's
     /// RTT and bottleneck are two array reads, however many clients exist.
     host_trees: Vec<PathTree>,
+    /// The two constants of a `(host, client)` path a release needs, dense
+    /// by `host * clients + client` and filled on first use:
+    /// `upload = connect + transfer(request_bytes)` and
+    /// `fixed = upload + transfer(response_bytes)`, the exchange less its
+    /// sampled server time.
+    path_times: Vec<Option<(SimDuration, SimDuration)>>,
     records: Vec<RequestRecord>,
     /// Requests whose `triggered_deployment` flag depends on a machine that
     /// may still be in flight at completion time: `(record index, lo, hi)`
@@ -311,6 +327,7 @@ impl Testbed {
             rng: SimRng::seed_from_u64(cfg.seed),
             req_started: Vec::new(),
             host_trees: c3.host_trees(),
+            path_times: vec![None; busy_stride * c3.clients.len()],
             records: Vec::new(),
             triggered_windows: Vec::new(),
             crashes_injected: 0,
@@ -659,28 +676,32 @@ impl Engine<CrashTick> for FlowModel {
         };
         let busy_lane = r.service * self.busy_stride + host;
         let started = self.req_started[r.idx];
-        let tree = &self.host_trees[host];
-        let client = c3.clients[r.client];
-        let latency = tree.latency(client).expect("client reaches host");
-        let bottleneck_bps = tree.bottleneck_bps(client).expect("client reaches host");
-        let tcp = TcpModel::new(latency * 2, bottleneck_bps);
+        let (upload, fixed) = *self.path_times[host * c3.clients.len() + r.client]
+            .get_or_insert_with(|| {
+                let tree = &self.host_trees[host];
+                let client = c3.clients[r.client];
+                let latency = tree.latency(client).expect("client reaches host");
+                let bottleneck_bps = tree.bottleneck_bps(client).expect("client reaches host");
+                path_times(
+                    TcpModel::new(latency * 2, bottleneck_bps),
+                    self.profile.request_bytes,
+                    self.profile.response_bytes,
+                )
+            });
         let server_time = self.profile.server_time.sample(&mut self.rng);
         // Time the SYN spent buffered at the switch (deployment wait).
         let hold = release - (started + c3.client_switch_latency(r.client));
         // Queueing at the instance: the request's processing starts when the
         // instance frees up (single-server FIFO per service instance), so
         // concurrent requests to a hot service serialize on its CPU.
-        let upload = tcp.connect_time() + tcp.transfer_time(self.profile.request_bytes);
         let at_server = started + hold + upload;
         let slot = &mut self.busy[busy_lane];
         let start_serving = at_server.max(*slot);
         let queue_delay = start_serving - at_server;
         *slot = start_serving + server_time;
-        let exchange = tcp.request_response_time(
-            self.profile.request_bytes,
-            self.profile.response_bytes,
-            server_time,
-        );
+        // `TcpModel::request_response_time`, its path terms taken from the
+        // memo: durations are integer nanoseconds, so the sum is the same.
+        let exchange = fixed + server_time;
         let finished = started + hold + queue_delay + exchange;
         // A request "triggered" a deployment if its own PacketIn started a
         // machine (window [machines_before, hi)) that eventually completes,
@@ -739,6 +760,18 @@ impl Engine<CrashTick> for FlowModel {
     }
 }
 
+/// `(upload, fixed)` of a path: handshake plus request upload, and that plus
+/// the response download — [`TcpModel::request_response_time`] less the
+/// server's think time.
+fn path_times(
+    tcp: TcpModel,
+    request_bytes: u64,
+    response_bytes: u64,
+) -> (SimDuration, SimDuration) {
+    let upload = tcp.connect_time() + tcp.transfer_time(request_bytes);
+    (upload, upload + tcp.transfer_time(response_bytes))
+}
+
 /// Run an externally supplied trace (e.g. loaded from CSV) under a scenario.
 pub fn run_trace_scenario(cfg: ScenarioConfig, trace: &Trace) -> RunResult {
     let testbed = Testbed::build(cfg, trace.service_addrs.to_vec());
@@ -795,4 +828,160 @@ pub fn measure_first_request(cfg: ScenarioConfig) -> (f64, Option<edgectl::Deplo
         .map(|r| r.time_total().as_millis_f64())
         .unwrap_or(f64::NAN);
     (ms, result.deployments.into_iter().next())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::PhaseSetup;
+    use crate::topology::SiteSpec;
+    use cluster::ClusterKind;
+    use edgectl::SchedulerSpec;
+    use proptest::prelude::*;
+    use std::fmt::Write as _;
+
+    fn record_strategy() -> impl Strategy<Value = RequestRecord> {
+        // Magnitudes from one digit to all twenty, not only large values.
+        let nanos = || (0u32..64, any::<u64>()).prop_map(|(shift, v)| v >> shift);
+        (nanos(), nanos(), nanos(), nanos(), any::<bool>()).prop_map(
+            |(started, finished, service, client, triggered_deployment)| RequestRecord {
+                started: SimTime::ZERO + SimDuration::from_nanos(started),
+                finished: SimTime::ZERO + SimDuration::from_nanos(finished),
+                service: service as usize,
+                client: client as usize,
+                triggered_deployment,
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The per-request line written field by field is, byte for byte, the
+        /// `writeln!` it replaced — into a `String` and into the hash.
+        #[test]
+        fn metrics_line_equals_fmt(records in prop::collection::vec(record_strategy(), 0..8)) {
+            let mut reference = String::new();
+            let mut fast = String::new();
+            let mut hashed = simcore::FnvStream::new();
+            for r in &records {
+                writeln!(
+                    reference,
+                    "req started={} finished={} service={} client={} triggered={}",
+                    r.started.as_nanos(),
+                    r.finished.as_nanos(),
+                    r.service,
+                    r.client,
+                    r.triggered_deployment,
+                )
+                .unwrap();
+                write_request_line(&mut fast, r);
+                write_request_line(&mut hashed, r);
+            }
+            prop_assert_eq!(&fast, &reference);
+            prop_assert_eq!(
+                hashed.finish(),
+                simcore::FnvStream::hash_bytes(reference.as_bytes())
+            );
+        }
+
+        /// The memoised pair is exactly what a release computed from the
+        /// `TcpModel` before there was a memo.
+        #[test]
+        fn path_times_equal_the_direct_tcp_expressions(
+            latency_us in 1u64..200_000,
+            bandwidth_bps in 1_000_000u64..100_000_000_000,
+            request_bytes in 0u64..10_000_000,
+            response_bytes in 0u64..100_000_000,
+            server_us in 0u64..5_000_000,
+        ) {
+            let tcp = TcpModel::new(SimDuration::from_micros(latency_us) * 2, bandwidth_bps);
+            let (upload, fixed) = path_times(tcp, request_bytes, response_bytes);
+            prop_assert_eq!(upload, tcp.connect_time() + tcp.transfer_time(request_bytes));
+            let server_time = SimDuration::from_micros(server_us);
+            prop_assert_eq!(
+                fixed + server_time,
+                tcp.request_response_time(request_bytes, response_bytes, server_time)
+            );
+        }
+    }
+
+    /// Two sites at different distances, two clients on different access
+    /// links: every `(host, client)` pair that served a request holds its own
+    /// constants, and they are the ones its own path gives.
+    #[test]
+    fn path_memo_is_keyed_by_host_and_client() {
+        // A cold near edge and a warm far one: first requests detour to the
+        // far site, later ones are retargeted to the near site.
+        let mut cfg = ScenarioConfig::default().with_seed(3);
+        cfg.sites = vec![
+            (
+                SiteSpec::pi("near", SimDuration::from_micros(300)),
+                ClusterKind::Docker,
+            ),
+            (
+                SiteSpec {
+                    latency: SimDuration::from_millis(8),
+                    ..SiteSpec::egs("far")
+                },
+                ClusterKind::Docker,
+            ),
+        ];
+        cfg.scheduler = SchedulerSpec::nearest_ready_first();
+        cfg.phase_setup = PhaseSetup::Running;
+        cfg.prewarm_sites = Some(vec![1]);
+        cfg.clients = 2;
+        let trace = generate_workload(&cfg);
+        let mut tb = Testbed::build(cfg, trace.service_addrs.to_vec());
+        // Client 1 gets a shorter access link than the topology's standard
+        // one, so its paths differ from client 0's toward every host.
+        let c3 = &mut tb.shard.c3;
+        c3.net.add_link(
+            c3.clients[1],
+            c3.switch,
+            SimDuration::from_micros(50),
+            10_000_000_000,
+        );
+        tb.model.host_trees = c3.host_trees();
+
+        tb.run_trace_inner(&trace);
+
+        let c3 = &tb.shard.c3;
+        let profile = ServiceProfile::of(tb.cfg.service);
+        let direct = |host: usize, client: usize| {
+            let tree = &tb.model.host_trees[host];
+            let node = c3.clients[client];
+            path_times(
+                TcpModel::new(
+                    tree.latency(node).unwrap() * 2,
+                    tree.bottleneck_bps(node).unwrap(),
+                ),
+                profile.request_bytes,
+                profile.response_bytes,
+            )
+        };
+        let memo = |host: usize, client: usize| tb.model.path_times[host * 2 + client];
+        let mut seen = Vec::new();
+        for host in [1, 2] {
+            for client in [0, 1] {
+                assert_eq!(
+                    memo(host, client),
+                    Some(direct(host, client)),
+                    "host {host} client {client}"
+                );
+                seen.push(direct(host, client));
+            }
+        }
+        seen.sort();
+        seen.dedup();
+        assert_eq!(
+            seen.len(),
+            4,
+            "four paths, four distinct pairs of constants"
+        );
+        // The warm far edge absorbed every detour: nothing went to the
+        // cloud, so its lane of the memo was never filled.
+        assert_eq!(memo(0, 0), None);
+        assert_eq!(memo(0, 1), None);
+    }
 }
