@@ -5,7 +5,8 @@
 //! 3. kubelet sync period & watch latency — what actually makes K8s slow,
 //! 4. FlowMemory idle timeout — scale-downs/redeploys vs kept-warm instances,
 //! 5. with-waiting vs without-waiting vs hybrid on the bigFlows trace
-//!    (also in `--bin hybrid`, repeated here for the side-by-side view).
+//!    (also in `all_experiments --only hybrid`, repeated here for the
+//!    side-by-side view).
 
 use bench::report::{fmt_ms, Table};
 use cluster::ClusterKind;

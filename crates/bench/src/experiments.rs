@@ -679,35 +679,65 @@ pub fn futurework_wasm(seeds: &[u64]) -> Experiment {
     }
 }
 
-/// All experiments in paper order plus the beyond-the-paper extensions (used
-/// by `all_experiments` and the EXPERIMENTS.md generator). `quick` trims
-/// seeds for CI-speed runs.
+/// The seed sets one `all_experiments` run replicates over.
+struct Seeds {
+    /// Per-deployment replicas (Fig. 11–16, §VIII).
+    replicas: Vec<u64>,
+    /// Whole-trace replays (§VII, §IV-A2, §VII-pred).
+    traces: Vec<u64>,
+}
+
+impl Seeds {
+    fn new(quick: bool) -> Seeds {
+        if quick {
+            Seeds {
+                replicas: (1..=7).collect(),
+                traces: (1..=3).collect(),
+            }
+        } else {
+            Seeds {
+                replicas: default_seeds(),
+                traces: (1..=9).collect(),
+            }
+        }
+    }
+}
+
+type Constructor = fn(&Seeds) -> Experiment;
+
+/// Every experiment — paper order, then the beyond-the-paper extensions —
+/// under the id `all_experiments --only` selects it by.
+const EXPERIMENTS: &[(&str, Constructor)] = &[
+    ("table1", |_| table1()),
+    ("fig09", |_| fig09(1)),
+    ("fig10", |_| fig10(1)),
+    ("fig11", |s| fig11(&s.replicas)),
+    ("fig12", |s| fig12(&s.replicas)),
+    ("fig13", |s| fig13(&s.replicas)),
+    ("fig14", |s| fig14(&s.replicas)),
+    ("fig15", |s| fig15(&s.replicas)),
+    ("fig16", |s| fig16(&s.replicas)),
+    ("hybrid", |s| hybrid(&s.traces)),
+    ("hierarchy", |s| hierarchy(&s.traces)),
+    ("proactive", |s| proactive(&s.traces)),
+    ("futurework_wasm", |s| futurework_wasm(&s.replicas)),
+];
+
+/// The ids [`only`] accepts, in report order.
+pub fn ids() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().map(|&(id, _)| id)
+}
+
+/// Build every experiment (`quick` trims the seed counts).
 pub fn all(quick: bool) -> Vec<Experiment> {
-    let seeds: Vec<u64> = if quick {
-        (1..=7).collect()
-    } else {
-        default_seeds()
-    };
-    let trace_seeds: Vec<u64> = if quick {
-        (1..=3).collect()
-    } else {
-        (1..=9).collect()
-    };
-    vec![
-        table1(),
-        fig09(1),
-        fig10(1),
-        fig11(&seeds),
-        fig12(&seeds),
-        fig13(&seeds),
-        fig14(&seeds),
-        fig15(&seeds),
-        fig16(&seeds),
-        hybrid(&trace_seeds),
-        hierarchy(&trace_seeds),
-        proactive(&trace_seeds),
-        futurework_wasm(&seeds),
-    ]
+    let seeds = Seeds::new(quick);
+    EXPERIMENTS.iter().map(|(_, build)| build(&seeds)).collect()
+}
+
+/// Build just the experiment `id` names; `None` if there is none.
+pub fn only(id: &str, quick: bool) -> Option<Experiment> {
+    let (_, build) = EXPERIMENTS.iter().find(|&&(known, _)| known == id)?;
+    Some(build(&Seeds::new(quick)))
 }
 
 #[cfg(test)]

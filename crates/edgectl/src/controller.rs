@@ -13,15 +13,14 @@
 //! event loop (the `testbed` crate) delivers them with the control-channel
 //! latency applied.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use cluster::{
     ClusterBackend, ClusterKind, ResourceAllocation, ResourceRequest, ServiceStatus, SiteCapacity,
 };
 use registry::RegistrySet;
-use simcore::{DetHashMap, SimDuration, SimTime};
+use simcore::{DeadlineIndex, DetHashMap, SimDuration, SimTime};
 use simnet::openflow::{Action, BufferId, FlowMatch, FlowSpec, PortId};
 use simnet::{IpAddr, Packet, SocketAddr};
 
@@ -60,8 +59,6 @@ pub struct ControllerConfig {
     /// services around forever (cheap: scaled-to-zero services only hold
     /// API objects / stopped containers).
     pub remove_after: Option<SimDuration>,
-    /// Priority of installed redirect flows.
-    pub flow_priority: u16,
     /// How many times to retry a failed deployment phase (transient cluster
     /// or registry errors) before falling back to the cloud.
     pub deploy_retries: u32,
@@ -83,7 +80,6 @@ impl Default for ControllerConfig {
             memory_idle_timeout: SimDuration::from_secs(60),
             scale_down_idle: true,
             remove_after: None,
-            flow_priority: 100,
             deploy_retries: 2,
             retry_backoff: SimDuration::from_millis(250),
             autoscale_flows_per_replica: None,
@@ -99,6 +95,10 @@ pub struct SwitchId(pub usize);
 
 /// The default single-switch setup's only switch.
 pub const INGRESS: SwitchId = SwitchId(0);
+
+/// Priority of installed redirect flows; host routes sit one below, so a
+/// redirect always wins over the plain route to the same client.
+const REDIRECT_PRIORITY: u16 = 100;
 
 /// A message from the controller to a switch, stamped with emission time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -396,29 +396,23 @@ impl PredictSchedule {
 /// retries — ordered by due instant so the wakeup surface reads the head
 /// instead of scanning. Due items come back in insertion order, the order
 /// the plain lists this replaces were processed in.
+#[derive(Default)]
 struct DueQueue {
-    /// `(due, insertion ordinal, item)`.
-    heap: BinaryHeap<Reverse<(SimTime, u64, InstanceKey)>>,
+    /// Keyed `(insertion ordinal, item)`. An item is never moved or removed
+    /// before it is due, so every record is the truth and nothing settles.
+    due: DeadlineIndex<(u64, InstanceKey)>,
     pushed: u64,
 }
 
 impl DueQueue {
-    fn new() -> DueQueue {
-        DueQueue {
-            heap: BinaryHeap::new(),
-            pushed: 0,
-        }
-    }
-
     fn push(&mut self, at: SimTime, cluster: ClusterId, service: ServiceId) {
-        self.heap
-            .push(Reverse((at, self.pushed, (cluster, service))));
+        self.due.file(at, (self.pushed, (cluster, service)));
         self.pushed += 1;
     }
 
     /// Earliest due instant.
     fn next_at(&self) -> Option<SimTime> {
-        self.heap.peek().map(|&Reverse((at, _, _))| at)
+        self.due.next()
     }
 
     fn is_due(&self, now: SimTime) -> bool {
@@ -429,37 +423,35 @@ impl DueQueue {
     /// order.
     fn take_due(&mut self, now: SimTime) -> impl Iterator<Item = (SimTime, ClusterId, ServiceId)> {
         let mut due = Vec::new();
-        while self.is_due(now) {
-            let Reverse(item) = self.heap.pop().expect("peeked a due item");
+        while let Some(item) = self.due.pop_due(now) {
             due.push(item);
         }
-        due.sort_unstable_by_key(|&(_, ordinal, _)| ordinal);
+        due.sort_unstable_by_key(|&(_, (ordinal, _))| ordinal);
         due.into_iter()
-            .map(|(at, _, (cluster, service))| (at, cluster, service))
+            .map(|(at, (_, (cluster, service)))| (at, cluster, service))
     }
 }
 
 /// Services scaled to zero, awaiting the Remove phase: when each was scaled
-/// down, by key, plus the same records in time order so the oldest is a peek.
+/// down, by key, plus the same instants in time order so the oldest is a peek.
 #[derive(Default)]
 struct ScaledToZero {
+    /// The truth `by_time` is settled against (see [`simcore::deadline`])
+    /// before every `&mut self` method returns.
     since: DetHashMap<InstanceKey, SimTime>,
-    /// Lazy-deletion companion of `since`. Invariant ("accurate top", as in
-    /// `FlowMemory`): after every `&mut self` method the top is an entry of
-    /// `since`, so [`ScaledToZero::oldest`] is the minimum over all of them.
-    by_time: BinaryHeap<Reverse<(SimTime, InstanceKey)>>,
+    by_time: DeadlineIndex<InstanceKey>,
 }
 
 impl ScaledToZero {
     /// When the longest-idle service was scaled down.
     fn oldest(&self) -> Option<SimTime> {
-        self.by_time.peek().map(|&Reverse((at, _))| at)
+        self.by_time.next()
     }
 
     fn insert(&mut self, key: InstanceKey, at: SimTime) {
         self.since.insert(key, at);
-        self.by_time.push(Reverse((at, key)));
-        self.normalize();
+        self.by_time.file(at, key);
+        self.settle();
     }
 
     /// Put back the entry a failed deployment displaced, unless the service
@@ -472,7 +464,7 @@ impl ScaledToZero {
 
     fn remove(&mut self, key: InstanceKey) -> Option<SimTime> {
         let at = self.since.remove(&key);
-        self.normalize();
+        self.settle();
         at
     }
 
@@ -482,26 +474,21 @@ impl ScaledToZero {
     /// on anything but the keys.
     fn take_idle(&mut self, now: SimTime, idle_for: SimDuration) -> Vec<InstanceKey> {
         let mut idle = Vec::new();
-        while let Some(&Reverse((at, key))) = self.by_time.peek() {
+        while let Some((at, key)) = self.by_time.peek() {
             if now.since(at) < idle_for {
                 break;
             }
-            self.by_time.pop();
+            self.by_time.pop_due(at);
             self.since.remove(&key);
             idle.push(key);
-            self.normalize();
+            self.settle();
         }
         idle.sort_unstable();
         idle
     }
 
-    fn normalize(&mut self) {
-        while let Some(&Reverse((at, key))) = self.by_time.peek() {
-            if self.since.get(&key) == Some(&at) {
-                break;
-            }
-            self.by_time.pop();
-        }
+    fn settle(&mut self) {
+        self.by_time.settle(|key| self.since.get(key).copied());
     }
 }
 
@@ -665,7 +652,7 @@ impl ControllerBuilder {
             engine,
             client_ports: DetHashMap::default(),
             views_scratch: Vec::new(),
-            retarget_queue: DueQueue::new(),
+            retarget_queue: DueQueue::default(),
             scaled_to_zero: ScaledToZero::default(),
             predictor: self.predictor,
             predict: None,
@@ -674,7 +661,7 @@ impl ControllerBuilder {
             gate: self.gate,
             emit_deltas: self.emit_deltas,
             status_deltas: Vec::new(),
-            scale_down_retries: DueQueue::new(),
+            scale_down_retries: DueQueue::default(),
             stats: ControllerStats::default(),
         }
     }
@@ -912,7 +899,7 @@ impl Controller {
     }
 
     /// [`Controller::on_packet_in_at`] appending into a caller-owned buffer —
-    /// the allocation-free form the testbed's batched event loop drives. The
+    /// the allocation-free form the testbed's event loop drives. The
     /// outputs appended are exactly (and in the same order as) what the
     /// `Vec`-returning wrapper would have returned.
     pub fn on_packet_in_at_into(
@@ -1915,7 +1902,6 @@ impl Controller {
             for key in moved {
                 if let Some((sw, client_port)) = self.client_ports.get(&key.client_ip).copied() {
                     let pair = flow_pair(
-                        self.config.flow_priority,
                         key,
                         target,
                         self.clusters[cluster.0].ports[sw.0],
@@ -2184,7 +2170,6 @@ impl Controller {
         self.memory
             .remember(at, key, service, target, Some(cluster));
         let pair = flow_pair(
-            self.config.flow_priority,
             key,
             target,
             self.clusters[cluster.0].ports[sw.0],
@@ -2240,7 +2225,7 @@ impl Controller {
                 at,
                 switch: SwitchId(s),
                 spec: FlowSpec::new(matcher)
-                    .priority(self.config.flow_priority - 1)
+                    .priority(REDIRECT_PRIORITY - 1)
                     .action(Action::Output(port))
                     .idle(self.config.switch_idle_timeout)
                     .cookie(HOST_ROUTE_COOKIE),
@@ -2275,7 +2260,7 @@ impl Controller {
             at,
             switch: sw,
             spec: FlowSpec::new(FlowMatch::client_to_service(packet.src.ip, packet.dst))
-                .priority(self.config.flow_priority)
+                .priority(REDIRECT_PRIORITY)
                 .action(Action::Output(self.cloud_ports[sw.0]))
                 .idle(self.config.switch_idle_timeout)
                 .cookie(cookie),
@@ -2291,7 +2276,7 @@ impl Controller {
             at,
             switch: sw,
             spec: FlowSpec::new(reverse_matcher)
-                .priority(self.config.flow_priority)
+                .priority(REDIRECT_PRIORITY)
                 .action(Action::Output(client_port))
                 .idle(self.config.switch_idle_timeout)
                 .cookie(cookie),
@@ -2310,7 +2295,6 @@ impl Controller {
 /// both directions). Returns bare [`FlowSpec`]s; the caller stamps them with
 /// the emission time and target switch.
 fn flow_pair(
-    priority: u16,
     key: FlowKey,
     target: SocketAddr,
     cluster_port: PortId,
@@ -2322,7 +2306,7 @@ fn flow_pair(
         key.client_ip,
         key.service_addr,
     ))
-    .priority(priority)
+    .priority(REDIRECT_PRIORITY)
     // Chained `.action()` stays in the ActionList's inline storage — no
     // heap allocation on the per-request install path.
     .action(Action::SetDstIp(target.ip))
@@ -2340,7 +2324,7 @@ fn flow_pair(
         ..FlowMatch::default()
     };
     let reverse = FlowSpec::new(reverse_matcher)
-        .priority(priority)
+        .priority(REDIRECT_PRIORITY)
         .action(Action::SetSrcIp(key.service_addr.ip))
         .action(Action::SetSrcPort(key.service_addr.port))
         .action(Action::Output(client_port))

@@ -28,16 +28,11 @@ fn brute_force_next_wakeup(c: &Controller) -> Option<SimTime> {
             pending.push(d.find(cluster, service).expect("in flight").next_step());
         }
     }
-    pending.extend(c.retarget_queue.heap.iter().map(|Reverse((at, _, _))| *at));
+    pending.extend(c.retarget_queue.due.records().map(|(at, _)| at));
     if c.config.scale_down_idle {
         let idle = c.memory.idle_timeout();
         pending.extend(c.memory.iter().map(|f| f.last_seen + idle));
-        pending.extend(
-            c.scale_down_retries
-                .heap
-                .iter()
-                .map(|Reverse((at, _, _))| *at),
-        );
+        pending.extend(c.scale_down_retries.due.records().map(|(at, _)| at));
     }
     if let Some(remove_after) = c.config.remove_after {
         // edgelint: allow(det-collections) — order-insensitive minimum
@@ -223,7 +218,7 @@ impl Driver {
                             self.now = self.now.max(at);
                             self.c.on_wakeup(self.now);
                             self.seen.wakeups += 1;
-                            self.seen.retries_queued += self.c.scale_down_retries.heap.len() as u64;
+                            self.seen.retries_queued += self.c.scale_down_retries.due.len() as u64;
                             self.check()?;
                         }
                         _ => break,

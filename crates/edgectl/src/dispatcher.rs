@@ -22,13 +22,11 @@
 //! land while a deployment is mid-flight and are observed by the next step,
 //! which can retry the phase or fail over to the cloud.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use cluster::{ClusterBackend, ClusterError, ServiceTemplate};
 use registry::RegistrySet;
-use simcore::{DetHashMap, SimDuration, SimTime};
+use simcore::{DeadlineIndex, DetHashMap, SimDuration, SimTime};
 use simnet::openflow::{BufferId, PortId};
 use simnet::Packet;
 
@@ -206,7 +204,7 @@ pub(crate) struct DeployMachine {
     pub phase: DeployPhase,
     /// Virtual instant the next step is issued at. Steps run when a wakeup
     /// reaches this instant, so phase issue times are wakeup-jitter free.
-    /// Private: the dispatcher's due heap is keyed on it, so while a machine
+    /// Private: the dispatcher's due index is keyed on it, so while a machine
     /// is in flight it changes only inside [`Dispatcher::rekey`].
     next_step: SimTime,
     /// Retry attempt within the current phase.
@@ -396,18 +394,17 @@ pub(crate) type InstanceKey = (ClusterId, ServiceId);
 /// successfully (for attributing `triggered_deployment` to requests).
 ///
 /// Nothing here scans the machines: they are indexed by key, counted per
-/// service, and ordered by due step in a lazy-deletion min-heap.
+/// service, and ordered by due step in a [`DeadlineIndex`].
 #[derive(Default)]
 pub(crate) struct Dispatcher {
     machines: DetHashMap<InstanceKey, DeployMachine>,
     /// In-flight machines per service, over all clusters.
     per_service: DetHashMap<ServiceId, u32>,
-    /// Due order: `(next_step, seq, key)`. Invariant ("accurate top", as in
-    /// `FlowMemory`): after every `&mut self` method the top names a machine
-    /// that is in flight with exactly that `next_step` and `seq`, so the
-    /// earliest step is a peek. Records of removed or re-keyed machines stay
-    /// behind until they surface.
-    due: BinaryHeap<Reverse<(SimTime, u64, InstanceKey)>>,
+    /// Due order, keyed `(seq, key)` so machines due at one instant step
+    /// oldest first; settled (see [`simcore::deadline`]) before every
+    /// `&mut self` method returns. The truth is the `next_step` of the
+    /// machine in flight under `key` with that `seq`, or gone.
+    due: DeadlineIndex<(u64, InstanceKey)>,
     next_seq: u64,
     /// Seqs of machines that reached `Ready`, ascending.
     completed: Vec<u64>,
@@ -489,8 +486,8 @@ impl Dispatcher {
         let displaced = self.machines.insert(key, machine);
         debug_assert!(displaced.is_none(), "one machine per (cluster, service)");
         *self.per_service.entry(service).or_insert(0) += 1;
-        // The old top is still live, so the invariant holds without a sweep.
-        self.due.push(Reverse((now, seq, key)));
+        // The old top still tells the truth, so there is nothing to settle.
+        self.due.file(now, (seq, key));
         self.machines.get_mut(&key).expect("just inserted")
     }
 
@@ -499,13 +496,13 @@ impl Dispatcher {
     pub fn due(&self, now: SimTime) -> Option<InstanceKey> {
         self.due
             .peek()
-            .filter(|Reverse((at, _, _))| *at <= now)
-            .map(|&Reverse((_, _, key))| key)
+            .filter(|&(at, _)| at <= now)
+            .map(|(_, (_, key))| key)
     }
 
     /// Earliest pending step across all machines.
     pub fn next_step_at(&self) -> Option<SimTime> {
-        self.due.peek().map(|&Reverse((at, _, _))| at)
+        self.due.next()
     }
 
     /// Issue the step machine `key` has due.
@@ -525,10 +522,8 @@ impl Dispatcher {
         let m = self.machines.get_mut(&key).expect("machine is in flight");
         let before = m.next_step;
         let result = write(m);
-        if m.next_step != before {
-            self.due.push(Reverse((m.next_step, m.seq, key)));
-            self.normalize_due();
-        }
+        self.due.moved((m.seq, key), before, m.next_step);
+        self.settle_due();
         result
     }
 
@@ -540,23 +535,17 @@ impl Dispatcher {
                 self.per_service.remove(&machine.service);
             }
         }
-        self.normalize_due();
+        self.settle_due();
         machine
     }
 
-    /// Restore the accurate-top invariant: pop records whose machine is gone
-    /// or has moved to another due instant.
-    fn normalize_due(&mut self) {
-        while let Some(&Reverse((at, seq, key))) = self.due.peek() {
-            let live = self
-                .machines
+    fn settle_due(&mut self) {
+        self.due.settle(|&(seq, key)| {
+            self.machines
                 .get(&key)
-                .is_some_and(|m| m.seq == seq && m.next_step == at);
-            if live {
-                break;
-            }
-            self.due.pop();
-        }
+                .filter(|m| m.seq == seq)
+                .map(|m| m.next_step)
+        });
     }
 
     pub fn record_completed(&mut self, seq: u64) {

@@ -13,8 +13,8 @@
 //! a `(service, cluster)` secondary index makes the scale-down queries
 //! (`flows_for_service`, `forget_service`, `services_with_flows`,
 //! `retarget_service`) proportional to the flows of the touched service, and
-//! a min-heap holding one expiry record per flow keeps `next_expiry` an O(1)
-//! peek without a push per `recall` (see DESIGN.md, "Flow pipeline
+//! a [`DeadlineIndex`] holding one expiry record per flow keeps `next_expiry`
+//! an O(1) peek without a push per `recall` (see DESIGN.md, "Flow pipeline
 //! complexity").
 //!
 //! Flows served by the real cloud carry `cluster: None` (no edge instance);
@@ -24,11 +24,7 @@
 //! dispatcher converts them with a real [`FlowMemory::remember`] when the
 //! redirect installs.
 
-use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
-
-use simcore::{DetHashMap, DetHashSet, SimDuration, SimTime};
+use simcore::{DeadlineIndex, DetHashMap, DetHashSet, SimDuration, SimTime};
 use simnet::{IpAddr, SocketAddr};
 
 use crate::catalog::ServiceId;
@@ -111,16 +107,10 @@ pub struct FlowMemory {
     /// (`services_with_flows`, `retarget_service`) sort before exposure.
     /// Keys are copyable pairs, so probing the index never allocates.
     by_service: DetHashMap<(ServiceId, Option<ClusterId>), DetHashSet<FlowKey>>,
-    /// Expiry schedule of `(deadline, key)` records, one per flow. After
-    /// every `&mut self` method, *covered:* each flow has a record at or
-    /// before its `last_seen + idle_timeout` — pushed when it is first
-    /// remembered; a later touch leaves the record alone and only a touch at
-    /// an earlier instant (PDES re-stamping) pushes another — and *accurate
-    /// top:* the heap top's flow exists and expires at exactly that instant,
-    /// so [`FlowMemory::next_expiry`] is a plain peek and equals the minimum
-    /// deadline. `normalize_expiry` re-keys a touched flow's record, and pops
-    /// a forgotten flow's, when it surfaces.
-    expiry: BinaryHeap<Reverse<(SimTime, FlowKey)>>,
+    /// Expiry schedule of every flow, settled (see [`simcore::deadline`])
+    /// before every `&mut self` method returns. The truth is the flow's
+    /// `last_seen + idle_timeout`, or gone once it left `flows`.
+    expiry: DeadlineIndex<FlowKey>,
     /// Idle timeout of *memorized* flows — longer than the switch's.
     idle_timeout: SimDuration,
 }
@@ -133,7 +123,7 @@ impl FlowMemory {
         Ok(FlowMemory {
             flows: DetHashMap::default(),
             by_service: DetHashMap::default(),
-            expiry: BinaryHeap::new(),
+            expiry: DeadlineIndex::default(),
             idle_timeout,
         })
     }
@@ -188,10 +178,10 @@ impl FlowMemory {
                         pending: false,
                     },
                 );
-                self.expiry.push(Reverse((now + self.idle_timeout, key)));
+                self.expiry.file(now + self.idle_timeout, key);
             }
         }
-        self.normalize_expiry();
+        self.settle_expiry();
     }
 
     /// Insert (or refresh) a pending placeholder for a request held on an
@@ -234,10 +224,10 @@ impl FlowMemory {
                         pending: true,
                     },
                 );
-                self.expiry.push(Reverse((now + self.idle_timeout, key)));
+                self.expiry.file(now + self.idle_timeout, key);
             }
         }
-        self.normalize_expiry();
+        self.settle_expiry();
     }
 
     /// Look up a live memorized flow, refreshing its idle timer. Expired
@@ -248,27 +238,23 @@ impl FlowMemory {
         let f = self.flows.get_mut(&key).filter(|f| !f.pending)?;
         if now.since(f.last_seen) >= self.idle_timeout {
             self.detach(key);
-            self.normalize_expiry();
+            self.settle_expiry();
             return None;
         }
         Self::touch(&mut self.expiry, self.idle_timeout, f, now);
-        self.normalize_expiry();
+        self.settle_expiry();
         self.flows.get(&key)
     }
 
-    /// Stamp `flow` as seen at `now`. A touch at or after the previous one
-    /// only moves the deadline later, which the flow's record already covers;
-    /// a touch at an earlier instant pulls the deadline in and needs a record
-    /// there for the top to stay the minimum.
+    /// Stamp `flow` as seen at `now`; only a touch at an earlier instant
+    /// (PDES re-stamping) pulls the deadline in and files a record.
     fn touch(
-        expiry: &mut BinaryHeap<Reverse<(SimTime, FlowKey)>>,
+        expiry: &mut DeadlineIndex<FlowKey>,
         idle_timeout: SimDuration,
         flow: &mut MemorizedFlow,
         now: SimTime,
     ) {
-        if now < flow.last_seen {
-            expiry.push(Reverse((now + idle_timeout, flow.key)));
-        }
+        expiry.moved(flow.key, flow.last_seen + idle_timeout, now + idle_timeout);
         flow.last_seen = now;
     }
 
@@ -291,7 +277,7 @@ impl FlowMemory {
     /// Drop a specific flow (e.g. its target instance was removed).
     pub fn forget(&mut self, key: FlowKey) -> Option<MemorizedFlow> {
         let removed = self.detach(key);
-        self.normalize_expiry();
+        self.settle_expiry();
         removed
     }
 
@@ -306,7 +292,7 @@ impl FlowMemory {
         for key in keys {
             self.flows.remove(&key);
         }
-        self.normalize_expiry();
+        self.settle_expiry();
         count
     }
 
@@ -352,28 +338,21 @@ impl FlowMemory {
     }
 
     /// Evict idle entries; returns them (the controller's scale-down input)
-    /// sorted by key. O(evicted · log memory) thanks to the expiry heap.
+    /// sorted by key. O(evicted · log memory) thanks to the expiry index.
     pub fn expire(&mut self, now: SimTime) -> Vec<MemorizedFlow> {
         let mut expired = Vec::new();
-        loop {
-            // The top is accurate, so `> now` means nothing else is due.
-            match self.expiry.peek() {
-                Some(&Reverse((deadline, key))) if deadline <= now => {
-                    self.expiry.pop();
-                    expired.push(self.detach(key).expect("accurate top pointed at live flow"));
-                    self.normalize_expiry();
-                }
-                _ => break,
-            }
+        while let Some((_, key)) = self.expiry.pop_due(now) {
+            expired.push(self.detach(key).expect("settled top names a live flow"));
+            self.settle_expiry();
         }
         expired.sort_by_key(|f| f.key);
         expired
     }
 
-    /// Earliest instant any entry could expire. O(1): the heap top is kept
-    /// accurate by every mutation.
+    /// Earliest instant any entry could expire. O(1): every mutation
+    /// settles the index.
     pub fn next_expiry(&self) -> Option<SimTime> {
-        self.expiry.peek().map(|&Reverse((deadline, _))| deadline)
+        self.expiry.next()
     }
 
     /// How many expiry records the memory holds: one per flow, plus at most
@@ -416,7 +395,7 @@ impl FlowMemory {
     }
 
     /// Remove a flow from the primary map and the service index (the expiry
-    /// heap keeps its record until it surfaces).
+    /// index keeps its record until it surfaces).
     fn detach(&mut self, key: FlowKey) -> Option<MemorizedFlow> {
         let flow = self.flows.remove(&key)?;
         Self::index_remove(&mut self.by_service, (flow.service, flow.cluster), key);
@@ -436,27 +415,10 @@ impl FlowMemory {
         }
     }
 
-    /// Restore the accurate-top invariant: pop a top record whose flow is
-    /// gone, and re-key one whose flow has been touched since to the flow's
-    /// current deadline.
-    fn normalize_expiry(&mut self) {
-        while let Some(mut top) = self.expiry.peek_mut() {
-            let Reverse((deadline, key)) = *top;
-            match self
-                .flows
-                .get(&key)
-                .map(|f| f.last_seen + self.idle_timeout)
-            {
-                Some(d) if d == deadline => break,
-                // Touched since: the record sifts down to `d` when `top`
-                // drops. (`d` is later — a touch that pulled the deadline in
-                // pushed a record there, which sorts above this one.)
-                Some(d) => *top = Reverse((d, key)),
-                None => {
-                    PeekMut::pop(top);
-                }
-            }
-        }
+    /// Settle the expiry index against `flows`.
+    fn settle_expiry(&mut self) {
+        self.expiry
+            .settle(|key| self.flows.get(key).map(|f| f.last_seen + self.idle_timeout));
     }
 }
 
@@ -839,7 +801,7 @@ mod tests {
         m.remember(t(5000), key(1, 1), ServiceId(0), target(8000), None);
         m.remember(t(6000), key(2, 1), ServiceId(0), target(8000), None);
         m.flows.get_mut(&key(2, 1)).unwrap().last_seen = t(1000);
-        m.normalize_expiry();
+        m.settle_expiry();
         assert_eq!(brute_force_next_expiry(&m), Some(t(61_000)));
         assert_eq!(m.next_expiry(), Some(t(65_000)), "the late answer");
 

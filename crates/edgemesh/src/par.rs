@@ -537,12 +537,6 @@ pub struct TestHooks {
     /// the blackholed sessions — proof the analysis is live, not vacuously
     /// green.
     pub blackhole_victim: Option<usize>,
-    /// `IngressShard::debug_unbatched` on every shard: the reference
-    /// schedule of `tests/batching_equivalence.rs`.
-    pub unbatched: bool,
-    /// `IngressShard::debug_reverse_batches` on every shard: the mutation
-    /// that must change the trace.
-    pub reverse_batches: bool,
 }
 
 /// Build shard `shard`'s full state. Runs *on the worker thread that owns
@@ -604,8 +598,6 @@ fn build_shard(shard: usize, cfg: &ScenarioConfig, trace: &Trace, hooks: TestHoo
     );
     let switch = bringup::seeded_switch(cfg, &c3);
     let mut core = IngressShard::new(c3, switch, controller, trace.service_addrs.clone());
-    core.debug_unbatched = hooks.unbatched;
-    core.debug_reverse_batches = hooks.reverse_batches;
 
     let offset = (setup_end - SimTime::ZERO) + SimDuration::from_secs(5);
     let tags: Vec<u64> = trace

@@ -265,24 +265,6 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// Pop the earliest live event only if `pred(time, &event)` accepts it.
-    ///
-    /// This is the batch-drain primitive: a caller can peel a maximal run of
-    /// same-timestamp events of one kind off the head of the queue without
-    /// popping (and having to re-push, perturbing seq order) the first event
-    /// that does not belong to the batch.
-    pub fn pop_if(&mut self, pred: impl FnOnce(SimTime, &E) -> bool) -> Option<(SimTime, E)> {
-        if self.min == NIL {
-            return None;
-        }
-        let node = &self.nodes[self.min as usize];
-        let event = node.event.as_ref().expect("minimum node is live");
-        if !pred(node.time, event) {
-            return None;
-        }
-        self.pop()
-    }
-
     /// Pre-size the node slab for `additional` more live events, avoiding
     /// incremental slab growth on the hot path.
     pub fn reserve(&mut self, additional: usize) {

@@ -55,7 +55,8 @@ impl ShardActor for CounterShard {
         }
         let mut sum = 0;
         let mut executed = 0;
-        while let Some((_, payload)) = self.queue.pop_if(|t, _| t < cmd.end) {
+        while self.queue.peek_time().is_some_and(|t| t < cmd.end) {
+            let (_, payload) = self.queue.pop().expect("peeked a non-empty queue");
             sum += payload;
             executed += 1;
             self.log.borrow_mut().push(payload);

@@ -25,22 +25,19 @@
 //!   list that is scanned only until it can no longer beat the best hash hit,
 //! * a `FlowId → slot` map and a cookie index make `get`, `delete_by_cookie`
 //!   and strict deletes O(1)/O(matches) instead of O(table),
-//! * expiry runs off a min-heap holding one `(deadline, id, slot)` record per
-//!   entry: a hit only stamps `last_used`, and a record whose entry has since
-//!   been touched is re-keyed when it surfaces. The top is kept accurate
-//!   after every mutation, so `next_expiry` is an O(1) peek and an eviction
-//!   sweep is O(evicted · log table) however many hits came before it.
+//! * expiry runs off a [`DeadlineIndex`] holding one `(id, slot)` record per
+//!   entry: a hit only stamps `last_used`, `next_expiry` is an O(1) peek and
+//!   an eviction sweep is O(evicted · log table) however many hits came
+//!   before it.
 //!
 //! The observable semantics are unchanged: OpenFlow priority order with
 //! stable insertion order inside a priority level, `OFPFC_ADD` replace
 //! semantics, and `FlowRemoved` notifications in table order.
 
 use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 
-use simcore::{DetHashMap, SimDuration, SimTime};
+use simcore::{DeadlineIndex, DetHashMap, SimDuration, SimTime};
 
 use crate::addr::{IpAddr, SocketAddr};
 use crate::packet::{Packet, Protocol};
@@ -753,18 +750,12 @@ pub struct FlowTable {
     /// detach-side bucket removal O(1) `swap_remove` instead of an O(bucket)
     /// scan (hot: every expiry sweeps through here).
     cookie_pos: Vec<usize>,
-    /// Expiry schedule of `(deadline, id, slot)` records, one per entry that
-    /// has a timeout. Two invariants hold after every `&mut self` method
-    /// returns. *Covered:* every such entry has a record at or before its
-    /// current deadline — pushed at install; a hit moves the deadline later
-    /// and leaves the record alone, and only a touch at an earlier instant
-    /// pushes a second one. *Accurate top:* the heap top — if any — names a
-    /// live entry (slot occupied by that `id`) that expires at exactly that
-    /// instant, so [`FlowTable::next_expiry`] is a plain peek and equals the
-    /// minimum deadline. Records below the top may be early or (one per
-    /// removed entry) dead; `normalize_expiry` re-keys or pops them when
-    /// they surface.
-    expiry: BinaryHeap<Reverse<(SimTime, FlowId, usize)>>,
+    /// Expiry schedule, keyed `(id, slot)`, of every entry that has a
+    /// timeout; settled (see [`simcore::deadline`]) before every `&mut self`
+    /// method returns. The truth is [`FlowEntry::deadline`] of the entry in
+    /// `slot`, or gone once the slot is empty or holds a later `id` — so
+    /// settling touches no `by_id`.
+    expiry: DeadlineIndex<(FlowId, usize)>,
     next_id: u64,
     len: usize,
 }
@@ -853,10 +844,10 @@ impl FlowTable {
         }
 
         if let Some(d) = deadline {
-            self.expiry.push(Reverse((d, id, slot)));
+            self.expiry.file(d, (id, slot));
         }
         self.len += 1;
-        self.normalize_expiry();
+        self.settle_expiry();
         id
     }
 
@@ -946,19 +937,15 @@ impl FlowTable {
     pub fn lookup(&mut self, now: SimTime, p: &Packet) -> Option<&FlowEntry> {
         let slot = self.find_slot(p)?;
         let e = self.slots[slot].as_mut().expect("indexed slot occupied");
-        // A touch at or after the previous one can only move the deadline
-        // later, which the entry's record already covers. Only a touch at an
-        // earlier instant can pull the deadline in, and then the entry needs
-        // a record there for the top to stay the minimum.
-        let earlier = now < e.last_used;
+        // Only a touch at an earlier instant pulls the deadline in; `moved`
+        // files a record then and is a comparison otherwise.
+        let before = e.deadline();
         e.last_used = now;
         e.packets += 1;
-        if earlier {
-            if let Some(d) = e.deadline() {
-                self.expiry.push(Reverse((d, e.id, slot)));
-            }
+        if let (Some(from), Some(to)) = (before, e.deadline()) {
+            self.expiry.moved((e.id, slot), from, to);
         }
-        self.normalize_expiry();
+        self.settle_expiry();
         self.slots[slot].as_ref()
     }
 
@@ -1023,7 +1010,7 @@ impl FlowTable {
                 at: now,
             })
             .collect();
-        self.normalize_expiry();
+        self.settle_expiry();
         removed
     }
 
@@ -1032,28 +1019,21 @@ impl FlowTable {
     /// preference to idle ones, exactly like the scan-based implementation.
     pub fn expire(&mut self, now: SimTime) -> Vec<FlowRemoved> {
         let mut removed: Vec<FlowRemoved> = Vec::new();
-        loop {
-            // The top is accurate, so `> now` means nothing else is due.
-            match self.expiry.peek() {
-                Some(&Reverse((deadline, _, slot))) if deadline <= now => {
-                    self.expiry.pop();
-                    let entry = self.detach(slot);
-                    let hard_elapsed = entry
-                        .hard_timeout
-                        .is_some_and(|h| now.since(entry.installed_at) >= h);
-                    removed.push(FlowRemoved {
-                        entry,
-                        reason: if hard_elapsed {
-                            RemovalReason::HardTimeout
-                        } else {
-                            RemovalReason::IdleTimeout
-                        },
-                        at: now,
-                    });
-                    self.normalize_expiry();
-                }
-                _ => break,
-            }
+        while let Some((_, (_, slot))) = self.expiry.pop_due(now) {
+            let entry = self.detach(slot);
+            let hard_elapsed = entry
+                .hard_timeout
+                .is_some_and(|h| now.since(entry.installed_at) >= h);
+            removed.push(FlowRemoved {
+                entry,
+                reason: if hard_elapsed {
+                    RemovalReason::HardTimeout
+                } else {
+                    RemovalReason::IdleTimeout
+                },
+                at: now,
+            });
+            self.settle_expiry();
         }
         removed.sort_by_key(|r| r.entry.rank());
         removed
@@ -1065,23 +1045,17 @@ impl FlowTable {
     /// no-`Vec`, no-sort variant; the eviction *order* is unobservable here
     /// because nothing is reported.
     pub fn expire_discard(&mut self, now: SimTime) {
-        while let Some(&Reverse((deadline, _, slot))) = self.expiry.peek() {
-            if deadline > now {
-                break;
-            }
-            self.expiry.pop();
+        while let Some((_, (_, slot))) = self.expiry.pop_due(now) {
             self.detach(slot);
-            self.normalize_expiry();
+            self.settle_expiry();
         }
     }
 
     /// The earliest instant at which some entry could expire — the testbed
-    /// schedules its next eviction sweep there. O(1): the heap top is kept
-    /// accurate by every mutation.
+    /// schedules its next eviction sweep there. O(1): every mutation
+    /// settles the index.
     pub fn next_expiry(&self) -> Option<SimTime> {
-        self.expiry
-            .peek()
-            .map(|&Reverse((deadline, _, _))| deadline)
+        self.expiry.next()
     }
 
     /// How many expiry records the table holds: one per entry with a timeout,
@@ -1119,7 +1093,7 @@ impl FlowTable {
     }
 
     /// Unlink an entry from every index and free its slot. Its expiry record
-    /// is left behind for `normalize_expiry` to reap.
+    /// is left behind for `settle_expiry` to reap.
     fn detach(&mut self, slot: usize) -> FlowEntry {
         let entry = self.slots[slot].take().expect("detach of empty slot");
         self.by_id.remove(&entry.id);
@@ -1163,27 +1137,14 @@ impl FlowTable {
         entry
     }
 
-    /// Restore the accurate-top invariant: pop a top record whose entry is
-    /// gone (the slot is empty or holds a later id), and re-key one whose
-    /// entry has been touched since to the entry's current deadline.
-    fn normalize_expiry(&mut self) {
-        while let Some(mut top) = self.expiry.peek_mut() {
-            let Reverse((deadline, id, slot)) = *top;
-            let current = self.slots[slot]
+    /// Settle the expiry index against the slab.
+    fn settle_expiry(&mut self) {
+        self.expiry.settle(|&(id, slot)| {
+            self.slots[slot]
                 .as_ref()
                 .filter(|e| e.id == id)
-                .and_then(FlowEntry::deadline);
-            match current {
-                Some(d) if d == deadline => break,
-                // Touched since: the record sifts down to `d` when `top`
-                // drops. (`d` is later — a touch that pulled the deadline in
-                // pushed a record there, which sorts above this one.)
-                Some(d) => *top = Reverse((d, id, slot)),
-                None => {
-                    PeekMut::pop(top);
-                }
-            }
-        }
+                .and_then(FlowEntry::deadline)
+        });
     }
 }
 
@@ -2103,7 +2064,7 @@ mod tests {
         );
         let slot = table.find_slot(&service_packet()).unwrap();
         table.slots[slot].as_mut().unwrap().last_used = t(500);
-        table.normalize_expiry();
+        table.settle_expiry();
         assert_eq!(brute_force_next_expiry(&table), Some(t(800)));
         assert_eq!(table.next_expiry(), Some(t(1100)), "the late answer");
 

@@ -16,8 +16,9 @@
 //! what a one-event-per-iteration loop over an eagerly filled queue would:
 //! a lazily fed SYN is one executed event and obeys `t < end` like a queued
 //! one, [`IngressShard::next_time`] covers the next arrival, and every
-//! PacketIn drained in a batch is one event followed by its own wakeup
-//! re-arm (DESIGN.md §5i).
+//! executed event — PacketIns queued at one instant included, which run in
+//! push order, one loop iteration each (`tests/same_instant.rs`) — is
+//! followed by its own wakeup re-arm (DESIGN.md §5i).
 
 use edgectl::controller::INGRESS;
 use edgectl::{Controller, ControllerOutput};
@@ -118,15 +119,6 @@ pub struct IngressShard<X> {
     outputs_scratch: Vec<ControllerOutput>,
     lost: u64,
     lost_idx: Vec<u32>,
-    /// Test-only: disable the same-instant PacketIn batch drain and process
-    /// one event per loop iteration — the reference schedule the batched
-    /// path must match byte-for-byte (`tests/batching_equivalence.rs`).
-    #[doc(hidden)]
-    pub debug_unbatched: bool,
-    /// Test-only mutation: process each same-instant PacketIn batch in
-    /// reverse order. Exists to prove the equivalence property can fail.
-    #[doc(hidden)]
-    pub debug_reverse_batches: bool,
 }
 
 impl<X> IngressShard<X> {
@@ -155,8 +147,6 @@ impl<X> IngressShard<X> {
             outputs_scratch: Vec::new(),
             lost: 0,
             lost_idx: Vec::new(),
-            debug_unbatched: false,
-            debug_reverse_batches: false,
         }
     }
 
@@ -341,7 +331,7 @@ impl<X> IngressShard<X> {
                 let (now, ev) = self.events.pop().expect("peeked a non-empty queue");
                 self.sweep(now);
                 match ev {
-                    Ev::PacketIn(first) => self.on_packet_in_batch(now, first, engine),
+                    Ev::PacketIn(packet_in) => self.on_packet_in(now, packet_in),
                     Ev::Apply(output) => self.apply(now, output, engine),
                     Ev::Wakeup => self.on_wakeup(now),
                     Ev::Handover { client } => {
@@ -360,8 +350,8 @@ impl<X> IngressShard<X> {
     }
 
     /// The lazy data-plane timeout sweep, skipped entirely while the switch
-    /// reports nothing due — its expiry heap keeps an accurate top, so the
-    /// check is an O(1) peek.
+    /// reports nothing due — its expiry index is settled after every
+    /// mutation, so the check is an O(1) peek.
     fn sweep(&mut self, now: SimTime) {
         if self.switch.next_expiry().is_some_and(|t| t <= now) {
             self.switch.sweep_discard(now);
@@ -415,52 +405,6 @@ impl<X> IngressShard<X> {
             out_port,
         };
         engine.released(self, now, request);
-    }
-
-    /// Handle a PacketIn, then drain every further PacketIn queued at the
-    /// same instant — a *maximal same-time run*: the drain stops at the
-    /// first event of any other kind, so interleavings with same-instant
-    /// wakeups or crash ticks are preserved. Each drained PacketIn is a full
-    /// event (counted, engine epilogue, wakeup re-arm); only the sweep check
-    /// and the feed/queue selection are amortized. Equivalence with the
-    /// one-event-per-iteration schedule is enforced by
-    /// `tests/batching_equivalence.rs`.
-    fn on_packet_in_batch<E: Engine<X>>(&mut self, now: SimTime, first: PacketIn, engine: &mut E) {
-        // The mutation hook drains the whole run up front and pops it back
-        // last-in first-out.
-        let mut reversed = Vec::new();
-        let mut next = Some(first);
-        if self.debug_reverse_batches {
-            while let Some(packet_in) = next {
-                reversed.push(packet_in);
-                next = self.next_in_batch(now);
-            }
-            next = reversed.pop();
-        }
-        let mut epilogue_due = false;
-        while let Some(packet_in) = next {
-            if epilogue_due {
-                self.after_event(now, engine);
-                self.executed += 1;
-            }
-            epilogue_due = true;
-            self.on_packet_in(now, packet_in);
-            next = reversed.pop().or_else(|| self.next_in_batch(now));
-        }
-    }
-
-    fn next_in_batch(&mut self, now: SimTime) -> Option<PacketIn> {
-        if self.debug_unbatched {
-            return None;
-        }
-        match self
-            .events
-            .pop_if(|t, ev| t == now && matches!(ev, Ev::PacketIn(_)))
-        {
-            Some((_, Ev::PacketIn(next))) => Some(next),
-            Some(_) => unreachable!("pop_if predicate admitted only PacketIns"),
-            None => None,
-        }
     }
 
     fn on_packet_in(&mut self, now: SimTime, (packet, buffer_id, in_port): PacketIn) {

@@ -343,14 +343,6 @@ impl Testbed {
         }
     }
 
-    /// Test-only: select the PacketIn schedule of the ingress core (see
-    /// `IngressShard::debug_unbatched` / `debug_reverse_batches`).
-    #[doc(hidden)]
-    pub fn debug_schedule(&mut self, unbatched: bool, reverse_batches: bool) {
-        self.shard.debug_unbatched = unbatched;
-        self.shard.debug_reverse_batches = reverse_batches;
-    }
-
     /// The controller, for inspection in tests.
     #[doc(hidden)]
     pub fn controller(&self) -> &edgectl::Controller {

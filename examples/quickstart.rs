@@ -57,6 +57,6 @@ fn main() {
     println!();
     println!(
         "With the image cached, the same service starts in well under a second on \
-         Docker — run `cargo run -p bench --bin fig11` to sweep all four paper services."
+         Docker — run `cargo run -p bench --bin all_experiments -- --only fig11` to sweep all four paper services."
     );
 }

@@ -532,6 +532,12 @@ fn cmd_fabric(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    if cfg.switches < 2 {
+        return Err(format!(
+            "--switches {}: a fabric needs at least 2 switches",
+            cfg.switches
+        ));
+    }
     let r = testbed::run_mobility(cfg);
     println!(
         "fabric run: {} requests ({} lost), deployments per site {:?}",

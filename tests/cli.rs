@@ -129,6 +129,20 @@ fn fabric_command_runs() {
 }
 
 #[test]
+fn fabric_rejects_fewer_than_two_switches() {
+    for switches in ["0", "1"] {
+        let out = edgesim()
+            .args(["fabric", "--switches", switches])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert!(err.contains("at least 2 switches"), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}
+
+#[test]
 fn first_request_breakdown() {
     let scenario = write_temp("s3.yaml", "seed: 4\nphase: cold\n");
     let out = edgesim()
