@@ -5,6 +5,11 @@
 //! table hit followed by one `FlowModel` release. The expiry schedules hold
 //! one record per flow whatever came before, so the rows should be flat in
 //! the number of prior hits.
+//!
+//! `flowmemory_remember_new` is the other side of FlowMemory: the path a
+//! request takes when its pair was never seen (99 % of a `city_*` trace) —
+//! one fresh flow remembered into a memory already holding the paper's
+//! 1 680 or the 1000× tier's 1.64 M.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use edgectl::{ClusterId, FlowKey, FlowMemory, ServiceId};
@@ -111,6 +116,43 @@ fn bench_memory_recall(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_memory_remember_new(c: &mut Criterion) {
+    let mut group = c.benchmark_group("flow_hit_path/flowmemory_remember_new");
+    for (resident, services) in [(1_680usize, 42usize), (1_640_000, 42_000)] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(resident),
+            &resident,
+            |b, &resident| {
+                let wide = |n: usize| FlowKey {
+                    client_ip: IpAddr(0x0a00_0000 + n as u32),
+                    service_addr: SocketAddr::new(IpAddr(0x5db8_0000 + (n % services) as u32), 80),
+                };
+                let at = |n: usize| SimTime::ZERO + SimDuration::from_micros(n as u64);
+                let target = SocketAddr::new(IpAddr::new(10, 0, 0, 100), 8000);
+                let mut memory = FlowMemory::new(SimDuration::from_secs(60)).expect("non-zero");
+                let remember = |memory: &mut FlowMemory, n: usize| {
+                    let service = ServiceId((n % services) as u32);
+                    memory.remember(at(n), wide(n), service, target, Some(ClusterId(0)));
+                };
+                for n in 0..resident {
+                    remember(&mut memory, n);
+                }
+                // Each fresh flow is paid for by forgetting the oldest, so
+                // the memory stays at `resident` however long the timer
+                // runs; the reading is one insert plus one forget.
+                let mut n = resident;
+                b.iter(|| {
+                    remember(&mut memory, n);
+                    let evicted = memory.forget(wide(n - resident)).is_some();
+                    n += 1;
+                    std::hint::black_box(evicted)
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_reuse_trace(c: &mut Criterion) {
     // The paper's 42 services and 20 clients with 100× the requests: 840
     // pairs, so all but the first request of each pair is a table hit.
@@ -142,6 +184,7 @@ criterion_group!(
     benches,
     bench_switch_hit,
     bench_memory_recall,
+    bench_memory_remember_new,
     bench_reuse_trace
 );
 criterion_main!(benches);

@@ -4,11 +4,14 @@
 //! Replays the paper's bigFlows workload at {1×, 10×, 100×, 1000×} the
 //! paper's scale (clients, services and requests all multiplied; marginals
 //! at 1× are exactly the paper's trace) through the full testbed and
-//! records, per scale: wall-clock, events/sec, peak future-event-list depth
-//! and heap allocations per request (from simcore's workspace-wide counting
-//! allocator, feature `counting-alloc`). The 1× run also emits the
-//! canonical metrics hash, which CI pins against drift (see
-//! `tests/experiments_regression.rs` for the same constant).
+//! records, per scale: wall-clock, events/sec, peak future-event-list depth,
+//! heap allocations per request and the peak of live heap bytes (both from
+//! simcore's workspace-wide counting allocator, feature `counting-alloc`;
+//! the peak covers the tier's whole process — trace, testbed and result —
+//! and, counting requested bytes, repeats exactly for a seed where RSS does
+//! not). The 1× run also emits the canonical metrics hash, which CI pins
+//! against drift (see `tests/experiments_regression.rs` for the same
+//! constant).
 //!
 //! Usage:
 //!   cityscale [--quick] [--scales 1,10,100,1000] [--out BENCH_cityscale.json]
@@ -48,6 +51,9 @@ struct ScaleResult {
     wall_s: f64,
     events_per_sec: f64,
     allocs_per_request: f64,
+    /// High-water mark of live heap bytes since process start, in MiB: this
+    /// tier's own when it runs in its own child process (the default).
+    peak_live_mib: f64,
     completed: usize,
     lost: u64,
     removes: u64,
@@ -99,6 +105,7 @@ fn run_scale(scale: usize, profile_allocs: bool) -> ScaleResult {
         wall_s,
         events_per_sec: result.events_scheduled as f64 / wall_s.max(1e-9),
         allocs_per_request: allocs as f64 / trace.requests.len() as f64,
+        peak_live_mib: alloc_count::peak_bytes() as f64 / (1u64 << 20) as f64,
         completed: result.records.len(),
         lost: result.lost,
         removes: result.removes,
@@ -116,7 +123,8 @@ fn row_json(r: &ScaleResult) -> String {
         "{{\"scale\": {}, \"requests\": {}, \"services\": {}, \"clients\": {}, \
          \"events_scheduled\": {}, \"peak_queue_depth\": {}, \"wall_s\": {:.6}, \
          \"events_per_sec\": {:.1}, \"allocs_per_request\": {:.1}, \
-         \"completed\": {}, \"lost\": {}, \"removes\": {}, \"metrics_hash\": \"{:#018x}\"",
+         \"peak_live_mib\": {:.1}, \"completed\": {}, \"lost\": {}, \"removes\": {}, \
+         \"metrics_hash\": \"{:#018x}\"",
         r.scale,
         r.requests,
         r.services,
@@ -126,6 +134,7 @@ fn row_json(r: &ScaleResult) -> String {
         r.wall_s,
         r.events_per_sec,
         r.allocs_per_request,
+        r.peak_live_mib,
         r.completed,
         r.lost,
         r.removes,
@@ -312,7 +321,7 @@ fn main() {
 fn report(r: &ScaleResult) {
     eprintln!(
         "cityscale: {:>4}x  {:>9} req  {:>10} events  {:>8.3} s  {:>12.0} ev/s  \
-         peak {:>8}  {:>6.1} allocs/req  hash {:#018x}",
+         peak {:>8}  {:>6.1} allocs/req  {:>7.1} MiB live  hash {:#018x}",
         r.scale,
         r.requests,
         r.events_scheduled,
@@ -320,6 +329,7 @@ fn report(r: &ScaleResult) {
         r.events_per_sec,
         r.peak_queue_depth,
         r.allocs_per_request,
+        r.peak_live_mib,
         r.metrics_hash,
     );
     if let Some(p) = &r.phases {

@@ -8,14 +8,43 @@
 //! Apart from removing stale flows, these timeouts serve a second purpose:
 //! Our controller may automatically scale down idle edge service instances."
 //!
-//! Like the switch flow table, FlowMemory is indexed so the controller's
-//! per-tick work no longer scales with the number of memorized flows:
-//! a `(service, cluster)` secondary index makes the scale-down queries
-//! (`flows_for_service`, `forget_service`, `services_with_flows`,
-//! `retarget_service`) proportional to the flows of the touched service, and
-//! a [`DeadlineIndex`] holding one expiry record per flow keeps `next_expiry`
-//! an O(1) peek without a push per `recall` (see DESIGN.md, "Flow pipeline
-//! complexity").
+//! FlowMemory is the one controller structure that grows with every client ×
+//! service pair, so it is built to cost little per flow and nothing per
+//! *past* flow (DESIGN.md §5b):
+//!
+//! * **One slab of 48-byte records.** Every flow is a `Slot` — key,
+//!   service, target, cluster packed to `u32`, `last_seen`, two chain links
+//!   and a tag word — addressed by a `u32` handle. `index` maps a
+//!   [`FlowKey`] to its handle and is the only place a key is stored twice.
+//!   The slab grows one page of `PAGE_SLOTS` slots (192 KiB) at a time and
+//!   never moves a record: a doubling `Vec` would copy the whole working set
+//!   on every growth step and leave the old block behind in the allocator,
+//!   which at city scale cost more resident memory than the records
+//!   themselves save. Freed slots go on a free list threaded through `next`
+//!   and are the first to be reused, so the slab's size follows the largest
+//!   number of flows alive at once, not the number ever seen.
+//! * **Handle + generation.** The tag word holds a live bit, the pending bit
+//!   and a 30-bit generation that is bumped each time a slot takes a new
+//!   tenant. An expiry record names `(handle, generation)`; it tells the
+//!   truth only while the slot is live under that same generation, so the
+//!   record a forgotten flow left behind is dropped when it surfaces instead
+//!   of being re-keyed to the slot's next tenant and living on — that is what
+//!   keeps the schedule at one record per flow (plus one per forgotten flow
+//!   until its deadline passes, plus one per backwards touch).
+//! * **Intrusive `(service, cluster)` chains.** The secondary index that
+//!   makes the scale-down queries (`flows_for_service`, `forget_service`,
+//!   `services_with_flows`, `retarget_service`) proportional to the flows of
+//!   the touched service is a doubly-linked chain through the slab (`prev` /
+//!   `next`), its head and length kept per service in a short list of
+//!   `Chain`s — one per cluster (or the cloud) that currently serves the
+//!   service. Invariant: a chain's `count` is its length, and every member's
+//!   `(service, cluster)` is the chain's key. No per-pair set is allocated.
+//! * A [`DeadlineIndex`] holding one expiry record per flow keeps
+//!   `next_expiry` an O(1) peek without a push per `recall`; its truth
+//!   closure is a slab read.
+//!
+//! Every list handed out is sorted by [`FlowKey`] (or by `(service,
+//! cluster)`), so neither slab order nor hash order ever reaches a caller.
 //!
 //! Flows served by the real cloud carry `cluster: None` (no edge instance);
 //! flows held on an in-flight deployment are stored as **pending**
@@ -24,7 +53,7 @@
 //! dispatcher converts them with a real [`FlowMemory::remember`] when the
 //! redirect installs.
 
-use simcore::{DeadlineIndex, DetHashMap, DetHashSet, SimDuration, SimTime};
+use simcore::{DeadlineIndex, DetHashMap, SimDuration, SimTime};
 use simnet::{IpAddr, SocketAddr};
 
 use crate::catalog::ServiceId;
@@ -40,8 +69,9 @@ pub struct FlowKey {
     pub service_addr: SocketAddr,
 }
 
-/// A memorized redirect decision.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A memorized redirect decision, as [`FlowMemory`] reports it: a copy of
+/// the flow's record, not a reference into the memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemorizedFlow {
     pub key: FlowKey,
     /// The service's interned id (for scale-down bookkeeping) — resolve to a
@@ -51,7 +81,6 @@ pub struct MemorizedFlow {
     pub target: SocketAddr,
     /// The edge cluster serving the flow; `None` means the real cloud.
     pub cluster: Option<ClusterId>,
-    pub installed_at: SimTime,
     pub last_seen: SimTime,
     /// A placeholder for a request held on an in-flight deployment: no
     /// switch rule exists yet, so `recall` never serves it. Converted to a
@@ -81,6 +110,158 @@ impl std::fmt::Display for FlowMemoryError {
 
 impl std::error::Error for FlowMemoryError {}
 
+/// Slots per slab page: 4 096 × 48 B = 192 KiB.
+const PAGE_SLOTS: usize = 4096;
+/// No slot: the end of a chain or of the free list.
+const NIL: u32 = u32::MAX;
+/// `cluster: None` — the real cloud — in a slot's packed cluster word.
+const CLOUD: u32 = u32::MAX;
+
+/// `Slot::tag`: the slot holds a flow.
+const LIVE: u32 = 1;
+/// `Slot::tag`: the flow is a pending placeholder.
+const PENDING: u32 = 2;
+/// `Slot::tag`: the generation sits above the two flag bits.
+const GEN_SHIFT: u32 = 2;
+
+/// One flow's record (or, with `LIVE` clear, a free slot whose `next` is the
+/// free list's link and whose generation is the last tenant's).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key: FlowKey,
+    service: ServiceId,
+    target: SocketAddr,
+    /// [`pack`]ed `Option<ClusterId>`.
+    cluster: u32,
+    last_seen: SimTime,
+    /// Neighbours in the slot's `(service, cluster)` chain.
+    prev: u32,
+    next: u32,
+    /// `generation << GEN_SHIFT | PENDING | LIVE`.
+    tag: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 48);
+
+impl Slot {
+    fn generation(&self) -> u32 {
+        self.tag >> GEN_SHIFT
+    }
+
+    fn is_live(&self) -> bool {
+        self.tag & LIVE != 0
+    }
+
+    fn is_pending(&self) -> bool {
+        self.tag & PENDING != 0
+    }
+
+    fn view(&self) -> MemorizedFlow {
+        MemorizedFlow {
+            key: self.key,
+            service: self.service,
+            target: self.target,
+            cluster: unpack(self.cluster),
+            last_seen: self.last_seen,
+            pending: self.is_pending(),
+        }
+    }
+}
+
+fn pack(cluster: Option<ClusterId>) -> u32 {
+    match cluster {
+        None => CLOUD,
+        Some(ClusterId(c)) => u32::try_from(c)
+            .ok()
+            .filter(|&c| c != CLOUD)
+            .expect("cluster ids fit 32 bits"),
+    }
+}
+
+fn unpack(cluster: u32) -> Option<ClusterId> {
+    (cluster != CLOUD).then_some(ClusterId(cluster as usize))
+}
+
+/// The paged record store: handles are stable, pages are never reallocated.
+#[derive(Debug)]
+struct Slab {
+    /// Every page but the last is full.
+    pages: Vec<Vec<Slot>>,
+    /// Head of the free list.
+    free: u32,
+}
+
+impl Slab {
+    fn new() -> Slab {
+        Slab {
+            pages: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    fn get(&self, handle: u32) -> &Slot {
+        &self.pages[handle as usize / PAGE_SLOTS][handle as usize % PAGE_SLOTS]
+    }
+
+    fn get_mut(&mut self, handle: u32) -> &mut Slot {
+        &mut self.pages[handle as usize / PAGE_SLOTS][handle as usize % PAGE_SLOTS]
+    }
+
+    /// Store a new tenant (`slot.tag` carries its flags only) in the most
+    /// recently freed slot, under the next generation, or else in a slot
+    /// never used before. Returns its handle.
+    fn insert(&mut self, mut slot: Slot) -> u32 {
+        if self.free != NIL {
+            let handle = self.free;
+            let dead = self.get_mut(handle);
+            let next_free = dead.next;
+            // Wraps after 2^30 tenants of one slot; a record would have to
+            // stay buried that long to be mistaken for the new tenant's.
+            slot.tag |= (dead.generation().wrapping_add(1)) << GEN_SHIFT;
+            *dead = slot;
+            self.free = next_free;
+            return handle;
+        }
+        if self.pages.last().is_none_or(|p| p.len() == PAGE_SLOTS) {
+            self.pages.push(Vec::with_capacity(PAGE_SLOTS));
+        }
+        let page = self.pages.len() - 1;
+        let handle = page * PAGE_SLOTS + self.pages[page].len();
+        assert!(handle < NIL as usize, "flow memory is full");
+        self.pages[page].push(slot);
+        handle as u32
+    }
+
+    /// Put a slot on the free list. Its generation stays, so records naming
+    /// it are dead from here on.
+    fn free(&mut self, handle: u32) {
+        let next_free = self.free;
+        let slot = self.get_mut(handle);
+        slot.tag &= !(LIVE | PENDING);
+        slot.next = next_free;
+        self.free = handle;
+    }
+
+    /// Every flow, in slot order.
+    fn live(&self) -> impl Iterator<Item = &Slot> {
+        self.pages.iter().flatten().filter(|s| s.is_live())
+    }
+}
+
+/// The flows of one service on one cluster (or the cloud): where their chain
+/// through the slab starts and how long it is.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    cluster: u32,
+    head: u32,
+    count: u32,
+}
+
+/// Where in a service's list the chain of `cluster` is.
+fn chain_of(chains: &[Chain], cluster: u32) -> Option<usize> {
+    chains.iter().position(|c| c.cluster == cluster)
+}
+
 /// The FlowMemory component.
 ///
 /// ```
@@ -100,17 +281,20 @@ impl std::error::Error for FlowMemoryError {}
 /// ```
 #[derive(Debug)]
 pub struct FlowMemory {
-    flows: DetHashMap<FlowKey, MemorizedFlow>,
-    /// Secondary index: which flows reference a given `(service, cluster)`
-    /// pair (`None` = cloud). Hashed on both levels because the per-request
-    /// path maintains it on every new flow; the rare order-sensitive readers
-    /// (`services_with_flows`, `retarget_service`) sort before exposure.
-    /// Keys are copyable pairs, so probing the index never allocates.
-    by_service: DetHashMap<(ServiceId, Option<ClusterId>), DetHashSet<FlowKey>>,
-    /// Expiry schedule of every flow, settled (see [`simcore::deadline`])
-    /// before every `&mut self` method returns. The truth is the flow's
-    /// `last_seen + idle_timeout`, or gone once it left `flows`.
-    expiry: DeadlineIndex<FlowKey>,
+    /// Where each flow's record is.
+    index: DetHashMap<FlowKey, u32>,
+    slab: Slab,
+    /// Secondary index: per service, the chains of its flows — one per
+    /// cluster (or the cloud) serving any. Hashed because the per-request
+    /// path maintains it on every new flow; the order-sensitive readers sort
+    /// before exposure. A service with no flow has no entry, a chain is
+    /// never empty.
+    chains: DetHashMap<ServiceId, Vec<Chain>>,
+    /// Expiry schedule of every flow, as `(handle, generation)`, settled
+    /// (see [`simcore::deadline`]) before every `&mut self` method returns.
+    /// The truth is the slot's `last_seen + idle_timeout` while it is live
+    /// under that generation, gone otherwise.
+    expiry: DeadlineIndex<(u32, u32)>,
     /// Idle timeout of *memorized* flows — longer than the switch's.
     idle_timeout: SimDuration,
 }
@@ -121,8 +305,9 @@ impl FlowMemory {
             return Err(FlowMemoryError::ZeroIdleTimeout);
         }
         Ok(FlowMemory {
-            flows: DetHashMap::default(),
-            by_service: DetHashMap::default(),
+            index: DetHashMap::default(),
+            slab: Slab::new(),
+            chains: DetHashMap::default(),
             expiry: DeadlineIndex::default(),
             idle_timeout,
         })
@@ -133,8 +318,7 @@ impl FlowMemory {
     }
 
     /// Record (or refresh) a flow decision. Converts a pending placeholder
-    /// into a real entry (the install instant becomes `now`, matching a
-    /// fresh insert).
+    /// into a real entry.
     pub fn remember(
         &mut self,
         now: SimTime,
@@ -143,43 +327,23 @@ impl FlowMemory {
         target: SocketAddr,
         cluster: Option<ClusterId>,
     ) {
-        match self.flows.get_mut(&key) {
-            Some(f) => {
-                if f.service != service || f.cluster != cluster {
-                    Self::index_remove(&mut self.by_service, (f.service, f.cluster), key);
-                    self.by_service
-                        .entry((service, cluster))
-                        .or_default()
-                        .insert(key);
+        let cluster = pack(cluster);
+        match self.index.get(&key) {
+            Some(&handle) => {
+                let slot = self.slab.get(handle);
+                if slot.service != service || slot.cluster != cluster {
+                    self.unlink(handle);
+                    let slot = self.slab.get_mut(handle);
+                    slot.service = service;
+                    slot.cluster = cluster;
+                    self.link(handle);
                 }
-                if f.pending {
-                    f.pending = false;
-                    f.installed_at = now;
-                }
-                f.target = target;
-                f.cluster = cluster;
-                f.service = service;
-                Self::touch(&mut self.expiry, self.idle_timeout, f, now);
+                let slot = self.slab.get_mut(handle);
+                slot.tag &= !PENDING;
+                slot.target = target;
+                self.touch(handle, now);
             }
-            None => {
-                self.by_service
-                    .entry((service, cluster))
-                    .or_default()
-                    .insert(key);
-                self.flows.insert(
-                    key,
-                    MemorizedFlow {
-                        key,
-                        service,
-                        target,
-                        cluster,
-                        installed_at: now,
-                        last_seen: now,
-                        pending: false,
-                    },
-                );
-                self.expiry.file(now + self.idle_timeout, key);
-            }
+            None => self.insert(now, key, service, target, cluster, 0),
         }
         self.settle_expiry();
     }
@@ -194,38 +358,20 @@ impl FlowMemory {
         service: ServiceId,
         cluster: Option<ClusterId>,
     ) {
-        match self.flows.get_mut(&key) {
-            Some(f) => {
-                debug_assert!(f.pending, "never downgrade a live entry to pending");
-                if f.cluster != cluster {
-                    Self::index_remove(&mut self.by_service, (f.service, f.cluster), key);
-                    self.by_service
-                        .entry((service, cluster))
-                        .or_default()
-                        .insert(key);
-                    f.cluster = cluster;
+        let cluster = pack(cluster);
+        match self.index.get(&key) {
+            Some(&handle) => {
+                let slot = self.slab.get(handle);
+                debug_assert!(slot.is_pending(), "never downgrade a live entry to pending");
+                debug_assert_eq!(slot.service, service, "a key names one service");
+                if slot.cluster != cluster {
+                    self.unlink(handle);
+                    self.slab.get_mut(handle).cluster = cluster;
+                    self.link(handle);
                 }
-                Self::touch(&mut self.expiry, self.idle_timeout, f, now);
+                self.touch(handle, now);
             }
-            None => {
-                self.by_service
-                    .entry((service, cluster))
-                    .or_default()
-                    .insert(key);
-                self.flows.insert(
-                    key,
-                    MemorizedFlow {
-                        key,
-                        service,
-                        target: key.service_addr,
-                        cluster,
-                        installed_at: now,
-                        last_seen: now,
-                        pending: true,
-                    },
-                );
-                self.expiry.file(now + self.idle_timeout, key);
-            }
+            None => self.insert(now, key, service, key.service_addr, cluster, PENDING),
         }
         self.settle_expiry();
     }
@@ -234,42 +380,32 @@ impl FlowMemory {
     /// entries are treated as absent (and dropped); pending placeholders are
     /// invisible here (the dispatcher owns their lifecycle) and are neither
     /// refreshed nor evicted.
-    pub fn recall(&mut self, now: SimTime, key: FlowKey) -> Option<&MemorizedFlow> {
-        let f = self.flows.get_mut(&key).filter(|f| !f.pending)?;
-        if now.since(f.last_seen) >= self.idle_timeout {
+    pub fn recall(&mut self, now: SimTime, key: FlowKey) -> Option<MemorizedFlow> {
+        let handle = *self.index.get(&key)?;
+        let slot = self.slab.get(handle);
+        if slot.is_pending() {
+            return None;
+        }
+        if now.since(slot.last_seen) >= self.idle_timeout {
             self.detach(key);
             self.settle_expiry();
             return None;
         }
-        Self::touch(&mut self.expiry, self.idle_timeout, f, now);
+        let flow = self.touch(handle, now).view();
         self.settle_expiry();
-        self.flows.get(&key)
-    }
-
-    /// Stamp `flow` as seen at `now`; only a touch at an earlier instant
-    /// (PDES re-stamping) pulls the deadline in and files a record.
-    fn touch(
-        expiry: &mut DeadlineIndex<FlowKey>,
-        idle_timeout: SimDuration,
-        flow: &mut MemorizedFlow,
-        now: SimTime,
-    ) {
-        expiry.moved(flow.key, flow.last_seen + idle_timeout, now + idle_timeout);
-        flow.last_seen = now;
+        Some(flow)
     }
 
     /// Peek without refreshing (diagnostics).
-    pub fn get(&self, key: FlowKey) -> Option<&MemorizedFlow> {
-        self.flows.get(&key)
+    pub fn get(&self, key: FlowKey) -> Option<MemorizedFlow> {
+        self.index.get(&key).map(|&h| self.slab.get(h).view())
     }
 
     /// Iterate over every memorized flow in [`FlowKey`] order (diagnostics —
     /// the coherence audit walks this against the installed switch entries;
-    /// key order keeps audit reports stable across runs). The backing map
-    /// stays a `HashMap` because the per-packet lookups are the hot path.
-    pub fn iter(&self) -> impl Iterator<Item = &MemorizedFlow> {
-        // edgelint: allow(det-collections) — sorted by FlowKey before exposure
-        let mut sorted: Vec<&MemorizedFlow> = self.flows.values().collect();
+    /// key order keeps audit reports stable across runs).
+    pub fn iter(&self) -> impl Iterator<Item = MemorizedFlow> {
+        let mut sorted: Vec<MemorizedFlow> = self.slab.live().map(Slot::view).collect();
         sorted.sort_by_key(|f| f.key);
         sorted.into_iter()
     }
@@ -284,55 +420,57 @@ impl FlowMemory {
     /// Drop all flows pointing at `service` on `cluster` (instance retired).
     /// O(flows of that instance), not O(all flows).
     pub fn forget_service(&mut self, service: ServiceId, cluster: Option<ClusterId>) -> usize {
-        let keys = match self.by_service.remove(&(service, cluster)) {
-            Some(keys) => keys,
-            None => return 0,
+        let chains = self.chains.get(&service).map_or(&[][..], Vec::as_slice);
+        let Some(at) = chain_of(chains, pack(cluster)) else {
+            return 0;
         };
-        let count = keys.len();
-        for key in keys {
-            self.flows.remove(&key);
+        let chain = self.remove_chain(service, at);
+        let mut handle = chain.head;
+        while handle != NIL {
+            let slot = self.slab.get(handle);
+            let next = slot.next;
+            self.index.remove(&slot.key);
+            self.slab.free(handle);
+            handle = next;
         }
         self.settle_expiry();
-        count
+        chain.count as usize
     }
 
     /// Retarget every live flow of `service` to a new instance — what happens
     /// when the BEST deployment becomes ready and future requests move over
     /// (on-demand *without waiting*, paper Fig. 3). Returns the affected keys
-    /// so the controller can re-install switch rules.
+    /// so the controller can re-install switch rules. Walks the chains of
+    /// `service` and nothing else.
     pub fn retarget_service(
         &mut self,
         service: ServiceId,
         target: SocketAddr,
         cluster: ClusterId,
     ) -> Vec<FlowKey> {
+        let cluster = pack(Some(cluster));
         // All clusters (and the cloud) currently holding flows of this
         // service.
-        let mut keys = Vec::new();
-        for (&(svc, from_cluster), members) in &self.by_service {
-            if svc != service {
-                continue;
-            }
-            for &key in members {
-                let f = &self.flows[&key];
-                if f.target != target || from_cluster != Some(cluster) {
-                    keys.push(key);
+        let mut affected = Vec::new();
+        for chain in self.chains.get(&service).into_iter().flatten() {
+            let mut handle = chain.head;
+            while handle != NIL {
+                let slot = self.slab.get(handle);
+                if slot.target != target || chain.cluster != cluster {
+                    affected.push(handle);
                 }
+                handle = slot.next;
             }
         }
-        for &key in &keys {
-            let f = self.flows.get_mut(&key).expect("key came from the index");
-            let from = (f.service, f.cluster);
-            f.target = target;
-            f.cluster = Some(cluster);
-            if from.1 != Some(cluster) {
-                Self::index_remove(&mut self.by_service, from, key);
-                self.by_service
-                    .entry((service, Some(cluster)))
-                    .or_default()
-                    .insert(key);
+        for &handle in &affected {
+            if self.slab.get(handle).cluster != cluster {
+                self.unlink(handle);
+                self.slab.get_mut(handle).cluster = cluster;
+                self.link(handle);
             }
+            self.slab.get_mut(handle).target = target;
         }
+        let mut keys: Vec<FlowKey> = affected.iter().map(|&h| self.slab.get(h).key).collect();
         keys.sort();
         keys
     }
@@ -341,7 +479,8 @@ impl FlowMemory {
     /// sorted by key. O(evicted · log memory) thanks to the expiry index.
     pub fn expire(&mut self, now: SimTime) -> Vec<MemorizedFlow> {
         let mut expired = Vec::new();
-        while let Some((_, key)) = self.expiry.pop_due(now) {
+        while let Some((_, (handle, _))) = self.expiry.pop_due(now) {
+            let key = self.slab.get(handle).key;
             expired.push(self.detach(key).expect("settled top names a live flow"));
             self.settle_expiry();
         }
@@ -366,59 +505,166 @@ impl FlowMemory {
     /// How many live flows reference `service` on `cluster` — zero means the
     /// instance is idle and a candidate for scale-down. Pending placeholders
     /// count too: a held request protects its deployment from scale-down.
-    /// O(1) index lookup.
+    /// O(clusters serving `service`).
     pub fn flows_for_service(&self, service: ServiceId, cluster: Option<ClusterId>) -> usize {
-        self.by_service
-            .get(&(service, cluster))
-            .map_or(0, DetHashSet::len)
+        let chains = self.chains.get(&service).map_or(&[][..], Vec::as_slice);
+        chain_of(chains, pack(cluster)).map_or(0, |at| chains[at].count as usize)
     }
 
     pub fn len(&self) -> usize {
-        self.flows.len()
+        self.index.len()
     }
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.index.is_empty()
     }
 
     /// Distinct `(service, cluster)` pairs with live flows and their counts —
     /// the autoscaler's demand signal. O(pairs log pairs): reads the hashed
     /// secondary index and sorts so callers see `(service, cluster)` order
-    /// (cloud `None` first), as the old BTreeMap exposed.
+    /// (cloud `None` first).
     pub fn services_with_flows(&self) -> Vec<(ServiceId, Option<ClusterId>, usize)> {
         let mut pairs: Vec<(ServiceId, Option<ClusterId>, usize)> = self
-            .by_service
+            .chains
             .iter()
-            .map(|(&(s, c), members)| (s, c, members.len()))
+            .flat_map(|(&s, chains)| {
+                chains
+                    .iter()
+                    .map(move |c| (s, unpack(c.cluster), c.count as usize))
+            })
             .collect();
         pairs.sort_unstable_by_key(|&(s, c, _)| (s, c));
         pairs
     }
 
-    /// Remove a flow from the primary map and the service index (the expiry
+    /// Store a new flow and file its expiry record.
+    fn insert(
+        &mut self,
+        now: SimTime,
+        key: FlowKey,
+        service: ServiceId,
+        target: SocketAddr,
+        cluster: u32,
+        flags: u32,
+    ) {
+        let handle = self.slab.insert(Slot {
+            key,
+            service,
+            target,
+            cluster,
+            last_seen: now,
+            prev: NIL,
+            next: NIL,
+            tag: LIVE | flags,
+        });
+        self.index.insert(key, handle);
+        self.link(handle);
+        let generation = self.slab.get(handle).generation();
+        self.expiry
+            .file(now + self.idle_timeout, (handle, generation));
+    }
+
+    /// Stamp a flow as seen at `now` and hand back its record; only a touch
+    /// at an earlier instant (PDES re-stamping) pulls the deadline in and
+    /// files a record.
+    fn touch(&mut self, handle: u32, now: SimTime) -> &Slot {
+        let slot = self.slab.get_mut(handle);
+        self.expiry.moved(
+            (handle, slot.generation()),
+            slot.last_seen + self.idle_timeout,
+            now + self.idle_timeout,
+        );
+        slot.last_seen = now;
+        slot
+    }
+
+    /// Remove a flow from the index, its chain and the slab (the expiry
     /// index keeps its record until it surfaces).
     fn detach(&mut self, key: FlowKey) -> Option<MemorizedFlow> {
-        let flow = self.flows.remove(&key)?;
-        Self::index_remove(&mut self.by_service, (flow.service, flow.cluster), key);
+        let handle = self.index.remove(&key)?;
+        let flow = self.slab.get(handle).view();
+        self.unlink(handle);
+        self.slab.free(handle);
         Some(flow)
     }
 
-    fn index_remove(
-        index: &mut DetHashMap<(ServiceId, Option<ClusterId>), DetHashSet<FlowKey>>,
-        at: (ServiceId, Option<ClusterId>),
-        key: FlowKey,
-    ) {
-        if let Some(members) = index.get_mut(&at) {
-            members.remove(&key);
-            if members.is_empty() {
-                index.remove(&at);
-            }
+    /// Push a slot onto the front of the chain its `(service, cluster)`
+    /// names, starting the chain if there is none.
+    fn link(&mut self, handle: u32) {
+        let Slot {
+            service, cluster, ..
+        } = *self.slab.get(handle);
+        let chains = self.chains.entry(service).or_default();
+        let at = chain_of(chains, cluster).unwrap_or_else(|| {
+            chains.push(Chain {
+                cluster,
+                head: NIL,
+                count: 0,
+            });
+            chains.len() - 1
+        });
+        let chain = &mut chains[at];
+        let old_head = std::mem::replace(&mut chain.head, handle);
+        chain.count += 1;
+        let slot = self.slab.get_mut(handle);
+        slot.prev = NIL;
+        slot.next = old_head;
+        if old_head != NIL {
+            self.slab.get_mut(old_head).prev = handle;
         }
     }
 
-    /// Settle the expiry index against `flows`.
+    /// Take a slot out of its chain; the last member takes the chain (and
+    /// the service's last chain its entry) with it.
+    fn unlink(&mut self, handle: u32) {
+        let Slot {
+            service,
+            cluster,
+            prev,
+            next,
+            ..
+        } = *self.slab.get(handle);
+        if next != NIL {
+            self.slab.get_mut(next).prev = prev;
+        }
+        if prev != NIL {
+            self.slab.get_mut(prev).next = next;
+        }
+        let chains = self
+            .chains
+            .get_mut(&service)
+            .expect("a linked slot's service has chains");
+        let at = chain_of(chains, cluster).expect("a linked slot's chain exists");
+        let chain = &mut chains[at];
+        if prev == NIL {
+            chain.head = next;
+        }
+        chain.count -= 1;
+        if chain.count == 0 {
+            self.remove_chain(service, at);
+        }
+    }
+
+    /// Take the `at`-th chain off `service`'s list, and the list off the
+    /// index when that was its last.
+    fn remove_chain(&mut self, service: ServiceId, at: usize) -> Chain {
+        let chains = self
+            .chains
+            .get_mut(&service)
+            .expect("the chain's service has a list");
+        let chain = chains.swap_remove(at);
+        if chains.is_empty() {
+            self.chains.remove(&service);
+        }
+        chain
+    }
+
+    /// Settle the expiry index against the slab.
     fn settle_expiry(&mut self) {
-        self.expiry
-            .settle(|key| self.flows.get(key).map(|f| f.last_seen + self.idle_timeout));
+        self.expiry.settle(|&(handle, generation)| {
+            let slot = self.slab.get(handle);
+            (slot.is_live() && slot.generation() == generation)
+                .then(|| slot.last_seen + self.idle_timeout)
+        });
     }
 }
 
@@ -657,9 +903,9 @@ mod tests {
         assert_eq!(m.flows_for_service(ServiceId(0), Some(ClusterId(1))), 2);
     }
 
-    #[test]
-    fn retarget_gathers_flows_across_clusters_and_cloud() {
-        let mut m = mem();
+    /// Three flows of service 0 on two clusters and the cloud, one of
+    /// service 1: the fixture of the two retarget tests below.
+    fn spread_over_clusters_and_cloud(m: &mut FlowMemory) {
         m.remember(
             t(0),
             key(1, 1),
@@ -683,10 +929,42 @@ mod tests {
         );
         // a cloud-served flow of the same service moves over too
         m.remember(t(0), key(4, 1), ServiceId(0), key(4, 1).service_addr, None);
+    }
+
+    #[test]
+    fn retarget_gathers_flows_across_clusters_and_cloud() {
+        let mut m = mem();
+        spread_over_clusters_and_cloud(&mut m);
         let moved = m.retarget_service(ServiceId(0), target(30000), ClusterId(1));
         assert_eq!(moved, vec![key(1, 1), key(2, 1), key(4, 1)]);
         assert_eq!(m.flows_for_service(ServiceId(0), Some(ClusterId(1))), 3);
         assert_eq!(m.flows_for_service(ServiceId(1), Some(ClusterId(0))), 1);
+    }
+
+    /// A retarget reads the touched service's chains only, so ten thousand
+    /// other resident services change neither what it returns nor what it
+    /// leaves behind.
+    #[test]
+    fn retarget_is_unmoved_by_ten_thousand_other_services() {
+        let mut m = mem();
+        for s in 0..10_000u32 {
+            let other = FlowKey {
+                client_ip: IpAddr::new(10, 9, (s >> 8) as u8, s as u8),
+                service_addr: SocketAddr::new(IpAddr::new(93, 185, (s >> 8) as u8, s as u8), 80),
+            };
+            let cluster = [None, Some(ClusterId(1)), Some(ClusterId(2))][s as usize % 3];
+            m.remember(t(0), other, ServiceId(100 + s), target(9000), cluster);
+        }
+        spread_over_clusters_and_cloud(&mut m);
+        let moved = m.retarget_service(ServiceId(0), target(30000), ClusterId(1));
+        assert_eq!(moved, vec![key(1, 1), key(2, 1), key(4, 1)]);
+        assert_eq!(m.flows_for_service(ServiceId(0), Some(ClusterId(1))), 3);
+        assert_eq!(m.flows_for_service(ServiceId(1), Some(ClusterId(0))), 1);
+        assert_eq!(m.len(), 10_004);
+        assert_eq!(m.services_with_flows().len(), 10_002);
+        assert!(m
+            .retarget_service(ServiceId(0), target(30000), ClusterId(1))
+            .is_empty());
     }
 
     #[test]
@@ -723,7 +1001,6 @@ mod tests {
         assert_eq!(m.len(), 1);
         let f = m.get(key(1, 1)).unwrap();
         assert_eq!(f.target, target(9000));
-        assert_eq!(f.installed_at, t(0), "original install time preserved");
         assert_eq!(f.last_seen, t(10));
         // the index moved with the cluster change
         assert_eq!(m.flows_for_service(ServiceId(0), Some(ClusterId(0))), 0);
@@ -741,7 +1018,7 @@ mod tests {
     }
 
     #[test]
-    fn remember_converts_pending_and_resets_install_time() {
+    fn remember_converts_pending() {
         let mut m = mem();
         m.remember_pending(t(0), key(1, 1), ServiceId(0), Some(ClusterId(0)));
         // refreshing the placeholder keeps it pending
@@ -757,7 +1034,7 @@ mod tests {
         );
         let f = m.get(key(1, 1)).unwrap();
         assert!(!f.pending);
-        assert_eq!(f.installed_at, t(500), "install instant is the conversion");
+        assert_eq!(f.last_seen, t(500));
         assert!(m.recall(t(600), key(1, 1)).is_some());
     }
 
@@ -771,10 +1048,41 @@ mod tests {
         assert!(expired[0].pending);
         assert!(m.is_empty());
     }
+
+    #[test]
+    fn freed_slots_are_reused_before_the_slab_grows() {
+        let mut m = mem();
+        for round in 0..3u64 {
+            for c in 0..200u8 {
+                m.remember(t(round), key(c, 1), ServiceId(0), target(8000), None);
+            }
+            assert_eq!(m.expire(t(round) + m.idle_timeout()).len(), 200);
+        }
+        assert_eq!(m.slab.pages.len(), 1);
+        assert_eq!(m.slab.pages[0].len(), 200, "no slot beyond the first 200");
+    }
+
+    #[test]
+    fn the_slab_grows_a_page_at_a_time_and_keeps_handles_stable() {
+        let mut m = mem();
+        let wide = |i: usize| FlowKey {
+            client_ip: IpAddr::new(10, 1, (i >> 8) as u8, i as u8),
+            service_addr: SocketAddr::new(IpAddr::new(93, 184, 0, 1), 80),
+        };
+        for i in 0..PAGE_SLOTS + 1 {
+            m.remember(t(0), wide(i), ServiceId(0), target(8000), None);
+        }
+        assert_eq!(m.slab.pages.len(), 2);
+        assert_eq!(m.slab.pages[0].capacity(), PAGE_SLOTS);
+        assert_eq!(m.index[&wide(PAGE_SLOTS)], PAGE_SLOTS as u32);
+        assert_eq!(m.get(wide(PAGE_SLOTS)).unwrap().key, wide(PAGE_SLOTS));
+        assert_eq!(m.flows_for_service(ServiceId(0), None), PAGE_SLOTS + 1);
+    }
+
     /// The minimum deadline by walking every flow — what `next_expiry()`
     /// must equal.
     fn brute_force_next_expiry(m: &FlowMemory) -> Option<SimTime> {
-        m.flows.values().map(|f| f.last_seen + m.idle_timeout).min()
+        m.iter().map(|f| f.last_seen + m.idle_timeout).min()
     }
 
     #[test]
@@ -800,13 +1108,14 @@ mod tests {
         let mut m = mem();
         m.remember(t(5000), key(1, 1), ServiceId(0), target(8000), None);
         m.remember(t(6000), key(2, 1), ServiceId(0), target(8000), None);
-        m.flows.get_mut(&key(2, 1)).unwrap().last_seen = t(1000);
+        let second = m.index[&key(2, 1)];
+        m.slab.get_mut(second).last_seen = t(1000);
         m.settle_expiry();
         assert_eq!(brute_force_next_expiry(&m), Some(t(61_000)));
         assert_eq!(m.next_expiry(), Some(t(65_000)), "the late answer");
 
         // Through the one door the same touch keeps the top exact.
-        m.flows.get_mut(&key(2, 1)).unwrap().last_seen = t(6000);
+        m.slab.get_mut(second).last_seen = t(6000);
         m.recall(t(1000), key(2, 1));
         assert_eq!(m.next_expiry(), Some(t(61_000)));
     }
@@ -814,6 +1123,7 @@ mod tests {
     mod model {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeMap;
 
         #[derive(Debug, Clone)]
         enum Op {
@@ -821,10 +1131,12 @@ mod tests {
                 c: u8,
                 s: u8,
                 cluster: Option<usize>,
+                port: u16,
             },
             RememberPending {
                 c: u8,
                 s: u8,
+                cluster: Option<usize>,
             },
             Recall {
                 c: u8,
@@ -838,70 +1150,337 @@ mod tests {
                 s: u8,
                 cluster: Option<usize>,
             },
+            Retarget {
+                s: u8,
+                cluster: usize,
+                port: u16,
+            },
             Expire,
         }
 
+        const CLIENTS: u8 = 4;
+        const SERVICES: u8 = 3;
+        const CLUSTERS: usize = 2;
+
         fn op_strategy() -> impl Strategy<Value = Op> {
-            let cluster = || prop::option::of(0usize..2);
+            let cluster = || prop::option::of(0..CLUSTERS);
+            let port = || 8000u16..8002;
             prop_oneof![
-                4 => (0u8..4, 0u8..3, cluster()).prop_map(|(c, s, cluster)| Op::Remember { c, s, cluster }),
-                1 => (0u8..4, 0u8..3).prop_map(|(c, s)| Op::RememberPending { c, s }),
-                4 => (0u8..4, 0u8..3).prop_map(|(c, s)| Op::Recall { c, s }),
-                1 => (0u8..4, 0u8..3).prop_map(|(c, s)| Op::Forget { c, s }),
-                1 => (0u8..3, cluster()).prop_map(|(s, cluster)| Op::ForgetService { s, cluster }),
+                4 => (0..CLIENTS, 0..SERVICES, cluster(), port())
+                    .prop_map(|(c, s, cluster, port)| Op::Remember { c, s, cluster, port }),
+                1 => (0..CLIENTS, 0..SERVICES, cluster())
+                    .prop_map(|(c, s, cluster)| Op::RememberPending { c, s, cluster }),
+                4 => (0..CLIENTS, 0..SERVICES).prop_map(|(c, s)| Op::Recall { c, s }),
+                1 => (0..CLIENTS, 0..SERVICES).prop_map(|(c, s)| Op::Forget { c, s }),
+                1 => (0..SERVICES, cluster()).prop_map(|(s, cluster)| Op::ForgetService { s, cluster }),
+                1 => (0..SERVICES, 0..CLUSTERS, port())
+                    .prop_map(|(s, cluster, port)| Op::Retarget { s, cluster, port }),
                 2 => Just(Op::Expire),
             ]
+        }
+
+        /// What FlowMemory must be indistinguishable from: a sorted map of
+        /// the flows, plus the two tallies the record bound needs.
+        #[derive(Debug, Default)]
+        struct Model {
+            flows: BTreeMap<FlowKey, MemorizedFlow>,
+            /// Deadline, at removal, of every flow removed with its record
+            /// still filed (anything but `expire`, which pops it).
+            forgotten: Vec<SimTime>,
+            /// Touches at an instant before the flow's last one: each files
+            /// one extra record.
+            backwards: usize,
+        }
+
+        const IDLE: SimDuration = SimDuration::from_secs(60);
+
+        impl Model {
+            fn touch(&mut self, key: FlowKey, now: SimTime) {
+                let f = self.flows.get_mut(&key).expect("touched flows exist");
+                if now < f.last_seen {
+                    self.backwards += 1;
+                }
+                f.last_seen = now;
+            }
+
+            fn remove(&mut self, key: FlowKey) -> Option<MemorizedFlow> {
+                let f = self.flows.remove(&key)?;
+                self.forgotten.push(f.last_seen + IDLE);
+                Some(f)
+            }
+
+            fn keys_where(&self, pick: impl Fn(&MemorizedFlow) -> bool) -> Vec<FlowKey> {
+                self.flows
+                    .values()
+                    .filter(|f| pick(f))
+                    .map(|f| f.key)
+                    .collect()
+            }
+        }
+
+        /// Apply `op` at `now` to both, comparing whatever it returns.
+        fn apply(
+            m: &mut FlowMemory,
+            model: &mut Model,
+            op: &Op,
+            now: SimTime,
+        ) -> Result<(), String> {
+            match *op {
+                Op::Remember {
+                    c,
+                    s,
+                    cluster,
+                    port,
+                } => {
+                    let (key, service, cluster) =
+                        (key(c, s), ServiceId(s as u32), cluster.map(ClusterId));
+                    m.remember(now, key, service, target(port), cluster);
+                    let fresh = MemorizedFlow {
+                        key,
+                        service,
+                        target: target(port),
+                        cluster,
+                        last_seen: now,
+                        pending: false,
+                    };
+                    if let Some(f) = model.flows.get_mut(&key) {
+                        *f = MemorizedFlow {
+                            last_seen: f.last_seen,
+                            ..fresh
+                        };
+                        model.touch(key, now);
+                    } else {
+                        model.flows.insert(key, fresh);
+                    }
+                }
+                Op::RememberPending { c, s, cluster } => {
+                    let (key, cluster) = (key(c, s), cluster.map(ClusterId));
+                    // Placeholders never downgrade a live entry.
+                    if model.flows.get(&key).is_some_and(|f| !f.pending) {
+                        return Ok(());
+                    }
+                    m.remember_pending(now, key, ServiceId(s as u32), cluster);
+                    if let Some(f) = model.flows.get_mut(&key) {
+                        f.cluster = cluster;
+                        model.touch(key, now);
+                    } else {
+                        model.flows.insert(
+                            key,
+                            MemorizedFlow {
+                                key,
+                                service: ServiceId(s as u32),
+                                target: key.service_addr,
+                                cluster,
+                                last_seen: now,
+                                pending: true,
+                            },
+                        );
+                    }
+                }
+                Op::Recall { c, s } => {
+                    let key = key(c, s);
+                    let expected = match model.flows.get(&key).copied() {
+                        Some(f) if f.pending => None,
+                        Some(f) if now.since(f.last_seen) >= IDLE => {
+                            model.remove(key);
+                            None
+                        }
+                        Some(_) => {
+                            model.touch(key, now);
+                            model.flows.get(&key).copied()
+                        }
+                        None => None,
+                    };
+                    same("recall", m.recall(now, key), expected)?;
+                }
+                Op::Forget { c, s } => {
+                    same("forget", m.forget(key(c, s)), model.remove(key(c, s)))?;
+                }
+                Op::ForgetService { s, cluster } => {
+                    let (service, cluster) = (ServiceId(s as u32), cluster.map(ClusterId));
+                    let gone = model.keys_where(|f| f.service == service && f.cluster == cluster);
+                    for &key in &gone {
+                        model.remove(key);
+                    }
+                    same(
+                        "forget_service",
+                        m.forget_service(service, cluster),
+                        gone.len(),
+                    )?;
+                }
+                Op::Retarget { s, cluster, port } => {
+                    let (service, cluster) = (ServiceId(s as u32), Some(ClusterId(cluster)));
+                    let moved = model.keys_where(|f| {
+                        f.service == service && (f.target != target(port) || f.cluster != cluster)
+                    });
+                    for key in &moved {
+                        let f = model.flows.get_mut(key).expect("just listed");
+                        f.target = target(port);
+                        f.cluster = cluster;
+                    }
+                    let got =
+                        m.retarget_service(service, target(port), ClusterId(cluster.unwrap().0));
+                    same("retarget_service", got, moved)?;
+                }
+                Op::Expire => {
+                    let due = model.keys_where(|f| f.last_seen + IDLE <= now);
+                    let expected: Vec<MemorizedFlow> = due
+                        .iter()
+                        .map(|key| model.flows.remove(key).expect("just listed"))
+                        .collect();
+                    same("expire", m.expire(now), expected)?;
+                }
+            }
+            Ok(())
+        }
+
+        fn same<T: PartialEq + std::fmt::Debug>(
+            what: &str,
+            got: T,
+            expected: T,
+        ) -> Result<(), String> {
+            if got == expected {
+                Ok(())
+            } else {
+                Err(format!("{what}: got {got:?}, expected {expected:?}"))
+            }
+        }
+
+        /// Every read FlowMemory offers answers as the model does, and the
+        /// expiry schedule holds no more records than the model accounts for.
+        fn check(m: &FlowMemory, model: &Model) -> Result<(), String> {
+            same("len", m.len(), model.flows.len())?;
+            same("is_empty", m.is_empty(), model.flows.is_empty())?;
+            let flows: Vec<MemorizedFlow> = model.flows.values().copied().collect();
+            same("iter", m.iter().collect(), flows)?;
+            for c in 0..CLIENTS {
+                for s in 0..SERVICES {
+                    same(
+                        "get",
+                        m.get(key(c, s)),
+                        model.flows.get(&key(c, s)).copied(),
+                    )?;
+                }
+            }
+            let mut pairs: BTreeMap<(ServiceId, Option<ClusterId>), usize> = BTreeMap::new();
+            for f in model.flows.values() {
+                *pairs.entry((f.service, f.cluster)).or_default() += 1;
+            }
+            for s in 0..SERVICES as u32 {
+                for cluster in [None, Some(ClusterId(0)), Some(ClusterId(1))] {
+                    same(
+                        "flows_for_service",
+                        m.flows_for_service(ServiceId(s), cluster),
+                        pairs.get(&(ServiceId(s), cluster)).copied().unwrap_or(0),
+                    )?;
+                }
+            }
+            same(
+                "services_with_flows",
+                m.services_with_flows(),
+                pairs.iter().map(|(&(s, c), &n)| (s, c, n)).collect(),
+            )?;
+            let next = model.flows.values().map(|f| f.last_seen + IDLE).min();
+            same("next_expiry", m.next_expiry(), next)?;
+
+            // A dead record is dropped the moment it is the top, so one still
+            // filed sits at or after the settled top — and it was filed at or
+            // before the deadline its flow had when it was removed.
+            let unsurfaced = next.map_or(0, |top| {
+                model.forgotten.iter().filter(|&&d| d >= top).count()
+            });
+            let records = m.expiry_records();
+            if records < model.flows.len() {
+                return Err(format!(
+                    "{records} records for {} flows: a flow lost its record",
+                    model.flows.len()
+                ));
+            }
+            let bound = model.flows.len() + unsurfaced + model.backwards;
+            if records > bound {
+                return Err(format!(
+                    "{records} records > {} live + {unsurfaced} forgotten-unsurfaced + {} backwards",
+                    model.flows.len(),
+                    model.backwards
+                ));
+            }
+            Ok(())
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
             /// Every op at an arbitrary instant — `now` steps backwards as
-            /// often as forwards — leaves `next_expiry()` the brute-force
-            /// minimum, and `expire` evicts exactly the flows whose deadline
-            /// has passed.
+            /// often as forwards — leaves FlowMemory answering exactly as a
+            /// sorted map of flows would, returned lists included, with
+            /// `next_expiry()` the brute-force minimum and the record count
+            /// inside its bound.
             #[test]
-            fn next_expiry_is_the_brute_force_minimum_under_non_monotone_time(
+            fn flow_memory_equals_a_sorted_map_under_non_monotone_time(
                 ops in prop::collection::vec((op_strategy(), 0u64..200_000), 0..120),
             ) {
                 let mut m = mem();
+                let mut model = Model::default();
                 for (op, at_ms) in ops {
-                    let now = t(at_ms);
-                    match op {
-                        Op::Remember { c, s, cluster } => {
-                            m.remember(now, key(c, s), ServiceId(s as u32), target(8000), cluster.map(ClusterId));
-                        }
-                        Op::RememberPending { c, s } => {
-                            // Placeholders never downgrade a live entry.
-                            if m.get(key(c, s)).is_none_or(|f| f.pending) {
-                                m.remember_pending(now, key(c, s), ServiceId(s as u32), Some(ClusterId(0)));
-                            }
-                        }
-                        Op::Recall { c, s } => {
-                            m.recall(now, key(c, s));
-                        }
-                        Op::Forget { c, s } => {
-                            m.forget(key(c, s));
-                        }
-                        Op::ForgetService { s, cluster } => {
-                            m.forget_service(ServiceId(s as u32), cluster.map(ClusterId));
-                        }
-                        Op::Expire => {
-                            let mut due: Vec<FlowKey> = m
-                                .flows
-                                .values()
-                                .filter(|f| f.last_seen + m.idle_timeout <= now)
-                                .map(|f| f.key)
-                                .collect();
-                            due.sort();
-                            let evicted: Vec<FlowKey> = m.expire(now).iter().map(|f| f.key).collect();
-                            prop_assert_eq!(evicted, due, "evicted set at {}", now);
-                        }
-                    }
-                    prop_assert_eq!(m.next_expiry(), brute_force_next_expiry(&m), "next_expiry");
-                    prop_assert!(m.expiry_records() >= m.len(), "a flow lost its record");
+                    let applied = apply(&mut m, &mut model, &op, t(at_ms));
+                    prop_assert!(applied.is_ok(), "{:?} at {} ms: {}", op, at_ms, applied.unwrap_err());
+                    let checked = check(&m, &model);
+                    prop_assert!(checked.is_ok(), "after {:?} at {} ms: {}", op, at_ms, checked.unwrap_err());
                 }
             }
+        }
+
+        /// Mutation: a slot reused **without** a new generation. The record
+        /// its dead tenant left buried now names the new tenant, so when it
+        /// surfaces `settle` re-keys it to the new tenant's deadline instead
+        /// of dropping it — never an early expiry (a top is always checked
+        /// against the slot), but a record that outlives its flow, and the
+        /// model's record bound notices. With the bump the same ops pass.
+        #[test]
+        fn a_slot_reused_under_its_old_generation_is_caught() {
+            let remember = |c, at_ms| {
+                (
+                    Op::Remember {
+                        c,
+                        s: 1,
+                        cluster: None,
+                        port: 8000,
+                    },
+                    at_ms,
+                )
+            };
+            // B's record tops the heap, A's sits under it when A is forgotten.
+            let setup = [
+                remember(1, 0),
+                remember(2, 1_000),
+                (Op::Forget { c: 2, s: 1 }, 2_000),
+            ];
+            // C moves into A's slot; forgetting B then surfaces A's record.
+            let reuse = [remember(3, 30_000), (Op::Forget { c: 1, s: 1 }, 31_000)];
+
+            let run = |mutate: bool| -> Result<(), String> {
+                let mut m = mem();
+                let mut model = Model::default();
+                for (op, at_ms) in &setup {
+                    apply(&mut m, &mut model, op, t(*at_ms))?;
+                    check(&m, &model)?;
+                }
+                if mutate {
+                    // Wind the freed slot back one generation, so the bump
+                    // on reuse lands on the dead tenant's.
+                    let freed = m.slab.free;
+                    let slot = m.slab.get_mut(freed);
+                    slot.tag = slot.tag.wrapping_sub(1 << GEN_SHIFT);
+                }
+                for (op, at_ms) in &reuse {
+                    apply(&mut m, &mut model, op, t(*at_ms))?;
+                    check(&m, &model)?;
+                }
+                Ok(())
+            };
+            assert_eq!(run(false), Ok(()));
+            let caught = run(true).expect_err("the stale record must be noticed");
+            assert!(caught.contains("records >"), "{caught}");
         }
     }
 }

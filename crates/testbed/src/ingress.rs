@@ -59,6 +59,9 @@ pub struct Released {
     pub idx: usize,
     pub client: usize,
     pub service: usize,
+    /// When the request's SYN reached the switch, as passed to
+    /// [`IngressShard::admit`].
+    pub syn_at: SimTime,
     /// Deployment machines started before this request's PacketIn (0 on a
     /// table hit) — the lower bound of the window that attributes a
     /// deployment to the request.
@@ -94,12 +97,16 @@ pub struct IngressShard<X> {
     // it needs — no boxed per-request struct, no hashing.
     req_service: Vec<u32>,
     req_client: Vec<u32>,
-    req_machines_before: Vec<u64>,
+    req_syn_at: Vec<SimTime>,
+    /// The controller's machine ordinal is a count of deployments started;
+    /// `on_packet_in` checks it fits the lane.
+    req_machines_before: Vec<u32>,
     req_live: Vec<bool>,
-    /// Lazy SYN feed: `(syn_at_switch, idx)` ascending, `arrival_next` the
-    /// cursor. Future SYNs never enter the event queue, so its depth tracks
-    /// the live control-plane horizon instead of the whole trace.
-    arrivals: Vec<(SimTime, u32)>,
+    /// Lazy SYN feed: lane indices by ascending `(req_syn_at, idx)`,
+    /// `arrival_next` the cursor. Future SYNs never enter the event queue,
+    /// so its depth tracks the live control-plane horizon instead of the
+    /// whole trace.
+    arrival_order: Vec<u32>,
     arrival_next: usize,
     /// Queue seq watermark captured by [`IngressShard::start`]: an entry
     /// with `seq >= runtime_seq_floor` was pushed *during* the run and loses
@@ -136,9 +143,10 @@ impl<X> IngressShard<X> {
             events: EventQueue::new(),
             req_service: Vec::new(),
             req_client: Vec::new(),
+            req_syn_at: Vec::new(),
             req_machines_before: Vec::new(),
             req_live: Vec::new(),
-            arrivals: Vec::new(),
+            arrival_order: Vec::new(),
             arrival_next: 0,
             runtime_seq_floor: 0,
             horizon: SimTime::ZERO,
@@ -155,9 +163,10 @@ impl<X> IngressShard<X> {
     pub fn reserve(&mut self, n: usize) {
         self.req_service.reserve(n);
         self.req_client.reserve(n);
+        self.req_syn_at.reserve(n);
         self.req_machines_before.reserve(n);
         self.req_live.reserve(n);
-        self.arrivals.reserve(n);
+        self.arrival_order.reserve(n);
         // The queue holds only the live horizon (SYNs are fed lazily), but
         // seeding the node slab skips the doubling ramp.
         self.events.reserve((n / 8).clamp(64, 65_536));
@@ -173,9 +182,10 @@ impl<X> IngressShard<X> {
         let idx = self.req_live.len();
         self.req_service.push(service as u32);
         self.req_client.push(client as u32);
+        self.req_syn_at.push(syn_at);
         self.req_machines_before.push(0);
         self.req_live.push(true);
-        self.arrivals.push((syn_at, idx as u32));
+        self.arrival_order.push(idx as u32);
         idx
     }
 
@@ -213,7 +223,9 @@ impl<X> IngressShard<X> {
     /// order; ties stay in admission order, an eager loop's push order) and
     /// mark everything scheduled so far as a setup-time push.
     pub fn start(&mut self) {
-        self.arrivals.sort_unstable();
+        let syn_at = &self.req_syn_at;
+        self.arrival_order
+            .sort_unstable_by_key(|&idx| (syn_at[idx as usize], idx));
         self.runtime_seq_floor = self.events.scheduled_total();
     }
 
@@ -259,11 +271,16 @@ impl<X> IngressShard<X> {
 
     /// Earliest pending activity: the queue head or the next SYN arrival.
     pub fn next_time(&self) -> Option<SimTime> {
-        let arrival = self.arrivals.get(self.arrival_next).map(|&(t, _)| t);
-        match (self.events.peek_time(), arrival) {
+        match (self.events.peek_time(), self.next_arrival()) {
             (Some(q), Some(a)) => Some(q.min(a)),
             (q, a) => q.or(a),
         }
+    }
+
+    /// When the next lazily fed SYN reaches the switch.
+    fn next_arrival(&self) -> Option<SimTime> {
+        let idx = *self.arrival_order.get(self.arrival_next)?;
+        Some(self.req_syn_at[idx as usize])
     }
 
     /// Everything strictly before this instant has run.
@@ -307,22 +324,18 @@ impl<X> IngressShard<X> {
             // pre-pushed event: it loses same-instant ties to setup-time
             // pushes (seq below the floor) and wins them against anything
             // pushed during the run.
-            let arrival = self
-                .arrivals
-                .get(self.arrival_next)
-                .filter(|&&(t, _)| t < end);
+            let arrival = self.next_arrival().filter(|&t| t < end);
             let queued = self.events.peek_time_seq().filter(|&(t, _)| t < end);
             let take_arrival = match (arrival, queued) {
-                (Some(&(a, _)), Some((qt, qs))) => {
-                    a < qt || (a == qt && qs >= self.runtime_seq_floor)
-                }
+                (Some(a), Some((qt, qs))) => a < qt || (a == qt && qs >= self.runtime_seq_floor),
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => break,
             };
             self.executed += 1;
             let now = if take_arrival {
-                let (now, idx) = self.arrivals[self.arrival_next];
+                let idx = self.arrival_order[self.arrival_next];
+                let now = self.req_syn_at[idx as usize];
                 self.arrival_next += 1;
                 self.sweep(now);
                 self.on_syn(now, idx, engine);
@@ -401,7 +414,8 @@ impl<X> IngressShard<X> {
             idx,
             client: self.req_client[idx] as usize,
             service: self.req_service[idx] as usize,
-            machines_before: self.req_machines_before[idx],
+            syn_at: self.req_syn_at[idx],
+            machines_before: u64::from(self.req_machines_before[idx]),
             out_port,
         };
         engine.released(self, now, request);
@@ -410,7 +424,8 @@ impl<X> IngressShard<X> {
     fn on_packet_in(&mut self, now: SimTime, (packet, buffer_id, in_port): PacketIn) {
         let idx = packet.tag as usize;
         if self.req_live.get(idx).is_some_and(|&live| live) {
-            self.req_machines_before[idx] = self.controller.machines_started();
+            self.req_machines_before[idx] = u32::try_from(self.controller.machines_started())
+                .expect("fewer than 2^32 deployment machines per run");
         }
         let mut out = std::mem::take(&mut self.outputs_scratch);
         self.controller

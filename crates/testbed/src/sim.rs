@@ -275,8 +275,6 @@ pub struct Testbed {
 struct FlowModel {
     profile: ServiceProfile,
     rng: SimRng,
-    /// When each client started its connection, by request lane index.
-    req_started: Vec<SimTime>,
     /// Routes toward the cloud (index 0) and each site (`1 + site`), built
     /// once over the (immutable after build) fabric: a released request's
     /// RTT and bottleneck are two array reads, however many clients exist.
@@ -325,7 +323,6 @@ impl Testbed {
         let model = FlowModel {
             profile: ServiceProfile::of(cfg.service),
             rng: SimRng::seed_from_u64(cfg.seed),
-            req_started: Vec::new(),
             host_trees: c3.host_trees(),
             path_times: vec![None; busy_stride * c3.clients.len()],
             records: Vec::new(),
@@ -385,7 +382,6 @@ impl Testbed {
 
     /// `client` starts a connection to `service` at `started`.
     fn admit(&mut self, started: SimTime, client: usize, service: usize) {
-        self.model.req_started.push(started);
         let syn_at = started + self.shard.c3.client_switch_latency(client);
         self.shard.admit(syn_at, client, service);
     }
@@ -496,7 +492,6 @@ impl Testbed {
         // the event loop itself never grows them.
         let n = trace.requests.len();
         self.shard.reserve(n);
-        self.model.req_started.reserve(n);
         self.model.records.reserve(n);
         for req in &trace.requests {
             self.admit(req.at + offset, req.client, req.service);
@@ -667,7 +662,10 @@ impl Engine<CrashTick> for FlowModel {
             return;
         };
         let busy_lane = r.service * self.busy_stride + host;
-        let started = self.req_started[r.idx];
+        // When the client started its connection: the SYN's arrival at the
+        // switch less the access link `Testbed::admit` added to it (integer
+        // nanoseconds, so exactly the instant the trace gave).
+        let started = r.syn_at - c3.client_switch_latency(r.client);
         let (upload, fixed) = *self.path_times[host * c3.clients.len() + r.client]
             .get_or_insert_with(|| {
                 let tree = &self.host_trees[host];
@@ -682,7 +680,7 @@ impl Engine<CrashTick> for FlowModel {
             });
         let server_time = self.profile.server_time.sample(&mut self.rng);
         // Time the SYN spent buffered at the switch (deployment wait).
-        let hold = release - (started + c3.client_switch_latency(r.client));
+        let hold = release - r.syn_at;
         // Queueing at the instance: the request's processing starts when the
         // instance frees up (single-server FIFO per service instance), so
         // concurrent requests to a hot service serialize on its CPU.
