@@ -4,7 +4,9 @@
 //! pairs) through `Testbed::run_trace`, where nearly every request is a
 //! table hit followed by one `FlowModel` release. The expiry schedules hold
 //! one record per flow whatever came before, so the rows should be flat in
-//! the number of prior hits.
+//! the number of prior hits. Hits land on flows drawn uniformly; the
+//! `rotation` rows hit the flows in install order instead, so every hit
+//! lands on the flow next to expire — the schedule's worst case.
 //!
 //! `flowmemory_remember_new` is the other side of FlowMemory: the path a
 //! request takes when its pair was never seen (99 % of a `city_*` trace) —
@@ -41,20 +43,42 @@ fn key(i: usize) -> FlowKey {
     }
 }
 
+/// Which flow each hit lands on.
+#[derive(Clone, Copy)]
+enum Draw {
+    /// Uniformly, like the pairs of a reuse trace.
+    Uniform,
+    /// In install order: every hit on the flow next to expire.
+    Rotation,
+}
+
+/// The bench rows: every prior-hit count with uniform draws, under the
+/// parameter alone as before, and with a strict rotation.
+fn rows() -> impl Iterator<Item = (BenchmarkId, Draw, usize)> {
+    PRIOR_HITS
+        .iter()
+        .map(|&prior| (BenchmarkId::from_parameter(prior), Draw::Uniform, prior))
+        .chain(
+            PRIOR_HITS
+                .iter()
+                .map(|&prior| (BenchmarkId::new("rotation", prior), Draw::Rotation, prior)),
+        )
+}
+
 /// When hit `n` happens (1 µs after the one before) and which flow it lands
-/// on: drawn uniformly, like the pairs of a reuse trace — a fixed rotation
-/// would make every hit land on the flow next to expire.
-fn nth(n: usize, rng: &mut SimRng) -> (SimTime, usize) {
-    (
-        SimTime::ZERO + SimDuration::from_micros(n as u64),
-        rng.index(FLOWS),
-    )
+/// on.
+fn nth(n: usize, draw: Draw, rng: &mut SimRng) -> (SimTime, usize) {
+    let flow = match draw {
+        Draw::Uniform => rng.index(FLOWS),
+        Draw::Rotation => n % FLOWS,
+    };
+    (SimTime::ZERO + SimDuration::from_micros(n as u64), flow)
 }
 
 fn bench_switch_hit(c: &mut Criterion) {
     let mut group = c.benchmark_group("flow_hit_path/switch_receive_hit");
-    for &prior in &PRIOR_HITS {
-        group.bench_with_input(BenchmarkId::from_parameter(prior), &prior, |b, &prior| {
+    for (id, draw, prior) in rows() {
+        group.bench_function(id, |b| {
             let mut switch = Switch::new(2);
             for i in 0..FLOWS {
                 switch.flow_mod(
@@ -71,12 +95,12 @@ fn bench_switch_hit(c: &mut Criterion) {
             }
             let mut rng = SimRng::seed_from_u64(7);
             for n in 0..prior {
-                let (at, flow) = nth(n, &mut rng);
+                let (at, flow) = nth(n, draw, &mut rng);
                 switch.receive(at, packet(flow));
             }
             let mut n = prior;
             b.iter(|| {
-                let (at, flow) = nth(n, &mut rng);
+                let (at, flow) = nth(n, draw, &mut rng);
                 n += 1;
                 std::hint::black_box(switch.receive(at, packet(flow)))
             });
@@ -87,8 +111,8 @@ fn bench_switch_hit(c: &mut Criterion) {
 
 fn bench_memory_recall(c: &mut Criterion) {
     let mut group = c.benchmark_group("flow_hit_path/flowmemory_recall");
-    for &prior in &PRIOR_HITS {
-        group.bench_with_input(BenchmarkId::from_parameter(prior), &prior, |b, &prior| {
+    for (id, draw, prior) in rows() {
+        group.bench_function(id, |b| {
             let mut memory = FlowMemory::new(SimDuration::from_secs(60)).expect("non-zero");
             let target = SocketAddr::new(IpAddr::new(10, 0, 0, 100), 8000);
             for i in 0..FLOWS {
@@ -102,12 +126,12 @@ fn bench_memory_recall(c: &mut Criterion) {
             }
             let mut rng = SimRng::seed_from_u64(7);
             for n in 0..prior {
-                let (at, flow) = nth(n, &mut rng);
+                let (at, flow) = nth(n, draw, &mut rng);
                 memory.recall(at, key(flow));
             }
             let mut n = prior;
             b.iter(|| {
-                let (at, flow) = nth(n, &mut rng);
+                let (at, flow) = nth(n, draw, &mut rng);
                 n += 1;
                 std::hint::black_box(memory.recall(at, key(flow)).is_some())
             });

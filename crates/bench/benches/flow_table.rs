@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the OpenFlow flow table — the controller's data-plane
-//! hot path: lookup under varying table occupancy, install/replace, and the
-//! timeout sweep.
+//! hot path: lookup under varying table occupancy, install/replace, the
+//! timeout sweep, and the whole life of a redirect entry at city scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simcore::{SimDuration, SimTime};
@@ -138,5 +138,62 @@ fn bench_expire_sweep(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_lookup, bench_install, bench_expire_sweep);
+/// One `city_*` redirect's life in the switch: installed by a `FlowMod`, hit
+/// once by the `PacketOut` that releases the held SYN, evicted by the idle
+/// sweep. The table holds `resident` entries throughout — `city_100x`'s and
+/// `city_1000x`'s switch sizes at the end of a run (12 035 / 120 965) — so
+/// each iteration's sweep evicts exactly the entry installed `resident`
+/// iterations earlier, the way the testbed's sweep-before-event does.
+fn bench_lifecycle(c: &mut Criterion) {
+    const STEP: SimDuration = SimDuration::from_micros(1);
+    let mut group = c.benchmark_group("flow_table/lifecycle");
+    for resident in [12_000usize, 120_000] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(resident),
+            &resident,
+            |b, &resident| {
+                let idle = STEP * resident as u64;
+                let service = |n: usize| sa(2, (n % 200) as u8, 80);
+                let client = |n: usize| SocketAddr::new(IpAddr(n as u32), 40_000);
+                let spec = |n: usize| {
+                    FlowSpec::new(FlowMatch::client_to_service(client(n).ip, service(n)))
+                        .priority(100)
+                        .actions(vec![
+                            Action::SetDstIp(IpAddr::new(10, 0, 0, 100)),
+                            Action::Output(PortId(1)),
+                        ])
+                        .idle(idle)
+                        .cookie((n % 42) as u64)
+                };
+                let mut table = FlowTable::new();
+                let mut n = 0usize;
+                let mut life = |table: &mut FlowTable| {
+                    let now = SimTime::ZERO + STEP * n as u64;
+                    if table.next_expiry().is_some_and(|t| t <= now) {
+                        table.expire_discard(now);
+                    }
+                    table.install(now, spec(n));
+                    let released = table.lookup(now, &Packet::syn(client(n), service(n), 0));
+                    n += 1;
+                    released.is_some()
+                };
+                for _ in 0..resident {
+                    life(&mut table);
+                }
+                assert_eq!(table.len(), resident);
+                b.iter(|| std::hint::black_box(life(&mut table)));
+                assert_eq!(table.len(), resident);
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_lookup,
+    bench_install,
+    bench_expire_sweep,
+    bench_lifecycle
+);
 criterion_main!(benches);

@@ -14,7 +14,7 @@
 //!
 //! * **One slab of 48-byte records.** Every flow is a `Slot` — key,
 //!   service, target, cluster packed to `u32`, `last_seen`, two chain links
-//!   and a tag word — addressed by a `u32` handle. `index` maps a
+//!   and a flag word — addressed by a `u32` handle. `index` maps a
 //!   [`FlowKey`] to its handle and is the only place a key is stored twice.
 //!   The slab grows one page of `PAGE_SLOTS` slots (192 KiB) at a time and
 //!   never moves a record: a doubling `Vec` would copy the whole working set
@@ -23,14 +23,6 @@
 //!   themselves save. Freed slots go on a free list threaded through `next`
 //!   and are the first to be reused, so the slab's size follows the largest
 //!   number of flows alive at once, not the number ever seen.
-//! * **Handle + generation.** The tag word holds a live bit, the pending bit
-//!   and a 30-bit generation that is bumped each time a slot takes a new
-//!   tenant. An expiry record names `(handle, generation)`; it tells the
-//!   truth only while the slot is live under that same generation, so the
-//!   record a forgotten flow left behind is dropped when it surfaces instead
-//!   of being re-keyed to the slot's next tenant and living on — that is what
-//!   keeps the schedule at one record per flow (plus one per forgotten flow
-//!   until its deadline passes, plus one per backwards touch).
 //! * **Intrusive `(service, cluster)` chains.** The secondary index that
 //!   makes the scale-down queries (`flows_for_service`, `forget_service`,
 //!   `services_with_flows`, `retarget_service`) proportional to the flows of
@@ -39,9 +31,11 @@
 //!   `Chain`s — one per cluster (or the cloud) that currently serves the
 //!   service. Invariant: a chain's `count` is its length, and every member's
 //!   `(service, cluster)` is the chain's key. No per-pair set is allocated.
-//! * A [`DeadlineIndex`] holding one expiry record per flow keeps
-//!   `next_expiry` an O(1) peek without a push per `recall`; its truth
-//!   closure is a slab read.
+//! * **Touch order.** Every flow shares one idle timeout, so flows expire in
+//!   the order they were last seen: an [`IdleOrder`] keeps the handles in
+//!   that order, `recall` moves one to the tail, `next_expiry` reads the
+//!   head and `expire` unlinks heads. A removed flow leaves the list at
+//!   once, so nothing can name a freed slot's next tenant.
 //!
 //! Every list handed out is sorted by [`FlowKey`] (or by `(service,
 //! cluster)`), so neither slab order nor hash order ever reaches a caller.
@@ -53,7 +47,7 @@
 //! dispatcher converts them with a real [`FlowMemory::remember`] when the
 //! redirect installs.
 
-use simcore::{DeadlineIndex, DetHashMap, SimDuration, SimTime};
+use simcore::{DetHashMap, IdleOrder, SimDuration, SimTime};
 use simnet::{IpAddr, SocketAddr};
 
 use crate::catalog::ServiceId;
@@ -121,11 +115,9 @@ const CLOUD: u32 = u32::MAX;
 const LIVE: u32 = 1;
 /// `Slot::tag`: the flow is a pending placeholder.
 const PENDING: u32 = 2;
-/// `Slot::tag`: the generation sits above the two flag bits.
-const GEN_SHIFT: u32 = 2;
 
 /// One flow's record (or, with `LIVE` clear, a free slot whose `next` is the
-/// free list's link and whose generation is the last tenant's).
+/// free list's link).
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     key: FlowKey,
@@ -137,17 +129,13 @@ struct Slot {
     /// Neighbours in the slot's `(service, cluster)` chain.
     prev: u32,
     next: u32,
-    /// `generation << GEN_SHIFT | PENDING | LIVE`.
+    /// `PENDING | LIVE`.
     tag: u32,
 }
 
 const _: () = assert!(std::mem::size_of::<Slot>() == 48);
 
 impl Slot {
-    fn generation(&self) -> u32 {
-        self.tag >> GEN_SHIFT
-    }
-
     fn is_live(&self) -> bool {
         self.tag & LIVE != 0
     }
@@ -207,19 +195,13 @@ impl Slab {
         &mut self.pages[handle as usize / PAGE_SLOTS][handle as usize % PAGE_SLOTS]
     }
 
-    /// Store a new tenant (`slot.tag` carries its flags only) in the most
-    /// recently freed slot, under the next generation, or else in a slot
-    /// never used before. Returns its handle.
-    fn insert(&mut self, mut slot: Slot) -> u32 {
+    /// Store a new tenant in the most recently freed slot, or else in a
+    /// slot never used before. Returns its handle.
+    fn insert(&mut self, slot: Slot) -> u32 {
         if self.free != NIL {
             let handle = self.free;
-            let dead = self.get_mut(handle);
-            let next_free = dead.next;
-            // Wraps after 2^30 tenants of one slot; a record would have to
-            // stay buried that long to be mistaken for the new tenant's.
-            slot.tag |= (dead.generation().wrapping_add(1)) << GEN_SHIFT;
-            *dead = slot;
-            self.free = next_free;
+            self.free = self.get(handle).next;
+            *self.get_mut(handle) = slot;
             return handle;
         }
         if self.pages.last().is_none_or(|p| p.len() == PAGE_SLOTS) {
@@ -232,8 +214,7 @@ impl Slab {
         handle as u32
     }
 
-    /// Put a slot on the free list. Its generation stays, so records naming
-    /// it are dead from here on.
+    /// Put a slot on the free list.
     fn free(&mut self, handle: u32) {
         let next_free = self.free;
         let slot = self.get_mut(handle);
@@ -290,11 +271,8 @@ pub struct FlowMemory {
     /// before exposure. A service with no flow has no entry, a chain is
     /// never empty.
     chains: DetHashMap<ServiceId, Vec<Chain>>,
-    /// Expiry schedule of every flow, as `(handle, generation)`, settled
-    /// (see [`simcore::deadline`]) before every `&mut self` method returns.
-    /// The truth is the slot's `last_seen + idle_timeout` while it is live
-    /// under that generation, gone otherwise.
-    expiry: DeadlineIndex<(u32, u32)>,
+    /// Every flow's handle, least recently seen first.
+    order: IdleOrder,
     /// Idle timeout of *memorized* flows — longer than the switch's.
     idle_timeout: SimDuration,
 }
@@ -308,7 +286,7 @@ impl FlowMemory {
             index: DetHashMap::default(),
             slab: Slab::new(),
             chains: DetHashMap::default(),
-            expiry: DeadlineIndex::default(),
+            order: IdleOrder::default(),
             idle_timeout,
         })
     }
@@ -345,7 +323,6 @@ impl FlowMemory {
             }
             None => self.insert(now, key, service, target, cluster, 0),
         }
-        self.settle_expiry();
     }
 
     /// Insert (or refresh) a pending placeholder for a request held on an
@@ -373,7 +350,6 @@ impl FlowMemory {
             }
             None => self.insert(now, key, service, key.service_addr, cluster, PENDING),
         }
-        self.settle_expiry();
     }
 
     /// Look up a live memorized flow, refreshing its idle timer. Expired
@@ -388,12 +364,9 @@ impl FlowMemory {
         }
         if now.since(slot.last_seen) >= self.idle_timeout {
             self.detach(key);
-            self.settle_expiry();
             return None;
         }
-        let flow = self.touch(handle, now).view();
-        self.settle_expiry();
-        Some(flow)
+        Some(self.touch(handle, now).view())
     }
 
     /// Peek without refreshing (diagnostics).
@@ -412,9 +385,7 @@ impl FlowMemory {
 
     /// Drop a specific flow (e.g. its target instance was removed).
     pub fn forget(&mut self, key: FlowKey) -> Option<MemorizedFlow> {
-        let removed = self.detach(key);
-        self.settle_expiry();
-        removed
+        self.detach(key)
     }
 
     /// Drop all flows pointing at `service` on `cluster` (instance retired).
@@ -430,10 +401,9 @@ impl FlowMemory {
             let slot = self.slab.get(handle);
             let next = slot.next;
             self.index.remove(&slot.key);
-            self.slab.free(handle);
+            self.release(handle);
             handle = next;
         }
-        self.settle_expiry();
         chain.count as usize
     }
 
@@ -476,30 +446,28 @@ impl FlowMemory {
     }
 
     /// Evict idle entries; returns them (the controller's scale-down input)
-    /// sorted by key. O(evicted · log memory) thanks to the expiry index.
+    /// sorted by key. Unlinks list heads: O(evicted) before the sort.
     pub fn expire(&mut self, now: SimTime) -> Vec<MemorizedFlow> {
         let mut expired = Vec::new();
-        while let Some((_, (handle, _))) = self.expiry.pop_due(now) {
+        while let Some(handle) = self.order.first_due(now) {
             let key = self.slab.get(handle).key;
-            expired.push(self.detach(key).expect("settled top names a live flow"));
-            self.settle_expiry();
+            expired.push(self.detach(key).expect("a listed handle is a live flow"));
         }
         expired.sort_by_key(|f| f.key);
         expired
     }
 
-    /// Earliest instant any entry could expire. O(1): every mutation
-    /// settles the index.
+    /// Earliest instant any entry could expire. O(1): the least recently
+    /// seen flow's.
     pub fn next_expiry(&self) -> Option<SimTime> {
-        self.expiry.next()
+        self.order.next()
     }
 
-    /// How many expiry records the memory holds: one per flow, plus at most
-    /// one per forgotten flow until its deadline passes (tests assert the
-    /// bound).
+    /// How many flows the expiry order holds — one per flow (tests assert
+    /// it).
     #[doc(hidden)]
     pub fn expiry_records(&self) -> usize {
-        self.expiry.len()
+        self.order.len()
     }
 
     /// How many live flows reference `service` on `cluster` — zero means the
@@ -536,7 +504,7 @@ impl FlowMemory {
         pairs
     }
 
-    /// Store a new flow and file its expiry record.
+    /// Store a new flow and put it in the expiry order.
     fn insert(
         &mut self,
         now: SimTime,
@@ -558,33 +526,41 @@ impl FlowMemory {
         });
         self.index.insert(key, handle);
         self.link(handle);
-        let generation = self.slab.get(handle).generation();
-        self.expiry
-            .file(now + self.idle_timeout, (handle, generation));
+        let slab = &self.slab;
+        self.order
+            .link(handle, self.idle_timeout, now, |h| slab.get(h).last_seen);
     }
 
-    /// Stamp a flow as seen at `now` and hand back its record; only a touch
-    /// at an earlier instant (PDES re-stamping) pulls the deadline in and
-    /// files a record.
+    /// Stamp a flow as seen at `now`, move it to its place in the expiry
+    /// order — the tail, unless PDES re-stamping touched it in the past —
+    /// and hand back its record.
     fn touch(&mut self, handle: u32, now: SimTime) -> &Slot {
+        let slab = &self.slab;
+        let from = slab.get(handle).last_seen;
+        self.order.touch(handle, self.idle_timeout, from, now, |h| {
+            slab.get(h).last_seen
+        });
         let slot = self.slab.get_mut(handle);
-        self.expiry.moved(
-            (handle, slot.generation()),
-            slot.last_seen + self.idle_timeout,
-            now + self.idle_timeout,
-        );
         slot.last_seen = now;
         slot
     }
 
-    /// Remove a flow from the index, its chain and the slab (the expiry
-    /// index keeps its record until it surfaces).
+    /// Remove a flow from the index, its chain, the expiry order and the
+    /// slab.
     fn detach(&mut self, key: FlowKey) -> Option<MemorizedFlow> {
         let handle = self.index.remove(&key)?;
         let flow = self.slab.get(handle).view();
         self.unlink(handle);
-        self.slab.free(handle);
+        self.release(handle);
         Some(flow)
+    }
+
+    /// Take a flow out of the expiry order and free its slot.
+    fn release(&mut self, handle: u32) {
+        let slab = &self.slab;
+        self.order
+            .unlink(handle, self.idle_timeout, |h| slab.get(h).last_seen);
+        self.slab.free(handle);
     }
 
     /// Push a slot onto the front of the chain its `(service, cluster)`
@@ -656,15 +632,6 @@ impl FlowMemory {
             self.chains.remove(&service);
         }
         chain
-    }
-
-    /// Settle the expiry index against the slab.
-    fn settle_expiry(&mut self) {
-        self.expiry.settle(|&(handle, generation)| {
-            let slot = self.slab.get(handle);
-            (slot.is_live() && slot.generation() == generation)
-                .then(|| slot.last_seen + self.idle_timeout)
-        });
     }
 }
 
@@ -1100,21 +1067,20 @@ mod tests {
         assert_eq!(m.next_expiry(), Some(t(61_000)));
     }
 
-    /// Mutation: a backward touch with the "deadline moved earlier ⇒ push"
-    /// arm left out — `last_seen` written, no record — on a flow that is not
-    /// the top, and the brute-force comparison notices.
+    /// Mutation: a backward touch that writes `last_seen` without walking
+    /// the flow back to its place in the expiry order — on a flow that is
+    /// not the head — and the brute-force comparison notices.
     #[test]
-    fn a_backwards_touch_that_skips_the_push_is_caught() {
+    fn a_backwards_touch_that_skips_the_walk_is_caught() {
         let mut m = mem();
         m.remember(t(5000), key(1, 1), ServiceId(0), target(8000), None);
         m.remember(t(6000), key(2, 1), ServiceId(0), target(8000), None);
         let second = m.index[&key(2, 1)];
         m.slab.get_mut(second).last_seen = t(1000);
-        m.settle_expiry();
         assert_eq!(brute_force_next_expiry(&m), Some(t(61_000)));
         assert_eq!(m.next_expiry(), Some(t(65_000)), "the late answer");
 
-        // Through the one door the same touch keeps the top exact.
+        // Through the one door the same touch keeps the head exact.
         m.slab.get_mut(second).last_seen = t(6000);
         m.recall(t(1000), key(2, 1));
         assert_eq!(m.next_expiry(), Some(t(61_000)));
@@ -1180,16 +1146,10 @@ mod tests {
         }
 
         /// What FlowMemory must be indistinguishable from: a sorted map of
-        /// the flows, plus the two tallies the record bound needs.
+        /// the flows.
         #[derive(Debug, Default)]
         struct Model {
             flows: BTreeMap<FlowKey, MemorizedFlow>,
-            /// Deadline, at removal, of every flow removed with its record
-            /// still filed (anything but `expire`, which pops it).
-            forgotten: Vec<SimTime>,
-            /// Touches at an instant before the flow's last one: each files
-            /// one extra record.
-            backwards: usize,
         }
 
         const IDLE: SimDuration = SimDuration::from_secs(60);
@@ -1197,16 +1157,11 @@ mod tests {
         impl Model {
             fn touch(&mut self, key: FlowKey, now: SimTime) {
                 let f = self.flows.get_mut(&key).expect("touched flows exist");
-                if now < f.last_seen {
-                    self.backwards += 1;
-                }
                 f.last_seen = now;
             }
 
             fn remove(&mut self, key: FlowKey) -> Option<MemorizedFlow> {
-                let f = self.flows.remove(&key)?;
-                self.forgotten.push(f.last_seen + IDLE);
-                Some(f)
+                self.flows.remove(&key)
             }
 
             fn keys_where(&self, pick: impl Fn(&MemorizedFlow) -> bool) -> Vec<FlowKey> {
@@ -1347,7 +1302,7 @@ mod tests {
         }
 
         /// Every read FlowMemory offers answers as the model does, and the
-        /// expiry schedule holds no more records than the model accounts for.
+        /// expiry order holds every flow once.
         fn check(m: &FlowMemory, model: &Model) -> Result<(), String> {
             same("len", m.len(), model.flows.len())?;
             same("is_empty", m.is_empty(), model.flows.is_empty())?;
@@ -1382,29 +1337,7 @@ mod tests {
             )?;
             let next = model.flows.values().map(|f| f.last_seen + IDLE).min();
             same("next_expiry", m.next_expiry(), next)?;
-
-            // A dead record is dropped the moment it is the top, so one still
-            // filed sits at or after the settled top — and it was filed at or
-            // before the deadline its flow had when it was removed.
-            let unsurfaced = next.map_or(0, |top| {
-                model.forgotten.iter().filter(|&&d| d >= top).count()
-            });
-            let records = m.expiry_records();
-            if records < model.flows.len() {
-                return Err(format!(
-                    "{records} records for {} flows: a flow lost its record",
-                    model.flows.len()
-                ));
-            }
-            let bound = model.flows.len() + unsurfaced + model.backwards;
-            if records > bound {
-                return Err(format!(
-                    "{records} records > {} live + {unsurfaced} forgotten-unsurfaced + {} backwards",
-                    model.flows.len(),
-                    model.backwards
-                ));
-            }
-            Ok(())
+            same("expiry_records", m.expiry_records(), model.flows.len())
         }
 
         proptest! {
@@ -1413,8 +1346,8 @@ mod tests {
             /// Every op at an arbitrary instant — `now` steps backwards as
             /// often as forwards — leaves FlowMemory answering exactly as a
             /// sorted map of flows would, returned lists included, with
-            /// `next_expiry()` the brute-force minimum and the record count
-            /// inside its bound.
+            /// `next_expiry()` the brute-force minimum and one place in the
+            /// expiry order per flow.
             #[test]
             fn flow_memory_equals_a_sorted_map_under_non_monotone_time(
                 ops in prop::collection::vec((op_strategy(), 0u64..200_000), 0..120),
@@ -1430,57 +1363,38 @@ mod tests {
             }
         }
 
-        /// Mutation: a slot reused **without** a new generation. The record
-        /// its dead tenant left buried now names the new tenant, so when it
-        /// surfaces `settle` re-keys it to the new tenant's deadline instead
-        /// of dropping it — never an early expiry (a top is always checked
-        /// against the slot), but a record that outlives its flow, and the
-        /// model's record bound notices. With the bump the same ops pass.
+        /// Mutation: a `forget` that frees the flow's slot but leaves its
+        /// handle in the expiry order. The order now names a free slot — the
+        /// next tenant's, once it is reused — and the model's one-place-per-
+        /// flow check notices. Through `detach` the same forget passes.
         #[test]
-        fn a_slot_reused_under_its_old_generation_is_caught() {
-            let remember = |c, at_ms| {
-                (
-                    Op::Remember {
-                        c,
-                        s: 1,
-                        cluster: None,
-                        port: 8000,
-                    },
-                    at_ms,
-                )
+        fn a_flow_freed_without_leaving_the_order_is_caught() {
+            let remember = |c| Op::Remember {
+                c,
+                s: 1,
+                cluster: None,
+                port: 8000,
             };
-            // B's record tops the heap, A's sits under it when A is forgotten.
-            let setup = [
-                remember(1, 0),
-                remember(2, 1_000),
-                (Op::Forget { c: 2, s: 1 }, 2_000),
-            ];
-            // C moves into A's slot; forgetting B then surfaces A's record.
-            let reuse = [remember(3, 30_000), (Op::Forget { c: 1, s: 1 }, 31_000)];
-
             let run = |mutate: bool| -> Result<(), String> {
                 let mut m = mem();
                 let mut model = Model::default();
-                for (op, at_ms) in &setup {
-                    apply(&mut m, &mut model, op, t(*at_ms))?;
+                for (c, at_ms) in [(1, 0), (2, 1_000)] {
+                    apply(&mut m, &mut model, &remember(c), t(at_ms))?;
                     check(&m, &model)?;
                 }
                 if mutate {
-                    // Wind the freed slot back one generation, so the bump
-                    // on reuse lands on the dead tenant's.
-                    let freed = m.slab.free;
-                    let slot = m.slab.get_mut(freed);
-                    slot.tag = slot.tag.wrapping_sub(1 << GEN_SHIFT);
+                    let handle = m.index.remove(&key(2, 1)).expect("remembered");
+                    m.unlink(handle);
+                    m.slab.free(handle);
+                    model.remove(key(2, 1));
+                } else {
+                    apply(&mut m, &mut model, &Op::Forget { c: 2, s: 1 }, t(2_000))?;
                 }
-                for (op, at_ms) in &reuse {
-                    apply(&mut m, &mut model, op, t(*at_ms))?;
-                    check(&m, &model)?;
-                }
-                Ok(())
+                check(&m, &model)
             };
             assert_eq!(run(false), Ok(()));
-            let caught = run(true).expect_err("the stale record must be noticed");
-            assert!(caught.contains("records >"), "{caught}");
+            let caught = run(true).expect_err("the stale handle must be noticed");
+            assert!(caught.starts_with("expiry_records"), "{caught}");
         }
     }
 }

@@ -1,7 +1,6 @@
 //! FlowMemory's expiry schedule costs per flow, not per recall: however many
-//! recalls refresh it, it holds one record per flow, a sweep pops exactly the
-//! records it evicts, and a forgotten flow leaves at most one record behind,
-//! gone once its deadline passes.
+//! recalls refresh it, it holds one record per flow, a sweep takes exactly
+//! the records it evicts, and a forgotten flow leaves no record behind.
 
 use edgectl::{ClusterId, FlowKey, FlowMemory, ServiceId};
 use simcore::{SimDuration, SimTime};
@@ -72,7 +71,7 @@ fn a_million_recalls_leave_one_record_per_flow() {
 }
 
 #[test]
-fn forgotten_flows_leave_at_most_one_record_until_their_deadline() {
+fn forgotten_flows_leave_no_record_behind() {
     let mut memory = filled();
     for n in 0..10_000usize {
         memory.recall(at(n as u64), key(n % FLOWS));
@@ -83,10 +82,10 @@ fn forgotten_flows_leave_at_most_one_record_until_their_deadline() {
     assert_eq!(of_service, FLOWS / SERVICES);
     let live = FLOWS - 1 - of_service;
     assert_eq!(memory.len(), live);
-    assert!(memory.expiry_records() <= FLOWS);
+    assert_eq!(memory.expiry_records(), live);
 
-    // Keep the survivors alive past every forgotten flow's deadline: the
-    // dead records surface and are dropped, the live ones are re-keyed.
+    // Keep the survivors alive past every forgotten flow's deadline: nothing
+    // is due, and nothing but the survivors is held.
     let later = SimTime::ZERO + IDLE - SimDuration::from_millis(1);
     for i in 0..FLOWS {
         memory.recall(later, key(i));

@@ -37,15 +37,15 @@ fn remember(memory: &mut FlowMemory, now: SimTime, flows: std::ops::Range<usize>
 #[test]
 fn flow_memory_costs_bytes_per_active_flow() {
     // 200 000 distinct flows over 4 200 services: 48 B of record, 17 B per
-    // index bucket, 16 B per expiry record, the chain heads — and the slack
-    // of the two doubling tables. The map of structs this replaced took
-    // ≈ 150 B per flow.
+    // index bucket, 8 B of expiry-order links, the chain heads — and the
+    // slack of the two doubling tables. The map of structs the slab replaced
+    // took ≈ 150 B per flow, the slab with an expiry heap of 16-B records 93.
     const FLOWS: usize = 200_000;
     let empty = live_bytes();
     let mut memory = FlowMemory::new(IDLE).expect("non-zero idle timeout");
     remember(&mut memory, SimTime::ZERO, 0..FLOWS);
     let per_flow = (live_bytes() - empty) / FLOWS as u64;
-    assert!(per_flow <= 96, "{per_flow} live bytes per flow");
+    assert!(per_flow <= 83, "{per_flow} live bytes per flow");
     assert_eq!(memory.len(), FLOWS);
     drop(memory);
     assert!(
@@ -55,7 +55,7 @@ fn flow_memory_costs_bytes_per_active_flow() {
 
     // Ten rounds of the same 50 000 flows, each round expired before the
     // next, then ten rounds of 50 000 flows never seen before: freed slots
-    // are reused and the expiry heap keeps its size, so every round peaks
+    // are reused and the expiry links keep their size, so every round peaks
     // within a slab page of the first. The one thing that may grow is the
     // key index, once: removals leave tombstones in the hash table, and when
     // fresh keys run it out of room while more than half full it doubles

@@ -5,8 +5,10 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
 //! * [`EventQueue`] — a deterministic future-event list with stable FIFO tie-breaking
 //!   and O(log n) cancellation,
-//! * [`DeadlineIndex`] — the lazy keyed-deadline index behind every idle
-//!   timeout and due list: exact O(1) "next due", no work on a forward touch,
+//! * [`IdleOrder`] — idle timeouts in last-touch order, one list per
+//!   timeout: a touch is a move-to-tail, "next due" the minimum over heads,
+//! * [`DeadlineIndex`] — the lazy keyed-deadline index behind hard timeouts
+//!   and due lists: exact O(1) "next due", no work on a forward touch,
 //! * [`rng::SimRng`] — a splittable, seedable random-number generator with *named
 //!   streams*, so adding a new consumer of randomness never perturbs existing ones,
 //! * [`dist`] — the distributions used to model service times, link jitter and
@@ -38,7 +40,7 @@ pub mod shard_runner;
 pub mod stats;
 pub mod time;
 
-pub use deadline::DeadlineIndex;
+pub use deadline::{DeadlineIndex, IdleOrder};
 pub use dethash::{det_map_with_capacity, det_set_with_capacity, DetHashMap, DetHashSet};
 pub use dist::{Dist, DurationDist};
 pub use fnv::FnvStream;

@@ -23,12 +23,13 @@
 //!   a lookup probes one bucket per distinct shape currently installed,
 //! * entries with masked fields live in a short priority-ordered fallback
 //!   list that is scanned only until it can no longer beat the best hash hit,
-//! * a `FlowId → slot` map and a cookie index make `get`, `delete_by_cookie`
-//!   and strict deletes O(1)/O(matches) instead of O(table),
-//! * expiry runs off a [`DeadlineIndex`] holding one `(id, slot)` record per
-//!   entry: a hit only stamps `last_used`, `next_expiry` is an O(1) peek and
-//!   an eviction sweep is O(evicted · log table) however many hits came
-//!   before it.
+//! * an entry with only an idle timeout sits, by slot, in an [`IdleOrder`]
+//!   list of its timeout kept in last-touch order: a hit is a move to the
+//!   tail, `next_expiry` reads the list heads and an eviction sweep unlinks
+//!   heads, O(1) per evicted entry; an entry with a hard timeout has one
+//!   `(id, slot)` record in a [`DeadlineIndex`] instead,
+//! * nothing indexes entries by id or cookie — no packet, install or sweep
+//!   asks — so `get` and `delete_by_cookie` are O(table) scans.
 //!
 //! The observable semantics are unchanged: OpenFlow priority order with
 //! stable insertion order inside a priority level, `OFPFC_ADD` replace
@@ -37,7 +38,7 @@
 use std::cmp::Reverse;
 use std::hash::{Hash, Hasher};
 
-use simcore::{DeadlineIndex, DetHashMap, SimDuration, SimTime};
+use simcore::{DeadlineIndex, DetHashMap, IdleOrder, SimDuration, SimTime};
 
 use crate::addr::{IpAddr, SocketAddr};
 use crate::packet::{Packet, Protocol};
@@ -623,6 +624,15 @@ impl FlowEntry {
     fn rank(&self) -> (Reverse<u16>, FlowId) {
         (Reverse(self.priority), self.id)
     }
+
+    /// The timeout of an entry that only idles out — one the table keeps in
+    /// its [`IdleOrder`] rather than its [`DeadlineIndex`].
+    fn idle_only(&self) -> Option<SimDuration> {
+        match (self.idle_timeout, self.hard_timeout) {
+            (Some(idle), None) => Some(idle),
+            _ => None,
+        }
+    }
 }
 
 /// Why a flow entry left the table.
@@ -728,7 +738,6 @@ pub struct FlowTable {
     /// be reused by a later install.
     slots: Vec<Option<FlowEntry>>,
     free_slots: Vec<usize>,
-    by_id: DetHashMap<FlowId, usize>,
     /// Exact matchers: full key → bucket of slots sorted by table order.
     /// Every entry in a bucket has the *same* matcher (the key pins all
     /// constrained fields), so buckets only grow past 1 when the same matcher
@@ -742,20 +751,14 @@ pub struct FlowTable {
     live_shapes: u32,
     /// Masked (`IpNet`) matchers, sorted by table order.
     masked: Vec<usize>,
-    /// Cookie → slots holding that cookie (unordered). Buckets are kept
-    /// even when drained: cookies are per-service, so the map stays tiny and
-    /// the bucket `Vec`s are reused across the service's whole flow churn.
-    by_cookie: DetHashMap<u64, Vec<usize>>,
-    /// Position of each occupied slot inside its cookie bucket — makes the
-    /// detach-side bucket removal O(1) `swap_remove` instead of an O(bucket)
-    /// scan (hot: every expiry sweeps through here).
-    cookie_pos: Vec<usize>,
-    /// Expiry schedule, keyed `(id, slot)`, of every entry that has a
+    /// Expiry of every entry with an idle timeout and no hard one: handle =
+    /// slot, stamp = `last_used`.
+    idle: IdleOrder,
+    /// Expiry schedule, keyed `(id, slot)`, of every entry with a hard
     /// timeout; settled (see [`simcore::deadline`]) before every `&mut self`
     /// method returns. The truth is [`FlowEntry::deadline`] of the entry in
-    /// `slot`, or gone once the slot is empty or holds a later `id` — so
-    /// settling touches no `by_id`.
-    expiry: DeadlineIndex<(FlowId, usize)>,
+    /// `slot`, or gone once the slot is empty or holds a later `id`.
+    hard: DeadlineIndex<(FlowId, usize)>,
     next_id: u64,
     len: usize,
 }
@@ -808,6 +811,7 @@ impl FlowTable {
             packets: 0,
         };
         let deadline = entry.deadline();
+        let idle_only = entry.idle_only();
 
         let slot = match self.free_slots.pop() {
             Some(s) => {
@@ -816,14 +820,9 @@ impl FlowTable {
             }
             None => {
                 self.slots.push(Some(entry));
-                self.cookie_pos.push(0);
                 self.slots.len() - 1
             }
         };
-        self.by_id.insert(id, slot);
-        let bucket = self.by_cookie.entry(cookie).or_default();
-        bucket.push(slot);
-        self.cookie_pos[slot] = bucket.len() - 1;
 
         if matcher.is_exact() {
             let shape = matcher.shape();
@@ -843,11 +842,15 @@ impl FlowTable {
             self.masked.insert(pos, slot);
         }
 
-        if let Some(d) = deadline {
-            self.expiry.file(d, (id, slot));
+        if let Some(idle) = idle_only {
+            let slots = &self.slots;
+            self.idle
+                .link(handle(slot), idle, now, |h| last_used(slots, h));
+        } else if let Some(d) = deadline {
+            self.hard.file(d, (id, slot));
         }
         self.len += 1;
-        self.settle_expiry();
+        self.settle_hard();
         id
     }
 
@@ -937,15 +940,19 @@ impl FlowTable {
     pub fn lookup(&mut self, now: SimTime, p: &Packet) -> Option<&FlowEntry> {
         let slot = self.find_slot(p)?;
         let e = self.slots[slot].as_mut().expect("indexed slot occupied");
-        // Only a touch at an earlier instant pulls the deadline in; `moved`
-        // files a record then and is a comparison otherwise.
         let before = e.deadline();
-        e.last_used = now;
+        let last = std::mem::replace(&mut e.last_used, now);
         e.packets += 1;
-        if let (Some(from), Some(to)) = (before, e.deadline()) {
-            self.expiry.moved((e.id, slot), from, to);
+        if let Some(idle) = e.idle_only() {
+            let slots = &self.slots;
+            self.idle
+                .touch(handle(slot), idle, last, now, |h| last_used(slots, h));
+        } else if let (Some(from), Some(to)) = (before, e.deadline()) {
+            // Only a touch at an earlier instant pulls the deadline in;
+            // `moved` files a record then and is a comparison otherwise.
+            self.hard.moved((e.id, slot), from, to);
+            self.settle_hard();
         }
-        self.settle_expiry();
         self.slots[slot].as_ref()
     }
 
@@ -954,8 +961,10 @@ impl FlowTable {
         self.find_slot(p).and_then(|s| self.slots[s].as_ref())
     }
 
+    /// The entry with this id, if installed. O(table): nothing on the packet
+    /// path looks entries up by id, so no index is kept for it.
     pub fn get(&self, id: FlowId) -> Option<&FlowEntry> {
-        self.by_id.get(&id).and_then(|&s| self.slots[s].as_ref())
+        self.slots.iter().flatten().find(|e| e.id == id)
     }
 
     /// Remove all entries whose matcher equals `matcher` (OpenFlow strict
@@ -985,8 +994,12 @@ impl FlowTable {
     }
 
     /// Remove all entries carrying `cookie`; returns them in table order.
+    /// O(table): no cookie index is kept, since no packet or controller path
+    /// deletes by cookie.
     pub fn delete_by_cookie(&mut self, now: SimTime, cookie: u64) -> Vec<FlowRemoved> {
-        let mut slots = self.by_cookie.get(&cookie).cloned().unwrap_or_default();
+        let mut slots: Vec<usize> = (0..self.slots.len())
+            .filter(|&s| self.slots[s].as_ref().is_some_and(|e| e.cookie == cookie))
+            .collect();
         slots.sort_by_key(|&s| {
             self.slots[s]
                 .as_ref()
@@ -1010,7 +1023,7 @@ impl FlowTable {
                 at: now,
             })
             .collect();
-        self.settle_expiry();
+        self.settle_hard();
         removed
     }
 
@@ -1019,7 +1032,7 @@ impl FlowTable {
     /// preference to idle ones, exactly like the scan-based implementation.
     pub fn expire(&mut self, now: SimTime) -> Vec<FlowRemoved> {
         let mut removed: Vec<FlowRemoved> = Vec::new();
-        while let Some((_, (_, slot))) = self.expiry.pop_due(now) {
+        while let Some(slot) = self.first_due(now) {
             let entry = self.detach(slot);
             let hard_elapsed = entry
                 .hard_timeout
@@ -1033,7 +1046,7 @@ impl FlowTable {
                 },
                 at: now,
             });
-            self.settle_expiry();
+            self.settle_hard();
         }
         removed.sort_by_key(|r| r.entry.rank());
         removed
@@ -1045,32 +1058,46 @@ impl FlowTable {
     /// no-`Vec`, no-sort variant; the eviction *order* is unobservable here
     /// because nothing is reported.
     pub fn expire_discard(&mut self, now: SimTime) {
-        while let Some((_, (_, slot))) = self.expiry.pop_due(now) {
+        while let Some(slot) = self.first_due(now) {
             self.detach(slot);
-            self.settle_expiry();
+            self.settle_hard();
+        }
+    }
+
+    /// The slot of an entry due at or before `now`, if any: a list head, else
+    /// the settled heap top.
+    fn first_due(&self, now: SimTime) -> Option<usize> {
+        match self.idle.first_due(now) {
+            Some(h) => Some(h as usize),
+            None => self
+                .hard
+                .peek()
+                .filter(|&(at, _)| at <= now)
+                .map(|(_, (_, slot))| slot),
         }
     }
 
     /// The earliest instant at which some entry could expire — the testbed
-    /// schedules its next eviction sweep there. O(1): every mutation
-    /// settles the index.
+    /// schedules its next eviction sweep there. O(idle timeouts in use): the
+    /// list heads, and the heap top every mutation settles.
     pub fn next_expiry(&self) -> Option<SimTime> {
-        self.expiry.next()
+        self.idle.next().into_iter().chain(self.hard.next()).min()
     }
 
-    /// How many expiry records the table holds: one per entry with a timeout,
-    /// plus at most one per removed entry until its deadline passes (tests
-    /// assert the bound).
+    /// How many expiry records the table holds: one list position per
+    /// idle-only entry, and one heap record per entry with a hard timeout
+    /// plus at most one per removed such entry until its deadline passes
+    /// (tests assert the bound).
     #[doc(hidden)]
     pub fn expiry_records(&self) -> usize {
-        self.expiry.len()
+        self.idle.len() + self.hard.len()
     }
 
-    /// Pre-size the slab and hash indexes for `additional` more entries.
+    /// Pre-size the slab, its idle links and the hash index for `additional`
+    /// more entries.
     pub fn reserve(&mut self, additional: usize) {
         self.slots.reserve(additional);
-        self.cookie_pos.reserve(additional);
-        self.by_id.reserve(additional);
+        self.idle.reserve(additional);
         self.exact.reserve(additional);
     }
 
@@ -1092,24 +1119,14 @@ impl FlowTable {
             .map(|e| e.id)
     }
 
-    /// Unlink an entry from every index and free its slot. Its expiry record
-    /// is left behind for `settle_expiry` to reap.
+    /// Unlink an entry from every index and free its slot. A heap record is
+    /// left behind for `settle_hard` to reap.
     fn detach(&mut self, slot: usize) -> FlowEntry {
         let entry = self.slots[slot].take().expect("detach of empty slot");
-        self.by_id.remove(&entry.id);
-
-        // O(1) bucket removal via the back-index; the moved tail element (if
-        // any) inherits the vacated position. Drained buckets stay in the map
-        // — cookies are per-service, so they are about to be refilled.
-        let bucket = self
-            .by_cookie
-            .get_mut(&entry.cookie)
-            .expect("cookie bucket exists for installed entry");
-        let pos = self.cookie_pos[slot];
-        debug_assert_eq!(bucket[pos], slot);
-        bucket.swap_remove(pos);
-        if pos < bucket.len() {
-            self.cookie_pos[bucket[pos]] = pos;
+        if let Some(idle) = entry.idle_only() {
+            let slots = &self.slots;
+            self.idle
+                .unlink(handle(slot), idle, |h| last_used(slots, h));
         }
 
         if entry.matcher.is_exact() {
@@ -1137,15 +1154,28 @@ impl FlowTable {
         entry
     }
 
-    /// Settle the expiry index against the slab.
-    fn settle_expiry(&mut self) {
-        self.expiry.settle(|&(id, slot)| {
+    /// Settle the hard-timeout index against the slab.
+    fn settle_hard(&mut self) {
+        self.hard.settle(|&(id, slot)| {
             self.slots[slot]
                 .as_ref()
                 .filter(|e| e.id == id)
                 .and_then(FlowEntry::deadline)
         });
     }
+}
+
+/// A slot as an [`IdleOrder`] handle.
+fn handle(slot: usize) -> u32 {
+    u32::try_from(slot).expect("fewer than 2^32 flow slots")
+}
+
+/// The idle stamp of the entry an [`IdleOrder`] handle names.
+fn last_used(slots: &[Option<FlowEntry>], handle: u32) -> SimTime {
+    slots[handle as usize]
+        .as_ref()
+        .expect("a listed slot is occupied")
+        .last_used
 }
 
 /// What the switch decided to do with a received packet.
@@ -2047,29 +2077,29 @@ mod tests {
         assert_eq!(table.next_expiry(), Some(t(1300)));
     }
 
-    /// Mutation: a backward touch with the "deadline moved earlier ⇒ push"
-    /// arm left out — `last_used` written, no record — on an entry that is
-    /// not the top, and the brute-force comparison notices.
+    /// Mutation: a backward touch that stamps `last_used` without walking the
+    /// entry back to its place in its timeout's list — on an entry that is
+    /// not the list head, so the head, and `next_expiry` with it, is late;
+    /// the brute-force comparison notices.
     #[test]
-    fn a_backwards_touch_that_skips_the_push_is_caught() {
+    fn a_backwards_touch_that_skips_the_walk_is_caught() {
         let mut table = FlowTable::new();
-        let idle = |ms| SimDuration::from_millis(ms);
+        let idle = SimDuration::from_millis(300);
         table.install(
             t(1000),
-            FlowSpec::new(FlowMatch::to_service(sa(201, 80))).idle(idle(100)),
+            FlowSpec::new(FlowMatch::to_service(sa(201, 80))).idle(idle),
         );
         table.install(
-            t(1000),
-            FlowSpec::new(FlowMatch::to_service(sa(200, 80))).idle(idle(300)),
+            t(1200),
+            FlowSpec::new(FlowMatch::to_service(sa(200, 80))).idle(idle),
         );
         let slot = table.find_slot(&service_packet()).unwrap();
         table.slots[slot].as_mut().unwrap().last_used = t(500);
-        table.settle_expiry();
         assert_eq!(brute_force_next_expiry(&table), Some(t(800)));
-        assert_eq!(table.next_expiry(), Some(t(1100)), "the late answer");
+        assert_eq!(table.next_expiry(), Some(t(1300)), "the late answer");
 
-        // Through the one door the same touch keeps the top exact.
-        table.slots[slot].as_mut().unwrap().last_used = t(1000);
+        // Through the one door the same touch keeps the head exact.
+        table.slots[slot].as_mut().unwrap().last_used = t(1200);
         table.lookup(t(500), &service_packet());
         assert_eq!(table.next_expiry(), Some(t(800)));
     }

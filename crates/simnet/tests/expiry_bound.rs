@@ -1,7 +1,7 @@
 //! The flow table's expiry schedule costs per flow, not per hit: however many
-//! packets hit the table it holds one record per entry, a sweep pops exactly
-//! the records it evicts, and an entry removed another way leaves at most one
-//! record behind, gone once its deadline passes.
+//! packets hit the table it holds one record per entry, a sweep takes exactly
+//! the records it evicts, and an idle-timeout entry removed another way
+//! leaves no record behind.
 
 use simcore::{SimDuration, SimTime};
 use simnet::openflow::{Action, FlowMatch, FlowSpec, FlowTable, PortId};
@@ -70,20 +70,19 @@ fn a_million_hits_leave_one_record_per_flow() {
 }
 
 #[test]
-fn removed_entries_leave_at_most_one_record_until_their_deadline() {
+fn removed_entries_leave_no_record_behind() {
     let mut table = filled();
     for n in 0..10_000usize {
         table.lookup(at(n as u64), &packet(n % FLOWS));
     }
 
-    // Same-rule replacement: the old entry's record stays, the new entry
-    // brings its own.
-    let replaced = 10;
-    for i in 0..replaced {
+    // Same-rule replacement: the old entry's record goes with it, the new
+    // entry brings its own.
+    for i in 0..10 {
         table.install(at(20_000), spec(i));
     }
     assert_eq!(table.len(), FLOWS);
-    assert!(table.expiry_records() <= FLOWS + replaced);
+    assert_eq!(table.expiry_records(), FLOWS);
 
     // Strict delete and cookie delete.
     let by_matcher = table.delete_matching(at(20_000), &spec(100).matcher).len();
@@ -92,10 +91,10 @@ fn removed_entries_leave_at_most_one_record_until_their_deadline() {
     assert_eq!(by_cookie, FLOWS / 42);
     let live = FLOWS - by_matcher - by_cookie;
     assert_eq!(table.len(), live);
-    assert!(table.expiry_records() <= FLOWS + replaced);
+    assert_eq!(table.expiry_records(), live);
 
-    // Keep the survivors alive past every removed entry's deadline: the
-    // dead records surface and are dropped, the live ones are re-keyed.
+    // Keep the survivors alive past every removed entry's deadline: nothing
+    // is due, and nothing but the survivors is held.
     let later = SimTime::ZERO + IDLE - SimDuration::from_millis(1);
     for i in 0..FLOWS {
         table.lookup(later, &packet(i));

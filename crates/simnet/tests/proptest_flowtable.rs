@@ -5,6 +5,9 @@
 //! identical eviction order, identical `FlowRemoved` reasons, identical
 //! `next_expiry` schedule — also when a packet is stamped with an instant
 //! before the previous touch, as a PDES shard re-stamping its input does.
+//! Timeouts are drawn so both expiry schedules see traffic: idle-only entries
+//! share three idle timeouts (touch-ordered lists of several members), and
+//! hard-only and idle + hard entries go on the heap.
 
 use proptest::prelude::*;
 use simcore::{SimDuration, SimTime};
@@ -88,16 +91,22 @@ enum Op {
     },
 }
 
+/// `(idle_ms, hard_ms)` of an install.
+fn timeouts_strategy() -> impl Strategy<Value = (Option<u64>, Option<u64>)> {
+    let shared_idle = || prop_oneof![Just(300u64), Just(1000), Just(2500)];
+    prop_oneof![
+        4 => shared_idle().prop_map(|idle| (Some(idle), None)),
+        1 => (1u64..5000).prop_map(|idle| (Some(idle), None)),
+        1 => (1u64..5000).prop_map(|hard| (None, Some(hard))),
+        1 => (shared_idle(), 1u64..5000).prop_map(|(idle, hard)| (Some(idle), Some(hard))),
+        1 => Just((None, None)),
+    ]
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (
-            matcher_strategy(),
-            0u16..4,
-            prop::option::of(1u64..5000),
-            prop::option::of(1u64..5000),
-            0u64..3,
-        )
-            .prop_map(|(matcher, priority, idle_ms, hard_ms, cookie)| Op::Install {
+        4 => (matcher_strategy(), 0u16..4, timeouts_strategy(), 0u64..3)
+            .prop_map(|(matcher, priority, (idle_ms, hard_ms), cookie)| Op::Install {
                 matcher, priority, idle_ms, hard_ms, cookie
             }),
         4 => (0u8..4, 0u8..4, 0u64..500).prop_map(|(client, dst, advance_ms)| Op::Packet {

@@ -101,7 +101,30 @@ pub fn scenario_from_yaml(doc: &Yaml) -> Result<ScenarioConfig, String> {
             other => return Err(format!("unknown scenario key `{other}`")),
         }
     }
+    check_seed_flow_ports(&cfg)?;
     Ok(cfg)
+}
+
+/// Every `output:<port>` of a seed flow must name a port of the ingress
+/// switch — cloud, sites, then clients — which only the whole file fixes.
+fn check_seed_flow_ports(cfg: &ScenarioConfig) -> Result<(), String> {
+    let sites = cfg.resolved_sites().len();
+    let ports = 1 + sites + cfg.clients;
+    for (i, spec) in cfg.seed_flows.iter().enumerate() {
+        for action in &spec.actions {
+            if let Action::Output(PortId(port)) = *action {
+                if port >= ports {
+                    return Err(format!(
+                        "seed flow {i}: `output:{port}` names no switch port \
+                         (ports 0-{}: cloud, {sites} sites, {} clients)",
+                        ports - 1,
+                        cfg.clients
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 fn apply_controller(value: &Yaml, cfg: &mut ScenarioConfig) -> Result<(), String> {
@@ -116,12 +139,8 @@ fn apply_controller(value: &Yaml, cfg: &mut ScenarioConfig) -> Result<(), String
             "probe_timeout_s" => {
                 cfg.controller.probe_timeout = SimDuration::from_secs_f64(as_f64(v, key)?)
             }
-            "switch_idle_timeout_s" => {
-                cfg.controller.switch_idle_timeout = SimDuration::from_secs_f64(as_f64(v, key)?)
-            }
-            "memory_idle_timeout_s" => {
-                cfg.controller.memory_idle_timeout = SimDuration::from_secs_f64(as_f64(v, key)?)
-            }
+            "switch_idle_timeout_s" => cfg.controller.switch_idle_timeout = as_timeout(v, key)?,
+            "memory_idle_timeout_s" => cfg.controller.memory_idle_timeout = as_timeout(v, key)?,
             "scale_down_idle" => cfg.controller.scale_down_idle = as_bool(v, key)?,
             "deploy_retries" => cfg.controller.deploy_retries = as_u64(v, key)? as u32,
             "retry_backoff_ms" => {
@@ -407,10 +426,10 @@ fn parse_seed_flow(v: &Yaml) -> Result<FlowSpec, String> {
     let mut has_actions = false;
     for (key, val) in map {
         match key.as_str() {
-            "priority" => spec.priority = as_u64(val, key)? as u16,
+            "priority" => spec.priority = as_u16(val, key)?,
             "cookie" => spec.cookie = as_u64(val, key)?,
-            "idle_s" => spec.idle_timeout = Some(SimDuration::from_secs_f64(as_f64(val, key)?)),
-            "hard_s" => spec.hard_timeout = Some(SimDuration::from_secs_f64(as_f64(val, key)?)),
+            "idle_s" => spec.idle_timeout = Some(as_timeout(val, key)?),
+            "hard_s" => spec.hard_timeout = Some(as_timeout(val, key)?),
             "match" => spec.matcher = parse_flow_match(val)?,
             "actions" => {
                 let seq = val
@@ -444,8 +463,8 @@ fn parse_flow_match(v: &Yaml) -> Result<FlowMatch, String> {
             }
             "src_ip" => m.src_ip = Some(parse_ip(val, key)?),
             "dst_ip" => m.dst_ip = Some(parse_ip(val, key)?),
-            "src_port" => m.src_port = Some(as_u64(val, key)? as u16),
-            "dst_port" => m.dst_port = Some(as_u64(val, key)? as u16),
+            "src_port" => m.src_port = Some(as_u16(val, key)?),
+            "dst_port" => m.dst_port = Some(as_u16(val, key)?),
             "src_net" => m.src_net = Some(parse_net(val, key)?),
             "dst_net" => m.dst_net = Some(parse_net(val, key)?),
             other => return Err(format!("unknown match key `{other}`")),
@@ -568,9 +587,31 @@ fn as_u64(v: &Yaml, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
 }
 
+fn as_u16(v: &Yaml, key: &str) -> Result<u16, String> {
+    u16::try_from(as_u64(v, key)?).map_err(|_| format!("`{key}` must be at most 65535"))
+}
+
 fn as_f64(v: &Yaml, key: &str) -> Result<f64, String> {
     v.as_f64()
         .ok_or_else(|| format!("`{key}` must be a number"))
+}
+
+/// The longest timeout accepted, in seconds (≈ 31.7 years): every deadline
+/// `now + timeout` of a run stays far inside `SimTime`'s range.
+const MAX_TIMEOUT_S: f64 = 1e9;
+
+/// A timeout in seconds. `SimDuration::from_secs_f64` reads zero, negative
+/// and non-finite values as `ZERO` — a switch rule that expires as it is
+/// installed, a FlowMemory that cannot be built — so they are refused here,
+/// as is anything under a nanosecond or past `MAX_TIMEOUT_S`.
+fn as_timeout(v: &Yaml, key: &str) -> Result<SimDuration, String> {
+    let secs = as_f64(v, key)?;
+    if !(secs > 0.0 && secs <= MAX_TIMEOUT_S) || SimDuration::from_secs_f64(secs).is_zero() {
+        return Err(format!(
+            "`{key}` must be a positive number of seconds (at least 1 ns, at most {MAX_TIMEOUT_S:e}), got {secs}"
+        ));
+    }
+    Ok(SimDuration::from_secs_f64(secs))
 }
 
 fn as_bool(v: &Yaml, key: &str) -> Result<bool, String> {
@@ -690,6 +731,63 @@ sites:
         assert!(scenario_from_yaml(&yamlite::parse("seed: -4").unwrap()).is_err());
         assert!(scenario_from_yaml(&yamlite::parse("backends: docker").unwrap()).is_err());
         assert!(scenario_from_yaml(&yamlite::parse("42").unwrap()).is_err());
+    }
+
+    #[test]
+    fn hostile_timeouts_name_their_key() {
+        for key in ["switch_idle_timeout_s", "memory_idle_timeout_s"] {
+            for bad in ["0", "-5", "1e400", "1e-12", "2e9", "soon"] {
+                let doc = yamlite::parse(&format!("controller:\n  {key}: {bad}\n")).unwrap();
+                let err = scenario_from_yaml(&doc).unwrap_err();
+                assert!(err.contains(key), "{key}: {bad}: {err}");
+            }
+        }
+        for key in ["idle_s", "hard_s"] {
+            for bad in ["0", "-1", "0.0", "1e400"] {
+                let doc = yamlite::parse(&format!(
+                    "seed_flows:\n  - actions: [drop]\n    {key}: {bad}\n"
+                ))
+                .unwrap();
+                let err = scenario_from_yaml(&doc).unwrap_err();
+                assert!(err.contains(key), "{key}: {bad}: {err}");
+            }
+        }
+        let doc = yamlite::parse("controller:\n  switch_idle_timeout_s: 0.5\n").unwrap();
+        assert_eq!(
+            scenario_from_yaml(&doc)
+                .unwrap()
+                .controller
+                .switch_idle_timeout,
+            SimDuration::from_millis(500)
+        );
+    }
+
+    #[test]
+    fn seed_flow_fields_stay_in_range() {
+        for (bad, names) in [
+            ("priority: 70000\n    actions: [drop]", "priority"),
+            (
+                "actions: [drop]\n    match:\n      src_port: 65536",
+                "src_port",
+            ),
+            (
+                "actions: [drop]\n    match:\n      dst_port: 99999",
+                "dst_port",
+            ),
+            ("actions: [\"output:999\"]", "output:999"),
+            // 1 cloud + 1 site + 2 clients: ports 0-3, declared after the flow.
+            ("actions: [\"output:4\"]\nclients: 2", "output:4"),
+        ] {
+            let doc = yamlite::parse(&format!("seed_flows:\n  - {bad}\n")).unwrap();
+            let err = scenario_from_yaml(&doc).unwrap_err();
+            assert!(err.contains(names), "{bad}: {err}");
+        }
+        let doc = yamlite::parse(
+            "seed_flows:\n  - priority: 65535\n    actions: [\"output:3\"]\nclients: 2\n",
+        )
+        .unwrap();
+        let cfg = scenario_from_yaml(&doc).unwrap();
+        assert_eq!(cfg.seed_flows[0].priority, 65535);
     }
 
     #[test]

@@ -63,6 +63,42 @@ fn run_command_rejects_bad_scenario() {
 }
 
 #[test]
+fn run_command_rejects_hostile_timeouts_and_seed_flows() {
+    // Each of these used to run: a zero switch idle timeout lost every
+    // request and exited 0, a zero memory idle timeout and an output port
+    // past the switch's last panicked mid-run.
+    for (name, yaml, key) in [
+        (
+            "zero-switch-idle.yaml",
+            "seed: 3\ncontroller:\n  switch_idle_timeout_s: 0\n",
+            "switch_idle_timeout_s",
+        ),
+        (
+            "zero-memory-idle.yaml",
+            "seed: 3\ncontroller:\n  memory_idle_timeout_s: 0\n",
+            "memory_idle_timeout_s",
+        ),
+        (
+            "negative-seed-idle.yaml",
+            "seed: 3\nseed_flows:\n  - actions: [drop]\n    idle_s: -1\n",
+            "idle_s",
+        ),
+        (
+            "far-output.yaml",
+            "seed: 3\nseed_flows:\n  - actions: [\"output:999\"]\n",
+            "output:999",
+        ),
+    ] {
+        let scenario = write_temp(name, yaml);
+        let out = edgesim().arg("run").arg(&scenario).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(err.contains(key), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
+    }
+}
+
+#[test]
 fn run_command_with_csv_trace() {
     let scenario = write_temp("s2.yaml", "seed: 1\n");
     let trace = write_temp(
