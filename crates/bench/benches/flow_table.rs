@@ -1,11 +1,12 @@
 //! Micro-benchmarks of the OpenFlow flow table — the controller's data-plane
 //! hot path: lookup under varying table occupancy, install/replace, the
-//! timeout sweep, and the whole life of a redirect entry at city scale.
+//! timeout sweep, the whole life of a redirect entry at city scale, and the
+//! whole switch side of one city request.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simcore::{SimDuration, SimTime};
 use simnet::openflow::{Action, FlowMatch, FlowSpec, FlowTable, PortId};
-use simnet::{IpAddr, Packet, SocketAddr};
+use simnet::{IpAddr, Packet, Protocol, SocketAddr};
 
 fn sa(a: u8, b: u8, port: u16) -> SocketAddr {
     SocketAddr::new(IpAddr::new(10, a, 0, b), port)
@@ -189,11 +190,81 @@ fn bench_lifecycle(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `city_*` request's whole life in the switch: the client's SYN misses,
+/// the controller installs the forward and reverse rewrites, the released
+/// SYN hits the forward one, and — `resident / 2` requests later — the idle
+/// sweep evicts both. The table holds `resident` entries throughout (the
+/// 12 035 / 120 965 of `city_100x` / `city_1000x`), so every iteration's sweep
+/// evicts the pair installed `resident / 2` iterations earlier.
+fn bench_city_request(c: &mut Criterion) {
+    const STEP: SimDuration = SimDuration::from_micros(1);
+    let mut group = c.benchmark_group("flow_table/city_request");
+    for resident in [12_000usize, 120_000] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(resident),
+            &resident,
+            |b, &resident| {
+                let idle = STEP * (resident / 2) as u64;
+                let service = |n: usize| sa(2, (n % 200) as u8, 80);
+                let edge = |n: usize| sa(3, (n % 50) as u8, 8_000);
+                let client = |n: usize| SocketAddr::new(IpAddr(n as u32), 40_000);
+                let forward = |n: usize| {
+                    FlowSpec::new(FlowMatch::client_to_service(client(n).ip, service(n)))
+                        .priority(100)
+                        .action(Action::SetDstIp(edge(n).ip))
+                        .action(Action::SetDstPort(edge(n).port))
+                        .action(Action::Output(PortId(2)))
+                        .idle(idle)
+                        .cookie((n % 42) as u64)
+                };
+                let reverse = |n: usize| {
+                    FlowSpec::new(FlowMatch {
+                        protocol: Some(Protocol::Tcp),
+                        src_ip: Some(edge(n).ip),
+                        src_port: Some(edge(n).port),
+                        dst_ip: Some(client(n).ip),
+                        ..FlowMatch::default()
+                    })
+                    .priority(100)
+                    .action(Action::SetSrcIp(service(n).ip))
+                    .action(Action::SetSrcPort(service(n).port))
+                    .action(Action::Output(PortId(1)))
+                    .idle(idle)
+                    .cookie((n % 42) as u64)
+                };
+                let mut table = FlowTable::new();
+                let mut n = 0usize;
+                let mut request = |table: &mut FlowTable| {
+                    let now = SimTime::ZERO + STEP * n as u64;
+                    if table.next_expiry().is_some_and(|t| t <= now) {
+                        table.expire_discard(now);
+                    }
+                    let syn = Packet::syn(client(n), service(n), 0);
+                    let missed = table.lookup(now, &syn).is_none();
+                    table.install(now, forward(n));
+                    table.install(now, reverse(n));
+                    let released = table.lookup(now, &syn).is_some();
+                    n += 1;
+                    missed && released
+                };
+                for _ in 0..resident / 2 {
+                    request(&mut table);
+                }
+                assert_eq!(table.len(), resident);
+                b.iter(|| std::hint::black_box(request(&mut table)));
+                assert_eq!(table.len(), resident);
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_lookup,
     bench_install,
     bench_expire_sweep,
-    bench_lifecycle
+    bench_lifecycle,
+    bench_city_request
 );
 criterion_main!(benches);

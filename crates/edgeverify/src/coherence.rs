@@ -79,7 +79,7 @@ pub(crate) fn check(view: &CoherenceView<'_>) -> Vec<Violation> {
     // point at something alive.
     for (sw, table) in view.tables.iter().enumerate() {
         for entry in table.iter_ordered() {
-            let Some(redirect) = as_redirect(entry) else {
+            let Some(redirect) = as_redirect(&entry) else {
                 continue;
             };
             // A pending placeholder has no switch rule of its own — a rule
@@ -99,7 +99,7 @@ pub(crate) fn check(view: &CoherenceView<'_>) -> Vec<Violation> {
                     if entry.idle_timeout.is_none_or(|d| d > memory_idle) {
                         out.push(Violation::IncompatibleTimeouts {
                             switch: sw,
-                            rule: RuleRef::of(entry),
+                            rule: RuleRef::of(&entry),
                             switch_idle: entry.idle_timeout,
                             memory_idle,
                         });
@@ -109,7 +109,7 @@ pub(crate) fn check(view: &CoherenceView<'_>) -> Vec<Violation> {
                     if !view.live_targets.contains(&redirect.target) {
                         out.push(Violation::StaleRedirect {
                             switch: sw,
-                            rule: RuleRef::of(entry),
+                            rule: RuleRef::of(&entry),
                             target: redirect.target,
                         });
                     }
@@ -146,7 +146,7 @@ pub(crate) fn check(view: &CoherenceView<'_>) -> Vec<Violation> {
             let Some(entry) = table.find(&probe) else {
                 continue;
             };
-            let Some(redirect) = as_redirect(entry) else {
+            let Some(redirect) = as_redirect(&entry) else {
                 continue;
             };
             if redirect.key == flow.key {

@@ -69,7 +69,7 @@ pub(crate) fn destination(actions: &[Action]) -> Dest {
 
 /// Full pairwise audit of one table.
 pub(crate) fn check_table(switch: usize, table: &FlowTable) -> Vec<Violation> {
-    let entries: Vec<&FlowEntry> = table.iter_ordered().collect();
+    let entries: Vec<FlowEntry> = table.iter_ordered().collect();
     let mut out = Vec::new();
     for (j, b) in entries.iter().enumerate() {
         if !b.matcher.is_satisfiable() {
@@ -102,7 +102,10 @@ pub(crate) fn check_table(switch: usize, table: &FlowTable) -> Vec<Violation> {
 }
 
 /// Incremental audit after installing `id`: only pairs involving the new
-/// rule. O(table) — cheap enough to run on every `FlowMod` of a scenario.
+/// rule, and of those only the rules whose matchers can overlap it — a rule
+/// that neither intersects, covers nor is covered by the new one can be in
+/// no violation with it. O(table) record tests — cheap enough to run on
+/// every `FlowMod` of a scenario.
 pub(crate) fn check_install(switch: usize, table: &FlowTable, id: FlowId) -> Vec<Violation> {
     let Some(new) = table.get(id) else {
         return Vec::new();
@@ -111,12 +114,12 @@ pub(crate) fn check_install(switch: usize, table: &FlowTable, id: FlowId) -> Vec
     if !new.matcher.is_satisfiable() {
         out.push(Violation::Unsatisfiable {
             switch,
-            rule: RuleRef::of(new),
+            rule: RuleRef::of(&new),
         });
         return out;
     }
     let mut before_new = true;
-    for e in table.iter_ordered() {
+    for e in table.iter_ordered_overlapping(&new.matcher) {
         if e.id == id {
             before_new = false;
             continue;
@@ -126,14 +129,14 @@ pub(crate) fn check_install(switch: usize, table: &FlowTable, id: FlowId) -> Vec
             if e.matcher.subsumes(&new.matcher) {
                 out.push(Violation::Shadowed {
                     switch,
-                    rule: RuleRef::of(new),
-                    by: RuleRef::of(e),
+                    rule: RuleRef::of(&new),
+                    by: RuleRef::of(&e),
                 });
-            } else if conflicts(e, new) {
+            } else if conflicts(&e, &new) {
                 out.push(Violation::OverlapConflict {
                     switch,
-                    first: RuleRef::of(e),
-                    second: RuleRef::of(new),
+                    first: RuleRef::of(&e),
+                    second: RuleRef::of(&new),
                 });
             }
         } else {
@@ -141,14 +144,14 @@ pub(crate) fn check_install(switch: usize, table: &FlowTable, id: FlowId) -> Vec
             if new.matcher.subsumes(&e.matcher) {
                 out.push(Violation::Shadowed {
                     switch,
-                    rule: RuleRef::of(e),
-                    by: RuleRef::of(new),
+                    rule: RuleRef::of(&e),
+                    by: RuleRef::of(&new),
                 });
-            } else if conflicts(new, e) {
+            } else if conflicts(&new, &e) {
                 out.push(Violation::OverlapConflict {
                     switch,
-                    first: RuleRef::of(new),
-                    second: RuleRef::of(e),
+                    first: RuleRef::of(&new),
+                    second: RuleRef::of(&e),
                 });
             }
         }

@@ -9,6 +9,8 @@
 //!   timeout: a touch is a move-to-tail, "next due" the minimum over heads,
 //! * [`DeadlineIndex`] — the lazy keyed-deadline index behind hard timeouts
 //!   and due lists: exact O(1) "next due", no work on a forward touch,
+//! * [`SlotIndex`] — an open-addressing index from an owner's keys to its
+//!   record slots, 8 bytes a bucket, that never stores a key,
 //! * [`rng::SimRng`] — a splittable, seedable random-number generator with *named
 //!   streams*, so adding a new consumer of randomness never perturbs existing ones,
 //! * [`dist`] — the distributions used to model service times, link jitter and
@@ -37,6 +39,7 @@ pub mod queue;
 pub mod rng;
 pub mod runner;
 pub mod shard_runner;
+pub mod slot_index;
 pub mod stats;
 pub mod time;
 
@@ -48,5 +51,6 @@ pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use runner::{run_seeds, run_seeds_meta, RunnerMeta};
 pub use shard_runner::{ShardActor, ShardCrew};
+pub use slot_index::SlotIndex;
 pub use stats::{LogHistogram, Percentiles, Summary, TimeSeries};
 pub use time::{SimDuration, SimTime};

@@ -11,34 +11,63 @@
 //! `FlowMod` (install the redirect rewrite) plus a `PacketOut` (release the
 //! buffered packet through the new actions).
 //!
-//! ## Indexed flow pipeline
+//! ## Storage and indexes
 //!
-//! The table is indexed so the per-packet and per-tick costs no longer scale
-//! with the number of installed flows (see DESIGN.md, "Flow pipeline
+//! The table is laid out so an install, a hit and an eviction each touch a
+//! few cache lines, whatever the table's size (see DESIGN.md, "Flow pipeline
 //! complexity"):
 //!
-//! * entries without masked (`IpNet`) fields — including the all-wildcard
-//!   catch-all — live in a hash index keyed by their exact-field *shape*
-//!   (which of protocol/src/dst/ports are specified) plus the field values;
-//!   a lookup probes one bucket per distinct shape currently installed,
-//! * entries with masked fields live in a short priority-ordered fallback
-//!   list that is scanned only until it can no longer beat the best hash hit,
-//! * an entry with only an idle timeout sits, by slot, in an [`IdleOrder`]
+//! * **One 64-byte record per entry**, exact or masked, idle or hard, in a
+//!   slab addressed by `u32` slot: the matcher's exact fields packed into an
+//!   `ExactKey`, the [`FlowId`], `last_used`, the packet count, the
+//!   priority, an index into the table's append-only list of idle timeouts,
+//!   a `next` slot, and up to three actions packed as a 3-bit kind and a
+//!   32-bit operand each. A freed slot goes on a free list threaded through
+//!   `next`.
+//! * **Rare fields live elsewhere.** `cookie` and `installed_at`, which no
+//!   packet reads, sit in a 16-byte cold lane indexed by slot. Masked nets, a
+//!   hard timeout, and an action list that does not pack (more than three
+//!   actions, or an output port past `u32`) sit in a side table keyed by
+//!   slot, and a flag in the record says so. An entry the controller
+//!   installs — an exact redirect or host route with an idle timeout only —
+//!   has no side entry.
+//! * **The exact index** is a [`SlotIndex`]: open addressing over 8-byte
+//!   `(hash, slot)` buckets at load ≤ ½, probed linearly, that never stores a
+//!   key — it asks the record. An entry is found by the shape of its matcher
+//!   (which of protocol/src/dst/ports are pinned) plus the pinned values; a
+//!   lookup probes once per shape currently installed. Deletion shifts the
+//!   run after the hole back over it (never past an entry's home), so no
+//!   tombstone is left: an install is one probe, an eviction one probe.
+//! * **One index entry per matcher.** The same matcher installed at several
+//!   priorities keeps one bucket, naming its best-ranked record; the others
+//!   chain behind it through `next`, in table order. A chain head is the
+//!   winner for every packet its key matches.
+//! * Entries with masked (`IpNet`) fields live in a short priority-ordered
+//!   fallback list that is scanned only until it can no longer beat the best
+//!   indexed hit.
+//! * An entry with only an idle timeout sits, by slot, in an [`IdleOrder`]
 //!   list of its timeout kept in last-touch order: a hit is a move to the
 //!   tail, `next_expiry` reads the list heads and an eviction sweep unlinks
 //!   heads, O(1) per evicted entry; an entry with a hard timeout has one
-//!   `(id, slot)` record in a [`DeadlineIndex`] instead,
-//! * nothing indexes entries by id or cookie — no packet, install or sweep
+//!   `(id, slot)` record in a [`DeadlineIndex`] instead.
+//! * Nothing indexes entries by id or cookie — no packet, install or sweep
 //!   asks — so `get` and `delete_by_cookie` are O(table) scans.
+//!
+//! [`FlowEntry`] is a view, not storage: [`FlowTable::get`],
+//! [`FlowTable::find`], [`FlowTable::iter_ordered`] and every
+//! [`FlowRemoved`] build one from the record on demand, and
+//! [`FlowTable::lookup`] hands a hit's actions out by value. The switch's own
+//! hit path builds no list at all: it applies a record's packed actions as it
+//! decodes them.
 //!
 //! The observable semantics are unchanged: OpenFlow priority order with
 //! stable insertion order inside a priority level, `OFPFC_ADD` replace
 //! semantics, and `FlowRemoved` notifications in table order.
 
 use std::cmp::Reverse;
-use std::hash::{Hash, Hasher};
 
-use simcore::{DeadlineIndex, DetHashMap, IdleOrder, SimDuration, SimTime};
+use simcore::slot_index::Probe;
+use simcore::{DeadlineIndex, DetHashMap, IdleOrder, SimDuration, SimTime, SlotIndex};
 
 use crate::addr::{IpAddr, SocketAddr};
 use crate::packet::{Packet, Protocol};
@@ -284,17 +313,18 @@ impl FlowMatch {
     }
 }
 
-/// Hash key for exact matchers: the `Some`-ness pattern of the five exact
-/// fields is the *shape*, and the values under that shape identify the
-/// matcher uniquely. A packet is probed once per shape present in the table
-/// (tuple-space search); a bucket hit is a guaranteed match, no re-check
-/// needed.
+/// Index key of a matcher's exact fields: the `Some`-ness pattern of the
+/// five exact fields is the *shape*, and the values under that shape identify
+/// an exact matcher uniquely. A packet is probed once per shape present in
+/// the table (tuple-space search); a hit is a guaranteed match, no re-check
+/// needed. Every record stores the key of its matcher — a masked matcher's
+/// exact part, with the nets beside it in the side table.
 ///
-/// Packed into two words so a probe hashes two words, not five `Option`s:
-/// `meta` holds the shape in bits 0..5, the protocol in 8..16, the source
-/// port in 16..32 and the destination port in 32..48; `addrs` holds the
-/// source ip in its low half and the destination ip in its high half. A field
-/// outside the shape is zero, so equal keys are equal matchers.
+/// Packed into two words so a probe hashes and compares two words, not five
+/// `Option`s: `meta` holds the shape in bits 0..5, the protocol in 8..16, the
+/// source port in 16..32 and the destination port in 32..48; `addrs` holds
+/// the source ip in its low half and the destination ip in its high half. A
+/// field outside the shape is zero, so equal keys are equal exact matchers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ExactKey {
     meta: u64,
@@ -329,8 +359,8 @@ impl ExactKey {
         masks
     };
 
+    /// The key of `m`'s exact fields (its nets, if any, are not in it).
     fn of_matcher(m: &FlowMatch) -> ExactKey {
-        debug_assert!(m.is_exact());
         ExactKey {
             meta: m.shape() as u64
                 | m.protocol.map_or(0, |p| p as u64) << 8
@@ -339,6 +369,30 @@ impl ExactKey {
             addrs: m.src_ip.map_or(0, |ip| ip.0 as u64)
                 | m.dst_ip.map_or(0, |ip| ip.0 as u64) << 32,
         }
+    }
+
+    /// The exact fields as a matcher with no nets: the inverse of
+    /// [`ExactKey::of_matcher`] on exact matchers.
+    fn matcher(self) -> FlowMatch {
+        let on = |bit: u8| self.shape() & bit != 0;
+        let protocol = if (self.meta >> 8) as u8 == Protocol::Tcp as u8 {
+            Protocol::Tcp
+        } else {
+            Protocol::Udp
+        };
+        FlowMatch {
+            protocol: on(1).then_some(protocol),
+            src_ip: on(2).then_some(IpAddr(self.addrs as u32)),
+            src_port: on(4).then_some((self.meta >> 16) as u16),
+            dst_ip: on(8).then_some(IpAddr((self.addrs >> 32) as u32)),
+            dst_port: on(16).then_some((self.meta >> 32) as u16),
+            src_net: None,
+            dst_net: None,
+        }
+    }
+
+    fn shape(self) -> u8 {
+        (self.meta & 0x1f) as u8
     }
 
     /// All five fields of a packet, shape bits clear — computed once per
@@ -350,8 +404,8 @@ impl ExactKey {
         }
     }
 
-    /// Project a packet's fields onto a shape: the key an exact matcher of
-    /// that shape must equal for the packet to match it.
+    /// Project a packet's fields — or a key's — onto a shape: the key an
+    /// exact matcher of that shape must equal for the packet to match it.
     fn project(self, shape: u8) -> ExactKey {
         let (meta, addrs) = Self::FIELD_MASKS[shape as usize];
         ExactKey {
@@ -359,16 +413,15 @@ impl ExactKey {
             addrs: self.addrs & addrs,
         }
     }
-}
 
-impl Hash for ExactKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // `DetHasher` is multiply-rotate: the low bits of its output — the
-        // bucket index — see only the low bits of the last word written, so
-        // fold the destination ip (high half) down into them first.
-        let addrs = self.addrs.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        state.write_u64(self.meta);
-        state.write_u64(addrs ^ addrs >> 32);
+    /// The [`SlotIndex`] hash, whose low bits pick the bucket: a folded
+    /// multiply — the two words, each offset by a constant, multiplied to 128
+    /// bits and the halves XORed — so every input bit reaches the low bits.
+    fn hash32(self) -> u32 {
+        let product = u128::from(self.meta ^ 0x243f_6a88_85a3_08d3)
+            * u128::from(self.addrs ^ 0x1319_8a2e_0370_7344);
+        let h = product as u64 ^ (product >> 64) as u64;
+        (h ^ h >> 32) as u32
     }
 }
 
@@ -591,8 +644,9 @@ impl FlowSpec {
     }
 }
 
-/// An installed flow entry.
-#[derive(Debug, Clone)]
+/// An installed flow entry, as the table reports it: a copy built from the
+/// entry's record, not a reference into the table.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowEntry {
     pub id: FlowId,
     pub priority: u16,
@@ -609,29 +663,9 @@ pub struct FlowEntry {
 }
 
 impl FlowEntry {
-    /// The instant at which this entry currently expires: the earlier of its
-    /// idle and hard deadlines, `None` if it has no timeouts.
-    fn deadline(&self) -> Option<SimTime> {
-        let idle = self.idle_timeout.map(|d| self.last_used + d);
-        let hard = self.hard_timeout.map(|d| self.installed_at + d);
-        match (idle, hard) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
     /// Table order: priority descending, then insertion order ascending.
     fn rank(&self) -> (Reverse<u16>, FlowId) {
         (Reverse(self.priority), self.id)
-    }
-
-    /// The timeout of an entry that only idles out — one the table keeps in
-    /// its [`IdleOrder`] rather than its [`DeadlineIndex`].
-    fn idle_only(&self) -> Option<SimDuration> {
-        match (self.idle_timeout, self.hard_timeout) {
-            (Some(idle), None) => Some(idle),
-            _ => None,
-        }
     }
 }
 
@@ -652,75 +686,333 @@ pub struct FlowRemoved {
     pub at: SimTime,
 }
 
-/// A bucket of slot indices with inline storage for the common case.
-///
-/// Exact-match buckets hold one slot per `(matcher, priority)`; more than
-/// one entry only appears when the same matcher is installed at several
-/// priorities. Keeping two slots inline means the per-request install path
-/// never allocates a bucket `Vec`.
-#[derive(Debug, Clone)]
-enum SlotBucket {
-    Inline { len: u8, slots: [usize; 2] },
-    Spilled(Vec<usize>),
+/// What [`FlowTable::lookup`] hands back for a hit: the winning entry's id and
+/// a copy of its actions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Hit {
+    pub id: FlowId,
+    pub actions: ActionList,
 }
 
-impl SlotBucket {
-    fn one(slot: usize) -> SlotBucket {
-        SlotBucket::Inline {
-            len: 1,
-            slots: [slot, 0],
+/// No slot: the end of a same-matcher chain or of the free list.
+const NIL: u32 = u32::MAX;
+/// [`Record::idle`] of an entry without an idle timeout.
+const NO_IDLE: u32 = u32::MAX;
+/// Actions a record holds in place.
+const PACKED: usize = 3;
+
+// [`Record::code`]: bits 0..9 are the packed actions' kinds, three bits each
+// in list order; bits 9..11 their count; the rest are flags.
+const COUNT_SHIFT: u32 = 9;
+/// The slot holds an entry (clear on the free list).
+const LIVE: u16 = 1 << 11;
+/// The matcher has masked nets, kept in the side table.
+const MASKED: u16 = 1 << 12;
+/// The entry has a hard timeout, kept in the side table.
+const HARD: u16 = 1 << 13;
+/// The actions did not pack; the side table holds them.
+const LONG: u16 = 1 << 14;
+/// Any flag that puts the entry in the side table.
+const SIDE: u16 = MASKED | HARD | LONG;
+
+/// One entry's hot state — everything an install, a hit or an eviction
+/// reads — in one cache line.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct Record {
+    key: ExactKey,
+    id: FlowId,
+    last_used: SimTime,
+    packets: u64,
+    /// Operands of the packed actions, in list order.
+    operands: [u32; PACKED],
+    /// The next record of the same matcher in table order; on the free
+    /// list, the next free slot.
+    next: u32,
+    /// Index into the table's idle timeouts, or [`NO_IDLE`].
+    idle: u32,
+    priority: u16,
+    /// Packed action kinds and count, and the flags above.
+    code: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() <= 64);
+
+impl Record {
+    fn has(&self, flags: u16) -> bool {
+        self.code & flags != 0
+    }
+
+    /// Table order: priority descending, then insertion order ascending.
+    fn rank(&self) -> (Reverse<u16>, FlowId) {
+        (Reverse(self.priority), self.id)
+    }
+
+    /// The packed actions, decoded one by one (a record not flagged
+    /// [`LONG`]).
+    fn packed_actions(&self) -> impl Iterator<Item = Action> {
+        let (code, operands) = (self.code, self.operands);
+        let count = (code >> COUNT_SHIFT) as usize & 3;
+        (0..count).map(move |i| unpack_action(code >> (3 * i) & 7, operands[i]))
+    }
+}
+
+/// Pack up to [`PACKED`] actions into `(kinds | count, operands)`; `None` if
+/// the list is longer or an output port does not fit 32 bits.
+fn pack_actions(actions: &[Action]) -> Option<(u16, [u32; PACKED])> {
+    if actions.len() > PACKED {
+        return None;
+    }
+    let mut code = (actions.len() as u16) << COUNT_SHIFT;
+    let mut operands = [0; PACKED];
+    for (i, action) in actions.iter().enumerate() {
+        let (kind, operand) = match *action {
+            Action::SetSrcIp(ip) => (0, ip.0),
+            Action::SetSrcPort(port) => (1, u32::from(port)),
+            Action::SetDstIp(ip) => (2, ip.0),
+            Action::SetDstPort(port) => (3, u32::from(port)),
+            Action::Output(port) => (4, u32::try_from(port.0).ok()?),
+            Action::ToController => (5, 0),
+            Action::Drop => (6, 0),
+        };
+        code |= kind << (3 * i);
+        operands[i] = operand;
+    }
+    Some((code, operands))
+}
+
+fn unpack_action(kind: u16, operand: u32) -> Action {
+    match kind {
+        0 => Action::SetSrcIp(IpAddr(operand)),
+        1 => Action::SetSrcPort(operand as u16),
+        2 => Action::SetDstIp(IpAddr(operand)),
+        3 => Action::SetDstPort(operand as u16),
+        4 => Action::Output(PortId(operand as usize)),
+        5 => Action::ToController,
+        _ => Action::Drop,
+    }
+}
+
+/// The fields no packet reads, by slot.
+#[derive(Debug, Clone, Copy)]
+struct Cold {
+    cookie: u64,
+    installed_at: SimTime,
+}
+
+/// The fields only seed flows and tests set, for a record flagged [`SIDE`].
+#[derive(Debug, Clone)]
+struct Side {
+    src_net: Option<IpNet>,
+    dst_net: Option<IpNet>,
+    hard_timeout: Option<SimDuration>,
+    /// Set iff the record is flagged [`LONG`].
+    actions: Option<ActionList>,
+}
+
+/// The entries' storage: records, cold lane and side table by slot, plus
+/// the idle timeouts records point into. Slots are stable; a freed one is
+/// reused before the slab grows.
+#[derive(Debug)]
+struct Slab {
+    records: Vec<Record>,
+    cold: Vec<Cold>,
+    side: DetHashMap<u32, Side>,
+    /// Every idle timeout ever installed, in order of first use.
+    idle_timeouts: Vec<SimDuration>,
+    /// Head of the free list.
+    free: u32,
+}
+
+impl Default for Slab {
+    fn default() -> Slab {
+        Slab {
+            records: Vec::new(),
+            cold: Vec::new(),
+            side: DetHashMap::default(),
+            idle_timeouts: Vec::new(),
+            free: NIL,
+        }
+    }
+}
+
+impl Slab {
+    fn get(&self, slot: u32) -> &Record {
+        &self.records[slot as usize]
+    }
+
+    fn get_mut(&mut self, slot: u32) -> &mut Record {
+        &mut self.records[slot as usize]
+    }
+
+    fn side(&self, slot: u32) -> &Side {
+        self.side
+            .get(&slot)
+            .expect("a record flagged for the side table has an entry there")
+    }
+
+    /// Store a new entry in the most recently freed slot, or else in a slot
+    /// never used before. Returns its slot.
+    fn insert(&mut self, record: Record, cold: Cold, side: Option<Side>) -> u32 {
+        let slot = if self.free != NIL {
+            let slot = self.free;
+            self.free = self.get(slot).next;
+            self.records[slot as usize] = record;
+            self.cold[slot as usize] = cold;
+            slot
+        } else {
+            let slot = u32::try_from(self.records.len())
+                .ok()
+                .filter(|&s| s != NIL)
+                .expect("fewer than 2^32 - 1 flow slots");
+            self.records.push(record);
+            self.cold.push(cold);
+            slot
+        };
+        if let Some(side) = side {
+            self.side.insert(slot, side);
+        }
+        slot
+    }
+
+    /// Overwrite the entry in `slot` with a new one that keeps its place in
+    /// its chain.
+    fn replace(&mut self, slot: u32, record: Record, cold: Cold, side: Option<Side>) {
+        let old = *self.get(slot);
+        if old.has(SIDE) {
+            self.side.remove(&slot);
+        }
+        *self.get_mut(slot) = Record {
+            next: old.next,
+            ..record
+        };
+        self.cold[slot as usize] = cold;
+        if let Some(side) = side {
+            self.side.insert(slot, side);
         }
     }
 
-    fn slice(&self) -> &[usize] {
-        match self {
-            SlotBucket::Inline { len, slots } => &slots[..*len as usize],
-            SlotBucket::Spilled(v) => v,
+    /// Put a slot on the free list.
+    fn free(&mut self, slot: u32) {
+        if self.get(slot).has(SIDE) {
+            self.side.remove(&slot);
         }
+        let next_free = self.free;
+        let record = self.get_mut(slot);
+        record.code = 0;
+        record.next = next_free;
+        self.free = slot;
     }
 
-    /// Insert `slot` at `pos`, spilling to a `Vec` past two entries.
-    fn insert(&mut self, pos: usize, slot: usize) {
-        match self {
-            SlotBucket::Inline { len, slots } if (*len as usize) < slots.len() => {
-                let n = *len as usize;
-                debug_assert!(pos <= n);
-                if pos < n {
-                    slots[1] = slots[0];
-                }
-                slots[pos] = slot;
-                *len = (n + 1) as u8;
+    /// Every occupied slot, ascending.
+    fn live(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.records.len() as u32).filter(|&s| self.get(s).has(LIVE))
+    }
+
+    fn rank(&self, slot: u32) -> (Reverse<u16>, FlowId) {
+        self.get(slot).rank()
+    }
+
+    /// The [`Record::idle`] value for `timeout`, adding it to the list on
+    /// first use.
+    fn idle_class(&mut self, timeout: Option<SimDuration>) -> u32 {
+        let Some(timeout) = timeout else {
+            return NO_IDLE;
+        };
+        let class = match self.idle_timeouts.iter().position(|&t| t == timeout) {
+            Some(class) => class,
+            None => {
+                self.idle_timeouts.push(timeout);
+                self.idle_timeouts.len() - 1
             }
-            SlotBucket::Inline { len, slots } => {
-                let mut v = Vec::with_capacity(*len as usize + 1);
-                v.extend_from_slice(&slots[..*len as usize]);
-                v.insert(pos, slot);
-                *self = SlotBucket::Spilled(v);
-            }
-            SlotBucket::Spilled(v) => v.insert(pos, slot),
+        };
+        u32::try_from(class)
+            .ok()
+            .filter(|&c| c != NO_IDLE)
+            .expect("fewer than 2^32 - 1 idle timeouts")
+    }
+
+    fn idle_timeout(&self, slot: u32) -> Option<SimDuration> {
+        let idle = self.get(slot).idle;
+        (idle != NO_IDLE).then(|| self.idle_timeouts[idle as usize])
+    }
+
+    fn hard_timeout(&self, slot: u32) -> Option<SimDuration> {
+        self.get(slot)
+            .has(HARD)
+            .then(|| self.side(slot).hard_timeout)
+            .flatten()
+    }
+
+    /// The timeout of an entry that only idles out — one the table keeps in
+    /// its [`IdleOrder`] rather than its [`DeadlineIndex`].
+    fn idle_only(&self, slot: u32) -> Option<SimDuration> {
+        self.idle_timeout(slot)
+            .filter(|_| !self.get(slot).has(HARD))
+    }
+
+    /// The instant at which the entry in `slot` currently expires: the
+    /// earlier of its idle and hard deadlines, `None` if it has no timeouts.
+    fn deadline(&self, slot: u32) -> Option<SimTime> {
+        let idle = self
+            .idle_timeout(slot)
+            .map(|d| self.get(slot).last_used + d);
+        let hard = self
+            .hard_timeout(slot)
+            .map(|d| self.cold[slot as usize].installed_at + d);
+        match (idle, hard) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
     }
 
-    /// Remove every occurrence of `slot`, preserving order.
-    fn remove_slot(&mut self, slot: usize) {
-        match self {
-            SlotBucket::Inline { len, slots } => {
-                let n = *len as usize;
-                let mut kept = 0usize;
-                for i in 0..n {
-                    if slots[i] != slot {
-                        slots[kept] = slots[i];
-                        kept += 1;
-                    }
-                }
-                *len = kept as u8;
-            }
-            SlotBucket::Spilled(v) => v.retain(|&s| s != slot),
+    fn matcher(&self, slot: u32) -> FlowMatch {
+        let record = self.get(slot);
+        let mut matcher = record.key.matcher();
+        if record.has(MASKED) {
+            let side = self.side(slot);
+            matcher.src_net = side.src_net;
+            matcher.dst_net = side.dst_net;
         }
+        matcher
     }
 
-    fn is_empty(&self) -> bool {
-        self.slice().is_empty()
+    fn actions(&self, slot: u32) -> ActionList {
+        let record = self.get(slot);
+        if record.has(LONG) {
+            return self
+                .side(slot)
+                .actions
+                .clone()
+                .expect("a record flagged LONG keeps its actions in the side table");
+        }
+        // Built in place: pushing one by one keeps the spill path in the
+        // loop, which costs a `lookup` more than its probe.
+        let mut items = [ActionList::PAD; ActionList::INLINE];
+        let mut len = 0;
+        for (item, action) in items.iter_mut().zip(record.packed_actions()) {
+            *item = action;
+            len += 1;
+        }
+        ActionList::Inline { len, items }
+    }
+
+    /// The entry in `slot`, as callers see it.
+    fn view(&self, slot: u32) -> FlowEntry {
+        let record = self.get(slot);
+        let cold = self.cold[slot as usize];
+        FlowEntry {
+            id: record.id,
+            priority: record.priority,
+            matcher: self.matcher(slot),
+            actions: self.actions(slot),
+            idle_timeout: self.idle_timeout(slot),
+            hard_timeout: self.hard_timeout(slot),
+            cookie: cold.cookie,
+            installed_at: cold.installed_at,
+            last_used: record.last_used,
+            packets: record.packets,
+        }
     }
 }
 
@@ -729,36 +1021,32 @@ impl SlotBucket {
 /// Matching follows OpenFlow semantics: the winning entry is the first in
 /// `(priority desc, insertion order asc)` order whose matcher accepts the
 /// packet. Internally, exact matchers (no `IpNet` masks) are found through a
-/// per-shape hash index and masked matchers through a short ordered fallback
-/// list; the module docs describe the structures and DESIGN.md the complexity
-/// argument.
+/// per-shape [`SlotIndex`] probe and masked matchers through a short ordered
+/// fallback list; the module docs describe the structures and DESIGN.md the
+/// complexity argument.
 #[derive(Debug, Default)]
 pub struct FlowTable {
-    /// Slab of entries; a slot is `None` after its entry is removed and may
-    /// be reused by a later install.
-    slots: Vec<Option<FlowEntry>>,
-    free_slots: Vec<usize>,
-    /// Exact matchers: full key → bucket of slots sorted by table order.
-    /// Every entry in a bucket has the *same* matcher (the key pins all
-    /// constrained fields), so buckets only grow past 1 when the same matcher
-    /// is installed at several priorities — [`SlotBucket`] keeps the common
-    /// 1–2 entry case inline, so an install allocates nothing here.
-    exact: DetHashMap<ExactKey, SlotBucket>,
+    slab: Slab,
+    /// Exact matchers: key → the slot of the best-ranked record with that
+    /// key, the head of its chain. Every record in a chain has the *same*
+    /// matcher (the key pins all constrained fields) and a distinct
+    /// priority.
+    index: SlotIndex,
     /// How many exact entries exist per shape.
     shape_counts: [usize; 32],
     /// Bit `s` set iff `shape_counts[s] > 0` — the set of keys to probe per
     /// packet, walked in ascending shape order.
     live_shapes: u32,
     /// Masked (`IpNet`) matchers, sorted by table order.
-    masked: Vec<usize>,
+    masked: Vec<u32>,
     /// Expiry of every entry with an idle timeout and no hard one: handle =
     /// slot, stamp = `last_used`.
     idle: IdleOrder,
     /// Expiry schedule, keyed `(id, slot)`, of every entry with a hard
     /// timeout; settled (see [`simcore::deadline`]) before every `&mut self`
-    /// method returns. The truth is [`FlowEntry::deadline`] of the entry in
-    /// `slot`, or gone once the slot is empty or holds a later `id`.
-    hard: DeadlineIndex<(FlowId, usize)>,
+    /// method returns. The truth is the deadline of the entry in `slot`, or
+    /// gone once the slot is free or holds a later `id`.
+    hard: DeadlineIndex<(FlowId, u32)>,
     next_id: u64,
     len: usize,
 }
@@ -782,6 +1070,12 @@ impl FlowTable {
     /// match)` replaces the existing one (counters reset), so re-installing a
     /// redirect simply overwrites it.
     pub fn install(&mut self, now: SimTime, spec: FlowSpec) -> FlowId {
+        let slot = self.insert(now, spec);
+        self.slab.get(slot).id
+    }
+
+    /// [`FlowTable::install`], returning the new entry's slot.
+    fn insert(&mut self, now: SimTime, spec: FlowSpec) -> u32 {
         let FlowSpec {
             matcher,
             priority,
@@ -790,204 +1084,232 @@ impl FlowTable {
             hard_timeout,
             cookie,
         } = spec;
-
-        // Replace any existing entry with the same (priority, match).
-        if let Some(slot) = self.find_same_rule(priority, &matcher) {
-            self.detach(slot);
-        }
-
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        let entry = FlowEntry {
-            id,
-            priority,
-            matcher,
-            actions,
-            idle_timeout,
+        let (mut code, operands, long) = match pack_actions(&actions) {
+            Some((code, operands)) => (code, operands, None),
+            None => (LONG, [0; PACKED], Some(actions)),
+        };
+        code |= LIVE;
+        if !matcher.is_exact() {
+            code |= MASKED;
+        }
+        if hard_timeout.is_some() {
+            code |= HARD;
+        }
+        let side = (code & SIDE != 0).then_some(Side {
+            src_net: matcher.src_net,
+            dst_net: matcher.dst_net,
             hard_timeout,
-            cookie,
-            installed_at: now,
+            actions: long,
+        });
+        let record = Record {
+            key: ExactKey::of_matcher(&matcher),
+            id,
             last_used: now,
             packets: 0,
+            operands,
+            next: NIL,
+            idle: self.slab.idle_class(idle_timeout),
+            priority,
+            code,
         };
-        let deadline = entry.deadline();
-        let idle_only = entry.idle_only();
-
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                self.slots[s] = Some(entry);
-                s
-            }
-            None => {
-                self.slots.push(Some(entry));
-                self.slots.len() - 1
-            }
+        let cold = Cold {
+            cookie,
+            installed_at: now,
         };
 
-        if matcher.is_exact() {
-            let shape = matcher.shape();
-            self.shape_counts[shape as usize] += 1;
-            self.live_shapes |= 1 << shape;
-            match self.exact.entry(ExactKey::of_matcher(&matcher)) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let pos = Self::ordered_position(&self.slots, e.get().slice(), priority);
-                    e.get_mut().insert(pos, slot);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(SlotBucket::one(slot));
-                }
-            }
+        let slot = if record.has(MASKED) {
+            self.insert_masked(record, cold, side, &matcher)
         } else {
-            let pos = Self::ordered_position(&self.slots, &self.masked, priority);
-            self.masked.insert(pos, slot);
-        }
+            self.insert_exact(record, cold, side)
+        };
 
-        if let Some(idle) = idle_only {
-            let slots = &self.slots;
-            self.idle
-                .link(handle(slot), idle, now, |h| last_used(slots, h));
-        } else if let Some(d) = deadline {
+        if let Some(idle) = self.slab.idle_only(slot) {
+            let slab = &self.slab;
+            self.idle.link(slot, idle, now, |h| slab.get(h).last_used);
+        } else if let Some(d) = self.slab.deadline(slot) {
             self.hard.file(d, (id, slot));
         }
-        self.len += 1;
         self.settle_hard();
-        id
+        slot
     }
 
-    /// Position in `list` (sorted by table order) where a new entry of
-    /// `priority` belongs. New entries carry the largest id so far, so they
-    /// go after every entry with priority >= theirs.
-    fn ordered_position(slots: &[Option<FlowEntry>], list: &[usize], priority: u16) -> usize {
-        list.iter()
-            .position(|&s| slots[s].as_ref().expect("indexed slot occupied").priority < priority)
-            .unwrap_or(list.len())
-    }
-
-    /// Slot of the entry with exactly this (priority, matcher), if installed.
-    fn find_same_rule(&self, priority: u16, matcher: &FlowMatch) -> Option<usize> {
-        if matcher.is_exact() {
-            let bucket = self.exact.get(&ExactKey::of_matcher(matcher))?;
-            bucket.slice().iter().copied().find(|&s| {
-                self.slots[s]
-                    .as_ref()
-                    .expect("indexed slot occupied")
-                    .priority
-                    == priority
-            })
-        } else {
-            self.masked.iter().copied().find(|&s| {
-                let e = self.slots[s].as_ref().expect("indexed slot occupied");
-                e.priority == priority && &e.matcher == matcher
-            })
-        }
-    }
-
-    /// Winning slot for a packet: best hash-bucket head across installed
-    /// shapes, then the masked fallback list scanned only while it can still
-    /// beat that.
-    fn find_slot(&self, p: &Packet) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        let consider = |slots: &[Option<FlowEntry>], best: &mut Option<usize>, cand: usize| {
-            let better = match *best {
-                None => true,
-                Some(b) => {
-                    let rank = |s: usize| slots[s].as_ref().expect("indexed slot occupied").rank();
-                    rank(cand) < rank(b)
-                }
-            };
-            if better {
-                *best = Some(cand);
+    /// One index probe: a new key takes the vacant bucket, a new priority
+    /// joins the key's chain at its rank, and a `(priority, match)` already
+    /// installed is replaced in place — the chain's priorities are distinct,
+    /// so the new entry's place is the old one's.
+    fn insert_exact(&mut self, record: Record, cold: Cold, side: Option<Side>) -> u32 {
+        let key = record.key;
+        let hash = key.hash32();
+        let slab = &self.slab;
+        let (bucket, head) = match self.index.probe(hash, |s| slab.get(s).key == key) {
+            Probe::Vacant { bucket } => {
+                let slot = self.slab.insert(record, cold, side);
+                self.index.insert_at(bucket, hash, slot);
+                self.count_exact(key.shape());
+                return slot;
             }
+            Probe::Found { bucket, slot } => (bucket, slot),
         };
+        let (mut prev, mut at) = (NIL, head);
+        while at != NIL && self.slab.get(at).priority > record.priority {
+            prev = at;
+            at = self.slab.get(at).next;
+        }
+        if at != NIL && self.slab.get(at).priority == record.priority {
+            self.unlink_idle(at);
+            self.slab.replace(at, record, cold, side);
+            return at;
+        }
+        let slot = self.slab.insert(Record { next: at, ..record }, cold, side);
+        match prev {
+            NIL => self.index.set(bucket, slot),
+            p => self.slab.get_mut(p).next = slot,
+        }
+        self.count_exact(key.shape());
+        slot
+    }
 
+    fn insert_masked(
+        &mut self,
+        record: Record,
+        cold: Cold,
+        side: Option<Side>,
+        matcher: &FlowMatch,
+    ) -> u32 {
+        let same = self.masked.iter().copied().find(|&s| {
+            self.slab.get(s).priority == record.priority && self.slab.matcher(s) == *matcher
+        });
+        if let Some(slot) = same {
+            self.detach(slot);
+        }
+        let slot = self.slab.insert(record, cold, side);
+        // New entries carry the largest id so far, so they go after every
+        // entry with priority >= theirs.
+        let pos = self
+            .masked
+            .iter()
+            .position(|&s| self.slab.get(s).priority < record.priority)
+            .unwrap_or(self.masked.len());
+        self.masked.insert(pos, slot);
+        self.len += 1;
+        slot
+    }
+
+    /// Count a new exact entry of `shape`.
+    fn count_exact(&mut self, shape: u8) {
+        self.shape_counts[shape as usize] += 1;
+        self.live_shapes |= 1 << shape;
+        self.len += 1;
+    }
+
+    /// Winning slot for a packet: best chain head across installed shapes,
+    /// then the masked fallback list scanned only while it can still beat
+    /// that.
+    fn find_slot(&self, p: &Packet) -> Option<u32> {
         let fields = ExactKey::fields_of(p);
+        let mut best: Option<u32> = None;
         let mut live = self.live_shapes;
         while live != 0 {
             let shape = live.trailing_zeros() as u8;
             live &= live - 1;
-            if let Some(bucket) = self.exact.get(&fields.project(shape)) {
-                // Bucket heads are guaranteed matches: the key pins every
-                // constrained field to the packet's values.
-                if let Some(&head) = bucket.slice().first() {
-                    consider(&self.slots, &mut best, head);
+            let key = fields.project(shape);
+            // Chain heads are guaranteed matches: the key pins every
+            // constrained field to the packet's values.
+            let head = self
+                .index
+                .get(key.hash32(), |s| self.slab.get(s).key == key);
+            if let Some(head) = head {
+                if best.is_none_or(|b| self.slab.rank(head) < self.slab.rank(b)) {
+                    best = Some(head);
                 }
             }
         }
 
         for &slot in &self.masked {
-            let e = self.slots[slot].as_ref().expect("indexed slot occupied");
-            if let Some(b) = best {
-                // The masked list is in table order; once we fall behind the
-                // best exact candidate no masked entry can win.
-                if e.rank()
-                    > self.slots[b]
-                        .as_ref()
-                        .expect("indexed slot occupied")
-                        .rank()
-                {
-                    break;
-                }
-            }
-            if e.matcher.matches(p) {
-                best = Some(slot);
+            // The masked list is in table order; once we fall behind the
+            // best exact candidate no masked entry can win.
+            if best.is_some_and(|b| self.slab.rank(slot) > self.slab.rank(b)) {
                 break;
+            }
+            if self.slab.matcher(slot).matches(p) {
+                return Some(slot);
             }
         }
         best
     }
 
-    /// Find the highest-priority matching entry, updating its stats.
-    pub fn lookup(&mut self, now: SimTime, p: &Packet) -> Option<&FlowEntry> {
+    /// Find the highest-priority matching entry, updating its stats; a hit
+    /// hands back its id and actions.
+    pub fn lookup(&mut self, now: SimTime, p: &Packet) -> Option<Hit> {
+        let slot = self.touch(now, p)?;
+        Some(Hit {
+            id: self.slab.get(slot).id,
+            actions: self.slab.actions(slot),
+        })
+    }
+
+    /// [`FlowTable::lookup`] without building the hit's action list: the
+    /// winning slot, its stats and expiry updated.
+    fn touch(&mut self, now: SimTime, p: &Packet) -> Option<u32> {
         let slot = self.find_slot(p)?;
-        let e = self.slots[slot].as_mut().expect("indexed slot occupied");
-        let before = e.deadline();
-        let last = std::mem::replace(&mut e.last_used, now);
-        e.packets += 1;
-        if let Some(idle) = e.idle_only() {
-            let slots = &self.slots;
-            self.idle
-                .touch(handle(slot), idle, last, now, |h| last_used(slots, h));
-        } else if let (Some(from), Some(to)) = (before, e.deadline()) {
-            // Only a touch at an earlier instant pulls the deadline in;
-            // `moved` files a record then and is a comparison otherwise.
-            self.hard.moved((e.id, slot), from, to);
-            self.settle_hard();
+        if self.slab.get(slot).has(HARD) {
+            let from = self.slab.deadline(slot);
+            let record = self.slab.get_mut(slot);
+            record.last_used = now;
+            record.packets += 1;
+            if let (Some(from), Some(to)) = (from, self.slab.deadline(slot)) {
+                // Only a touch at an earlier instant pulls the deadline in;
+                // `moved` files a record then and is a comparison otherwise.
+                self.hard.moved((self.slab.get(slot).id, slot), from, to);
+                self.settle_hard();
+            }
+        } else {
+            let record = self.slab.get_mut(slot);
+            let last = std::mem::replace(&mut record.last_used, now);
+            record.packets += 1;
+            if let Some(idle) = self.slab.idle_timeout(slot) {
+                let slab = &self.slab;
+                self.idle
+                    .touch(slot, idle, last, now, |h| slab.get(h).last_used);
+            }
         }
-        self.slots[slot].as_ref()
+        Some(slot)
     }
 
     /// Peek without touching stats (diagnostics).
-    pub fn find(&self, p: &Packet) -> Option<&FlowEntry> {
-        self.find_slot(p).and_then(|s| self.slots[s].as_ref())
+    pub fn find(&self, p: &Packet) -> Option<FlowEntry> {
+        self.find_slot(p).map(|s| self.slab.view(s))
     }
 
     /// The entry with this id, if installed. O(table): nothing on the packet
     /// path looks entries up by id, so no index is kept for it.
-    pub fn get(&self, id: FlowId) -> Option<&FlowEntry> {
-        self.slots.iter().flatten().find(|e| e.id == id)
+    pub fn get(&self, id: FlowId) -> Option<FlowEntry> {
+        self.slot_of(id).map(|s| self.slab.view(s))
+    }
+
+    fn slot_of(&self, id: FlowId) -> Option<u32> {
+        self.slab.live().find(|&s| self.slab.get(s).id == id)
     }
 
     /// Remove all entries whose matcher equals `matcher` (OpenFlow strict
     /// delete). Returns the removed entries in table order.
     pub fn delete_matching(&mut self, now: SimTime, matcher: &FlowMatch) -> Vec<FlowRemoved> {
-        let slots: Vec<usize> = if matcher.is_exact() {
-            // The key pins the whole matcher, so the bucket *is* the result
+        let slots: Vec<u32> = if matcher.is_exact() {
+            // The key pins the whole matcher, so the chain *is* the result
             // set (already in table order).
-            self.exact
-                .get(&ExactKey::of_matcher(matcher))
-                .map(|b| b.slice().to_vec())
-                .unwrap_or_default()
+            let key = ExactKey::of_matcher(matcher);
+            let head = self
+                .index
+                .get(key.hash32(), |s| self.slab.get(s).key == key);
+            std::iter::successors(head, |&s| Some(self.slab.get(s).next).filter(|&n| n != NIL))
+                .collect()
         } else {
             self.masked
                 .iter()
                 .copied()
-                .filter(|&s| {
-                    &self.slots[s]
-                        .as_ref()
-                        .expect("indexed slot occupied")
-                        .matcher
-                        == matcher
-                })
+                .filter(|&s| self.slab.matcher(s) == *matcher)
                 .collect()
         };
         self.remove_slots(now, slots, RemovalReason::Deleted)
@@ -997,30 +1319,31 @@ impl FlowTable {
     /// O(table): no cookie index is kept, since no packet or controller path
     /// deletes by cookie.
     pub fn delete_by_cookie(&mut self, now: SimTime, cookie: u64) -> Vec<FlowRemoved> {
-        let mut slots: Vec<usize> = (0..self.slots.len())
-            .filter(|&s| self.slots[s].as_ref().is_some_and(|e| e.cookie == cookie))
+        let mut slots: Vec<u32> = self
+            .slab
+            .live()
+            .filter(|&s| self.slab.cold[s as usize].cookie == cookie)
             .collect();
-        slots.sort_by_key(|&s| {
-            self.slots[s]
-                .as_ref()
-                .expect("indexed slot occupied")
-                .rank()
-        });
+        slots.sort_by_key(|&s| self.slab.rank(s));
         self.remove_slots(now, slots, RemovalReason::Deleted)
     }
 
     fn remove_slots(
         &mut self,
         now: SimTime,
-        slots: Vec<usize>,
+        slots: Vec<u32>,
         reason: RemovalReason,
     ) -> Vec<FlowRemoved> {
         let removed = slots
             .into_iter()
-            .map(|slot| FlowRemoved {
-                entry: self.detach(slot),
-                reason,
-                at: now,
+            .map(|slot| {
+                let entry = self.slab.view(slot);
+                self.detach(slot);
+                FlowRemoved {
+                    entry,
+                    reason,
+                    at: now,
+                }
             })
             .collect();
         self.settle_hard();
@@ -1033,7 +1356,8 @@ impl FlowTable {
     pub fn expire(&mut self, now: SimTime) -> Vec<FlowRemoved> {
         let mut removed: Vec<FlowRemoved> = Vec::new();
         while let Some(slot) = self.first_due(now) {
-            let entry = self.detach(slot);
+            let entry = self.slab.view(slot);
+            self.detach(slot);
             let hard_elapsed = entry
                 .hard_timeout
                 .is_some_and(|h| now.since(entry.installed_at) >= h);
@@ -1053,8 +1377,8 @@ impl FlowTable {
     }
 
     /// [`FlowTable::expire`] without materializing the notifications: evict
-    /// everything due at `now` and drop the removed entries. The testbed's
-    /// event loop discards its sweep results, so the hot path takes this
+    /// everything due at `now` and build no view of it. The testbed's event
+    /// loop discards its sweep results, so the hot path takes this
     /// no-`Vec`, no-sort variant; the eviction *order* is unobservable here
     /// because nothing is reported.
     pub fn expire_discard(&mut self, now: SimTime) {
@@ -1066,15 +1390,13 @@ impl FlowTable {
 
     /// The slot of an entry due at or before `now`, if any: a list head, else
     /// the settled heap top.
-    fn first_due(&self, now: SimTime) -> Option<usize> {
-        match self.idle.first_due(now) {
-            Some(h) => Some(h as usize),
-            None => self
-                .hard
+    fn first_due(&self, now: SimTime) -> Option<u32> {
+        self.idle.first_due(now).or_else(|| {
+            self.hard
                 .peek()
                 .filter(|&(at, _)| at <= now)
-                .map(|(_, (_, slot))| slot),
-        }
+                .map(|(_, (_, slot))| slot)
+        })
     }
 
     /// The earliest instant at which some entry could expire — the testbed
@@ -1093,89 +1415,164 @@ impl FlowTable {
         self.idle.len() + self.hard.len()
     }
 
-    /// Pre-size the slab, its idle links and the hash index for `additional`
-    /// more entries.
+    /// Pre-size the records, the cold lane, the idle links and the index for
+    /// `additional` more entries.
     pub fn reserve(&mut self, additional: usize) {
-        self.slots.reserve(additional);
+        self.slab.records.reserve(additional);
+        self.slab.cold.reserve(additional);
         self.idle.reserve(additional);
-        self.exact.reserve(additional);
+        self.index.reserve(additional);
     }
 
-    /// Iterate over entries in table order (diagnostics; allocates to sort).
-    pub fn iter_ordered(&self) -> impl Iterator<Item = &FlowEntry> {
-        let mut entries: Vec<&FlowEntry> = self.slots.iter().flatten().collect();
-        entries.sort_by_key(|e| e.rank());
-        entries.into_iter()
+    /// Iterate over entries in table order (diagnostics): sorts the occupied
+    /// slots, then builds each view as the iterator reaches it.
+    pub fn iter_ordered(&self) -> impl Iterator<Item = FlowEntry> + '_ {
+        self.ordered(self.slab.live())
+    }
+
+    /// The entries of [`FlowTable::iter_ordered`] that can overlap
+    /// `matcher`, in table order: when `matcher` is satisfiable, every entry
+    /// that intersects it, covers it or is covered by it — each of those pins
+    /// every exact field `matcher` also pins to the same value — plus every
+    /// masked entry, untested. An exact entry is tested on its record alone,
+    /// so only the candidates are sorted and decoded: edgeverify's
+    /// per-install audit walks this instead of the whole table.
+    pub fn iter_ordered_overlapping(
+        &self,
+        matcher: &FlowMatch,
+    ) -> impl Iterator<Item = FlowEntry> + '_ {
+        let key = ExactKey::of_matcher(matcher);
+        self.ordered(self.slab.live().filter(move |&s| {
+            let record = self.slab.get(s);
+            let common = record.key.shape() & key.shape();
+            record.has(MASKED) || record.key.project(common) == key.project(common)
+        }))
+    }
+
+    /// Views of `slots` in table order, each built as the iterator reaches
+    /// it.
+    fn ordered(&self, slots: impl Iterator<Item = u32>) -> impl Iterator<Item = FlowEntry> + '_ {
+        let mut slots: Vec<u32> = slots.collect();
+        slots.sort_unstable_by_key(|&s| self.slab.rank(s));
+        slots.into_iter().map(|s| self.slab.view(s))
     }
 
     /// First entry earlier in table order whose matcher fully covers `id`'s —
-    /// if one exists, `id` can never match a packet. O(table); diagnostics
-    /// and the `debug_assertions` install hook use it, the hot path does not.
+    /// if one exists, `id` can never match a packet. O(table) to find `id`;
+    /// diagnostics use it, the `debug_assertions` install hook asks
+    /// `FlowTable::shadowing` by slot.
     pub fn shadowed_by(&self, id: FlowId) -> Option<FlowId> {
-        let target = self.get(id)?;
-        self.iter_ordered()
-            .take_while(|e| e.id != id)
-            .find(|e| e.matcher.subsumes(&target.matcher))
-            .map(|e| e.id)
+        self.shadowing(self.slot_of(id)?)
     }
 
-    /// Unlink an entry from every index and free its slot. A heap record is
-    /// left behind for `settle_hard` to reap.
-    fn detach(&mut self, slot: usize) -> FlowEntry {
-        let entry = self.slots[slot].take().expect("detach of empty slot");
-        if let Some(idle) = entry.idle_only() {
-            let slots = &self.slots;
-            self.idle
-                .unlink(handle(slot), idle, |h| last_used(slots, h));
+    /// [`FlowTable::shadowed_by`] for the entry in `slot`. An exact rule is
+    /// covered by an exact rule only if that rule's shape is a subset of its
+    /// own and that rule's key is its own key projected onto that shape: one
+    /// index probe per such live shape, whose chain head is the earliest
+    /// candidate. Otherwise it is covered by a masked rule ahead of it. A
+    /// masked rule takes the table walk.
+    fn shadowing(&self, slot: u32) -> Option<FlowId> {
+        let target = *self.slab.get(slot);
+        let rank = target.rank();
+        if target.has(MASKED) {
+            let matcher = self.slab.matcher(slot);
+            return self
+                .iter_ordered()
+                .take_while(|e| e.id != target.id)
+                .find(|e| e.matcher.subsumes(&matcher))
+                .map(|e| e.id);
         }
+        let shape = target.key.shape() as u32;
+        let mut best: Option<u32> = None;
+        let mut live = self.live_shapes;
+        while live != 0 {
+            let s = live.trailing_zeros();
+            live &= live - 1;
+            if s & !shape != 0 {
+                continue;
+            }
+            let key = target.key.project(s as u8);
+            let head = self
+                .index
+                .get(key.hash32(), |h| self.slab.get(h).key == key);
+            if let Some(head) = head {
+                let r = self.slab.rank(head);
+                if r < rank && best.is_none_or(|b| r < self.slab.rank(b)) {
+                    best = Some(head);
+                }
+            }
+        }
+        let matcher = target.key.matcher();
+        for &m in &self.masked {
+            let r = self.slab.rank(m);
+            if r >= rank || best.is_some_and(|b| r > self.slab.rank(b)) {
+                break;
+            }
+            if self.slab.matcher(m).subsumes(&matcher) {
+                best = Some(m);
+                break;
+            }
+        }
+        best.map(|b| self.slab.get(b).id)
+    }
 
-        if entry.matcher.is_exact() {
-            let shape = entry.matcher.shape();
+    /// Take an idle-only entry out of its timeout's list.
+    fn unlink_idle(&mut self, slot: u32) {
+        if let Some(idle) = self.slab.idle_only(slot) {
+            let slab = &self.slab;
+            self.idle.unlink(slot, idle, |h| slab.get(h).last_used);
+        }
+    }
+
+    /// Unlink an entry from every index and free its slot — one index probe
+    /// for an exact entry. A heap record is left behind for `settle_hard` to
+    /// reap.
+    fn detach(&mut self, slot: u32) {
+        self.unlink_idle(slot);
+        let record = *self.slab.get(slot);
+        if record.has(MASKED) {
+            self.masked.retain(|&s| s != slot);
+        } else {
+            let key = record.key;
+            let slab = &self.slab;
+            let Probe::Found { bucket, slot: head } =
+                self.index.probe(key.hash32(), |s| slab.get(s).key == key)
+            else {
+                panic!("an installed exact entry is indexed");
+            };
+            if head == slot {
+                match record.next {
+                    NIL => self.index.remove_at(bucket),
+                    next => self.index.set(bucket, next),
+                }
+            } else {
+                let mut prev = head;
+                while self.slab.get(prev).next != slot {
+                    prev = self.slab.get(prev).next;
+                }
+                self.slab.get_mut(prev).next = record.next;
+            }
+            let shape = key.shape();
             let count = &mut self.shape_counts[shape as usize];
             *count -= 1;
             if *count == 0 {
                 self.live_shapes &= !(1 << shape);
             }
-            let key = ExactKey::of_matcher(&entry.matcher);
-            let bucket = self
-                .exact
-                .get_mut(&key)
-                .expect("bucket exists for installed matcher");
-            bucket.remove_slot(slot);
-            if bucket.is_empty() {
-                self.exact.remove(&key);
-            }
-        } else {
-            self.masked.retain(|&s| s != slot);
         }
-
-        self.free_slots.push(slot);
+        self.slab.free(slot);
         self.len -= 1;
-        entry
     }
 
     /// Settle the hard-timeout index against the slab.
     fn settle_hard(&mut self) {
+        let slab = &self.slab;
         self.hard.settle(|&(id, slot)| {
-            self.slots[slot]
-                .as_ref()
-                .filter(|e| e.id == id)
-                .and_then(FlowEntry::deadline)
+            let record = slab.get(slot);
+            (record.has(LIVE) && record.id == id)
+                .then(|| slab.deadline(slot))
+                .flatten()
         });
     }
-}
-
-/// A slot as an [`IdleOrder`] handle.
-fn handle(slot: usize) -> u32 {
-    u32::try_from(slot).expect("fewer than 2^32 flow slots")
-}
-
-/// The idle stamp of the entry an [`IdleOrder`] handle names.
-fn last_used(slots: &[Option<FlowEntry>], handle: u32) -> SimTime {
-    slots[handle as usize]
-        .as_ref()
-        .expect("a listed slot is occupied")
-        .last_used
 }
 
 /// What the switch decided to do with a received packet.
@@ -1255,13 +1652,12 @@ impl Switch {
     /// Process a packet arriving on a port.
     pub fn receive(&mut self, now: SimTime, packet: Packet) -> PacketVerdict {
         self.stats.packets += 1;
-        let Some(entry) = self.table.lookup(now, &packet) else {
+        let Some(slot) = self.table.touch(now, &packet) else {
             self.stats.table_misses += 1;
             return self.buffer_packet(packet);
         };
         self.stats.table_hits += 1;
-        let actions = entry.actions.clone();
-        self.apply(now, packet, &actions)
+        self.apply_slot(now, packet, slot)
     }
 
     fn buffer_packet(&mut self, packet: Packet) -> PacketVerdict {
@@ -1274,19 +1670,37 @@ impl Switch {
         }
     }
 
-    fn apply(&mut self, _now: SimTime, mut packet: Packet, actions: &[Action]) -> PacketVerdict {
+    /// Apply the actions of the entry in `slot`: a packed list decoded as it
+    /// goes, no list built.
+    fn apply_slot(&mut self, now: SimTime, packet: Packet, slot: u32) -> PacketVerdict {
+        let record = self.table.slab.get(slot);
+        if record.has(LONG) {
+            let actions = self.table.slab.actions(slot);
+            self.apply(now, packet, actions.iter().copied())
+        } else {
+            let actions = record.packed_actions();
+            self.apply(now, packet, actions)
+        }
+    }
+
+    fn apply(
+        &mut self,
+        _now: SimTime,
+        mut packet: Packet,
+        actions: impl IntoIterator<Item = Action>,
+    ) -> PacketVerdict {
         for action in actions {
             match action {
-                Action::SetSrcIp(ip) => packet.src.ip = *ip,
-                Action::SetSrcPort(p) => packet.src.port = *p,
-                Action::SetDstIp(ip) => packet.dst.ip = *ip,
-                Action::SetDstPort(p) => packet.dst.port = *p,
+                Action::SetSrcIp(ip) => packet.src.ip = ip,
+                Action::SetSrcPort(p) => packet.src.port = p,
+                Action::SetDstIp(ip) => packet.dst.ip = ip,
+                Action::SetDstPort(p) => packet.dst.port = p,
                 Action::Output(port) => {
                     assert!(port.0 < self.port_count, "output to unknown port {port:?}");
                     self.stats.forwarded += 1;
                     return PacketVerdict::Forward {
                         packet,
-                        out_port: *port,
+                        out_port: port,
                     };
                 }
                 Action::ToController => {
@@ -1300,12 +1714,14 @@ impl Switch {
     }
 
     /// Controller → switch: install a flow entry. Debug builds additionally
-    /// run a check-on-install shadowing probe and record (not panic on) any
-    /// rule that arrives dead — see [`InstallWarning`].
+    /// run a check-on-install shadowing probe — index probes, not a table
+    /// walk, for an exact rule — and record (not panic on) any rule that
+    /// arrives dead; see [`InstallWarning`].
     pub fn flow_mod(&mut self, now: SimTime, spec: FlowSpec) -> FlowId {
-        let id = self.table.install(now, spec);
+        let slot = self.table.insert(now, spec);
+        let id = self.table.slab.get(slot).id;
         #[cfg(debug_assertions)]
-        if let Some(by) = self.table.shadowed_by(id) {
+        if let Some(by) = self.table.shadowing(slot) {
             self.install_warnings.push(InstallWarning {
                 installed: id,
                 shadowed_by: by,
@@ -1324,7 +1740,7 @@ impl Switch {
         actions: &[Action],
     ) -> Option<PacketVerdict> {
         let packet = self.buffered.remove(&buffer_id)?;
-        Some(self.apply(now, packet, actions))
+        Some(self.apply(now, packet, actions.iter().copied()))
     }
 
     /// Controller → switch: re-inject a buffered packet through the flow
@@ -1343,14 +1759,13 @@ impl Switch {
     /// re-buffering (prevents PacketIn loops on `OFPP_TABLE` resubmission).
     fn receive_unbuffered(&mut self, now: SimTime, packet: Packet) -> PacketVerdict {
         self.stats.packets += 1;
-        let Some(entry) = self.table.lookup(now, &packet) else {
+        let Some(slot) = self.table.touch(now, &packet) else {
             self.stats.table_misses += 1;
             self.stats.dropped += 1;
             return PacketVerdict::Dropped;
         };
         self.stats.table_hits += 1;
-        let actions = entry.actions.clone();
-        self.apply(now, packet, &actions)
+        self.apply_slot(now, packet, slot)
     }
 
     /// Drop a buffered packet without forwarding (controller gave up).
@@ -1584,6 +1999,95 @@ mod tests {
         assert_eq!(table.shadowed_by(other), None);
     }
 
+    /// The table walk the index probes in [`FlowTable::shadowing`] replace
+    /// for exact rules: the first entry ahead in table order that covers
+    /// `id`'s matcher.
+    fn shadowed_by_walk(table: &FlowTable, id: FlowId) -> Option<FlowId> {
+        let target = table.get(id)?;
+        table
+            .iter_ordered()
+            .take_while(|e| e.id != id)
+            .find(|e| e.matcher.subsumes(&target.matcher))
+            .map(|e| e.id)
+    }
+
+    /// Matchers over two values per field, each field pinned or not, with a
+    /// net on either side now and then: shapes nest, keys project onto each
+    /// other, and masked rules cover exact ones.
+    fn shadow_matcher() -> impl proptest::Strategy<Value = FlowMatch> {
+        use proptest::prelude::*;
+        let net = || {
+            prop_oneof![
+                3 => Just(None),
+                1 => (0u8..2, prop_oneof![Just(0u8), Just(24), Just(32)])
+                    .prop_map(|(d, prefix)| Some(IpNet::new(ip(d), prefix))),
+            ]
+        };
+        let pin = |n: u8| prop::option::of(0..n);
+        ((pin(2), pin(2), pin(2), pin(2), pin(2)), (net(), net())).prop_map(
+            |((proto, src, sport, dst, dport), (src_net, dst_net))| FlowMatch {
+                protocol: proto.map(|p| [Protocol::Tcp, Protocol::Udp][p as usize]),
+                src_ip: src.map(ip),
+                src_port: sport.map(|p| 40_000 + u16::from(p)),
+                dst_ip: dst.map(ip),
+                dst_port: dport.map(|p| 80 + u16::from(p)),
+                src_net,
+                dst_net,
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn shadowing_by_index_probes_equals_the_table_walk(
+            installs in proptest::collection::vec((shadow_matcher(), 0u16..4), 1..40),
+            deletes in proptest::collection::vec(shadow_matcher(), 0..6),
+        ) {
+            let mut table = FlowTable::new();
+            for (matcher, priority) in installs {
+                let slot = table.insert(t(0), FlowSpec::new(matcher).priority(priority));
+                let id = table.slab.get(slot).id;
+                proptest::prop_assert_eq!(table.shadowing(slot), shadowed_by_walk(&table, id));
+            }
+            for matcher in deletes {
+                table.delete_matching(t(1), &matcher);
+            }
+            let ids: Vec<FlowId> = table.iter_ordered().map(|e| e.id).collect();
+            for id in ids {
+                proptest::prop_assert_eq!(table.shadowed_by(id), shadowed_by_walk(&table, id));
+            }
+        }
+
+        #[test]
+        fn the_overlapping_walk_keeps_every_entry_that_can_overlap(
+            installs in proptest::collection::vec((shadow_matcher(), 0u16..4), 1..40),
+            probe in shadow_matcher(),
+        ) {
+            let mut table = FlowTable::new();
+            for (matcher, priority) in installs {
+                table.install(t(0), FlowSpec::new(matcher).priority(priority));
+            }
+            let near: Vec<FlowEntry> = table.iter_ordered_overlapping(&probe).collect();
+            let all: Vec<FlowEntry> = table.iter_ordered().collect();
+            // A subsequence of the table walk …
+            let mut rest = all.iter();
+            for e in &near {
+                proptest::prop_assert!(rest.any(|a| a == e), "{:?} out of table order", e.id);
+            }
+            // … missing no entry that overlaps a satisfiable probe.
+            if probe.is_satisfiable() {
+                for e in &all {
+                    let overlaps = e.matcher.intersects(&probe)
+                        || e.matcher.subsumes(&probe)
+                        || probe.subsumes(&e.matcher);
+                    proptest::prop_assert!(!overlaps || near.contains(e), "{:?} dropped", e.id);
+                }
+            }
+        }
+    }
+
     #[cfg(debug_assertions)]
     #[test]
     fn flow_mod_records_install_warning_for_shadowed_rule() {
@@ -1681,6 +2185,30 @@ mod tests {
             other => panic!("expected Forward, got {other:?}"),
         }
         assert_eq!(sw.stats.table_hits, 1);
+    }
+
+    #[test]
+    fn a_hit_on_an_action_list_too_long_to_pack_applies_all_of_it() {
+        // Five actions do not fit a record: the hit reads them from the side
+        // table, in order, through the same apply as a packed list.
+        let mut sw = Switch::new(4);
+        let (edge, cloud) = (sa(50, 8080), sa(60, 443));
+        sw.flow_mod(
+            t(0),
+            FlowSpec::new(FlowMatch::to_service(sa(200, 80)))
+                .priority(100)
+                .action(Action::SetSrcIp(cloud.ip))
+                .action(Action::SetSrcPort(cloud.port))
+                .action(Action::SetDstIp(edge.ip))
+                .action(Action::SetDstPort(edge.port))
+                .action(Action::Output(PortId(3))),
+        );
+        match sw.receive(t(1), service_packet()) {
+            PacketVerdict::Forward { packet, out_port } => {
+                assert_eq!((packet.src, packet.dst, out_port), (cloud, edge, PortId(3)));
+            }
+            other => panic!("expected Forward, got {other:?}"),
+        }
     }
 
     #[test]
@@ -2044,10 +2572,9 @@ mod tests {
     /// must equal.
     fn brute_force_next_expiry(table: &FlowTable) -> Option<SimTime> {
         table
-            .slots
-            .iter()
-            .flatten()
-            .filter_map(FlowEntry::deadline)
+            .slab
+            .live()
+            .filter_map(|s| table.slab.deadline(s))
             .min()
     }
 
@@ -2094,12 +2621,12 @@ mod tests {
             FlowSpec::new(FlowMatch::to_service(sa(200, 80))).idle(idle),
         );
         let slot = table.find_slot(&service_packet()).unwrap();
-        table.slots[slot].as_mut().unwrap().last_used = t(500);
+        table.slab.get_mut(slot).last_used = t(500);
         assert_eq!(brute_force_next_expiry(&table), Some(t(800)));
         assert_eq!(table.next_expiry(), Some(t(1300)), "the late answer");
 
         // Through the one door the same touch keeps the head exact.
-        table.slots[slot].as_mut().unwrap().last_used = t(1200);
+        table.slab.get_mut(slot).last_used = t(1200);
         table.lookup(t(500), &service_packet());
         assert_eq!(table.next_expiry(), Some(t(800)));
     }
@@ -2135,7 +2662,6 @@ mod tests {
 
     #[test]
     fn exact_key_hash_spreads_over_the_bucket_index_bits() {
-        use std::hash::BuildHasher;
         // 100 clients × 100 services differing only in their addresses' low
         // bytes: the low 14 bits of the hash (the bucket index of a table
         // this size) must look random — ≈ 7 480 of 16 384 distinct values.
@@ -2143,11 +2669,10 @@ mod tests {
         for c in 0..100u8 {
             for d in 0..100u8 {
                 let m = FlowMatch::client_to_service(IpAddr::new(10, 1, 0, c), sa(d, 80));
-                let h = simcore::dethash::DetBuildHasher.hash_one(ExactKey::of_matcher(&m));
-                seen.insert(h & 0x3fff);
+                seen.insert(ExactKey::of_matcher(&m).hash32() & 0x3fff);
             }
         }
-        assert!(seen.len() > 6_500, "{} distinct bucket indexes", seen.len());
+        assert!(seen.len() > 7_000, "{} distinct bucket indexes", seen.len());
     }
 
     #[test]

@@ -8,10 +8,23 @@
 //! Timeouts are drawn so both expiry schedules see traffic: idle-only entries
 //! share three idle timeouts (touch-ordered lists of several members), and
 //! hard-only and idle + hard entries go on the heap.
+//!
+//! The table stores entries as packed records and hands out views, so every
+//! view is compared with the model field by field after every op: `get` of
+//! every id the model holds (and of one it dropped), `find` of every packet
+//! in the universe, the whole of `iter_ordered`, each `FlowRemoved.entry`,
+//! and the actions a `lookup` hit hands back. Action lists run from 0 to 6
+//! actions, some with an output port past 32 bits, so records whose actions
+//! pack and records whose actions spill to the side table mix; a matcher is
+//! often installed at two or three priorities in one op, so same-matcher
+//! chains form, grow, are replaced into and are deleted from.
 
 use proptest::prelude::*;
 use simcore::{SimDuration, SimTime};
-use simnet::openflow::{Action, FlowMatch, FlowSpec, FlowTable, IpNet, PortId, RemovalReason};
+use simnet::openflow::{
+    Action, ActionList, FlowEntry, FlowId, FlowMatch, FlowRemoved, FlowSpec, FlowTable, IpNet,
+    PortId, RemovalReason,
+};
 use simnet::{IpAddr, Packet, SocketAddr};
 
 fn client_ip(c: u8) -> IpAddr {
@@ -58,11 +71,28 @@ fn matcher_strategy() -> impl Strategy<Value = FlowMatch> {
     ]
 }
 
+/// Every action kind, with ports on both sides of 32 bits.
+fn action_strategy() -> impl Strategy<Value = Action> {
+    prop_oneof![
+        1 => (0u8..4).prop_map(|c| Action::SetSrcIp(client_ip(c))),
+        1 => (0u16..3).prop_map(|p| Action::SetSrcPort(8000 + p)),
+        1 => (0u8..4).prop_map(|d| Action::SetDstIp(svc_addr(d).ip)),
+        1 => (0u16..3).prop_map(|p| Action::SetDstPort(8000 + p)),
+        3 => (0usize..4).prop_map(|p| Action::Output(PortId(p))),
+        1 => Just(Action::Output(PortId((u32::MAX as usize) + 1))),
+        1 => Just(Action::ToController),
+        1 => Just(Action::Drop),
+    ]
+}
+
 #[derive(Debug, Clone)]
 enum Op {
+    /// Install `matcher` at each of `priorities` in turn, all with the same
+    /// actions, timeouts and cookie.
     Install {
         matcher: FlowMatch,
-        priority: u16,
+        priorities: Vec<u16>,
+        actions: Vec<Action>,
         idle_ms: Option<u64>,
         hard_ms: Option<u64>,
         cookie: u64,
@@ -105,9 +135,15 @@ fn timeouts_strategy() -> impl Strategy<Value = (Option<u64>, Option<u64>)> {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (matcher_strategy(), 0u16..4, timeouts_strategy(), 0u64..3)
-            .prop_map(|(matcher, priority, (idle_ms, hard_ms), cookie)| Op::Install {
-                matcher, priority, idle_ms, hard_ms, cookie
+        4 => (
+            matcher_strategy(),
+            prop::collection::vec(0u16..4, 1..4),
+            prop::collection::vec(action_strategy(), 0..7),
+            timeouts_strategy(),
+            0u64..3,
+        )
+            .prop_map(|(matcher, priorities, actions, (idle_ms, hard_ms), cookie)| Op::Install {
+                matcher, priorities, actions, idle_ms, hard_ms, cookie
             }),
         4 => (0u8..4, 0u8..4, 0u64..500).prop_map(|(client, dst, advance_ms)| Op::Packet {
             client, dst, advance_ms
@@ -129,14 +165,32 @@ struct ModelEntry {
     id: u64,
     priority: u16,
     matcher: FlowMatch,
+    actions: Vec<Action>,
     idle: Option<SimDuration>,
     hard: Option<SimDuration>,
     cookie: u64,
     installed: SimTime,
     last_used: SimTime,
+    packets: u64,
 }
 
 impl ModelEntry {
+    /// The view the table must hand out for this entry.
+    fn view(&self) -> FlowEntry {
+        FlowEntry {
+            id: FlowId(self.id),
+            priority: self.priority,
+            matcher: self.matcher,
+            actions: ActionList::from(self.actions.as_slice()),
+            idle_timeout: self.idle,
+            hard_timeout: self.hard,
+            cookie: self.cookie,
+            installed_at: self.installed,
+            last_used: self.last_used,
+            packets: self.packets,
+        }
+    }
+
     fn deadline(&self) -> Option<SimTime> {
         let idle = self.idle.map(|d| self.last_used + d);
         let hard = self.hard.map(|d| self.installed + d);
@@ -154,11 +208,13 @@ struct Model {
 }
 
 impl Model {
+    #[allow(clippy::too_many_arguments)]
     fn install(
         &mut self,
         now: SimTime,
         matcher: FlowMatch,
         priority: u16,
+        actions: &[Action],
         idle: Option<SimDuration>,
         hard: Option<SimDuration>,
         cookie: u64,
@@ -179,23 +235,34 @@ impl Model {
                 id,
                 priority,
                 matcher,
+                actions: actions.to_vec(),
                 idle,
                 hard,
                 cookie,
                 installed: now,
                 last_used: now,
+                packets: 0,
             },
         );
         id
     }
 
-    fn lookup(&mut self, now: SimTime, p: &Packet) -> Option<u64> {
+    /// The hit's id and actions.
+    fn lookup(&mut self, now: SimTime, p: &Packet) -> Option<(u64, ActionList)> {
         let e = self.entries.iter_mut().find(|e| e.matcher.matches(p))?;
         e.last_used = now;
-        Some(e.id)
+        e.packets += 1;
+        Some((e.id, ActionList::from(e.actions.as_slice())))
     }
 
-    fn expire(&mut self, now: SimTime) -> Vec<(u64, RemovalReason)> {
+    fn find(&self, p: &Packet) -> Option<FlowEntry> {
+        self.entries
+            .iter()
+            .find(|e| e.matcher.matches(p))
+            .map(ModelEntry::view)
+    }
+
+    fn expire(&mut self, now: SimTime) -> Vec<(FlowEntry, RemovalReason)> {
         let mut removed = Vec::new();
         self.entries.retain(|e| {
             if e.deadline().is_some_and(|d| d <= now) {
@@ -206,7 +273,7 @@ impl Model {
                 } else {
                     RemovalReason::IdleTimeout
                 };
-                removed.push((e.id, reason));
+                removed.push((e.view(), reason));
                 false
             } else {
                 true
@@ -215,11 +282,11 @@ impl Model {
         removed
     }
 
-    fn delete_matching(&mut self, matcher: &FlowMatch) -> Vec<(u64, RemovalReason)> {
+    fn delete_matching(&mut self, matcher: &FlowMatch) -> Vec<(FlowEntry, RemovalReason)> {
         let mut removed = Vec::new();
         self.entries.retain(|e| {
             if &e.matcher == matcher {
-                removed.push((e.id, RemovalReason::Deleted));
+                removed.push((e.view(), RemovalReason::Deleted));
                 false
             } else {
                 true
@@ -228,11 +295,11 @@ impl Model {
         removed
     }
 
-    fn delete_by_cookie(&mut self, cookie: u64) -> Vec<(u64, RemovalReason)> {
+    fn delete_by_cookie(&mut self, cookie: u64) -> Vec<(FlowEntry, RemovalReason)> {
         let mut removed = Vec::new();
         self.entries.retain(|e| {
             if e.cookie == cookie {
-                removed.push((e.id, RemovalReason::Deleted));
+                removed.push((e.view(), RemovalReason::Deleted));
                 false
             } else {
                 true
@@ -246,9 +313,32 @@ impl Model {
     }
 }
 
-/// Removed-notification fingerprint: identity + reason, in reported order.
-fn removal_ids(removed: &[simnet::openflow::FlowRemoved]) -> Vec<(u64, RemovalReason)> {
-    removed.iter().map(|r| (r.entry.id.0, r.reason)).collect()
+/// The notifications as the model reports them: entry + reason, in order.
+fn removals(removed: Vec<FlowRemoved>) -> Vec<(FlowEntry, RemovalReason)> {
+    removed.into_iter().map(|r| (r.entry, r.reason)).collect()
+}
+
+/// Every view the table hands out equals the model's, field by field.
+fn compare_views(table: &FlowTable, model: &Model) {
+    let want: Vec<FlowEntry> = model.entries.iter().map(ModelEntry::view).collect();
+    let got: Vec<FlowEntry> = table.iter_ordered().collect();
+    assert_eq!(got, want, "iter_ordered");
+    for e in &want {
+        assert_eq!(table.get(e.id).as_ref(), Some(e), "get({:?})", e.id);
+    }
+    if let Some(gone) = model
+        .next_id
+        .checked_sub(1)
+        .filter(|&id| !want.iter().any(|e| e.id.0 == id))
+    {
+        assert_eq!(table.get(FlowId(gone)), None, "get of a removed id");
+    }
+    for client in 0..4 {
+        for dst in 0..4 {
+            let p = packet(client, dst);
+            assert_eq!(table.find(&p), model.find(&p), "find({client}, {dst})");
+        }
+    }
 }
 
 proptest! {
@@ -264,54 +354,57 @@ proptest! {
 
         for op in ops {
             match op {
-                Op::Install { matcher, priority, idle_ms, hard_ms, cookie } => {
+                Op::Install { matcher, priorities, actions, idle_ms, hard_ms, cookie } => {
                     let idle = idle_ms.map(SimDuration::from_millis);
                     let hard = hard_ms.map(SimDuration::from_millis);
-                    let got = table.install(
-                        now,
-                        FlowSpec::new(matcher)
-                            .priority(priority)
-                            .action(Action::Output(PortId(0)))
-                            .idle_opt(idle)
-                            .hard_opt(hard)
-                            .cookie(cookie),
-                    );
-                    let want = model.install(now, matcher, priority, idle, hard, cookie);
-                    prop_assert_eq!(got.0, want, "install ids diverged");
+                    for priority in priorities {
+                        let got = table.install(
+                            now,
+                            FlowSpec::new(matcher)
+                                .priority(priority)
+                                .actions(actions.as_slice())
+                                .idle_opt(idle)
+                                .hard_opt(hard)
+                                .cookie(cookie),
+                        );
+                        let want = model.install(now, matcher, priority, &actions, idle, hard, cookie);
+                        prop_assert_eq!(got.0, want, "install ids diverged");
+                    }
                 }
                 Op::Packet { client, dst, advance_ms } => {
                     now += SimDuration::from_millis(advance_ms);
                     // Expire first in both: the testbed sweeps before receive.
-                    let evicted = removal_ids(&table.expire(now));
+                    let evicted = removals(table.expire(now));
                     prop_assert_eq!(evicted, model.expire(now), "pre-lookup eviction");
                     let p = packet(client, dst);
-                    let got = table.lookup(now, &p).map(|e| e.id.0);
+                    let got = table.lookup(now, &p).map(|hit| (hit.id.0, hit.actions));
                     let want = model.lookup(now, &p);
                     prop_assert_eq!(got, want, "lookup winner at {}", now);
                 }
                 Op::PacketBefore { client, dst, back_ms } => {
                     let at = now - SimDuration::from_millis(back_ms);
                     let p = packet(client, dst);
-                    let got = table.lookup(at, &p).map(|e| e.id.0);
+                    let got = table.lookup(at, &p).map(|hit| (hit.id.0, hit.actions));
                     let want = model.lookup(at, &p);
                     prop_assert_eq!(got, want, "lookup winner at {} (before {})", at, now);
                 }
                 Op::Expire { advance_ms } => {
                     now += SimDuration::from_millis(advance_ms);
-                    let evicted = removal_ids(&table.expire(now));
+                    let evicted = removals(table.expire(now));
                     prop_assert_eq!(evicted, model.expire(now), "eviction at {}", now);
                 }
                 Op::DeleteMatching { matcher } => {
-                    let got = removal_ids(&table.delete_matching(now, &matcher));
+                    let got = removals(table.delete_matching(now, &matcher));
                     prop_assert_eq!(got, model.delete_matching(&matcher), "strict delete");
                 }
                 Op::DeleteByCookie { cookie } => {
-                    let got = removal_ids(&table.delete_by_cookie(now, cookie));
+                    let got = removals(table.delete_by_cookie(now, cookie));
                     prop_assert_eq!(got, model.delete_by_cookie(cookie), "cookie delete");
                 }
             }
             prop_assert_eq!(table.len(), model.entries.len(), "table size");
             prop_assert_eq!(table.next_expiry(), model.next_expiry(), "next_expiry");
+            compare_views(&table, &model);
         }
     }
 
