@@ -4,11 +4,13 @@
 //! of site the `BENCHMARK.json` workloads attach — bare Docker, Kubernetes
 //! (`churn_k8s`) and a mesh shard's `SharedBackend` view of Docker
 //! (`mesh_4x2`) — since all three read backend state through the same
-//! snapshot cache.
+//! snapshot cache. `controller_packet_in_cold_catalog` is the ready-instance
+//! PacketIn at `city_1000x`'s population, where per-service and per-client
+//! state no longer fits in cache.
 
 use cluster::{ClusterBackend, DockerCluster, K8sCluster, K8sTimings, ServiceTemplate};
 use containers::image::synthesize_layers;
-use containers::{ImageManifest, Runtime};
+use containers::{CostModel, ImageManifest, Runtime};
 use criterion::{criterion_group, criterion_main, Criterion};
 use edgectl::{ClusterId, Controller, ControllerConfig, FlowKey, FlowMemory, NearestWaiting};
 use edgemesh::shared::share;
@@ -122,6 +124,74 @@ fn bench_packet_in_ready_instance(c: &mut Criterion) {
     }
 }
 
+/// Services and clients of the cold-catalog case: `city_1000x`'s population.
+const CITY_SERVICES: usize = 42_000;
+const CITY_CLIENTS: usize = 20_000;
+
+fn city_service_addr(i: usize) -> SocketAddr {
+    SocketAddr::new(
+        IpAddr::new(93, 184 + (i >> 16) as u8, (i >> 8) as u8, i as u8),
+        80,
+    )
+}
+
+/// A controller with [`CITY_SERVICES`] registered services, each with a
+/// ready instance on one Docker cluster large enough to run them all.
+fn city_controller() -> (Controller, SimTime) {
+    let mut c = Controller::builder(ControllerConfig::default())
+        .global(NearestWaiting)
+        .registries(registries())
+        .cloud_port(PortId(0))
+        .build();
+    let rng = SimRng::seed_from_u64(1);
+    let runtime = Runtime::new(CostModel::egs(), rng.stream("rt"), u32::MAX, u64::MAX);
+    let docker = DockerCluster::new(
+        "egs",
+        IpAddr::new(10, 0, 0, 100),
+        runtime,
+        rng.stream("docker"),
+    );
+    c.attach_cluster(Box::new(docker), SimDuration::from_micros(300), PortId(2));
+    let regs = registries();
+    let mut t = SimTime::ZERO;
+    for i in 0..CITY_SERVICES {
+        let tpl = ServiceTemplate::single(
+            format!("svc-{i:05}"),
+            "nginx:1.23.2",
+            80,
+            DurationDist::constant_ms(100.0),
+        );
+        c.catalog.register(city_service_addr(i), tpl.clone());
+        let cluster = c.cluster_mut(ClusterId(0));
+        t = cluster.pull(t, &tpl, &regs).unwrap();
+        t = cluster.create(t, &tpl).unwrap();
+        t = cluster.scale_up(t, &tpl.name, 1).unwrap().expected_ready;
+    }
+    (c, t + SimDuration::from_secs(1))
+}
+
+/// A PacketIn at city scale: a seeded uniform `(client, service)` draw over
+/// 20 000 clients and 42 000 registered services, each ready on the one
+/// Docker site. Unlike the one-service case above, the catalog entry, the
+/// service's FlowMemory chains and the client's location are cold in cache,
+/// as they are at `city_1000x`.
+fn bench_packet_in_cold_catalog(c: &mut Criterion) {
+    c.bench_function("controller_packet_in_cold_catalog", |b| {
+        let (mut ctl, warm) = city_controller();
+        let mut rng = SimRng::seed_from_u64(7);
+        let mut tag = 0u64;
+        b.iter(|| {
+            tag += 1;
+            let client = rng.index(CITY_CLIENTS);
+            let ip = IpAddr::new(10, 1, (client / 250) as u8, (client % 250 + 1) as u8);
+            let service = city_service_addr(rng.index(CITY_SERVICES));
+            let p = Packet::syn(SocketAddr::new(ip, 40000), service, tag);
+            let out = ctl.on_packet_in(warm, p, BufferId(tag), PortId(5));
+            std::hint::black_box(out.len())
+        });
+    });
+}
+
 fn bench_packet_in_memory_hit(c: &mut Criterion) {
     for (site, suffix) in SITES {
         c.bench_function(&format!("controller_packet_in_memory_hit{suffix}"), |b| {
@@ -187,6 +257,7 @@ fn bench_flow_memory_churn(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_packet_in_ready_instance,
+    bench_packet_in_cold_catalog,
     bench_packet_in_memory_hit,
     bench_flow_memory_churn
 );

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use cluster::ServiceTemplate;
+use cluster::{ResourceRequest, ServiceTemplate};
 use simcore::DetHashMap;
 use simnet::SocketAddr;
 
@@ -35,9 +35,18 @@ pub struct RegisteredService {
     /// The deployable definition (from the annotation engine). Shared so the
     /// deployment pipeline can hold it without deep-copying container lists.
     pub template: Arc<ServiceTemplate>,
+    /// The template's [`ServiceTemplate::resource_request`], summed once at
+    /// registration: the scheduler and admission control read it on every
+    /// PacketIn without walking the container list.
+    pub demand: ResourceRequest,
 }
 
 /// Cloud address → service lookup, as the Dispatcher uses it on PacketIn.
+///
+/// Everything the per-request path needs from a registration is on the
+/// [`RegisteredService`] the one address probe returns — id, template and
+/// its precomputed demand — so a PacketIn never derefs the template for a
+/// number (DESIGN.md §5i, per-request data layout).
 #[derive(Debug, Default, Clone)]
 pub struct ServiceCatalog {
     // Probed on every PacketIn, so a fast deterministic hasher; `services()`
@@ -110,7 +119,8 @@ impl ServiceCatalog {
     /// Register a service. Replaces any previous registration of the same
     /// address (re-registration updates the definition) and returns the
     /// previous entry if there was one. The template's name is interned; the
-    /// assigned [`ServiceId`] is stable across re-registrations.
+    /// assigned [`ServiceId`] is stable across re-registrations. The new
+    /// entry's `demand` is computed here from the new template.
     pub fn register(
         &mut self,
         cloud_addr: SocketAddr,
@@ -123,6 +133,7 @@ impl ServiceCatalog {
             RegisteredService {
                 id,
                 cloud_addr,
+                demand: template.resource_request(),
                 template: Arc::new(template),
             },
         )
@@ -190,6 +201,34 @@ mod tests {
         assert_eq!(prev.template.name, "old");
         assert_eq!(c.lookup(addr(1)).unwrap().template.name, "new");
         assert_eq!(c.len(), 1);
+    }
+
+    /// The stored demand is the current template's, whichever way the
+    /// registration got there.
+    #[test]
+    fn demand_follows_the_registered_template() {
+        let mut c = ServiceCatalog::new();
+        let demand_matches = |c: &ServiceCatalog| {
+            let s = c.lookup(addr(1)).expect("registered");
+            assert_eq!(s.demand, s.template.resource_request());
+            s.demand
+        };
+        c.register(addr(1), tpl("svc"));
+        let single = demand_matches(&c);
+
+        let mut two = tpl("svc");
+        let mut sidecar = two.containers[0].clone();
+        sidecar.cpu_millis = 100;
+        sidecar.mem_bytes = (64 << 20) + 1;
+        two.containers.push(sidecar);
+        c.register(addr(1), two);
+        let doubled = demand_matches(&c);
+        assert_eq!(doubled.cpu_millis, single.cpu_millis + 100);
+        assert_eq!(doubled.memory_mib, single.memory_mib + 65);
+
+        c.unregister(addr(1));
+        c.register(addr(1), tpl("svc"));
+        assert_eq!(demand_matches(&c), single);
     }
 
     #[test]

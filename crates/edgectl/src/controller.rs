@@ -25,7 +25,7 @@ use simcore::{DeadlineIndex, DetHashMap, SimDuration, SimTime};
 use simnet::openflow::{Action, BufferId, FlowMatch, FlowSpec, PortId};
 use simnet::{IpAddr, Packet, SocketAddr};
 
-use crate::catalog::{cookie_for, ServiceCatalog, ServiceId};
+use crate::catalog::{cookie_for, RegisteredService, ServiceCatalog, ServiceId};
 use crate::dispatcher::{
     reference, AdmissionError, DeployError, DeployMachine, DeployPhaseKind, Dispatcher,
     InstanceKey, MachineOutcome, StepCtx, Waiter,
@@ -750,8 +750,7 @@ impl Controller {
         let Some(registered) = self.catalog.lookup_name(self.catalog.name_of(service)) else {
             return;
         };
-        let demand = registered.template.resource_request();
-        self.book(cluster, service, demand, replicas.max(1));
+        self.book(cluster, service, registered.demand, replicas.max(1));
     }
 
     /// The most recent admission rejection, if any (diagnostics for tests and
@@ -1005,10 +1004,11 @@ impl Controller {
             sw.0,
             &mut views,
         );
+        debug_assert_eq!(service.demand, service.template.resource_request());
         let ctx = SchedulingContext::new(
             sid,
             &views,
-            service.template.resource_request(),
+            service.demand,
             &service.template.requirements,
             &self.catalog,
             now,
@@ -1019,8 +1019,8 @@ impl Controller {
         //    parallel with serving the current request elsewhere).
         if let Some(best) = decision.best {
             if decision.fast != Some(best) {
-                let template = self.template_at(packet.dst);
-                self.request_best_deployment(now, best, sid, &template);
+                let service = self.registered_at(packet.dst);
+                self.request_best_deployment(now, best, &service);
             }
         }
 
@@ -1054,10 +1054,9 @@ impl Controller {
                 } else {
                     // On-demand deployment WITH waiting (paper Fig. 5): hold
                     // the buffered packet until the port opens.
-                    let template = self.template_at(packet.dst);
+                    let service = self.registered_at(packet.dst);
                     self.hold_on_deployment(
-                        now, decide_at, sw, fast, sid, &template, key, packet, in_port, buffer_id,
-                        out,
+                        now, decide_at, sw, fast, &service, key, packet, in_port, buffer_id, out,
                     )
                 }
             }
@@ -1076,18 +1075,17 @@ impl Controller {
         &mut self,
         now: SimTime,
         best: ClusterId,
-        sid: ServiceId,
-        template: &Arc<cluster::ServiceTemplate>,
+        service: &RegisteredService,
     ) {
+        let sid = service.id;
         // Admission control: a BEST decision targeting a site that cannot
         // take the deployment is dropped — the caller already serves the
         // request at FAST or the cloud, which *is* the fall-through.
-        if !self.deployment_exists(now, best, sid) && self.admit(best, sid, template).is_err() {
+        if !self.deployment_exists(now, best, sid) && self.admit(best, service).is_err() {
             return;
         }
         if matches!(self.engine, Engine::Reference(_)) {
-            if let Some(ready_at) = self.ensure_deployed_reference(now, best, sid, template, false)
-            {
+            if let Some(ready_at) = self.ensure_deployed_reference(now, best, service, false) {
                 self.schedule_retarget(ready_at, best, sid);
             }
             return;
@@ -1111,7 +1109,7 @@ impl Controller {
             self.stats.lease_rejections += 1;
             return;
         }
-        self.start_machine(now, best, sid, template, false, false)
+        self.start_machine(now, best, service, false, false)
             .wants_retarget = true;
     }
 
@@ -1125,18 +1123,18 @@ impl Controller {
         decide_at: SimTime,
         sw: SwitchId,
         fast: ClusterId,
-        sid: ServiceId,
-        template: &Arc<cluster::ServiceTemplate>,
+        service: &RegisteredService,
         key: FlowKey,
         packet: Packet,
         in_port: PortId,
         buffer_id: BufferId,
         out: &mut Vec<ControllerOutput>,
     ) {
+        let sid = service.id;
         // Admission control: the scheduler picked a with-waiting deployment
         // at `fast`, but the site may not take it (capacity / labels). Fall
         // through to the nearest other ready instance, else the cloud.
-        if !self.deployment_exists(now, fast, sid) && self.admit(fast, sid, template).is_err() {
+        if !self.deployment_exists(now, fast, sid) && self.admit(fast, service).is_err() {
             let name = self.catalog.name_of(sid);
             let fallback = self
                 .clusters
@@ -1170,7 +1168,7 @@ impl Controller {
             };
         }
         if matches!(self.engine, Engine::Reference(_)) {
-            return match self.ensure_deployed_reference(now, fast, sid, template, true) {
+            return match self.ensure_deployed_reference(now, fast, service, true) {
                 Some(ready_at) => {
                     self.stats.held_requests += 1;
                     let target = self.pick_instance(ready_at, fast, sid);
@@ -1215,7 +1213,7 @@ impl Controller {
                     out,
                 );
             }
-            self.start_machine(now, fast, sid, template, true, false);
+            self.start_machine(now, fast, service, true, false);
         }
         self.machine_mut(fast, sid)
             .expect("found or just started")
@@ -1243,15 +1241,14 @@ impl Controller {
     // Deployment pipeline (Pull → Create → Scale-Up → poll port)
     // -----------------------------------------------------------------------
 
-    /// The registered template of the service at cloud address `addr` —
-    /// taken (a refcount bump) only on the paths that may start a
+    /// The registration of the service at cloud address `addr` — copied (a
+    /// template refcount bump) only on the paths that may start a
     /// deployment, never on the per-PacketIn scheduling path.
-    fn template_at(&self, addr: SocketAddr) -> Arc<cluster::ServiceTemplate> {
-        let service = self
-            .catalog
+    fn registered_at(&self, addr: SocketAddr) -> RegisteredService {
+        self.catalog
             .lookup(addr)
-            .expect("only a registered service's PacketIn deploys");
-        Arc::clone(&service.template)
+            .expect("only a registered service's PacketIn deploys")
+            .clone()
     }
 
     /// The Dispatcher's system view fed to the Global Scheduler: per-cluster
@@ -1308,22 +1305,18 @@ impl Controller {
     fn admit(
         &mut self,
         cluster: ClusterId,
-        sid: ServiceId,
-        template: &cluster::ServiceTemplate,
+        service: &RegisteredService,
     ) -> Result<(), AdmissionError> {
         let site = &self.clusters[cluster.0];
-        let err = if let Some(label) = template.requirements.first_unmet(&site.labels) {
+        let err = if let Some(label) = service.template.requirements.first_unmet(&site.labels) {
             AdmissionError::RequirementsUnmet {
                 cluster,
                 label: label.to_owned(),
             }
-        } else if site.admitted.contains_key(&sid) {
+        } else if site.admitted.contains_key(&service.id) {
             return Ok(());
         } else {
-            match site
-                .capacity
-                .admits(&site.allocated, &template.resource_request())
-            {
+            match site.capacity.admits(&site.allocated, &service.demand) {
                 Ok(()) => return Ok(()),
                 Err(shortfall) => AdmissionError::Capacity { cluster, shortfall },
             }
@@ -1362,7 +1355,7 @@ impl Controller {
         let demand = match self.clusters[cluster.0].admitted.get(&sid) {
             Some(&(demand, _)) => demand,
             None => match self.catalog.lookup_name(self.catalog.name_of(sid)) {
-                Some(registered) => registered.template.resource_request(),
+                Some(registered) => registered.demand,
                 None => return,
             },
         };
@@ -1394,7 +1387,7 @@ impl Controller {
         let (demand, booked) = match site.admitted.get(&sid) {
             Some(&(demand, booked)) => (demand, booked),
             None => match self.catalog.lookup_name(self.catalog.name_of(sid)) {
-                Some(registered) => (registered.template.resource_request(), 0),
+                Some(registered) => (registered.demand, 0),
                 None => return want,
             },
         };
@@ -1453,10 +1446,10 @@ impl Controller {
         &mut self,
         now: SimTime,
         cluster: ClusterId,
-        id: ServiceId,
-        template: &cluster::ServiceTemplate,
+        service: &RegisteredService,
         waited: bool,
     ) -> Option<SimTime> {
+        let (id, template) = (service.id, &*service.template);
         {
             let Engine::Reference(r) = &self.engine else {
                 unreachable!("reference engine required")
@@ -1480,11 +1473,11 @@ impl Controller {
         };
         match reference::deploy(now, template, record, &mut ctx) {
             reference::Outcome::AlreadyReady => {
-                self.book(cluster, id, template.resource_request(), 1);
+                self.book(cluster, id, service.demand, 1);
                 Some(now)
             }
             reference::Outcome::Ready { record, retried } => {
-                self.book(cluster, id, template.resource_request(), 1);
+                self.book(cluster, id, service.demand, 1);
                 self.stats.retried_operations += retried;
                 let ready_detected = record.ready_detected;
                 self.stats.deployments.push(*record);
@@ -1509,12 +1502,12 @@ impl Controller {
         &mut self,
         now: SimTime,
         cluster: ClusterId,
-        sid: ServiceId,
-        template: &Arc<cluster::ServiceTemplate>,
+        service: &RegisteredService,
         waited: bool,
         proactive: bool,
     ) -> &mut DeployMachine {
-        self.book(cluster, sid, template.resource_request(), 1);
+        let (sid, template) = (service.id, &service.template);
+        self.book(cluster, sid, service.demand, 1);
         let record = self.record_seed(now, cluster, waited, template.name.as_str());
         let site = &mut self.clusters[cluster.0];
         let created = site.status_of(now, sid, &template.name).created;
@@ -1961,8 +1954,8 @@ impl Controller {
             let Some(service) = self.catalog.lookup(addr) else {
                 continue;
             };
+            let service = service.clone();
             let sid = service.id;
-            let template = Arc::clone(&service.template);
             let name = self.catalog.name_of(sid);
             // Already running (or being deployed) somewhere? Nothing to do.
             let anywhere_ready = self
@@ -1991,8 +1984,8 @@ impl Controller {
             let ctx = SchedulingContext::new(
                 sid,
                 &views,
-                template.resource_request(),
-                &template.requirements,
+                service.demand,
+                &service.template.requirements,
                 &self.catalog,
                 now,
             );
@@ -2003,13 +1996,13 @@ impl Controller {
                 continue;
             };
             // Nothing is in flight here (checked above); admission applies.
-            if self.admit(target, sid, &template).is_err() {
+            if self.admit(target, &service).is_err() {
                 continue;
             }
             match self.engine {
                 Engine::Reference(_) => {
                     if self
-                        .ensure_deployed_reference(now, target, sid, &template, false)
+                        .ensure_deployed_reference(now, target, &service, false)
                         .is_some()
                     {
                         self.stats.proactive_deployments += 1;
@@ -2022,7 +2015,7 @@ impl Controller {
                     }
                     // Counted as proactive when (and if) the machine
                     // completes, mirroring the reference's success-only count.
-                    self.start_machine(now, target, sid, &template, false, true);
+                    self.start_machine(now, target, &service, false, true);
                 }
             }
         }

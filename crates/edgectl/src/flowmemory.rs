@@ -31,6 +31,13 @@
 //!   `Chain`s — one per cluster (or the cloud) that currently serves the
 //!   service. Invariant: a chain's `count` is its length, and every member's
 //!   `(service, cluster)` is the chain's key. No per-pair set is allocated.
+//! * **A dense lane per service.** Every new flow links into its service's
+//!   list, so the lists live in a 16-byte `Lane` per [`ServiceId`], indexed
+//!   by the id (interned ids are dense) and grown to the highest id ever
+//!   linked: no hash probe and no per-service heap block on the per-request
+//!   path. A lane holds the service's first chain in place; the rare further
+//!   chains (a second cluster, or the cloud) spill to a shared pool of lists
+//!   whose emptied members are reused, not freed.
 //! * **Touch order.** Every flow shares one idle timeout, so flows expire in
 //!   the order they were last seen: an [`IdleOrder`] keeps the handles in
 //!   that order, `recall` moves one to the tail, `next_expiry` reads the
@@ -238,9 +245,119 @@ struct Chain {
     count: u32,
 }
 
-/// Where in a service's list the chain of `cluster` is.
-fn chain_of(chains: &[Chain], cluster: u32) -> Option<usize> {
-    chains.iter().position(|c| c.cluster == cluster)
+/// One service's list of chains: the first in place, the rest in
+/// `Chains::spills[spill]`. The list is empty exactly when `first.count` is
+/// zero, and then `spill` is `NIL`.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    first: Chain,
+    spill: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Lane>() == 16);
+
+impl Lane {
+    const EMPTY: Lane = Lane {
+        first: Chain {
+            cluster: CLOUD,
+            head: NIL,
+            count: 0,
+        },
+        spill: NIL,
+    };
+}
+
+/// The per-service chain lists, each behaving as a `Vec<Chain>` would:
+/// chains in push order, removal by `swap_remove`.
+#[derive(Debug, Default)]
+struct Chains {
+    /// Indexed by [`ServiceId`]; as long as the highest id ever linked.
+    lanes: Vec<Lane>,
+    /// Every chain of a service after its first. An emptied list keeps its
+    /// capacity and goes on `free_spills` for the next service that spills.
+    spills: Vec<Vec<Chain>>,
+    free_spills: Vec<u32>,
+}
+
+impl Chains {
+    /// `service`'s chains in list order.
+    fn list(&self, service: ServiceId) -> impl Iterator<Item = &Chain> {
+        let (first, spill): (&[Chain], &[Chain]) = match self.lanes.get(service.0 as usize) {
+            Some(lane) if lane.first.count != 0 => (
+                std::slice::from_ref(&lane.first),
+                match lane.spill {
+                    NIL => &[],
+                    at => &self.spills[at as usize],
+                },
+            ),
+            _ => (&[], &[]),
+        };
+        first.iter().chain(spill)
+    }
+
+    /// Where in `service`'s list the chain of `cluster` is.
+    fn find(&self, service: ServiceId, cluster: u32) -> Option<usize> {
+        self.list(service).position(|c| c.cluster == cluster)
+    }
+
+    /// The `at`-th chain of `service`'s list.
+    fn at_mut(&mut self, service: ServiceId, at: usize) -> &mut Chain {
+        let lane = &mut self.lanes[service.0 as usize];
+        match at {
+            0 => &mut lane.first,
+            _ => &mut self.spills[lane.spill as usize][at - 1],
+        }
+    }
+
+    /// Append an empty chain of `cluster` to `service`'s list, growing the
+    /// lane if `service` is new; returns its place.
+    fn push(&mut self, service: ServiceId, cluster: u32) -> usize {
+        let chain = Chain {
+            cluster,
+            head: NIL,
+            count: 0,
+        };
+        let s = service.0 as usize;
+        if s >= self.lanes.len() {
+            self.lanes.resize(s + 1, Lane::EMPTY);
+        }
+        let lane = &mut self.lanes[s];
+        if lane.first.count == 0 {
+            lane.first = chain;
+            return 0;
+        }
+        if lane.spill == NIL {
+            lane.spill = self.free_spills.pop().unwrap_or_else(|| {
+                self.spills.push(Vec::new());
+                (self.spills.len() - 1) as u32
+            });
+        }
+        let spill = &mut self.spills[lane.spill as usize];
+        spill.push(chain);
+        spill.len()
+    }
+
+    /// Take the `at`-th chain off `service`'s list, moving the list's last
+    /// chain into its place.
+    fn swap_remove(&mut self, service: ServiceId, at: usize) -> Chain {
+        let lane = &mut self.lanes[service.0 as usize];
+        if lane.spill == NIL {
+            debug_assert_eq!(at, 0, "a list without spill has one chain");
+            return std::mem::replace(lane, Lane::EMPTY).first;
+        }
+        let spill = &mut self.spills[lane.spill as usize];
+        let last = spill.pop().expect("a spill list is never empty");
+        let removed = match at {
+            0 => std::mem::replace(&mut lane.first, last),
+            _ if at == spill.len() + 1 => last,
+            _ => std::mem::replace(&mut spill[at - 1], last),
+        };
+        if spill.is_empty() {
+            self.free_spills.push(lane.spill);
+            lane.spill = NIL;
+        }
+        removed
+    }
 }
 
 /// The FlowMemory component.
@@ -266,11 +383,10 @@ pub struct FlowMemory {
     index: DetHashMap<FlowKey, u32>,
     slab: Slab,
     /// Secondary index: per service, the chains of its flows — one per
-    /// cluster (or the cloud) serving any. Hashed because the per-request
-    /// path maintains it on every new flow; the order-sensitive readers sort
-    /// before exposure. A service with no flow has no entry, a chain is
-    /// never empty.
-    chains: DetHashMap<ServiceId, Vec<Chain>>,
+    /// cluster (or the cloud) serving any. A dense lane by [`ServiceId`]
+    /// because the per-request path maintains it on every new flow. A
+    /// service with no flow has an empty list, a chain is never empty.
+    chains: Chains,
     /// Every flow's handle, least recently seen first.
     order: IdleOrder,
     /// Idle timeout of *memorized* flows — longer than the switch's.
@@ -285,7 +401,7 @@ impl FlowMemory {
         Ok(FlowMemory {
             index: DetHashMap::default(),
             slab: Slab::new(),
-            chains: DetHashMap::default(),
+            chains: Chains::default(),
             order: IdleOrder::default(),
             idle_timeout,
         })
@@ -391,11 +507,10 @@ impl FlowMemory {
     /// Drop all flows pointing at `service` on `cluster` (instance retired).
     /// O(flows of that instance), not O(all flows).
     pub fn forget_service(&mut self, service: ServiceId, cluster: Option<ClusterId>) -> usize {
-        let chains = self.chains.get(&service).map_or(&[][..], Vec::as_slice);
-        let Some(at) = chain_of(chains, pack(cluster)) else {
+        let Some(at) = self.chains.find(service, pack(cluster)) else {
             return 0;
         };
-        let chain = self.remove_chain(service, at);
+        let chain = self.chains.swap_remove(service, at);
         let mut handle = chain.head;
         while handle != NIL {
             let slot = self.slab.get(handle);
@@ -422,7 +537,7 @@ impl FlowMemory {
         // All clusters (and the cloud) currently holding flows of this
         // service.
         let mut affected = Vec::new();
-        for chain in self.chains.get(&service).into_iter().flatten() {
+        for chain in self.chains.list(service) {
             let mut handle = chain.head;
             while handle != NIL {
                 let slot = self.slab.get(handle);
@@ -475,8 +590,11 @@ impl FlowMemory {
     /// count too: a held request protects its deployment from scale-down.
     /// O(clusters serving `service`).
     pub fn flows_for_service(&self, service: ServiceId, cluster: Option<ClusterId>) -> usize {
-        let chains = self.chains.get(&service).map_or(&[][..], Vec::as_slice);
-        chain_of(chains, pack(cluster)).map_or(0, |at| chains[at].count as usize)
+        let cluster = pack(cluster);
+        self.chains
+            .list(service)
+            .find(|c| c.cluster == cluster)
+            .map_or(0, |c| c.count as usize)
     }
 
     pub fn len(&self) -> usize {
@@ -487,20 +605,20 @@ impl FlowMemory {
     }
 
     /// Distinct `(service, cluster)` pairs with live flows and their counts —
-    /// the autoscaler's demand signal. O(pairs log pairs): reads the hashed
-    /// secondary index and sorts so callers see `(service, cluster)` order
-    /// (cloud `None` first).
+    /// the autoscaler's demand signal, in `(service, cluster)` order (cloud
+    /// `None` first). O(services ever linked + pairs): walks the lane in id
+    /// order and sorts each service's few chains by cluster.
     pub fn services_with_flows(&self) -> Vec<(ServiceId, Option<ClusterId>, usize)> {
-        let mut pairs: Vec<(ServiceId, Option<ClusterId>, usize)> = self
-            .chains
-            .iter()
-            .flat_map(|(&s, chains)| {
-                chains
-                    .iter()
-                    .map(move |c| (s, unpack(c.cluster), c.count as usize))
-            })
-            .collect();
-        pairs.sort_unstable_by_key(|&(s, c, _)| (s, c));
+        let mut pairs = Vec::new();
+        for s in 0..self.chains.lanes.len() as u32 {
+            let from = pairs.len();
+            pairs.extend(
+                self.chains
+                    .list(ServiceId(s))
+                    .map(|c| (ServiceId(s), unpack(c.cluster), c.count as usize)),
+            );
+            pairs[from..].sort_unstable_by_key(|&(_, c, _)| c);
+        }
         pairs
     }
 
@@ -569,16 +687,11 @@ impl FlowMemory {
         let Slot {
             service, cluster, ..
         } = *self.slab.get(handle);
-        let chains = self.chains.entry(service).or_default();
-        let at = chain_of(chains, cluster).unwrap_or_else(|| {
-            chains.push(Chain {
-                cluster,
-                head: NIL,
-                count: 0,
-            });
-            chains.len() - 1
-        });
-        let chain = &mut chains[at];
+        let at = match self.chains.find(service, cluster) {
+            Some(at) => at,
+            None => self.chains.push(service, cluster),
+        };
+        let chain = self.chains.at_mut(service, at);
         let old_head = std::mem::replace(&mut chain.head, handle);
         chain.count += 1;
         let slot = self.slab.get_mut(handle);
@@ -589,8 +702,8 @@ impl FlowMemory {
         }
     }
 
-    /// Take a slot out of its chain; the last member takes the chain (and
-    /// the service's last chain its entry) with it.
+    /// Take a slot out of its chain; the last member takes the chain with
+    /// it.
     fn unlink(&mut self, handle: u32) {
         let Slot {
             service,
@@ -605,33 +718,18 @@ impl FlowMemory {
         if prev != NIL {
             self.slab.get_mut(prev).next = next;
         }
-        let chains = self
+        let at = self
             .chains
-            .get_mut(&service)
-            .expect("a linked slot's service has chains");
-        let at = chain_of(chains, cluster).expect("a linked slot's chain exists");
-        let chain = &mut chains[at];
+            .find(service, cluster)
+            .expect("a linked slot's chain exists");
+        let chain = self.chains.at_mut(service, at);
         if prev == NIL {
             chain.head = next;
         }
         chain.count -= 1;
         if chain.count == 0 {
-            self.remove_chain(service, at);
+            self.chains.swap_remove(service, at);
         }
-    }
-
-    /// Take the `at`-th chain off `service`'s list, and the list off the
-    /// index when that was its last.
-    fn remove_chain(&mut self, service: ServiceId, at: usize) -> Chain {
-        let chains = self
-            .chains
-            .get_mut(&service)
-            .expect("the chain's service has a list");
-        let chain = chains.swap_remove(at);
-        if chains.is_empty() {
-            self.chains.remove(&service);
-        }
-        chain
     }
 }
 
@@ -1124,9 +1222,17 @@ mod tests {
             Expire,
         }
 
-        const CLIENTS: u8 = 4;
+        const CLIENTS: u8 = 6;
         const SERVICES: u8 = 3;
-        const CLUSTERS: usize = 2;
+        /// Three clusters plus the cloud: a service can hold four chains, so
+        /// its lane spills up to three.
+        const CLUSTERS: usize = 3;
+
+        /// The id of the `s`-th service: sparse, one past 10 000, so the
+        /// chain lane grows past holes no flow ever names.
+        fn sid(s: u8) -> ServiceId {
+            ServiceId([0, 7, 10_007][s as usize])
+        }
 
         fn op_strategy() -> impl Strategy<Value = Op> {
             let cluster = || prop::option::of(0..CLUSTERS);
@@ -1187,8 +1293,7 @@ mod tests {
                     cluster,
                     port,
                 } => {
-                    let (key, service, cluster) =
-                        (key(c, s), ServiceId(s as u32), cluster.map(ClusterId));
+                    let (key, service, cluster) = (key(c, s), sid(s), cluster.map(ClusterId));
                     m.remember(now, key, service, target(port), cluster);
                     let fresh = MemorizedFlow {
                         key,
@@ -1214,7 +1319,7 @@ mod tests {
                     if model.flows.get(&key).is_some_and(|f| !f.pending) {
                         return Ok(());
                     }
-                    m.remember_pending(now, key, ServiceId(s as u32), cluster);
+                    m.remember_pending(now, key, sid(s), cluster);
                     if let Some(f) = model.flows.get_mut(&key) {
                         f.cluster = cluster;
                         model.touch(key, now);
@@ -1223,7 +1328,7 @@ mod tests {
                             key,
                             MemorizedFlow {
                                 key,
-                                service: ServiceId(s as u32),
+                                service: sid(s),
                                 target: key.service_addr,
                                 cluster,
                                 last_seen: now,
@@ -1252,7 +1357,7 @@ mod tests {
                     same("forget", m.forget(key(c, s)), model.remove(key(c, s)))?;
                 }
                 Op::ForgetService { s, cluster } => {
-                    let (service, cluster) = (ServiceId(s as u32), cluster.map(ClusterId));
+                    let (service, cluster) = (sid(s), cluster.map(ClusterId));
                     let gone = model.keys_where(|f| f.service == service && f.cluster == cluster);
                     for &key in &gone {
                         model.remove(key);
@@ -1264,7 +1369,7 @@ mod tests {
                     )?;
                 }
                 Op::Retarget { s, cluster, port } => {
-                    let (service, cluster) = (ServiceId(s as u32), Some(ClusterId(cluster)));
+                    let (service, cluster) = (sid(s), Some(ClusterId(cluster)));
                     let moved = model.keys_where(|f| {
                         f.service == service && (f.target != target(port) || f.cluster != cluster)
                     });
@@ -1321,12 +1426,18 @@ mod tests {
             for f in model.flows.values() {
                 *pairs.entry((f.service, f.cluster)).or_default() += 1;
             }
-            for s in 0..SERVICES as u32 {
-                for cluster in [None, Some(ClusterId(0)), Some(ClusterId(1))] {
+            // The drawn services, a hole in the lane and an id past its end.
+            let services = (0..SERVICES)
+                .map(sid)
+                .chain([ServiceId(3), ServiceId(20_000)]);
+            for service in services {
+                for cluster in
+                    std::iter::once(None).chain((0..CLUSTERS).map(|c| Some(ClusterId(c))))
+                {
                     same(
                         "flows_for_service",
-                        m.flows_for_service(ServiceId(s), cluster),
-                        pairs.get(&(ServiceId(s), cluster)).copied().unwrap_or(0),
+                        m.flows_for_service(service, cluster),
+                        pairs.get(&(service, cluster)).copied().unwrap_or(0),
                     )?;
                 }
             }
@@ -1347,7 +1458,9 @@ mod tests {
             /// often as forwards — leaves FlowMemory answering exactly as a
             /// sorted map of flows would, returned lists included, with
             /// `next_expiry()` the brute-force minimum and one place in the
-            /// expiry order per flow.
+            /// expiry order per flow. Service ids are sparse and a service
+            /// can sit on three clusters and the cloud at once, so lanes grow
+            /// past holes and chains spill, promote and unspill.
             #[test]
             fn flow_memory_equals_a_sorted_map_under_non_monotone_time(
                 ops in prop::collection::vec((op_strategy(), 0u64..200_000), 0..120),
@@ -1395,6 +1508,65 @@ mod tests {
             assert_eq!(run(false), Ok(()));
             let caught = run(true).expect_err("the stale handle must be noticed");
             assert!(caught.starts_with("expiry_records"), "{caught}");
+        }
+
+        /// The highest service on all four places at once spills three
+        /// chains; dropping one from the middle of its list, then the first
+        /// (the last spilled one takes its place), then the last, answers as
+        /// the model does at every step, and the emptied spill list is
+        /// reused by the next service that spills.
+        #[test]
+        fn a_service_on_every_cluster_spills_promotes_and_unspills() {
+            let mut m = mem();
+            let mut model = Model::default();
+            let places = [None, Some(0), Some(1), Some(2)];
+            let mut step = |m: &mut FlowMemory, op: Op| {
+                apply(m, &mut model, &op, t(0)).unwrap();
+                check(m, &model).unwrap_or_else(|e| panic!("after {op:?}: {e}"));
+            };
+            for (c, cluster) in places.into_iter().enumerate() {
+                for s in [0, 2] {
+                    let (c, port) = (c as u8, 8000);
+                    step(
+                        &mut m,
+                        Op::Remember {
+                            c,
+                            s,
+                            cluster,
+                            port,
+                        },
+                    );
+                }
+            }
+            assert_eq!(m.chains.list(sid(2)).count(), 4);
+            assert_eq!(m.chains.spills.len(), 2);
+            for cluster in [Some(0), None, Some(2), Some(1)] {
+                step(&mut m, Op::ForgetService { s: 2, cluster });
+            }
+            assert_eq!(m.chains.free_spills, vec![1]);
+            for (c, cluster) in [(4, Some(2)), (5, None)] {
+                step(
+                    &mut m,
+                    Op::Remember {
+                        c,
+                        s: 1,
+                        cluster,
+                        port: 8000,
+                    },
+                );
+            }
+            assert_eq!(m.chains.spills.len(), 2, "no new spill list");
+            assert!(m.chains.free_spills.is_empty());
+            step(
+                &mut m,
+                Op::Retarget {
+                    s: 0,
+                    cluster: 1,
+                    port: 8001,
+                },
+            );
+            assert_eq!(m.chains.list(sid(0)).count(), 1);
+            assert_eq!(m.chains.free_spills, vec![0]);
         }
     }
 }

@@ -119,6 +119,10 @@ pub struct C3Topology {
     /// Shortest paths toward the switch, searched once at build: every
     /// switch-relative latency below is a read of this tree.
     switch_tree: PathTree,
+    /// One-way latency client → switch, indexed like `clients`: read from
+    /// `switch_tree` once at build, since the flow model reads it per
+    /// request.
+    client_latency: Vec<SimDuration>,
 }
 
 impl C3Topology {
@@ -160,9 +164,14 @@ impl C3Topology {
         }
 
         let switch_tree = net.tree_to(switch);
+        let client_latency = clients
+            .iter()
+            .map(|&c| switch_tree.latency(c).expect("client is attached"))
+            .collect();
         C3Topology {
             net,
             switch_tree,
+            client_latency,
             switch,
             cloud,
             site_hosts,
@@ -198,12 +207,11 @@ impl C3Topology {
         self.client_port_base() + self.clients.len()
     }
 
-    /// One-way latency client → switch. An array read: cheap enough to call
-    /// per request.
+    /// One-way latency client → switch: one read of a dense per-client lane
+    /// filled from the switch's path tree at build, so the flow model can
+    /// call it per request.
     pub fn client_switch_latency(&self, i: usize) -> SimDuration {
-        self.switch_tree
-            .latency(self.clients[i])
-            .expect("client is attached")
+        self.client_latency[i]
     }
 
     /// One-way latency switch → site `i`.
@@ -287,6 +295,26 @@ mod tests {
         // distinct IPs per site
         assert_ne!(c3.site_ips[0], c3.site_ips[1]);
         assert_ne!(c3.site_ips[1], c3.site_ips[2]);
+    }
+
+    /// The per-client lane holds exactly what the path tree answers, for
+    /// every client of a three-site layout.
+    #[test]
+    fn client_latency_lane_matches_the_path_tree() {
+        let sites = [
+            SiteSpec::pi("near", SimDuration::from_micros(300)),
+            SiteSpec::egs("mid"),
+            SiteSpec::egs("far"),
+        ];
+        let c3 = C3Topology::build_sites(&sites, 260);
+        assert_eq!(c3.client_latency.len(), c3.clients.len());
+        for (i, &client) in c3.clients.iter().enumerate() {
+            assert_eq!(
+                Some(c3.client_switch_latency(i)),
+                c3.switch_tree.latency(client),
+                "client {i}"
+            );
+        }
     }
 
     #[test]
