@@ -75,7 +75,7 @@ fn main() {
         md.push_str("| §VII prediction (extension) | on-demand + good prediction | oracle removes all holds; popularity only prevents re-deploy holds |\n");
         md.push_str("| §VIII serverless (extension) | wasm cold starts ≪ containers | ~100 ms wasm vs ~0.5 s Docker vs ~3 s K8s |\n");
         md.push_str("| cityscale (perf artifact) | — (not in paper) | bigFlows ×{1, 10, 100, 1000}, one thread, best of 3 on a 2-core shared host: 100× (170 800 requests) replays in 0.40 s at 2.17 M events/s and 43.4 MiB peak live heap, 1000× (1.708 M requests, 8.7 M events) in 6.0 s at 1.44 M events/s and 386.1 MiB; 1.0–1.5 allocations/request; metrics hash pinned at every tier — `bench --bin cityscale`, BENCH_cityscale.json |\n");
-        md.push_str("| mesh federation (extension) | — (title's \"Distributed\", not evaluated) | ingress sharded over {1, 2, 4, 8} controllers: 1708/1708 served at every count, exactly 42 deployments (0 split-brain duplicates, 5 avoided by leases at N≥2), 0.5 ms mean delta staleness at the default 500 µs link; 1-shard hash = pinned cityscale hash — `bench --bin mesh`, BENCH_mesh.json |\n\n");
+        md.push_str("| mesh federation (extension) | — (title's \"Distributed\", not evaluated) | ingress sharded over {1, 2, 4, 8} controllers: 1708/1708 served at every count, exactly 42 deployments (0 split-brain duplicates, 5 avoided by leases at N≥2), 0.5 ms mean delta staleness at the default 500 µs link; 1-shard hash = pinned cityscale hash; the 10× threads sweep (`host_cpus: 2`, single-shot rows) runs 2/4/8 shards at 0.41–0.50 M events/s, 2-thread speedup 0.99–1.14 — `bench --bin mesh`, BENCH_mesh.json |\n\n");
         for e in &experiments {
             let _ = write!(
                 md,

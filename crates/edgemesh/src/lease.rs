@@ -20,7 +20,7 @@
 //! * In the **interleaved reference engine** ([`crate::reference`]) the
 //!   same total order degenerates to event order: this table is process-
 //!   shared state behind `Rc<RefCell<..>>`, acquisition order is the order
-//!   the single event loop executes PacketIns, and the timing wheel breaks
+//!   the single event loop executes PacketIns, and the event queue breaks
 //!   ties deterministically (FIFO at equal instants). Equivalently: every
 //!   event is its own window and every window boundary is empty.
 //!

@@ -3,8 +3,8 @@
 //! This crate provides the foundation every other crate in the workspace builds on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
-//! * [`EventQueue`] — a deterministic future-event list with stable FIFO tie-breaking
-//!   and O(log n) cancellation,
+//! * [`EventQueue`] — a deterministic future-event list (a min-heap of same-instant
+//!   runs) with stable FIFO tie-breaking and O(1) cancellation,
 //! * [`IdleOrder`] — idle timeouts in last-touch order, one list per
 //!   timeout: a touch is a move-to-tail, "next due" the minimum over heads,
 //! * [`DeadlineIndex`] — the lazy keyed-deadline index behind hard timeouts
@@ -35,7 +35,7 @@ pub mod deadline;
 pub mod dethash;
 pub mod dist;
 pub mod fnv;
-pub mod queue;
+mod queue;
 pub mod rng;
 pub mod runner;
 pub mod shard_runner;

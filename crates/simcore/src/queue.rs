@@ -1,52 +1,51 @@
-//! The future-event list: a hierarchical timing wheel of `(SimTime, event)`
-//! pairs with **deterministic FIFO tie-breaking** and O(1) push/cancel.
+//! The future-event list: a binary min-heap of *runs* — FIFOs of events due
+//! at one instant — with **deterministic FIFO tie-breaking** and O(1) cancel.
 //!
 //! Determinism is the load-bearing property here. Two events scheduled for the
 //! same instant pop in the order they were pushed, so a simulation run is a pure
 //! function of `(config, seed)` — which the test suite and the experiment runner
 //! both rely on.
 //!
-//! # Wheel layout
+//! # Layout
 //!
-//! Nanosecond timestamps are treated as eleven 6-bit digits (66 bits cover the
-//! full `u64` range, so arbitrarily far-future events — up to
-//! `SimTime::FAR_FUTURE` — live in the top-level overflow slots). A cursor
-//! `cur` tracks the last instant the wheel popped. A live event with time `t`
-//! is linked into the bucket at `(level, slot)` where `level` is the most
-//! significant 6-bit digit in which `t` differs from `cur` and `slot` is that
-//! digit of `t`. Each bucket is a FIFO linked list threaded through a slab, so
-//! same-instant events preserve strict `(time, seq)` order; buckets at level 0
-//! pin an exact timestamp, buckets at higher levels are cascaded — re-binned
-//! one level down relative to the advanced cursor, preserving list order —
-//! when the minimum enters their range. Each event cascades at most once per
-//! level, so `push`, `cancel` and (amortized) `pop` are O(1) with no per-op
-//! hashing; slots are found with bitmap `trailing_zeros`.
+//! Every push gets a sequence number `seq`; the queue pops in `(time, seq)`
+//! order. A push that names the same instant as the most recently opened run
+//! appends to that run's FIFO; any other push opens a new run, which enters
+//! the heap keyed by `(time, seq of its first event)`. Appending only to the
+//! newest run is what keeps the order exact: every run opened later starts
+//! with a larger seq than anything already appended, so runs at one instant
+//! hold disjoint, increasing seq ranges and the heap key ranks them correctly
+//! even after their heads have popped. A pop takes the head of the top run;
+//! the run leaves the heap when it empties.
 //!
-//! Events pushed *behind* the cursor (allowed: a handler may schedule work at
-//! or before `now`) go to a small `overdue` binary heap keyed by `(time, seq)`;
-//! everything in it is strictly earlier than every wheel entry, so ordering
-//! stays exact while the wheel's monotone-cursor invariant is preserved.
+//! The simulator's queues are bursty at one instant — a PacketIn's FlowMods
+//! and release, a mesh shard's re-armed wakeup chains — so most pushes are an
+//! O(1) append and most pops leave the heap untouched. Pushes of distinct
+//! instants pay O(log runs); the queue holds only the live control-plane
+//! horizon (SYNs are fed lazily), which keeps that heap shallow.
 //!
-//! The queue eagerly maintains the index of its minimum entry, which makes
-//! [`EventQueue::peek_time`] a true O(1) `&self` accessor.
+//! Keys live in the heap, payloads out of line: the heap holds
+//! `(time, seq, run)`, a run record is `(time, head, tail)`, a per-slot lane
+//! holds `(seq, next, generation)` and the payloads sit in their own lane
+//! (`None` once fired or cancelled), so sifting and linking never move an
+//! event.
 //!
-//! Cancellation marks the slab node dead and bumps its generation:
-//! [`EventId`]s are generation-tagged, so a stale id (already fired or already
-//! cancelled) is a no-op returning `false` even after the slab slot has been
-//! reused. Dead nodes are unlinked lazily when their bucket is next visited.
+//! Cancellation marks the slot dead and bumps its generation: [`EventId`]s are
+//! generation-tagged, so a stale id (already fired or already cancelled) is a
+//! no-op returning `false` even after the slot has been reused. A dead slot
+//! stays linked until it reaches its run's head and is only then freed, so a
+//! slot is never reused while linked. The top run's head is kept live, which
+//! makes [`EventQueue::peek_time`] a true O(1) `&self` accessor.
 //!
-//! The previous `BinaryHeap` + tombstone-set implementation is retained in
-//! [`mod@reference`] as the executable specification; a model-based proptest
-//! (`tests/proptest_queue.rs`) proves the wheel equivalent to it over
-//! thousands of push/cancel/pop/peek interleavings.
+//! A model-based proptest (`tests/proptest_queue.rs`) holds the queue to a
+//! binary-heap + tombstone oracle over thousands of push / cancel / pop / peek
+//! interleavings, including same-instant bursts and cancels inside runs.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Number of 6-bit digit levels (11 × 6 = 66 bits ≥ 64).
-const LEVELS: usize = 11;
-/// Slots per level (one 6-bit digit).
-const SLOTS: usize = 64;
-const DIGIT_BITS: u32 = 6;
 const NIL: u32 = u32::MAX;
 
 /// Identifies a scheduled event so it can be cancelled before it fires.
@@ -60,39 +59,19 @@ pub struct EventId {
     generation: u32,
 }
 
-struct Node<E> {
-    time: SimTime,
+/// Ordering of one event slot; its payload sits in `events`.
+struct Slot {
     seq: u64,
-    generation: u32,
-    /// Next node in the same bucket (FIFO), or `NIL`.
+    /// Next slot in the same run (FIFO), or `NIL`.
     next: u32,
-    /// `None` once fired or cancelled (and while on the free list).
-    event: Option<E>,
+    generation: u32,
 }
 
-/// One FIFO bucket: slab indices of its first and last node.
-#[derive(Clone, Copy)]
-struct Bucket {
+/// The FIFO of events due at one instant.
+struct Run {
+    time: SimTime,
     head: u32,
     tail: u32,
-}
-
-const EMPTY_BUCKET: Bucket = Bucket {
-    head: NIL,
-    tail: NIL,
-};
-
-/// `(level, slot)` of time `t` relative to cursor `cur`, for `t >= cur`.
-#[inline]
-fn level_slot(cur: u64, t: u64) -> (usize, usize) {
-    let x = cur ^ t;
-    if x == 0 {
-        (0, (t & (SLOTS as u64 - 1)) as usize)
-    } else {
-        let level = ((63 - x.leading_zeros()) / DIGIT_BITS) as usize;
-        let slot = ((t >> (DIGIT_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize;
-        (level, slot)
-    }
 }
 
 /// A deterministic future-event list.
@@ -110,21 +89,18 @@ fn level_slot(cur: u64, t: u64) -> (usize, usize) {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// Slab of event nodes; `free` holds reusable indices.
-    nodes: Vec<Node<E>>,
+    /// Min-heap of open runs by `(time, seq of the run's first event)`.
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    runs: Vec<Run>,
+    free_runs: Vec<u32>,
+    /// The most recently opened run still in the heap (`NIL` if none): the
+    /// only run a push may append to.
+    last_run: u32,
+    slots: Vec<Slot>,
+    /// Payload lane, parallel to `slots`: `None` once fired or cancelled
+    /// (and while on the free list).
+    events: Vec<Option<E>>,
     free: Vec<u32>,
-    /// `LEVELS × SLOTS` FIFO buckets, indexed `level * SLOTS + slot`.
-    buckets: Vec<Bucket>,
-    /// Per-level bitmap of non-empty slots.
-    occupied: [u64; LEVELS],
-    /// Events pushed behind the cursor, exact `(time, seq)` order.
-    overdue: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>>,
-    /// Time of the last wheel pop; wheel entries are all `>= cur`, overdue
-    /// entries all `< cur`.
-    cur: u64,
-    /// Slab index of the live minimum (`NIL` when empty). Kept normalized:
-    /// either the overdue heap's top or the head of a level-0 bucket.
-    min: u32,
     live: usize,
     peak: usize,
     next_seq: u64,
@@ -139,13 +115,13 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            nodes: Vec::new(),
+            heap: BinaryHeap::new(),
+            runs: Vec::new(),
+            free_runs: Vec::new(),
+            last_run: NIL,
+            slots: Vec::new(),
+            events: Vec::new(),
             free: Vec::new(),
-            buckets: vec![EMPTY_BUCKET; LEVELS * SLOTS],
-            occupied: [0; LEVELS],
-            overdue: std::collections::BinaryHeap::new(),
-            cur: 0,
-            min: NIL,
             live: 0,
             peak: 0,
             next_seq: 0,
@@ -159,97 +135,83 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let index = self.alloc(time, seq, event);
-        let generation = self.nodes[index as usize].generation;
+        let index = self.alloc(seq, event);
 
-        let t = time.as_nanos();
-        if t < self.cur {
-            self.overdue.push(std::cmp::Reverse((t, seq, index)));
-        } else {
-            let (level, slot) = level_slot(self.cur, t);
-            self.link(level, slot, index);
+        match self.runs.get_mut(self.last_run as usize) {
+            Some(run) if run.time == time => {
+                self.slots[run.tail as usize].next = index;
+                run.tail = index;
+            }
+            _ => {
+                let record = Run {
+                    time,
+                    head: index,
+                    tail: index,
+                };
+                let run = match self.free_runs.pop() {
+                    Some(run) => {
+                        self.runs[run as usize] = record;
+                        run
+                    }
+                    None => {
+                        self.runs.push(record);
+                        (self.runs.len() - 1) as u32
+                    }
+                };
+                self.heap.push(Reverse((time, seq, run)));
+                self.last_run = run;
+            }
         }
 
         self.live += 1;
-        if self.live > self.peak {
-            self.peak = self.live;
+        self.peak = self.peak.max(self.live);
+        EventId {
+            index,
+            generation: self.slots[index as usize].generation,
         }
-        // A fresh push has the largest seq, so it only becomes the minimum on
-        // a strictly earlier time.
-        if self.min == NIL || t < self.nodes[self.min as usize].time.as_nanos() {
-            self.min = index;
-        }
-        EventId { index, generation }
     }
 
     /// Cancel a scheduled event. Returns `true` if the event was still pending
     /// (i.e. had not fired and had not already been cancelled).
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(node) = self.nodes.get_mut(id.index as usize) else {
+        let Some(slot) = self.slots.get_mut(id.index as usize) else {
             return false;
         };
-        if node.generation != id.generation || node.event.is_none() {
+        if slot.generation != id.generation || self.events[id.index as usize].is_none() {
             return false;
         }
-        node.event = None;
-        node.generation = node.generation.wrapping_add(1);
+        slot.generation = slot.generation.wrapping_add(1);
+        self.events[id.index as usize] = None;
         self.live -= 1;
-        // The node stays linked in its bucket (or overdue heap) and is
-        // reclaimed when that container is next visited.
-        if self.min == id.index {
-            self.advance_min();
+        // The slot stays linked and is freed once it reaches its run's head;
+        // only the top run's head must be live right away.
+        if self
+            .top_run()
+            .is_some_and(|run| self.runs[run as usize].head == id.index)
+        {
+            self.settle();
         }
         true
     }
 
     /// Pop the earliest live event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.min == NIL {
-            return None;
-        }
-        let index = self.min;
-        let t = self.nodes[index as usize].time.as_nanos();
-        if t < self.cur {
-            // The minimum lives in the overdue heap, and cancellations of its
-            // top are cleaned eagerly, so the live top is exactly `index`.
-            let top = self.overdue.pop();
-            debug_assert_eq!(top.map(|std::cmp::Reverse((_, _, i))| i), Some(index));
-        } else {
-            // A push may have left the minimum in a higher-level bucket;
-            // cascade until it sits in a level-0 bucket. The cursor only
-            // advances up to the bucket base (≤ t), so `index` stays the min.
-            if level_slot(self.cur, t).0 != 0 {
-                self.advance_min();
-                debug_assert_eq!(self.min, index);
-            }
-            let slot = level_slot(self.cur, t).1;
-            // Cancelled same-instant predecessors may still be linked ahead
-            // of the minimum; reclaim them, then unlink the minimum itself.
-            loop {
-                let head = self.buckets[slot].head;
-                if head == index {
-                    break;
-                }
-                debug_assert!(self.nodes[head as usize].event.is_none());
-                self.unlink_head(0, slot, head);
-                self.free.push(head);
-            }
-            self.unlink_head(0, slot, index);
-            self.cur = t;
-        }
-        let node = &mut self.nodes[index as usize];
-        let time = node.time;
-        let event = node.event.take().expect("minimum node is live");
-        node.generation = node.generation.wrapping_add(1);
-        self.free.push(index);
+        let run = self.top_run()?;
+        let Run { time, head, .. } = self.runs[run as usize];
+        let slot = &mut self.slots[head as usize];
+        slot.generation = slot.generation.wrapping_add(1);
+        let event = self.events[head as usize]
+            .take()
+            .expect("the top run's head is live");
         self.live -= 1;
-        self.advance_min();
+        self.retire_head(run);
+        self.settle();
         Some((time, event))
     }
 
     /// The timestamp of the earliest live event, if any. O(1), `&self`.
     pub fn peek_time(&self) -> Option<SimTime> {
-        (self.min != NIL).then(|| self.nodes[self.min as usize].time)
+        self.top_run().map(|run| self.runs[run as usize].time)
     }
 
     /// `(time, seq)` of the earliest live event, if any. O(1), `&self`.
@@ -259,16 +221,16 @@ impl<E> EventQueue<E> {
     /// the queue decide ties exactly: an external item ranks before the queue
     /// head iff it would have been pushed with a smaller seq.
     pub fn peek_time_seq(&self) -> Option<(SimTime, u64)> {
-        (self.min != NIL).then(|| {
-            let node = &self.nodes[self.min as usize];
-            (node.time, node.seq)
+        self.top_run().map(|run| {
+            let run = &self.runs[run as usize];
+            (run.time, self.slots[run.head as usize].seq)
         })
     }
 
-    /// Pre-size the node slab for `additional` more live events, avoiding
-    /// incremental slab growth on the hot path.
+    /// Pre-size the payload lane for `additional` more live events, avoiding
+    /// its incremental growth on the hot path.
     pub fn reserve(&mut self, additional: usize) {
-        self.nodes.reserve(additional);
+        self.events.reserve(additional);
     }
 
     /// Number of live (non-cancelled) pending events.
@@ -290,229 +252,56 @@ impl<E> EventQueue<E> {
         self.peak
     }
 
-    fn alloc(&mut self, time: SimTime, seq: u64, event: E) -> u32 {
+    fn top_run(&self) -> Option<u32> {
+        self.heap.peek().map(|&Reverse((_, _, run))| run)
+    }
+
+    fn alloc(&mut self, seq: u64, event: E) -> u32 {
         if let Some(index) = self.free.pop() {
-            let node = &mut self.nodes[index as usize];
-            node.time = time;
-            node.seq = seq;
-            node.next = NIL;
-            node.event = Some(event);
+            let slot = &mut self.slots[index as usize];
+            slot.seq = seq;
+            slot.next = NIL;
+            self.events[index as usize] = Some(event);
             index
         } else {
-            let index = u32::try_from(self.nodes.len()).expect("slab fits in u32 indices");
-            assert_ne!(index, NIL, "event slab full");
-            self.nodes.push(Node {
-                time,
+            let index = u32::try_from(self.slots.len()).expect("slots fit in u32 indices");
+            assert_ne!(index, NIL, "event slots full");
+            self.slots.push(Slot {
                 seq,
-                generation: 0,
                 next: NIL,
-                event: Some(event),
+                generation: 0,
             });
+            self.events.push(Some(event));
             index
         }
     }
 
-    /// Append `index` to bucket `(level, slot)` and mark it occupied.
-    fn link(&mut self, level: usize, slot: usize, index: u32) {
-        let b = &mut self.buckets[level * SLOTS + slot];
-        if b.head == NIL {
-            b.head = index;
-        } else {
-            self.nodes[b.tail as usize].next = index;
-        }
-        b.tail = index;
-        self.occupied[level] |= 1 << slot;
-    }
-
-    /// Unlink the head node of bucket `(level, slot)` (must be `index`).
-    fn unlink_head(&mut self, level: usize, slot: usize, index: u32) {
-        let next = self.nodes[index as usize].next;
-        self.nodes[index as usize].next = NIL;
-        let b = &mut self.buckets[level * SLOTS + slot];
-        debug_assert_eq!(b.head, index);
-        b.head = next;
+    /// Unlink and free the head slot of `run`, which must be the top run; an
+    /// emptied run leaves the heap.
+    fn retire_head(&mut self, run: u32) {
+        let record = &mut self.runs[run as usize];
+        let head = record.head;
+        let next = self.slots[head as usize].next;
+        self.free.push(head);
         if next == NIL {
-            b.tail = NIL;
-            self.occupied[level] &= !(1 << slot);
+            self.heap.pop();
+            self.free_runs.push(run);
+            if self.last_run == run {
+                self.last_run = NIL;
+            }
+        } else {
+            record.head = next;
         }
     }
 
-    /// Re-establish the normalized minimum after the old one was removed:
-    /// drain dead overdue tops, free dead bucket heads, and cascade
-    /// higher-level buckets down until the minimum is a level-0 head (or the
-    /// overdue top, which is always strictly earlier than any wheel entry).
-    fn advance_min(&mut self) {
-        // Clean cancelled entries off the overdue top.
-        while let Some(&std::cmp::Reverse((_, seq, index))) = self.overdue.peek() {
-            let node = &self.nodes[index as usize];
-            debug_assert_eq!(node.seq, seq, "overdue entry outlived its node");
-            if node.event.is_some() {
-                break;
-            }
-            self.overdue.pop();
-            self.free.push(index);
-        }
-
-        loop {
-            // Everything overdue precedes everything on the wheel.
-            if let Some(&std::cmp::Reverse((_, _, index))) = self.overdue.peek() {
-                self.min = index;
+    /// Free cancelled slots off the top run's head until it is live (or the
+    /// heap is empty).
+    fn settle(&mut self) {
+        while let Some(run) = self.top_run() {
+            if self.events[self.runs[run as usize].head as usize].is_some() {
                 return;
             }
-            let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) else {
-                self.min = NIL;
-                return;
-            };
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            if level == 0 {
-                // Free dead heads; the first live node is the minimum.
-                let mut head = self.buckets[slot].head;
-                while head != NIL && self.nodes[head as usize].event.is_none() {
-                    self.unlink_head(0, slot, head);
-                    self.free.push(head);
-                    head = self.buckets[slot].head;
-                }
-                if head != NIL {
-                    self.min = head;
-                    return;
-                }
-                continue; // bucket was all tombstones; bitmap bit now clear
-            }
-            // Cascade: advance the cursor to the bucket's base time and
-            // re-bin its nodes one or more levels down, preserving FIFO
-            // order (which is seq order; equal-time nodes stay adjacent).
-            let shift = DIGIT_BITS as usize * (level + 1);
-            let high = if shift >= 64 { 0 } else { !0u64 << shift };
-            self.cur = (self.cur & high) | ((slot as u64) << (DIGIT_BITS as usize * level));
-            let mut node = self.buckets[level * SLOTS + slot].head;
-            self.buckets[level * SLOTS + slot] = EMPTY_BUCKET;
-            self.occupied[level] &= !(1 << slot);
-            while node != NIL {
-                let next = self.nodes[node as usize].next;
-                self.nodes[node as usize].next = NIL;
-                if self.nodes[node as usize].event.is_none() {
-                    self.free.push(node);
-                } else {
-                    let t = self.nodes[node as usize].time.as_nanos();
-                    debug_assert!(t >= self.cur);
-                    let (l, s) = level_slot(self.cur, t);
-                    debug_assert!(l < level);
-                    self.link(l, s, node);
-                }
-                node = next;
-            }
-        }
-    }
-}
-
-/// The retained heap-based reference implementation — the executable
-/// specification the timing wheel is proven equivalent to (see
-/// `tests/proptest_queue.rs`). Not used on the hot path.
-pub mod reference {
-    use std::cmp::Ordering;
-    use std::collections::{BinaryHeap, HashSet};
-
-    use crate::time::SimTime;
-
-    /// Identifies an event scheduled on a [`HeapEventQueue`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-    pub struct HeapEventId(pub u64);
-
-    struct Entry<E> {
-        time: SimTime,
-        seq: u64,
-        event: E,
-    }
-
-    // BinaryHeap is a max-heap; invert the ordering to get earliest-first,
-    // with the insertion sequence number as the tie-breaker.
-    impl<E> PartialEq for Entry<E> {
-        fn eq(&self, other: &Self) -> bool {
-            self.time == other.time && self.seq == other.seq
-        }
-    }
-    impl<E> Eq for Entry<E> {}
-    impl<E> PartialOrd for Entry<E> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<E> Ord for Entry<E> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            other
-                .time
-                .cmp(&self.time)
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-
-    /// The pre-wheel `EventQueue`: binary heap plus a tombstone set for
-    /// cancellation, with identical `(time, seq)` FIFO semantics.
-    pub struct HeapEventQueue<E> {
-        heap: BinaryHeap<Entry<E>>,
-        next_seq: u64,
-        pending: HashSet<u64>,
-    }
-
-    impl<E> Default for HeapEventQueue<E> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<E> HeapEventQueue<E> {
-        pub fn new() -> Self {
-            HeapEventQueue {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-                pending: HashSet::new(),
-            }
-        }
-
-        pub fn push(&mut self, time: SimTime, event: E) -> HeapEventId {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Entry { time, seq, event });
-            self.pending.insert(seq);
-            HeapEventId(seq)
-        }
-
-        pub fn cancel(&mut self, id: HeapEventId) -> bool {
-            self.pending.remove(&id.0)
-        }
-
-        pub fn pop(&mut self) -> Option<(SimTime, E)> {
-            while let Some(entry) = self.heap.pop() {
-                if !self.pending.remove(&entry.seq) {
-                    continue; // tombstoned by cancel()
-                }
-                return Some((entry.time, entry.event));
-            }
-            None
-        }
-
-        /// The timestamp of the earliest live event (drains tombstones, so
-        /// `&mut` — the API wart the wheel fixes).
-        pub fn peek_time(&mut self) -> Option<SimTime> {
-            while let Some(top) = self.heap.peek() {
-                if self.pending.contains(&top.seq) {
-                    return Some(top.time);
-                }
-                self.heap.pop();
-            }
-            None
-        }
-
-        pub fn len(&self) -> usize {
-            self.pending.len()
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.pending.is_empty()
-        }
-
-        pub fn scheduled_total(&self) -> u64 {
-            self.next_seq
+            self.retire_head(run);
         }
     }
 }
@@ -551,8 +340,7 @@ mod tests {
 
     #[test]
     fn mass_same_instant_fifo_10k() {
-        // Satellite: 10k events at one tick pop in exact push order, even
-        // when the tick sits far enough out to start life in a high level.
+        // 10k events at one tick pop in exact push order from one run.
         let mut q = EventQueue::new();
         let tick = t(123_456_789_000);
         for i in 0..10_000u32 {
@@ -563,6 +351,25 @@ mod tests {
             assert_eq!(q.pop(), Some((tick, i)));
         }
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn runs_at_one_instant_keep_push_order() {
+        // Two runs open at t=5 (a push at t=7 sits between them); a push at
+        // t=5 appends to the newer one, so FIFO order holds across both.
+        let mut q = EventQueue::new();
+        q.push(t(5), "a1");
+        q.push(t(5), "a2");
+        q.push(t(7), "x");
+        q.push(t(5), "b1");
+        assert_eq!(q.pop(), Some((t(5), "a1")));
+        q.push(t(5), "b2");
+        assert_eq!(q.peek_time_seq(), Some((t(5), 1)));
+        assert_eq!(q.pop(), Some((t(5), "a2")));
+        assert_eq!(q.pop(), Some((t(5), "b1")));
+        assert_eq!(q.pop(), Some((t(5), "b2")));
+        assert_eq!(q.pop(), Some((t(7), "x")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -579,13 +386,13 @@ mod tests {
 
     #[test]
     fn cancel_of_fired_generation_is_false_even_after_slot_reuse() {
-        // Satellite: a stale EventId stays a no-op `false` after its slab
-        // slot has been recycled for a newer event.
+        // A stale EventId stays a no-op `false` after its slot has been
+        // recycled for a newer event.
         let mut q = EventQueue::new();
         let a = q.push(t(1), "a");
         assert_eq!(q.pop(), Some((t(1), "a")));
         assert!(!q.cancel(a), "cancel of fired generation");
-        let b = q.push(t(2), "b"); // reuses a's slab slot
+        let b = q.push(t(2), "b"); // reuses a's slot
         assert!(!q.cancel(a), "stale id must not cancel the reused slot");
         assert_eq!(q.len(), 1);
         assert!(q.cancel(b));
@@ -594,8 +401,8 @@ mod tests {
 
     #[test]
     fn events_in_the_past_and_at_now_still_fire_in_order() {
-        // Satellite: after popping at t=100 the "cursor" sits at 100; events
-        // pushed at or before 100 are still delivered, in (time, seq) order.
+        // After popping at t=100, events pushed at or before 100 are still
+        // delivered, in (time, seq) order.
         let mut q = EventQueue::new();
         q.push(t(100), "now");
         assert_eq!(q.pop(), Some((t(100), "now")));
@@ -612,7 +419,7 @@ mod tests {
     }
 
     #[test]
-    fn cancel_in_overdue_region() {
+    fn cancel_of_an_event_pushed_into_the_past() {
         let mut q = EventQueue::new();
         q.push(t(1000), "a");
         assert_eq!(q.pop(), Some((t(1000), "a")));
@@ -625,23 +432,21 @@ mod tests {
     }
 
     #[test]
-    fn overflow_cascade_boundaries() {
-        // Satellite: times straddling 64^k digit boundaries cascade through
-        // multiple levels and still pop in exact order, including u64::MAX
-        // (SimTime::FAR_FUTURE) in the top overflow slots.
+    fn extreme_times_pop_in_order() {
+        // Times from zero to u64::MAX (SimTime::FAR_FUTURE), pushed in
+        // scrambled order, pop sorted.
         let mut q = EventQueue::new();
         let times: &[u64] = &[
             0,
-            63,               // level-0 boundary
-            64,               // first level-1 slot
-            64 * 64 - 1,      // level-1 boundary
-            64 * 64,          // first level-2 slot
-            64u64.pow(5) - 1, // deep boundary
+            63,
+            64,
+            64 * 64 - 1,
+            64 * 64,
+            64u64.pow(5) - 1,
             64u64.pow(5),
             u64::MAX - 1,
-            u64::MAX, // far-future overflow slot
+            u64::MAX,
         ];
-        // Push in scrambled order.
         for (i, &tm) in times.iter().enumerate().rev() {
             q.push(t(tm), i);
         }
@@ -658,7 +463,7 @@ mod tests {
     fn cancel_unknown_id_is_false() {
         let mut q: EventQueue<()> = EventQueue::new();
         // An id from a different queue instance (valid index, wrong
-        // generation / empty slab) must not cancel anything.
+        // generation / no slots) must not cancel anything.
         let mut other: EventQueue<()> = EventQueue::new();
         let foreign = other.push(t(5), ());
         assert!(!q.cancel(foreign));

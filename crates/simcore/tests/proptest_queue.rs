@@ -1,13 +1,118 @@
-//! Model-based property tests: the timing-wheel `EventQueue` must behave
-//! exactly like the retained heap+tombstone reference implementation
-//! (`simcore::queue::reference::HeapEventQueue` — the pre-wheel event core)
-//! under arbitrary push/cancel/pop/peek interleavings: same winners, same
-//! order, same cancel semantics, including far-future overflow slots,
-//! same-instant FIFO bursts and cancel-after-fire on stale ids.
+//! Model-based property tests: `EventQueue` must behave exactly like a
+//! binary-heap + tombstone oracle (the pre-runs event core, kept here as
+//! the executable specification) under arbitrary push / cancel / pop / peek
+//! interleavings: same winners, same order, same `peek_time_seq`, same cancel
+//! semantics, including `u64::MAX`, same-instant FIFO bursts, cancels inside
+//! runs and cancel-after-fire on stale ids.
+
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashSet};
 
 use proptest::prelude::*;
-use simcore::queue::reference::{HeapEventId, HeapEventQueue};
-use simcore::{EventQueue, SimTime};
+use simcore::{EventId, EventQueue, SimTime};
+
+/// Identifies an event scheduled on a [`HeapEventQueue`]: its push ordinal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HeapEventId(u64);
+
+struct Entry<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
+}
+
+// BinaryHeap is a max-heap; invert the ordering to get earliest-first, with
+// the insertion sequence number as the tie-breaker.
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .time
+            .cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// The oracle: binary heap plus a tombstone set for cancellation, with the
+/// same `(time, seq)` FIFO semantics.
+struct HeapEventQueue<E> {
+    heap: BinaryHeap<Entry<E>>,
+    next_seq: u64,
+    pending: HashSet<u64>,
+}
+
+impl<E> HeapEventQueue<E> {
+    fn new() -> Self {
+        HeapEventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            pending: HashSet::new(),
+        }
+    }
+
+    fn push(&mut self, time: SimTime, event: E) -> HeapEventId {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Entry { time, seq, event });
+        self.pending.insert(seq);
+        HeapEventId(seq)
+    }
+
+    fn cancel(&mut self, id: HeapEventId) -> bool {
+        self.pending.remove(&id.0)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        while let Some(entry) = self.heap.pop() {
+            if self.pending.remove(&entry.seq) {
+                return Some((entry.time, entry.event));
+            }
+        }
+        None
+    }
+
+    /// `(time, push ordinal)` of the entry `pop` would return next (drains
+    /// tombstones, hence `&mut`).
+    fn peek_time_seq(&mut self) -> Option<(SimTime, u64)> {
+        while let Some(top) = self.heap.peek() {
+            if self.pending.contains(&top.seq) {
+                return Some((top.time, top.seq));
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    fn peek_time(&mut self) -> Option<SimTime> {
+        self.peek_time_seq().map(|(time, _)| time)
+    }
+
+    fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    fn scheduled_total(&self) -> u64 {
+        self.next_seq
+    }
+}
+
+/// Where in a burst's still-live events a cancel lands.
+#[derive(Debug, Clone, Copy)]
+enum Pos {
+    Head,
+    Middle,
+    Tail,
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -15,8 +120,15 @@ enum Op {
         time_ns: u64,
         value: u32,
     },
+    /// `len` consecutive pushes at one instant.
+    Burst {
+        time_ns: u64,
+        len: usize,
+    },
     /// Cancel the n-th still-tracked id (modulo live count).
     Cancel(usize),
+    /// Cancel the head, middle or tail of the n-th burst's live events.
+    CancelInBurst(usize, Pos),
     /// Cancel an id that already fired or was already cancelled — both
     /// implementations must report `false`.
     CancelStale(usize),
@@ -24,9 +136,9 @@ enum Op {
     Peek,
 }
 
-/// Times mix a dense band (forcing same-instant FIFO collisions), digit-
-/// boundary values (cascade edges) and far-future values up to `u64::MAX`
-/// (overflow slots).
+/// Times mix a dense band (forcing same-instant FIFO collisions), small
+/// powers of 64 and their neighbours, and far-future values up to
+/// `u64::MAX`.
 fn time_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
         5 => 0u64..1000,
@@ -51,90 +163,180 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+fn pos_strategy() -> impl Strategy<Value = Pos> {
+    prop_oneof![Just(Pos::Head), Just(Pos::Middle), Just(Pos::Tail)]
+}
+
+/// Shaped like the simulator's queues: bursts of 2–50 pushes at a few
+/// recurring instants (wakeup chains re-armed 1 s ahead), single pushes at
+/// other instants (a PacketIn's outputs), pops, and cancels aimed at a
+/// burst's head, middle and tail.
+fn workload_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        3 => ((0u64..8).prop_map(|s| s * 1_000_000_000), 2usize..=50)
+            .prop_map(|(time_ns, len)| Op::Burst { time_ns, len }),
+        4 => (0u64..8_000_000_000, any::<u32>())
+            .prop_map(|(time_ns, value)| Op::Push { time_ns, value }),
+        3 => ((0usize..16), pos_strategy()).prop_map(|(n, pos)| Op::CancelInBurst(n, pos)),
+        1 => (0usize..16).prop_map(Op::CancelStale),
+        8 => Just(Op::Pop),
+        1 => Just(Op::Peek),
+    ]
+}
+
+/// Both implementations plus the ids issued in lockstep.
+struct Lockstep {
+    queue: EventQueue<u32>,
+    heap: HeapEventQueue<u32>,
+    /// `(queue id, oracle id, time, push ordinal)` of every pending event.
+    live_ids: Vec<(EventId, HeapEventId, u64, u64)>,
+    /// Ids of fired or cancelled events.
+    stale_ids: Vec<(EventId, HeapEventId)>,
+}
+
+impl Lockstep {
+    /// Push to both; returns the push ordinal.
+    fn push(&mut self, time_ns: u64, value: u32) -> u64 {
+        let qid = self.queue.push(SimTime::from_nanos(time_ns), value);
+        let hid = self.heap.push(SimTime::from_nanos(time_ns), value);
+        self.live_ids.push((qid, hid, time_ns, hid.0));
+        hid.0
+    }
+
+    /// Cancel the `i`-th live id in both; returns both outcomes.
+    fn cancel(&mut self, i: usize) -> (bool, bool) {
+        let (qid, hid, _, _) = self.live_ids.remove(i);
+        self.stale_ids.push((qid, hid));
+        (self.queue.cancel(qid), self.heap.cancel(hid))
+    }
+}
+
+/// Drive `EventQueue` and the oracle in lockstep through `ops`, checking
+/// `peek_time_seq`, `len` and `scheduled_total` after every op, then drain.
+fn run_lockstep(ops: Vec<Op>) -> Result<(), TestCaseError> {
+    let mut both = Lockstep {
+        queue: EventQueue::new(),
+        heap: HeapEventQueue::new(),
+        live_ids: Vec::new(),
+        stale_ids: Vec::new(),
+    };
+    // Push ordinals of each burst, in push order.
+    let mut bursts: Vec<Vec<u64>> = Vec::new();
+
+    for op in ops {
+        match op {
+            Op::Push { time_ns, value } => {
+                both.push(time_ns, value);
+            }
+            Op::Burst { time_ns, len } => {
+                bursts.push((0..len).map(|i| both.push(time_ns, i as u32)).collect());
+            }
+            Op::Cancel(n) => {
+                if !both.live_ids.is_empty() {
+                    let (q, h) = both.cancel(n % both.live_ids.len());
+                    prop_assert_eq!(q, h, "cancel outcome must agree");
+                }
+            }
+            Op::CancelInBurst(n, pos) if !bursts.is_empty() => {
+                let live: Vec<usize> = bursts[n % bursts.len()]
+                    .iter()
+                    .filter_map(|&ord| both.live_ids.iter().position(|id| id.3 == ord))
+                    .collect();
+                let at = match pos {
+                    Pos::Head => live.first(),
+                    Pos::Middle => live.get(live.len() / 2),
+                    Pos::Tail => live.last(),
+                };
+                if let Some(&i) = at {
+                    prop_assert_eq!(both.cancel(i), (true, true), "a live burst member cancels");
+                }
+            }
+            Op::CancelInBurst(..) => {}
+            Op::CancelStale(n) => {
+                if !both.stale_ids.is_empty() {
+                    let (qid, hid) = both.stale_ids[n % both.stale_ids.len()];
+                    prop_assert!(!both.queue.cancel(qid), "stale id must be a no-op");
+                    prop_assert!(!both.heap.cancel(hid));
+                }
+            }
+            Op::Pop => {
+                let q = both.queue.pop();
+                let h = both.heap.pop();
+                prop_assert_eq!(&q, &h, "pop must agree");
+                if q.is_some() {
+                    // The fired entry is the live one with the minimal
+                    // (time, push order); its ids go stale.
+                    let i = both
+                        .live_ids
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, &(_, _, t, ord))| (t, ord))
+                        .map(|(i, _)| i)
+                        .expect("a live id must back a successful pop");
+                    let (qid, hid, _, _) = both.live_ids.remove(i);
+                    both.stale_ids.push((qid, hid));
+                }
+            }
+            Op::Peek => {
+                prop_assert_eq!(
+                    both.queue.peek_time(),
+                    both.heap.peek_time(),
+                    "peek_time must agree"
+                );
+            }
+        }
+        prop_assert_eq!(
+            both.queue.peek_time_seq(),
+            both.heap.peek_time_seq(),
+            "peek_time_seq must name the next entry's (time, push ordinal)"
+        );
+        prop_assert_eq!(both.queue.len(), both.heap.len(), "live counts must agree");
+        prop_assert_eq!(both.queue.is_empty(), both.heap.len() == 0);
+        prop_assert_eq!(both.queue.scheduled_total(), both.heap.scheduled_total());
+    }
+
+    // Drain both: remaining orders must agree completely, and every id that
+    // ever existed must now be stale in both implementations.
+    let Lockstep {
+        mut queue,
+        mut heap,
+        live_ids,
+        stale_ids,
+    } = both;
+    loop {
+        prop_assert_eq!(queue.peek_time_seq(), heap.peek_time_seq());
+        let q = queue.pop();
+        let h = heap.pop();
+        prop_assert_eq!(&q, &h, "drain must agree");
+        if q.is_none() {
+            break;
+        }
+    }
+    let remaining = live_ids.into_iter().map(|(qid, hid, _, _)| (qid, hid));
+    for (qid, hid) in remaining.chain(stale_ids) {
+        prop_assert!(!queue.cancel(qid), "cancel-after-fire must be false");
+        prop_assert!(!heap.cancel(hid));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
-    /// The wheel and the retained heap reference, driven in lockstep.
+    /// The queue and the heap oracle, driven in lockstep.
     #[test]
-    fn wheel_matches_heap_reference(ops in prop::collection::vec(op_strategy(), 0..250)) {
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        // Ids issued in lockstep as (wheel id, heap id, time, push order);
-        // moved to `stale_ids` once cancelled or fired.
-        let mut live_ids: Vec<(simcore::EventId, HeapEventId, u64, usize)> = Vec::new();
-        let mut stale_ids: Vec<(simcore::EventId, HeapEventId)> = Vec::new();
-        let mut pushed = 0usize;
+    fn queue_matches_heap_reference(ops in prop::collection::vec(op_strategy(), 0..250)) {
+        run_lockstep(ops)?;
+    }
 
-        for op in ops {
-            match op {
-                Op::Push { time_ns, value } => {
-                    let wid = wheel.push(SimTime::from_nanos(time_ns), value);
-                    let hid = heap.push(SimTime::from_nanos(time_ns), value);
-                    live_ids.push((wid, hid, time_ns, pushed));
-                    pushed += 1;
-                }
-                Op::Cancel(n) => {
-                    if !live_ids.is_empty() {
-                        let (wid, hid, _, _) = live_ids.remove(n % live_ids.len());
-                        let w = wheel.cancel(wid);
-                        let h = heap.cancel(hid);
-                        prop_assert_eq!(w, h, "cancel outcome must agree");
-                        stale_ids.push((wid, hid));
-                    }
-                }
-                Op::CancelStale(n) => {
-                    if !stale_ids.is_empty() {
-                        let (wid, hid) = stale_ids[n % stale_ids.len()];
-                        prop_assert!(!wheel.cancel(wid), "stale id must be a no-op");
-                        prop_assert!(!heap.cancel(hid));
-                    }
-                }
-                Op::Pop => {
-                    let w = wheel.pop();
-                    let h = heap.pop();
-                    prop_assert_eq!(&w, &h, "pop must agree");
-                    if w.is_some() {
-                        // The fired entry is the live one with the minimal
-                        // (time, push order); its ids go stale.
-                        let i = live_ids
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, &(_, _, t, ord))| (t, ord))
-                            .map(|(i, _)| i)
-                            .expect("a live id must back a successful pop");
-                        let (wid, hid, _, _) = live_ids.remove(i);
-                        stale_ids.push((wid, hid));
-                    }
-                }
-                Op::Peek => {
-                    prop_assert_eq!(
-                        wheel.peek_time(),
-                        heap.peek_time(),
-                        "peek_time must agree"
-                    );
-                }
-            }
-            prop_assert_eq!(wheel.len(), heap.len(), "live counts must agree");
-            prop_assert_eq!(wheel.is_empty(), heap.is_empty());
-            prop_assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
-        }
-
-        // Drain both: remaining orders must agree completely, and every id
-        // that ever existed must now be stale in both implementations.
-        loop {
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-            let w = wheel.pop();
-            let h = heap.pop();
-            prop_assert_eq!(&w, &h, "drain must agree");
-            if w.is_none() {
-                break;
-            }
-        }
-        let remaining = live_ids.into_iter().map(|(wid, hid, _, _)| (wid, hid));
-        for (wid, hid) in remaining.chain(stale_ids) {
-            prop_assert!(!wheel.cancel(wid), "cancel-after-fire must be false");
-            prop_assert!(!heap.cancel(hid));
-        }
+    /// The same lockstep over workload-shaped ops: same-instant bursts, runs
+    /// reopened at an instant after pushes elsewhere, and cancels at a
+    /// burst's head, middle and tail.
+    #[test]
+    fn workload_shaped_ops_match_reference(
+        ops in prop::collection::vec(workload_op_strategy(), 0..120)
+    ) {
+        run_lockstep(ops)?;
     }
 
     /// Same-instant bursts: strict FIFO at every colliding timestamp, in
@@ -143,19 +345,19 @@ proptest! {
     fn same_instant_fifo_matches_reference(
         burst in prop::collection::vec((0u64..4, any::<u32>()), 1..200)
     ) {
-        let mut wheel = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut heap = HeapEventQueue::new();
         for &(slot, value) in &burst {
             // Four distinct instants, many collisions per instant.
             let t = SimTime::from_nanos(slot * 1_000);
-            wheel.push(t, value);
+            queue.push(t, value);
             heap.push(t, value);
         }
         loop {
-            let w = wheel.pop();
+            let q = queue.pop();
             let h = heap.pop();
-            prop_assert_eq!(&w, &h);
-            if w.is_none() {
+            prop_assert_eq!(&q, &h);
+            if q.is_none() {
                 break;
             }
         }
@@ -188,29 +390,28 @@ proptest! {
     }
 
     /// Pushing behind the already-popped minimum (events "in the past") must
-    /// keep exact (time, seq) order — the overdue path vs. the reference.
+    /// keep exact (time, seq) order against the reference.
     #[test]
     fn past_pushes_match_reference(
         future in prop::collection::vec(500u64..1000, 1..20),
         past in prop::collection::vec(0u64..600, 1..20),
     ) {
-        let mut wheel = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut heap = HeapEventQueue::new();
         for (i, &t) in future.iter().enumerate() {
-            wheel.push(SimTime::from_nanos(t), i);
+            queue.push(SimTime::from_nanos(t), i);
             heap.push(SimTime::from_nanos(t), i);
         }
-        // Advance the cursor past the earliest future event.
-        prop_assert_eq!(wheel.pop(), heap.pop());
+        prop_assert_eq!(queue.pop(), heap.pop());
         for (i, &t) in past.iter().enumerate() {
-            wheel.push(SimTime::from_nanos(t), 1000 + i);
+            queue.push(SimTime::from_nanos(t), 1000 + i);
             heap.push(SimTime::from_nanos(t), 1000 + i);
         }
         loop {
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-            let w = wheel.pop();
-            prop_assert_eq!(&w, &heap.pop());
-            if w.is_none() {
+            prop_assert_eq!(queue.peek_time(), heap.peek_time());
+            let q = queue.pop();
+            prop_assert_eq!(&q, &heap.pop());
+            if q.is_none() {
                 break;
             }
         }

@@ -168,7 +168,7 @@ impl<X> IngressShard<X> {
         self.req_live.reserve(n);
         self.arrival_order.reserve(n);
         // The queue holds only the live horizon (SYNs are fed lazily), but
-        // seeding the node slab skips the doubling ramp.
+        // seeding its payload lane skips the doubling ramp.
         self.events.reserve((n / 8).clamp(64, 65_536));
         // Flow rules are bounded by live client × service pairs (two rules
         // per redirect); buffers by concurrently held SYNs.

@@ -119,7 +119,7 @@ fn cityscale_run(scale: usize) -> testbed::RunResult {
 
 #[test]
 fn bigflows_seed42_replay_is_bit_identical() {
-    // Pinned hash: the timing-wheel queue, ServiceId interning and the
+    // Pinned hash: the event queue, ServiceId interning and the
     // allocation-lean packet path must not change a single observable metric.
     assert_eq!(
         cityscale_run(1).metrics_hash(),
