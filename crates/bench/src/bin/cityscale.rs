@@ -6,337 +6,100 @@
 //! at 1× are exactly the paper's trace) through the full testbed and
 //! records, per scale: wall-clock, events/sec, peak future-event-list depth,
 //! heap allocations per request and the peak of live heap bytes (both from
-//! simcore's workspace-wide counting allocator, feature `counting-alloc`;
-//! the peak covers the tier's whole process — trace, testbed and result —
+//! simcore's counting allocator; the peak covers the tier's whole process
 //! and, counting requested bytes, repeats exactly for a seed where RSS does
-//! not). The 1× run also emits the canonical metrics hash, which CI pins
-//! against drift (see `tests/experiments_regression.rs` for the same
-//! constant).
+//! not). `--repeat N` measures every scale N times, each in its own child
+//! process, and keeps the fastest row: the metrics are identical across
+//! runs and only the wall clock varies. The artifact's gates
+//! (`bench::artifact::cityscale::gates`) exit 1 after it is written.
 //!
 //! Usage:
 //!   cityscale [--quick] [--scales 1,10,100,1000] [--out BENCH_cityscale.json]
-//!             [--expect-hash-1x 0xHEX] [--profile-allocs] [--repeat N]
-//!
-//! `--repeat N` measures every scale N times (each in its own child
-//! process) and keeps the lowest-wall-clock row — best-of-N is the standard
-//! way to report a deterministic workload's cost on a host with noisy
-//! neighbours, since the metrics are identical across runs and only the
-//! wall clock varies.
+//!             [--repeat N]
 
-use std::fmt::Write as _;
+use std::num::NonZeroUsize;
+use std::process::{Command, Stdio};
 use std::time::Instant;
 
+use bench::artifact::cityscale::{gates, tier_row, LAYOUT};
+use bench::artifact::{publish, Doc, Flags, Row, SEED};
 use cluster::ClusterKind;
 use simcore::{alloc_count, SimRng};
-use testbed::{AllocProfile, ScenarioConfig, SiteSpec, Testbed};
+use testbed::{ScenarioConfig, SiteSpec, Testbed};
 use workload::{Trace, TraceConfig};
 
-const SEED: u64 = 42;
-
-/// Per-phase allocation counts for `--profile-allocs`: the testbed's own
-/// phases plus the two the bench measures around it.
-struct AllocPhases {
-    build: u64,
-    profile: AllocProfile,
-    hash: u64,
-}
-
-struct ScaleResult {
-    scale: usize,
-    requests: usize,
-    services: usize,
-    clients: usize,
-    events_scheduled: u64,
-    peak_queue_depth: usize,
-    wall_s: f64,
-    events_per_sec: f64,
-    allocs_per_request: f64,
-    /// High-water mark of live heap bytes since process start, in MiB: this
-    /// tier's own when it runs in its own child process (the default).
-    peak_live_mib: f64,
-    completed: usize,
-    lost: u64,
-    removes: u64,
-    metrics_hash: u64,
-    phases: Option<AllocPhases>,
-}
-
-fn run_scale(scale: usize, profile_allocs: bool) -> ScaleResult {
-    let trace_cfg = TraceConfig::scaled(scale);
-    let mut trace_rng = SimRng::seed_from_u64(SEED ^ 0xB16F_1085);
-    let trace = Trace::generate(trace_cfg, &mut trace_rng);
-
+fn run_scale(scale: usize) -> Row {
+    let mut rng = SimRng::seed_from_u64(SEED ^ 0xB16F_1085);
+    let trace = Trace::generate(TraceConfig::scaled(scale), &mut rng);
     // The default scenario with the edge site's hardware scaled alongside
     // the workload (one aggregate runtime backed by `scale` EGS nodes), so
     // deployments succeed at every multiplier. At 1× this is exactly
     // `ScenarioConfig { seed: 42, ..default }`.
+    let egs = SiteSpec::egs("egs-0").with_nodes(scale);
     let cfg = ScenarioConfig {
         seed: SEED,
         clients: trace.config.clients,
-        sites: vec![(
-            SiteSpec::egs("egs-0").with_nodes(scale),
-            ClusterKind::Docker,
-        )],
+        sites: vec![(egs, ClusterKind::Docker)],
         ..ScenarioConfig::default()
     };
-
-    let allocs_at_build = alloc_count::total();
     let testbed = Testbed::build(cfg, trace.service_addrs.clone());
     let allocs_before = alloc_count::total();
     let t0 = Instant::now();
     let result = testbed.run_trace(&trace);
     let wall_s = t0.elapsed().as_secs_f64();
     let allocs = alloc_count::total() - allocs_before;
-    let allocs_at_hash = alloc_count::total();
-    let metrics_hash = result.metrics_hash();
-    let phases = profile_allocs.then(|| AllocPhases {
-        build: allocs_before - allocs_at_build,
-        profile: result.alloc_profile.unwrap_or_default(),
-        hash: alloc_count::total() - allocs_at_hash,
-    });
-
-    ScaleResult {
-        scale,
-        requests: trace.requests.len(),
-        services: trace.config.services,
-        clients: trace.config.clients,
-        events_scheduled: result.events_scheduled,
-        peak_queue_depth: result.peak_queue_depth,
-        wall_s,
-        events_per_sec: result.events_scheduled as f64 / wall_s.max(1e-9),
-        allocs_per_request: allocs as f64 / trace.requests.len() as f64,
-        peak_live_mib: alloc_count::peak_bytes() as f64 / (1u64 << 20) as f64,
-        completed: result.records.len(),
-        lost: result.lost,
-        removes: result.removes,
-        metrics_hash,
-        phases,
-    }
-}
-
-/// One scale's JSON row (no indentation, no trailing comma) — the unit both
-/// the in-process path and the per-scale child processes produce.
-fn row_json(r: &ScaleResult) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"scale\": {}, \"requests\": {}, \"services\": {}, \"clients\": {}, \
-         \"events_scheduled\": {}, \"peak_queue_depth\": {}, \"wall_s\": {:.6}, \
-         \"events_per_sec\": {:.1}, \"allocs_per_request\": {:.1}, \
-         \"peak_live_mib\": {:.1}, \"completed\": {}, \"lost\": {}, \"removes\": {}, \
-         \"metrics_hash\": \"{:#018x}\"",
-        r.scale,
-        r.requests,
-        r.services,
-        r.clients,
-        r.events_scheduled,
-        r.peak_queue_depth,
-        r.wall_s,
-        r.events_per_sec,
-        r.allocs_per_request,
-        r.peak_live_mib,
-        r.completed,
-        r.lost,
-        r.removes,
-        r.metrics_hash,
-    );
-    if let Some(p) = &r.phases {
-        let _ = write!(
-            out,
-            ", \"alloc_phases\": {{\"build\": {}, \"prewarm\": {}, \"schedule\": {}, \
-             \"event_loop\": {}, \"hash\": {}}}",
-            p.build, p.profile.prewarm, p.profile.schedule, p.profile.event_loop, p.hash,
-        );
-    }
-    out.push('}');
-    out
-}
-
-fn to_json(rows: &[String]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"cityscale\",\n");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    out.push_str("  \"scales\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(row);
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    tier_row(scale, &trace, &result, wall_s, allocs)
 }
 
 /// Run one scale in a fresh child process so every tier is measured on a
 /// pristine heap: the big tiers are sensitive to allocator/page state left
 /// behind by earlier runs in the same process (~10% wall on the 100x tier
 /// after a 1x+10x warm-up — the artifact should report per-scale cost, not
-/// heap-history cost). Falls back to in-process measurement if the binary
-/// cannot re-exec itself.
-fn run_scale_isolated(scale: usize, profile_allocs: bool) -> String {
-    let child = std::env::current_exe().ok().and_then(|exe| {
-        let mut cmd = std::process::Command::new(exe);
-        cmd.arg("--scale-row").arg(scale.to_string());
-        if profile_allocs {
-            cmd.arg("--profile-allocs");
+/// heap-history cost). The child prints a one-row artifact; falls back to
+/// in-process measurement if the binary cannot re-exec itself.
+fn run_scale_isolated(scale: usize) -> Row {
+    let scale_arg = scale.to_string();
+    let mut cmd = Command::new(std::env::current_exe().unwrap_or_default());
+    cmd.args(["--scale-row", &scale_arg]);
+    cmd.stderr(Stdio::inherit());
+    match cmd.output() {
+        Ok(out) if out.status.success() => {
+            let text = String::from_utf8(out.stdout).expect("child artifact is UTF-8");
+            let doc = LAYOUT.parse(&text).expect("a one-row artifact");
+            doc.rows("scales")[0].clone()
         }
-        cmd.stderr(std::process::Stdio::inherit());
-        cmd.output().ok()
-    });
-    match child {
-        Some(out) if out.status.success() => {
-            let row = String::from_utf8(out.stdout).expect("child row is UTF-8");
-            let row = row.trim();
-            assert!(
-                row.starts_with('{') && row.ends_with('}'),
-                "malformed child row: {row:?}"
-            );
-            row.to_string()
-        }
-        Some(out) => {
-            panic!("scale {scale} child failed with {}", out.status);
-        }
-        None => row_json(&run_scale(scale, profile_allocs)),
+        Ok(out) => panic!("scale {scale} child failed with {}", out.status),
+        Err(_) => run_scale(scale),
     }
-}
-
-/// Extract `"metrics_hash": "0x..."` back out of a JSON row.
-fn row_hash(row: &str) -> u64 {
-    let key = "\"metrics_hash\": \"0x";
-    let at = row.find(key).expect("row carries a metrics_hash") + key.len();
-    u64::from_str_radix(&row[at..at + 16], 16).expect("hash is 16 hex digits")
-}
-
-/// Extract `"wall_s": ...` back out of a JSON row (for `--repeat` best-of-N).
-fn row_wall(row: &str) -> f64 {
-    let key = "\"wall_s\": ";
-    let at = row.find(key).expect("row carries a wall_s") + key.len();
-    let end = row[at..].find(',').expect("wall_s is not the last field") + at;
-    row[at..end].parse().expect("wall_s is a float")
 }
 
 fn main() {
-    let mut scales = vec![1usize, 10, 100, 1000];
-    let mut out_path = String::from("BENCH_cityscale.json");
-    let mut expect_hash_1x: Option<u64> = None;
-    let mut profile_allocs = false;
-    let mut scale_row: Option<usize> = None;
-    let mut repeat = 1usize;
+    let mut flags = Flags::from_env("cityscale");
+    let quick = flags.switch("--quick");
+    let scales = flags.list("--scales");
+    let out_path = flags.value("--out");
+    let repeat = flags.value("--repeat").map_or(1, NonZeroUsize::get);
+    // Child mode of `run_scale_isolated`: measure one scale and print it.
+    let scale_row = flags.value("--scale-row");
+    flags.finish();
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => scales = vec![1],
-            "--scales" => {
-                i += 1;
-                scales = args
-                    .get(i)
-                    .expect("--scales needs a comma-separated list")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("scale must be an integer"))
-                    .collect();
-            }
-            "--out" => {
-                i += 1;
-                out_path = args.get(i).expect("--out needs a path").clone();
-            }
-            "--expect-hash-1x" => {
-                i += 1;
-                let s = args.get(i).expect("--expect-hash-1x needs a hex value");
-                let s = s.trim_start_matches("0x");
-                expect_hash_1x = Some(u64::from_str_radix(s, 16).expect("hash must be hex"));
-            }
-            "--profile-allocs" => profile_allocs = true,
-            "--repeat" => {
-                i += 1;
-                repeat = args
-                    .get(i)
-                    .expect("--repeat needs a count")
-                    .parse()
-                    .expect("repeat must be an integer");
-                assert!(repeat >= 1, "--repeat must be at least 1");
-            }
-            // Child mode of `run_scale_isolated`: measure one scale and
-            // print its JSON row on stdout.
-            "--scale-row" => {
-                i += 1;
-                scale_row = Some(
-                    args.get(i)
-                        .expect("--scale-row needs a scale")
-                        .parse()
-                        .expect("scale must be an integer"),
-                );
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
+    let mut doc = Doc::new(&LAYOUT);
     if let Some(scale) = scale_row {
-        let r = run_scale(scale, profile_allocs);
-        report(&r);
-        println!("{}", row_json(&r));
+        doc.rows_mut("scales").push(run_scale(scale));
+        print!("{}", doc.render().expect("tier row matches its columns"));
         return;
     }
-
-    let mut rows = Vec::new();
-    for &scale in &scales {
-        let mut best: Option<String> = None;
-        for rep in 0..repeat {
-            eprintln!("cityscale: running {scale}x ({}/{repeat}) ...", rep + 1);
-            let row = run_scale_isolated(scale, profile_allocs);
-            if best.as_ref().is_none_or(|b| row_wall(&row) < row_wall(b)) {
-                best = Some(row);
-            }
-        }
-        rows.push(best.expect("--repeat is at least 1"));
+    let default: &[usize] = if quick { &[1] } else { &[1, 10, 100, 1000] };
+    for scale in scales.unwrap_or_else(|| default.to_vec()) {
+        let runs = (1..=repeat).map(|rep| {
+            eprintln!("cityscale: running {scale}x ({rep}/{repeat}) ...");
+            let row = run_scale_isolated(scale);
+            eprintln!("cityscale: {row}");
+            row
+        });
+        let best = runs.min_by(|a, b| a.float("wall_s").total_cmp(&b.float("wall_s")));
+        doc.rows_mut("scales").extend(best);
     }
-
-    let json = to_json(&rows);
-    std::fs::write(&out_path, &json).expect("write benchmark artifact");
-    print!("{json}");
-
-    if let Some(expect) = expect_hash_1x {
-        let got = rows
-            .iter()
-            .map(|row| row_hash(row))
-            .zip(&scales)
-            .find(|&(_, &s)| s == 1)
-            .expect("--expect-hash-1x requires a 1x run")
-            .0;
-        if got != expect {
-            eprintln!(
-                "cityscale: DETERMINISM DRIFT at 1x: expected {expect:#018x}, got {got:#018x}"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("cityscale: 1x determinism hash OK ({got:#018x})");
-    }
-}
-
-/// The per-scale human-readable summary (stderr).
-fn report(r: &ScaleResult) {
-    eprintln!(
-        "cityscale: {:>4}x  {:>9} req  {:>10} events  {:>8.3} s  {:>12.0} ev/s  \
-         peak {:>8}  {:>6.1} allocs/req  {:>7.1} MiB live  hash {:#018x}",
-        r.scale,
-        r.requests,
-        r.events_scheduled,
-        r.wall_s,
-        r.events_per_sec,
-        r.peak_queue_depth,
-        r.allocs_per_request,
-        r.peak_live_mib,
-        r.metrics_hash,
-    );
-    if let Some(p) = &r.phases {
-        eprintln!(
-            "cityscale:       allocs  build {:>10}  prewarm {:>8}  schedule {:>8}  \
-             event_loop {:>10}  hash {:>6}",
-            p.build, p.profile.prewarm, p.profile.schedule, p.profile.event_loop, p.hash,
-        );
-    }
+    let out_path = out_path.unwrap_or_else(|| "BENCH_cityscale.json".to_string());
+    publish(&doc, &out_path, gates);
 }

@@ -6,36 +6,29 @@
 //! per shard count: wall-clock, completions, deployments, split-brain
 //! duplicates observed vs. avoided by the lease protocol, gossip volume,
 //! mean delta staleness and mean convergence time. The 1-shard run is the
-//! plain single-controller testbed by construction, so its hash is the same
-//! canonical metrics hash CI pins for `cityscale`.
+//! plain single-controller testbed by construction, so its hash is the
+//! pinned seed-42 metrics hash.
 //!
 //! A second sweep (`"churn"` rows) re-runs the sharded mesh with idle
 //! scale-down and the Remove phase enabled (30 s idle timeout, 60 s Remove
 //! deadline) so the federation is exercised under instance churn: `Gone`
-//! deltas, revived services, lease traffic on redeploys. CI asserts the
-//! churn rows show `scale_downs > 0` and `removes > 0` — the lifecycle must
-//! stay live, not just compiled.
-//!
-//! A third sweep (`"threads_sweep"` rows) measures the windowed parallel
-//! engine itself: a heavier scaled workload per shard count at worker
-//! threads ∈ {1, 2, 4, 8} (threads ≤ shards), recording wall-clock,
-//! events/sec, speedup vs threads=1 and barrier stalls per window. The mesh
-//! hash must be byte-identical within each shard group — thread count picks
-//! the schedule, never the result — and the bench aborts on any divergence.
+//! deltas, revived services, lease traffic on redeploys. A third sweep
+//! (`"threads_sweep"` rows) times the windowed parallel engine on a heavier
+//! workload at worker threads ∈ {1, 2, 4, 8} ≤ shards. The artifact's gates
+//! (`bench::artifact::mesh::gates`) exit 1 after it is written.
 //!
 //! Usage:
 //!   mesh [--quick] [--shards 1,2,4,8] [--threads N] [--out BENCH_mesh.json]
-//!        [--expect-hash-1x 0xHEX]
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use bench::artifact::mesh::{gates, shard_row, sweep_row, LAYOUT};
+use bench::artifact::{publish, Doc, Flags, SEED};
 use edgemesh::{run_mesh_bigflows, run_mesh_scenario, validate_threads};
 use simcore::{SimDuration, SimRng};
-use testbed::{MeshParams, ScenarioConfig};
+use testbed::ScenarioConfig;
 use workload::{Trace, TraceConfig};
 
-const SEED: u64 = 42;
 /// Churn sweep knobs (mirrored by `examples/scenarios/mesh_scaledown.yaml`
 /// and `crates/edgemesh/tests/scaledown.rs`).
 const CHURN_IDLE_TIMEOUT_S: u64 = 30;
@@ -44,405 +37,101 @@ const CHURN_REMOVE_AFTER_S: u64 = 60;
 /// the 1× bigFlows trace finishes in milliseconds, far too little work for
 /// barrier overheads and speedup to mean anything.
 const THREADS_SWEEP_SCALE: usize = 10;
-/// One-way gossip latency for the threads sweep. The conservative engine's
+/// One-way gossip latency for the threads sweep: the conservative engine's
 /// lookahead IS the link latency, so a metro-WAN 50 ms link yields fat
-/// windows (hundreds of events between barriers) — the regime the
-/// thread-per-shard design targets. The default 500 µs LAN latency would
-/// barrier every handful of events and measure synchronization, not
-/// simulation.
+/// windows; the default 500 µs LAN link would measure synchronization.
 const THREADS_SWEEP_LINK_MS: u64 = 50;
 
-struct ShardResult {
-    shards: usize,
-    threads: usize,
-    requests: usize,
-    completed: u64,
-    lost: u64,
-    deployments: u64,
-    duplicate_deployments: u64,
-    duplicate_deployments_avoided: u64,
-    deltas_sent: u64,
-    deltas_lost: u64,
-    mean_staleness_ms: f64,
-    mean_convergence_ms: f64,
-    retargets: u64,
-    scale_downs: u64,
-    removes: u64,
-    wall_s: f64,
-    mesh_hash: u64,
-}
-
-/// One threads-sweep measurement: the heavier scaled workload at a fixed
-/// shard count, varying only the worker-thread count.
-struct ThreadsResult {
-    shards: usize,
-    threads: usize,
-    events: u64,
-    windows: u64,
-    stalls_per_window: f64,
-    wall_s: f64,
-    /// Wall-clock of this shard count's threads=1 run over this run's.
-    speedup: f64,
-    events_per_sec: f64,
-    mesh_hash: u64,
-}
-
-fn run_shards(shards: usize, threads: usize) -> ShardResult {
-    run_cfg(ScenarioConfig {
-        seed: SEED,
-        mesh: MeshParams {
-            shards,
-            threads,
-            ..MeshParams::default()
-        },
-        ..ScenarioConfig::default()
-    })
-}
-
-fn run_churn(shards: usize, threads: usize) -> ShardResult {
+fn mesh_cfg(shards: usize, threads: usize) -> ScenarioConfig {
     let mut cfg = ScenarioConfig {
         seed: SEED,
-        mesh: MeshParams {
-            shards,
-            threads,
-            ..MeshParams::default()
-        },
         ..ScenarioConfig::default()
     };
+    (cfg.mesh.shards, cfg.mesh.threads) = (shards, threads);
+    cfg
+}
+
+fn churn_cfg(shards: usize, threads: usize) -> ScenarioConfig {
+    let mut cfg = mesh_cfg(shards, threads);
     cfg.controller.scale_down_idle = true;
     cfg.controller.memory_idle_timeout = SimDuration::from_secs(CHURN_IDLE_TIMEOUT_S);
     cfg.controller.remove_after = Some(SimDuration::from_secs(CHURN_REMOVE_AFTER_S));
-    run_cfg(cfg)
-}
-
-fn run_cfg(cfg: ScenarioConfig) -> ShardResult {
-    let shards = cfg.mesh.shards;
-    let t0 = Instant::now();
-    let (trace, result) = run_mesh_bigflows(cfg);
-    let wall_s = t0.elapsed().as_secs_f64();
-    ShardResult {
-        shards,
-        threads: result.threads,
-        requests: trace.requests.len(),
-        completed: result.completed,
-        lost: result.lost,
-        deployments: result.deployments,
-        duplicate_deployments: result.duplicate_deployments,
-        duplicate_deployments_avoided: result.duplicate_deployments_avoided,
-        deltas_sent: result.deltas_sent,
-        deltas_lost: result.deltas_lost,
-        mean_staleness_ms: result.mean_staleness_ms(),
-        mean_convergence_ms: result.mean_convergence_ms(),
-        retargets: result.retargets,
-        scale_downs: result.scale_downs,
-        removes: result.removes,
-        wall_s,
-        mesh_hash: result.mesh_hash(),
-    }
-}
-
-/// The threads-sweep workload: the bigFlows trace at
-/// [`THREADS_SWEEP_SCALE`]×, same seed derivation as `run_mesh_bigflows`.
-fn threads_sweep_trace(scale: usize) -> Trace {
-    let mut rng = SimRng::seed_from_u64(SEED ^ 0xB16F_1085);
-    Trace::generate(TraceConfig::scaled(scale), &mut rng)
-}
-
-fn run_threads_case(shards: usize, threads: usize, trace: &Trace, base_wall: f64) -> ThreadsResult {
-    let cfg = ScenarioConfig {
-        seed: SEED,
-        clients: trace.config.clients,
-        mesh: MeshParams {
-            shards,
-            threads,
-            link_latency: SimDuration::from_millis(THREADS_SWEEP_LINK_MS),
-            ..MeshParams::default()
-        },
-        ..ScenarioConfig::default()
-    };
-    let t0 = Instant::now();
-    let result = run_mesh_scenario(cfg, trace);
-    let wall_s = t0.elapsed().as_secs_f64();
-    ThreadsResult {
-        shards,
-        threads,
-        events: result.events,
-        windows: result.windows,
-        stalls_per_window: result.stalls_per_window(),
-        wall_s,
-        speedup: if base_wall > 0.0 {
-            base_wall / wall_s
-        } else {
-            1.0
-        },
-        events_per_sec: result.events as f64 / wall_s.max(1e-9),
-        mesh_hash: result.mesh_hash(),
-    }
-}
-
-fn to_json(results: &[ShardResult], churn: &[ShardResult], sweep: &[ThreadsResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"mesh\",\n");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    let _ = writeln!(out, "  \"churn_idle_timeout_s\": {CHURN_IDLE_TIMEOUT_S},");
-    let _ = writeln!(out, "  \"churn_remove_after_s\": {CHURN_REMOVE_AFTER_S},");
-    let _ = writeln!(out, "  \"threads_sweep_scale\": {THREADS_SWEEP_SCALE},");
-    let _ = writeln!(out, "  \"threads_sweep_link_ms\": {THREADS_SWEEP_LINK_MS},");
-    // Parallel speedup is only meaningful relative to the cores the host
-    // actually had; a single-core runner measures ~1.0x by construction.
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let _ = writeln!(out, "  \"host_cpus\": {host_cpus},");
-    out.push_str("  \"shards\": [\n");
-    write_rows(&mut out, results);
-    out.push_str("  ],\n  \"churn\": [\n");
-    write_rows(&mut out, churn);
-    out.push_str("  ],\n  \"threads_sweep\": [\n");
-    for (i, r) in sweep.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"shards\": {}, \"threads\": {}, \"events\": {}, \"windows\": {}, \
-             \"stalls_per_window\": {:.3}, \"wall_s\": {:.6}, \"speedup\": {:.3}, \
-             \"events_per_sec\": {:.0}, \"mesh_hash\": \"{:#018x}\"}}",
-            r.shards,
-            r.threads,
-            r.events,
-            r.windows,
-            r.stalls_per_window,
-            r.wall_s,
-            r.speedup,
-            r.events_per_sec,
-            r.mesh_hash,
-        );
-        out.push_str(if i + 1 < sweep.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn write_rows(out: &mut String, results: &[ShardResult]) {
-    for (i, r) in results.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"shards\": {}, \"threads\": {}, \"requests\": {}, \"completed\": {}, \
-             \"lost\": {}, \"deployments\": {}, \"duplicate_deployments\": {}, \
-             \"duplicate_deployments_avoided\": {}, \"deltas_sent\": {}, \"deltas_lost\": {}, \
-             \"mean_staleness_ms\": {:.3}, \"mean_convergence_ms\": {:.3}, \"retargets\": {}, \
-             \"scale_downs\": {}, \"removes\": {}, \"wall_s\": {:.6}, \"mesh_hash\": \"{:#018x}\"}}",
-            r.shards,
-            r.threads,
-            r.requests,
-            r.completed,
-            r.lost,
-            r.deployments,
-            r.duplicate_deployments,
-            r.duplicate_deployments_avoided,
-            r.deltas_sent,
-            r.deltas_lost,
-            r.mean_staleness_ms,
-            r.mean_convergence_ms,
-            r.retargets,
-            r.scale_downs,
-            r.removes,
-            r.wall_s,
-            r.mesh_hash,
-        );
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
+    cfg
 }
 
 fn main() {
-    let mut shard_counts = vec![1usize, 2, 4, 8];
-    let mut out_path = String::from("BENCH_mesh.json");
-    let mut expect_hash_1x: Option<u64> = None;
-    let mut threads: usize = 1;
-    let mut quick = false;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                shard_counts = vec![1, 2];
-                quick = true;
-            }
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads needs a positive integer");
-            }
-            "--shards" => {
-                i += 1;
-                shard_counts = args
-                    .get(i)
-                    .expect("--shards needs a comma-separated list")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("shard count must be an integer"))
-                    .collect();
-            }
-            "--out" => {
-                i += 1;
-                out_path = args.get(i).expect("--out needs a path").clone();
-            }
-            "--expect-hash-1x" => {
-                i += 1;
-                let s = args.get(i).expect("--expect-hash-1x needs a hex value");
-                let s = s.trim_start_matches("0x");
-                expect_hash_1x = Some(u64::from_str_radix(s, 16).expect("hash must be hex"));
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
+    let mut flags = Flags::from_env("mesh");
+    let quick = flags.switch("--quick");
+    let default: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
+    let shard_counts = flags.list("--shards").unwrap_or_else(|| default.to_vec());
+    let threads: usize = flags.value("--threads").unwrap_or(1);
+    let out_path = flags.value("--out");
     // `--threads` applies to every swept run; a value no shard count in the
     // sweep can host is a usage error (the same typed rejection `edgesim run
     // --threads` gives). Single-shard rows always run the plain testbed, so
     // they are exempt from the check and ignore the knob.
-    for &shards in shard_counts.iter().filter(|&&s| s >= 2) {
-        if let Err(e) = validate_threads(threads, shards) {
-            eprintln!("mesh: {e}");
-            std::process::exit(2);
-        }
+    let sharded = shard_counts.iter().filter(|&&s| s >= 2);
+    let invalid = |&s: &usize| validate_threads(threads, s).err();
+    if let Some(e) = sharded.clone().find_map(invalid) {
+        flags.usage(e);
     }
+    flags.finish();
 
-    let mut results = Vec::new();
-    for &shards in &shard_counts {
-        let threads = threads.min(shards);
-        eprintln!("mesh: running {shards} shard(s) on {threads} thread(s) ...");
-        let r = run_shards(shards, threads);
-        eprintln!(
-            "mesh: {:>2} shards  {:>5}/{:<5} req  {:>3} deployments  {:>2} dup  {:>4} avoided  \
-             {:>6} deltas  staleness {:>7.2} ms  convergence {:>7.2} ms  {:>7.3} s  hash {:#018x}",
-            r.shards,
-            r.completed,
-            r.requests,
-            r.deployments,
-            r.duplicate_deployments,
-            r.duplicate_deployments_avoided,
-            r.deltas_sent,
-            r.mean_staleness_ms,
-            r.mean_convergence_ms,
-            r.wall_s,
-            r.mesh_hash,
-        );
-        results.push(r);
-    }
+    let mut doc = Doc::new(&LAYOUT);
+    // Parallel speedup is only meaningful relative to the cores the host
+    // actually had; a single-core runner measures ~1.0x by construction.
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    doc.header
+        .set("churn_idle_timeout_s", CHURN_IDLE_TIMEOUT_S)
+        .set("churn_remove_after_s", CHURN_REMOVE_AFTER_S)
+        .set("threads_sweep_scale", THREADS_SWEEP_SCALE)
+        .set("threads_sweep_link_ms", THREADS_SWEEP_LINK_MS)
+        .set("host_cpus", host_cpus);
 
-    // Churn sweep: sharded only (shards >= 2) — the point is churn *through
-    // the federation*, and the plain 1-shard lifecycle is already covered by
-    // cityscale and the testbed tests.
-    let mut churn = Vec::new();
-    for &shards in shard_counts.iter().filter(|&&s| s >= 2) {
-        eprintln!("mesh: running {shards} shard(s) with idle scale-down ...");
-        let r = run_churn(shards, threads.min(shards));
-        eprintln!(
-            "mesh: {:>2} shards (churn)  {:>5}/{:<5} req  {:>3} deployments  \
-             {:>3} scale-downs  {:>3} removes  {:>7.3} s  hash {:#018x}",
-            r.shards,
-            r.completed,
-            r.requests,
-            r.deployments,
-            r.scale_downs,
-            r.removes,
-            r.wall_s,
-            r.mesh_hash,
-        );
-        churn.push(r);
+    // Churn rows are sharded only — the point is churn *through the
+    // federation*; the plain 1-shard lifecycle is covered by cityscale and
+    // the testbed tests.
+    let plain = shard_counts
+        .iter()
+        .map(|&s| ("shards", mesh_cfg(s, threads.min(s))));
+    let churn = sharded.map(|&s| ("churn", churn_cfg(s, threads.min(s))));
+    for (section, cfg) in plain.chain(churn) {
+        let shards = cfg.mesh.shards;
+        eprintln!("mesh: running {section} at {shards} shard(s) ...");
+        let t0 = Instant::now();
+        let (trace, result) = run_mesh_bigflows(cfg);
+        let row = shard_row(trace.requests.len(), &result, t0.elapsed().as_secs_f64());
+        eprintln!("mesh: {row}");
+        doc.rows_mut(section).push(row);
     }
 
     // Threads sweep: the windowed engine's own scaling artifact. Quick mode
-    // trims to one shard group at {1, 2} threads so CI still proves the
-    // hash-equality gate without paying for the full matrix.
-    let sweep_shards: Vec<usize> = if quick { vec![2] } else { vec![2, 4, 8] };
+    // trims to one shard group at {1, 2} threads so the hash-equality gate
+    // still runs without paying for the full matrix.
+    let sweep_shards: &[usize] = if quick { &[2] } else { &[2, 4, 8] };
     let sweep_threads: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    let trace = threads_sweep_trace(THREADS_SWEEP_SCALE);
-    eprintln!(
-        "mesh: threads sweep over {} requests ({}x workload)",
-        trace.requests.len(),
-        THREADS_SWEEP_SCALE
-    );
-    let mut sweep = Vec::new();
-    for &shards in &sweep_shards {
+    let mut rng = SimRng::seed_from_u64(SEED ^ 0xB16F_1085);
+    let trace = Trace::generate(TraceConfig::scaled(THREADS_SWEEP_SCALE), &mut rng);
+    let requests = trace.requests.len();
+    eprintln!("mesh: threads sweep over {requests} requests ({THREADS_SWEEP_SCALE}x workload)");
+    for &shards in sweep_shards {
         let mut base_wall = 0.0;
-        let mut base_hash = None;
         for &t in sweep_threads.iter().filter(|&&t| t <= shards) {
-            let r = run_threads_case(shards, t, &trace, base_wall);
-            eprintln!(
-                "mesh: {:>2} shards / {} thread(s)  {:>9} events  {:>5} windows  \
-                 {:>5.2} stalls/window  {:>7.3} s  {:>8.0} ev/s  speedup {:>5.2}x  hash {:#018x}",
-                r.shards,
-                r.threads,
-                r.events,
-                r.windows,
-                r.stalls_per_window,
-                r.wall_s,
-                r.events_per_sec,
-                r.speedup,
-                r.mesh_hash,
-            );
+            let mut cfg = mesh_cfg(shards, t);
+            cfg.clients = trace.config.clients;
+            cfg.mesh.link_latency = SimDuration::from_millis(THREADS_SWEEP_LINK_MS);
+            let t0 = Instant::now();
+            let result = run_mesh_scenario(cfg, &trace);
+            let wall_s = t0.elapsed().as_secs_f64();
             if t == 1 {
-                base_wall = r.wall_s;
-                base_hash = Some(r.mesh_hash);
-            } else if base_hash != Some(r.mesh_hash) {
-                // Thread count must pick the schedule, never the result.
-                eprintln!(
-                    "mesh: THREAD DETERMINISM VIOLATION at {} shards: threads=1 hash {:#018x} \
-                     != threads={} hash {:#018x}",
-                    shards,
-                    base_hash.unwrap_or(0),
-                    t,
-                    r.mesh_hash
-                );
-                std::process::exit(1);
+                base_wall = wall_s;
             }
-            sweep.push(r);
+            let row = sweep_row(t, &result, wall_s, base_wall / wall_s);
+            eprintln!("mesh: {row}");
+            doc.rows_mut("threads_sweep").push(row);
         }
     }
 
-    let json = to_json(&results, &churn, &sweep);
-    std::fs::write(&out_path, &json).expect("write benchmark artifact");
-    print!("{json}");
-
-    if let Some(expect) = expect_hash_1x {
-        let got = results
-            .iter()
-            .find(|r| r.shards == 1)
-            .expect("--expect-hash-1x requires a 1-shard run")
-            .mesh_hash;
-        if got != expect {
-            eprintln!(
-                "mesh: DETERMINISM DRIFT at 1 shard: expected {expect:#018x}, got {got:#018x}"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("mesh: 1-shard determinism hash OK ({got:#018x})");
-    }
-    // Invariant gate: the lease protocol must keep the mesh free of
-    // split-brain duplicates at every swept shard count, churn included.
-    if let Some(r) = results
-        .iter()
-        .chain(&churn)
-        .find(|r| r.duplicate_deployments > 0)
-    {
-        eprintln!(
-            "mesh: LEASE VIOLATION at {} shards: {} duplicate deployment(s)",
-            r.shards, r.duplicate_deployments
-        );
-        std::process::exit(1);
-    }
-    // Liveness gate: a churn row where nothing scaled down or got removed
-    // means the idle lifecycle silently died — fail loudly, not via a stale
-    // all-zero artifact.
-    if let Some(r) = churn.iter().find(|r| r.scale_downs == 0 || r.removes == 0) {
-        eprintln!(
-            "mesh: CHURN LIVENESS FAILURE at {} shards: scale_downs={} removes={}",
-            r.shards, r.scale_downs, r.removes
-        );
-        std::process::exit(1);
-    }
+    let out_path = out_path.unwrap_or_else(|| "BENCH_mesh.json".to_string());
+    publish(&doc, &out_path, |doc| gates(doc, &shard_counts, threads));
 }

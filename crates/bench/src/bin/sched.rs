@@ -6,60 +6,23 @@
 //! site) under every provisioning policy in the registry's comparison set,
 //! and records per (policy × workload) row: request latency (mean / p95),
 //! SLO violations, deployments, retargets (migrations), cloud forwards and
-//! admission rejections. Two gates ride along:
-//!
-//! * `capacity_violations` must be 0 in every row — admission control never
-//!   lets a booking exceed a site's declared [`SiteCapacity`];
-//! * the default policy on the default unlimited-capacity scenario must
-//!   reproduce the pinned seed-42 metrics hash byte-identically
-//!   (`--expect-hash`, same constant as the cityscale gate).
+//! admission rejections. The artifact's gates
+//! (`bench::artifact::sched::gates`) exit 1 after it is written.
 //!
 //! Usage:
-//!   sched [--quick] [--out BENCH_sched.json] [--expect-hash 0xHEX]
+//!   sched [--quick] [--out BENCH_sched.json]
 
-use std::fmt::Write as _;
-
+use bench::artifact::sched::{gates, row, LAYOUT, POLICIES};
+use bench::artifact::{publish, Doc, Flags, SEED};
 use cluster::{ClusterKind, SiteCapacity};
 use simcore::{SimDuration, SimRng};
-use testbed::{ScenarioConfig, SchedulerSpec, SiteSpec, Testbed};
+use testbed::{ScenarioConfig, SiteSpec, Testbed};
 use workload::{Trace, TraceConfig};
-
-const SEED: u64 = 42;
 
 /// A request slower than this misses the edge-latency SLO: cloud round
 /// trips (~104 ms time_total on the default WAN) and deployment-blocked
 /// first requests violate it, edge-served requests meet it comfortably.
 const SLO_MS: f64 = 100.0;
-
-/// One comparison policy: display name + `SchedulerSpec` constructor.
-type Policy = (&'static str, fn() -> SchedulerSpec);
-
-/// The policies the ablation compares (every registry entry that makes
-/// sense on a Docker-only continuum).
-const POLICIES: [Policy; 5] = [
-    ("nearest-waiting", SchedulerSpec::nearest_waiting),
-    ("nearest-ready-first", SchedulerSpec::nearest_ready_first),
-    ("least-loaded", SchedulerSpec::least_loaded),
-    ("bounded-cost", SchedulerSpec::bounded_cost),
-    ("tier-spill", SchedulerSpec::tier_spill),
-];
-
-struct Row {
-    policy: &'static str,
-    workload: &'static str,
-    requests: usize,
-    completed: usize,
-    lost: u64,
-    mean_ms: f64,
-    p95_ms: f64,
-    slo_violations: usize,
-    deployments: usize,
-    proactive_deployments: u64,
-    retargets: u64,
-    cloud_forwards: u64,
-    admission_rejections: u64,
-    capacity_violations: u64,
-}
 
 /// The capacity-constrained three-tier continuum every comparison row runs
 /// on. The near edge fits only a handful of services, the metro EGS a few
@@ -91,187 +54,44 @@ fn workload_trace(scale: usize) -> Trace {
     Trace::generate(TraceConfig::scaled(scale), &mut trace_rng)
 }
 
-fn run_row(policy: Policy, workload: &'static str, trace: &Trace) -> Row {
-    let cfg = ScenarioConfig {
+fn scenario(trace: &Trace, sites: Vec<(SiteSpec, ClusterKind)>) -> ScenarioConfig {
+    ScenarioConfig {
         seed: SEED,
         clients: trace.config.clients,
-        sites: constrained_sites(),
-        scheduler: policy.1(),
+        sites,
         ..ScenarioConfig::default()
-    };
-    let result = Testbed::build(cfg, trace.service_addrs.clone()).run_trace(trace);
-
-    let mut totals_ms: Vec<f64> = result.time_totals_ms();
-    totals_ms.sort_by(f64::total_cmp);
-    let mean_ms = if totals_ms.is_empty() {
-        0.0
-    } else {
-        totals_ms.iter().sum::<f64>() / totals_ms.len() as f64
-    };
-    let p95_ms = totals_ms
-        .get((totals_ms.len().saturating_sub(1)) * 95 / 100)
-        .copied()
-        .unwrap_or(0.0);
-    let slo_violations = totals_ms.iter().filter(|&&t| t > SLO_MS).count();
-
-    Row {
-        policy: policy.0,
-        workload,
-        requests: trace.requests.len(),
-        completed: result.records.len(),
-        lost: result.lost,
-        mean_ms,
-        p95_ms,
-        slo_violations,
-        deployments: result.deployments.len(),
-        proactive_deployments: result.proactive_deployments,
-        retargets: result.retargets,
-        cloud_forwards: result.cloud_forwards,
-        admission_rejections: result.admission_rejections,
-        capacity_violations: result.capacity_violations,
     }
-}
-
-/// The determinism gate: the default policy on the default unlimited-
-/// capacity scenario (exactly the cityscale 1× configuration) must hash to
-/// the pinned constant.
-fn baseline_hash() -> u64 {
-    let trace = workload_trace(1);
-    let cfg = ScenarioConfig {
-        seed: SEED,
-        clients: trace.config.clients,
-        sites: vec![(SiteSpec::egs("egs-0").with_nodes(1), ClusterKind::Docker)],
-        ..ScenarioConfig::default()
-    };
-    Testbed::build(cfg, trace.service_addrs.clone())
-        .run_trace(&trace)
-        .metrics_hash()
-}
-
-fn to_json(rows: &[Row], baseline: u64) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"sched\",\n");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    let _ = writeln!(out, "  \"slo_ms\": {SLO_MS},");
-    let _ = writeln!(out, "  \"baseline_hash\": \"{baseline:#018x}\",");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"policy\": \"{}\", \"workload\": \"{}\", \"requests\": {}, \
-             \"completed\": {}, \"lost\": {}, \"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \
-             \"slo_violations\": {}, \"deployments\": {}, \"proactive_deployments\": {}, \
-             \"retargets\": {}, \"cloud_forwards\": {}, \"admission_rejections\": {}, \
-             \"capacity_violations\": {}}}",
-            r.policy,
-            r.workload,
-            r.requests,
-            r.completed,
-            r.lost,
-            r.mean_ms,
-            r.p95_ms,
-            r.slo_violations,
-            r.deployments,
-            r.proactive_deployments,
-            r.retargets,
-            r.cloud_forwards,
-            r.admission_rejections,
-            r.capacity_violations,
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 fn main() {
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_sched.json");
-    let mut expect_hash: Option<u64> = None;
+    let mut flags = Flags::from_env("sched");
+    let quick = flags.switch("--quick");
+    let out_path = flags.value("--out");
+    flags.finish();
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                i += 1;
-                out_path = args.get(i).expect("--out needs a path").clone();
-            }
-            "--expect-hash" => {
-                i += 1;
-                let s = args.get(i).expect("--expect-hash needs a hex value");
-                let s = s.trim_start_matches("0x");
-                expect_hash = Some(u64::from_str_radix(s, 16).expect("hash must be hex"));
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
-    let workloads: &[(&'static str, usize)] = if quick {
-        &[("bigflows-1x", 1)]
-    } else {
-        &[("bigflows-1x", 1), ("bigflows-2x", 2)]
-    };
-
-    let mut rows = Vec::new();
-    for &(workload, scale) in workloads {
+    let workloads = [("bigflows-1x", 1), ("bigflows-2x", 2)];
+    let mut doc = Doc::new(&LAYOUT);
+    for (workload, scale) in workloads.into_iter().take(if quick { 1 } else { 2 }) {
         let trace = workload_trace(scale);
-        for policy in POLICIES {
-            let r = run_row(policy, workload, &trace);
-            eprintln!(
-                "sched: {:<20} {:<12} mean {:>8.2} ms  p95 {:>8.2} ms  slo-viol {:>5}  \
-                 deploys {:>3}  retargets {:>3}  cloud {:>5}  rejected {:>4}  cap-viol {}",
-                r.policy,
-                r.workload,
-                r.mean_ms,
-                r.p95_ms,
-                r.slo_violations,
-                r.deployments,
-                r.retargets,
-                r.cloud_forwards,
-                r.admission_rejections,
-                r.capacity_violations,
-            );
-            rows.push(r);
+        for (policy, scheduler) in POLICIES {
+            let mut cfg = scenario(&trace, constrained_sites());
+            cfg.scheduler = scheduler();
+            let result = Testbed::build(cfg, trace.service_addrs.clone()).run_trace(&trace);
+            let row = row(policy, workload, trace.requests.len(), &result, SLO_MS);
+            eprintln!("sched: {row}");
+            doc.rows_mut("rows").push(row);
         }
     }
 
-    eprintln!("sched: running unlimited-capacity baseline for the determinism gate ...");
-    let baseline = baseline_hash();
-    eprintln!("sched: baseline hash {baseline:#018x}");
-
-    let json = to_json(&rows, baseline);
-    std::fs::write(&out_path, &json).expect("write benchmark artifact");
-    print!("{json}");
-
-    let overbooked: Vec<&Row> = rows.iter().filter(|r| r.capacity_violations != 0).collect();
-    if !overbooked.is_empty() {
-        for r in overbooked {
-            eprintln!(
-                "sched: CAPACITY VIOLATION: {} on {} overbooked a site {} time(s)",
-                r.policy, r.workload, r.capacity_violations
-            );
-        }
-        std::process::exit(1);
-    }
-    eprintln!(
-        "sched: capacity gate OK (0 violations across {} rows)",
-        rows.len()
-    );
-
-    if let Some(expect) = expect_hash {
-        if baseline != expect {
-            eprintln!(
-                "sched: DETERMINISM DRIFT on the default policy: expected {expect:#018x}, \
-                 got {baseline:#018x}"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("sched: default-policy determinism hash OK ({baseline:#018x})");
-    }
+    // The default policy on the default unlimited-capacity scenario (exactly
+    // the cityscale 1× configuration), whose hash the `pin` gate checks.
+    eprintln!("sched: running the unlimited-capacity baseline ...");
+    let trace = workload_trace(1);
+    let site = (SiteSpec::egs("egs-0").with_nodes(1), ClusterKind::Docker);
+    let baseline = Testbed::build(scenario(&trace, vec![site]), trace.service_addrs.clone());
+    doc.header.set("slo_ms", SLO_MS);
+    let hash = baseline.run_trace(&trace).metrics_hash();
+    doc.header.set("baseline_hash", hash);
+    let out_path = out_path.unwrap_or_else(|| "BENCH_sched.json".to_string());
+    publish(&doc, &out_path, gates);
 }

@@ -1,305 +1,81 @@
 //! Workload-engine sweep — the trajectory artifact for the arrival-model
-//! subsystem (`BENCH_workload.json`).
+//! subsystem (`BENCH_workload.json`). Two sweeps over the seed-42 scenario:
 //!
-//! Two sweeps over the same seed-42 scenario:
-//!
-//! * **Model × shards** — every builtin arrival model (`bigflows`,
-//!   `poisson`, `mmpp`, `diurnal`, `flash-crowd`) through the mesh at
+//! * **Model × shards** — every builtin arrival model through the mesh at
 //!   {1, 2, 4} ingress shards, recording completions, losses, deployments,
-//!   split-brain duplicates observed vs avoided, wall-clock and the run
-//!   hash. The invariant gate asserts the flash-crowd rows at >= 2 shards
-//!   show `duplicate_deployments == 0` with `avoided > 0`: the spike *must*
-//!   produce lease contention and the protocol *must* win it.
+//!   split-brain duplicates observed vs avoided, wall-clock and the hash.
 //! * **Mobility** — the bigflows and diurnal models with
 //!   `handovers_per_client = 2` on a 2-shard mesh, run audited (the
 //!   session-continuity analysis rides along) at worker threads 1 and 2.
-//!   Gates: zero violations — no session blackholed or double-served across
-//!   a handover — and byte-identical hashes across thread counts.
+//!
+//! The artifact's gates (`bench::artifact::workload::gates`) exit 1 after
+//! it is written.
 //!
 //! Usage:
 //!   workload [--quick] [--shards 1,2,4] [--out BENCH_workload.json]
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use bench::artifact::workload::{gates, row, LAYOUT};
+use bench::artifact::{publish, Doc, Flags, SEED};
 use edgemesh::run_mesh_bigflows;
-use testbed::{MeshParams, ScenarioConfig};
+use testbed::ScenarioConfig;
 use workload::WorkloadRegistry;
 
-const SEED: u64 = 42;
 const MOBILITY_HANDOVERS: f64 = 2.0;
-
-struct Row {
-    model: &'static str,
-    shards: usize,
-    threads: usize,
-    handovers_per_client: f64,
-    requests: usize,
-    completed: u64,
-    lost: u64,
-    handovers: u64,
-    deployments: u64,
-    duplicate_deployments: u64,
-    duplicate_deployments_avoided: u64,
-    continuity_violations: usize,
-    wall_s: f64,
-    hash: u64,
-}
 
 fn scenario(model: &str, shards: usize, threads: usize, handovers: f64) -> ScenarioConfig {
     let mut cfg = ScenarioConfig {
         seed: SEED,
-        mesh: MeshParams {
-            shards,
-            threads,
-            ..MeshParams::default()
-        },
         ..ScenarioConfig::default()
     };
+    (cfg.mesh.shards, cfg.mesh.threads) = (shards, threads);
     cfg.workload.model = model.to_string();
     cfg.workload.handovers_per_client = handovers;
     cfg
 }
 
-fn run_model(model: &'static str, shards: usize) -> Row {
-    let threads = 2.min(shards);
-    let t0 = Instant::now();
-    let (trace, result) = run_mesh_bigflows(scenario(model, shards, threads, 0.0));
-    Row {
-        model,
-        shards,
-        threads: result.threads,
-        handovers_per_client: 0.0,
-        requests: trace.requests.len(),
-        completed: result.completed,
-        lost: result.lost,
-        handovers: result.handovers,
-        deployments: result.deployments,
-        duplicate_deployments: result.duplicate_deployments,
-        duplicate_deployments_avoided: result.duplicate_deployments_avoided,
-        continuity_violations: 0,
-        wall_s: t0.elapsed().as_secs_f64(),
-        hash: result.mesh_hash(),
-    }
-}
-
-/// One audited mobility run: the continuity analysis is part of the audit,
-/// so `continuity_violations` counts every blackholed or double-served
-/// session the run produced (the gate requires zero).
-fn run_mobility(model: &'static str, threads: usize) -> Row {
-    let cfg = scenario(model, 2, threads, MOBILITY_HANDOVERS);
-    let t0 = Instant::now();
-    let trace = testbed::generate_workload(&cfg);
-    let (result, violations) = edgemesh::run_windowed_audited(cfg, &trace, threads);
-    Row {
-        model,
-        shards: 2,
-        threads,
-        handovers_per_client: MOBILITY_HANDOVERS,
-        requests: trace.requests.len(),
-        completed: result.completed,
-        lost: result.lost,
-        handovers: result.handovers,
-        deployments: result.deployments,
-        duplicate_deployments: result.duplicate_deployments,
-        duplicate_deployments_avoided: result.duplicate_deployments_avoided,
-        continuity_violations: violations.len(),
-        wall_s: t0.elapsed().as_secs_f64(),
-        hash: result.mesh_hash(),
-    }
-}
-
-fn write_rows(out: &mut String, rows: &[Row]) {
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"model\": \"{}\", \"shards\": {}, \"threads\": {}, \
-             \"handovers_per_client\": {:.1}, \"requests\": {}, \"completed\": {}, \
-             \"lost\": {}, \"handovers\": {}, \"deployments\": {}, \
-             \"duplicate_deployments\": {}, \"duplicate_deployments_avoided\": {}, \
-             \"continuity_violations\": {}, \"wall_s\": {:.6}, \"hash\": \"{:#018x}\"}}",
-            r.model,
-            r.shards,
-            r.threads,
-            r.handovers_per_client,
-            r.requests,
-            r.completed,
-            r.lost,
-            r.handovers,
-            r.deployments,
-            r.duplicate_deployments,
-            r.duplicate_deployments_avoided,
-            r.continuity_violations,
-            r.wall_s,
-            r.hash,
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-}
-
-fn to_json(models: &[Row], mobility: &[Row]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"workload\",\n");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    let _ = writeln!(
-        out,
-        "  \"mobility_handovers_per_client\": {MOBILITY_HANDOVERS:.1},"
-    );
-    out.push_str("  \"models\": [\n");
-    write_rows(&mut out, models);
-    out.push_str("  ],\n  \"mobility\": [\n");
-    write_rows(&mut out, mobility);
-    out.push_str("  ]\n}\n");
-    out
-}
-
 fn main() {
-    let mut shard_counts = vec![1usize, 2, 4];
-    let mut out_path = String::from("BENCH_workload.json");
-    let mut quick = false;
+    let mut flags = Flags::from_env("workload");
+    let quick = flags.switch("--quick");
+    let default: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
+    let shard_counts = flags.list("--shards").unwrap_or_else(|| default.to_vec());
+    let out_path = flags.value("--out");
+    flags.finish();
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                shard_counts = vec![1, 2];
-                quick = true;
-            }
-            "--shards" => {
-                i += 1;
-                shard_counts = args
-                    .get(i)
-                    .expect("--shards needs a comma-separated list")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("shard count must be an integer"))
-                    .collect();
-            }
-            "--out" => {
-                i += 1;
-                out_path = args.get(i).expect("--out needs a path").clone();
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
-    let models = WorkloadRegistry::builtin().names();
-    let mut rows = Vec::new();
-    for model in &models {
+    let mut doc = Doc::new(&LAYOUT);
+    let handovers = MOBILITY_HANDOVERS;
+    doc.header.set("mobility_handovers_per_client", handovers);
+    for model in WorkloadRegistry::builtin().names() {
         for &shards in &shard_counts {
-            let r = run_model(model, shards);
-            eprintln!(
-                "workload: {:>11} x {} shard(s)  {:>5}/{:<5} req  {:>3} deployments  \
-                 {:>2} dup  {:>3} avoided  {:>7.3} s  hash {:#018x}",
-                r.model,
-                r.shards,
-                r.completed,
-                r.requests,
-                r.deployments,
-                r.duplicate_deployments,
-                r.duplicate_deployments_avoided,
-                r.wall_s,
-                r.hash,
-            );
-            rows.push(r);
+            let t0 = Instant::now();
+            let (trace, r) = run_mesh_bigflows(scenario(model, shards, 2.min(shards), 0.0));
+            let wall_s = t0.elapsed().as_secs_f64();
+            let row = row(model, 0.0, trace.requests.len(), &r, wall_s);
+            eprintln!("workload: {row}");
+            doc.rows_mut("models").push(row);
         }
     }
 
-    // Mobility sweep: audited 2-shard runs at 1 and 2 worker threads. Quick
-    // mode keeps one model; the thread pair stays — hash equality across
-    // threads is the cheapest strong determinism signal we have.
-    let mobility_models: &[&'static str] = if quick {
-        &["bigflows"]
-    } else {
-        &["bigflows", "diurnal"]
-    };
-    let mut mobility = Vec::new();
+    // Mobility sweep: audited 2-shard runs at 1 and 2 worker threads; the
+    // continuity analysis is part of the audit. Quick mode keeps one model;
+    // the thread pair stays — hash equality across threads is the cheapest
+    // strong determinism signal we have.
+    let mobility_models = &["bigflows", "diurnal"][..if quick { 1 } else { 2 }];
     for model in mobility_models {
         for threads in [1usize, 2] {
-            let r = run_mobility(model, threads);
-            eprintln!(
-                "workload: {:>11} mobile /{} thread(s)  {:>5}/{:<5} req  {:>3} handovers  \
-                 {} continuity violation(s)  {:>7.3} s  hash {:#018x}",
-                r.model,
-                r.threads,
-                r.completed,
-                r.requests,
-                r.handovers,
-                r.continuity_violations,
-                r.wall_s,
-                r.hash,
-            );
-            mobility.push(r);
+            let cfg = scenario(model, 2, threads, MOBILITY_HANDOVERS);
+            let t0 = Instant::now();
+            let trace = testbed::generate_workload(&cfg);
+            let (r, violations) = edgemesh::run_windowed_audited(cfg, &trace, threads);
+            let wall_s = t0.elapsed().as_secs_f64();
+            let mut row = row(model, MOBILITY_HANDOVERS, trace.requests.len(), &r, wall_s);
+            row.set("continuity_violations", violations.len());
+            eprintln!("workload: {row}");
+            doc.rows_mut("mobility").push(row);
         }
     }
 
-    let json = to_json(&rows, &mobility);
-    std::fs::write(&out_path, &json).expect("write benchmark artifact");
-    print!("{json}");
-
-    // Gate 1: every row accounts for every request.
-    if let Some(r) = rows
-        .iter()
-        .chain(&mobility)
-        .find(|r| r.completed + r.lost != r.requests as u64)
-    {
-        eprintln!(
-            "workload: ACCOUNTING FAILURE: {} x {} shards completed {} + lost {} != {}",
-            r.model, r.shards, r.completed, r.lost, r.requests
-        );
-        std::process::exit(1);
-    }
-    // Gate 2: flash crowd under a sharded ingress must contend on the lease
-    // (avoided > 0) and never split-brain (duplicates == 0).
-    for r in rows
-        .iter()
-        .filter(|r| r.model == "flash-crowd" && r.shards >= 2)
-    {
-        if r.duplicate_deployments > 0 {
-            eprintln!(
-                "workload: LEASE VIOLATION: flash-crowd at {} shards produced {} duplicate \
-                 deployment(s)",
-                r.shards, r.duplicate_deployments
-            );
-            std::process::exit(1);
-        }
-        if r.duplicate_deployments_avoided == 0 {
-            eprintln!(
-                "workload: CONTENTION LIVENESS FAILURE: flash-crowd at {} shards avoided \
-                 nothing — the spike no longer exercises the lease protocol",
-                r.shards
-            );
-            std::process::exit(1);
-        }
-    }
-    // Gate 3: zero continuity violations and live handovers on every
-    // mobility row.
-    if let Some(r) = mobility
-        .iter()
-        .find(|r| r.continuity_violations > 0 || r.handovers == 0)
-    {
-        eprintln!(
-            "workload: CONTINUITY FAILURE: {} mobile run: {} violation(s), {} handover(s)",
-            r.model, r.continuity_violations, r.handovers
-        );
-        std::process::exit(1);
-    }
-    // Gate 4: thread count picks the schedule, never the result — each
-    // mobility model's threads=1 and threads=2 hashes must match.
-    for pair in mobility.chunks(2) {
-        if let [a, b] = pair {
-            if a.hash != b.hash {
-                eprintln!(
-                    "workload: THREAD DETERMINISM VIOLATION: {} mobile threads={} hash \
-                     {:#018x} != threads={} hash {:#018x}",
-                    a.model, a.threads, a.hash, b.threads, b.hash
-                );
-                std::process::exit(1);
-            }
-        }
-    }
+    let out_path = out_path.unwrap_or_else(|| "BENCH_workload.json".to_string());
+    publish(&doc, &out_path, gates);
 }

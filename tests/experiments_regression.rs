@@ -89,7 +89,8 @@ fn fig16_running_instance_is_milliseconds() {
 }
 
 /// The canonical metrics hash of the seed-42 bigFlows replay at 1× — the
-/// same constant `cityscale --expect-hash-1x` pins in CI. A change here means
+/// same constant (`bench::artifact::SEED_42_HASH`) the `cityscale` bin's
+/// `pin` gate checks. A change here means
 /// the simulation's observable behaviour changed, which a pure performance
 /// PR must not do.
 const CITYSCALE_1X_HASH: u64 = 0x66cc06e4f4d26b1a;
