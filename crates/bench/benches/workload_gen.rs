@@ -1,19 +1,30 @@
 //! Benchmarks of the workload substrate: trace generation and the
 //! statistics used by the harness.
+//!
+//! `bigflows_trace_generate` is the paper's 1 708-request trace;
+//! `bigflows_trace_generate_100x` is `TraceConfig::scaled(100)` (the
+//! `city_100x` trace shape, 170 800 requests), large enough for the final
+//! sort into trace order to show.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use simcore::{Percentiles, SimRng};
 use workload::{Trace, TraceConfig};
 
 fn bench_trace_generation(c: &mut Criterion) {
-    c.bench_function("bigflows_trace_generate", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            let trace = Trace::generate(TraceConfig::default(), &mut SimRng::seed_from_u64(seed));
-            std::hint::black_box(trace.requests.len())
+    for (name, scale) in [
+        ("bigflows_trace_generate", 1),
+        ("bigflows_trace_generate_100x", 100),
+    ] {
+        let config = TraceConfig::scaled(scale);
+        c.bench_function(name, |b| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                let trace = Trace::generate(config.clone(), &mut SimRng::seed_from_u64(seed));
+                std::hint::black_box(trace.requests.len())
+            });
         });
-    });
+    }
 }
 
 fn bench_percentiles(c: &mut Criterion) {

@@ -3,10 +3,11 @@
 //! The build container cannot reach a cargo registry, so the workspace vendors
 //! the slice of the criterion API its benches use: [`Criterion`],
 //! [`BenchmarkGroup`], [`Bencher::iter`] / [`Bencher::iter_batched`],
-//! [`BenchmarkId`], [`black_box`], and the [`criterion_group!`] /
-//! [`criterion_main!`] macros. Statistics are deliberately simple — each
-//! benchmark is warmed up briefly, then timed over a fixed number of batches
-//! and reported as median ns/iter on stdout. That is enough to compare
+//! [`BenchmarkId`], [`Throughput`], [`black_box`], and the
+//! [`criterion_group!`] / [`criterion_main!`] macros. Statistics are
+//! deliberately simple — each benchmark is warmed up briefly, then timed over
+//! a fixed number of batches and reported as median ns/iter on stdout (plus
+//! ns/elem under a group's [`Throughput`]). That is enough to compare
 //! before/after on the same machine, which is all this repo's acceptance
 //! criteria need; it does not attempt criterion's outlier analysis or HTML
 //! reports.
@@ -57,6 +58,13 @@ impl fmt::Display for BenchmarkId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.id)
     }
+}
+
+/// Work one iteration does, mirroring `criterion::Throughput`: a group that
+/// declares it also reports the median ns per element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Throughput {
+    Elements(u64),
 }
 
 /// Timing loop handle passed to the closure given to `bench_function` et al.
@@ -127,13 +135,17 @@ impl Bencher {
     }
 }
 
-fn report(name: &str, ns: f64) {
+fn report(name: &str, ns: f64, throughput: Option<Throughput>) {
+    let per_elem = match throughput {
+        Some(Throughput::Elements(n)) => format!(" {:>10.1} ns/elem", ns / n.max(1) as f64),
+        None => String::new(),
+    };
     if ns >= 1_000_000.0 {
-        println!("{name:<60} {:>12.3} ms/iter", ns / 1_000_000.0);
+        println!("{name:<60} {:>12.3} ms/iter{per_elem}", ns / 1_000_000.0);
     } else if ns >= 1_000.0 {
-        println!("{name:<60} {:>12.3} us/iter", ns / 1_000.0);
+        println!("{name:<60} {:>12.3} us/iter{per_elem}", ns / 1_000.0);
     } else {
-        println!("{name:<60} {:>12.1} ns/iter", ns);
+        println!("{name:<60} {:>12.1} ns/iter{per_elem}", ns);
     }
 }
 
@@ -148,7 +160,7 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        run_one(name, f);
+        run_one(name, None, f);
         self
     }
 
@@ -156,6 +168,7 @@ impl Criterion {
         BenchmarkGroup {
             _parent: self,
             name: name.into(),
+            throughput: None,
         }
     }
 
@@ -168,16 +181,17 @@ impl Criterion {
     }
 }
 
-fn run_one<F: FnMut(&mut Bencher)>(name: &str, mut f: F) {
+fn run_one<F: FnMut(&mut Bencher)>(name: &str, throughput: Option<Throughput>, mut f: F) {
     let mut b = Bencher { ns_per_iter: 0.0 };
     f(&mut b);
-    report(name, b.ns_per_iter);
+    report(name, b.ns_per_iter, throughput);
 }
 
 /// Named group of related benchmarks, mirroring `criterion::BenchmarkGroup`.
 pub struct BenchmarkGroup<'a> {
     _parent: &'a mut Criterion,
     name: String,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -185,11 +199,17 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Report the benchmarks that follow per element as well as per iteration.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
+        self
+    }
+
     pub fn bench_function<I: fmt::Display, F>(&mut self, id: I, f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        run_one(&format!("{}/{}", self.name, id), f);
+        run_one(&format!("{}/{}", self.name, id), self.throughput, f);
         self
     }
 
@@ -202,7 +222,9 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &P),
     {
-        run_one(&format!("{}/{}", self.name, id), |b| f(b, input));
+        run_one(&format!("{}/{}", self.name, id), self.throughput, |b| {
+            f(b, input)
+        });
         self
     }
 
@@ -244,6 +266,7 @@ mod tests {
         let mut g = c.benchmark_group("g");
         g.sample_size(10);
         g.bench_function("noop", |b| b.iter(|| 1 + 1));
+        g.throughput(Throughput::Elements(4));
         g.bench_with_input(BenchmarkId::new("sq", 3), &3u64, |b, &n| b.iter(|| n * n));
         g.finish();
     }

@@ -9,7 +9,7 @@
 //! thread count is carried outside the trace — so the windowed engine's hash
 //! is byte-identical for any thread count by construction.
 
-use simcore::SimTime;
+use simcore::{Lit, SimTime, TraceSink};
 
 /// A completed request: which shard released it, when, and through which
 /// switch port (cloud, a site, …).
@@ -204,7 +204,7 @@ impl MeshRunResult {
 
     /// The one formatter behind [`MeshRunResult::mesh_trace`] and
     /// [`MeshRunResult::mesh_hash`].
-    fn write_trace<W: std::fmt::Write>(&self, out: &mut W) {
+    fn write_trace<W: TraceSink>(&self, out: &mut W) {
         if let Some(single) = &self.single {
             return single.write_metrics(out);
         }
@@ -255,13 +255,76 @@ impl MeshRunResult {
             );
         }
         for r in &self.records {
-            let _ = writeln!(
-                out,
-                "req tag={} shard={} released_ns={} port={}",
-                r.tag,
-                r.shard,
-                r.released.as_nanos(),
-                r.port,
+            write_record_line(out, r);
+        }
+    }
+}
+
+static REQ_TAG: Lit = Lit::new("req tag=");
+static SHARD: Lit = Lit::new(" shard=");
+static RELEASED_NS: Lit = Lit::new(" released_ns=");
+static PORT: Lit = Lit::new(" port=");
+static NEWLINE: Lit = Lit::new("\n");
+
+/// One `req tag=… shard=… released_ns=… port=…` line of the mesh trace: five
+/// literals and four decimals, the bytes of the `writeln!` it replaces
+/// (`mesh_line_equals_fmt`).
+fn write_record_line<W: TraceSink>(out: &mut W, r: &MeshRecord) {
+    out.lit(&REQ_TAG);
+    out.decimal(r.tag);
+    out.lit(&SHARD);
+    out.decimal(r.shard as u64);
+    out.lit(&RELEASED_NS);
+    out.decimal(r.released.as_nanos());
+    out.lit(&PORT);
+    out.decimal(r.port as u64);
+    out.lit(&NEWLINE);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::fmt::Write as _;
+
+    fn record_strategy() -> impl Strategy<Value = MeshRecord> {
+        // Magnitudes from one digit to all twenty, not only large values.
+        let wide = || (0u32..64, any::<u64>()).prop_map(|(shift, v)| v >> shift);
+        (wide(), wide(), wide(), wide()).prop_map(|(tag, shard, released, port)| MeshRecord {
+            tag,
+            shard: shard as usize,
+            released: SimTime::from_nanos(released),
+            port: port as usize,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The per-record line written field by field is, byte for byte, the
+        /// `writeln!` it replaced — into a `String` and into the hash.
+        #[test]
+        fn mesh_line_equals_fmt(records in prop::collection::vec(record_strategy(), 0..8)) {
+            let mut reference = String::new();
+            let mut fast = String::new();
+            let mut hashed = simcore::FnvStream::new();
+            for r in &records {
+                writeln!(
+                    reference,
+                    "req tag={} shard={} released_ns={} port={}",
+                    r.tag,
+                    r.shard,
+                    r.released.as_nanos(),
+                    r.port,
+                )
+                .unwrap();
+                write_record_line(&mut fast, r);
+                write_record_line(&mut hashed, r);
+            }
+            prop_assert_eq!(&fast, &reference);
+            prop_assert_eq!(
+                hashed.finish(),
+                simcore::FnvStream::hash_bytes(reference.as_bytes())
             );
         }
     }

@@ -46,7 +46,7 @@ pub mod time;
 pub use deadline::{DeadlineIndex, IdleOrder};
 pub use dethash::{det_map_with_capacity, det_set_with_capacity, DetHashMap, DetHashSet};
 pub use dist::{Dist, DurationDist};
-pub use fnv::FnvStream;
+pub use fnv::{FnvStream, Lit, TraceSink};
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use runner::{run_seeds, run_seeds_meta, RunnerMeta};

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use edgectl::ClusterId;
 use edgeverify::{CoherenceView, Fabric, FabricSwitch, Link, PacketClass, Verifier, Violation};
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{Lit, SimDuration, SimRng, SimTime, TraceSink};
 use simnet::openflow::{FlowId, FlowTable};
 use simnet::{PathTree, SocketAddr, TcpModel};
 use workload::client::RequestRecord;
@@ -120,11 +120,11 @@ impl RunResult {
         p.median()
     }
 
-    /// Stream the canonical metrics text into any [`std::fmt::Write`] sink —
-    /// the one formatter behind both [`RunResult::metrics_trace`] (a `String`
-    /// for dumps/diffs) and [`RunResult::metrics_hash`] (a streaming FNV
-    /// state, so hashing never materializes the multi-hundred-MB trace).
-    pub fn write_metrics<W: std::fmt::Write>(&self, out: &mut W) {
+    /// Stream the canonical metrics text into a [`TraceSink`] — the one
+    /// formatter behind both [`RunResult::metrics_trace`] (a `String` for
+    /// dumps/diffs) and [`RunResult::metrics_hash`] (a streaming FNV state,
+    /// so hashing never materializes the multi-hundred-MB trace).
+    pub fn write_metrics<W: TraceSink>(&self, out: &mut W) {
         let _ = writeln!(
             out,
             "lost={} memory_hits={} cloud_forwards={} held={} detoured={} \
@@ -165,9 +165,9 @@ impl RunResult {
 
     /// FNV-1a over [`RunResult::metrics_trace`] — the drift gate used by the
     /// determinism regression test and the `cityscale` benchmark. Streams
-    /// the formatter's bytes straight into the hash state (no intermediate
-    /// `String`), which is byte-equivalent because `fmt::Write` delivers the
-    /// identical byte sequence either way (see `simcore::FnvStream`).
+    /// the formatter's output straight into the hash state (no intermediate
+    /// `String`), which is byte-equivalent because the sink's folds equal
+    /// folding the bytes the `String` path writes (see `simcore::fnv`).
     pub fn metrics_hash(&self) -> u64 {
         let mut h = simcore::FnvStream::new();
         self.write_metrics(&mut h);
@@ -175,22 +175,31 @@ impl RunResult {
     }
 }
 
+static REQ_STARTED: Lit = Lit::new("req started=");
+static FINISHED: Lit = Lit::new(" finished=");
+static SERVICE: Lit = Lit::new(" service=");
+static CLIENT: Lit = Lit::new(" client=");
+static TRIGGERED_TRUE: Lit = Lit::new(" triggered=true\n");
+static TRIGGERED_FALSE: Lit = Lit::new(" triggered=false\n");
+
 /// One `req started=… finished=… service=… client=… triggered=…` line of the
-/// metrics text. There is one per request, so it bypasses `fmt`: the bytes
-/// are those of the `writeln!` it replaces (`metrics_line_equals_fmt`).
-fn write_request_line<W: std::fmt::Write>(out: &mut W, r: &RequestRecord) {
-    use simcore::fnv::{write_bool, write_u64};
-    let _ = out.write_str("req started=");
-    let _ = write_u64(out, r.started.as_nanos());
-    let _ = out.write_str(" finished=");
-    let _ = write_u64(out, r.finished.as_nanos());
-    let _ = out.write_str(" service=");
-    let _ = write_u64(out, r.service as u64);
-    let _ = out.write_str(" client=");
-    let _ = write_u64(out, r.client as u64);
-    let _ = out.write_str(" triggered=");
-    let _ = write_bool(out, r.triggered_deployment);
-    let _ = out.write_str("\n");
+/// metrics text: five literals and four decimals. There is one per request,
+/// so it bypasses `fmt`: the bytes are those of the `writeln!` it replaces
+/// (`metrics_line_equals_fmt`).
+fn write_request_line<W: TraceSink>(out: &mut W, r: &RequestRecord) {
+    out.lit(&REQ_STARTED);
+    out.decimal(r.started.as_nanos());
+    out.lit(&FINISHED);
+    out.decimal(r.finished.as_nanos());
+    out.lit(&SERVICE);
+    out.decimal(r.service as u64);
+    out.lit(&CLIENT);
+    out.decimal(r.client as u64);
+    out.lit(if r.triggered_deployment {
+        &TRIGGERED_TRUE
+    } else {
+        &TRIGGERED_FALSE
+    });
 }
 
 /// What `Testbed::run_trace_audited` found: the static verifier's view of

@@ -77,6 +77,21 @@ pub struct TraceRequest {
     pub client: usize,
 }
 
+/// Put `requests` in trace order, `(at, service, client)`. A `TraceRequest`
+/// is exactly that key, so requests with equal keys are identical and the
+/// unstable sort returns the same `Vec` a stable one would. The key
+/// destructures every field without `..`: adding a field fails to compile
+/// here, where that argument is made.
+pub(crate) fn sort_requests(requests: &mut [TraceRequest]) {
+    requests.sort_unstable_by_key(
+        |&TraceRequest {
+             at,
+             service,
+             client,
+         }| (at, service, client),
+    );
+}
+
 /// A generated trace: time-sorted requests plus the synthetic public
 /// addresses standing in for the capture's destination IPs.
 ///
@@ -167,7 +182,7 @@ impl Trace {
         if requests.is_empty() {
             return Err("trace has no requests".into());
         }
-        requests.sort_by_key(|r| (r.at, r.service, r.client));
+        sort_requests(&mut requests);
         let services = max_service + 1;
         let service_addrs: Vec<SocketAddr> = (0..services)
             .map(|i| {
@@ -343,6 +358,36 @@ mod tests {
         assert_eq!(t.requests[0].client, 2);
         assert_eq!(t.config.clients, 4);
         assert_eq!(t.config.duration, SimDuration::from_secs(2));
+    }
+
+    /// Duplicate rows stay, and rows tied on `time_s` fall into service
+    /// order, then client order, whatever their order in the file.
+    #[test]
+    fn csv_orders_ties_by_service_then_client() {
+        let csv = "time_s,service,client\n\
+                   1.0,2,1\n\
+                   1.0,0,3\n\
+                   0.5,4,0\n\
+                   1.0,2,0\n\
+                   1.0,0,3\n\
+                   1.0,2,1\n";
+        let t = Trace::from_csv(csv, 4).unwrap();
+        let order: Vec<(f64, usize, usize)> = t
+            .requests
+            .iter()
+            .map(|r| (r.at.as_secs_f64(), r.service, r.client))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (0.5, 4, 0),
+                (1.0, 0, 3),
+                (1.0, 0, 3),
+                (1.0, 2, 0),
+                (1.0, 2, 1),
+                (1.0, 2, 1),
+            ]
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use simcore::{SimDuration, SimRng};
 
 use crate::arrival::{self, ArrivalModel};
-use crate::bigflows::{Trace, TraceConfig};
+use crate::bigflows::{sort_requests, Trace, TraceConfig};
 use crate::mix::ServiceMix;
 use crate::mobility::{generate_handovers, MOBILITY_STREAM};
 
@@ -87,7 +87,7 @@ impl WorkloadConfig {
         for (svc, &count) in counts.iter().enumerate() {
             model.generate_service(svc, count, &mix, rng, &mut requests);
         }
-        requests.sort_by_key(|r| (r.at, r.service, r.client));
+        sort_requests(&mut requests);
         let handovers = if self.handovers_per_client > 0.0 {
             let mut mobility_rng = rng.stream(MOBILITY_STREAM);
             generate_handovers(
