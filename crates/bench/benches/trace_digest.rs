@@ -33,13 +33,7 @@ impl TraceSink for ByteFold {}
 
 fn bench_trace_digest(c: &mut Criterion) {
     let (_, mut result) = run_bigflows(ScenarioConfig::default());
-    result.records = result
-        .records
-        .iter()
-        .copied()
-        .cycle()
-        .take(RECORDS)
-        .collect();
+    result.records = result.records.iter().cycle().take(RECORDS).collect();
     let byte_fold = || {
         let mut h = ByteFold(FnvStream::new());
         result.write_metrics(&mut h);

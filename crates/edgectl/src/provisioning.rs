@@ -28,7 +28,9 @@ use std::collections::HashMap;
 use simcore::SimDuration;
 
 use crate::catalog::ServiceId;
-use crate::scheduler::{nearest, Decision, GlobalScheduler, SchedulingContext};
+use crate::scheduler::{
+    nearest, ClusterId, ClusterView, Decision, GlobalScheduler, SchedulingContext,
+};
 
 /// Ski-rental dynamic service provisioning (arXiv:2202.08903).
 #[derive(Debug, Clone)]
@@ -121,18 +123,13 @@ impl GlobalScheduler for TierSpillPlacement {
     }
 
     fn decide(&mut self, ctx: &SchedulingContext<'_>) -> Decision {
-        // Tiers are the latency order of the views; ties break on id (the
-        // same deterministic order every policy here uses).
-        let mut tiers: Vec<&crate::scheduler::ClusterView> = ctx.views.iter().collect();
-        tiers.sort_by(|a, b| a.distance.cmp(&b.distance).then(a.id.cmp(&b.id)));
         // Serve from the lowest tier with a ready instance.
-        let fast = tiers.iter().find(|v| v.status.is_ready()).map(|v| v.id);
+        let fast = lowest_tier(ctx.views, |v| v.status.is_ready());
         // Place at the lowest tier that admits the service (a site already
         // running or deploying it counts as placed there).
-        let place = tiers
-            .iter()
-            .find(|v| v.status.is_ready() || v.deploying || ctx.eligible(v))
-            .map(|v| v.id);
+        let place = lowest_tier(ctx.views, |v| {
+            v.status.is_ready() || v.deploying || ctx.eligible(v)
+        });
         match place {
             // Placement tier found: serve there if it is the ready one
             // (with-waiting deploy if nothing is ready anywhere).
@@ -152,6 +149,17 @@ impl GlobalScheduler for TierSpillPlacement {
             },
         }
     }
+}
+
+/// The lowest tier passing `test`. Tiers are the latency order of the
+/// views, ties broken on id (the same deterministic order every policy here
+/// uses); ids are unique, so that tier is a minimum and no sort is needed.
+fn lowest_tier(views: &[ClusterView], test: impl Fn(&ClusterView) -> bool) -> Option<ClusterId> {
+    views
+        .iter()
+        .filter(|v| test(v))
+        .min_by_key(|v| (v.distance, v.id))
+        .map(|v| v.id)
 }
 
 #[cfg(test)]

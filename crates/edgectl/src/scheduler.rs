@@ -131,7 +131,9 @@ impl ClusterView {
                 deploying: false,
                 capacity: SiteCapacity::UNLIMITED,
                 allocated: ResourceAllocation::default(),
-                labels: Arc::from(Vec::new()),
+                // An empty `Arc<[T]>` default shares one static allocation:
+                // a view built per site on every PacketIn allocates nothing.
+                labels: Arc::default(),
             },
         }
     }

@@ -55,7 +55,7 @@ use simcore::{ShardActor, ShardCrew, SimDuration, SimRng, SimTime};
 use testbed::bringup;
 use testbed::ingress::{Engine, IngressShard, Released};
 use testbed::ScenarioConfig;
-use workload::{departures, ingress_at, Trace};
+use workload::{departures, ingress_at, Trace, TraceRequest};
 
 use crate::result::{MeshRecord, MeshRunResult, ShardSummary};
 use crate::shared::{share, SharedBackend, SharedHandle, SiteCall};
@@ -320,6 +320,9 @@ impl Outbox {
 /// core's engine event is a delivered [`StatusDelta`]).
 struct MeshShard {
     core: IngressShard<StatusDelta>,
+    /// The run's inputs, shared by every shard: the trace is read through
+    /// the core's SYN feed.
+    input: Arc<(ScenarioConfig, Trace)>,
     /// This shard's replicas of every site, in site order.
     handles: Vec<SharedHandle>,
     gate: Option<Rc<RefCell<GateState>>>,
@@ -330,14 +333,16 @@ struct MeshShard {
     stalls: u64,
 }
 
-/// What the windowed engine makes of the core's events: a released request
-/// becomes a [`MeshRecord`], a delivery is applied to the controller, and
-/// every event's status deltas go to the barrier outbox.
+/// What the windowed engine makes of the core's events: the shard serves
+/// the requests that enter at its ingress, a released request becomes a
+/// [`MeshRecord`], a delivery is applied to the controller, and every
+/// event's status deltas go to the barrier outbox.
 struct MeshEngine {
     shard: usize,
-    /// Trace tag of each of this shard's requests, by core lane index (a
-    /// shard's lanes hold its own requests only).
-    tags: Vec<u64>,
+    shards: usize,
+    input: Arc<(ScenarioConfig, Trace)>,
+    /// Seeded-fault hook: this client's post-handover requests are swallowed.
+    blackhole_victim: Option<usize>,
     records: Vec<MeshRecord>,
     outbox: Rc<RefCell<Outbox>>,
 }
@@ -362,9 +367,23 @@ impl MeshEngine {
 }
 
 impl Engine<StatusDelta> for MeshEngine {
+    fn serves(&self, req: &TraceRequest) -> bool {
+        // Static ingress assignment (home shard advanced by the client's
+        // prior handovers) — a pure function of the trace, so every shard
+        // and the reference engine partition identically with no
+        // cross-shard machinery.
+        let n = self.shards;
+        let ingress = ingress_at(&self.input.1.handovers, req.client, req.at, n);
+        // Seeded-fault hook: swallow the victim's post-handover requests —
+        // the session is neither served nor accounted lost, exactly the
+        // blackhole the continuity analysis exists to catch.
+        let blackholed = self.blackhole_victim == Some(req.client) && ingress != req.client % n;
+        ingress == self.shard && !blackholed
+    }
+
     fn released(&mut self, _: &mut IngressShard<StatusDelta>, now: SimTime, r: Released) {
         self.records.push(MeshRecord {
-            tag: self.tags[r.idx],
+            tag: r.idx as u64,
             shard: self.shard,
             released: now,
             port: r.out_port.0,
@@ -460,7 +479,9 @@ impl ShardActor for MeshShard {
         }
         // The window body: the core runs free up to the window end. A probe
         // (`end == horizon`) executes nothing and is not a window.
-        let executed = self.core.run_until(cmd.end, &mut self.mesh);
+        let executed = self
+            .core
+            .run_until(cmd.end, &self.input.1.requests, &mut self.mesh);
         if cmd.end > at && executed == 0 {
             self.stalls += 1;
         }
@@ -500,16 +521,10 @@ impl ShardActor for MeshShard {
                 }
             }
         }
-        let tags = &self.mesh.tags;
         ShardFinal {
             summary: ShardSummary::of(&controller.stats, self.revocations),
             lost: self.core.lost(),
-            lost_tags: self
-                .core
-                .lost_idx()
-                .iter()
-                .map(|&i| tags[i as usize])
-                .collect(),
+            lost_tags: self.core.lost_idx().iter().map(|&i| u64::from(i)).collect(),
             handovers: controller.stats.handovers,
             in_flight,
             redirects,
@@ -544,7 +559,8 @@ pub struct TestHooks {
 /// `Rc`/`RefCell` graphs, trait objects — stays thread-local. Bring-up is
 /// `testbed::bringup`'s, so all replicas of a site are byte-identical at
 /// birth and stay so under the identical prewarm performed here.
-fn build_shard(shard: usize, cfg: &ScenarioConfig, trace: &Trace, hooks: TestHooks) -> MeshShard {
+fn build_shard(shard: usize, input: &Arc<(ScenarioConfig, Trace)>, hooks: TestHooks) -> MeshShard {
+    let (cfg, trace) = &**input;
     let n = cfg.mesh.shards;
     let c3 = bringup::topology(cfg);
     let mut backends = bringup::site_backends(cfg, &c3);
@@ -600,45 +616,23 @@ fn build_shard(shard: usize, cfg: &ScenarioConfig, trace: &Trace, hooks: TestHoo
     let mut core = IngressShard::new(c3, switch, controller, trace.service_addrs.clone());
 
     let offset = (setup_end - SimTime::ZERO) + SimDuration::from_secs(5);
-    let tags: Vec<u64> = trace
-        .requests
-        .iter()
-        .enumerate()
-        .filter(|(_, req)| {
-            // Static ingress assignment (home shard advanced by the client's
-            // prior handovers) — a pure function of the trace, so every shard
-            // and the reference engine partition identically with no
-            // cross-shard machinery.
-            let ingress = ingress_at(&trace.handovers, req.client, req.at, n);
-            // Seeded-fault hook: swallow the victim's post-handover requests
-            // — the session is neither served nor accounted lost, exactly the
-            // blackhole the continuity analysis exists to catch.
-            let blackholed =
-                hooks.blackhole_victim == Some(req.client) && ingress != req.client % n;
-            ingress == shard && !blackholed
-        })
-        .map(|(idx, _)| idx as u64)
-        .collect();
-    core.reserve(tags.len());
-    for &tag in &tags {
-        let req = &trace.requests[tag as usize];
-        let access = core.c3.client_switch_latency(req.client);
-        core.admit(req.at + offset + access, req.client, req.service);
-    }
     for (old, h) in departures(&trace.handovers, n) {
         if old == shard {
             core.schedule_handover(h.at + offset, h.client);
         }
     }
-    core.start();
+    core.start(offset);
 
     MeshShard {
         core,
+        input: Arc::clone(input),
         handles,
         gate,
         mesh: MeshEngine {
             shard,
-            tags,
+            shards: n,
+            input: Arc::clone(input),
+            blackhole_victim: hooks.blackhole_victim,
             records: Vec::new(),
             outbox,
         },
@@ -689,7 +683,8 @@ pub fn shard_site_allocations(
     trace: &Trace,
     shard: usize,
 ) -> Vec<cluster::ResourceAllocation> {
-    let built = build_shard(shard, cfg, trace, TestHooks::default());
+    let input = Arc::new((cfg.clone(), trace.clone()));
+    let built = build_shard(shard, &input, TestHooks::default());
     (0..built.handles.len())
         .map(|site| built.core.controller.site_allocation(ClusterId(site)))
         .collect()
@@ -721,11 +716,9 @@ pub fn run_windowed_hooked(
     };
     let mut gossip_rng = SimRng::seed_from_u64(cfg.seed).stream("mesh-gossip");
 
-    let shared = Arc::new((cfg, trace.clone()));
-    let build_input = Arc::clone(&shared);
-    let mut crew: ShardCrew<MeshShard> = ShardCrew::spawn(n, threads, move |shard| {
-        build_shard(shard, &build_input.0, &build_input.1, hooks)
-    });
+    let input = Arc::new((cfg, trace.clone()));
+    let mut crew: ShardCrew<MeshShard> =
+        ShardCrew::spawn(n, threads, move |shard| build_shard(shard, &input, hooks));
     let effective_threads = crew.effective_threads();
 
     // Canonical (coordinator-side) state.

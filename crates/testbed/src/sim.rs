@@ -20,8 +20,8 @@ use edgeverify::{CoherenceView, Fabric, FabricSwitch, Link, PacketClass, Verifie
 use simcore::{Lit, SimDuration, SimRng, SimTime, TraceSink};
 use simnet::openflow::{FlowId, FlowTable};
 use simnet::{PathTree, SocketAddr, TcpModel};
-use workload::client::RequestRecord;
-use workload::{ServiceProfile, Trace};
+use workload::client::{Records, RequestRecord};
+use workload::{ServiceProfile, Trace, TraceRequest};
 
 use crate::bringup;
 use crate::ingress::{Engine, IngressShard, Released};
@@ -32,7 +32,7 @@ use crate::topology::CLOUD_PORT;
 #[derive(Debug)]
 pub struct RunResult {
     /// Completed requests, in completion order.
-    pub records: Vec<RequestRecord>,
+    pub records: Records,
     /// All on-demand deployments the controller performed.
     pub deployments: Vec<edgectl::DeploymentRecord>,
     /// Requests whose packet was dropped (deployment failed / flow raced).
@@ -70,6 +70,10 @@ pub struct RunResult {
     pub events_scheduled: u64,
     /// High-water mark of the future-event list (engine diagnostic).
     pub peak_queue_depth: usize,
+    /// High-water mark of the in-flight slab: the most SYNs buffered at the
+    /// switch at once, the only per-request state the run holds (engine
+    /// diagnostic).
+    pub peak_in_flight: usize,
     /// Shortest-path searches the topology ran, build included (engine
     /// diagnostic): the switch's tree plus one per host, whatever the number
     /// of clients and requests.
@@ -86,7 +90,7 @@ pub struct RunResult {
 pub struct AllocProfile {
     /// Cluster pre-warm per the scenario's [`crate::PhaseSetup`].
     pub prewarm: u64,
-    /// Predictor/crash-schedule arming plus request-lane construction.
+    /// Predictor/crash-schedule and handover arming.
     pub schedule: u64,
     /// The event loop itself — every allocation between the first and last
     /// simulated event.
@@ -148,7 +152,7 @@ impl RunResult {
             let _ = writeln!(out, "deploy={d:?}");
         }
         for r in &self.records {
-            write_request_line(out, r);
+            write_request_line(out, &r);
         }
     }
 
@@ -294,7 +298,7 @@ struct FlowModel {
     /// `fixed = upload + transfer(response_bytes)`, the exchange less its
     /// sampled server time.
     path_times: Vec<Option<(SimDuration, SimDuration)>>,
-    records: Vec<RequestRecord>,
+    records: Records,
     /// Requests whose `triggered_deployment` flag depends on a machine that
     /// may still be in flight at completion time: `(record index, lo, hi)`
     /// machine-ordinal windows, resolved against the dispatcher's completion
@@ -334,7 +338,7 @@ impl Testbed {
             rng: SimRng::seed_from_u64(cfg.seed),
             host_trees: c3.host_trees(),
             path_times: vec![None; busy_stride * c3.clients.len()],
-            records: Vec::new(),
+            records: Records::new(),
             triggered_windows: Vec::new(),
             crashes_injected: 0,
             audit: None,
@@ -387,12 +391,6 @@ impl Testbed {
             })
             .collect();
         bringup::prewarm(&self.cfg, &templates, controller.clusters_mut())
-    }
-
-    /// `client` starts a connection to `service` at `started`.
-    fn admit(&mut self, started: SimTime, client: usize, service: usize) {
-        let syn_at = started + self.shard.c3.client_switch_latency(client);
-        self.shard.admit(syn_at, client, service);
     }
 
     /// Run a full trace through the testbed.
@@ -497,20 +495,16 @@ impl Testbed {
             self.shard.arm_wakeup(SimTime::ZERO);
         }
 
-        // Pre-size every per-request structure from the trace metadata so
-        // the event loop itself never grows them.
-        let n = trace.requests.len();
-        self.shard.reserve(n);
-        self.model.records.reserve(n);
-        for req in &trace.requests {
-            self.admit(req.at + offset, req.client, req.service);
-        }
         for h in &trace.handovers {
             self.shard.schedule_handover(h.at + offset, h.client);
         }
-        self.shard.start();
+        // Every request completes at most once: sized up front, the records
+        // never grow inside the event loop.
+        self.model.records = Records::with_capacity(trace.requests.len());
+        self.shard.start(offset);
         let a_schedule = Self::alloc_snapshot();
-        self.shard.run_until(SimTime::FAR_FUTURE, &mut self.model);
+        self.shard
+            .run_until(SimTime::FAR_FUTURE, &trace.requests, &mut self.model);
         if cfg!(feature = "counting-alloc") {
             self.alloc_profile = Some(AllocProfile {
                 prewarm: a_prewarm - a_start,
@@ -605,9 +599,14 @@ impl Testbed {
     pub fn run_single_request(mut self) -> RunResult {
         let setup_end = self.prewarm();
         let offset = (setup_end - SimTime::ZERO) + SimDuration::from_secs(5);
-        self.admit(SimTime::ZERO + offset, 0, 0);
-        self.shard.start();
-        self.shard.run_until(SimTime::FAR_FUTURE, &mut self.model);
+        let request = TraceRequest {
+            at: SimTime::ZERO,
+            service: 0,
+            client: 0,
+        };
+        self.shard.start(offset);
+        self.shard
+            .run_until(SimTime::FAR_FUTURE, &[request], &mut self.model);
         self.finish(offset)
     }
 
@@ -618,7 +617,9 @@ impl Testbed {
         // Resolve deferred `triggered_deployment` verdicts: the event loop
         // has drained, so every machine in a window has completed or failed.
         for (idx, lo, hi) in std::mem::take(&mut model.triggered_windows) {
-            model.records[idx].triggered_deployment = shard.controller.completed_machine_in(lo, hi);
+            model
+                .records
+                .set_triggered(idx, shard.controller.completed_machine_in(lo, hi));
         }
         let stats = &shard.controller.stats;
         RunResult {
@@ -639,6 +640,7 @@ impl Testbed {
             crashes_injected: model.crashes_injected,
             events_scheduled: shard.events_executed(),
             peak_queue_depth: shard.peak_queue_depth(),
+            peak_in_flight: shard.peak_in_flight(),
             routing_searches: shard.c3.net.searches(),
             alloc_profile: self.alloc_profile,
             records: model.records,
@@ -672,7 +674,7 @@ impl Engine<CrashTick> for FlowModel {
         };
         let busy_lane = r.service * self.busy_stride + host;
         // When the client started its connection: the SYN's arrival at the
-        // switch less the access link `Testbed::admit` added to it (integer
+        // switch less the access link the feed added to it (integer
         // nanoseconds, so exactly the instant the trace gave).
         let started = r.syn_at - c3.client_switch_latency(r.client);
         let (upload, fixed) = *self.path_times[host * c3.clients.len() + r.client]
@@ -823,7 +825,7 @@ pub fn measure_first_request(cfg: ScenarioConfig) -> (f64, Option<edgectl::Deplo
     assert_eq!(result.records.len() + result.lost as usize, 1);
     let ms = result
         .records
-        .first()
+        .get(0)
         .map(|r| r.time_total().as_millis_f64())
         .unwrap_or(f64::NAN);
     (ms, result.deployments.into_iter().next())

@@ -214,6 +214,11 @@ impl C3Topology {
         self.client_latency[i]
     }
 
+    /// [`C3Topology::client_switch_latency`] of every client, in client order.
+    pub fn client_latencies(&self) -> &[SimDuration] {
+        &self.client_latency
+    }
+
     /// One-way latency switch → site `i`.
     pub fn switch_site_latency(&self, i: usize) -> SimDuration {
         self.switch_tree

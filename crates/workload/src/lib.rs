@@ -25,7 +25,7 @@ pub mod spec;
 
 pub use arrival::ArrivalModel;
 pub use bigflows::{Trace, TraceConfig, TraceRequest};
-pub use client::HttpExchange;
+pub use client::{HttpExchange, Records};
 pub use mix::ServiceMix;
 pub use mobility::{departures, generate_handovers, ingress_at, Handover};
 pub use services::{ServiceKind, ServiceProfile};

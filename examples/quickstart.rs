@@ -37,7 +37,7 @@ fn main() {
     // 4. One client sends one request to the *cloud* address. The switch has
     //    no flow, the controller deploys on demand, the request waits.
     let result = testbed.run_single_request();
-    let record = &result.records[0];
+    let record = result.records.get(0).expect("the request completed");
     println!("--- first request (client-perceived, timecurl semantics) ---");
     println!("time_total: {}", record.time_total());
     println!("triggered deployment: {}", record.triggered_deployment);

@@ -339,7 +339,7 @@ fn cmd_first_request(args: &[String]) -> Result<(), String> {
     let addr = simnet::SocketAddr::new(simnet::IpAddr::new(93, 184, 0, 1), 80);
     let testbed = Testbed::build(cfg, vec![addr]);
     let result = testbed.run_single_request();
-    match result.records.first() {
+    match result.records.get(0) {
         Some(r) => println!("time_total: {}", r.time_total()),
         None => return Err("request was lost (deployment failed?)".into()),
     }

@@ -87,7 +87,7 @@ fn deployment_totals_ordered_docker_faster_than_k8s() {
             .with_phase(PhaseSetup::Created)
             .with_seed(11);
         let result = Testbed::build(cfg, vec![addr]).run_single_request();
-        result.records[0].time_total()
+        result.records.get(0).unwrap().time_total()
     };
     let docker = run(ClusterKind::Docker);
     let k8s = run(ClusterKind::Kubernetes);
