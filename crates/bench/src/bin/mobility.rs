@@ -5,12 +5,16 @@
 //! Follow-Me-Edge re-decisions, their flows move to the site local to the new
 //! switch; without it they would hairpin across the trunk for the rest of
 //! the run.
+//!
+//! Gate: every request of every row is served; a lost request exits 1 after
+//! the table is printed.
 
 use bench::report::{fmt_ms, Table};
 use simcore::SimDuration;
 use testbed::{run_mobility, FabricConfig};
 
 fn main() {
+    let mut lost = 0;
     let mut t = Table::new([
         "scenario",
         "requests",
@@ -45,6 +49,7 @@ fn main() {
         ),
     ] {
         let r = run_mobility(cfg);
+        lost += r.lost;
         t.row([
             name.to_string(),
             format!("{} ({} lost)", r.records.len(), r.lost),
@@ -58,4 +63,8 @@ fn main() {
     println!(
         "  * After the roam, the Dispatcher sees the clients behind the far switch and\n    Follow-Me-Edge re-decisions keep them on the local site — post-roam medians\n    stay at local-edge latency instead of paying trunk hairpins."
     );
+    if lost > 0 {
+        eprintln!("gate failed: {lost} requests lost");
+        std::process::exit(1);
+    }
 }

@@ -49,7 +49,8 @@ use std::sync::Arc;
 
 use cluster::ClusterBackend;
 use containers::ImageRef;
-use edgectl::{ClusterId, Controller, DeployGate, ServiceId, StatusDelta};
+use edgectl::controller::INGRESS;
+use edgectl::{ClusterId, Controller, DeployGate, ServiceId, StatusDelta, SwitchId};
 use edgeverify::{MeshView, Verifier, Violation};
 use simcore::{ShardActor, ShardCrew, SimDuration, SimRng, SimTime};
 use testbed::bringup;
@@ -367,7 +368,7 @@ impl MeshEngine {
 }
 
 impl Engine<StatusDelta> for MeshEngine {
-    fn serves(&self, req: &TraceRequest) -> bool {
+    fn ingress(&self, req: &TraceRequest) -> Option<SwitchId> {
         // Static ingress assignment (home shard advanced by the client's
         // prior handovers) — a pure function of the trace, so every shard
         // and the reference engine partition identically with no
@@ -378,7 +379,8 @@ impl Engine<StatusDelta> for MeshEngine {
         // the session is neither served nor accounted lost, exactly the
         // blackhole the continuity analysis exists to catch.
         let blackholed = self.blackhole_victim == Some(req.client) && ingress != req.client % n;
-        ingress == self.shard && !blackholed
+        // The shard's controller drives one switch: the one it feeds.
+        (ingress == self.shard && !blackholed).then_some(INGRESS)
     }
 
     fn released(&mut self, _: &mut IngressShard<StatusDelta>, now: SimTime, r: Released) {
@@ -613,7 +615,7 @@ fn build_shard(shard: usize, input: &Arc<(ScenarioConfig, Trace)>, hooks: TestHo
         },
     );
     let switch = bringup::seeded_switch(cfg, &c3);
-    let mut core = IngressShard::new(c3, switch, controller, trace.service_addrs.clone());
+    let mut core = IngressShard::new(c3, vec![switch], controller, trace.service_addrs.clone());
 
     let offset = (setup_end - SimTime::ZERO) + SimDuration::from_secs(5);
     for (old, h) in departures(&trace.handovers, n) {

@@ -10,6 +10,12 @@
 //! tracking updates, and the scheduler redirects it to the site nearest to
 //! its *new* position — deploying there on demand if needed.
 //!
+//! The fabric runs on the shared ingress core ([`crate::ingress`]), whose
+//! one controller drives every switch of the chain. This module is the
+//! bring-up — controller, switches, clients and the request schedule — and
+//! the [`Engine`] that turns a forwarded SYN into a trunk hop or a completed
+//! request.
+//!
 //! Port layout per switch in the chain:
 //!
 //! | port | meaning |
@@ -19,24 +25,32 @@
 //! | 2    | the local edge site |
 //! | 3+i  | local client i |
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::convert::Infallible;
 
 use cluster::{ClusterBackend, DockerCluster};
 use containers::Runtime;
-use edgectl::{
-    Controller, ControllerConfig, ControllerOutput, NearestWaiting, RoundRobinLocal, SwitchId,
-};
-use simcore::{EventQueue, Percentiles, SimDuration, SimRng, SimTime};
-use simnet::openflow::{Action, BufferId, FlowMatch, FlowSpec, PacketVerdict, PortId, Switch};
-use simnet::{IpAddr, Packet, SocketAddr, TcpModel};
+use edgectl::{Controller, ControllerConfig, NearestWaiting, RoundRobinLocal, SwitchId};
+use simcore::{Percentiles, SimDuration, SimRng, SimTime};
+use simnet::openflow::{Action, FlowMatch, FlowSpec, PortId, Switch};
+use simnet::{IpAddr, SocketAddr, TcpModel};
 use workload::client::RequestRecord;
-use workload::ServiceProfile;
+use workload::{ServiceProfile, TraceRequest};
+
+use crate::ingress::{Access, Engine, IngressShard, Released};
+use crate::ScenarioConfig;
 
 const UPLINK: PortId = PortId(0);
 const DOWNLINK: PortId = PortId(1);
 const SITE_PORT: PortId = PortId(2);
 const CLIENT_PORT_BASE: usize = 3;
-const CTRL_LATENCY: SimDuration = SimDuration::from_micros(150);
+/// One-way latencies: client → its switch, switch → its local site, and
+/// switch 0 → the cloud.
+const CLIENT_LINK: SimDuration = SimDuration::from_micros(200);
+const SITE_LATENCY: SimDuration = SimDuration::from_micros(80);
+const CLOUD_LATENCY: SimDuration = SimDuration::from_millis(25);
+/// Trunk hops in a row after which a packet counts as caught in a loop.
+const MAX_HOPS: u8 = 8;
 const GBPS: u64 = 1_000_000_000;
 
 /// Configuration of a mobility run.
@@ -68,11 +82,8 @@ impl Default for FabricConfig {
             request_interval: SimDuration::from_secs(5),
             duration: SimDuration::from_secs(120),
             roam_at: Some(SimDuration::from_secs(60)),
-            controller: ControllerConfig {
-                memory_idle_timeout: SimDuration::from_secs(600),
-                scale_down_idle: false,
-                ..ControllerConfig::default()
-            },
+            // The scenario's evaluation defaults.
+            controller: ScenarioConfig::default().controller,
         }
     }
 }
@@ -90,39 +101,150 @@ pub struct FabricResult {
     pub median_after_ms: f64,
 }
 
-enum Ev {
-    /// A packet arrives at a switch (hops guards against forwarding loops).
-    PacketAtSwitch {
-        sw: usize,
-        packet: Packet,
-        hops: u8,
-    },
-    CtrlPacketIn {
-        sw: usize,
-        packet: Packet,
-        buffer_id: BufferId,
-        in_port: PortId,
-    },
-    ApplyOutput {
-        output: ControllerOutput,
-    },
-    /// The controller asked to be woken (deployment machine steps, retarget
-    /// drains, housekeeping — its `next_wakeup`/`on_wakeup` surface).
-    Wakeup,
+/// How the fabric's clients reach the switches: client `c` has the C³
+/// testbed's address for `c`, sits [`CLIENT_LINK`] from whichever switch it
+/// is behind, and enters it on port `3 + c % clients_per_switch`.
+struct Clients {
+    latencies: Vec<SimDuration>,
+    per_switch: usize,
 }
 
-struct InFlight {
-    started: SimTime,
-    syn_at_switch: SimTime,
-    client: usize,
-    /// Ingress switch at send time.
-    ingress: usize,
+impl Access for Clients {
+    fn client_ip(&self, c: usize) -> IpAddr {
+        IpAddr::new(10, 1, (c / 250) as u8, (c % 250 + 1) as u8)
+    }
+
+    fn client_port(&self, client: usize) -> PortId {
+        PortId(CLIENT_PORT_BASE + client % self.per_switch)
+    }
+
+    fn client_latencies(&self) -> &[SimDuration] {
+        &self.latencies
+    }
+}
+
+/// The core driving the fabric's switches; the fabric has no events of its
+/// own.
+type Shard = IngressShard<Infallible, Clients>;
+
+/// What the fabric makes of a forwarded SYN: a trunk hop toward the next
+/// switch, or a completed request at a site or at the cloud behind switch 0.
+struct Chain {
+    cfg: FabricConfig,
+    profile: ServiceProfile,
+    server_rng: SimRng,
+    records: Vec<RequestRecord>,
+}
+
+impl Chain {
+    /// The switch client `c` is behind at `t`: its home switch, or the last
+    /// one once a client of switch 0 has roamed.
+    fn switch_of(&self, c: usize, t: SimTime) -> usize {
+        let home = c / self.cfg.clients_per_switch;
+        match self.cfg.roam_at {
+            Some(roam) if home == 0 && t >= SimTime::ZERO + roam => self.cfg.switches - 1,
+            _ => home,
+        }
+    }
+
+    /// The SYN reached its server `last_leg` past switch `r.switch` at
+    /// `now`: record the exchange over client link, trunk hops and last leg.
+    fn complete(&mut self, now: SimTime, r: &Released, last_leg: SimDuration) {
+        let started = r.syn_at - CLIENT_LINK;
+        let ingress = self.switch_of(r.client, started);
+        let trunk_hops = ingress.abs_diff(r.switch.0) as u64;
+        let one_way = CLIENT_LINK + self.cfg.trunk_latency * trunk_hops + last_leg;
+        let tcp = TcpModel::new(one_way * 2, GBPS);
+        let server_time = self.profile.server_time.sample(&mut self.server_rng);
+        let hold = now - r.syn_at;
+        let exchange = tcp.request_response_time(
+            self.profile.request_bytes,
+            self.profile.response_bytes,
+            server_time,
+        );
+        self.records.push(RequestRecord {
+            started,
+            finished: started + hold + exchange,
+            service: r.service,
+            client: r.client,
+            triggered_deployment: hold > SimDuration::from_millis(100),
+        });
+    }
+}
+
+impl Engine<Infallible, Clients> for Chain {
+    fn ingress(&self, request: &TraceRequest) -> Option<SwitchId> {
+        Some(SwitchId(self.switch_of(request.client, request.at)))
+    }
+
+    fn released(&mut self, shard: &mut Shard, now: SimTime, r: Released) {
+        let sw = r.switch.0;
+        let next = match r.out_port {
+            SITE_PORT => return self.complete(now, &r, SITE_LATENCY),
+            UPLINK if sw == 0 => return self.complete(now, &r, CLOUD_LATENCY),
+            UPLINK => Some(sw - 1),
+            DOWNLINK => Some(sw + 1).filter(|&next| next < self.cfg.switches),
+            _ => None,
+        };
+        match next {
+            Some(next) if r.hops < MAX_HOPS => {
+                shard.forward(now + self.cfg.trunk_latency, SwitchId(next), r);
+            }
+            // The last switch's downlink leads nowhere; a client port means a
+            // misrouted flow (responses are modelled analytically).
+            _ => shard.lose(r.idx),
+        }
+    }
+
+    fn on_event(&mut self, _: &mut Shard, _: SimTime, event: Infallible) {
+        match event {}
+    }
+}
+
+/// The port of switch `s` that leads toward switch `j`'s site.
+fn toward(s: usize, j: usize) -> PortId {
+    match s.cmp(&j) {
+        Ordering::Equal => SITE_PORT,
+        Ordering::Greater => UPLINK,
+        Ordering::Less => DOWNLINK,
+    }
 }
 
 /// Run the mobility scenario: one (Nginx-class) service, clients requesting
 /// it periodically, optional mid-run roam of switch-0 clients to the last
 /// switch.
 pub fn run_mobility(cfg: FabricConfig) -> FabricResult {
+    let (mut shard, mut chain, requests) = build(&cfg);
+    shard.run_until(SimTime::FAR_FUTURE, &requests, &mut chain);
+
+    let deployments = shard.controller.stats.deployments.clone();
+    let mut per_site = vec![0usize; cfg.switches];
+    for d in &deployments {
+        per_site[d.cluster.0] += 1;
+    }
+    let mut before = Percentiles::new();
+    let mut after = Percentiles::new();
+    for r in &chain.records {
+        match cfg.roam_at {
+            Some(roam) if r.started >= SimTime::ZERO + roam => {
+                after.record_duration(r.time_total())
+            }
+            _ => before.record_duration(r.time_total()),
+        }
+    }
+    FabricResult {
+        deployments,
+        lost: shard.lost(),
+        deployments_per_site: per_site,
+        median_before_ms: before.median(),
+        median_after_ms: after.median(),
+        records: chain.records,
+    }
+}
+
+/// Bring the fabric up: the core with the controller and its switches, the
+/// engine, and the trace of every client's requests.
+fn build(cfg: &FabricConfig) -> (Shard, Chain, Vec<TraceRequest>) {
     assert!(cfg.switches >= 2, "a fabric needs at least two switches");
     let rng = SimRng::seed_from_u64(cfg.seed);
     let profile = ServiceProfile::of(workload::ServiceKind::Nginx);
@@ -136,12 +258,8 @@ pub fn run_mobility(cfg: FabricConfig) -> FabricResult {
         .registries(registries)
         .cloud_port(UPLINK) // cloud behind switch 0's uplink
         .build();
-    let site_latency = SimDuration::from_micros(80);
     // Distance from switch s to site j: hops over the chain.
-    let dist = |s: usize, j: usize| -> SimDuration {
-        let hops = s.abs_diff(j) as u64;
-        site_latency + cfg.trunk_latency * hops
-    };
+    let dist = |s: usize, j: usize| SITE_LATENCY + cfg.trunk_latency * s.abs_diff(j) as u64;
     for j in 0..cfg.switches {
         let backend: Box<dyn ClusterBackend> = Box::new(DockerCluster::new(
             format!("site-{j}"),
@@ -150,23 +268,11 @@ pub fn run_mobility(cfg: FabricConfig) -> FabricResult {
             rng.stream(&format!("docker-{j}")),
         ));
         // attach_cluster covers switch 0's view of site j.
-        let port0 = if j == 0 { SITE_PORT } else { DOWNLINK };
-        controller.attach_cluster(backend, dist(0, j), port0);
+        controller.attach_cluster(backend, dist(0, j), toward(0, j));
     }
     for s in 1..cfg.switches {
-        let ports: Vec<(PortId, SimDuration)> = (0..cfg.switches)
-            .map(|j| {
-                let port = if j == s {
-                    SITE_PORT
-                } else if j < s {
-                    UPLINK
-                } else {
-                    DOWNLINK
-                };
-                (port, dist(s, j))
-            })
-            .collect();
-        controller.add_switch(UPLINK, ports);
+        let ports = (0..cfg.switches).map(|j| (toward(s, j), dist(s, j)));
+        controller.add_switch(UPLINK, ports.collect());
     }
     controller
         .catalog
@@ -177,13 +283,6 @@ pub fn run_mobility(cfg: FabricConfig) -> FabricResult {
     let mut switches: Vec<Switch> = (0..cfg.switches).map(|_| Switch::new(port_count)).collect();
     for (s, sw) in switches.iter_mut().enumerate() {
         for j in 0..cfg.switches {
-            let port = if j == s {
-                SITE_PORT
-            } else if j < s {
-                UPLINK
-            } else {
-                DOWNLINK
-            };
             // route rewritten packets (dst = site address) toward site j
             let matcher = FlowMatch {
                 dst_ip: Some(IpAddr::new(10, 0, j as u8, 100)),
@@ -193,280 +292,45 @@ pub fn run_mobility(cfg: FabricConfig) -> FabricResult {
                 SimTime::ZERO,
                 FlowSpec::new(matcher)
                     .priority(1)
-                    .action(Action::Output(port))
+                    .action(Action::Output(toward(s, j)))
                     .cookie(0xF0 + j as u64),
             );
         }
     }
 
-    // --- client placement and request schedule ---
+    // --- clients and their jittered periodic requests ---
     let total_clients = cfg.switches * cfg.clients_per_switch;
-    let client_ip = |c: usize| IpAddr::new(10, 1, (c / 250) as u8, (c % 250 + 1) as u8);
-    let home_switch = |c: usize| c / cfg.clients_per_switch;
-    let client_switch_at = |c: usize, t: SimTime| -> usize {
-        match cfg.roam_at {
-            Some(roam) if home_switch(c) == 0 && t >= SimTime::ZERO + roam => cfg.switches - 1,
-            _ => home_switch(c),
-        }
+    let clients = Clients {
+        latencies: vec![CLIENT_LINK; total_clients],
+        per_switch: cfg.clients_per_switch,
     };
-    let client_link = SimDuration::from_micros(200);
-
-    let mut events: EventQueue<Ev> = EventQueue::new();
-    let mut in_flight: HashMap<u64, InFlight> = HashMap::new();
-    let mut tag = 0u64;
     let mut schedule_rng = rng.stream("schedule");
-    for c in 0..total_clients {
-        // Jittered periodic requests over the window.
-        let mut t = SimTime::ZERO
+    let mut requests = Vec::new();
+    for client in 0..total_clients {
+        let mut at = SimTime::ZERO
             + SimDuration::from_secs_f64(schedule_rng.f64() * cfg.request_interval.as_secs_f64());
-        while t < SimTime::ZERO + cfg.duration {
-            let ingress = client_switch_at(c, t);
-            let syn_at = t + client_link;
-            in_flight.insert(
-                tag,
-                InFlight {
-                    started: t,
-                    syn_at_switch: syn_at,
-                    client: c,
-                    ingress,
-                },
-            );
-            events.push(
-                syn_at,
-                Ev::PacketAtSwitch {
-                    sw: ingress,
-                    packet: Packet::syn(SocketAddr::new(client_ip(c), 40000), service_addr, tag),
-                    hops: 0,
-                },
-            );
-            tag += 1;
-            t += cfg.request_interval;
+        while at < SimTime::ZERO + cfg.duration {
+            requests.push(TraceRequest {
+                at,
+                service: 0,
+                client,
+            });
+            at += cfg.request_interval;
         }
     }
+    // Equal instants go client by client, the tie order the pinned digests
+    // (`tests/fabric_pinned.rs`) were recorded with.
+    requests.sort_unstable_by_key(|r| (r.at, r.client));
 
-    // --- event loop ---
-    let mut records: Vec<RequestRecord> = Vec::new();
-    let mut lost = 0u64;
-    let mut server_rng = rng.stream("server");
-    let roam_abs = cfg.roam_at.map(|d| SimTime::ZERO + d);
-    let mut wakeup_armed: Option<SimTime> = None;
-
-    while let Some((now, ev)) = events.pop() {
-        match ev {
-            Ev::PacketAtSwitch { sw, packet, hops } => {
-                if hops > 8 {
-                    lost += 1;
-                    continue;
-                }
-                switches[sw].sweep(now);
-                let verdict = switches[sw].receive(now, packet);
-                handle_verdict(
-                    now,
-                    sw,
-                    verdict,
-                    hops,
-                    &cfg,
-                    &mut events,
-                    &mut switches,
-                    &mut in_flight,
-                    &mut records,
-                    &mut lost,
-                    &profile,
-                    &mut server_rng,
-                    client_link,
-                    site_latency,
-                );
-            }
-            Ev::CtrlPacketIn {
-                sw,
-                packet,
-                buffer_id,
-                in_port,
-            } => {
-                let outputs =
-                    controller.on_packet_in_at(now, SwitchId(sw), packet, buffer_id, in_port);
-                for output in outputs {
-                    events.push(output.at() + CTRL_LATENCY, Ev::ApplyOutput { output });
-                }
-            }
-            Ev::ApplyOutput { output } => {
-                let sw = output.switch().0;
-                switches[sw].sweep(now);
-                match output {
-                    ControllerOutput::FlowMod { spec, .. } => {
-                        switches[sw].flow_mod(now, spec);
-                    }
-                    ControllerOutput::ReleaseViaTable { buffer_id, .. } => {
-                        match switches[sw].packet_out_via_table(now, buffer_id) {
-                            Some(verdict) => handle_verdict(
-                                now,
-                                sw,
-                                verdict,
-                                0,
-                                &cfg,
-                                &mut events,
-                                &mut switches,
-                                &mut in_flight,
-                                &mut records,
-                                &mut lost,
-                                &profile,
-                                &mut server_rng,
-                                client_link,
-                                site_latency,
-                            ),
-                            None => lost += 1,
-                        }
-                    }
-                    ControllerOutput::DropBuffered { buffer_id, .. } => {
-                        switches[sw].discard_buffer(buffer_id);
-                        lost += 1;
-                    }
-                    ControllerOutput::FlowDelete { matcher, .. } => {
-                        switches[sw].table.delete_matching(now, &matcher);
-                    }
-                }
-            }
-            Ev::Wakeup => {
-                wakeup_armed = None;
-                for output in controller.on_wakeup(now) {
-                    events.push(output.at() + CTRL_LATENCY, Ev::ApplyOutput { output });
-                }
-            }
-        }
-        // Keep one wakeup event armed at the controller's earliest need —
-        // without this, held requests would wait on machines nobody steps.
-        if let Some(at) = controller.next_wakeup() {
-            let at = at.max(now);
-            if wakeup_armed.is_none_or(|t| at < t) {
-                events.push(at, Ev::Wakeup);
-                wakeup_armed = Some(at);
-            }
-        }
-    }
-
-    // --- summarize ---
-    let mut per_site = vec![0usize; cfg.switches];
-    for d in &controller.stats.deployments {
-        per_site[d.cluster.0] += 1;
-    }
-    let mut before = Percentiles::new();
-    let mut after = Percentiles::new();
-    for r in &records {
-        match roam_abs {
-            Some(roam) if r.started >= roam => after.record_duration(r.time_total()),
-            _ => before.record_duration(r.time_total()),
-        }
-    }
-    FabricResult {
-        deployments: controller.stats.deployments.clone(),
-        lost,
-        deployments_per_site: per_site,
-        median_before_ms: before.median(),
-        median_after_ms: after.median(),
-        records,
-    }
-}
-
-/// Shared verdict handling for fresh arrivals and controller releases.
-#[allow(clippy::too_many_arguments)]
-fn handle_verdict(
-    now: SimTime,
-    sw: usize,
-    verdict: PacketVerdict,
-    hops: u8,
-    cfg: &FabricConfig,
-    events: &mut EventQueue<Ev>,
-    _switches: &mut [Switch],
-    in_flight: &mut HashMap<u64, InFlight>,
-    records: &mut Vec<RequestRecord>,
-    lost: &mut u64,
-    profile: &ServiceProfile,
-    server_rng: &mut SimRng,
-    client_link: SimDuration,
-    site_latency: SimDuration,
-) {
-    match verdict {
-        PacketVerdict::Forward { packet, out_port } => {
-            if out_port == SITE_PORT || (sw == 0 && out_port == UPLINK) {
-                // Terminal: the local site, or the cloud behind switch 0.
-                let Some(fl) = in_flight.remove(&packet.tag) else {
-                    return;
-                };
-                let is_cloud = sw == 0 && out_port == UPLINK;
-                // Path from the client's ingress to here: trunk hops.
-                let trunk_hops = fl.ingress.abs_diff(sw) as u64;
-                let last_leg = if is_cloud {
-                    SimDuration::from_millis(25)
-                } else {
-                    site_latency
-                };
-                let one_way = client_link + cfg.trunk_latency * trunk_hops + last_leg;
-                let tcp = TcpModel::new(one_way * 2, GBPS);
-                let server_time = profile.server_time.sample(server_rng);
-                let hold = now - fl.syn_at_switch;
-                let exchange = tcp.request_response_time(
-                    profile.request_bytes,
-                    profile.response_bytes,
-                    server_time,
-                );
-                records.push(RequestRecord {
-                    started: fl.started,
-                    finished: fl.started + hold + exchange,
-                    service: 0,
-                    client: fl.client,
-                    triggered_deployment: hold > SimDuration::from_millis(100),
-                });
-            } else if out_port == UPLINK {
-                events.push(
-                    now + cfg.trunk_latency,
-                    Ev::PacketAtSwitch {
-                        sw: sw - 1,
-                        packet,
-                        hops: hops + 1,
-                    },
-                );
-            } else if out_port == DOWNLINK {
-                if sw + 1 >= cfg.switches {
-                    *lost += 1;
-                } else {
-                    events.push(
-                        now + cfg.trunk_latency,
-                        Ev::PacketAtSwitch {
-                            sw: sw + 1,
-                            packet,
-                            hops: hops + 1,
-                        },
-                    );
-                }
-            } else {
-                // a client port: responses are modelled analytically, so a
-                // request landing here means a misrouted flow
-                *lost += 1;
-            }
-        }
-        PacketVerdict::PacketIn { buffer_id, packet } => {
-            // in_port: the client's port if locally attached, else the trunk
-            // it came from. For PacketIns we only reach here on the client's
-            // ingress switch (redirect flows handle transit), so look the
-            // client up.
-            let in_port = in_flight
-                .get(&packet.tag)
-                .map(|fl| PortId(CLIENT_PORT_BASE + fl.client % cfg.clients_per_switch))
-                .unwrap_or(PortId(CLIENT_PORT_BASE));
-            events.push(
-                now + CTRL_LATENCY,
-                Ev::CtrlPacketIn {
-                    sw,
-                    packet,
-                    buffer_id,
-                    in_port,
-                },
-            );
-        }
-        PacketVerdict::Dropped => {
-            *lost += 1;
-        }
-    }
+    let chain = Chain {
+        cfg: cfg.clone(),
+        profile,
+        server_rng: rng.stream("server"),
+        records: Vec::new(),
+    };
+    let mut shard = IngressShard::new(clients, switches, controller, vec![service_addr]);
+    shard.start(SimDuration::ZERO);
+    (shard, chain, requests)
 }
 
 #[cfg(test)]
@@ -541,6 +405,44 @@ mod tests {
         let a = run_mobility(FabricConfig::default());
         let b = run_mobility(FabricConfig::default());
         assert_eq!(a.records, b.records);
+    }
+
+    /// Every output lands on the switch it names: after the roam, the
+    /// roamed clients' PacketIns come from the last switch, their redirects
+    /// are installed there, and switch 0 keeps none for them.
+    #[test]
+    fn outputs_land_on_the_switch_they_name() {
+        let cfg = FabricConfig::default(); // roam at 60 s
+        let last = cfg.switches - 1;
+        let (mut shard, mut chain, requests) = build(&cfg);
+        // Stop with the trace, while the roamed clients' redirects are live.
+        shard.run_until(SimTime::ZERO + cfg.duration, &requests, &mut chain);
+        let redirected = |shard: &Shard, s: usize, c: usize| {
+            let src = SocketAddr::new(shard.c3.client_ip(c), 40000);
+            let syn = simnet::Packet::syn(src, shard.service_addrs[0], 0);
+            shard.switches[s].table.find(&syn).is_some_and(|entry| {
+                entry
+                    .actions
+                    .iter()
+                    .any(|a| matches!(a, Action::SetDstIp(_)))
+            })
+        };
+        for c in 0..cfg.clients_per_switch {
+            assert!(
+                redirected(&shard, last, c),
+                "client {c}: no redirect on switch {last}"
+            );
+            assert!(
+                !redirected(&shard, 0, c),
+                "client {c}: still redirected on switch 0"
+            );
+        }
+        shard.run_until(SimTime::FAR_FUTURE, &requests, &mut chain);
+        assert_eq!(shard.lost(), 0);
+        for c in 0..cfg.clients_per_switch {
+            let ip = shard.c3.client_ip(c);
+            assert_eq!(shard.controller.client_switch(ip), Some(SwitchId(last)));
+        }
     }
 
     #[test]

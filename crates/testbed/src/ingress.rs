@@ -1,4 +1,5 @@
-//! The ingress shard core: one switch, one controller, one event queue.
+//! The ingress shard core: the controller's switches, the controller and
+//! one event queue.
 //!
 //! The paper's data path is a single pipeline — SYN → switch table miss →
 //! PacketIn → Dispatcher decision → FlowMod + release — and this module is
@@ -6,15 +7,19 @@
 //! SYN) travels through the OpenFlow machinery — matching reality, where
 //! subsequent packets hit the installed flow in the data plane. An
 //! [`IngressShard`] is driven to a horizon ([`IngressShard::run_until`]):
-//! once, to completion, by the single-controller [`crate::Testbed`]; window
-//! by window by each shard of `edgemesh`'s PDES engine. What differs between
-//! the engines is an [`Engine`]: which trace requests enter at this shard,
-//! what a released request becomes, and the events only that engine has.
+//! once, to completion, by the single-controller [`crate::Testbed`] and by
+//! [`crate::fabric`]'s switch chain; window by window by each shard of
+//! `edgemesh`'s PDES engine. A PacketIn names the switch that missed and
+//! every controller output lands on the switch it names; the testbed and the
+//! mesh are the one-switch case. What differs between the engines is an
+//! [`Engine`]: which switch a trace request enters at (if at this shard),
+//! what a released request becomes — served, or handed over a trunk
+//! ([`IngressShard::forward`]) — and the events only that engine has.
 //!
 //! **Per-request state lives only while a SYN is buffered.** The shard reads
 //! its SYNs from the time-sorted trace through a cursor and a small reorder
 //! heap (`SynFeed`), so nothing is held for a request before its SYN
-//! reaches the switch. A SYN that hits the table is released at once and
+//! reaches its switch. A SYN that hits the table is released at once and
 //! holds nothing. One that misses takes a lane from a free-listed in-flight
 //! slab — the slot is the tag its packet carries — and gives it back when
 //! the packet is released or lost. [`Released`] and
@@ -33,11 +38,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use edgectl::controller::INGRESS;
-use edgectl::{Controller, ControllerOutput};
+use edgectl::{Controller, ControllerOutput, SwitchId};
 use simcore::{EventQueue, SimDuration, SimTime};
 use simnet::openflow::{BufferId, FlowId, FlowTable, PacketVerdict, PortId, Switch};
-use simnet::{Packet, SocketAddr};
+use simnet::{IpAddr, Packet, SocketAddr};
 use workload::TraceRequest;
 
 use crate::topology::C3Topology;
@@ -51,8 +55,10 @@ pub const CTRL_LATENCY: SimDuration = SimDuration::from_micros(150);
 enum Ev<X> {
     /// A PacketIn reaches the controller.
     PacketIn(PacketIn),
-    /// A controller output reaches the switch.
+    /// A controller output reaches the switch it names.
     Apply(ControllerOutput),
+    /// A forwarded request's packet reaches the next switch over a trunk.
+    Transit(Released),
     /// The controller asked to be woken: deployment machine steps, retarget
     /// drains, FlowMemory housekeeping and predictor runs all ride on this
     /// one event (the controller's `next_wakeup`/`on_wakeup` surface).
@@ -64,47 +70,62 @@ enum Ev<X> {
     Engine(X),
 }
 
-type PacketIn = (Packet, BufferId, PortId);
+/// The switch that missed, the packet, its buffer and its in-port.
+type PacketIn = (SwitchId, Packet, BufferId, PortId);
 
-/// A request whose SYN the switch just forwarded.
+/// A request whose packet a switch just forwarded.
 #[derive(Debug, Clone, Copy)]
 pub struct Released {
     /// The request's position in the trace.
     pub idx: usize,
     pub client: usize,
     pub service: usize,
-    /// When the request's SYN reached the switch.
+    /// When the request's SYN reached its ingress switch.
     pub syn_at: SimTime,
     /// Deployment machines started before this request's PacketIn (0 on a
     /// table hit) — the lower bound of the window that attributes a
     /// deployment to the request.
     pub machines_before: u64,
+    /// The switch that forwarded it, the packet as it left and the port.
+    pub switch: SwitchId,
+    pub packet: Packet,
     pub out_port: PortId,
+    /// Trunk hops since the SYN arrived or the controller last released it.
+    pub hops: u8,
+}
+
+/// Where the clients attach to the switches: what the core reads of a
+/// topology to inject a client's SYN.
+pub trait Access {
+    /// The source address of a client's packets.
+    fn client_ip(&self, client: usize) -> IpAddr;
+    /// The port a client's packets enter its switch on.
+    fn client_port(&self, client: usize) -> PortId;
+    /// One-way latency client → switch of every client, in client order.
+    fn client_latencies(&self) -> &[SimDuration];
 }
 
 /// What differs between the engines that drive an [`IngressShard`].
-pub trait Engine<X> {
-    /// Whether trace request `request` enters the fabric at this shard
-    /// (every one does under a single controller).
-    fn serves(&self, _request: &TraceRequest) -> bool {
-        true
-    }
+pub trait Engine<X, A = C3Topology> {
+    /// The switch trace request `request` enters the fabric at, or `None`
+    /// if another shard feeds it.
+    fn ingress(&self, request: &TraceRequest) -> Option<SwitchId>;
 
-    /// The switch forwarded a request's SYN at `now`.
-    fn released(&mut self, shard: &mut IngressShard<X>, now: SimTime, request: Released);
+    /// A switch forwarded a request's packet at `now`.
+    fn released(&mut self, shard: &mut IngressShard<X, A>, now: SimTime, request: Released);
 
     /// One of the engine's own events is due.
-    fn on_event(&mut self, shard: &mut IngressShard<X>, now: SimTime, event: X);
+    fn on_event(&mut self, shard: &mut IngressShard<X, A>, now: SimTime, event: X);
 
     /// A controller FlowMod landed in `table` as `id`.
     fn installed(&mut self, _table: &FlowTable, _id: FlowId) {}
 
     /// Runs after every executed event, before the wakeup re-arm.
-    fn after_event(&mut self, _shard: &mut IngressShard<X>, _now: SimTime) {}
+    fn after_event(&mut self, _shard: &mut IngressShard<X, A>, _now: SimTime) {}
 }
 
 /// The lazy SYN feed: a cursor over the time-sorted trace plus a reorder
-/// heap. A SYN reaches the switch at `at + offset + access latency`, and
+/// heap. A SYN reaches its switch at `at + offset + access latency`, and
 /// access latencies differ per client, so switch-arrival order is not trace
 /// order. But every access latency is at least `min_access`: once the
 /// cursor's earliest possible arrival `at + offset + min_access` lies past
@@ -120,8 +141,9 @@ struct SynFeed {
     min_access: SimDuration,
     /// Trace position of the next request to read.
     cursor: usize,
-    /// Read and served but not yet fed: `(arrival, trace position)`.
-    heap: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// Read and served but not yet fed: `(arrival, trace position, ingress
+    /// switch)`.
+    heap: BinaryHeap<Reverse<(SimTime, u32, u32)>>,
 }
 
 impl SynFeed {
@@ -134,19 +156,20 @@ impl SynFeed {
     }
 
     /// Read requests until the heap's top is the earliest arrival of every
-    /// request not yet fed; `serves` drops the ones another shard feeds.
+    /// request not yet fed; `ingress` names each one's switch and drops the
+    /// ones another shard feeds.
     fn fill(
         &mut self,
         requests: &[TraceRequest],
         access: &[SimDuration],
-        mut serves: impl FnMut(&TraceRequest) -> bool,
+        mut ingress: impl FnMut(&TraceRequest) -> Option<SwitchId>,
     ) {
         while let Some(request) = requests.get(self.cursor) {
             let earliest = request.at + self.offset + self.min_access;
             if self
                 .heap
                 .peek()
-                .is_some_and(|&Reverse((top, _))| earliest > top)
+                .is_some_and(|&Reverse((top, ..))| earliest > top)
             {
                 break;
             }
@@ -159,25 +182,27 @@ impl SynFeed {
                 .filter(|&pos| pos != FREE)
                 .expect("fewer than 2^32 - 1 requests per trace");
             self.cursor += 1;
-            if serves(request) {
+            if let Some(switch) = ingress(request) {
                 let arrival = request.at + self.offset + access[request.client];
-                self.heap.push(Reverse((arrival, pos)));
+                self.heap.push(Reverse((arrival, pos, switch.0 as u32)));
             }
         }
     }
 
-    /// When the next request reaches the switch (valid after a `fill`).
+    /// When the next request reaches its switch (valid after a `fill`).
     fn peek(&self) -> Option<SimTime> {
-        self.heap.peek().map(|&Reverse((at, _))| at)
+        self.heap.peek().map(|&Reverse((at, ..))| at)
     }
 
-    /// Take the next request: its arrival and trace position.
-    fn pop(&mut self) -> Option<(SimTime, u32)> {
-        self.heap.pop().map(|Reverse(next)| next)
+    /// Take the next request: its arrival, trace position and switch.
+    fn pop(&mut self) -> Option<(SimTime, u32, SwitchId)> {
+        self.heap
+            .pop()
+            .map(|Reverse((at, pos, switch))| (at, pos, SwitchId(switch as usize)))
     }
 }
 
-/// What the shard holds for a request whose SYN is buffered at the switch.
+/// What the shard holds for a request whose SYN is buffered at a switch.
 #[derive(Debug, Clone, Copy)]
 struct Lane {
     /// Trace position; [`FREE`] while the slot is on the free list.
@@ -193,18 +218,22 @@ struct Lane {
 /// [`Lane::pos`] of a free slot.
 const FREE: u32 = u32::MAX;
 
-/// One ingress switch with its controller and everything between them.
-pub struct IngressShard<X> {
-    pub c3: C3Topology,
-    pub switch: Switch,
+/// The controller's ingress switches with the controller and everything
+/// between them.
+pub struct IngressShard<X, A = C3Topology> {
+    /// How the clients reach the switches (the C³ topology for the testbed
+    /// and the mesh).
+    pub c3: A,
+    /// Indexed by [`SwitchId`].
+    pub switches: Vec<Switch>,
     pub controller: Controller,
     /// Cloud addresses of the registered services (trace order).
     pub service_addrs: Vec<SocketAddr>,
     events: EventQueue<Ev<X>>,
     /// Where the SYNs come from; set up by [`IngressShard::start`].
     feed: SynFeed,
-    /// The in-flight slab: one lane per request whose SYN is buffered at
-    /// the switch, indexed by the tag its packet carries. Its length is the
+    /// The in-flight slab: one lane per request whose SYN is buffered at a
+    /// switch, indexed by the tag its packet carries. Its length is the
     /// most requests ever buffered at once.
     lanes: Vec<Lane>,
     /// Free slots of `lanes`, the last freed reused first.
@@ -229,16 +258,16 @@ pub struct IngressShard<X> {
     lost_idx: Vec<u32>,
 }
 
-impl<X> IngressShard<X> {
+impl<X, A: Access> IngressShard<X, A> {
     pub fn new(
-        c3: C3Topology,
-        switch: Switch,
+        c3: A,
+        switches: Vec<Switch>,
         controller: Controller,
         service_addrs: Vec<SocketAddr>,
-    ) -> IngressShard<X> {
+    ) -> IngressShard<X, A> {
         IngressShard {
             c3,
-            switch,
+            switches,
             controller,
             service_addrs,
             events: EventQueue::new(),
@@ -273,6 +302,15 @@ impl<X> IngressShard<X> {
         );
     }
 
+    /// Hand a released request over a trunk: its packet reaches `switch`'s
+    /// table at `at`. The request keeps its trace position and `syn_at`,
+    /// and its `hops` grows by one.
+    pub fn forward(&mut self, at: SimTime, switch: SwitchId, mut request: Released) {
+        request.switch = switch;
+        request.hops += 1;
+        self.push(at, Ev::Transit(request));
+    }
+
     fn push(&mut self, at: SimTime, ev: Ev<X>) {
         // Scheduling into the executed past would mean a message arrived
         // inside a window that already ran: the lookahead was violated.
@@ -291,12 +329,14 @@ impl<X> IngressShard<X> {
         self.runtime_seq_floor = self.events.scheduled_total();
         // Flow rules are bounded by live client × service pairs (two rules
         // per redirect); buffers by concurrently held SYNs.
-        let clients = self.c3.client_ips.len();
-        self.switch.reserve(4 * clients, clients);
+        let clients = self.c3.client_latencies().len();
+        for switch in &mut self.switches {
+            switch.reserve(4 * clients, clients);
+        }
     }
 
-    /// Ship controller outputs to the switch over the control channel. An
-    /// output stamped before the horizon applies at the horizon: a lease
+    /// Ship controller outputs to their switches over the control channel.
+    /// An output stamped before the horizon applies at the horizon: a lease
     /// revocation's abort fallout re-stamps waiters with their original
     /// decision times, which lie in a windowed clock's executed past. A run
     /// to completion never leaves horizon zero.
@@ -316,7 +356,7 @@ impl<X> IngressShard<X> {
     /// lies ahead. Each extra firing is a no-op `on_wakeup` plus this re-arm,
     /// both O(1) in the controller's state (DESIGN.md §5i), and the mesh
     /// trace hashes the event count, so the chains are kept as they are here;
-    /// removing them is ROADMAP's "shrinking `events_per_req`" item.
+    /// cancelling them is ROADMAP item 2(a).
     pub fn arm_wakeup(&mut self, now: SimTime) {
         if let Some(at) = self.controller.next_wakeup() {
             let at = at.max(now);
@@ -369,7 +409,7 @@ impl<X> IngressShard<X> {
     }
 
     /// High-water mark of the in-flight slab: the most requests buffered at
-    /// the switch at once.
+    /// the switches at once.
     pub fn peak_in_flight(&self) -> usize {
         self.lanes.len()
     }
@@ -378,7 +418,7 @@ impl<X> IngressShard<X> {
     /// completion; `end == horizon`: an empty probe), then advance the horizon
     /// to `end`. `requests` is the time-sorted trace, the same on every call.
     /// Returns the number of events executed.
-    pub fn run_until<E: Engine<X>>(
+    pub fn run_until<E: Engine<X, A>>(
         &mut self,
         end: SimTime,
         requests: &[TraceRequest],
@@ -407,10 +447,26 @@ impl<X> IngressShard<X> {
             };
             self.executed += 1;
             let now = if take_arrival {
-                let (now, pos) = self.feed.pop().expect("peeked a pending arrival");
+                let (now, pos, switch) = self.feed.pop().expect("peeked a pending arrival");
                 self.fill(requests, engine);
                 self.sweep(now);
-                self.on_syn(now, pos, requests[pos as usize], engine);
+                // A client's SYN reaches its ingress switch.
+                let TraceRequest {
+                    client, service, ..
+                } = requests[pos as usize];
+                let src = SocketAddr::new(self.c3.client_ip(client), 40000 + service as u16);
+                let syn = Released {
+                    idx: pos as usize,
+                    client,
+                    service,
+                    syn_at: now,
+                    machines_before: 0,
+                    switch,
+                    packet: Packet::syn(src, self.service_addrs[service], 0),
+                    out_port: PortId(0),
+                    hops: 0,
+                };
+                self.receive(now, syn, engine);
                 now
             } else {
                 let (now, ev) = self.events.pop().expect("peeked a non-empty queue");
@@ -418,9 +474,10 @@ impl<X> IngressShard<X> {
                 match ev {
                     Ev::PacketIn(packet_in) => self.on_packet_in(now, packet_in),
                     Ev::Apply(output) => self.apply(now, output, engine),
+                    Ev::Transit(request) => self.receive(now, request, engine),
                     Ev::Wakeup => self.on_wakeup(now),
                     Ev::Handover { client } => {
-                        let ip = self.c3.client_ips[client as usize];
+                        let ip = self.c3.client_ip(client as usize);
                         let outputs = self.controller.on_client_handover(now, ip);
                         self.push_outputs(outputs);
                     }
@@ -435,73 +492,64 @@ impl<X> IngressShard<X> {
     }
 
     /// Read the trace until the feed's head is the next arrival.
-    fn fill<E: Engine<X>>(&mut self, requests: &[TraceRequest], engine: &E) {
+    fn fill<E: Engine<X, A>>(&mut self, requests: &[TraceRequest], engine: &E) {
         self.feed
-            .fill(requests, self.c3.client_latencies(), |r| engine.serves(r));
+            .fill(requests, self.c3.client_latencies(), |r| engine.ingress(r));
     }
 
-    /// The lazy data-plane timeout sweep, skipped entirely while the switch
-    /// reports nothing due — its expiry index is settled after every
-    /// mutation, so the check is an O(1) peek.
+    /// The lazy data-plane timeout sweep of every switch, skipped entirely
+    /// while a switch reports nothing due — its expiry index is settled
+    /// after every mutation, so the check is an O(1) peek.
     fn sweep(&mut self, now: SimTime) {
-        if self.switch.next_expiry().is_some_and(|t| t <= now) {
-            self.switch.sweep_discard(now);
+        for switch in &mut self.switches {
+            if switch.next_expiry().is_some_and(|t| t <= now) {
+                switch.sweep_discard(now);
+            }
         }
     }
 
     /// Every event can change when the controller next needs to run (a
     /// machine stepped, a flow was memorized, a crash landed), so re-arm
     /// from the authoritative `next_wakeup` after each one.
-    fn after_event<E: Engine<X>>(&mut self, now: SimTime, engine: &mut E) {
+    fn after_event<E: Engine<X, A>>(&mut self, now: SimTime, engine: &mut E) {
         engine.after_event(self, now);
         self.arm_wakeup(now);
     }
 
-    fn on_syn<E: Engine<X>>(
-        &mut self,
-        now: SimTime,
-        pos: u32,
-        request: TraceRequest,
-        engine: &mut E,
-    ) {
-        let TraceRequest {
-            client, service, ..
-        } = request;
-        let src = SocketAddr::new(self.c3.client_ips[client], 40000 + service as u16);
+    /// `request`'s packet reaches `request.switch`: a table hit releases it
+    /// to the engine, a miss buffers it in a lane and sends a PacketIn.
+    fn receive<E: Engine<X, A>>(&mut self, now: SimTime, mut request: Released, engine: &mut E) {
         // The packet is tagged with the slot a miss will take.
         let slot = self.free.last().copied().unwrap_or(self.lanes.len() as u32);
-        let packet = Packet::syn(src, self.service_addrs[service], u64::from(slot));
-        match self.switch.receive(now, packet) {
-            PacketVerdict::Forward { out_port, .. } => {
+        request.packet.tag = u64::from(slot);
+        match self.switches[request.switch.0].receive(now, request.packet) {
+            PacketVerdict::Forward { packet, out_port } => {
                 let request = Released {
-                    idx: pos as usize,
-                    client,
-                    service,
-                    syn_at: now,
-                    machines_before: 0,
+                    packet,
                     out_port,
+                    ..request
                 };
                 engine.released(self, now, request);
             }
             PacketVerdict::PacketIn { buffer_id, packet } => {
                 let lane = Lane {
-                    pos,
-                    service: service as u32,
-                    client: client as u32,
+                    pos: request.idx as u32,
+                    service: request.service as u32,
+                    client: request.client as u32,
                     machines_before: 0,
-                    syn_at: now,
+                    syn_at: request.syn_at,
                 };
                 match self.free.pop() {
                     Some(free) => self.lanes[free as usize] = lane,
                     None => self.lanes.push(lane),
                 }
-                let in_port = self.c3.client_port(client);
+                let in_port = self.c3.client_port(request.client);
                 self.events.push(
                     now + CTRL_LATENCY,
-                    Ev::PacketIn((packet, buffer_id, in_port)),
+                    Ev::PacketIn((request.switch, packet, buffer_id, in_port)),
                 );
             }
-            PacketVerdict::Dropped => self.lose(pos as usize),
+            PacketVerdict::Dropped => self.lose(request.idx),
         }
     }
 
@@ -519,29 +567,7 @@ impl<X> IngressShard<X> {
         Some(taken)
     }
 
-    /// A buffered SYN left the switch through the table.
-    fn release_buffered<E: Engine<X>>(
-        &mut self,
-        now: SimTime,
-        tag: u64,
-        out_port: PortId,
-        engine: &mut E,
-    ) {
-        let Some(lane) = self.take_lane(tag) else {
-            return; // duplicate completion (cannot happen by construction)
-        };
-        let request = Released {
-            idx: lane.pos as usize,
-            client: lane.client as usize,
-            service: lane.service as usize,
-            syn_at: lane.syn_at,
-            machines_before: u64::from(lane.machines_before),
-            out_port,
-        };
-        engine.released(self, now, request);
-    }
-
-    fn on_packet_in(&mut self, now: SimTime, (packet, buffer_id, in_port): PacketIn) {
+    fn on_packet_in(&mut self, now: SimTime, (switch, packet, buffer_id, in_port): PacketIn) {
         let lane = self
             .lanes
             .get_mut(packet.tag as usize)
@@ -552,7 +578,7 @@ impl<X> IngressShard<X> {
         }
         let mut out = std::mem::take(&mut self.outputs_scratch);
         self.controller
-            .on_packet_in_at_into(now, INGRESS, packet, buffer_id, in_port, &mut out);
+            .on_packet_in_at_into(now, switch, packet, buffer_id, in_port, &mut out);
         self.push_outputs(out.drain(..));
         self.outputs_scratch = out;
     }
@@ -566,28 +592,46 @@ impl<X> IngressShard<X> {
         self.outputs_scratch = out;
     }
 
-    fn apply<E: Engine<X>>(&mut self, now: SimTime, output: ControllerOutput, engine: &mut E) {
+    /// A controller output reaches the switch it names.
+    fn apply<E: Engine<X, A>>(&mut self, now: SimTime, output: ControllerOutput, engine: &mut E) {
+        let sw = output.switch();
+        let switch = &mut self.switches[sw.0];
         match output {
             ControllerOutput::FlowMod { spec, .. } => {
-                let id = self.switch.flow_mod(now, spec);
-                engine.installed(&self.switch.table, id);
+                let id = switch.flow_mod(now, spec);
+                engine.installed(&switch.table, id);
             }
             ControllerOutput::ReleaseViaTable { buffer_id, .. } => {
                 // Peeked first so a failed release can still be attributed.
-                let tag = self.switch.buffered_packet(buffer_id).map(|p| p.tag);
-                match self.switch.packet_out_via_table(now, buffer_id) {
+                let tag = switch.buffered_packet(buffer_id).map(|p| p.tag);
+                match switch.packet_out_via_table(now, buffer_id) {
                     Some(PacketVerdict::Forward { packet, out_port }) => {
-                        self.release_buffered(now, packet.tag, out_port, engine);
+                        // `None`: a duplicate completion (cannot happen by
+                        // construction).
+                        if let Some(lane) = self.take_lane(packet.tag) {
+                            let request = Released {
+                                idx: lane.pos as usize,
+                                client: lane.client as usize,
+                                service: lane.service as usize,
+                                syn_at: lane.syn_at,
+                                machines_before: u64::from(lane.machines_before),
+                                switch: sw,
+                                packet,
+                                out_port,
+                                hops: 0,
+                            };
+                            engine.released(self, now, request);
+                        }
                     }
                     Some(_) | None => self.lose_buffered(tag),
                 }
             }
             ControllerOutput::DropBuffered { buffer_id, .. } => {
-                let tag = self.switch.discard_buffer(buffer_id).map(|p| p.tag);
+                let tag = switch.discard_buffer(buffer_id).map(|p| p.tag);
                 self.lose_buffered(tag);
             }
             ControllerOutput::FlowDelete { matcher, .. } => {
-                self.switch.table.delete_matching(now, &matcher);
+                switch.table.delete_matching(now, &matcher);
             }
         }
     }
@@ -611,11 +655,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The feed yields the requests a shard serves in exactly the order
-        /// of sorting them all up front by `(switch arrival, trace
-        /// position)`. Instants and latencies are drawn from small ranges,
-        /// so requests share `at` values and clients with different
-        /// latencies share arrival instants.
+        /// The feed yields the requests a shard serves, each with its
+        /// ingress switch, in exactly the order of sorting them all up front
+        /// by `(switch arrival, trace position)`. Instants and latencies are
+        /// drawn from small ranges, so requests share `at` values and
+        /// clients with different latencies share arrival instants.
         #[test]
         fn feed_yields_the_sorted_order(
             latencies in prop::collection::vec(0u64..4, 1..6),
@@ -625,7 +669,8 @@ mod tests {
             draws.sort_by_key(|&(at, ..)| at);
             let access: Vec<SimDuration> =
                 latencies.iter().map(|&l| SimDuration::from_micros(l)).collect();
-            // The feed never reads `service`: it marks the served requests.
+            // The feed never reads `service`: it marks the served requests,
+            // which enter at the switch numbered like their client.
             let requests: Vec<TraceRequest> = draws
                 .iter()
                 .map(|&(at, client, served)| TraceRequest {
@@ -634,25 +679,27 @@ mod tests {
                     client: client % access.len(),
                 })
                 .collect();
-            let served = |r: &TraceRequest| r.service == 1;
+            let ingress = |r: &TraceRequest| (r.service == 1).then_some(SwitchId(r.client));
             let offset = SimDuration::from_micros(offset);
 
-            let mut expected: Vec<(SimTime, u32)> = requests
+            let mut expected: Vec<(SimTime, u32, SwitchId)> = requests
                 .iter()
                 .enumerate()
-                .filter(|&(_, r)| served(r))
-                .map(|(pos, r)| (r.at + offset + access[r.client], pos as u32))
+                .filter_map(|(pos, r)| {
+                    let arrival = r.at + offset + access[r.client];
+                    ingress(r).map(|switch| (arrival, pos as u32, switch))
+                })
                 .collect();
             expected.sort_unstable();
 
             let mut feed = SynFeed::new(offset, &access);
             let mut fed = Vec::new();
-            feed.fill(&requests, &access, served);
+            feed.fill(&requests, &access, ingress);
             while let Some(at) = feed.peek() {
                 let next = feed.pop().unwrap();
                 prop_assert_eq!(next.0, at);
                 fed.push(next);
-                feed.fill(&requests, &access, served);
+                feed.fill(&requests, &access, ingress);
             }
             prop_assert_eq!(fed, expected);
         }

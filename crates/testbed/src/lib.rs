@@ -14,16 +14,16 @@
 //!   switch and pre-warm for a scenario, written once for every engine
 //!   (this crate's [`Testbed`] and both `edgemesh` engines),
 //! * [`ingress`] — the ingress shard core, the one implementation of the
-//!   event loop: client SYNs traverse the OpenFlow switch, table misses reach
-//!   the controller (with control-channel latency), the controller deploys /
-//!   redirects / holds, and forwarded SYNs are handed to the driving engine.
-//!   Driven to a horizon: to completion by [`Testbed`], window by window by
-//!   `edgemesh`'s PDES shards,
+//!   event loop: client SYNs traverse the controller's OpenFlow switches,
+//!   table misses reach the controller (with control-channel latency), the
+//!   controller deploys / redirects / holds, and forwarded SYNs are handed to
+//!   the driving engine. Driven to a horizon: to completion by [`Testbed`]
+//!   and [`fabric`], window by window by `edgemesh`'s PDES shards,
 //! * [`sim`] — [`Testbed`]: the core run to completion, with released
 //!   packets completing as flow-level TCP exchanges measured with timecurl
 //!   semantics,
-//! * [`fabric`] — the multi-switch chain with roaming clients (its own
-//!   topology and loop).
+//! * [`fabric`] — the multi-switch chain with roaming clients: its own
+//!   topology, run on the ingress core.
 
 pub mod bringup;
 pub mod config;

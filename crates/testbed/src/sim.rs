@@ -15,7 +15,8 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use edgectl::ClusterId;
+use edgectl::controller::INGRESS;
+use edgectl::{ClusterId, SwitchId};
 use edgeverify::{CoherenceView, Fabric, FabricSwitch, Link, PacketClass, Verifier, Violation};
 use simcore::{Lit, SimDuration, SimRng, SimTime, TraceSink};
 use simnet::openflow::{FlowId, FlowTable};
@@ -347,7 +348,7 @@ impl Testbed {
         };
         Testbed {
             cfg,
-            shard: IngressShard::new(c3, switch, controller, service_addrs),
+            shard: IngressShard::new(c3, vec![switch], controller, service_addrs),
             model,
             alloc_profile: None,
         }
@@ -407,7 +408,7 @@ impl Testbed {
         let mut audit = AuditState::new();
         // The seed flows are already on the switch: audit the table they
         // produced before any traffic moves.
-        audit.record(audit.verifier.check(&self.shard.switch.table));
+        audit.record(audit.verifier.check(&self.shard.switches[0].table));
         self.model.audit = Some(audit);
         let offset = self.run_trace_inner(trace);
         let report = self.final_audit();
@@ -522,7 +523,7 @@ impl Testbed {
         let now = audit.last_event;
         let IngressShard {
             c3,
-            switch,
+            switches,
             controller,
             service_addrs,
             ..
@@ -542,6 +543,7 @@ impl Testbed {
                 })
             })
             .collect();
+        let switch = &switches[0];
         let fabric = Fabric {
             switches: vec![FabricSwitch {
                 table: &switch.table,
@@ -625,7 +627,7 @@ impl Testbed {
         RunResult {
             deployments: stats.deployments.clone(),
             lost: shard.lost(),
-            switch_stats: shard.switch.stats,
+            switch_stats: shard.switches[0].stats,
             memory_hits: stats.memory_hits,
             cloud_forwards: stats.cloud_forwards,
             held_requests: stats.held_requests,
@@ -650,6 +652,11 @@ impl Testbed {
 }
 
 impl Engine<CrashTick> for FlowModel {
+    /// Every request enters at the testbed's one switch.
+    fn ingress(&self, _: &TraceRequest) -> Option<SwitchId> {
+        Some(INGRESS)
+    }
+
     /// The SYN was forwarded at `release` towards `out_port`; compute the
     /// remainder of the exchange analytically and record timecurl's
     /// `time_total`.

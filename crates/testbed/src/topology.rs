@@ -11,6 +11,8 @@ use simnet::openflow::PortId;
 use simnet::topology::{NodeId, NodeKind, PathTree, Topology};
 use simnet::IpAddr;
 
+use crate::ingress::Access;
+
 /// Switch port toward the cloud/WAN.
 pub const CLOUD_PORT: PortId = PortId(0);
 /// Switch port toward the EGS host for the Docker backend, in the standard
@@ -214,11 +216,6 @@ impl C3Topology {
         self.client_latency[i]
     }
 
-    /// [`C3Topology::client_switch_latency`] of every client, in client order.
-    pub fn client_latencies(&self) -> &[SimDuration] {
-        &self.client_latency
-    }
-
     /// One-way latency switch → site `i`.
     pub fn switch_site_latency(&self, i: usize) -> SimDuration {
         self.switch_tree
@@ -241,6 +238,20 @@ impl C3Topology {
             .chain(self.site_hosts.iter().copied())
             .map(|host| self.net.tree_to(host))
             .collect()
+    }
+}
+
+impl Access for C3Topology {
+    fn client_ip(&self, client: usize) -> IpAddr {
+        self.client_ips[client]
+    }
+
+    fn client_port(&self, client: usize) -> PortId {
+        C3Topology::client_port(self, client)
+    }
+
+    fn client_latencies(&self) -> &[SimDuration] {
+        &self.client_latency
     }
 }
 

@@ -7,7 +7,9 @@
 //! `bench --bin mobility` (seed 3: no roam, roam on two switches, roam on a
 //! three-switch chain). A moved digest means the fabric's event order moved:
 //! which switch saw which packet when, which PacketIn the controller
-//! decided first, or in what order released requests drew server times.
+//! decided first, or in what order released requests drew server times. A
+//! fifth configuration sends every request of the outer switches over the
+//! trunks to the cloud.
 //!
 //! The digests were recorded while the fabric still ran an event loop of its
 //! own, with every SYN pushed into its queue up front; they are the oracle
@@ -102,4 +104,19 @@ fn mobility_roam_three_switch_chain_is_pinned() {
         ..FabricConfig::default()
     };
     assert_eq!(digest(cfg), 0x5d38_4a8b_2a5b_8c52);
+}
+
+/// A probe timeout no deployment can meet: every site deployment fails and
+/// the requests go to the cloud behind switch 0, so the requests of switches
+/// 1 and 2 cross the trunks hop by hop — the transit path the other four
+/// configurations never take.
+#[test]
+fn cloud_fallback_over_the_trunks_is_pinned() {
+    let mut cfg = FabricConfig {
+        switches: 3,
+        seed: 3,
+        ..FabricConfig::default()
+    };
+    cfg.controller.probe_timeout = SimDuration::from_millis(30);
+    assert_eq!(digest(cfg), 0xfc81_6dde_7688_042f);
 }
