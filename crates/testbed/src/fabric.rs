@@ -23,7 +23,7 @@
 //! | 0    | uplink: the cloud (switch 0) or the trunk toward switch s−1 |
 //! | 1    | downlink trunk toward switch s+1 (unused on the last switch) |
 //! | 2    | the local edge site |
-//! | 3+i  | local client i |
+//! | 3+i  | client i of the switch (a roamed client keeps its number) |
 
 use std::cmp::Ordering;
 use std::convert::Infallible;
