@@ -30,7 +30,7 @@ use std::convert::Infallible;
 
 use cluster::{ClusterBackend, DockerCluster};
 use containers::Runtime;
-use edgectl::{Controller, ControllerConfig, NearestWaiting, RoundRobinLocal, SwitchId};
+use edgectl::{Controller, ControllerConfig, SwitchId};
 use simcore::{Percentiles, SimDuration, SimRng, SimTime};
 use simnet::openflow::{Action, FlowMatch, FlowSpec, PortId, Switch};
 use simnet::{IpAddr, SocketAddr, TcpModel};
@@ -251,10 +251,9 @@ fn build(cfg: &FabricConfig) -> (Shard, Chain, Vec<TraceRequest>) {
     let registries = workload::services::standard_registries(false);
     let service_addr = SocketAddr::new(IpAddr::new(93, 184, 0, 1), 80);
 
-    // --- controller with one Docker site per switch ---
+    // --- controller with one Docker site per switch (the builder's
+    // nearest-waiting and round-robin schedulers) ---
     let mut controller = Controller::builder(cfg.controller.clone())
-        .global(NearestWaiting)
-        .local(RoundRobinLocal::default())
         .registries(registries)
         .cloud_port(UPLINK) // cloud behind switch 0's uplink
         .build();
