@@ -9,24 +9,23 @@
 //!
 //! * In the **windowed parallel engine** ([`crate::par`]) shards acquire
 //!   *tentatively* against a canonical snapshot and log every operation;
-//!   at each window boundary the coordinator replays all logged operations
-//!   against the canonical table in the merge order `(time, origin_shard,
-//!   seq)`. That replay is the linearization point of every acquire and
-//!   release — first committed acquirer wins, a tentative holder that lost
-//!   is revoked and aborts its machine. The merge key is a total order on
-//!   operations that is independent of worker-thread schedule, which is
-//!   exactly why the lease outcome (and the mesh trace hash) cannot depend
-//!   on the thread count.
+//!   at each window boundary the coordinator commits all logged operations
+//!   through one `LeaseTable` in the merge order `(time, origin_shard,
+//!   seq)`. That commit is the linearization point of every acquire and
+//!   release — first committed acquirer wins, a tentative holder whose
+//!   acquire the table rejects is revoked and aborts its machine. The merge
+//!   key is a total order on operations that is independent of
+//!   worker-thread schedule, which is exactly why the lease outcome (and the
+//!   mesh trace hash) cannot depend on the thread count.
 //! * In the **interleaved reference engine** ([`crate::reference`]) the
-//!   same total order degenerates to event order: this table is process-
-//!   shared state behind `Rc<RefCell<..>>`, acquisition order is the order
-//!   the single event loop executes PacketIns, and the event queue breaks
-//!   ties deterministically (FIFO at equal instants). Equivalently: every
-//!   event is its own window and every window boundary is empty.
+//!   same total order degenerates to step order: each controller's gate is
+//!   a handle on one table behind `Rc<RefCell<..>>`, and acquisition order
+//!   is the order the shards' PacketIns execute — by instant, then shard,
+//!   then queue order. Equivalently: every step is its own window and every
+//!   window boundary is empty.
 //!
-//! This `LeaseTable` is the reference engine's (and the model proptest's)
-//! concrete table; the parallel engine's window-scoped counterpart lives in
-//! `par` as `WindowGate`.
+//! So the acquire/release rule is written once, here; the parallel
+//! engine's shard-local optimistic view lives in `par` as `WindowGate`.
 //!
 //! Each shard's [`LeaseHandle`] plugs into the controller through
 //! [`edgectl::DeployGate`]: the dispatcher calls `try_acquire` immediately
@@ -75,6 +74,12 @@ impl LeaseTable {
     /// Number of leases currently held.
     pub fn held(&self) -> usize {
         self.state.borrow().held.len()
+    }
+
+    /// Every held lease as `(cluster, service, holder)`, in key order.
+    pub fn holders(&self) -> Vec<(ClusterId, ServiceId, usize)> {
+        let st = self.state.borrow();
+        st.held.iter().map(|(&(c, s), &h)| (c, s, h)).collect()
     }
 
     /// The shard currently holding the lease on `(cluster, service)`.

@@ -33,11 +33,16 @@
 //!   thread; everything cross-shard exchanges at window barriers in one
 //!   canonical merge order, so the mesh trace hash is byte-identical for any
 //!   thread count.
-//! * [`mod@reference`] — the original interleaved single-event-loop engine, kept
-//!   as the executable specification the parallel engine is held equivalent
-//!   to by the model-based lockstep test. It keeps its own event loop — the
-//!   only statement of the cross-shard protocol that is independent of the
-//!   window machinery — and shares only the bring-up (`testbed::bringup`).
+//! * [`mod@reference`] — the interleaved engine, kept as the executable
+//!   specification the parallel engine is held equivalent to by the
+//!   model-based lockstep test. It steps the same ingress cores one instant
+//!   at a time in `(time, shard)` order. Its independence lies in the
+//!   protocol, not the data path: a synchronous lease table, one shared
+//!   backend per site, gossip sent the instant it is drained, and no
+//!   windows, replicas or revocation.
+//!
+//! Both engines send gossip through one fan-out, and a run of either ends
+//! in one assembly of the shards' final states into a [`MeshRunResult`].
 //!
 //! `shards = 1` bypasses both and delegates to the plain
 //! [`testbed::Testbed`], so every pinned single-controller trace stays

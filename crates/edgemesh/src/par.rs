@@ -47,21 +47,25 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use cluster::ClusterBackend;
+use cluster::{ClusterBackend, ServiceTemplate};
 use containers::ImageRef;
 use edgectl::controller::INGRESS;
 use edgectl::{ClusterId, Controller, DeployGate, ServiceId, StatusDelta, SwitchId};
 use edgeverify::{MeshView, Verifier, Violation};
 use simcore::{ShardActor, ShardCrew, SimDuration, SimRng, SimTime};
+use simnet::SocketAddr;
 use testbed::bringup;
 use testbed::ingress::{Engine, IngressShard, Released};
-use testbed::ScenarioConfig;
+use testbed::{C3Topology, ScenarioConfig};
 use workload::{departures, ingress_at, Trace, TraceRequest};
 
+use crate::lease::{LeaseHandle, LeaseTable};
 use crate::result::{MeshRecord, MeshRunResult, ShardSummary};
 use crate::shared::{share, SharedBackend, SharedHandle, SiteCall};
 
-/// Retransmission cap per delta delivery (see `reference::MAX_RETRANSMITS`).
+/// Retransmission cap per delta delivery. With `loss < 1` the chance of
+/// hitting it is astronomically small; it exists so a pre-rolled loss chain
+/// always terminates.
 const MAX_RETRANSMITS: u32 = 64;
 
 /// `--threads` asked for more workers than there are shards. Extra workers
@@ -126,12 +130,13 @@ struct LeaseOp {
     call: LeaseCall,
 }
 
+/// A status delta a shard drained at `time`.
 #[derive(Debug, Clone, Copy)]
-struct DeltaOut {
+pub(crate) struct DeltaOut {
     time: SimTime,
     origin: usize,
     seq: u64,
-    delta: StatusDelta,
+    pub(crate) delta: StatusDelta,
 }
 
 /// What the coordinator hands a shard at a barrier, to apply at the window
@@ -167,7 +172,9 @@ struct WindowReport {
     in_flight: Vec<(ServiceId, ClusterId)>,
 }
 
-struct ShardFinal {
+/// What a shard ends a run with: the input of the end-of-run assembly
+/// ([`assemble`]) both engines share.
+pub(crate) struct ShardFinal {
     summary: ShardSummary,
     records: Vec<MeshRecord>,
     lost: u64,
@@ -296,11 +303,11 @@ impl DeployGate for WindowGate {
 /// sequence counter so the coordinator's `(time, origin, seq)` sort is a
 /// total order that respects intra-shard causality.
 #[derive(Debug, Default)]
-struct Outbox {
+pub(crate) struct Outbox {
     seq: u64,
     lease_ops: Vec<LeaseOp>,
     site_ops: Vec<SiteOp>,
-    deltas: Vec<DeltaOut>,
+    pub(crate) deltas: Vec<DeltaOut>,
 }
 
 impl Outbox {
@@ -334,11 +341,11 @@ struct MeshShard {
     stalls: u64,
 }
 
-/// What the windowed engine makes of the core's events: the shard serves
-/// the requests that enter at its ingress, a released request becomes a
-/// [`MeshRecord`], a delivery is applied to the controller, and every
-/// event's status deltas go to the barrier outbox.
-struct MeshEngine {
+/// What a mesh shard makes of the core's events, in both engines: the shard
+/// serves the requests that enter at its ingress, a released request becomes
+/// a [`MeshRecord`], a delivery is applied to the controller, and every
+/// event's status deltas go to the outbox.
+pub(crate) struct MeshEngine {
     shard: usize,
     shards: usize,
     input: Arc<(ScenarioConfig, Trace)>,
@@ -349,6 +356,32 @@ struct MeshEngine {
 }
 
 impl MeshEngine {
+    pub(crate) fn new(
+        shard: usize,
+        input: &Arc<(ScenarioConfig, Trace)>,
+        outbox: &Rc<RefCell<Outbox>>,
+    ) -> MeshEngine {
+        MeshEngine {
+            shard,
+            shards: input.0.mesh.shards,
+            input: Arc::clone(input),
+            blackhole_victim: None,
+            records: Vec::new(),
+            outbox: Rc::clone(outbox),
+        }
+    }
+
+    /// Schedule the handovers away from this shard's ingress and close the
+    /// core's setup: the trace's t = 0 maps to `offset`.
+    pub(crate) fn start(&self, core: &mut IngressShard<StatusDelta>, offset: SimDuration) {
+        for (old, h) in departures(&self.input.1.handovers, self.shards) {
+            if old == self.shard {
+                core.schedule_handover(h.at + offset, h.client);
+            }
+        }
+        core.start(offset);
+    }
+
     fn drain_deltas(&mut self, controller: &mut Controller, now: SimTime) {
         let deltas = controller.drain_status_deltas();
         if deltas.is_empty() {
@@ -498,8 +531,29 @@ impl ShardActor for MeshShard {
     }
 
     fn finish(self) -> ShardFinal {
-        let now = self.core.horizon();
-        let controller = &self.core.controller;
+        ShardFinal::new(
+            &self.core,
+            self.mesh,
+            &self.handles,
+            self.core.horizon(),
+            self.revocations,
+            self.stalls,
+        )
+    }
+}
+
+impl ShardFinal {
+    /// What `core` and its `engine` end the run with, read at `now`;
+    /// `sites` are the backends the core's controller steers.
+    pub(crate) fn new(
+        core: &IngressShard<StatusDelta>,
+        engine: MeshEngine,
+        sites: &[SharedHandle],
+        now: SimTime,
+        revocations: u64,
+        stalls: u64,
+    ) -> ShardFinal {
+        let controller = &core.controller;
         let in_flight = controller
             .in_flight_deployments(now)
             .into_iter()
@@ -513,7 +567,7 @@ impl ShardActor for MeshShard {
             .collect();
         let mut ready = Vec::new();
         for service in controller.catalog.services() {
-            for (c, handle) in self.handles.iter().enumerate() {
+            for (c, handle) in sites.iter().enumerate() {
                 if handle
                     .borrow()
                     .status(now, &service.template.name)
@@ -524,16 +578,16 @@ impl ShardActor for MeshShard {
             }
         }
         ShardFinal {
-            summary: ShardSummary::of(&controller.stats, self.revocations),
-            lost: self.core.lost(),
-            lost_tags: self.core.lost_idx().iter().map(|&i| u64::from(i)).collect(),
+            summary: ShardSummary::of(&controller.stats, revocations),
+            lost: core.lost(),
+            lost_tags: core.lost_idx().iter().map(|&i| u64::from(i)).collect(),
             handovers: controller.stats.handovers,
             in_flight,
             redirects,
             ready,
-            stalls: self.stalls,
-            events: self.core.events_executed(),
-            records: self.mesh.records,
+            stalls,
+            events: core.events_executed(),
+            records: engine.records,
         }
     }
 }
@@ -563,7 +617,6 @@ pub struct TestHooks {
 /// birth and stay so under the identical prewarm performed here.
 fn build_shard(shard: usize, input: &Arc<(ScenarioConfig, Trace)>, hooks: TestHooks) -> MeshShard {
     let (cfg, trace) = &**input;
-    let n = cfg.mesh.shards;
     let c3 = bringup::topology(cfg);
     let mut backends = bringup::site_backends(cfg, &c3);
     let templates = bringup::service_templates(cfg, trace.service_addrs.len());
@@ -596,51 +649,61 @@ fn build_shard(shard: usize, input: &Arc<(ScenarioConfig, Trace)>, hooks: TestHo
             },
         )) as Box<dyn ClusterBackend>
     });
-    let controller = bringup::controller(
+    let window_gate = gate.as_ref().map(|state| WindowGate {
+        shard,
+        state: Rc::clone(state),
+        outbox: Rc::clone(&outbox),
+    });
+    let mut core = shard_core(
         cfg,
-        &c3,
-        replicas,
+        c3,
         &trace.service_addrs,
         templates,
-        |builder| {
-            let builder = builder.emit_status_deltas();
-            match &gate {
-                Some(state) => builder.deploy_gate(WindowGate {
-                    shard,
-                    state: Rc::clone(state),
-                    outbox: Rc::clone(&outbox),
-                }),
-                None => builder,
-            }
-        },
+        replicas,
+        window_gate,
     );
-    let switch = bringup::seeded_switch(cfg, &c3);
-    let mut core = IngressShard::new(c3, vec![switch], controller, trace.service_addrs.clone());
-
-    let offset = (setup_end - SimTime::ZERO) + SimDuration::from_secs(5);
-    for (old, h) in departures(&trace.handovers, n) {
-        if old == shard {
-            core.schedule_handover(h.at + offset, h.client);
-        }
-    }
-    core.start(offset);
-
+    let mesh = MeshEngine {
+        blackhole_victim: hooks.blackhole_victim,
+        ..MeshEngine::new(shard, input, &outbox)
+    };
+    mesh.start(&mut core, start_offset(setup_end));
     MeshShard {
         core,
         input: Arc::clone(input),
         handles,
         gate,
-        mesh: MeshEngine {
-            shard,
-            shards: n,
-            input: Arc::clone(input),
-            blackhole_victim: hooks.blackhole_victim,
-            records: Vec::new(),
-            outbox,
-        },
+        mesh,
         revocations: 0,
         stalls: 0,
     }
+}
+
+/// Where the trace's t = 0 lies: five seconds after the sites' pre-warm.
+pub(crate) fn start_offset(setup_end: SimTime) -> SimDuration {
+    (setup_end - SimTime::ZERO) + SimDuration::from_secs(5)
+}
+
+/// A mesh shard's core on `c3`: the scenario's controller over `sites` (one
+/// backend view per site, in site order) with `templates` registered, status
+/// deltas on and `gate` deciding its deployment leases, feeding one seeded
+/// ingress switch.
+pub(crate) fn shard_core(
+    cfg: &ScenarioConfig,
+    c3: C3Topology,
+    service_addrs: &[SocketAddr],
+    templates: Vec<ServiceTemplate>,
+    sites: impl IntoIterator<Item = Box<dyn ClusterBackend>>,
+    gate: Option<impl DeployGate + 'static>,
+) -> IngressShard<StatusDelta> {
+    let controller = bringup::controller(cfg, &c3, sites, service_addrs, templates, |builder| {
+        let builder = builder.emit_status_deltas();
+        match gate {
+            Some(gate) => builder.deploy_gate(gate),
+            None => builder,
+        }
+    });
+    let switch = bringup::seeded_switch(cfg, &c3);
+    IngressShard::new(c3, vec![switch], controller, service_addrs.to_vec())
 }
 
 // ---------------------------------------------------------------------------
@@ -708,30 +771,23 @@ pub fn run_windowed_hooked(
     );
     let threads = threads.clamp(1, n);
     let leases = cfg.mesh.leases;
-    let link_latency = cfg.mesh.link_latency;
-    let gossip_interval = cfg.mesh.gossip_interval;
-    let loss = cfg.mesh.loss;
-    let lookahead = if link_latency > SimDuration::ZERO {
-        link_latency
+    let lookahead = if cfg.mesh.link_latency > SimDuration::ZERO {
+        cfg.mesh.link_latency
     } else {
         SimDuration::from_nanos(1)
     };
-    let mut gossip_rng = SimRng::seed_from_u64(cfg.seed).stream("mesh-gossip");
+    let mut gossip = Gossip::new(&cfg);
 
     let input = Arc::new((cfg, trace.clone()));
     let mut crew: ShardCrew<MeshShard> =
         ShardCrew::spawn(n, threads, move |shard| build_shard(shard, &input, hooks));
     let effective_threads = crew.effective_threads();
 
-    // Canonical (coordinator-side) state.
-    let mut canonical: BTreeMap<(ClusterId, ServiceId), usize> = BTreeMap::new();
-    let mut duplicates: BTreeMap<(u32, usize), BTreeSet<usize>> = BTreeMap::new();
-    let mut deltas_sent = 0u64;
-    let mut deltas_lost = 0u64;
-    let mut delta_deliveries = 0u64;
-    let mut staleness_ns_total = 0u128;
-    let mut convergence_ns_total = 0u128;
-    let mut converged_deltas = 0u64;
+    // Canonical (coordinator-side) state: the committed leases, one handle
+    // per shard.
+    let lease_table = LeaseTable::new();
+    let mut lease_handles: Vec<LeaseHandle> = (0..n).map(|s| lease_table.handle(s)).collect();
+    let mut duplicates = SplitBrain::default();
     let mut windows = 0u64;
     let mut horizon = SimTime::ZERO;
 
@@ -777,37 +833,29 @@ pub fn run_windowed_hooked(
             )
         });
 
-        // Lease resolution: replay every logged op against the canonical
-        // table in merged order. First committed acquirer wins; a tentative
-        // holder that lost is revoked.
+        // Lease resolution: commit every logged op through the lease table
+        // in merged order. First committed acquirer wins; a tentative holder
+        // whose acquire the table rejects is revoked.
         let mut inboxes: Vec<Inbox> = (0..n).map(|_| Inbox::default()).collect();
         let mut revoked_keys: BTreeSet<(ClusterId, ServiceId)> = BTreeSet::new();
         let mut revoked_once: BTreeSet<(usize, ClusterId, ServiceId)> = BTreeSet::new();
         for op in &lease_ops {
             let key = (op.cluster, op.service);
+            let handle = &mut lease_handles[op.origin];
             match op.call {
-                LeaseCall::Acquire => match canonical.get(&key).copied() {
-                    None => {
-                        canonical.insert(key, op.origin);
-                    }
-                    Some(holder) if holder == op.origin => {}
-                    Some(_) => {
+                LeaseCall::Acquire => {
+                    if !handle.try_acquire(op.time, op.cluster, op.service) {
                         if revoked_once.insert((op.origin, op.cluster, op.service)) {
                             inboxes[op.origin].revocations.push(key);
                         }
                         revoked_keys.insert(key);
                     }
-                },
-                LeaseCall::Release => {
-                    if canonical.get(&key).copied() == Some(op.origin) {
-                        canonical.remove(&key);
-                    }
                 }
+                LeaseCall::Release => handle.release(op.time, op.cluster, op.service),
             }
         }
         if leases {
-            let snapshot: Vec<(ClusterId, ServiceId, usize)> =
-                canonical.iter().map(|(&(c, s), &h)| (c, s, h)).collect();
+            let snapshot = lease_table.holders();
             for inbox in &mut inboxes {
                 inbox.lease_holders = snapshot.clone();
             }
@@ -822,10 +870,9 @@ pub fn run_windowed_hooked(
             }
         }
 
-        // Gossip fan-out with pre-rolled loss, in merged delta order. A
-        // delivery computed behind the current horizon (a barrier-instant
-        // drain) arrives "now" at the earliest — the clamp that keeps every
-        // injection at or after the receiving shard's horizon.
+        // Gossip fan-out in merged delta order. A delivery computed behind
+        // the current horizon (a barrier-instant drain) arrives "now" at the
+        // earliest.
         let mut next_activity: Option<SimTime> = None;
         fn bump(t: SimTime, next_activity: &mut Option<SimTime>) {
             *next_activity = Some(next_activity.map_or(t, |n: SimTime| n.min(t)));
@@ -836,48 +883,27 @@ pub fn run_windowed_hooked(
             (0..n).collect()
         };
         for d in &deltas {
-            let mut latest = SimTime::ZERO;
-            for &t in &targets {
-                if t == d.origin {
-                    continue;
-                }
-                deltas_sent += 1;
-                let mut at = d.time + link_latency;
-                let mut tries = 0;
-                while tries < MAX_RETRANSMITS && gossip_rng.chance(loss) {
-                    deltas_lost += 1;
-                    at += gossip_interval;
-                    tries += 1;
-                }
-                let at = at.max(horizon);
-                delta_deliveries += 1;
-                staleness_ns_total += at.since(d.delta.origin).as_nanos() as u128;
-                latest = latest.max(at);
-                bump(at, &mut next_activity);
-                inboxes[t].deliveries.push((at, d.delta));
-            }
-            convergence_ns_total += latest.since(d.delta.origin).as_nanos() as u128;
-            converged_deltas += 1;
+            gossip.fan_out(
+                d,
+                targets.iter().copied(),
+                |_| horizon,
+                |t, at| {
+                    bump(at, &mut next_activity);
+                    inboxes[t].deliveries.push((at, d.delta));
+                },
+            );
         }
 
         // Split-brain scan over the window-end in-flight sets, minus the
         // keys this barrier just revoked (the revocation *is* the protocol
         // resolving the race — only a key still contested after resolution
         // is a real duplicate).
-        let mut holders: BTreeMap<(u32, usize), Vec<usize>> = BTreeMap::new();
-        for (s, r) in reports.iter().enumerate() {
-            for &(svc, cluster) in &r.in_flight {
-                if revoked_keys.contains(&(cluster, svc)) {
-                    continue;
-                }
-                holders.entry((svc.0, cluster.0)).or_default().push(s);
-            }
-        }
-        for (key, involved) in holders {
-            if involved.len() >= 2 {
-                duplicates.entry(key).or_default().extend(involved);
-            }
-        }
+        duplicates.scan(reports.iter().enumerate().flat_map(|(s, r)| {
+            r.in_flight
+                .iter()
+                .filter(|&&(svc, cluster)| !revoked_keys.contains(&(cluster, svc)))
+                .map(move |&key| (s, key))
+        }));
 
         // Earliest pending activity across the mesh: queue heads, scheduled
         // deliveries (bumped above), and the barrier instant itself when a
@@ -905,46 +931,164 @@ pub fn run_windowed_hooked(
     }
 
     let finals = crew.finish();
+    let (result, mut violations) = assemble(
+        finals,
+        effective_threads,
+        leases,
+        &gossip,
+        &duplicates,
+        windows,
+    );
+    violations.extend(
+        Verifier::new().check_continuity(&crate::continuity_view_parts(
+            trace,
+            &result.records,
+            &result.lost_tags,
+        )),
+    );
+    (result, violations)
+}
 
-    // Deterministic cross-shard record order: completion time, then shard,
-    // then tag — a pure function of the simulation, never of the workers.
+// ---------------------------------------------------------------------------
+// What both engines share: the gossip link, the split-brain scan and the
+// end-of-run assembly.
+// ---------------------------------------------------------------------------
+
+/// The gossip link between the shards: its loss, pre-rolled from the
+/// `"mesh-gossip"` stream, and the delivery counters.
+pub(crate) struct Gossip {
+    rng: SimRng,
+    link_latency: SimDuration,
+    gossip_interval: SimDuration,
+    loss: f64,
+    sent: u64,
+    lost: u64,
+    deliveries: u64,
+    staleness_ns_total: u128,
+    convergence_ns_total: u128,
+    converged: u64,
+}
+
+impl Gossip {
+    pub(crate) fn new(cfg: &ScenarioConfig) -> Gossip {
+        Gossip {
+            rng: SimRng::seed_from_u64(cfg.seed).stream("mesh-gossip"),
+            link_latency: cfg.mesh.link_latency,
+            gossip_interval: cfg.mesh.gossip_interval,
+            loss: cfg.mesh.loss,
+            sent: 0,
+            lost: 0,
+            deliveries: 0,
+            staleness_ns_total: 0,
+            convergence_ns_total: 0,
+            converged: 0,
+        }
+    }
+
+    /// Send `d` to every shard of `targets` but its origin, in `targets`
+    /// order. Losses are pre-rolled at send time: `deliver(shard, at)` gets
+    /// each delivery at the instant its last retransmission lands, never
+    /// before `horizon(shard)` (the receiver's executed past), so a run is a
+    /// pure function of the seed regardless of loss. Deliveries, staleness
+    /// and convergence are counted here, when the delta is sent.
+    pub(crate) fn fan_out(
+        &mut self,
+        d: &DeltaOut,
+        targets: impl IntoIterator<Item = usize>,
+        horizon: impl Fn(usize) -> SimTime,
+        mut deliver: impl FnMut(usize, SimTime),
+    ) {
+        let mut latest = SimTime::ZERO;
+        for t in targets {
+            if t == d.origin {
+                continue;
+            }
+            self.sent += 1;
+            let mut at = d.time + self.link_latency;
+            let mut tries = 0;
+            while tries < MAX_RETRANSMITS && self.rng.chance(self.loss) {
+                self.lost += 1;
+                at += self.gossip_interval;
+                tries += 1;
+            }
+            let at = at.max(horizon(t));
+            self.deliveries += 1;
+            self.staleness_ns_total += at.since(d.delta.origin).as_nanos() as u128;
+            latest = latest.max(at);
+            deliver(t, at);
+        }
+        self.convergence_ns_total += latest.since(d.delta.origin).as_nanos() as u128;
+        self.converged += 1;
+    }
+}
+
+/// The `(service, cluster)` pairs seen deploying on two or more shards at
+/// once — the split-brain duplicate the lease protocol prevents — with the
+/// shards involved.
+#[derive(Debug, Default)]
+pub(crate) struct SplitBrain(BTreeMap<(u32, usize), BTreeSet<usize>>);
+
+impl SplitBrain {
+    /// Record every pair the `(shard, (service, cluster))` items of
+    /// `in_flight` show on two or more shards.
+    pub(crate) fn scan(
+        &mut self,
+        in_flight: impl IntoIterator<Item = (usize, (ServiceId, ClusterId))>,
+    ) {
+        let mut holders: BTreeMap<(u32, usize), Vec<usize>> = BTreeMap::new();
+        for (s, (svc, cluster)) in in_flight {
+            holders.entry((svc.0, cluster.0)).or_default().push(s);
+        }
+        for (key, involved) in holders {
+            if involved.len() >= 2 {
+                self.0.entry(key).or_default().extend(involved);
+            }
+        }
+    }
+}
+
+/// The end of a run: records in `(released, shard, tag)` order — a pure
+/// function of the simulation, never of the workers — the sorted loss
+/// ledger, the summed counters and the mesh-coherence audit.
+pub(crate) fn assemble(
+    finals: Vec<ShardFinal>,
+    threads: usize,
+    leases: bool,
+    gossip: &Gossip,
+    duplicates: &SplitBrain,
+    windows: u64,
+) -> (MeshRunResult, Vec<Violation>) {
+    let violations = audit(&finals, duplicates);
     let mut records: Vec<MeshRecord> = finals
         .iter()
         .flat_map(|f| f.records.iter().copied())
         .collect();
     records.sort_by_key(|r| (r.released, r.shard, r.tag));
-
     let mut lost_tags: Vec<u64> = finals
         .iter()
         .flat_map(|f| f.lost_tags.iter().copied())
         .collect();
     lost_tags.sort_unstable();
 
-    let mut violations = audit(&finals, &duplicates);
-    violations.extend(
-        Verifier::new()
-            .check_continuity(&crate::continuity_view_parts(trace, &records, &lost_tags)),
-    );
-
     let shard_stats: Vec<ShardSummary> = finals.iter().map(|f| f.summary.clone()).collect();
     let total = |f: fn(&ShardSummary) -> u64| shard_stats.iter().map(f).sum::<u64>();
     let result = MeshRunResult {
-        shards: n,
-        threads: effective_threads,
+        shards: finals.len(),
+        threads,
         leases,
         completed: records.len() as u64,
         lost: finals.iter().map(|f| f.lost).sum(),
         deployments: total(|s| s.deployments),
-        duplicate_deployments: duplicates.len() as u64,
+        duplicate_deployments: duplicates.0.len() as u64,
         duplicate_deployments_avoided: total(|s| s.lease_rejections)
             + total(|s| s.lease_revocations),
         lease_revocations: total(|s| s.lease_revocations),
-        deltas_sent,
-        deltas_lost,
-        delta_deliveries,
-        staleness_ns_total,
-        convergence_ns_total,
-        converged_deltas,
+        deltas_sent: gossip.sent,
+        deltas_lost: gossip.lost,
+        delta_deliveries: gossip.deliveries,
+        staleness_ns_total: gossip.staleness_ns_total,
+        convergence_ns_total: gossip.convergence_ns_total,
+        converged_deltas: gossip.converged,
         scale_downs: total(|s| s.scale_downs),
         removes: total(|s| s.removes),
         retargets: total(|s| s.retargets),
@@ -961,12 +1105,11 @@ pub fn run_windowed_hooked(
 }
 
 /// The mesh-coherence audit over the final shard states: `edgeverify`'s
-/// static checks (using shard 0's replica-derived ready set — replicas
-/// converge at barriers) plus the split-brain duplicates observed live.
-fn audit(
-    finals: &[ShardFinal],
-    duplicates: &BTreeMap<(u32, usize), BTreeSet<usize>>,
-) -> Vec<Violation> {
+/// static checks (using shard 0's ready set — the reference's sites are
+/// shared, the windowed engine's replicas converge at barriers) plus the
+/// split-brain duplicates observed live (the final snapshot alone would
+/// miss them — machines drain).
+fn audit(finals: &[ShardFinal], duplicates: &SplitBrain) -> Vec<Violation> {
     let verifier = Verifier::new();
     let view = MeshView {
         in_flight: finals.iter().map(|f| f.in_flight.to_vec()).collect(),
@@ -977,7 +1120,7 @@ fn audit(
             .unwrap_or_default(),
     };
     let mut out = verifier.check_mesh(&view);
-    for (&(service, cluster), involved) in duplicates {
+    for (&(service, cluster), involved) in &duplicates.0 {
         let v = Violation::SplitBrainDeployment {
             service,
             cluster,

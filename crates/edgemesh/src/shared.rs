@@ -8,9 +8,10 @@
 //! * The **interleaved reference engine** ([`crate::reference`]) keeps each
 //!   site's backend once, behind a [`SharedHandle`], and every shard
 //!   attaches a [`SharedBackend`] wrapper that delegates through it. Calls
-//!   are serialized by the shared event loop, so interleavings are exactly
-//!   the deterministic event order — which is what makes the un-leased
-//!   duplicate-deployment race observable instead of a data race.
+//!   are serialized by the driver's `(time, shard)` step order, so
+//!   interleavings are exactly that deterministic order — which is what
+//!   makes the un-leased duplicate-deployment race observable instead of a
+//!   data race.
 //! * The **windowed parallel engine** ([`crate::par`]) cannot share a
 //!   `Rc<RefCell<..>>` across worker threads, so every shard owns an
 //!   identical *replica* of every site (same seed, same RNG streams) and

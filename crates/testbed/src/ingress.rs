@@ -5,13 +5,13 @@
 //! PacketIn → Dispatcher decision → FlowMod + release — and this module is
 //! its one implementation. Per request, only the **first packet** (the TCP
 //! SYN) travels through the OpenFlow machinery — matching reality, where
-//! subsequent packets hit the installed flow in the data plane. An
-//! [`IngressShard`] is driven to a horizon ([`IngressShard::run_until`]):
-//! once, to completion, by the single-controller [`crate::Testbed`] and by
-//! [`crate::fabric`]'s switch chain; window by window by each shard of
-//! `edgemesh`'s PDES engine. A PacketIn names the switch that missed and
-//! every controller output lands on the switch it names; the testbed and the
-//! mesh are the one-switch case. What differs between the engines is an
+//! subsequent packets hit the installed flow in the data plane. Four drivers
+//! run an [`IngressShard`] to a horizon ([`IngressShard::run_until`]): the
+//! [`crate::Testbed`] and [`crate::fabric`] once, to completion; each shard
+//! of `edgemesh`'s PDES engine window by window, and of its reference engine
+//! instant by instant. A PacketIn names the switch that missed and every
+//! controller output lands on the switch it names; the testbed and the mesh
+//! are the one-switch case. What differs between the engines is an
 //! [`Engine`]: which switch a trace request enters at (if at this shard),
 //! what a released request becomes — served, or handed over a trunk
 //! ([`IngressShard::forward`]) — and the events only that engine has.
@@ -47,7 +47,7 @@ use workload::TraceRequest;
 use crate::topology::C3Topology;
 
 /// Latency of the SDN control channel (switch ↔ controller, both on the EGS).
-pub const CTRL_LATENCY: SimDuration = SimDuration::from_micros(150);
+const CTRL_LATENCY: SimDuration = SimDuration::from_micros(150);
 
 /// Events of one ingress shard. Client SYN arrivals are *not* queued: they
 /// are fed lazily from the trace ([`SynFeed`]), so the future-event list
