@@ -517,6 +517,7 @@ impl ShardActor for MeshShard {
         let executed = self
             .core
             .run_until(cmd.end, &self.input.1.requests, &mut self.mesh);
+        self.core.close_window(cmd.end);
         if cmd.end > at && executed == 0 {
             self.stalls += 1;
         }
@@ -1131,4 +1132,114 @@ fn audit(finals: &[ShardFinal], duplicates: &SplitBrain) -> Vec<Violation> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use edgectl::DeltaKind;
+
+    const LATENCY: SimDuration = SimDuration::from_micros(500);
+    const INTERVAL: SimDuration = SimDuration::from_millis(50);
+    const SENT_AT: SimTime = SimTime::from_nanos(2_000_000_000);
+    const OBSERVED_AT: SimTime = SimTime::from_nanos(1_500_000_000);
+
+    fn gossip(seed: u64, loss: f64) -> Gossip {
+        let mut cfg = ScenarioConfig {
+            seed,
+            ..ScenarioConfig::default()
+        };
+        cfg.mesh.link_latency = LATENCY;
+        cfg.mesh.gossip_interval = INTERVAL;
+        cfg.mesh.loss = loss;
+        Gossip::new(&cfg)
+    }
+
+    /// A delta drained at 2 s on shard 1 that its controller observed at
+    /// 1.5 s.
+    fn delta() -> DeltaOut {
+        DeltaOut {
+            time: SENT_AT,
+            origin: 1,
+            seq: 0,
+            delta: StatusDelta {
+                origin: OBSERVED_AT,
+                cluster: ClusterId(0),
+                service: ServiceId(7),
+                kind: DeltaKind::Ready,
+            },
+        }
+    }
+
+    fn send_all(g: &mut Gossip, horizon: impl Fn(usize) -> SimTime) -> Vec<(usize, SimTime)> {
+        let mut out = Vec::new();
+        g.fan_out(&delta(), 0..4, horizon, |r, at| out.push((r, at)));
+        out
+    }
+
+    #[test]
+    fn lossless_delivery_lands_one_link_latency_later() {
+        let mut g = gossip(9, 0.0);
+        let at = SENT_AT + LATENCY;
+        assert_eq!(
+            send_all(&mut g, |_| SimTime::ZERO),
+            vec![(0, at), (2, at), (3, at)]
+        );
+        let stale = u128::from(at.since(OBSERVED_AT).as_nanos());
+        assert_eq!((g.sent, g.lost, g.deliveries), (3, 0, 3));
+        assert_eq!(g.staleness_ns_total, 3 * stale);
+        assert_eq!((g.convergence_ns_total, g.converged), (stale, 1));
+    }
+
+    #[test]
+    fn each_lost_try_adds_one_gossip_interval() {
+        let seed = 21;
+        let mut g = gossip(seed, 0.5);
+        let got = send_all(&mut g, |_| SimTime::ZERO);
+        // The same rolls by hand: every receiver retries until a try gets
+        // through.
+        let mut rng = SimRng::seed_from_u64(seed).stream("mesh-gossip");
+        let mut lost = 0;
+        let mut want = Vec::new();
+        for r in [0, 2, 3] {
+            let mut at = SENT_AT + LATENCY;
+            while rng.f64() < 0.5 {
+                lost += 1;
+                at += INTERVAL;
+            }
+            want.push((r, at));
+        }
+        assert!(lost > 0, "seed {seed} loses no try; pick another");
+        assert_eq!(got, want);
+        assert_eq!((g.sent, g.lost, g.deliveries), (3, lost, 3));
+        let latest = want.iter().map(|&(_, at)| at).max().expect("three sends");
+        let convergence = u128::from(latest.since(OBSERVED_AT).as_nanos());
+        assert_eq!(g.convergence_ns_total, convergence);
+    }
+
+    #[test]
+    fn retransmission_stops_at_the_cap() {
+        let mut g = gossip(5, 1.0);
+        let at = SENT_AT
+            + LATENCY
+            + SimDuration::from_nanos(INTERVAL.as_nanos() * u64::from(MAX_RETRANSMITS));
+        assert_eq!(
+            send_all(&mut g, |_| SimTime::ZERO),
+            vec![(0, at), (2, at), (3, at)]
+        );
+        assert_eq!(g.lost, 3 * u64::from(MAX_RETRANSMITS));
+        assert_eq!(g.deliveries, 3);
+    }
+
+    #[test]
+    fn a_delivery_never_lands_behind_its_receivers_horizon() {
+        let mut g = gossip(9, 0.0);
+        let at = SENT_AT + LATENCY;
+        let late = SENT_AT + SimDuration::from_secs(1);
+        let horizon = |r| if r == 2 { late } else { at };
+        assert_eq!(send_all(&mut g, horizon), vec![(0, at), (2, late), (3, at)]);
+        let since = |t: SimTime| u128::from(t.since(OBSERVED_AT).as_nanos());
+        assert_eq!(g.staleness_ns_total, 2 * since(at) + since(late));
+        assert_eq!(g.convergence_ns_total, since(late));
+    }
 }

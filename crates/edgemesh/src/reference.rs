@@ -14,8 +14,10 @@
 //!
 //! * **no windows**: gossip goes out the instant a step drains it, through
 //!   the same `Gossip` link as the windowed engine (losses pre-rolled at
-//!   send time from the `"mesh-gossip"` stream, each delivery no earlier
-//!   than its receiver's horizon), so a lossy mesh replays byte-identically;
+//!   send time from the `"mesh-gossip"` stream), so a lossy mesh replays
+//!   byte-identically. No core closes a window, so every horizon stays at
+//!   zero and an output stamped in the past applies at its stamp, as in the
+//!   testbed;
 //! * **no replicas and no replay**: each site's backend exists once, behind
 //!   a [`SharedHandle`], pre-warmed once, and every shard steers it through
 //!   a plain [`SharedBackend`] view — the un-leased duplicate-deployment race
@@ -146,12 +148,11 @@ impl MeshSim {
             now = t;
             cores[s].run_until(t + SimDuration::from_nanos(1), requests, &mut engines[s]);
             let deltas = std::mem::take(&mut outbox.borrow_mut().deltas);
-            let horizons: Vec<SimTime> = cores.iter().map(IngressShard::horizon).collect();
             for d in &deltas {
                 gossip.fan_out(
                     d,
                     0..cores.len(),
-                    |r| horizons[r],
+                    |_| SimTime::ZERO,
                     |r, at| cores[r].schedule(at, d.delta),
                 );
             }

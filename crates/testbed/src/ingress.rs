@@ -6,7 +6,7 @@
 //! its one implementation. Per request, only the **first packet** (the TCP
 //! SYN) travels through the OpenFlow machinery — matching reality, where
 //! subsequent packets hit the installed flow in the data plane. Four drivers
-//! run an [`IngressShard`] to a horizon ([`IngressShard::run_until`]): the
+//! run an [`IngressShard`] up to an instant ([`IngressShard::run_until`]): the
 //! [`crate::Testbed`] and [`crate::fabric`] once, to completion; each shard
 //! of `edgemesh`'s PDES engine window by window, and of its reference engine
 //! instant by instant. A PacketIn names the switch that missed and every
@@ -294,12 +294,8 @@ impl<X, A: Access> IngressShard<X, A> {
     /// the mobility model's boundary rule (a request at the handover instant
     /// already belongs to the new ingress).
     pub fn schedule_handover(&mut self, at: SimTime, client: usize) {
-        self.push(
-            at,
-            Ev::Handover {
-                client: client as u32,
-            },
-        );
+        let client = client as u32;
+        self.push(at, Ev::Handover { client });
     }
 
     /// Hand a released request over a trunk: its packet reaches `switch`'s
@@ -339,7 +335,7 @@ impl<X, A: Access> IngressShard<X, A> {
     /// An output stamped before the horizon applies at the horizon: a lease
     /// revocation's abort fallout re-stamps waiters with their original
     /// decision times, which lie in a windowed clock's executed past. A run
-    /// to completion never leaves horizon zero.
+    /// that closes no window keeps horizon zero: there the stamp holds.
     pub fn push_outputs(&mut self, outputs: impl IntoIterator<Item = ControllerOutput>) {
         for output in outputs {
             let at = (output.at() + CTRL_LATENCY).max(self.horizon);
@@ -388,6 +384,11 @@ impl<X, A: Access> IngressShard<X, A> {
         self.horizon
     }
 
+    /// Close a window: nothing may be scheduled before `end` from now on.
+    pub fn close_window(&mut self, end: SimTime) {
+        self.horizon = end;
+    }
+
     /// Events executed so far; a lazily fed SYN counts like a queued one.
     pub fn events_executed(&self) -> u64 {
         self.executed
@@ -415,9 +416,9 @@ impl<X, A: Access> IngressShard<X, A> {
     }
 
     /// Execute every event strictly before `end` (`SimTime::FAR_FUTURE`: to
-    /// completion; `end == horizon`: an empty probe), then advance the horizon
-    /// to `end`. `requests` is the time-sorted trace, the same on every call.
-    /// Returns the number of events executed.
+    /// completion; `end == horizon`: an empty probe); only the windowed
+    /// engine moves the horizon, by closing windows. `requests` is the
+    /// time-sorted trace, the same on every call. Returns the events executed.
     pub fn run_until<E: Engine<X, A>>(
         &mut self,
         end: SimTime,
@@ -487,7 +488,6 @@ impl<X, A: Access> IngressShard<X, A> {
             };
             self.after_event(now, engine);
         }
-        self.horizon = end;
         self.executed - before
     }
 
