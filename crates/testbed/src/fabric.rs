@@ -99,6 +99,9 @@ pub struct FabricResult {
     /// Median time_total before / after the roam instant (ms; NaN if empty).
     pub median_before_ms: f64,
     pub median_after_ms: f64,
+    /// Events the run executed, as [`crate::RunResult::events_scheduled`]
+    /// counts them (engine diagnostic).
+    pub events_scheduled: u64,
 }
 
 /// How the fabric's clients reach the switches: client `c` has the C³
@@ -238,6 +241,7 @@ pub fn run_mobility(cfg: FabricConfig) -> FabricResult {
         deployments_per_site: per_site,
         median_before_ms: before.median(),
         median_after_ms: after.median(),
+        events_scheduled: shard.events_executed(),
         records: chain.records,
     }
 }
