@@ -46,7 +46,9 @@ pub fn shard_row(requests: usize, r: &MeshRunResult, wall_s: f64) -> Row {
 }
 
 /// A `threads_sweep` row at `r.shards` shards; `speedup` is the threads=1
-/// wall-clock over this run's.
+/// wall-clock over this run's. `events_per_sec` is `events` over wall-clock,
+/// and `events` counts the duplicate wakeup copies the ingress core counts
+/// without running them, so it is a throughput figure, not a work rate.
 pub fn sweep_row(threads: usize, r: &MeshRunResult, wall_s: f64, speedup: f64) -> Row {
     row![LAYOUT.row("threads_sweep");
         shards: r.shards, threads: threads, events: r.events, windows: r.windows,

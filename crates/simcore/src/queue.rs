@@ -30,6 +30,14 @@
 //! (`None` once fired or cancelled), so sifting and linking never move an
 //! event.
 //!
+//! Two accessors edit a queued payload where it stands, so an event that
+//! stands for several can be split or grown without moving in the order:
+//! [`EventQueue::peek_mut`] reaches the head, which keeps its seq, and
+//! [`EventQueue::last_push_mut`] the most recent push while it is still
+//! queued at a given instant, which a push at that instant would follow
+//! with no seq in between. The ingress core stores a chain of duplicate
+//! controller wakeups as one entry with a copy count through these two.
+//!
 //! Cancellation marks the slot dead and bumps its generation: [`EventId`]s are
 //! generation-tagged, so a stale id (already fired or already cancelled) is a
 //! no-op returning `false` even after the slot has been reused. A dead slot
@@ -39,7 +47,9 @@
 //!
 //! A model-based proptest (`tests/proptest_queue.rs`) holds the queue to a
 //! binary-heap + tombstone oracle over thousands of push / cancel / pop / peek
-//! interleavings, including same-instant bursts and cancels inside runs.
+//! interleavings, including same-instant bursts and cancels inside runs, and
+//! holds entries grown and split through the two accessors to the oracle
+//! with every copy pushed on its own.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -227,6 +237,29 @@ impl<E> EventQueue<E> {
         })
     }
 
+    /// The earliest live event's time and payload, the payload to edit in
+    /// place: the event keeps its `(time, seq)` place in line. O(1).
+    pub fn peek_mut(&mut self) -> Option<(SimTime, &mut E)> {
+        let run = &self.runs[self.top_run()? as usize];
+        Some((run.time, self.events[run.head as usize].as_mut()?))
+    }
+
+    /// The payload of the most recent push, if it is still queued (neither
+    /// popped nor cancelled) and due at `time`. O(1).
+    ///
+    /// A push at `time` now would take the next seq, so no event can pop
+    /// between that push and this one: a caller may fold the new event into
+    /// this payload instead of pushing it, and the pop order is exact.
+    pub fn last_push_mut(&mut self, time: SimTime) -> Option<&mut E> {
+        // The most recent push is the tail of the newest open run; that run
+        // leaves `last_run` only by emptying, which pops its tail.
+        let run = self
+            .runs
+            .get(self.last_run as usize)
+            .filter(|run| run.time == time)?;
+        self.events[run.tail as usize].as_mut()
+    }
+
     /// Pre-size the payload lane for `additional` more live events, avoiding
     /// its incremental growth on the hot path.
     pub fn reserve(&mut self, additional: usize) {
@@ -370,6 +403,41 @@ mod tests {
         assert_eq!(q.pop(), Some((t(5), "b2")));
         assert_eq!(q.pop(), Some((t(7), "x")));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn last_push_mut_names_only_the_most_recent_push_while_queued() {
+        let mut q = EventQueue::new();
+        q.push(t(5), 1);
+        assert_eq!(q.last_push_mut(t(5)), Some(&mut 1));
+        assert_eq!(q.last_push_mut(t(6)), None, "due at another instant");
+        q.push(t(7), 2);
+        assert_eq!(q.last_push_mut(t(5)), None, "no longer the most recent");
+        *q.last_push_mut(t(7)).unwrap() += 10;
+        let id = q.push(t(5), 3);
+        q.cancel(id);
+        assert_eq!(q.last_push_mut(t(5)), None, "cancelled");
+        q.push(t(9), 4);
+        assert_eq!(q.pop(), Some((t(5), 1)));
+        assert_eq!(q.pop(), Some((t(7), 12)));
+        assert_eq!(q.pop(), Some((t(9), 4)));
+        assert_eq!(q.last_push_mut(t(9)), None, "popped");
+    }
+
+    #[test]
+    fn peek_mut_edits_the_head_in_place() {
+        let mut q = EventQueue::new();
+        q.push(t(5), 1);
+        q.push(t(5), 2);
+        let (time, head) = q.peek_mut().unwrap();
+        assert_eq!(time, t(5));
+        *head = 10;
+        q.push(t(5), 3);
+        assert_eq!(q.peek_time_seq(), Some((t(5), 0)));
+        assert_eq!(q.pop(), Some((t(5), 10)));
+        assert_eq!(q.pop(), Some((t(5), 2)));
+        assert_eq!(q.pop(), Some((t(5), 3)));
+        assert_eq!(q.peek_mut(), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! runs and cancel-after-fire on stale ids.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 use proptest::prelude::*;
 use simcore::{EventId, EventQueue, SimTime};
@@ -320,8 +320,154 @@ fn run_lockstep(ops: Vec<Op>) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Ops on a queue whose entries carry a copy count.
+#[derive(Debug, Clone)]
+enum CopyOp {
+    /// Push `value` at `time_ns`, or add one copy to the most recent push
+    /// when that is still queued at `time_ns` with the same value.
+    Push { time_ns: u64, value: u32 },
+    /// Take one copy: decrement the head in place while it holds several.
+    PopOne,
+    /// Pop the head entry with all its copies.
+    PopWhole,
+    /// Cancel the n-th live entry (modulo live count) with all its copies.
+    Cancel(usize),
+}
+
+/// A few instants and values, so pushes keep landing behind an equal one.
+fn copy_op_strategy() -> impl Strategy<Value = CopyOp> {
+    prop_oneof![
+        6 => ((0u64..6).prop_map(|t| t * 1_000), 0u32..2)
+            .prop_map(|(time_ns, value)| CopyOp::Push { time_ns, value }),
+        3 => Just(CopyOp::PopOne),
+        1 => Just(CopyOp::PopWhole),
+        1 => (0usize..16).prop_map(CopyOp::Cancel),
+    ]
+}
+
+/// One live entry of the copy-counting queue and the oracle ids of its
+/// copies, earliest first.
+struct Copies {
+    id: EventId,
+    oracle: VecDeque<HeapEventId>,
+}
+
+/// Retire the copy the oracle popped from its entry; true if the entry went
+/// with it.
+fn retire(live: &mut Vec<Copies>, popped: HeapEventId) -> bool {
+    let i = live
+        .iter()
+        .position(|e| e.oracle.front() == Some(&popped))
+        .expect("the oracle pops an entry's earliest copy");
+    live[i].oracle.pop_front();
+    let emptied = live[i].oracle.is_empty();
+    if emptied {
+        live.remove(i);
+    }
+    emptied
+}
+
+/// Drive a queue of `(value, copies)` entries — grown through
+/// `last_push_mut`, split through `peek_mut` — against the oracle holding
+/// every copy as a push of its own: the oracle must pop exactly the copies
+/// the queue hands out, in the same order.
+fn run_copy_lockstep(ops: Vec<CopyOp>) -> Result<(), TestCaseError> {
+    let mut queue: EventQueue<(u32, u32)> = EventQueue::new();
+    let mut heap = HeapEventQueue::new();
+    let mut live: Vec<Copies> = Vec::new();
+    let mut newest: Option<EventId> = None;
+    for op in ops {
+        match op {
+            CopyOp::Push { time_ns, value } => {
+                let time = SimTime::from_nanos(time_ns);
+                let copy = heap.push(time, value);
+                match queue.last_push_mut(time) {
+                    Some((v, copies)) if *v == value => {
+                        *copies += 1;
+                        let entry = live
+                            .iter_mut()
+                            .find(|e| Some(e.id) == newest)
+                            .expect("only the most recent push, still queued, can grow");
+                        entry.oracle.push_back(copy);
+                    }
+                    _ => {
+                        let id = queue.push(time, (value, 1));
+                        newest = Some(id);
+                        live.push(Copies {
+                            id,
+                            oracle: [copy].into(),
+                        });
+                    }
+                }
+            }
+            CopyOp::PopOne => {
+                let (got, whole) = match queue.peek_mut() {
+                    Some((t, (v, copies))) if *copies > 1 => {
+                        *copies -= 1;
+                        (Some((t, *v)), false)
+                    }
+                    _ => (queue.pop().map(|(t, (v, _))| (t, v)), true),
+                };
+                let seq = heap.peek_time_seq().map(|(_, seq)| HeapEventId(seq));
+                prop_assert_eq!(got, heap.pop(), "one copy pops like one push");
+                if let Some(seq) = seq {
+                    prop_assert_eq!(retire(&mut live, seq), whole);
+                }
+            }
+            CopyOp::PopWhole => {
+                if let Some((t, (v, copies))) = queue.pop() {
+                    for k in 1..=copies {
+                        let seq = heap.peek_time_seq().map(|(_, seq)| HeapEventId(seq));
+                        prop_assert_eq!(Some((t, v)), heap.pop(), "every copy, in a row");
+                        let emptied = retire(&mut live, seq.unwrap());
+                        prop_assert_eq!(emptied, k == copies, "the entry held its copies");
+                    }
+                } else {
+                    prop_assert_eq!(heap.pop(), None);
+                }
+            }
+            CopyOp::Cancel(n) => {
+                if !live.is_empty() {
+                    let entry = live.remove(n % live.len());
+                    prop_assert!(queue.cancel(entry.id));
+                    for copy in entry.oracle {
+                        prop_assert!(heap.cancel(copy));
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(queue.peek_time(), heap.peek_time());
+        prop_assert_eq!(queue.len(), live.len());
+        prop_assert_eq!(
+            heap.len(),
+            live.iter().map(|e| e.oracle.len()).sum::<usize>()
+        );
+    }
+    loop {
+        let q = queue.pop();
+        let Some((t, (v, copies))) = q else {
+            prop_assert_eq!(heap.pop(), None);
+            break;
+        };
+        for _ in 0..copies {
+            prop_assert_eq!(Some((t, v)), heap.pop(), "drain must agree");
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Growing the most recent push by one copy pops exactly like pushing
+    /// the copy with the next seq, and taking one copy off the head in place
+    /// keeps the rest at the head's place in line.
+    #[test]
+    fn copy_counts_match_expanded_reference(
+        ops in prop::collection::vec(copy_op_strategy(), 0..200)
+    ) {
+        run_copy_lockstep(ops)?;
+    }
 
     /// The queue and the heap oracle, driven in lockstep.
     #[test]

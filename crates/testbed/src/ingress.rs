@@ -33,7 +33,10 @@
 //! one, [`IngressShard::next_time`] covers the next arrival, and every
 //! executed event — PacketIns queued at one instant included, which run in
 //! push order, one loop iteration each (`tests/same_instant.rs`) — is
-//! followed by its own wakeup re-arm (DESIGN.md §5i).
+//! followed by its own wakeup re-arm. The one exception is exact too: the
+//! duplicate wakeups of a re-arm chain are queued as one entry with a copy
+//! count ([`IngressShard::arm_wakeup`]), and the copies that find nothing
+//! due are counted, each with its re-arm, instead of run (DESIGN.md §5i).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -61,8 +64,10 @@ enum Ev<X> {
     Transit(Released),
     /// The controller asked to be woken: deployment machine steps, retarget
     /// drains, FlowMemory housekeeping and predictor runs all ride on this
-    /// one event (the controller's `next_wakeup`/`on_wakeup` surface).
-    Wakeup,
+    /// one event (the controller's `next_wakeup`/`on_wakeup` surface). The
+    /// count is how many wakeups the entry stands for: copies due back to
+    /// back at one instant ([`IngressShard::arm_wakeup`]).
+    Wakeup(u64),
     /// A mobile client hands over away from this ingress: tear down its
     /// flows so the next request re-runs the Dispatcher.
     Handover { client: u32 },
@@ -121,6 +126,12 @@ pub trait Engine<X, A = C3Topology> {
     fn installed(&mut self, _table: &FlowTable, _id: FlowId) {}
 
     /// Runs after every executed event, before the wakeup re-arm.
+    ///
+    /// It must be idempotent at one instant when nothing ran in between: the
+    /// core calls it once for a wakeup entry whose copies it counts without
+    /// running, where running them would have called it once per copy, back
+    /// to back ([`IngressShard::run_until`]). The mesh's delta drain and the
+    /// testbed's audit stamp both are.
     fn after_event(&mut self, _shard: &mut IngressShard<X, A>, _now: SimTime) {}
 }
 
@@ -348,17 +359,37 @@ impl<X, A: Access> IngressShard<X, A> {
     /// armed one. This does **not** keep a single event in flight. The
     /// superseded event stays queued; when it fires it clears `wakeup_armed`
     /// and the next call here arms again, so from then on two events fire at
-    /// every due instant — a chain that never ends while a FlowMemory expiry
-    /// lies ahead. Each extra firing is a no-op `on_wakeup` plus this re-arm,
-    /// both O(1) in the controller's state (DESIGN.md §5i), and the mesh
-    /// trace hashes the event count, so the chains are kept as they are here;
-    /// cancelling them is ROADMAP item 2(a).
+    /// every due instant, and one more after each undercut — a chain that
+    /// never ends while a FlowMemory expiry lies ahead. The mesh trace
+    /// hashes the executed-event count, so every copy still counts as an
+    /// event; cancelling the superseded event is ROADMAP item 4(a), which
+    /// waits on the hash leaving the count (item 2).
+    ///
+    /// Until then the chain is stored run-length encoded. A wakeup armed
+    /// right behind a queued runtime wakeup at the same instant — the
+    /// queue's most recent push, so nothing can pop between the two — adds
+    /// one copy to it instead of a queue entry. A setup-time wakeup (seq
+    /// below `runtime_seq_floor`) is never grown: a SYN fed at its instant
+    /// runs between it and any runtime push.
     pub fn arm_wakeup(&mut self, now: SimTime) {
+        self.arm_wakeups(now, 1);
+    }
+
+    /// [`IngressShard::arm_wakeup`] for `copies` wakeups that each found
+    /// nothing due at `now`: each would have re-armed one copy, back to
+    /// back.
+    fn arm_wakeups(&mut self, now: SimTime, copies: u64) {
         if let Some(at) = self.controller.next_wakeup() {
             let at = at.max(now);
             if self.wakeup_armed.is_none_or(|t| at < t) {
-                self.events.push(at, Ev::Wakeup);
                 self.wakeup_armed = Some(at);
+                let runtime = self.events.scheduled_total() > self.runtime_seq_floor;
+                match self.events.last_push_mut(at) {
+                    Some(Ev::Wakeup(queued)) if runtime => *queued += copies,
+                    _ => {
+                        self.events.push(at, Ev::Wakeup(copies));
+                    }
+                }
             }
         }
     }
@@ -419,6 +450,15 @@ impl<X, A: Access> IngressShard<X, A> {
     /// completion; `end == horizon`: an empty probe); only the windowed
     /// engine moves the horizon, by closing windows. `requests` is the
     /// time-sorted trace, the same on every call. Returns the events executed.
+    ///
+    /// A wakeup entry of several copies runs one copy at a time while the
+    /// controller has work due. Once it has none, each copy would be a no-op
+    /// `on_wakeup` — after `on_wakeup(now)`, `next_wakeup()` is `None` or
+    /// later than `now` (DESIGN.md §5e) — followed by its `after_event` and
+    /// a re-arm at the same instant, with nothing else running in between.
+    /// So the entry pops whole: every copy is counted as executed, and one
+    /// `on_wakeup`, one `after_event` and one re-arm carrying all the copies
+    /// run.
     pub fn run_until<E: Engine<X, A>>(
         &mut self,
         end: SimTime,
@@ -447,7 +487,7 @@ impl<X, A: Access> IngressShard<X, A> {
                 (None, None) => break,
             };
             self.executed += 1;
-            let now = if take_arrival {
+            let (now, copies) = if take_arrival {
                 let (now, pos, switch) = self.feed.pop().expect("peeked a pending arrival");
                 self.fill(requests, engine);
                 self.sweep(now);
@@ -468,15 +508,19 @@ impl<X, A: Access> IngressShard<X, A> {
                     hops: 0,
                 };
                 self.receive(now, syn, engine);
-                now
+                (now, 1)
             } else {
-                let (now, ev) = self.events.pop().expect("peeked a non-empty queue");
+                let (now, ev) = self.pop_event();
                 self.sweep(now);
+                let mut copies = 1;
                 match ev {
                     Ev::PacketIn(packet_in) => self.on_packet_in(now, packet_in),
                     Ev::Apply(output) => self.apply(now, output, engine),
                     Ev::Transit(request) => self.receive(now, request, engine),
-                    Ev::Wakeup => self.on_wakeup(now),
+                    Ev::Wakeup(n) => {
+                        copies = n;
+                        self.on_wakeup(now, copies);
+                    }
                     Ev::Handover { client } => {
                         let ip = self.c3.client_ip(client as usize);
                         let outputs = self.controller.on_client_handover(now, ip);
@@ -484,11 +528,25 @@ impl<X, A: Access> IngressShard<X, A> {
                     }
                     Ev::Engine(event) => engine.on_event(self, now, event),
                 }
-                now
+                (now, copies)
             };
-            self.after_event(now, engine);
+            self.after_event(now, copies, engine);
         }
         self.executed - before
+    }
+
+    /// Pop the queue head. A wakeup entry of several copies gives up one
+    /// copy in place while the controller has work due: that copy runs, and
+    /// the rest keep the entry's `(time, seq)` place in line, so an output
+    /// stamped before it still lands between the copies.
+    fn pop_event(&mut self) -> (SimTime, Ev<X>) {
+        if let Some((now, Ev::Wakeup(copies))) = self.events.peek_mut() {
+            if *copies > 1 && self.controller.next_wakeup().is_some_and(|t| t <= now) {
+                *copies -= 1;
+                return (now, Ev::Wakeup(1));
+            }
+        }
+        self.events.pop().expect("peeked a non-empty queue")
     }
 
     /// Read the trace until the feed's head is the next arrival.
@@ -510,10 +568,11 @@ impl<X, A: Access> IngressShard<X, A> {
 
     /// Every event can change when the controller next needs to run (a
     /// machine stepped, a flow was memorized, a crash landed), so re-arm
-    /// from the authoritative `next_wakeup` after each one.
-    fn after_event<E: Engine<X, A>>(&mut self, now: SimTime, engine: &mut E) {
+    /// from the authoritative `next_wakeup` after each one — `copies` times
+    /// after a wakeup entry counted whole.
+    fn after_event<E: Engine<X, A>>(&mut self, now: SimTime, copies: u64, engine: &mut E) {
         engine.after_event(self, now);
-        self.arm_wakeup(now);
+        self.arm_wakeups(now, copies);
     }
 
     /// `request`'s packet reaches `request.switch`: a table hit releases it
@@ -583,11 +642,26 @@ impl<X, A: Access> IngressShard<X, A> {
         self.outputs_scratch = out;
     }
 
-    /// Deliver a due wakeup to the controller and ship its outputs.
-    fn on_wakeup(&mut self, now: SimTime) {
+    /// Deliver a due wakeup to the controller and ship its outputs. An entry
+    /// of `copies > 1` pops whole only when nothing is due
+    /// ([`IngressShard::pop_event`]), so the copies after the first are
+    /// counted, not run; debug builds run one more and check it does
+    /// nothing.
+    fn on_wakeup(&mut self, now: SimTime, copies: u64) {
         self.wakeup_armed = None;
         let mut out = std::mem::take(&mut self.outputs_scratch);
         self.controller.on_wakeup_into(now, &mut out);
+        if copies > 1 {
+            self.executed += copies - 1;
+            if cfg!(debug_assertions) {
+                let next = self.controller.next_wakeup();
+                self.controller.on_wakeup_into(now, &mut out);
+                debug_assert!(
+                    out.is_empty() && self.controller.next_wakeup() == next,
+                    "a wakeup counted without running had work due at {now:?}"
+                );
+            }
+        }
         self.push_outputs(out.drain(..));
         self.outputs_scratch = out;
     }
@@ -650,7 +724,67 @@ impl<X, A: Access> IngressShard<X, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{bringup, ScenarioConfig};
     use proptest::prelude::*;
+
+    /// Logs the in-flight slab's high-water mark after every event: it
+    /// steps from 0 to 1 at the event that buffers the one SYN.
+    #[derive(Default)]
+    struct InFlightLog(Vec<usize>);
+
+    impl Engine<()> for InFlightLog {
+        fn ingress(&self, _: &TraceRequest) -> Option<SwitchId> {
+            Some(SwitchId(0))
+        }
+        fn released(&mut self, _: &mut IngressShard<()>, _: SimTime, _: Released) {}
+        fn on_event(&mut self, _: &mut IngressShard<()>, _: SimTime, _: ()) {}
+        fn after_event(&mut self, shard: &mut IngressShard<()>, _: SimTime) {
+            self.0.push(shard.peak_in_flight());
+        }
+    }
+
+    /// A wakeup armed at setup time wins a same-instant tie against a fed
+    /// SYN and a runtime one loses it, so a runtime copy armed right behind
+    /// a setup-time wakeup is an entry of its own, and the SYN runs between
+    /// the two.
+    #[test]
+    fn a_setup_time_wakeup_is_never_grown_by_a_runtime_copy() {
+        let cfg = ScenarioConfig::default();
+        let c3 = bringup::topology(&cfg);
+        let addrs = vec![SocketAddr::new(IpAddr::new(203, 0, 113, 1), 80)];
+        let controller = bringup::controller(
+            &cfg,
+            &c3,
+            bringup::site_backends(&cfg, &c3),
+            &addrs,
+            bringup::service_templates(&cfg, 1),
+            |builder| builder,
+        );
+        let switch = bringup::seeded_switch(&cfg, &c3);
+        let mut shard: IngressShard<()> = IngressShard::new(c3, vec![switch], controller, addrs);
+
+        // The controller's one wakeup falls at the instant the one SYN
+        // reaches the switch.
+        let request = TraceRequest {
+            at: SimTime::ZERO + SimDuration::from_secs(1),
+            service: 0,
+            client: 0,
+        };
+        let t = request.at + shard.c3.client_latencies()[0];
+        let tick = SimDuration::from_secs(1);
+        shard.controller.set_predict_schedule(t, tick, t, tick);
+        shard.arm_wakeup(SimTime::ZERO);
+        shard.start(SimDuration::ZERO);
+        // Re-armed at runtime, as after a superseded copy fired.
+        shard.wakeup_armed = None;
+        shard.arm_wakeup(SimTime::ZERO);
+        assert_eq!(shard.events.len(), 2, "the runtime copy is not merged");
+
+        let mut log = InFlightLog::default();
+        let executed = shard.run_until(t + SimDuration::from_nanos(1), &[request], &mut log);
+        assert_eq!(executed, 3);
+        assert_eq!(log.0, [0, 1, 1], "setup-time wakeup, SYN, runtime wakeup");
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
