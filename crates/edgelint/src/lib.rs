@@ -173,7 +173,7 @@ pub struct FileOptions {
     /// environment into the scenario; everything downstream is pure).
     pub allow_env: bool,
     /// The shard-runner module owns within-run threading: it spawns the
-    /// worker threads and the barrier channels whose merge order is proven
+    /// worker threads and the barrier slots whose merge order is proven
     /// thread-invariant. Everywhere else, thread primitives are findings.
     pub allow_threading: bool,
 }

@@ -26,10 +26,10 @@
 //! Two engines execute the federation:
 //!
 //! * [`par`] — the **windowed parallel engine** (the default for
-//!   `shards >= 2`): thread-per-shard conservative PDES with deterministic
+//!   `shards >= 2`): multi-threaded conservative PDES with deterministic
 //!   lookahead windows. Each shard is one `testbed::ingress::IngressShard` —
 //!   the same switch / controller / event-queue core the single-controller
-//!   testbed runs to completion — driven to each window end on one worker
+//!   testbed runs to completion — driven to each window end on one
 //!   thread; everything cross-shard exchanges at window barriers in one
 //!   canonical merge order, so the mesh trace hash is byte-identical for any
 //!   thread count.

@@ -1,9 +1,9 @@
-//! The windowed parallel mesh engine: thread-per-shard conservative PDES.
+//! The windowed parallel mesh engine: multi-threaded conservative PDES.
 //!
 //! Each ingress shard is one [`testbed::ingress::IngressShard`] — the same
 //! switch / controller / event-queue core the single-controller testbed runs
 //! to completion — plus a full set of *replica* site backends, all living on
-//! one worker thread of a [`simcore::ShardCrew`]. Shards run their core
+//! one thread of a [`simcore::ShardCrew`]. Shards run their core
 //! freely to a common window end `T_min + lookahead` (`T_min` = earliest
 //! pending activity across the mesh, lookahead = the inter-shard link
 //! latency), then exchange everything cross-shard at a barrier:
@@ -25,9 +25,9 @@
 //! so the merge does not depend on which worker finished first. A shard's
 //! window is a sequential computation over its own state plus its barrier
 //! inbox, so the whole run is a pure function of `(config, seed)`: the
-//! thread count only chooses which worker executes a shard and the mesh
+//! thread count only chooses which thread executes a shard and the mesh
 //! trace hash is byte-identical for any `threads`, including 1 (which runs
-//! the same windowed algorithm on a single worker).
+//! the same windowed algorithm on the calling thread alone).
 //!
 //! ## Divergence envelope
 //!
@@ -611,8 +611,8 @@ pub struct TestHooks {
     pub blackhole_victim: Option<usize>,
 }
 
-/// Build shard `shard`'s full state. Runs *on the worker thread that owns
-/// the shard* ([`ShardCrew::spawn`]'s contract), so everything here —
+/// Build shard `shard`'s full state. Runs *on the thread that owns the
+/// shard* ([`ShardCrew::spawn`]'s contract), so everything here —
 /// `Rc`/`RefCell` graphs, trait objects — stays thread-local. Bring-up is
 /// `testbed::bringup`'s, so all replicas of a site are byte-identical at
 /// birth and stay so under the identical prewarm performed here.
@@ -725,8 +725,8 @@ fn merge_cmp(a: (SimTime, usize, u64), b: (SimTime, usize, u64), perturb: bool) 
     }
 }
 
-/// Run `trace` through the windowed engine with `threads` worker threads
-/// (clamped to the shard count). Requires `cfg.mesh.shards >= 2`.
+/// Run `trace` through the windowed engine on `threads` threads, the calling
+/// thread among them (clamped to the shard count). Requires `cfg.mesh.shards >= 2`.
 pub fn run_windowed(cfg: ScenarioConfig, trace: &Trace, threads: usize) -> MeshRunResult {
     run_windowed_hooked(cfg, trace, threads, TestHooks::default()).0
 }
@@ -802,11 +802,25 @@ pub fn run_windowed_hooked(
         .collect();
     let mut reports = crew.run_windows(probe);
 
+    // The merge phase's scratch, cleared each window.
+    let mut lease_ops: Vec<LeaseOp> = Vec::new();
+    let mut site_ops: Vec<SiteOp> = Vec::new();
+    let mut deltas: Vec<DeltaOut> = Vec::new();
+    let mut revoked_keys: BTreeSet<(ClusterId, ServiceId)> = BTreeSet::new();
+    let mut revoked_once: BTreeSet<(usize, ClusterId, ServiceId)> = BTreeSet::new();
+    let targets: Vec<usize> = if perturb {
+        (0..n).rev().collect()
+    } else {
+        (0..n).collect()
+    };
+
     loop {
         // --- Merge phase (coordinator thread, deterministic order). ---
-        let mut lease_ops: Vec<LeaseOp> = Vec::new();
-        let mut site_ops: Vec<SiteOp> = Vec::new();
-        let mut deltas: Vec<DeltaOut> = Vec::new();
+        lease_ops.clear();
+        site_ops.clear();
+        deltas.clear();
+        revoked_keys.clear();
+        revoked_once.clear();
         for r in &reports {
             lease_ops.extend(r.lease_ops.iter().copied());
             site_ops.extend(r.site_ops.iter().cloned());
@@ -838,8 +852,6 @@ pub fn run_windowed_hooked(
         // in merged order. First committed acquirer wins; a tentative holder
         // whose acquire the table rejects is revoked.
         let mut inboxes: Vec<Inbox> = (0..n).map(|_| Inbox::default()).collect();
-        let mut revoked_keys: BTreeSet<(ClusterId, ServiceId)> = BTreeSet::new();
-        let mut revoked_once: BTreeSet<(usize, ClusterId, ServiceId)> = BTreeSet::new();
         for op in &lease_ops {
             let key = (op.cluster, op.service);
             let handle = &mut lease_handles[op.origin];
@@ -878,11 +890,6 @@ pub fn run_windowed_hooked(
         fn bump(t: SimTime, next_activity: &mut Option<SimTime>) {
             *next_activity = Some(next_activity.map_or(t, |n: SimTime| n.min(t)));
         }
-        let targets: Vec<usize> = if perturb {
-            (0..n).rev().collect()
-        } else {
-            (0..n).collect()
-        };
         for d in &deltas {
             gossip.fan_out(
                 d,

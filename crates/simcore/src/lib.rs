@@ -21,8 +21,9 @@
 //!   (seed, config) simulation replicas in parallel and returns results in seed order,
 //! * [`shard_runner`] — conservative-PDES window execution *within* one replica:
 //!   the [`shard_runner::ShardActor`] contract and the
-//!   [`shard_runner::ShardCrew`] thread-per-shard pool with deterministic
-//!   barrier synchronization.
+//!   [`shard_runner::ShardCrew`], which runs a share of the shards on the
+//!   calling thread and hands the rest to workers through one reusable
+//!   spin-then-park slot each, with deterministic barrier synchronization.
 //!
 //! Every simulation in this workspace is **deterministic** given `(config, seed)`:
 //! each shard's event execution is single-threaded and pure; parallelism happens

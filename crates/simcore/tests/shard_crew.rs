@@ -1,12 +1,16 @@
 //! Cross-thread protocol coverage for [`simcore::ShardCrew`], sized so Miri
 //! can interpret it (CI runs `cargo miri test -p simcore --test shard_crew`):
-//! a few shards, a few windows, real `thread::spawn` + mpsc traffic. The
-//! actors deliberately hold non-`Send` state (`Rc<RefCell<..>>`) — the crew's
-//! contract is that actors are *built* on their worker thread and only plain
-//! commands, reports and finals ever cross a thread boundary.
+//! a few shards, a few windows, real worker threads handing batches and
+//! reports through their slots with the calling thread. The actors
+//! deliberately hold non-`Send` state (`Rc<RefCell<..>>`) — the crew's
+//! contract is that actors are *built* on the thread that runs them and only
+//! plain commands, reports and finals ever cross a thread boundary.
 
 use std::cell::RefCell;
+use std::collections::{BTreeMap, HashSet};
+use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
+use std::thread::{self, ThreadId};
 
 use simcore::{EventQueue, ShardActor, ShardCrew, SimDuration, SimTime};
 
@@ -19,6 +23,11 @@ struct CounterShard {
     windows: u64,
     /// Non-`Send` on purpose: proves shard state never migrates.
     log: Rc<RefCell<Vec<u64>>>,
+    /// The thread that built this shard; every window asserts it is the
+    /// thread running it.
+    built_on: ThreadId,
+    /// Panic in this window (counting from 0), to fail the run mid-way.
+    panic_at: Option<u64>,
 }
 
 struct WindowCmd {
@@ -46,9 +55,15 @@ struct FinalState {
 impl ShardActor for CounterShard {
     type Cmd = WindowCmd;
     type Report = WindowReport;
-    type Final = FinalState;
+    /// The thread id stays out of [`FinalState`], which must not depend on
+    /// the thread count.
+    type Final = (FinalState, ThreadId);
 
     fn run_window(&mut self, cmd: WindowCmd) -> WindowReport {
+        assert_eq!(thread::current().id(), self.built_on, "shard migrated");
+        if self.panic_at == Some(self.windows) {
+            panic!("shard {} fails on purpose", self.id);
+        }
         for (at, payload) in cmd.inject {
             assert!(at >= self.horizon, "message behind the horizon");
             self.queue.push(at, payload);
@@ -72,13 +87,14 @@ impl ShardActor for CounterShard {
         }
     }
 
-    fn finish(self) -> FinalState {
-        FinalState {
+    fn finish(self) -> (FinalState, ThreadId) {
+        let state = FinalState {
             shard: self.id,
             events: self.events,
             windows: self.windows,
             log: self.log.borrow().clone(),
-        }
+        };
+        (state, self.built_on)
     }
 }
 
@@ -89,12 +105,20 @@ fn window_end(w: usize) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(10 * (w as u64 + 1))
 }
 
+struct Run {
+    reports: Vec<Vec<WindowReport>>,
+    finals: Vec<FinalState>,
+    /// The thread each shard was built on, in shard order.
+    built_on: Vec<ThreadId>,
+}
+
 /// Drive a small federation: each shard starts with one local event per
 /// window slot, and after every window each shard's report `sum` is relayed
 /// to the next shard (ring), landing one window later — barrier-exchanged
-/// cross-shard messages, exactly the mesh engine's traffic shape.
-fn drive(threads: usize) -> (Vec<Vec<WindowReport>>, Vec<FinalState>) {
-    let mut crew: ShardCrew<CounterShard> = ShardCrew::spawn(SHARDS, threads, |id| {
+/// cross-shard messages, exactly the mesh engine's traffic shape. Shard
+/// `panicking`, if any, panics in its third window.
+fn drive_with(shards: usize, threads: usize, panicking: Option<usize>) -> Run {
+    let mut crew: ShardCrew<CounterShard> = ShardCrew::spawn(shards, threads, move |id| {
         let mut queue = EventQueue::new();
         for w in 0..WINDOWS {
             queue.push(
@@ -109,12 +133,14 @@ fn drive(threads: usize) -> (Vec<Vec<WindowReport>>, Vec<FinalState>) {
             events: 0,
             windows: 0,
             log: Rc::new(RefCell::new(Vec::new())),
+            built_on: thread::current().id(),
+            panic_at: (panicking == Some(id)).then_some(2),
         }
     });
-    assert_eq!(crew.effective_threads(), threads.clamp(1, SHARDS));
+    assert_eq!(crew.effective_threads(), threads.clamp(1, shards));
 
     let mut all_reports = Vec::new();
-    let mut pending: Vec<Vec<(SimTime, u64)>> = vec![Vec::new(); SHARDS];
+    let mut pending: Vec<Vec<(SimTime, u64)>> = vec![Vec::new(); shards];
     for w in 0..WINDOWS {
         let cmds = pending
             .drain(..)
@@ -124,18 +150,28 @@ fn drive(threads: usize) -> (Vec<Vec<WindowReport>>, Vec<FinalState>) {
             })
             .collect();
         let reports = crew.run_windows(cmds);
-        pending = vec![Vec::new(); SHARDS];
+        pending = vec![Vec::new(); shards];
         if w + 1 < WINDOWS {
             for r in &reports {
                 // Relay each sum to the next shard in the ring; the message
                 // lands strictly after every shard's new horizon.
-                pending[(r.shard + 1) % SHARDS]
+                pending[(r.shard + 1) % shards]
                     .push((window_end(w) + SimDuration::from_millis(1), r.sum));
             }
         }
         all_reports.push(reports);
     }
-    (all_reports, crew.finish())
+    let (finals, built_on) = crew.finish().into_iter().unzip();
+    Run {
+        reports: all_reports,
+        finals,
+        built_on,
+    }
+}
+
+fn drive(threads: usize) -> (Vec<Vec<WindowReport>>, Vec<FinalState>) {
+    let run = drive_with(SHARDS, threads, None);
+    (run.reports, run.finals)
 }
 
 #[test]
@@ -181,4 +217,80 @@ fn every_event_is_executed_exactly_once() {
     let mut shards: Vec<usize> = finals.iter().map(|f| f.shard).collect();
     shards.dedup();
     assert_eq!(shards, vec![0, 1, 2], "finals out of shard order");
+}
+
+#[test]
+fn the_calling_thread_owns_residue_zero_and_each_other_residue_has_its_own_worker() {
+    const SHARDS: usize = 5;
+    let caller = thread::current().id();
+    let base = drive_with(SHARDS, 1, None);
+    for threads in [1, 2, 3, 5, 8] {
+        let run = drive_with(SHARDS, threads, None);
+        let effective = threads.clamp(1, SHARDS);
+        let mut residue_thread: BTreeMap<usize, ThreadId> = BTreeMap::new();
+        for (shard, &built_on) in run.built_on.iter().enumerate() {
+            let residue = shard % effective;
+            if residue == 0 {
+                assert_eq!(
+                    built_on, caller,
+                    "shard {shard} at {threads} threads: not on the calling thread"
+                );
+            } else {
+                assert_ne!(
+                    built_on, caller,
+                    "shard {shard} at {threads} threads: on the calling thread"
+                );
+                let owner = *residue_thread.entry(residue).or_insert(built_on);
+                assert_eq!(
+                    owner, built_on,
+                    "residue {residue} at {threads} threads is split over two workers"
+                );
+            }
+        }
+        let workers: HashSet<ThreadId> = residue_thread.values().copied().collect();
+        assert_eq!(
+            (residue_thread.len(), workers.len()),
+            (effective - 1, effective - 1),
+            "{threads} threads: one worker per residue other than 0"
+        );
+        assert_eq!(
+            run.reports, base.reports,
+            "reports diverged at {threads} threads"
+        );
+        assert_eq!(
+            run.finals, base.finals,
+            "finals diverged at {threads} threads"
+        );
+    }
+    for reports in &base.reports {
+        let order: Vec<usize> = reports.iter().map(|r| r.shard).collect();
+        assert_eq!(order, (0..SHARDS).collect::<Vec<_>>());
+    }
+}
+
+#[test]
+fn a_panicking_shard_fails_the_run_instead_of_hanging() {
+    for threads in [1, 2, 3] {
+        // Shard 0 runs on the calling thread at every thread count; shard 1
+        // runs on a worker unless there is only one thread.
+        for panicking in [0, 1] {
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                drive_with(SHARDS, threads, Some(panicking))
+            }));
+            let Err(payload) = outcome else {
+                panic!("shard {panicking} at {threads} threads: the run did not fail");
+            };
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            let on_worker = panicking % threads != 0;
+            let expected = if on_worker {
+                format!("shard {panicking} panicked on its worker thread")
+            } else {
+                format!("shard {panicking} fails on purpose")
+            };
+            assert_eq!(message, expected, "shard {panicking} at {threads} threads");
+        }
+    }
 }
