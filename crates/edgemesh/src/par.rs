@@ -726,7 +726,8 @@ fn merge_cmp(a: (SimTime, usize, u64), b: (SimTime, usize, u64), perturb: bool) 
 }
 
 /// Run `trace` through the windowed engine on `threads` threads, the calling
-/// thread among them (clamped to the shard count). Requires `cfg.mesh.shards >= 2`.
+/// thread among them (clamped to the shard count). Requires
+/// `cfg.mesh.shards >= 2`.
 pub fn run_windowed(cfg: ScenarioConfig, trace: &Trace, threads: usize) -> MeshRunResult {
     run_windowed_hooked(cfg, trace, threads, TestHooks::default()).0
 }

@@ -336,8 +336,7 @@ impl<A: ShardActor> ShardCrew<A> {
             _bound_to_spawning_thread: PhantomData,
         };
         for shard in (0..shards).step_by(threads) {
-            let actor = build(shard);
-            crew.own.push(actor);
+            crew.own.push(build(shard));
         }
         crew
     }

@@ -262,10 +262,13 @@ fn the_calling_thread_owns_residue_zero_and_each_other_residue_has_its_own_worke
             "finals diverged at {threads} threads"
         );
     }
+    let in_order: Vec<usize> = (0..SHARDS).collect();
     for reports in &base.reports {
         let order: Vec<usize> = reports.iter().map(|r| r.shard).collect();
-        assert_eq!(order, (0..SHARDS).collect::<Vec<_>>());
+        assert_eq!(order, in_order, "reports out of shard order");
     }
+    let order: Vec<usize> = base.finals.iter().map(|f| f.shard).collect();
+    assert_eq!(order, in_order, "finals out of shard order");
 }
 
 #[test]
