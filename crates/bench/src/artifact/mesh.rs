@@ -75,7 +75,7 @@ pub fn gates(doc: &Doc, requested: &[usize], threads: usize) -> Vec<Failure> {
         g.check("churn_live", r.int("shards") >= 2 && live, r);
     }
     // Every requested shard count has its row (churn: from 2 shards up), run
-    // on `min(--threads, shards)` worker threads.
+    // on `min(--threads, shards)` threads.
     for &s in requested {
         let (s, t) = (s as u64, threads.min(s) as u64);
         for rows in [shards, churn].iter().take(if s >= 2 { 2 } else { 1 }) {

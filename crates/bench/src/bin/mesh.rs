@@ -14,7 +14,7 @@
 //! deadline) so the federation is exercised under instance churn: `Gone`
 //! deltas, revived services, lease traffic on redeploys. A third sweep
 //! (`"threads_sweep"` rows) times the windowed parallel engine on a heavier
-//! workload at worker threads ∈ {1, 2, 4, 8} ≤ shards. The artifact's gates
+//! workload at threads ∈ {1, 2, 4, 8} ≤ shards. The artifact's gates
 //! (`bench::artifact::mesh::gates`) exit 1 after it is written.
 //!
 //! Usage:

@@ -6,7 +6,7 @@
 //!   split-brain duplicates observed vs avoided, wall-clock and the hash.
 //! * **Mobility** — the bigflows and diurnal models with
 //!   `handovers_per_client = 2` on a 2-shard mesh, run audited (the
-//!   session-continuity analysis rides along) at worker threads 1 and 2.
+//!   session-continuity analysis rides along) at threads 1 and 2.
 //!
 //! The artifact's gates (`bench::artifact::workload::gates`) exit 1 after
 //! it is written.
@@ -57,7 +57,7 @@ fn main() {
         }
     }
 
-    // Mobility sweep: audited 2-shard runs at 1 and 2 worker threads; the
+    // Mobility sweep: audited 2-shard runs at 1 and 2 threads; the
     // continuity analysis is part of the audit. Quick mode keeps one model;
     // the thread pair stays — hash equality across threads is the cheapest
     // strong determinism signal we have.

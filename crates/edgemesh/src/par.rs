@@ -68,7 +68,7 @@ use crate::shared::{share, SharedBackend, SharedHandle, SiteCall};
 /// always terminates.
 const MAX_RETRANSMITS: u32 = 64;
 
-/// `--threads` asked for more workers than there are shards. Extra workers
+/// `--threads` asked for more threads than there are shards. Extra threads
 /// could only idle, so the CLI and bench reject the request outright rather
 /// than silently clamping a user-visible knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,8 +81,8 @@ impl fmt::Display for ThreadsExceedShards {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "threads ({}) exceeds mesh shards ({}): each worker thread owns whole \
-             shards, so at most `shards` threads can do work",
+            "threads ({}) exceeds mesh shards ({}): each thread that runs \
+             shards owns whole ones, so at most `shards` threads can do work",
             self.threads, self.shards
         )
     }

@@ -68,8 +68,8 @@ impl ShardSummary {
 #[derive(Debug)]
 pub struct MeshRunResult {
     pub shards: usize,
-    /// Worker threads that executed the run (1 for the reference engine and
-    /// the `shards = 1` delegation). Deliberately absent from the trace:
+    /// Threads that executed the run, the calling thread included (1 for
+    /// the reference engine and the `shards = 1` delegation). Deliberately absent from the trace:
     /// the hash must not depend on it.
     pub threads: usize,
     pub leases: bool,

@@ -66,8 +66,8 @@ fn churn_sweep_hashes_match_bench_mesh_json() {
     }
 }
 
-/// The threads-sweep rows: 10× workload, 50 ms link, at worker threads 1
-/// and 2. Slow unoptimized, so plain `cargo test` skips it; CI runs it in
+/// The threads-sweep rows: 10× workload, 50 ms link, at threads 1 and
+/// 2. Slow unoptimized, so plain `cargo test` skips it; CI runs it in
 /// the release-profile step (`cargo test --release -- --include-ignored`).
 #[test]
 #[cfg_attr(debug_assertions, ignore = "10x workload: run in the release profile")]

@@ -30,10 +30,9 @@
 //! atomic turn word plus command, report and final buffers that keep their
 //! capacity from window to window. A window is one write per slot, the
 //! coordinator's own shards, and one read per slot. Whoever waits for a turn
-//! spins `SPIN_LIMIT` times (yielding its CPU now and then), then parks;
-//! whoever hands a turn over always unparks the other side. Spinning is off when there are more threads than
-//! the host has CPUs: a spinner would only steal the time of the thread it
-//! waits for. That host fact picks the schedule, never a result.
+//! spins `SPIN_LIMIT` times, then parks; whoever hands a turn over always
+//! unparks the other side. The spinner yields its CPU now and then, so with
+//! more threads than CPUs the thread it waits for still gets to run.
 //!
 //! This module is the **only** place in the determinism crates where
 //! `thread::spawn` and `std::sync` primitives are permitted (enforced by
@@ -44,7 +43,6 @@
 
 use std::hint;
 use std::marker::PhantomData;
-use std::num::NonZeroUsize;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -67,8 +65,9 @@ pub trait ShardActor {
 
 /// Spin-wait iterations before a waiter parks: about 0.3 ms of
 /// `spin_loop` on a current x86-64 core, longer than a mesh window's wait
-/// for the other side.
-const SPIN_LIMIT: u32 = 1 << 14;
+/// for the other side. Miri interprets one thread at a time, so there a
+/// spin could only burn interpretation time: the crew parks at once.
+const SPIN_LIMIT: u32 = if cfg!(miri) { 0 } else { 1 << 14 };
 
 /// A spinning waiter yields its CPU once every this many iterations (about
 /// 5 µs), so on a host busy with other work — parallel test runs, other
@@ -109,8 +108,8 @@ struct Buffers<A: ShardActor> {
 
 impl<A: ShardActor> Slot<A> {
     /// Spin, then park, until `ready` accepts the turn word; returns it.
-    fn wait(&self, spin: u32, ready: impl Fn(u8) -> bool) -> u8 {
-        for i in 1..=spin {
+    fn wait(&self, ready: impl Fn(u8) -> bool) -> u8 {
+        for i in 1..=SPIN_LIMIT {
             let state = self.state.load(Ordering::Acquire);
             if ready(state) {
                 return state;
@@ -133,8 +132,8 @@ impl<A: ShardActor> Slot<A> {
     }
 
     /// The coordinator's wait for its turn back, and the buffers it brings.
-    fn await_coord(&self, spin: u32) -> MutexGuard<'_, Buffers<A>> {
-        if self.wait(spin, |state| state == COORD || state == DEAD) == DEAD {
+    fn await_coord(&self) -> MutexGuard<'_, Buffers<A>> {
+        if self.wait(|state| state == COORD || state == DEAD) == DEAD {
             self.died();
         }
         self.buffers()
@@ -180,7 +179,6 @@ fn serve<A: ShardActor>(
     owned: impl Iterator<Item = usize>,
     build: &dyn Fn(usize) -> A,
     coordinator: &Thread,
-    spin: u32,
 ) {
     let mut watch = DeathWatch {
         slot,
@@ -193,7 +191,7 @@ fn serve<A: ShardActor>(
         actors.push((shard, build(shard)));
     }
     loop {
-        let turn = slot.wait(spin, |state| state != COORD);
+        let turn = slot.wait(|state| state != COORD);
         if turn == STOP {
             return;
         }
@@ -276,7 +274,6 @@ pub struct ShardCrew<A: ShardActor> {
     workers: Vec<Worker<A>>,
     shards: usize,
     threads: usize,
-    spin: u32,
     _bound_to_spawning_thread: PhantomData<Rc<()>>,
 }
 
@@ -293,8 +290,6 @@ impl<A: ShardActor> ShardCrew<A> {
     {
         assert!(shards >= 1, "need at least one shard");
         let threads = threads.clamp(1, shards);
-        let cpus = thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let spin = if threads <= cpus { SPIN_LIMIT } else { 0 };
         let build = Arc::new(build);
         let coordinator = thread::current();
         let workers = (1..threads)
@@ -313,7 +308,7 @@ impl<A: ShardActor> ShardCrew<A> {
                     let build = Arc::clone(&build);
                     let coordinator = coordinator.clone();
                     let owned = (residue..shards).step_by(threads);
-                    thread::spawn(move || serve(&slot, owned, &*build, &coordinator, spin))
+                    thread::spawn(move || serve(&slot, owned, &*build, &coordinator))
                 };
                 Worker {
                     slot,
@@ -332,7 +327,6 @@ impl<A: ShardActor> ShardCrew<A> {
             workers,
             shards,
             threads,
-            spin,
             _bound_to_spawning_thread: PhantomData,
         };
         for shard in (0..shards).step_by(threads) {
@@ -362,7 +356,7 @@ impl<A: ShardActor> ShardCrew<A> {
         self.own_reports.reverse();
         for worker in &mut self.workers {
             std::mem::swap(
-                &mut worker.slot.await_coord(self.spin).reports,
+                &mut worker.slot.await_coord().reports,
                 &mut worker.collected,
             );
             worker.collected.reverse();
@@ -385,7 +379,7 @@ impl<A: ShardActor> ShardCrew<A> {
         own.reverse();
         let mut theirs: Vec<Vec<A::Final>> = Vec::with_capacity(self.workers.len());
         for worker in &self.workers {
-            let mut finals = std::mem::take(&mut worker.slot.await_coord(self.spin).finals);
+            let mut finals = std::mem::take(&mut worker.slot.await_coord().finals);
             finals.reverse();
             theirs.push(finals);
         }

@@ -169,43 +169,83 @@ fn drive_with(shards: usize, threads: usize, panicking: Option<usize>) -> Run {
     }
 }
 
-fn drive(threads: usize) -> (Vec<Vec<WindowReport>>, Vec<FinalState>) {
-    let run = drive_with(SHARDS, threads, None);
-    (run.reports, run.finals)
+/// Shards with `i % threads == 0` were built on the calling thread, and
+/// every other residue on one worker thread of its own.
+fn assert_owned_by_residue(built_on: &[ThreadId], threads: usize) {
+    let caller = thread::current().id();
+    let effective = threads.clamp(1, built_on.len());
+    let mut residue_thread: BTreeMap<usize, ThreadId> = BTreeMap::new();
+    for (shard, &thread) in built_on.iter().enumerate() {
+        match shard % effective {
+            0 => assert_eq!(
+                thread, caller,
+                "shard {shard} at {threads} threads: not on the calling thread"
+            ),
+            residue => {
+                assert_ne!(
+                    thread, caller,
+                    "shard {shard} at {threads} threads: on the calling thread"
+                );
+                let owner = *residue_thread.entry(residue).or_insert(thread);
+                assert_eq!(
+                    owner, thread,
+                    "residue {residue} at {threads} threads is split over two workers"
+                );
+            }
+        }
+    }
+    let workers: HashSet<ThreadId> = residue_thread.values().copied().collect();
+    assert_eq!(
+        (residue_thread.len(), workers.len()),
+        (effective - 1, effective - 1),
+        "{threads} threads: one worker per residue other than 0"
+    );
 }
 
 #[test]
 fn reports_and_finals_are_thread_invariant_and_in_shard_order() {
-    let (base_reports, base_finals) = drive(1);
-    for (w, reports) in base_reports.iter().enumerate() {
-        let order: Vec<usize> = reports.iter().map(|r| r.shard).collect();
+    for shards in [SHARDS, 5] {
+        let base = drive_with(shards, 1, None);
+        let in_order: Vec<usize> = (0..shards).collect();
+        for (w, reports) in base.reports.iter().enumerate() {
+            let order: Vec<usize> = reports.iter().map(|r| r.shard).collect();
+            assert_eq!(
+                order, in_order,
+                "{shards} shards: window {w} reports out of shard order"
+            );
+        }
+        let order: Vec<usize> = base.finals.iter().map(|f| f.shard).collect();
         assert_eq!(
-            order,
-            vec![0, 1, 2],
-            "window {w} reports out of shard order"
+            order, in_order,
+            "{shards} shards: finals out of shard order"
         );
-    }
-    assert!(
-        base_reports
-            .iter()
-            .skip(1)
-            .flatten()
-            .any(|r| r.executed > 1),
-        "no barrier-relayed message ever executed: {base_reports:?}"
-    );
-    for threads in [2, 3, 8] {
-        let (reports, finals) = drive(threads);
-        assert_eq!(
-            reports, base_reports,
-            "reports diverged at {threads} threads"
+        assert!(
+            base.reports
+                .iter()
+                .skip(1)
+                .flatten()
+                .any(|r| r.executed > 1),
+            "no barrier-relayed message ever executed: {:?}",
+            base.reports
         );
-        assert_eq!(finals, base_finals, "finals diverged at {threads} threads");
+        for threads in [1, 2, 3, 5, 8] {
+            let run = drive_with(shards, threads, None);
+            assert_owned_by_residue(&run.built_on, threads);
+            assert_eq!(
+                run.reports, base.reports,
+                "{shards} shards: reports diverged at {threads} threads"
+            );
+            assert_eq!(
+                run.finals, base.finals,
+                "{shards} shards: finals diverged at {threads} threads"
+            );
+        }
     }
 }
 
 #[test]
 fn every_event_is_executed_exactly_once() {
-    let (_, finals) = drive(2);
+    let finals = drive_with(SHARDS, 2, None).finals;
     // WINDOWS local events per shard, plus one relayed message per shard per
     // non-final window (the ring relay).
     let relayed = (WINDOWS - 1) as u64;
@@ -217,58 +257,6 @@ fn every_event_is_executed_exactly_once() {
     let mut shards: Vec<usize> = finals.iter().map(|f| f.shard).collect();
     shards.dedup();
     assert_eq!(shards, vec![0, 1, 2], "finals out of shard order");
-}
-
-#[test]
-fn the_calling_thread_owns_residue_zero_and_each_other_residue_has_its_own_worker() {
-    const SHARDS: usize = 5;
-    let caller = thread::current().id();
-    let base = drive_with(SHARDS, 1, None);
-    for threads in [1, 2, 3, 5, 8] {
-        let run = drive_with(SHARDS, threads, None);
-        let effective = threads.clamp(1, SHARDS);
-        let mut residue_thread: BTreeMap<usize, ThreadId> = BTreeMap::new();
-        for (shard, &built_on) in run.built_on.iter().enumerate() {
-            let residue = shard % effective;
-            if residue == 0 {
-                assert_eq!(
-                    built_on, caller,
-                    "shard {shard} at {threads} threads: not on the calling thread"
-                );
-            } else {
-                assert_ne!(
-                    built_on, caller,
-                    "shard {shard} at {threads} threads: on the calling thread"
-                );
-                let owner = *residue_thread.entry(residue).or_insert(built_on);
-                assert_eq!(
-                    owner, built_on,
-                    "residue {residue} at {threads} threads is split over two workers"
-                );
-            }
-        }
-        let workers: HashSet<ThreadId> = residue_thread.values().copied().collect();
-        assert_eq!(
-            (residue_thread.len(), workers.len()),
-            (effective - 1, effective - 1),
-            "{threads} threads: one worker per residue other than 0"
-        );
-        assert_eq!(
-            run.reports, base.reports,
-            "reports diverged at {threads} threads"
-        );
-        assert_eq!(
-            run.finals, base.finals,
-            "finals diverged at {threads} threads"
-        );
-    }
-    let in_order: Vec<usize> = (0..SHARDS).collect();
-    for reports in &base.reports {
-        let order: Vec<usize> = reports.iter().map(|r| r.shard).collect();
-        assert_eq!(order, in_order, "reports out of shard order");
-    }
-    let order: Vec<usize> = base.finals.iter().map(|f| f.shard).collect();
-    assert_eq!(order, in_order, "finals out of shard order");
 }
 
 #[test]

@@ -167,7 +167,7 @@ fn apply_controller(value: &Yaml, cfg: &mut ScenarioConfig) -> Result<(), String
 ///   loss: 0.05           # per-delivery delta loss probability
 ///   leases: true         # deployment-lease coordination
 ///   gossip_interval_ms: 50 # retransmit back-off after a lost delta
-///   threads: 4           # worker threads (<= shards); hash-invariant
+///   threads: 4           # threads running shards, caller included (<= shards); hash-invariant
 /// ```
 fn apply_mesh(value: &Yaml, cfg: &mut ScenarioConfig) -> Result<(), String> {
     let Some(map) = value.as_map() else {
@@ -206,8 +206,8 @@ fn apply_mesh(value: &Yaml, cfg: &mut ScenarioConfig) -> Result<(), String> {
     }
     if mesh.threads > mesh.shards {
         return Err(format!(
-            "`mesh.threads` ({}) exceeds `mesh.shards` ({}): each worker \
-             thread owns whole shards, so extra threads could only idle",
+            "`mesh.threads` ({}) exceeds `mesh.shards` ({}): each thread \
+             that runs shards owns whole ones, so extra threads could only idle",
             mesh.threads, mesh.shards
         ));
     }

@@ -56,11 +56,12 @@ pub struct MeshParams {
     pub leases: bool,
     /// Retransmission back-off after a lost delta delivery.
     pub gossip_interval: SimDuration,
-    /// Worker threads for the windowed parallel mesh engine. `1` (the
-    /// default) runs the same windowed algorithm single-threaded; the mesh
-    /// trace hash is identical for every value. Callers reject values above
-    /// `shards` (`edgemesh::validate_threads`) — extra workers could only
-    /// idle.
+    /// Threads that run the windowed parallel mesh engine's shards, the
+    /// calling thread included (`threads - 1` workers are spawned). `1` (the
+    /// default) runs the same windowed algorithm on the calling thread; the
+    /// mesh trace hash is identical for every value. Callers reject values
+    /// above `shards` (`edgemesh::validate_threads`) — extra threads could
+    /// only idle.
     pub threads: usize,
 }
 

@@ -144,10 +144,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .position(|a| a == "--dump-trace")
         .map(|i| args.get(i + 1).ok_or("--dump-trace needs a file path"))
         .transpose()?;
-    // `--threads <n>`: worker threads for the windowed mesh engine,
-    // overriding the scenario's `mesh.threads`. The mesh trace hash is
-    // identical for every accepted value; values above `mesh.shards` are
-    // rejected (extra workers could only idle).
+    // `--threads <n>`: threads running the windowed mesh engine's shards,
+    // the calling thread included, overriding the scenario's `mesh.threads`.
+    // The mesh trace hash is identical for every accepted value; values
+    // above `mesh.shards` are rejected (extra threads could only idle).
     if let Some(i) = args.iter().position(|a| a == "--threads") {
         let n: usize = args
             .get(i + 1)
@@ -245,7 +245,7 @@ fn run_mesh(cfg: ScenarioConfig, dump_path: Option<&String>) -> Result<(), Strin
         );
     }
     println!(
-        "mesh: {} shards on {} worker thread{}, leases {}; {} windows ({:.2} barrier stalls/window), {} events",
+        "mesh: {} shards on {} thread{}, leases {}; {} windows ({:.2} barrier stalls/window), {} events",
         result.shards,
         result.threads,
         if result.threads == 1 { "" } else { "s" },
