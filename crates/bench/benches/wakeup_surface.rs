@@ -105,7 +105,7 @@ fn controller(zero: usize, machines: usize) -> (Controller, SimTime) {
     for i in zero..zero + machines {
         packet_in(&mut c, idle, i);
     }
-    assert_eq!(c.in_flight_deployments(idle).len(), machines);
+    assert_eq!(c.in_flight_deployments().len(), machines);
     assert!(c.next_wakeup().is_some_and(|at| at > idle));
     (c, idle)
 }

@@ -242,6 +242,9 @@ pub enum ClusterError {
     /// No registry serves the image.
     ImageUnavailable(ImageRef),
     InsufficientResources(&'static str),
+    /// The service's containers are still in an earlier operation (a start
+    /// issued while a create is still running); a later retry can succeed.
+    Busy(String),
 }
 
 impl std::fmt::Display for ClusterError {
@@ -253,6 +256,7 @@ impl std::fmt::Display for ClusterError {
             ClusterError::ImageNotCached(i) => write!(f, "image {i} not cached on node"),
             ClusterError::ImageUnavailable(i) => write!(f, "no registry serves {i}"),
             ClusterError::InsufficientResources(w) => write!(f, "insufficient {w}"),
+            ClusterError::Busy(s) => write!(f, "service {s} busy with an earlier operation"),
         }
     }
 }

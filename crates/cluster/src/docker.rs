@@ -133,10 +133,13 @@ impl DockerCluster {
     /// Start every container of a replica; returns `(api_returned, ready)`:
     /// `docker start` returns once the process is spawned, the service is
     /// connectable once every container's app opened its port. Fails when
-    /// the node is out of resources.
+    /// the node is out of resources, or with [`ClusterError::Busy`] when a
+    /// container is not startable yet (its create is still running: an
+    /// aborted deployment left it behind and a new one scales it up).
     fn start_replica(
         &mut self,
         now: SimTime,
+        service: &str,
         replica: &mut Replica,
     ) -> Result<(SimTime, SimTime), ClusterError> {
         let mut t = now;
@@ -146,6 +149,9 @@ impl DockerCluster {
             let (running_at, ready_at) = self.runtime.start(t, id).map_err(|e| match e {
                 containers::RuntimeError::InsufficientResources { what } => {
                     ClusterError::InsufficientResources(what)
+                }
+                containers::RuntimeError::InvalidState { .. } => {
+                    ClusterError::Busy(service.to_owned())
                 }
                 other => panic!("unexpected runtime error during start: {other}"),
             })?;
@@ -247,7 +253,7 @@ impl ClusterBackend for DockerCluster {
         }
         for i in idle {
             let mut replica = self.services.get_mut(service).unwrap().replicas[i].clone();
-            let (r_accepted, r_ready) = self.start_replica(t, &mut replica)?;
+            let (r_accepted, r_ready) = self.start_replica(t, service, &mut replica)?;
             accepted = accepted.max(r_accepted);
             ready = ready.max(r_ready);
             self.services.get_mut(service).unwrap().replicas[i] = replica;

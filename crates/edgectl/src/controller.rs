@@ -27,8 +27,8 @@ use simnet::{IpAddr, Packet, SocketAddr};
 
 use crate::catalog::{cookie_for, RegisteredService, ServiceCatalog, ServiceId};
 use crate::dispatcher::{
-    reference, AdmissionError, DeployError, DeployMachine, DeployPhaseKind, Dispatcher,
-    InstanceKey, MachineOutcome, StepCtx, Waiter,
+    AdmissionError, DeployError, DeployMachine, DeployPhaseKind, Dispatcher, InstanceKey,
+    MachineOutcome, StepCtx, Waiter,
 };
 use crate::flowmemory::{FlowKey, FlowMemory};
 use crate::predictor::{NoPrediction, Predictor};
@@ -261,8 +261,7 @@ pub struct ControllerStats {
     pub retried_operations: u64,
     /// Mid-deployment crash recoveries: an instance died while its
     /// deployment was still being probed and the dispatcher re-issued the
-    /// scale-up (only possible under the stepped dispatcher — the synchronous
-    /// reference pipeline can never observe a crash mid-flight).
+    /// scale-up.
     pub crash_recoveries: u64,
     /// Replica increases performed by the autoscaler.
     pub autoscale_ups: u64,
@@ -369,16 +368,6 @@ impl AttachedCluster {
     fn status_of(&mut self, now: SimTime, sid: ServiceId, name: &str) -> ServiceStatus {
         self.snapshot(now, sid, name).0.clone()
     }
-}
-
-/// Which deployment engine drives the pipeline.
-enum Engine {
-    /// The event-driven dispatcher: one state machine per in-flight
-    /// deployment, advanced by [`Controller::on_wakeup`].
-    Stepped(Dispatcher),
-    /// The retained synchronous pipeline ([`reference`]) — the equivalence
-    /// oracle for the lockstep property test.
-    Reference(reference::ReferencePipeline),
 }
 
 /// Proactive-deployment cadence, owned by the controller so predict runs are
@@ -507,8 +496,9 @@ pub struct Controller {
     registries: RegistrySet,
     /// Per-switch port toward the cloud/WAN uplink (directly or via trunks).
     cloud_ports: Vec<PortId>,
-    /// The deployment pipeline: stepped dispatcher or synchronous reference.
-    engine: Engine,
+    /// The deployment pipeline: one state machine per in-flight deployment,
+    /// advanced by [`Controller::on_wakeup`].
+    dispatcher: Dispatcher,
     /// Dispatcher-tracked client locations: which switch and port each
     /// client was last seen at (paper §IV-B).
     client_ports: DetHashMap<IpAddr, (SwitchId, PortId)>,
@@ -572,7 +562,6 @@ pub struct ControllerBuilder {
     registries: RegistrySet,
     cloud_port: PortId,
     predictor: Box<dyn Predictor>,
-    reference_pipeline: bool,
     gate: Option<Box<dyn DeployGate>>,
     emit_deltas: bool,
 }
@@ -610,16 +599,6 @@ impl ControllerBuilder {
         self
     }
 
-    /// Drive deployments through the retained **synchronous** pipeline
-    /// ([`crate::dispatcher::reference`]) instead of the stepped dispatcher.
-    /// This is the equivalence oracle: the lockstep property test runs one
-    /// controller per engine through identical inputs and asserts identical
-    /// outputs, stats and deployment records.
-    pub fn reference_pipeline(mut self) -> ControllerBuilder {
-        self.reference_pipeline = true;
-        self
-    }
-
     /// Install a mesh deployment-lease gate (see [`DeployGate`]). Without
     /// one, every acquisition succeeds — single-controller behaviour is
     /// byte-identical.
@@ -639,11 +618,6 @@ impl ControllerBuilder {
     pub fn build(self) -> Controller {
         let memory = FlowMemory::new(self.config.memory_idle_timeout)
             .expect("memory_idle_timeout must be non-zero");
-        let engine = if self.reference_pipeline {
-            Engine::Reference(reference::ReferencePipeline::default())
-        } else {
-            Engine::Stepped(Dispatcher::default())
-        };
         Controller {
             config: self.config,
             catalog: ServiceCatalog::new(),
@@ -653,7 +627,7 @@ impl ControllerBuilder {
             clusters: Vec::new(),
             registries: self.registries,
             cloud_ports: vec![self.cloud_port],
-            engine,
+            dispatcher: Dispatcher::default(),
             client_ports: DetHashMap::default(),
             views_scratch: Vec::new(),
             retarget_queue: DueQueue::default(),
@@ -683,7 +657,6 @@ impl Controller {
             registries: RegistrySet::new(),
             cloud_port: PortId(0),
             predictor: Box::new(NoPrediction),
-            reference_pipeline: false,
             gate: None,
             emit_deltas: false,
         }
@@ -997,7 +970,7 @@ impl Controller {
         let mut views = std::mem::take(&mut self.views_scratch);
         Self::cluster_views_into(
             &mut self.clusters,
-            &self.engine,
+            &self.dispatcher,
             self.catalog.name_of(sid),
             now,
             sid,
@@ -1066,7 +1039,7 @@ impl Controller {
         self.views_scratch = views;
         // Advance any machine whose step is already due (e.g. the scale-up a
         // request just triggered) before returning to the event loop, so the
-        // backend sees the same call order as the synchronous pipeline.
+        // phases due at `now` reach the backend before any later event does.
         self.pump_machines(now, out);
     }
 
@@ -1084,13 +1057,7 @@ impl Controller {
         if !self.deployment_exists(now, best, sid) && self.admit(best, service).is_err() {
             return;
         }
-        if matches!(self.engine, Engine::Reference(_)) {
-            if let Some(ready_at) = self.ensure_deployed_reference(now, best, service, false) {
-                self.schedule_retarget(ready_at, best, sid);
-            }
-            return;
-        }
-        if let Some(m) = self.machine_mut(best, sid) {
+        if let Some(m) = self.dispatcher.find_mut(best, sid) {
             // Piggyback: the in-flight deployment will retarget when ready.
             m.wants_retarget = true;
             return;
@@ -1167,34 +1134,11 @@ impl Controller {
                 }
             };
         }
-        if matches!(self.engine, Engine::Reference(_)) {
-            return match self.ensure_deployed_reference(now, fast, service, true) {
-                Some(ready_at) => {
-                    self.stats.held_requests += 1;
-                    let target = self.pick_instance(ready_at, fast, sid);
-                    self.redirect_outputs(
-                        ready_at.max(decide_at),
-                        sw,
-                        key,
-                        sid,
-                        target,
-                        fast,
-                        in_port,
-                        Some(buffer_id),
-                        out,
-                    )
-                }
-                None => {
-                    // Deployment failed; fall back to the cloud.
-                    self.cloud_outputs(decide_at, sw, packet, in_port, buffer_id, None, out)
-                }
-            };
-        }
         // Pending placeholder: keeps the held flow visible to idle
         // scale-down protection and the coherence audit without serving the
         // fast path (it converts to a real entry when the redirect installs).
         self.memory.remember_pending(now, key, sid, Some(fast));
-        if self.machine_mut(fast, sid).is_none() {
+        if self.dispatcher.find(fast, sid).is_none() {
             if !self.gate_acquire(now, fast, sid) {
                 // Lease lost to a mesh peer: there is no local machine to
                 // hold this request on, so fall back to the cloud
@@ -1215,7 +1159,8 @@ impl Controller {
             }
             self.start_machine(now, fast, service, true, false);
         }
-        self.machine_mut(fast, sid)
+        self.dispatcher
+            .find_mut(fast, sid)
             .expect("found or just started")
             .waiters
             .push(Waiter {
@@ -1226,15 +1171,6 @@ impl Controller {
                 decide_at,
                 packet,
             });
-    }
-
-    /// The in-flight machine deploying `sid` at `cluster`, if any (stepped
-    /// engine only).
-    fn machine_mut(&mut self, cluster: ClusterId, sid: ServiceId) -> Option<&mut DeployMachine> {
-        match &mut self.engine {
-            Engine::Stepped(d) => d.find_mut(cluster, sid),
-            Engine::Reference(_) => None,
-        }
     }
 
     // -----------------------------------------------------------------------
@@ -1256,7 +1192,7 @@ impl Controller {
     /// `sw_idx`, including whether a deployment is in flight there.
     fn cluster_views_into(
         clusters: &mut [AttachedCluster],
-        engine: &Engine,
+        dispatcher: &Dispatcher,
         name: &str,
         now: SimTime,
         sid: ServiceId,
@@ -1264,13 +1200,7 @@ impl Controller {
         out: &mut Vec<ClusterView>,
     ) {
         for (i, c) in clusters.iter_mut().enumerate() {
-            let deploying = match engine {
-                Engine::Stepped(d) => d.find(ClusterId(i), sid).is_some(),
-                Engine::Reference(r) => r
-                    .pending
-                    .get(&(ClusterId(i), sid))
-                    .is_some_and(|&t| t > now),
-            };
+            let deploying = dispatcher.find(ClusterId(i), sid).is_some();
             let status = c.status_of(now, sid, name);
             out.push(
                 ClusterView::builder(ClusterId(i), c.backend.kind(), c.distances[sw_idx], status)
@@ -1284,15 +1214,11 @@ impl Controller {
         }
     }
 
-    /// Is a deployment of `sid` at `cluster` already in flight (either
-    /// engine), or an instance already ready there? Either way no new
+    /// Is a deployment of `sid` at `cluster` already in flight, or an
+    /// instance already ready there? Either way no new
     /// replicas would start, so admission control does not apply.
     fn deployment_exists(&mut self, now: SimTime, cluster: ClusterId, sid: ServiceId) -> bool {
-        let in_flight = match &self.engine {
-            Engine::Stepped(d) => d.find(cluster, sid).is_some(),
-            Engine::Reference(r) => r.pending.get(&(cluster, sid)).is_some_and(|&t| t > now),
-        };
-        in_flight
+        self.dispatcher.find(cluster, sid).is_some()
             || self.clusters[cluster.0]
                 .status_of(now, sid, self.catalog.name_of(sid))
                 .is_ready()
@@ -1418,86 +1344,8 @@ impl Controller {
         booked + extra
     }
 
-    /// Seed the [`DeploymentRecord`] common to both engines.
-    fn record_seed(
-        &self,
-        now: SimTime,
-        cluster: ClusterId,
-        waited: bool,
-        name: &str,
-    ) -> DeploymentRecord {
-        DeploymentRecord {
-            service: name.to_owned(),
-            cluster,
-            kind: self.clusters[cluster.0].backend.kind(),
-            triggered_at: now,
-            pull: None,
-            create: None,
-            scale_up: None,
-            ready_detected: SimTime::FAR_FUTURE,
-            waited,
-        }
-    }
-
-    /// Reference engine only: run the synchronous pipeline (piggybacking on
-    /// a recorded in-flight readiness instant); returns the readiness instant
-    /// or `None` on failure.
-    fn ensure_deployed_reference(
-        &mut self,
-        now: SimTime,
-        cluster: ClusterId,
-        service: &RegisteredService,
-        waited: bool,
-    ) -> Option<SimTime> {
-        let (id, template) = (service.id, &*service.template);
-        {
-            let Engine::Reference(r) = &self.engine else {
-                unreachable!("reference engine required")
-            };
-            if let Some(&t) = r.pending.get(&(cluster, id)) {
-                if t > now {
-                    return Some(t); // piggyback on the in-flight deployment
-                }
-            }
-        }
-        let record = self.record_seed(now, cluster, waited, template.name.as_str());
-        let probe_rtt = self.clusters[cluster.0].distances[0] * 2;
-        let mut ctx = StepCtx {
-            backend: self.clusters[cluster.0].backend.as_mut(),
-            registries: &self.registries,
-            retries: self.config.deploy_retries,
-            backoff: self.config.retry_backoff,
-            probe_interval: self.config.probe_interval,
-            probe_timeout: self.config.probe_timeout,
-            probe_rtt,
-        };
-        match reference::deploy(now, template, record, &mut ctx) {
-            reference::Outcome::AlreadyReady => {
-                self.book(cluster, id, service.demand, 1);
-                Some(now)
-            }
-            reference::Outcome::Ready { record, retried } => {
-                self.book(cluster, id, service.demand, 1);
-                self.stats.retried_operations += retried;
-                let ready_detected = record.ready_detected;
-                self.stats.deployments.push(*record);
-                self.scaled_to_zero.remove((cluster, id));
-                let Engine::Reference(r) = &mut self.engine else {
-                    unreachable!("reference engine required")
-                };
-                r.pending.insert((cluster, id), ready_detected);
-                Some(ready_detected)
-            }
-            reference::Outcome::Failed { retried } => {
-                self.stats.retried_operations += retried;
-                self.stats.failed_deployments += 1;
-                None
-            }
-        }
-    }
-
-    /// Stepped engine only: start a deployment machine at `now` (steps
-    /// already due run on the next pump, same call stack).
+    /// Start a deployment machine at `now` (steps already due run on the
+    /// next pump, same call stack).
     fn start_machine(
         &mut self,
         now: SimTime,
@@ -1508,17 +1356,24 @@ impl Controller {
     ) -> &mut DeployMachine {
         let (sid, template) = (service.id, &service.template);
         self.book(cluster, sid, service.demand, 1);
-        let record = self.record_seed(now, cluster, waited, template.name.as_str());
         let site = &mut self.clusters[cluster.0];
+        let record = DeploymentRecord {
+            service: template.name.clone(),
+            cluster,
+            kind: site.backend.kind(),
+            triggered_at: now,
+            pull: None,
+            create: None,
+            scale_up: None,
+            ready_detected: SimTime::FAR_FUTURE,
+            waited,
+        };
         let created = site.status_of(now, sid, &template.name).created;
         let images_cached = site.backend.has_images(template);
         // The machine owns the displaced Remove-phase bookkeeping so a
         // failure can restore it.
         let saved = self.scaled_to_zero.remove((cluster, sid));
-        let Engine::Stepped(d) = &mut self.engine else {
-            unreachable!("stepped engine required")
-        };
-        let m = d.start(
+        let m = self.dispatcher.start(
             now,
             cluster,
             sid,
@@ -1537,10 +1392,7 @@ impl Controller {
     fn pump_machines(&mut self, now: SimTime, out: &mut Vec<ControllerOutput>) {
         loop {
             let (key, outcome) = {
-                let Engine::Stepped(d) = &mut self.engine else {
-                    return;
-                };
-                let Some(key) = d.due(now) else {
+                let Some(key) = self.dispatcher.due(now) else {
                     return;
                 };
                 let (ClusterId(cluster_idx), _) = key;
@@ -1554,7 +1406,7 @@ impl Controller {
                     probe_timeout: self.config.probe_timeout,
                     probe_rtt,
                 };
-                (key, d.advance(key, &mut ctx))
+                (key, self.dispatcher.advance(key, &mut ctx))
             };
             match outcome {
                 MachineOutcome::Progressed => {}
@@ -1577,14 +1429,8 @@ impl Controller {
         ready_detected: SimTime,
         out: &mut Vec<ControllerOutput>,
     ) {
-        let mut m = {
-            let Engine::Stepped(d) = &mut self.engine else {
-                unreachable!("stepped engine required")
-            };
-            let m = d.remove(key);
-            d.record_completed(m.seq);
-            m
-        };
+        let mut m = self.dispatcher.remove(key);
+        self.dispatcher.record_completed(m.seq);
         m.record.ready_detected = ready_detected;
         self.stats.retried_operations += m.retried;
         self.stats.deployments.push(m.record.clone());
@@ -1623,12 +1469,7 @@ impl Controller {
         error: DeployError,
         out: &mut Vec<ControllerOutput>,
     ) {
-        let m = {
-            let Engine::Stepped(d) = &mut self.engine else {
-                unreachable!("stepped engine required")
-            };
-            d.remove(key)
-        };
+        let m = self.dispatcher.remove(key);
         let revoked = matches!(error, DeployError::LeaseRevoked);
         self.release_booking(m.cluster, m.service);
         self.stats.retried_operations += m.retried;
@@ -1647,7 +1488,7 @@ impl Controller {
         self.push_delta(failed_at, m.cluster, m.service, DeltaKind::Gone);
         for w in m.waiters {
             // Drop the pending placeholder; the request is served by the
-            // cloud (matching the reference path). A lease-revoked abort is
+            // cloud. A lease-revoked abort is
             // not a real failure — the winning shard's instance is coming up
             // — so its waiters are memorized cloud-bound, giving them the
             // same retarget-on-Ready a loser that rejected at the gate gets.
@@ -1691,10 +1532,8 @@ impl Controller {
         let mut merge = |t: SimTime| {
             next = Some(next.map_or(t, |n: SimTime| n.min(t)));
         };
-        if let Engine::Stepped(d) = &self.engine {
-            if let Some(t) = d.next_step_at() {
-                merge(t);
-            }
+        if let Some(t) = self.dispatcher.next_step_at() {
+            merge(t);
         }
         if let Some(t) = self.retarget_queue.next_at() {
             merge(t);
@@ -1758,60 +1597,39 @@ impl Controller {
         });
     }
 
-    /// Deployments currently in flight (stepped: live machines; reference:
-    /// pending entries whose readiness instant lies in the future). Drives
-    /// the coherence audit's orphaned-pending check.
-    pub fn in_flight_deployments(&self, now: SimTime) -> Vec<(ServiceId, ClusterId)> {
-        match &self.engine {
-            Engine::Stepped(d) => d.in_flight(),
-            Engine::Reference(r) => r
-                .pending
-                .iter()
-                .filter(|(_, &t)| t > now)
-                .map(|(&(c, s), _)| (s, c))
-                .collect(),
-        }
+    /// Deployments currently in flight, oldest first. Drives the coherence
+    /// audit's orphaned-pending check.
+    pub fn in_flight_deployments(&self) -> Vec<(ServiceId, ClusterId)> {
+        self.dispatcher.in_flight()
     }
 
     /// Coarse phase of the in-flight deployment of `service` on `cluster`,
-    /// if one exists (stepped engine only — the reference pipeline never has
-    /// an observable in-flight phase).
+    /// or `None` if no deployment of it is in flight there.
     pub fn deployment_phase(
         &self,
         cluster: ClusterId,
         service: ServiceId,
     ) -> Option<DeployPhaseKind> {
-        match &self.engine {
-            Engine::Stepped(d) => d.find(cluster, service).map(|m| m.phase.kind()),
-            Engine::Reference(_) => None,
-        }
+        self.dispatcher
+            .find(cluster, service)
+            .map(|m| m.phase.kind())
     }
 
     /// The most recent deployment failure observed by the dispatcher —
-    /// which phase gave up and why (stepped engine only; `None` until a
-    /// machine fails).
+    /// which phase gave up and why (`None` until a machine fails).
     pub fn last_deploy_failure(&self) -> Option<&DeployFailure> {
         self.last_deploy_failure.as_ref()
     }
 
-    /// How many deployment machines have been started so far (the reference
-    /// engine reports completed deployments — every start completes within
-    /// the same call there).
+    /// How many deployment machines have been started so far.
     pub fn machines_started(&self) -> u64 {
-        match &self.engine {
-            Engine::Stepped(d) => d.next_seq(),
-            Engine::Reference(_) => self.stats.deployments.len() as u64,
-        }
+        self.dispatcher.next_seq()
     }
 
     /// Did any deployment machine with start ordinal in `[lo, hi)` complete
-    /// successfully? (Under the reference engine starts complete
-    /// synchronously, so the window itself is the answer.)
+    /// successfully?
     pub fn completed_machine_in(&self, lo: u64, hi: u64) -> bool {
-        match &self.engine {
-            Engine::Stepped(d) => d.completed_in(lo, hi),
-            Engine::Reference(_) => lo < hi,
-        }
+        self.dispatcher.completed_in(lo, hi)
     }
 
     // -----------------------------------------------------------------------
@@ -1830,24 +1648,19 @@ impl Controller {
     /// ordinary failure path ([`DeployError::LeaseRevoked`]) so bookings are
     /// released, Remove-phase bookkeeping is restored, a `Gone` delta is
     /// emitted and every held request falls back to the cloud. Returns the
-    /// resulting controller outputs; `None` if no such machine is in flight
-    /// (or the reference pipeline is active — it deploys synchronously and
-    /// has no abortable window).
+    /// resulting controller outputs; `None` if no such machine is in flight.
     pub fn abort_deployment(
         &mut self,
         now: SimTime,
         cluster: ClusterId,
         service: ServiceId,
     ) -> Option<Vec<ControllerOutput>> {
-        let Engine::Stepped(d) = &mut self.engine else {
-            return None;
-        };
-        let phase = d.find(cluster, service)?.phase.kind();
+        let phase = self.dispatcher.find(cluster, service)?.phase.kind();
         let key = (cluster, service);
         // Fail at the abort instant, not the machine's own next step:
         // `fail_machine` stamps the failure (and the `Gone` delta) with
         // `next_step`.
-        d.reschedule(key, now);
+        self.dispatcher.reschedule(key, now);
         let mut out = Vec::new();
         self.fail_machine(key, phase, DeployError::LeaseRevoked, &mut out);
         Some(out)
@@ -1962,11 +1775,7 @@ impl Controller {
                 .clusters
                 .iter_mut()
                 .any(|c| c.status_of(now, sid, name).is_ready());
-            let in_flight = match &self.engine {
-                Engine::Stepped(d) => d.any_for_service(sid),
-                Engine::Reference(r) => r.pending.iter().any(|(&(_, n), &t)| n == sid && t > now),
-            };
-            if anywhere_ready || in_flight {
+            if anywhere_ready || self.dispatcher.any_for_service(sid) {
                 continue;
             }
             // Deploy at the cluster the Global Scheduler would pick for the
@@ -1974,7 +1783,7 @@ impl Controller {
             let mut views = std::mem::take(&mut self.views_scratch);
             Self::cluster_views_into(
                 &mut self.clusters,
-                &self.engine,
+                &self.dispatcher,
                 name,
                 now,
                 sid,
@@ -1999,25 +1808,13 @@ impl Controller {
             if self.admit(target, &service).is_err() {
                 continue;
             }
-            match self.engine {
-                Engine::Reference(_) => {
-                    if self
-                        .ensure_deployed_reference(now, target, &service, false)
-                        .is_some()
-                    {
-                        self.stats.proactive_deployments += 1;
-                    }
-                }
-                Engine::Stepped(_) => {
-                    if !self.gate_acquire(now, target, sid) {
-                        self.stats.lease_rejections += 1;
-                        continue;
-                    }
-                    // Counted as proactive when (and if) the machine
-                    // completes, mirroring the reference's success-only count.
-                    self.start_machine(now, target, &service, false, true);
-                }
+            if !self.gate_acquire(now, target, sid) {
+                self.stats.lease_rejections += 1;
+                continue;
             }
+            // Counted as proactive when (and if) the machine completes: a
+            // failed proactive deployment is not a proactive deployment.
+            self.start_machine(now, target, &service, false, true);
         }
     }
 
@@ -2110,9 +1907,6 @@ impl Controller {
                         self.stats.scale_downs += 1;
                         self.release_booking(cluster, service);
                         self.push_delta(now, cluster, service, DeltaKind::Gone);
-                        if let Engine::Reference(r) = &mut self.engine {
-                            r.pending.remove(&(cluster, service));
-                        }
                         self.scaled_to_zero.insert((cluster, service), now);
                     } else {
                         // Transient backend fault (e.g. a flaky cluster API):

@@ -23,10 +23,9 @@ const REMOVE_AFTER: SimDuration = SimDuration::from_secs(8);
 /// every one of them.
 fn brute_force_next_wakeup(c: &Controller) -> Option<SimTime> {
     let mut pending: Vec<SimTime> = Vec::new();
-    if let Engine::Stepped(d) = &c.engine {
-        for (service, cluster) in d.in_flight() {
-            pending.push(d.find(cluster, service).expect("in flight").next_step());
-        }
+    let d = &c.dispatcher;
+    for (service, cluster) in d.in_flight() {
+        pending.push(d.find(cluster, service).expect("in flight").next_step());
     }
     pending.extend(c.retarget_queue.due.records().map(|(at, _)| at));
     if c.config.scale_down_idle {
@@ -126,8 +125,8 @@ enum Op {
     Request { service: u8, client: u8 },
     /// A mesh peer announces a ready instance.
     RemoteReady { cluster: usize, service: u8 },
-    /// The deployment lease is revoked (no-op unless a machine is in flight
-    /// and past its Scale-Up).
+    /// The deployment lease is revoked (no-op unless a machine is in flight),
+    /// in any phase.
     Abort { cluster: usize, service: u8 },
     /// Virtual time passes; every wakeup due on the way is delivered.
     Pass { ms: u64 },
@@ -194,19 +193,11 @@ impl Driver {
             }
             Op::Abort { cluster, service } => {
                 let (cluster, service) = (ClusterId(cluster), ServiceId(u32::from(service)));
-                // Not between Create and Scale-Up: plain Docker refuses the
-                // next deployment's scale-up while the orphaned create is
-                // still running.
-                let Engine::Stepped(d) = &self.c.engine else {
-                    unreachable!("stepped engine")
-                };
-                let Some(m) = d.find(cluster, service) else {
+                let Some(m) = self.c.dispatcher.find(cluster, service) else {
                     return Ok(());
                 };
-                if m.phase.kind() != DeployPhaseKind::ScalingUp {
-                    self.seen.restores += u64::from(m.saved_scaled_to_zero.is_some());
-                    self.c.abort_deployment(self.now, cluster, service);
-                }
+                self.seen.restores += u64::from(m.saved_scaled_to_zero.is_some());
+                self.c.abort_deployment(self.now, cluster, service);
             }
             Op::Pass { ms } => {
                 let end = self.now + SimDuration::from_millis(ms);

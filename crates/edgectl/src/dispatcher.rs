@@ -15,12 +15,15 @@
 //!
 //! Every step is issued at a recorded virtual instant (`next_step`), so the
 //! observable timeline — phase durations, probe cadence, readiness instants —
-//! is identical to the historical synchronous pipeline, which is retained
-//! verbatim in [`mod@reference`] as the equivalence oracle for the lockstep
-//! property test. What the state machine adds is *interleaving*: backend
-//! faults (a crash injected between phases or during the probe window) now
-//! land while a deployment is mid-flight and are observed by the next step,
-//! which can retry the phase or fail over to the cloud.
+//! does not depend on when wakeups happen to arrive. The machine *is* the
+//! protocol: each phase starts at the previous phase's end, a failed call
+//! repeats after `retry_backoff` up to `deploy_retries` times per phase, and
+//! probes run on the grid `accepted_at + k·probe_interval` up to and
+//! including `accepted_at + probe_timeout`. `tests/dispatcher_protocol.rs`
+//! checks every run against that rule from a log of the backend calls.
+//! Backend faults (a crash injected between phases or during the probe
+//! window) land while a deployment is mid-flight and are observed by the next
+//! step, which can retry the phase or fail over to the cloud.
 
 use std::sync::Arc;
 
@@ -235,9 +238,9 @@ impl DeployMachine {
         self.next_step
     }
 
-    /// Issue the one step due at `self.next_step`, mirroring the reference
-    /// pipeline's per-phase behaviour exactly (issue instants, retry
-    /// back-off, probe cadence, the post-increment deadline check).
+    /// Issue the one step due at `self.next_step`: the phase's backend call,
+    /// a retry after back-off, or one probe (failing once the next probe
+    /// would fall past the deadline).
     fn advance(&mut self, ctx: &mut StepCtx<'_>) -> MachineOutcome {
         let issued = self.next_step;
         let name = self.template.name.as_str();
@@ -442,8 +445,7 @@ impl Dispatcher {
     }
 
     /// Start a machine at `now`; phases whose issue instants are already due
-    /// run when the controller pumps the machines (same call stack), so the
-    /// backend sees the same call order as the synchronous pipeline.
+    /// run when the controller pumps the machines (same call stack).
     #[allow(clippy::too_many_arguments)]
     pub fn start(
         &mut self,
@@ -564,159 +566,3 @@ impl Dispatcher {
 
 #[cfg(test)]
 mod index_tests;
-
-pub mod reference {
-    //! The historical **synchronous** deployment pipeline, retained verbatim
-    //! as the equivalence oracle: it precomputes the readiness instant in one
-    //! call the moment the triggering packet arrives (temporal-database
-    //! backends make this legal — mutating calls take an `at` instant and
-    //! return completion instants). The lockstep property test drives a
-    //! reference-engine controller and a stepped-engine controller through
-    //! identical inputs and asserts identical outputs, stats and deployment
-    //! records. See DESIGN.md §5e.
-    //!
-    //! Known (intentional) limitation preserved here: the pending map is the
-    //! pre-dispatcher piggyback bookkeeping, including its historical leak —
-    //! entries whose readiness instant passed are never evicted. The stepped
-    //! engine fixes this structurally (machines are removed at the terminal
-    //! transition); the reference keeps the old behaviour so equivalence is
-    //! proved against what actually shipped.
-
-    use std::collections::HashMap;
-
-    use cluster::ClusterError;
-    use simcore::{SimDuration, SimTime};
-
-    use super::StepCtx;
-    use crate::catalog::ServiceId;
-    use crate::controller::DeploymentRecord;
-    use crate::scheduler::ClusterId;
-
-    /// Piggyback state of the synchronous pipeline: readiness instants of
-    /// deployments already run.
-    #[derive(Default)]
-    pub(crate) struct ReferencePipeline {
-        pub pending: HashMap<(ClusterId, ServiceId), SimTime>,
-    }
-
-    /// Result of one synchronous pipeline run.
-    pub(crate) enum Outcome {
-        /// The service was already ready at the call instant.
-        AlreadyReady,
-        /// The pipeline completed; the record carries all phase instants.
-        Ready {
-            record: Box<DeploymentRecord>,
-            retried: u64,
-        },
-        /// A phase exhausted retries or the probe window closed.
-        Failed { retried: u64 },
-    }
-
-    /// Run Pull → Create → Scale-Up → poll-port in one shot (the pre-state-
-    /// machine `ensure_deployed` body, byte-for-byte semantics).
-    pub(crate) fn deploy(
-        now: SimTime,
-        template: &cluster::ServiceTemplate,
-        mut record: DeploymentRecord,
-        ctx: &mut StepCtx<'_>,
-    ) -> Outcome {
-        let name = template.name.as_str();
-        let backend = &mut *ctx.backend;
-        let registries = ctx.registries;
-        let retries = ctx.retries;
-        let backoff = ctx.backoff;
-
-        let status = backend.status(now, name);
-        if status.is_ready() {
-            return Outcome::AlreadyReady;
-        }
-        let images_cached = backend.has_images(template);
-        let mut t = now;
-        let mut retried: u64 = 0;
-
-        // Phase 1: Pull (skipped when cached).
-        if !images_cached {
-            let Some((issued, end)) = with_retries(&mut t, retries, backoff, &mut retried, |at| {
-                backend.pull(at, template, registries)
-            }) else {
-                return Outcome::Failed { retried };
-            };
-            record.pull = Some((issued, end));
-            t = end;
-        }
-
-        // Phase 2: Create (skipped when the service objects exist).
-        if !status.created {
-            match with_retries(&mut t, retries, backoff, &mut retried, |at| {
-                match backend.create(at, template) {
-                    Err(ClusterError::AlreadyCreated(_)) => Ok(at),
-                    other => other,
-                }
-            }) {
-                Some((issued, end)) => {
-                    if end > issued {
-                        record.create = Some((issued, end));
-                    }
-                    t = end.max(t);
-                }
-                None => return Outcome::Failed { retried },
-            }
-        }
-
-        // Phase 3: Scale Up.
-        let Some((issued, receipt)) = with_retries(&mut t, retries, backoff, &mut retried, |at| {
-            backend.scale_up(at, name, 1)
-        }) else {
-            return Outcome::Failed { retried };
-        };
-        record.scale_up = Some((issued, receipt.accepted_at, receipt.expected_ready));
-
-        // Port polling: probe every `probe_interval` from the moment the
-        // scale-up API returned, plus the probe's own round trip to the host.
-        let mut probe_t = receipt.accepted_at;
-        let deadline = receipt.accepted_at + ctx.probe_timeout;
-        let ready_detected = loop {
-            if backend.is_ready(probe_t, name) {
-                break Some(probe_t + ctx.probe_rtt);
-            }
-            probe_t += ctx.probe_interval;
-            if probe_t > deadline {
-                break None;
-            }
-        };
-        match ready_detected {
-            Some(ready_detected) => {
-                record.ready_detected = ready_detected;
-                Outcome::Ready {
-                    record: Box::new(record),
-                    retried,
-                }
-            }
-            None => Outcome::Failed { retried },
-        }
-    }
-
-    /// Retry a phase on transient errors with back-off; returns the
-    /// successful result and the (possibly delayed) issue time.
-    pub(crate) fn with_retries<R>(
-        t: &mut SimTime,
-        retries: u32,
-        backoff: SimDuration,
-        retried: &mut u64,
-        mut op: impl FnMut(SimTime) -> Result<R, ClusterError>,
-    ) -> Option<(SimTime, R)> {
-        let mut attempt = 0;
-        loop {
-            let issued = *t;
-            match op(issued) {
-                Ok(r) => return Some((issued, r)),
-                Err(_) if attempt < retries => {
-                    attempt += 1;
-                    *retried += 1;
-                    *t = issued + backoff;
-                }
-                Err(_) => return None,
-            }
-        }
-    }
-}

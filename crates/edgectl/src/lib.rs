@@ -19,9 +19,7 @@
 //!   definition files (unique name, matchLabels, `edge.service` label,
 //!   `replicas: 0`, `schedulerName`, generated `Service`),
 //! * [`dispatcher`] — the per-deployment state machine (`Pulling → Creating →
-//!   ScalingUp → Probing → Ready | Failed`) advanced by discrete wakeups, plus
-//!   the retained synchronous pipeline as an equivalence oracle
-//!   ([`dispatcher::reference`]),
+//!   ScalingUp → Probing → Ready | Failed`) advanced by discrete wakeups,
 //! * [`controller`] — the controller event loop: PacketIn handling, on-demand
 //!   deployment *with* and *without* waiting via the dispatcher, flow
 //!   installation and idle scale-down, all scheduled through one

@@ -111,7 +111,7 @@ fn run_schedule(
     }
     // Drain: let every in-flight machine finish (or die), still checking.
     let mut guard = 0;
-    while !c.in_flight_deployments(now).is_empty() {
+    while !c.in_flight_deployments().is_empty() {
         let Some(w) = c.next_wakeup() else { break };
         let _ = c.on_wakeup(w);
         prop_assert!(within(&c), "overbooked during drain at {w}");

@@ -114,7 +114,7 @@ fn flow_mods(outputs: &[ControllerOutput]) -> Vec<&ControllerOutput> {
 /// pump to recover the "dust has settled" view.
 fn pump(c: &mut Controller) -> Vec<ControllerOutput> {
     let mut out = Vec::new();
-    while !c.in_flight_deployments(SimTime::ZERO).is_empty() {
+    while !c.in_flight_deployments().is_empty() {
         let Some(at) = c.next_wakeup() else { break };
         out.extend(c.on_wakeup(at));
     }
@@ -384,7 +384,7 @@ fn without_waiting_detours_to_ready_cluster_and_retargets() {
 
     // Background deployment at the near cluster was triggered; it completes
     // over subsequent wakeups.
-    assert_eq!(c.in_flight_deployments(warm).len(), 1);
+    assert_eq!(c.in_flight_deployments().len(), 1);
     let mut updates = pump(&mut c);
     assert_eq!(c.stats.deployments.len(), 1);
     let near_ready = {

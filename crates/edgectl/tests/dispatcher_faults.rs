@@ -5,6 +5,11 @@
 //! or inside the probe window — and is observed and handled by the next
 //! step. The synchronous pipeline precomputed the whole deployment in one
 //! call; nothing could happen "during" it.
+//!
+//! The second half times deployments by hand on a scripted backend: the
+//! probe window's two ends, the per-phase retry budget, a Create that finds
+//! the service already there — protocol cases `dispatcher_protocol.rs`'s
+//! generated runs do not reach.
 
 use cluster::{
     ClusterBackend, ClusterError, ClusterKind, CrashOutcome, DockerCluster, FaultPlan,
@@ -212,7 +217,7 @@ fn fault_between_create_and_scale_up_is_observed_and_retried() {
     let edge = ClusterId(0);
     let mut backoff_seen = false;
     for _ in 0..64 {
-        let in_flight = c.in_flight_deployments(SimTime::ZERO);
+        let in_flight = c.in_flight_deployments();
         assert!(
             in_flight.contains(&(svc, edge)),
             "machine must stay in flight across the fault"
@@ -231,7 +236,7 @@ fn fault_between_create_and_scale_up_is_observed_and_retried() {
 
     // The retry wakeup re-issues the scale-up; the deployment completes and
     // the held request is released toward the edge, not the cloud.
-    while !c.in_flight_deployments(SimTime::ZERO).is_empty() {
+    while !c.in_flight_deployments().is_empty() {
         pump_one(&mut c, &mut out);
     }
     assert_eq!(c.stats.failed_deployments, 0);
@@ -280,7 +285,7 @@ fn scale_up_retry_exhaustion_fails_over_to_cloud() {
     );
 
     let mut out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
-    while !c.in_flight_deployments(SimTime::ZERO).is_empty() {
+    while !c.in_flight_deployments().is_empty() {
         pump_one(&mut c, &mut out);
     }
     assert_eq!(c.stats.failed_deployments, 1);
@@ -344,7 +349,7 @@ fn replica_crash_during_probe_window_is_recovered() {
     let outcome = c.cluster_mut(edge).inject_crash(probing_at, "edge-nginx");
     assert_eq!(outcome, CrashOutcome::Down, "docker does not self-heal");
 
-    while !c.in_flight_deployments(SimTime::ZERO).is_empty() {
+    while !c.in_flight_deployments().is_empty() {
         pump_one(&mut c, &mut out);
     }
     assert_eq!(
@@ -387,7 +392,7 @@ fn probe_timeout_records_failed_probing_phase() {
     );
 
     let mut out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
-    while !c.in_flight_deployments(SimTime::ZERO).is_empty() {
+    while !c.in_flight_deployments().is_empty() {
         pump_one(&mut c, &mut out);
     }
     assert_eq!(c.stats.failed_deployments, 1);
@@ -407,7 +412,7 @@ fn probe_timeout_records_failed_probing_phase() {
 /// returns the instant the deployment was detected ready.
 fn deploy_and_settle(c: &mut Controller) -> SimTime {
     let mut out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
-    while !c.in_flight_deployments(SimTime::ZERO).is_empty() {
+    while !c.in_flight_deployments().is_empty() {
         pump_one(c, &mut out);
     }
     assert_eq!(c.stats.deployments.len(), 1, "deployment must complete");
@@ -488,7 +493,7 @@ fn admission_rejection_falls_back_to_cloud() {
     let out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
 
     assert!(
-        c.in_flight_deployments(SimTime::ZERO).is_empty(),
+        c.in_flight_deployments().is_empty(),
         "a rejected decision must not start a deployment machine"
     );
     assert_eq!(c.stats.admission_rejections, 1);
@@ -531,7 +536,7 @@ fn unmet_affinity_label_is_rejected_with_the_label_named() {
 
     let out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
 
-    assert!(c.in_flight_deployments(SimTime::ZERO).is_empty());
+    assert!(c.in_flight_deployments().is_empty());
     assert_eq!(c.stats.admission_rejections, 1);
     assert_eq!(c.stats.cloud_forwards, 1);
     match c.last_admission_error() {
@@ -599,4 +604,315 @@ fn scale_down_retry_succeeds_after_transient_fault() {
         0,
         "the idle instance is finally scaled to zero"
     );
+}
+
+/// A backend with fixed phase durations and scripted failures, so a test
+/// can compute every instant of a deployment by hand. Its status is never
+/// cacheable (`stable_until` is the read instant), so every read is fresh.
+#[derive(Default)]
+struct Scripted {
+    images: bool,
+    created: bool,
+    /// The next `n` calls of each phase fail.
+    pull_failures: u32,
+    create_failures: u32,
+    scale_up_failures: u32,
+    /// A mesh peer creates the service on this shared backend while the
+    /// pull runs: the Create that follows finds it already there.
+    peer_creates_during_pull: bool,
+    /// `scale_up` returns this long after it is issued, and the port opens
+    /// `ready_after` later.
+    accept_takes: SimDuration,
+    ready_after: SimDuration,
+    ready_at: Option<SimTime>,
+}
+
+const PULL_TAKES: SimDuration = SimDuration::from_millis(100);
+const CREATE_TAKES: SimDuration = SimDuration::from_millis(40);
+
+fn fail_next(left: &mut u32) -> bool {
+    let fail = *left > 0;
+    *left = left.saturating_sub(1);
+    fail
+}
+
+impl ClusterBackend for Scripted {
+    fn cluster_name(&self) -> &str {
+        "scripted"
+    }
+    fn kind(&self) -> ClusterKind {
+        ClusterKind::Docker
+    }
+    fn pull(
+        &mut self,
+        now: SimTime,
+        _template: &ServiceTemplate,
+        _registries: &RegistrySet,
+    ) -> Result<SimTime, ClusterError> {
+        if fail_next(&mut self.pull_failures) {
+            return Err(ClusterError::ImageUnavailable(ImageRef::new(
+                "nginx:1.23.2",
+            )));
+        }
+        self.images = true;
+        self.created |= self.peer_creates_during_pull;
+        Ok(now + PULL_TAKES)
+    }
+    fn create(
+        &mut self,
+        now: SimTime,
+        template: &ServiceTemplate,
+    ) -> Result<SimTime, ClusterError> {
+        if fail_next(&mut self.create_failures) {
+            return Err(ClusterError::InsufficientResources("api"));
+        }
+        if self.created {
+            return Err(ClusterError::AlreadyCreated(template.name.clone()));
+        }
+        self.created = true;
+        Ok(now + CREATE_TAKES)
+    }
+    fn scale_up(
+        &mut self,
+        now: SimTime,
+        _service: &str,
+        _replicas: u32,
+    ) -> Result<ScaleReceipt, ClusterError> {
+        if fail_next(&mut self.scale_up_failures) {
+            return Err(ClusterError::InsufficientResources("placement"));
+        }
+        let accepted_at = now + self.accept_takes;
+        let ready_at = accepted_at + self.ready_after;
+        self.ready_at = Some(ready_at);
+        Ok(ScaleReceipt {
+            accepted_at,
+            expected_ready: ready_at,
+        })
+    }
+    fn scale_down(
+        &mut self,
+        now: SimTime,
+        _service: &str,
+        _replicas: u32,
+    ) -> Result<SimTime, ClusterError> {
+        self.ready_at = None;
+        Ok(now)
+    }
+    fn remove(&mut self, now: SimTime, _service: &str) -> Result<SimTime, ClusterError> {
+        self.created = false;
+        self.ready_at = None;
+        Ok(now)
+    }
+    fn delete_image(&mut self, _now: SimTime, _image: &ImageRef) -> bool {
+        false
+    }
+    fn observe(
+        &self,
+        now: SimTime,
+        _service: &str,
+        endpoints: Option<&mut Vec<SocketAddr>>,
+    ) -> ServiceSnapshot {
+        let endpoint = SocketAddr::new(IpAddr::new(10, 0, 0, 100), 32_768);
+        let ready = self.ready_at.is_some_and(|t| now >= t);
+        if let (true, Some(out)) = (ready, endpoints) {
+            out.push(endpoint);
+        }
+        ServiceSnapshot {
+            status: cluster::ServiceStatus {
+                images_cached: self.images,
+                created: self.created,
+                desired_replicas: u32::from(self.ready_at.is_some()),
+                ready_replicas: u32::from(ready),
+                endpoint: self.created.then_some(endpoint),
+            },
+            stable_until: now,
+            scope: cluster::Scope::Absent,
+        }
+    }
+    fn epoch(&self, _scope: cluster::Scope) -> u64 {
+        0
+    }
+    fn has_images(&self, _template: &ServiceTemplate) -> bool {
+        self.images
+    }
+    fn services(&self) -> Vec<String> {
+        Vec::new()
+    }
+    fn load(&self) -> f64 {
+        0.0
+    }
+    fn inject_crash(&mut self, _now: SimTime, _service: &str) -> CrashOutcome {
+        CrashOutcome::NoInstance
+    }
+}
+
+/// Probe round trip to the edge host: twice the 300 µs `controller_with`
+/// attaches it at.
+const PROBE_RTT: SimDuration = SimDuration::from_micros(600);
+
+fn at_ms(ms: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_millis(ms)
+}
+
+/// One request at time zero on a scripted backend, pumped until the
+/// deployment is over. Probes every 50 ms (the default).
+fn deploy_scripted(backend: Scripted, config: ControllerConfig) -> (Controller, SimTime) {
+    let mut c = controller_with(Box::new(backend), config);
+    let mut out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    while !c.in_flight_deployments().is_empty() {
+        pump_one(&mut c, &mut out);
+    }
+    let released = release_time(&out);
+    (c, released)
+}
+
+/// The probe grid runs from the accept instant to the deadline, both ends
+/// included. Service objects and images are in place, so the deployment is
+/// one Scale-Up, accepted at 20 ms; probes follow every 50 ms from there.
+#[test]
+fn the_probe_window_is_closed_at_both_ends() {
+    // (probe timeout, port opens after accept, detected) in ms. The last
+    // case puts the deadline at 1 030 ms, between the probes at 1 020 and
+    // 1 070 ms, and opens the port just after 1 020.
+    let just_after = SimDuration::from_millis(1_000) + SimDuration::from_nanos(1);
+    let cases = [
+        (120_000, SimDuration::ZERO, Some(20)),
+        (1_000, SimDuration::from_millis(1_000), Some(1_020)),
+        (1_010, just_after, None),
+    ];
+    for (timeout_ms, ready_after, detected_ms) in cases {
+        let config = ControllerConfig {
+            probe_timeout: SimDuration::from_millis(timeout_ms),
+            ..Default::default()
+        };
+        let backend = Scripted {
+            images: true,
+            created: true,
+            accept_takes: SimDuration::from_millis(20),
+            ready_after,
+            ..Scripted::default()
+        };
+        let (c, released) = deploy_scripted(backend, config);
+        let case = format!("timeout {timeout_ms} ms, open after {ready_after}");
+        match detected_ms {
+            Some(ms) => {
+                let rec = &c.stats.deployments[0];
+                assert_eq!(rec.ready_detected, at_ms(ms) + PROBE_RTT, "{case}");
+                assert_eq!(released, rec.ready_detected, "{case}");
+            }
+            None => {
+                assert!(c.stats.deployments.is_empty(), "{case}");
+                let failure = c.last_deploy_failure().expect("failure recorded");
+                assert!(
+                    matches!(
+                        failure.error,
+                        DeployError::ProbeTimeout { deadline } if deadline == at_ms(1_030)
+                    ),
+                    "{case}: {failure:?}"
+                );
+                // Held, then sent to the cloud at its decision instant.
+                assert_eq!(released, SimTime::ZERO + SimDuration::from_micros(500));
+                assert_eq!(c.stats.cloud_forwards, 1);
+            }
+        }
+    }
+}
+
+/// Every phase gets the full retry budget: a pull that spends all its
+/// retries is followed by a create and a scale-up that still get theirs.
+/// Retries are 250 ms apart; pull takes 100 ms, create 40 ms.
+#[test]
+fn each_phase_gets_its_own_retry_budget() {
+    let backend = Scripted {
+        pull_failures: 2,
+        create_failures: 2,
+        scale_up_failures: 2,
+        accept_takes: SimDuration::from_millis(20),
+        ready_after: SimDuration::from_millis(100),
+        ..Scripted::default()
+    };
+    let config = ControllerConfig {
+        deploy_retries: 2,
+        retry_backoff: SimDuration::from_millis(250),
+        ..Default::default()
+    };
+    let (c, released) = deploy_scripted(backend, config);
+    assert_eq!(c.stats.failed_deployments, 0);
+    assert_eq!(c.stats.retried_operations, 6);
+    let rec = &c.stats.deployments[0];
+    // Pull at 0, 250, 500 → ends 600; create at 600, 850, 1 100 → ends
+    // 1 140; scale-up at 1 140, 1 390, 1 640 → accepted 1 660, open 1 760.
+    assert_eq!(rec.triggered_at, at_ms(0));
+    assert_eq!(rec.pull, Some((at_ms(500), at_ms(600))));
+    assert_eq!(rec.create, Some((at_ms(1_100), at_ms(1_140))));
+    assert_eq!(
+        rec.scale_up,
+        Some((at_ms(1_640), at_ms(1_660), at_ms(1_760)))
+    );
+    assert_eq!(rec.ready_detected, at_ms(1_760) + PROBE_RTT);
+    assert_eq!(released, rec.ready_detected);
+}
+
+/// A Create that finds the service already there (a mesh peer created it on
+/// the shared backend during the pull) is no phase: the record has no
+/// create, and the Scale-Up is issued when the pull ends.
+#[test]
+fn a_create_that_finds_the_service_records_no_create_phase() {
+    let backend = Scripted {
+        peer_creates_during_pull: true,
+        accept_takes: SimDuration::from_millis(20),
+        ready_after: SimDuration::from_millis(100),
+        ..Scripted::default()
+    };
+    let (c, _) = deploy_scripted(backend, ControllerConfig::default());
+    let rec = &c.stats.deployments[0];
+    assert_eq!(rec.pull, Some((at_ms(0), at_ms(100))));
+    assert_eq!(rec.create, None);
+    assert_eq!(rec.scale_up, Some((at_ms(100), at_ms(120), at_ms(220))));
+}
+
+/// A lease revocation while the Create is still running, then a redeploy of
+/// the same service: the new machine skips Create (the objects exist) and
+/// its Scale-Up meets a container that is still being created. Plain Docker
+/// answers `Busy` instead of panicking, and the dispatcher retries the
+/// Scale-Up after one back-off, by which time the create is done.
+#[test]
+fn a_scale_up_racing_an_orphaned_create_is_retried() {
+    let mut c = controller_with(Box::new(docker(9)), ControllerConfig::default());
+    let svc = c.catalog.id_of("edge-nginx").expect("registered");
+    let edge = ClusterId(0);
+    let mut out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    // The pull ends and the create is issued at `now`; the machine waits
+    // for it in ScalingUp.
+    let mut now = SimTime::ZERO;
+    while c.deployment_phase(edge, svc) != Some(DeployPhaseKind::ScalingUp) {
+        now = pump_one(&mut c, &mut out);
+    }
+    out.extend(
+        c.abort_deployment(now, edge, svc)
+            .expect("machine in flight"),
+    );
+    assert_eq!(
+        c.stats.cloud_forwards, 1,
+        "the held request goes to the cloud"
+    );
+
+    let mut out = c.on_packet_in(now, packet(2, 2), BufferId(1), CLIENT_PORT);
+    while !c.in_flight_deployments().is_empty() {
+        pump_one(&mut c, &mut out);
+    }
+    assert_eq!(
+        c.stats.retried_operations, 1,
+        "the busy scale-up was retried"
+    );
+    assert_eq!(
+        c.stats.failed_deployments, 1,
+        "only the aborted machine failed"
+    );
+    let rec = &c.stats.deployments[0];
+    assert_eq!(rec.create, None, "the redeploy found the service created");
+    let (issued, _, _) = rec.scale_up.expect("scaled up");
+    assert_eq!(issued, now + SimDuration::from_millis(250));
+    assert_eq!(release_time(&out), rec.ready_detected, "served at the edge");
+    assert_eq!(c.stats.cloud_forwards, 1);
 }

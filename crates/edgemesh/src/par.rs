@@ -527,7 +527,7 @@ impl ShardActor for MeshShard {
             lease_ops: std::mem::take(&mut ob.lease_ops),
             site_ops: std::mem::take(&mut ob.site_ops),
             deltas: std::mem::take(&mut ob.deltas),
-            in_flight: self.core.controller.in_flight_deployments(cmd.end),
+            in_flight: self.core.controller.in_flight_deployments(),
         }
     }
 
@@ -556,7 +556,7 @@ impl ShardFinal {
     ) -> ShardFinal {
         let controller = &core.controller;
         let in_flight = controller
-            .in_flight_deployments(now)
+            .in_flight_deployments()
             .into_iter()
             .map(|(svc, c)| (svc.0, c.0))
             .collect();

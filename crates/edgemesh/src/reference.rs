@@ -157,7 +157,7 @@ impl MeshSim {
                 );
             }
             duplicates.scan(cores.iter().enumerate().flat_map(|(s, core)| {
-                let in_flight = core.controller.in_flight_deployments(now);
+                let in_flight = core.controller.in_flight_deployments();
                 in_flight.into_iter().map(move |key| (s, key))
             }));
         }

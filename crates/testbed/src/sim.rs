@@ -573,7 +573,7 @@ impl Testbed {
             memory: controller.memory(),
             tables: vec![&switch.table],
             live_targets,
-            in_flight: controller.in_flight_deployments(now).into_iter().collect(),
+            in_flight: controller.in_flight_deployments().into_iter().collect(),
         };
         final_violations.extend(audit.verifier.check_coherence(&view));
 

@@ -63,7 +63,7 @@ fn round_trip_is_transparent_to_the_client() {
     let mut outputs = controller.on_packet_in(t0, packet, buffer_id, PortId(5));
     // The dispatcher finishes the deployment over discrete wakeups; drive
     // them like the simulator's event loop would until the machine drains.
-    while !controller.in_flight_deployments(t0).is_empty() {
+    while !controller.in_flight_deployments().is_empty() {
         let Some(at) = controller.next_wakeup() else {
             break;
         };
