@@ -207,6 +207,15 @@ struct GateState {
     tentative: BTreeMap<(ClusterId, ServiceId), bool>,
 }
 
+impl GateState {
+    /// Start a window: the barrier's committed `holders` become canonical
+    /// and the overlay is empty.
+    fn reset(&mut self, holders: &[(ClusterId, ServiceId, usize)]) {
+        self.canonical = holders.iter().map(|&(c, s, h)| ((c, s), h)).collect();
+        self.tentative.clear();
+    }
+}
+
 /// The [`DeployGate`] a windowed controller plugs in: optimistic acquire
 /// against the last canonical snapshot, logged for the coordinator to commit
 /// (or revoke) at the barrier.
@@ -484,14 +493,7 @@ impl ShardActor for MeshShard {
         // fallout sees it), then peer backend ops (already merged-sorted),
         // then revocations, then future delta deliveries.
         if let Some(gate) = &self.gate {
-            let mut st = gate.borrow_mut();
-            st.canonical = cmd
-                .inbox
-                .lease_holders
-                .iter()
-                .map(|&(c, s, h)| ((c, s), h))
-                .collect();
-            st.tentative.clear();
+            gate.borrow_mut().reset(&cmd.inbox.lease_holders);
         }
         for op in &cmd.inbox.foreign_ops {
             self.replay(at, op);
@@ -711,6 +713,12 @@ pub(crate) fn shard_core(
 // The coordinator.
 // ---------------------------------------------------------------------------
 
+/// Sort `items` into the barrier's merge order by their `(time, origin,
+/// seq)` key.
+fn merge_sort<T>(items: &mut [T], key: fn(&T) -> (SimTime, usize, u64), perturb: bool) {
+    items.sort_by(|a, b| merge_cmp(key(a), key(b), perturb));
+}
+
 fn merge_cmp(a: (SimTime, usize, u64), b: (SimTime, usize, u64), perturb: bool) -> Ordering {
     match a.0.cmp(&b.0) {
         Ordering::Equal => {
@@ -807,8 +815,6 @@ pub fn run_windowed_hooked(
     let mut lease_ops: Vec<LeaseOp> = Vec::new();
     let mut site_ops: Vec<SiteOp> = Vec::new();
     let mut deltas: Vec<DeltaOut> = Vec::new();
-    let mut revoked_keys: BTreeSet<(ClusterId, ServiceId)> = BTreeSet::new();
-    let mut revoked_once: BTreeSet<(usize, ClusterId, ServiceId)> = BTreeSet::new();
     let targets: Vec<usize> = if perturb {
         (0..n).rev().collect()
     } else {
@@ -820,60 +826,18 @@ pub fn run_windowed_hooked(
         lease_ops.clear();
         site_ops.clear();
         deltas.clear();
-        revoked_keys.clear();
-        revoked_once.clear();
         for r in &reports {
             lease_ops.extend(r.lease_ops.iter().copied());
             site_ops.extend(r.site_ops.iter().cloned());
             deltas.extend(r.deltas.iter().copied());
         }
-        lease_ops.sort_by(|a, b| {
-            merge_cmp(
-                (a.time, a.origin, a.seq),
-                (b.time, b.origin, b.seq),
-                perturb,
-            )
-        });
-        site_ops.sort_by(|a, b| {
-            merge_cmp(
-                (a.time, a.origin, a.seq),
-                (b.time, b.origin, b.seq),
-                perturb,
-            )
-        });
-        deltas.sort_by(|a, b| {
-            merge_cmp(
-                (a.time, a.origin, a.seq),
-                (b.time, b.origin, b.seq),
-                perturb,
-            )
-        });
+        merge_sort(&mut lease_ops, |o| (o.time, o.origin, o.seq), perturb);
+        merge_sort(&mut site_ops, |o| (o.time, o.origin, o.seq), perturb);
+        merge_sort(&mut deltas, |d| (d.time, d.origin, d.seq), perturb);
 
-        // Lease resolution: commit every logged op through the lease table
-        // in merged order. First committed acquirer wins; a tentative holder
-        // whose acquire the table rejects is revoked.
         let mut inboxes: Vec<Inbox> = (0..n).map(|_| Inbox::default()).collect();
-        for op in &lease_ops {
-            let key = (op.cluster, op.service);
-            let handle = &mut lease_handles[op.origin];
-            match op.call {
-                LeaseCall::Acquire => {
-                    if !handle.try_acquire(op.time, op.cluster, op.service) {
-                        if revoked_once.insert((op.origin, op.cluster, op.service)) {
-                            inboxes[op.origin].revocations.push(key);
-                        }
-                        revoked_keys.insert(key);
-                    }
-                }
-                LeaseCall::Release => handle.release(op.time, op.cluster, op.service),
-            }
-        }
-        if leases {
-            let snapshot = lease_table.holders();
-            for inbox in &mut inboxes {
-                inbox.lease_holders = snapshot.clone();
-            }
-        }
+        let revoked_keys =
+            commit_leases(&lease_ops, &lease_table, &mut lease_handles, &mut inboxes);
 
         // Route backend ops to every peer for barrier replay.
         for op in &site_ops {
@@ -956,6 +920,41 @@ pub fn run_windowed_hooked(
         )),
     );
     (result, violations)
+}
+
+/// The barrier's lease commit, the linearization point of every acquire and
+/// release: `ops`, in merge order, go through their origin shard's handle
+/// on the canonical `table`, so the first committed acquirer of a key wins.
+/// A shard whose tentative acquire the table rejects is revoked, once per
+/// key, through its inbox; every inbox gets the committed holders. Returns
+/// the revoked keys.
+fn commit_leases(
+    ops: &[LeaseOp],
+    table: &LeaseTable,
+    handles: &mut [LeaseHandle],
+    inboxes: &mut [Inbox],
+) -> BTreeSet<(ClusterId, ServiceId)> {
+    let mut revoked = BTreeSet::new();
+    for op in ops {
+        let key = (op.cluster, op.service);
+        let handle = &mut handles[op.origin];
+        match op.call {
+            LeaseCall::Acquire => {
+                if !handle.try_acquire(op.time, op.cluster, op.service) {
+                    if !inboxes[op.origin].revocations.contains(&key) {
+                        inboxes[op.origin].revocations.push(key);
+                    }
+                    revoked.insert(key);
+                }
+            }
+            LeaseCall::Release => handle.release(op.time, op.cluster, op.service),
+        }
+    }
+    let holders = table.holders();
+    for inbox in inboxes {
+        inbox.lease_holders = holders.clone();
+    }
+    revoked
 }
 
 // ---------------------------------------------------------------------------
@@ -1249,5 +1248,332 @@ mod tests {
         let since = |t: SimTime| u128::from(t.since(OBSERVED_AT).as_nanos());
         assert_eq!(g.staleness_ns_total, 2 * since(at) + since(late));
         assert_eq!(g.convergence_ns_total, since(late));
+    }
+}
+
+/// A bounded-exhaustive model of the lease protocol, run against the
+/// coordinator's own pieces: each shard's [`WindowGate`], the barrier's
+/// [`merge_sort`] and [`commit_leases`], and [`Gossip::fan_out`]. No ingress
+/// core and no backend: a shard is a gate plus the deployment machines it
+/// believes it runs.
+///
+/// A case is 2–3 shards, ≤ 3 same-instant `try_acquire`s over two windows
+/// on ≤ 2 cold services at one cluster, and how many windows after its
+/// start a machine turns Ready. A revoked machine releases through its gate
+/// (as `abort_deployment` → `fail_machine` does), a Ready one releases and
+/// gossips a Ready delta. At every barrier the model asserts that:
+/// - each gate answered as the last committed holder dictates;
+/// - the committed holder of each key is its first tentative acquirer in
+///   `(time, origin, seq)` order, and every other tentative acquirer is
+///   revoked exactly once;
+/// - no key has a running machine outside its committed holder (split
+///   brain).
+///
+/// At the end, every rejected or revoked shard has received a Ready delta
+/// for its key at or after the instant it lost, every delivery lands at or
+/// after the barrier that sent it, no lease is held and every gate's
+/// canonical view is empty.
+#[cfg(test)]
+mod protocol_model {
+    use super::*;
+    use edgectl::DeltaKind;
+
+    /// The model mesh's link latency, which is also its window length.
+    const LINK: SimDuration = SimDuration::from_millis(10);
+    const CLUSTER: ClusterId = ClusterId(0);
+
+    type Key = (ClusterId, ServiceId);
+
+    /// Shard `shard` wants to deploy `service` at the start of `window`.
+    #[derive(Debug, Clone, Copy)]
+    struct Acquire {
+        window: u64,
+        shard: usize,
+        service: u32,
+    }
+
+    #[derive(Debug)]
+    struct Case {
+        shards: usize,
+        /// Windows from a machine's start to its Ready.
+        ready_after: u64,
+        acquires: Vec<Acquire>,
+    }
+
+    struct Shard {
+        gate: WindowGate,
+        state: Rc<RefCell<GateState>>,
+        outbox: Rc<RefCell<Outbox>>,
+        /// Running machines, by the window each started in.
+        machines: BTreeMap<Key, u64>,
+        /// Gate calls so far: this shard's own order, independent of the
+        /// outbox's sequence numbers.
+        calls: u64,
+    }
+
+    impl Shard {
+        fn new(shard: usize) -> Shard {
+            let state = Rc::new(RefCell::new(GateState::default()));
+            let outbox = Rc::new(RefCell::new(Outbox::default()));
+            Shard {
+                gate: WindowGate {
+                    shard,
+                    state: Rc::clone(&state),
+                    outbox: Rc::clone(&outbox),
+                },
+                state,
+                outbox,
+                machines: BTreeMap::new(),
+                calls: 0,
+            }
+        }
+    }
+
+    fn instant(window: u64) -> SimTime {
+        SimTime::ZERO + LINK * window
+    }
+
+    /// Every case: each sequence of 1–3 acquires, each acquire any window
+    /// of two, any shard and either service.
+    fn cases() -> Vec<Case> {
+        let mut out = Vec::new();
+        for shards in 2..=3 {
+            let choices: Vec<Acquire> = (0..2)
+                .flat_map(|window| {
+                    (0..shards).flat_map(move |shard| {
+                        (0..2).map(move |service| Acquire {
+                            window,
+                            shard,
+                            service,
+                        })
+                    })
+                })
+                .collect();
+            for ready_after in 1..=2 {
+                for len in 1..=3u32 {
+                    for mut code in 0..choices.len().pow(len) {
+                        let mut acquires = Vec::new();
+                        for _ in 0..len {
+                            acquires.push(choices[code % choices.len()]);
+                            code /= choices.len();
+                        }
+                        out.push(Case {
+                            shards,
+                            ready_after,
+                            acquires,
+                        });
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Run one case through the protocol; `perturb` reverses the merge
+    /// tie-break.
+    fn run(case: &Case, perturb: bool) -> Result<(), String> {
+        let n = case.shards;
+        let mut cfg = ScenarioConfig::default();
+        cfg.mesh.link_latency = LINK;
+        let mut gossip = Gossip::new(&cfg);
+        let table = LeaseTable::new();
+        let mut handles: Vec<LeaseHandle> = (0..n).map(|s| table.handle(s)).collect();
+        let mut shards: Vec<Shard> = (0..n).map(Shard::new).collect();
+        let mut inboxes: Vec<Inbox> = (0..n).map(|_| Inbox::default()).collect();
+        // The specification's committed holders, and who lost a key when.
+        let mut committed: BTreeMap<Key, usize> = BTreeMap::new();
+        let mut lost: Vec<(usize, Key, SimTime)> = Vec::new();
+        let mut reached: Vec<(usize, Key, SimTime)> = Vec::new();
+        let last = case.acquires.iter().map(|a| a.window).max().unwrap_or(0);
+        for window in 0.. {
+            if window > last + 2 * case.ready_after + 2 {
+                return Err("the protocol never quiesced".into());
+            }
+            let now = instant(window);
+            // This window's logged calls in the shard's own order:
+            // `(shard, call, key, acquire)`.
+            let mut calls: Vec<(usize, u64, Key, bool)> = Vec::new();
+            for (s, shard) in shards.iter_mut().enumerate() {
+                let inbox = std::mem::take(&mut inboxes[s]);
+                shard.state.borrow_mut().reset(&inbox.lease_holders);
+                for &(at, d) in &inbox.deliveries {
+                    if d.kind == DeltaKind::Ready {
+                        reached.push((s, (d.cluster, d.service), at));
+                    }
+                }
+                for &key in &inbox.revocations {
+                    shard.machines.remove(&key);
+                    shard.gate.release(now, key.0, key.1);
+                    lost.push((s, key, now));
+                }
+                let ready: Vec<Key> = shard
+                    .machines
+                    .iter()
+                    .filter(|&(_, &started)| started + case.ready_after <= window)
+                    .map(|(&key, _)| key)
+                    .collect();
+                for key in ready {
+                    shard.machines.remove(&key);
+                    shard.gate.release(now, key.0, key.1);
+                    calls.push((s, shard.calls, key, false));
+                    shard.calls += 1;
+                    let mut ob = shard.outbox.borrow_mut();
+                    let seq = ob.next_seq();
+                    ob.deltas.push(DeltaOut {
+                        time: now,
+                        origin: s,
+                        seq,
+                        delta: StatusDelta {
+                            origin: now,
+                            cluster: key.0,
+                            service: key.1,
+                            kind: DeltaKind::Ready,
+                        },
+                    });
+                }
+                for a in case
+                    .acquires
+                    .iter()
+                    .filter(|a| a.window == window && a.shard == s)
+                {
+                    let key = (CLUSTER, ServiceId(a.service));
+                    let granted = shard.gate.try_acquire(now, key.0, key.1);
+                    let peer_holds = committed.get(&key).is_some_and(|&h| h != s);
+                    if granted == peer_holds {
+                        return Err(format!(
+                            "window {window}: shard {s}'s gate answered {granted} for {key:?}"
+                        ));
+                    }
+                    if granted {
+                        shard.machines.entry(key).or_insert(window);
+                        calls.push((s, shard.calls, key, true));
+                    } else {
+                        lost.push((s, key, now));
+                    }
+                    shard.calls += 1;
+                }
+            }
+
+            // The specification: every call happened at `now`, so the first
+            // tentative acquirer is the one first in `(origin, own order)`.
+            calls.sort_by_key(|&(s, call, _, _)| (s, call));
+            let mut revoke: BTreeSet<(usize, Key)> = BTreeSet::new();
+            for &(s, _, key, acquire) in &calls {
+                match (acquire, committed.get(&key).copied()) {
+                    (true, None) => {
+                        committed.insert(key, s);
+                    }
+                    (true, Some(h)) if h != s => {
+                        revoke.insert((s, key));
+                    }
+                    (false, Some(h)) if h == s => {
+                        committed.remove(&key);
+                    }
+                    _ => {}
+                }
+            }
+
+            // The barrier, as the coordinator runs it.
+            let mut lease_ops = Vec::new();
+            let mut deltas = Vec::new();
+            for shard in &shards {
+                let mut ob = shard.outbox.borrow_mut();
+                lease_ops.append(&mut ob.lease_ops);
+                deltas.append(&mut ob.deltas);
+            }
+            merge_sort(&mut lease_ops, |o| (o.time, o.origin, o.seq), perturb);
+            merge_sort(&mut deltas, |d| (d.time, d.origin, d.seq), perturb);
+            let barrier = instant(window + 1);
+            commit_leases(&lease_ops, &table, &mut handles, &mut inboxes);
+            for d in &deltas {
+                gossip.fan_out(
+                    d,
+                    0..n,
+                    |_| barrier,
+                    |t, at| inboxes[t].deliveries.push((at, d.delta)),
+                );
+            }
+
+            for service in 0..2 {
+                let key = (CLUSTER, ServiceId(service));
+                let holder = table.holder(key.0, key.1);
+                if holder != committed.get(&key).copied() {
+                    return Err(format!(
+                        "window {window}: {key:?} committed to {holder:?}, \
+                         its first acquirer is {:?}",
+                        committed.get(&key)
+                    ));
+                }
+                for (s, shard) in shards.iter().enumerate() {
+                    let revoked = inboxes[s].revocations.iter().filter(|&&k| k == key).count();
+                    if revoked != usize::from(revoke.contains(&(s, key))) {
+                        return Err(format!(
+                            "window {window}: shard {s} revoked {revoked} times for {key:?}"
+                        ));
+                    }
+                    if revoked == 0 && shard.machines.contains_key(&key) && holder != Some(s) {
+                        return Err(format!(
+                            "window {window}: split brain on {key:?}: shard {s} runs \
+                             a machine, {holder:?} holds the lease"
+                        ));
+                    }
+                }
+            }
+            for (t, inbox) in inboxes.iter().enumerate() {
+                if let Some(&(at, _)) = inbox.deliveries.iter().find(|&&(at, _)| at < barrier) {
+                    return Err(format!(
+                        "a delivery to shard {t} at {at} precedes the barrier"
+                    ));
+                }
+            }
+
+            let quiet = lease_ops.is_empty() && deltas.is_empty();
+            if window >= last && quiet && shards.iter().all(|s| s.machines.is_empty()) {
+                break;
+            }
+        }
+
+        for (s, key, at) in &lost {
+            if !reached
+                .iter()
+                .any(|r| (r.0, r.1) == (*s, *key) && r.2 >= *at)
+            {
+                return Err(format!(
+                    "shard {s} lost {key:?} at {at} and never heard it was ready"
+                ));
+            }
+        }
+        if table.held() != 0 {
+            return Err(format!("{} leases held at the end", table.held()));
+        }
+        for (s, shard) in shards.iter().enumerate() {
+            let mut st = shard.state.borrow_mut();
+            st.reset(&inboxes[s].lease_holders);
+            if !st.canonical.is_empty() {
+                return Err(format!("shard {s}'s gate ends with {:?}", st.canonical));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn every_case_keeps_the_protocol() {
+        let cases = cases();
+        for case in &cases {
+            if let Err(e) = run(case, false) {
+                panic!("{case:?}: {e}");
+            }
+        }
+        println!("lease protocol model: {} cases", cases.len());
+        assert_eq!(cases.len(), 4_936);
+    }
+
+    /// The mutation `tests/windowed.rs` applies to the whole engine: with
+    /// the merge tie-break reversed, the model must fail.
+    #[test]
+    fn a_reversed_tie_break_fails_the_model() {
+        let failing = cases().iter().filter(|c| run(c, true).is_err()).count();
+        assert!(failing > 0, "the reversed tie-break broke no case");
+        println!("reversed tie-break: {failing} failing cases");
     }
 }
