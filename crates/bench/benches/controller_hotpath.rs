@@ -70,7 +70,7 @@ fn backend(site: Site) -> Box<dyn ClusterBackend> {
             rng.stream("k8s"),
             K8sTimings::egs(),
         )),
-        Site::SharedDocker => Box::new(SharedBackend::new(share(Box::new(docker())))),
+        Site::SharedDocker => Box::new(SharedBackend::new(share(Box::new(docker())), |_, _| {})),
     }
 }
 

@@ -4,28 +4,21 @@
 //! Models the linearizable coordination service every production controller
 //! cluster already operates (ONOS/etcd, Kubernetes leader-election leases):
 //! one compare-and-set per deployment decision, far off the per-packet hot
-//! path. Linearizability is an ordering contract, and each engine discharges
-//! it with its own total order over acquire/release operations:
+//! path. Linearizability is an ordering contract. In the windowed engine
+//! ([`crate::par`]) shards acquire *tentatively* against a canonical
+//! snapshot and log every operation; at each window boundary the
+//! coordinator commits all logged operations through one `LeaseTable` in
+//! the merge order `(time, origin_shard, seq)`. That commit is the
+//! linearization point of every acquire and release — first committed
+//! acquirer wins, a tentative holder whose acquire the table rejects is
+//! revoked and aborts its machine. The merge key is a total order on
+//! operations that is independent of worker-thread schedule, which is
+//! exactly why the lease outcome (and the mesh trace hash) cannot depend on
+//! the thread count.
 //!
-//! * In the **windowed parallel engine** ([`crate::par`]) shards acquire
-//!   *tentatively* against a canonical snapshot and log every operation;
-//!   at each window boundary the coordinator commits all logged operations
-//!   through one `LeaseTable` in the merge order `(time, origin_shard,
-//!   seq)`. That commit is the linearization point of every acquire and
-//!   release — first committed acquirer wins, a tentative holder whose
-//!   acquire the table rejects is revoked and aborts its machine. The merge
-//!   key is a total order on operations that is independent of
-//!   worker-thread schedule, which is exactly why the lease outcome (and the
-//!   mesh trace hash) cannot depend on the thread count.
-//! * In the **interleaved reference engine** ([`crate::reference`]) the
-//!   same total order degenerates to step order: each controller's gate is
-//!   a handle on one table behind `Rc<RefCell<..>>`, and acquisition order
-//!   is the order the shards' PacketIns execute — by instant, then shard,
-//!   then queue order. Equivalently: every step is its own window and every
-//!   window boundary is empty.
-//!
-//! So the acquire/release rule is written once, here; the parallel
-//! engine's shard-local optimistic view lives in `par` as `WindowGate`.
+//! So the acquire/release rule is written once, here; the shard-local
+//! optimistic view lives in `par` as `WindowGate`, and a bounded-exhaustive
+//! model in `par`'s tests holds the two to first-acquirer-wins.
 //!
 //! Each shard's [`LeaseHandle`] plugs into the controller through
 //! [`edgectl::DeployGate`]: the dispatcher calls `try_acquire` immediately

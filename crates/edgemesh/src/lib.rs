@@ -23,28 +23,18 @@
 //!   is pre-rolled at send time from a dedicated RNG stream, so a lossy mesh
 //!   replays byte-identically under the same seed.
 //!
-//! Two engines execute the federation:
+//! [`par`], the **windowed parallel engine**, executes the federation for
+//! `shards >= 2`: multi-threaded conservative PDES with deterministic
+//! lookahead windows. Each shard is one `testbed::ingress::IngressShard` —
+//! the same switch / controller / event-queue core the single-controller
+//! testbed runs to completion — driven to each window end on one thread;
+//! everything cross-shard exchanges at window barriers in one canonical
+//! merge order, so the mesh trace hash is byte-identical for any thread
+//! count. Its lease protocol is checked by a bounded-exhaustive model in
+//! `par`'s tests, and its outcomes are pinned per scenario
+//! (`tests/windowed_pinned.rs`).
 //!
-//! * [`par`] — the **windowed parallel engine** (the default for
-//!   `shards >= 2`): multi-threaded conservative PDES with deterministic
-//!   lookahead windows. Each shard is one `testbed::ingress::IngressShard` —
-//!   the same switch / controller / event-queue core the single-controller
-//!   testbed runs to completion — driven to each window end on one
-//!   thread; everything cross-shard exchanges at window barriers in one
-//!   canonical merge order, so the mesh trace hash is byte-identical for any
-//!   thread count.
-//! * [`mod@reference`] — the interleaved engine, kept as the executable
-//!   specification the parallel engine is held equivalent to by the
-//!   model-based lockstep test. It steps the same ingress cores one instant
-//!   at a time in `(time, shard)` order. Its independence lies in the
-//!   protocol, not the data path: a synchronous lease table, one shared
-//!   backend per site, gossip sent the instant it is drained, and no
-//!   windows, replicas or revocation.
-//!
-//! Both engines send gossip through one fan-out, and a run of either ends
-//! in one assembly of the shards' final states into a [`MeshRunResult`].
-//!
-//! `shards = 1` bypasses both and delegates to the plain
+//! `shards = 1` bypasses it and delegates to the plain
 //! [`testbed::Testbed`], so every pinned single-controller trace stays
 //! byte-identical ([`MeshRunResult::mesh_hash`] then equals
 //! `RunResult::metrics_hash`).
@@ -57,13 +47,11 @@
 
 pub mod lease;
 pub mod par;
-pub mod reference;
 pub mod result;
 pub mod shared;
 
 pub use lease::{LeaseHandle, LeaseTable};
 pub use par::{run_windowed, run_windowed_audited, validate_threads, ThreadsExceedShards};
-pub use reference::MeshSim;
 pub use result::{MeshRecord, MeshRunResult, ShardSummary};
 pub use shared::{SharedBackend, SharedHandle};
 

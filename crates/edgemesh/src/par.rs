@@ -10,7 +10,7 @@
 //!
 //! * **gossip deltas** drained during the window, delivered at
 //!   `drain time + link_latency` (losses pre-rolled by the coordinator from
-//!   the `"mesh-gossip"` stream, exactly like the reference engine);
+//!   the `"mesh-gossip"` stream, so a lossy mesh replays byte-identically);
 //! * **lease operations**, resolved by the coordinator against the canonical
 //!   lease table in merged order — the commit point of the coordination
 //!   service. A shard that optimistically started a deployment and lost the
@@ -36,27 +36,29 @@
 //! next barrier, and a revoked (optimistic loser) machine's already-logged
 //! ops are not compensated. Both model the real federation — a controller
 //! acts on its own view immediately and peers converge at gossip latency —
-//! and both are deterministic, so they live inside the accepted divergence
-//! envelope documented in DESIGN.md §5f alongside the reference engine's
-//! shared-backend idealization.
+//! and both are deterministic (DESIGN.md §5f). The audit checks that they
+//! converge: a replica that applied another number of ops than shard 0's,
+//! rejected a replay, or ended in another state is an `edgeverify`
+//! `ReplicaDivergence`.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use cluster::{ClusterBackend, ServiceTemplate};
+use cluster::{ClusterBackend, ServiceStatus};
 use containers::ImageRef;
 use edgectl::controller::INGRESS;
-use edgectl::{ClusterId, Controller, DeployGate, ServiceId, StatusDelta, SwitchId};
+use edgectl::{
+    ClusterId, Controller, DeployGate, RegisteredService, ServiceId, StatusDelta, SwitchId,
+};
 use edgeverify::{MeshView, Verifier, Violation};
 use simcore::{ShardActor, ShardCrew, SimDuration, SimRng, SimTime};
-use simnet::SocketAddr;
 use testbed::bringup;
 use testbed::ingress::{Engine, IngressShard, Released};
-use testbed::{C3Topology, ScenarioConfig};
+use testbed::ScenarioConfig;
 use workload::{departures, ingress_at, Trace, TraceRequest};
 
 use crate::lease::{LeaseHandle, LeaseTable};
@@ -132,11 +134,11 @@ struct LeaseOp {
 
 /// A status delta a shard drained at `time`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct DeltaOut {
+struct DeltaOut {
     time: SimTime,
     origin: usize,
     seq: u64,
-    pub(crate) delta: StatusDelta,
+    delta: StatusDelta,
 }
 
 /// What the coordinator hands a shard at a barrier, to apply at the window
@@ -172,9 +174,8 @@ struct WindowReport {
     in_flight: Vec<(ServiceId, ClusterId)>,
 }
 
-/// What a shard ends a run with: the input of the end-of-run assembly
-/// ([`assemble`]) both engines share.
-pub(crate) struct ShardFinal {
+/// What a shard ends a run with: the input of the end-of-run assembly.
+struct ShardFinal {
     summary: ShardSummary,
     records: Vec<MeshRecord>,
     lost: u64,
@@ -184,9 +185,14 @@ pub(crate) struct ShardFinal {
     handovers: u64,
     in_flight: Vec<(u32, usize)>,
     redirects: Vec<(u32, usize)>,
-    /// `(service index, site)` pairs ready on this shard's replicas. The
-    /// audit uses shard 0's set (replicas converge at barriers).
-    ready: Vec<(u32, usize)>,
+    /// Per site, in catalog order: each service's index, its status on this
+    /// shard's replica and whether its images are there.
+    replicas: Vec<Vec<(u32, ServiceStatus, bool)>>,
+    /// Per site: backend ops this shard's replica applied, its own and
+    /// replayed ones.
+    applied: Vec<u64>,
+    /// Per site: peer ops this shard's replica rejected at replay.
+    failed_replays: Vec<u64>,
     stalls: u64,
     events: u64,
 }
@@ -312,11 +318,11 @@ impl DeployGate for WindowGate {
 /// sequence counter so the coordinator's `(time, origin, seq)` sort is a
 /// total order that respects intra-shard causality.
 #[derive(Debug, Default)]
-pub(crate) struct Outbox {
+struct Outbox {
     seq: u64,
     lease_ops: Vec<LeaseOp>,
     site_ops: Vec<SiteOp>,
-    pub(crate) deltas: Vec<DeltaOut>,
+    deltas: Vec<DeltaOut>,
 }
 
 impl Outbox {
@@ -345,16 +351,21 @@ struct MeshShard {
     gate: Option<Rc<RefCell<GateState>>>,
     mesh: MeshEngine,
     revocations: u64,
+    /// Per site: backend ops this shard's replica applied, its own and
+    /// replayed ones.
+    applied: Vec<u64>,
+    /// Per site: peer ops this shard's replica rejected at replay.
+    failed_replays: Vec<u64>,
     /// Real windows in which this shard executed zero events — it only
     /// stalled at the barrier while other shards worked.
     stalls: u64,
 }
 
-/// What a mesh shard makes of the core's events, in both engines: the shard
-/// serves the requests that enter at its ingress, a released request becomes
-/// a [`MeshRecord`], a delivery is applied to the controller, and every
+/// What a mesh shard makes of the core's events: the shard serves the
+/// requests that enter at its ingress, a released request becomes a
+/// [`MeshRecord`], a delivery is applied to the controller, and every
 /// event's status deltas go to the outbox.
-pub(crate) struct MeshEngine {
+struct MeshEngine {
     shard: usize,
     shards: usize,
     input: Arc<(ScenarioConfig, Trace)>,
@@ -365,32 +376,6 @@ pub(crate) struct MeshEngine {
 }
 
 impl MeshEngine {
-    pub(crate) fn new(
-        shard: usize,
-        input: &Arc<(ScenarioConfig, Trace)>,
-        outbox: &Rc<RefCell<Outbox>>,
-    ) -> MeshEngine {
-        MeshEngine {
-            shard,
-            shards: input.0.mesh.shards,
-            input: Arc::clone(input),
-            blackhole_victim: None,
-            records: Vec::new(),
-            outbox: Rc::clone(outbox),
-        }
-    }
-
-    /// Schedule the handovers away from this shard's ingress and close the
-    /// core's setup: the trace's t = 0 maps to `offset`.
-    pub(crate) fn start(&self, core: &mut IngressShard<StatusDelta>, offset: SimDuration) {
-        for (old, h) in departures(&self.input.1.handovers, self.shards) {
-            if old == self.shard {
-                core.schedule_handover(h.at + offset, h.client);
-            }
-        }
-        core.start(offset);
-    }
-
     fn drain_deltas(&mut self, controller: &mut Controller, now: SimTime) {
         let deltas = controller.drain_status_deltas();
         if deltas.is_empty() {
@@ -413,8 +398,7 @@ impl Engine<StatusDelta> for MeshEngine {
     fn ingress(&self, req: &TraceRequest) -> Option<SwitchId> {
         // Static ingress assignment (home shard advanced by the client's
         // prior handovers) — a pure function of the trace, so every shard
-        // and the reference engine partition identically with no
-        // cross-shard machinery.
+        // partitions identically with no cross-shard machinery.
         let n = self.shards;
         let ingress = ingress_at(&self.input.1.handovers, req.client, req.at, n);
         // Seeded-fault hook: swallow the victim's post-handover requests —
@@ -445,39 +429,34 @@ impl Engine<StatusDelta> for MeshEngine {
 
 impl MeshShard {
     /// Replay a peer's backend op on the local replica at the barrier
-    /// instant. Errors are swallowed: they mean this replica had already
-    /// diverged inside the accepted envelope (e.g. a revoked machine's
-    /// uncompensated ops), and the replay is the convergence mechanism, not
-    /// a correctness gate.
+    /// instant. A replay the replica rejects means it has diverged from
+    /// its peer; it is counted for the audit.
     fn replay(&mut self, at: SimTime, op: &SiteOp) {
         let mut b = self.handles[op.site].borrow_mut();
         let controller = &self.core.controller;
-        match &op.call {
-            SiteCall::Pull { template } => {
-                if let Some(s) = controller.catalog.lookup_name(template) {
-                    let _ = b.pull(at, &s.template, controller.registries());
-                }
+        let template = |name: &str| controller.catalog.lookup_name(name).map(|s| &s.template);
+        let ok = match &op.call {
+            SiteCall::Pull { template: name } => {
+                template(name).is_some_and(|t| b.pull(at, t, controller.registries()).is_ok())
             }
-            SiteCall::Create { template } => {
-                if let Some(s) = controller.catalog.lookup_name(template) {
-                    let _ = b.create(at, &s.template);
-                }
+            SiteCall::Create { template: name } => {
+                template(name).is_some_and(|t| b.create(at, t).is_ok())
             }
-            SiteCall::ScaleUp { service, replicas } => {
-                let _ = b.scale_up(at, service, *replicas);
-            }
+            SiteCall::ScaleUp { service, replicas } => b.scale_up(at, service, *replicas).is_ok(),
             SiteCall::ScaleDown { service, replicas } => {
-                let _ = b.scale_down(at, service, *replicas);
+                b.scale_down(at, service, *replicas).is_ok()
             }
-            SiteCall::Remove { service } => {
-                let _ = b.remove(at, service);
-            }
-            SiteCall::DeleteImage { image } => {
-                let _ = b.delete_image(at, &ImageRef::new(image.clone()));
-            }
+            SiteCall::Remove { service } => b.remove(at, service).is_ok(),
+            SiteCall::DeleteImage { image } => b.delete_image(at, &ImageRef::new(image.clone())),
             SiteCall::InjectCrash { service } => {
-                let _ = b.inject_crash(at, service);
+                b.inject_crash(at, service);
+                true
             }
+        };
+        if ok {
+            self.applied[op.site] += 1;
+        } else {
+            self.failed_replays[op.site] += 1;
         }
     }
 }
@@ -524,6 +503,9 @@ impl ShardActor for MeshShard {
             self.stalls += 1;
         }
         let mut ob = self.mesh.outbox.borrow_mut();
+        for op in &ob.site_ops {
+            self.applied[op.site] += 1;
+        }
         WindowReport {
             next_time: self.core.next_time(),
             lease_ops: std::mem::take(&mut ob.lease_ops),
@@ -534,29 +516,8 @@ impl ShardActor for MeshShard {
     }
 
     fn finish(self) -> ShardFinal {
-        ShardFinal::new(
-            &self.core,
-            self.mesh,
-            &self.handles,
-            self.core.horizon(),
-            self.revocations,
-            self.stalls,
-        )
-    }
-}
-
-impl ShardFinal {
-    /// What `core` and its `engine` end the run with, read at `now`;
-    /// `sites` are the backends the core's controller steers.
-    pub(crate) fn new(
-        core: &IngressShard<StatusDelta>,
-        engine: MeshEngine,
-        sites: &[SharedHandle],
-        now: SimTime,
-        revocations: u64,
-        stalls: u64,
-    ) -> ShardFinal {
-        let controller = &core.controller;
+        let now = self.core.horizon();
+        let controller = &self.core.controller;
         let in_flight = controller
             .in_flight_deployments()
             .into_iter()
@@ -568,29 +529,31 @@ impl ShardFinal {
             .filter(|f| !f.pending)
             .filter_map(|f| f.cluster.map(|c| (f.service.0, c.0)))
             .collect();
-        let mut ready = Vec::new();
-        for service in controller.catalog.services() {
-            for (c, handle) in sites.iter().enumerate() {
-                if handle
-                    .borrow()
-                    .status(now, &service.template.name)
-                    .is_ready()
-                {
-                    ready.push((service.id.0, c));
-                }
-            }
-        }
+        let replicas = self
+            .handles
+            .iter()
+            .map(|handle| {
+                let b = handle.borrow();
+                let state = |s: &RegisteredService| {
+                    let status = b.status(now, &s.template.name);
+                    (s.id.0, status, b.has_images(&s.template))
+                };
+                controller.catalog.services().map(state).collect()
+            })
+            .collect();
         ShardFinal {
-            summary: ShardSummary::of(&controller.stats, revocations),
-            lost: core.lost(),
-            lost_tags: core.lost_idx().iter().map(|&i| u64::from(i)).collect(),
+            summary: ShardSummary::of(&controller.stats, self.revocations),
+            lost: self.core.lost(),
+            lost_tags: self.core.lost_idx().iter().map(|&i| u64::from(i)).collect(),
             handovers: controller.stats.handovers,
             in_flight,
             redirects,
-            ready,
-            stalls,
-            events: core.events_executed(),
-            records: engine.records,
+            replicas,
+            applied: self.applied,
+            failed_replays: self.failed_replays,
+            stalls: self.stalls,
+            events: self.core.events_executed(),
+            records: self.mesh.records,
         }
     }
 }
@@ -623,10 +586,12 @@ fn build_shard(shard: usize, input: &Arc<(ScenarioConfig, Trace)>, hooks: TestHo
     let c3 = bringup::topology(cfg);
     let mut backends = bringup::site_backends(cfg, &c3);
     let templates = bringup::service_templates(cfg, trace.service_addrs.len());
-    // Prewarm the replicas themselves, before the LoggingBackend wraps them:
+    // Prewarm the replicas themselves, before the observed views wrap them:
     // every shard performs it, so broadcasting it would double-apply.
     let setup_end = bringup::prewarm(cfg, &templates, backends.iter_mut().map(|b| b.as_mut()));
     let handles: Vec<SharedHandle> = backends.into_iter().map(share).collect();
+    // The trace's t = 0 lies five seconds after the sites' pre-warm.
+    let offset = (setup_end - SimTime::ZERO) + SimDuration::from_secs(5);
 
     let outbox = Rc::new(RefCell::new(Outbox::default()));
     let gate = cfg
@@ -637,76 +602,58 @@ fn build_shard(shard: usize, input: &Arc<(ScenarioConfig, Trace)>, hooks: TestHo
     // successful mutations for barrier broadcast.
     let replicas = handles.iter().enumerate().map(|(site, handle)| {
         let outbox = Rc::clone(&outbox);
-        Box::new(SharedBackend::observed(
-            handle.clone(),
-            move |time, call| {
-                let mut ob = outbox.borrow_mut();
-                let seq = ob.next_seq();
-                ob.site_ops.push(SiteOp {
-                    time,
-                    origin: shard,
-                    seq,
-                    site,
-                    call,
-                });
-            },
-        )) as Box<dyn ClusterBackend>
+        Box::new(SharedBackend::new(handle.clone(), move |time, call| {
+            let mut ob = outbox.borrow_mut();
+            let seq = ob.next_seq();
+            ob.site_ops.push(SiteOp {
+                time,
+                origin: shard,
+                seq,
+                site,
+                call,
+            });
+        })) as Box<dyn ClusterBackend>
     });
     let window_gate = gate.as_ref().map(|state| WindowGate {
         shard,
         state: Rc::clone(state),
         outbox: Rc::clone(&outbox),
     });
-    let mut core = shard_core(
-        cfg,
-        c3,
-        &trace.service_addrs,
-        templates,
-        replicas,
-        window_gate,
-    );
-    let mesh = MeshEngine {
-        blackhole_victim: hooks.blackhole_victim,
-        ..MeshEngine::new(shard, input, &outbox)
-    };
-    mesh.start(&mut core, start_offset(setup_end));
+    let controller =
+        bringup::controller(cfg, &c3, replicas, &trace.service_addrs, templates, |b| {
+            let b = b.emit_status_deltas();
+            match window_gate {
+                Some(gate) => b.deploy_gate(gate),
+                None => b,
+            }
+        });
+    let switch = bringup::seeded_switch(cfg, &c3);
+    let mut core = IngressShard::new(c3, vec![switch], controller, trace.service_addrs.clone());
+    let shards = cfg.mesh.shards;
+    for (old, h) in departures(&trace.handovers, shards) {
+        if old == shard {
+            core.schedule_handover(h.at + offset, h.client);
+        }
+    }
+    core.start(offset);
     MeshShard {
         core,
         input: Arc::clone(input),
+        applied: vec![0; handles.len()],
+        failed_replays: vec![0; handles.len()],
         handles,
         gate,
-        mesh,
+        mesh: MeshEngine {
+            shard,
+            shards,
+            input: Arc::clone(input),
+            blackhole_victim: hooks.blackhole_victim,
+            records: Vec::new(),
+            outbox,
+        },
         revocations: 0,
         stalls: 0,
     }
-}
-
-/// Where the trace's t = 0 lies: five seconds after the sites' pre-warm.
-pub(crate) fn start_offset(setup_end: SimTime) -> SimDuration {
-    (setup_end - SimTime::ZERO) + SimDuration::from_secs(5)
-}
-
-/// A mesh shard's core on `c3`: the scenario's controller over `sites` (one
-/// backend view per site, in site order) with `templates` registered, status
-/// deltas on and `gate` deciding its deployment leases, feeding one seeded
-/// ingress switch.
-pub(crate) fn shard_core(
-    cfg: &ScenarioConfig,
-    c3: C3Topology,
-    service_addrs: &[SocketAddr],
-    templates: Vec<ServiceTemplate>,
-    sites: impl IntoIterator<Item = Box<dyn ClusterBackend>>,
-    gate: Option<impl DeployGate + 'static>,
-) -> IngressShard<StatusDelta> {
-    let controller = bringup::controller(cfg, &c3, sites, service_addrs, templates, |builder| {
-        let builder = builder.emit_status_deltas();
-        match gate {
-            Some(gate) => builder.deploy_gate(gate),
-            None => builder,
-        }
-    });
-    let switch = bringup::seeded_switch(cfg, &c3);
-    IngressShard::new(c3, vec![switch], controller, service_addrs.to_vec())
 }
 
 // ---------------------------------------------------------------------------
@@ -797,7 +744,10 @@ pub fn run_windowed_hooked(
     // per shard.
     let lease_table = LeaseTable::new();
     let mut lease_handles: Vec<LeaseHandle> = (0..n).map(|s| lease_table.handle(s)).collect();
-    let mut duplicates = SplitBrain::default();
+    // The `(service, cluster)` pairs seen deploying on two or more shards at
+    // once — the split-brain duplicate the lease protocol prevents — with
+    // the shards involved.
+    let mut duplicates: BTreeMap<(u32, usize), BTreeSet<usize>> = BTreeMap::new();
     let mut windows = 0u64;
     let mut horizon = SimTime::ZERO;
 
@@ -856,27 +806,29 @@ pub fn run_windowed_hooked(
             *next_activity = Some(next_activity.map_or(t, |n: SimTime| n.min(t)));
         }
         for d in &deltas {
-            gossip.fan_out(
-                d,
-                targets.iter().copied(),
-                |_| horizon,
-                |t, at| {
-                    bump(at, &mut next_activity);
-                    inboxes[t].deliveries.push((at, d.delta));
-                },
-            );
+            gossip.fan_out(d, targets.iter().copied(), horizon, |t, at| {
+                bump(at, &mut next_activity);
+                inboxes[t].deliveries.push((at, d.delta));
+            });
         }
 
         // Split-brain scan over the window-end in-flight sets, minus the
         // keys this barrier just revoked (the revocation *is* the protocol
         // resolving the race — only a key still contested after resolution
         // is a real duplicate).
-        duplicates.scan(reports.iter().enumerate().flat_map(|(s, r)| {
-            r.in_flight
-                .iter()
-                .filter(|&&(svc, cluster)| !revoked_keys.contains(&(cluster, svc)))
-                .map(move |&key| (s, key))
-        }));
+        let mut holders: BTreeMap<(u32, usize), Vec<usize>> = BTreeMap::new();
+        for (s, r) in reports.iter().enumerate() {
+            for &(svc, cluster) in &r.in_flight {
+                if !revoked_keys.contains(&(cluster, svc)) {
+                    holders.entry((svc.0, cluster.0)).or_default().push(s);
+                }
+            }
+        }
+        for (key, involved) in holders {
+            if involved.len() >= 2 {
+                duplicates.entry(key).or_default().extend(involved);
+            }
+        }
 
         // Earliest pending activity across the mesh: queue heads, scheduled
         // deliveries (bumped above), and the barrier instant itself when a
@@ -903,22 +855,57 @@ pub fn run_windowed_hooked(
         horizon = end;
     }
 
+    // The end of a run: records in `(released, shard, tag)` order — a pure
+    // function of the simulation, never of the workers — the sorted loss
+    // ledger, the summed counters and the audits.
     let finals = crew.finish();
-    let (result, mut violations) = assemble(
-        finals,
-        effective_threads,
-        leases,
-        &gossip,
-        &duplicates,
-        windows,
-    );
+    let mut violations = audit(&finals, &duplicates);
+    let mut records: Vec<MeshRecord> = finals
+        .iter()
+        .flat_map(|f| f.records.iter().copied())
+        .collect();
+    records.sort_by_key(|r| (r.released, r.shard, r.tag));
+    let mut lost_tags: Vec<u64> = finals
+        .iter()
+        .flat_map(|f| f.lost_tags.iter().copied())
+        .collect();
+    lost_tags.sort_unstable();
     violations.extend(
-        Verifier::new().check_continuity(&crate::continuity_view_parts(
-            trace,
-            &result.records,
-            &result.lost_tags,
-        )),
+        Verifier::new()
+            .check_continuity(&crate::continuity_view_parts(trace, &records, &lost_tags)),
     );
+
+    let shard_stats: Vec<ShardSummary> = finals.iter().map(|f| f.summary.clone()).collect();
+    let total = |f: fn(&ShardSummary) -> u64| shard_stats.iter().map(f).sum::<u64>();
+    let result = MeshRunResult {
+        shards: n,
+        threads: effective_threads,
+        leases,
+        completed: records.len() as u64,
+        lost: finals.iter().map(|f| f.lost).sum(),
+        deployments: total(|s| s.deployments),
+        duplicate_deployments: duplicates.len() as u64,
+        duplicate_deployments_avoided: total(|s| s.lease_rejections)
+            + total(|s| s.lease_revocations),
+        lease_revocations: total(|s| s.lease_revocations),
+        deltas_sent: gossip.sent,
+        deltas_lost: gossip.lost,
+        delta_deliveries: gossip.deliveries,
+        staleness_ns_total: gossip.staleness_ns_total,
+        convergence_ns_total: gossip.convergence_ns_total,
+        converged_deltas: gossip.converged,
+        scale_downs: total(|s| s.scale_downs),
+        removes: total(|s| s.removes),
+        retargets: total(|s| s.retargets),
+        handovers: finals.iter().map(|f| f.handovers).sum(),
+        windows,
+        barrier_stalls: finals.iter().map(|f| f.stalls).sum(),
+        events: finals.iter().map(|f| f.events).sum(),
+        shard_stats,
+        records,
+        lost_tags,
+        single: None,
+    };
     (result, violations)
 }
 
@@ -957,14 +944,9 @@ fn commit_leases(
     revoked
 }
 
-// ---------------------------------------------------------------------------
-// What both engines share: the gossip link, the split-brain scan and the
-// end-of-run assembly.
-// ---------------------------------------------------------------------------
-
 /// The gossip link between the shards: its loss, pre-rolled from the
 /// `"mesh-gossip"` stream, and the delivery counters.
-pub(crate) struct Gossip {
+struct Gossip {
     rng: SimRng,
     link_latency: SimDuration,
     gossip_interval: SimDuration,
@@ -978,7 +960,7 @@ pub(crate) struct Gossip {
 }
 
 impl Gossip {
-    pub(crate) fn new(cfg: &ScenarioConfig) -> Gossip {
+    fn new(cfg: &ScenarioConfig) -> Gossip {
         Gossip {
             rng: SimRng::seed_from_u64(cfg.seed).stream("mesh-gossip"),
             link_latency: cfg.mesh.link_latency,
@@ -996,14 +978,14 @@ impl Gossip {
     /// Send `d` to every shard of `targets` but its origin, in `targets`
     /// order. Losses are pre-rolled at send time: `deliver(shard, at)` gets
     /// each delivery at the instant its last retransmission lands, never
-    /// before `horizon(shard)` (the receiver's executed past), so a run is a
-    /// pure function of the seed regardless of loss. Deliveries, staleness
-    /// and convergence are counted here, when the delta is sent.
-    pub(crate) fn fan_out(
+    /// before `barrier` (the receivers' executed past), so a run is a pure
+    /// function of the seed regardless of loss. Deliveries, staleness and
+    /// convergence are counted here, when the delta is sent.
+    fn fan_out(
         &mut self,
         d: &DeltaOut,
         targets: impl IntoIterator<Item = usize>,
-        horizon: impl Fn(usize) -> SimTime,
+        barrier: SimTime,
         mut deliver: impl FnMut(usize, SimTime),
     ) {
         let mut latest = SimTime::ZERO;
@@ -1019,7 +1001,7 @@ impl Gossip {
                 at += self.gossip_interval;
                 tries += 1;
             }
-            let at = at.max(horizon(t));
+            let at = at.max(barrier);
             self.deliveries += 1;
             self.staleness_ns_total += at.since(d.delta.origin).as_nanos() as u128;
             latest = latest.max(at);
@@ -1030,105 +1012,32 @@ impl Gossip {
     }
 }
 
-/// The `(service, cluster)` pairs seen deploying on two or more shards at
-/// once — the split-brain duplicate the lease protocol prevents — with the
-/// shards involved.
-#[derive(Debug, Default)]
-pub(crate) struct SplitBrain(BTreeMap<(u32, usize), BTreeSet<usize>>);
-
-impl SplitBrain {
-    /// Record every pair the `(shard, (service, cluster))` items of
-    /// `in_flight` show on two or more shards.
-    pub(crate) fn scan(
-        &mut self,
-        in_flight: impl IntoIterator<Item = (usize, (ServiceId, ClusterId))>,
-    ) {
-        let mut holders: BTreeMap<(u32, usize), Vec<usize>> = BTreeMap::new();
-        for (s, (svc, cluster)) in in_flight {
-            holders.entry((svc.0, cluster.0)).or_default().push(s);
-        }
-        for (key, involved) in holders {
-            if involved.len() >= 2 {
-                self.0.entry(key).or_default().extend(involved);
-            }
-        }
-    }
-}
-
-/// The end of a run: records in `(released, shard, tag)` order — a pure
-/// function of the simulation, never of the workers — the sorted loss
-/// ledger, the summed counters and the mesh-coherence audit.
-pub(crate) fn assemble(
-    finals: Vec<ShardFinal>,
-    threads: usize,
-    leases: bool,
-    gossip: &Gossip,
-    duplicates: &SplitBrain,
-    windows: u64,
-) -> (MeshRunResult, Vec<Violation>) {
-    let violations = audit(&finals, duplicates);
-    let mut records: Vec<MeshRecord> = finals
-        .iter()
-        .flat_map(|f| f.records.iter().copied())
-        .collect();
-    records.sort_by_key(|r| (r.released, r.shard, r.tag));
-    let mut lost_tags: Vec<u64> = finals
-        .iter()
-        .flat_map(|f| f.lost_tags.iter().copied())
-        .collect();
-    lost_tags.sort_unstable();
-
-    let shard_stats: Vec<ShardSummary> = finals.iter().map(|f| f.summary.clone()).collect();
-    let total = |f: fn(&ShardSummary) -> u64| shard_stats.iter().map(f).sum::<u64>();
-    let result = MeshRunResult {
-        shards: finals.len(),
-        threads,
-        leases,
-        completed: records.len() as u64,
-        lost: finals.iter().map(|f| f.lost).sum(),
-        deployments: total(|s| s.deployments),
-        duplicate_deployments: duplicates.0.len() as u64,
-        duplicate_deployments_avoided: total(|s| s.lease_rejections)
-            + total(|s| s.lease_revocations),
-        lease_revocations: total(|s| s.lease_revocations),
-        deltas_sent: gossip.sent,
-        deltas_lost: gossip.lost,
-        delta_deliveries: gossip.deliveries,
-        staleness_ns_total: gossip.staleness_ns_total,
-        convergence_ns_total: gossip.convergence_ns_total,
-        converged_deltas: gossip.converged,
-        scale_downs: total(|s| s.scale_downs),
-        removes: total(|s| s.removes),
-        retargets: total(|s| s.retargets),
-        handovers: finals.iter().map(|f| f.handovers).sum(),
-        windows,
-        barrier_stalls: finals.iter().map(|f| f.stalls).sum(),
-        events: finals.iter().map(|f| f.events).sum(),
-        shard_stats,
-        records,
-        lost_tags,
-        single: None,
-    };
-    (result, violations)
-}
-
-/// The mesh-coherence audit over the final shard states: `edgeverify`'s
-/// static checks (using shard 0's ready set — the reference's sites are
-/// shared, the windowed engine's replicas converge at barriers) plus the
-/// split-brain duplicates observed live (the final snapshot alone would
-/// miss them — machines drain).
-fn audit(finals: &[ShardFinal], duplicates: &SplitBrain) -> Vec<Violation> {
-    let verifier = Verifier::new();
+/// The mesh-coherence audit over the final shard states:
+/// - `edgeverify`'s static checks, on shard 0's ready set;
+/// - the split-brain `duplicates` observed at barriers (the final snapshot
+///   alone would miss them — machines drain);
+/// - replica divergence: every shard's replica of a site must apply every
+///   op logged on that site, reject none at replay, and end as shard 0's
+///   does.
+fn audit(
+    finals: &[ShardFinal],
+    duplicates: &BTreeMap<(u32, usize), BTreeSet<usize>>,
+) -> Vec<Violation> {
     let view = MeshView {
         in_flight: finals.iter().map(|f| f.in_flight.to_vec()).collect(),
         redirects: finals.iter().map(|f| f.redirects.to_vec()).collect(),
-        ready: finals
-            .first()
-            .map(|f| f.ready.iter().copied().collect::<HashSet<_>>())
-            .unwrap_or_default(),
+        ready: finals[0]
+            .replicas
+            .iter()
+            .enumerate()
+            .flat_map(|(site, services)| {
+                let ready = services.iter().filter(|(_, st, _)| st.is_ready());
+                ready.map(move |&(service, ..)| (service, site))
+            })
+            .collect(),
     };
-    let mut out = verifier.check_mesh(&view);
-    for (&(service, cluster), involved) in &duplicates.0 {
+    let mut out = Verifier::new().check_mesh(&view);
+    for (&(service, cluster), involved) in duplicates {
         let v = Violation::SplitBrainDeployment {
             service,
             cluster,
@@ -1136,6 +1045,18 @@ fn audit(finals: &[ShardFinal], duplicates: &SplitBrain) -> Vec<Violation> {
         };
         if !out.contains(&v) {
             out.push(v);
+        }
+    }
+    for site in 0..finals[0].replicas.len() {
+        let shards: Vec<usize> = (0..finals.len())
+            .filter(|&s| {
+                finals[s].failed_replays[site] > 0
+                    || finals[s].applied[site] != finals[0].applied[site]
+                    || finals[s].replicas[site] != finals[0].replicas[site]
+            })
+            .collect();
+        if !shards.is_empty() {
+            out.push(Violation::ReplicaDivergence { site, shards });
         }
     }
     out
@@ -1178,9 +1099,9 @@ mod tests {
         }
     }
 
-    fn send_all(g: &mut Gossip, horizon: impl Fn(usize) -> SimTime) -> Vec<(usize, SimTime)> {
+    fn send_all(g: &mut Gossip, barrier: SimTime) -> Vec<(usize, SimTime)> {
         let mut out = Vec::new();
-        g.fan_out(&delta(), 0..4, horizon, |r, at| out.push((r, at)));
+        g.fan_out(&delta(), 0..4, barrier, |r, at| out.push((r, at)));
         out
     }
 
@@ -1189,7 +1110,7 @@ mod tests {
         let mut g = gossip(9, 0.0);
         let at = SENT_AT + LATENCY;
         assert_eq!(
-            send_all(&mut g, |_| SimTime::ZERO),
+            send_all(&mut g, SimTime::ZERO),
             vec![(0, at), (2, at), (3, at)]
         );
         let stale = u128::from(at.since(OBSERVED_AT).as_nanos());
@@ -1202,7 +1123,7 @@ mod tests {
     fn each_lost_try_adds_one_gossip_interval() {
         let seed = 21;
         let mut g = gossip(seed, 0.5);
-        let got = send_all(&mut g, |_| SimTime::ZERO);
+        let got = send_all(&mut g, SimTime::ZERO);
         // The same rolls by hand: every receiver retries until a try gets
         // through.
         let mut rng = SimRng::seed_from_u64(seed).stream("mesh-gossip");
@@ -1231,23 +1152,37 @@ mod tests {
             + LATENCY
             + SimDuration::from_nanos(INTERVAL.as_nanos() * u64::from(MAX_RETRANSMITS));
         assert_eq!(
-            send_all(&mut g, |_| SimTime::ZERO),
+            send_all(&mut g, SimTime::ZERO),
             vec![(0, at), (2, at), (3, at)]
         );
         assert_eq!(g.lost, 3 * u64::from(MAX_RETRANSMITS));
         assert_eq!(g.deliveries, 3);
     }
 
+    /// A delivery due before the barrier lands at the barrier, the
+    /// receivers' executed past; one due later keeps its instant.
     #[test]
-    fn a_delivery_never_lands_behind_its_receivers_horizon() {
-        let mut g = gossip(9, 0.0);
-        let at = SENT_AT + LATENCY;
-        let late = SENT_AT + SimDuration::from_secs(1);
-        let horizon = |r| if r == 2 { late } else { at };
-        assert_eq!(send_all(&mut g, horizon), vec![(0, at), (2, late), (3, at)]);
-        let since = |t: SimTime| u128::from(t.since(OBSERVED_AT).as_nanos());
-        assert_eq!(g.staleness_ns_total, 2 * since(at) + since(late));
-        assert_eq!(g.convergence_ns_total, since(late));
+    fn a_delivery_never_lands_before_the_barrier() {
+        let seed = 21;
+        let barrier = SENT_AT + LATENCY + INTERVAL / 2;
+        let mut g = gossip(seed, 0.5);
+        let got = send_all(&mut g, barrier);
+        let mut rng = SimRng::seed_from_u64(seed).stream("mesh-gossip");
+        let want: Vec<(usize, SimTime)> = [0, 2, 3]
+            .into_iter()
+            .map(|r| {
+                let mut at = SENT_AT + LATENCY;
+                while rng.f64() < 0.5 {
+                    at += INTERVAL;
+                }
+                (r, at.max(barrier))
+            })
+            .collect();
+        assert!(
+            want.iter().any(|&(_, at)| at == barrier) && want.iter().any(|&(_, at)| at > barrier),
+            "seed {seed} clamps all deliveries or none; pick another"
+        );
+        assert_eq!(got, want);
     }
 }
 
@@ -1486,12 +1421,9 @@ mod protocol_model {
             let barrier = instant(window + 1);
             commit_leases(&lease_ops, &table, &mut handles, &mut inboxes);
             for d in &deltas {
-                gossip.fan_out(
-                    d,
-                    0..n,
-                    |_| barrier,
-                    |t, at| inboxes[t].deliveries.push((at, d.delta)),
-                );
+                gossip.fan_out(d, 0..n, barrier, |t, at| {
+                    inboxes[t].deliveries.push((at, d.delta))
+                });
             }
 
             for service in 0..2 {

@@ -1,5 +1,5 @@
-//! Results shared by both mesh engines — the interleaved reference
-//! ([`crate::reference`]) and the windowed parallel engine ([`crate::par`]).
+//! The results of a mesh run ([`crate::par`], or the plain testbed for
+//! `shards = 1`).
 //!
 //! [`MeshRunResult::mesh_trace`] is the canonical determinism artifact: a
 //! textual rendering of everything a run produced, hashed by
@@ -36,9 +36,7 @@ pub struct ShardSummary {
     /// the lease — duplicate deployments avoided, from this shard's side.
     pub lease_rejections: u64,
     /// Deployment machines this shard aborted because the window-boundary
-    /// merge awarded the lease to another shard (windowed engine only; the
-    /// reference engine resolves every acquisition immediately and never
-    /// revokes).
+    /// merge awarded the lease to another shard.
     pub lease_revocations: u64,
     /// Remote status deltas applied.
     pub remote_deltas: u64,
@@ -69,8 +67,8 @@ impl ShardSummary {
 pub struct MeshRunResult {
     pub shards: usize,
     /// Threads that executed the run, the calling thread included (1 for
-    /// the reference engine and the `shards = 1` delegation). Deliberately absent from the trace:
-    /// the hash must not depend on it.
+    /// the `shards = 1` delegation). Deliberately absent from the trace: the
+    /// hash must not depend on it.
     pub threads: usize,
     pub leases: bool,
     /// Requests whose SYN was released into the fabric.
@@ -105,10 +103,10 @@ pub struct MeshRunResult {
     /// down. In the trace only when non-zero, so every pinned static-client
     /// hash stays byte-identical.
     pub handovers: u64,
-    /// Synchronization windows executed (windowed engine; 0 for reference).
+    /// Synchronization windows executed (0 for `shards = 1`).
     pub windows: u64,
     /// Shard-windows that executed zero events — the shard only waited at
-    /// the barrier (windowed engine; 0 for reference).
+    /// the barrier (0 for `shards = 1`).
     pub barrier_stalls: u64,
     /// Total events executed across all shards.
     pub events: u64,
@@ -176,7 +174,7 @@ impl MeshRunResult {
     }
 
     /// Barrier stalls per window, averaged over the run (0 when the run had
-    /// no windows — reference engine or `shards = 1`).
+    /// no windows, as with `shards = 1`).
     pub fn stalls_per_window(&self) -> f64 {
         if self.windows == 0 {
             return 0.0;

@@ -1,27 +1,17 @@
-//! Shared cluster backends: every controller shard steers the same physical
-//! edge sites.
+//! Site replicas: every controller shard steers its own copy of each
+//! physical edge site.
 //!
 //! Sharding splits the *control plane*, not the clusters — a Docker engine
-//! has one API endpoint no matter how many controllers call it. The two
-//! engines realize "one site, many controllers" differently:
-//!
-//! * The **interleaved reference engine** ([`crate::reference`]) keeps each
-//!   site's backend once, behind a [`SharedHandle`], and every shard
-//!   attaches a [`SharedBackend`] wrapper that delegates through it. Calls
-//!   are serialized by the driver's `(time, shard)` step order, so
-//!   interleavings are exactly that deterministic order — which is what
-//!   makes the un-leased duplicate-deployment race observable instead of a
-//!   data race.
-//! * The **windowed parallel engine** ([`crate::par`]) cannot share a
-//!   `Rc<RefCell<..>>` across worker threads, so every shard owns an
-//!   identical *replica* of every site (same seed, same RNG streams) and
-//!   steers it through an *observed* [`SharedBackend`] that logs its own
-//!   successful mutations as [`SiteCall`]s; peers replay those logs at the
-//!   next window boundary in the canonical `(time, origin_shard, seq)` merge
-//!   order. Replaying the same mutations in the same total order against
-//!   the same initial state keeps all replicas convergent without any
-//!   cross-thread aliasing — the serialized-interleaving argument above,
-//!   restated per window instead of per event.
+//! has one API endpoint no matter how many controllers call it. The windowed
+//! engine ([`crate::par`]) cannot share a `Rc<RefCell<..>>` across worker
+//! threads, so every shard owns an identical *replica* of every site (same
+//! seed, same RNG streams) behind a [`SharedHandle`] and steers it through a
+//! [`SharedBackend`] view that logs its own successful mutations as
+//! [`SiteCall`]s; peers replay those logs onto the handle at the next window
+//! boundary in the canonical `(time, origin_shard, seq)` merge order.
+//! Replaying the same mutations in the same total order against the same
+//! initial state keeps all replicas convergent without any cross-thread
+//! aliasing, and the end-of-run audit checks that they did.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -35,10 +25,11 @@ use registry::RegistrySet;
 use simcore::SimTime;
 use simnet::SocketAddr;
 
-/// The single shared instance of one site's backend.
+/// One shard's replica of one site's backend, shared by its view and the
+/// barrier replay.
 pub type SharedHandle = Rc<RefCell<Box<dyn ClusterBackend>>>;
 
-/// Wrap a backend for shared ownership across controller shards.
+/// Wrap a backend for shared ownership by a view and the barrier replay.
 pub fn share(backend: Box<dyn ClusterBackend>) -> SharedHandle {
     Rc::new(RefCell::new(backend))
 }
@@ -64,13 +55,18 @@ pub struct SharedBackend {
     kind: ClusterKind,
     inner: SharedHandle,
     /// Told about every successful mutation (reads don't gossip; failed
-    /// mutations have no side effect to replicate) — how the windowed
-    /// engine's replicas log their ops for barrier broadcast.
-    observer: Option<Box<dyn FnMut(SimTime, SiteCall)>>,
+    /// mutations have no side effect to replicate) — how a replica logs its
+    /// ops for barrier broadcast.
+    observer: Box<dyn FnMut(SimTime, SiteCall)>,
 }
 
 impl SharedBackend {
-    pub fn new(inner: SharedHandle) -> SharedBackend {
+    /// A view of `inner` with `observer` told about every successful
+    /// mutation made through it.
+    pub fn new(
+        inner: SharedHandle,
+        observer: impl FnMut(SimTime, SiteCall) + 'static,
+    ) -> SharedBackend {
         let (name, kind) = {
             let b = inner.borrow();
             (b.cluster_name().to_string(), b.kind())
@@ -79,25 +75,13 @@ impl SharedBackend {
             name,
             kind,
             inner,
-            observer: None,
-        }
-    }
-
-    /// [`SharedBackend::new`] with `observer` told about every successful
-    /// mutation made through this view.
-    pub fn observed(
-        inner: SharedHandle,
-        observer: impl FnMut(SimTime, SiteCall) + 'static,
-    ) -> SharedBackend {
-        SharedBackend {
-            observer: Some(Box::new(observer)),
-            ..SharedBackend::new(inner)
+            observer: Box::new(observer),
         }
     }
 
     fn note(&mut self, happened: bool, now: SimTime, call: impl FnOnce() -> SiteCall) {
-        if let (true, Some(observer)) = (happened, &mut self.observer) {
-            observer(now, call());
+        if happened {
+            (self.observer)(now, call());
         }
     }
 }
@@ -247,8 +231,8 @@ mod tests {
             rng.stream("d"),
         );
         let handle = share(Box::new(docker));
-        let mut a = SharedBackend::new(handle.clone());
-        let b = SharedBackend::new(handle);
+        let mut a = SharedBackend::new(handle.clone(), |_, _| {});
+        let b = SharedBackend::new(handle, |_, _| {});
         assert_eq!(a.cluster_name(), "site-0");
         assert_eq!(b.kind(), ClusterKind::Docker);
 

@@ -2,7 +2,8 @@
 //! contention, split-brain without it, determinism under loss, and the
 //! `shards = 1` byte-identity guarantee.
 
-use edgemesh::{run_mesh_bigflows, run_mesh_scenario, MeshSim};
+use edgemesh::{run_mesh_bigflows, run_mesh_scenario, run_windowed_audited};
+use edgeverify::Violation;
 use simcore::{SimDuration, SimRng, SimTime};
 use simnet::{IpAddr, SocketAddr};
 use testbed::{MeshParams, ScenarioConfig};
@@ -96,14 +97,16 @@ fn without_leases_the_same_contention_splits_brains() {
 fn audited_contention_without_leases_reports_split_brain() {
     let trace = contention_trace();
     let cfg = contention_cfg(4, false, 0.0);
-    let (result, violations) =
-        MeshSim::build(cfg, trace.service_addrs.clone()).run_trace_audited(&trace);
-    assert!(result.duplicate_deployments >= 1);
-    assert!(
-        violations
-            .iter()
-            .any(|v| matches!(v, edgeverify::Violation::SplitBrainDeployment { .. })),
-        "audit must surface the observed split-brain: {violations:?}"
+    let (result, violations) = run_windowed_audited(cfg, &trace, 2);
+    assert_eq!(result.duplicate_deployments, 1);
+    let split: Vec<_> = violations
+        .iter()
+        .filter(|v| matches!(v, Violation::SplitBrainDeployment { .. }))
+        .collect();
+    assert_eq!(
+        split.len(),
+        1,
+        "audit must surface the observed split-brain once: {violations:?}"
     );
 }
 
@@ -111,13 +114,12 @@ fn audited_contention_without_leases_reports_split_brain() {
 fn audited_contention_with_leases_is_clean_of_split_brain() {
     let trace = contention_trace();
     let cfg = contention_cfg(4, true, 0.0);
-    let (result, violations) =
-        MeshSim::build(cfg, trace.service_addrs.clone()).run_trace_audited(&trace);
+    let (result, violations) = run_windowed_audited(cfg, &trace, 2);
     assert_eq!(result.duplicate_deployments, 0);
     assert!(
         !violations
             .iter()
-            .any(|v| matches!(v, edgeverify::Violation::SplitBrainDeployment { .. })),
+            .any(|v| matches!(v, Violation::SplitBrainDeployment { .. })),
         "lease-protected run must not split-brain: {violations:?}"
     );
 }

@@ -1,6 +1,7 @@
 //! The observation contract (DESIGN.md §5i) through [`SharedBackend`]: two
-//! views of one backend, mutated through either view and through the shared
-//! handle itself (where a peer's replayed calls land), each view read by its
+//! observed views of one backend, as a windowed shard attaches them, mutated
+//! through either view and through the shared handle itself (where a peer's
+//! replayed calls land), each view read by its
 //! own caching reader under the per-service rule — a held read is reused
 //! while its scope's epoch, as the view forwards it, is unchanged. The
 //! property and its generator live in the cluster crate's test rig, so the
@@ -30,9 +31,8 @@ impl TwoViews {
         let handle = share(backend);
         TwoViews {
             views: [
-                SharedBackend::new(handle.clone()),
-                // An observed view, as every windowed-engine shard attaches.
-                SharedBackend::observed(handle.clone(), |_, _| {}),
+                SharedBackend::new(handle.clone(), |_, _| {}),
+                SharedBackend::new(handle.clone(), |_, _| {}),
             ],
             handle,
         }

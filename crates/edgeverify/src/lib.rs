@@ -227,6 +227,11 @@ pub enum Violation {
         cluster: usize,
         shards: Vec<usize>,
     },
+    /// The shards whose replica of `site` diverged from shard 0's: it
+    /// applied another number of backend ops, rejected a peer's op at
+    /// replay, or ended the run in another state. Replicas model one
+    /// physical site, so they must converge.
+    ReplicaDivergence { site: usize, shards: Vec<usize> },
     /// A controller shard still steers a service's flows at a cluster where
     /// no replica is ready — cross-shard staleness that outlived the gossip
     /// convergence envelope (a `Gone` delta that never took effect).
@@ -359,6 +364,11 @@ impl fmt::Display for Violation {
                 f,
                 "split-brain: service #{service} deploying at cluster {cluster} \
                  concurrently on shards {shards:?}"
+            ),
+            Violation::ReplicaDivergence { site, shards } => write!(
+                f,
+                "replica-divergence: site {site}: the replicas of shards {shards:?} \
+                 missed or rejected a replayed op, or ended unlike shard 0's"
             ),
             Violation::StaleMeshRedirect {
                 shard,

@@ -1,11 +1,11 @@
 //! Site, controller and switch bring-up, written once.
 //!
 //! Every engine that runs a [`ScenarioConfig`] — the single-controller
-//! [`crate::Testbed`], each shard of `edgemesh`'s windowed engine and the
-//! mesh reference engine — starts from these pieces. The engines differ only
-//! in what they wrap around a site's backend before attaching it (nothing, a
-//! shared handle, an op-logging replica view) and in the controller builder
-//! switches they add; both are parameters here. Identical streams mean
+//! [`crate::Testbed`] and each shard of `edgemesh`'s windowed engine —
+//! starts from these pieces. The engines differ only in what they wrap
+//! around a site's backend before attaching it (nothing, or an op-logging
+//! replica view) and in the controller builder switches they add; both are
+//! parameters here. Identical streams mean
 //! identical sites: every mesh shard derives its replicas from the same
 //! `(seed, stream name)` pairs as the testbed, so replicas are byte-identical
 //! at birth and stay so under the identical pre-warm.

@@ -5,13 +5,12 @@
 //! PacketIn → Dispatcher decision → FlowMod + release — and this module is
 //! its one implementation. Per request, only the **first packet** (the TCP
 //! SYN) travels through the OpenFlow machinery — matching reality, where
-//! subsequent packets hit the installed flow in the data plane. Four drivers
+//! subsequent packets hit the installed flow in the data plane. Three drivers
 //! run an [`IngressShard`] up to an instant ([`IngressShard::run_until`]): the
-//! [`crate::Testbed`] and [`crate::fabric`] once, to completion; each shard
-//! of `edgemesh`'s PDES engine window by window, and of its reference engine
-//! instant by instant. A PacketIn names the switch that missed and every
-//! controller output lands on the switch it names; the testbed and the mesh
-//! are the one-switch case. What differs between the engines is an
+//! [`crate::Testbed`] and [`crate::fabric`] once, to completion, and each
+//! shard of `edgemesh`'s PDES engine window by window. A PacketIn names the
+//! switch that missed and every controller output lands on the switch it
+//! names; the testbed and the mesh are the one-switch case. What differs between the engines is an
 //! [`Engine`]: which switch a trace request enters at (if at this shard),
 //! what a released request becomes — served, or handed over a trunk
 //! ([`IngressShard::forward`]) — and the events only that engine has.
