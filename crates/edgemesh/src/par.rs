@@ -1184,6 +1184,62 @@ mod tests {
         );
         assert_eq!(got, want);
     }
+
+    /// A shard's end of run on one site with one service: its replica
+    /// applied `applied` ops, rejected `failed_replays`, and ends with the
+    /// service ready or not.
+    fn shard_final(applied: u64, failed_replays: u64, ready: bool) -> ShardFinal {
+        let status = ServiceStatus {
+            ready_replicas: u32::from(ready),
+            ..ServiceStatus::default()
+        };
+        ShardFinal {
+            summary: ShardSummary::default(),
+            records: Vec::new(),
+            lost: 0,
+            lost_tags: Vec::new(),
+            handovers: 0,
+            in_flight: Vec::new(),
+            redirects: Vec::new(),
+            replicas: vec![vec![(0, status, true)]],
+            applied: vec![applied],
+            failed_replays: vec![failed_replays],
+            stalls: 0,
+            events: 0,
+        }
+    }
+
+    /// The audit names each shard whose replica parted from shard 0's: one
+    /// that missed an op, one that rejected a replay, one that ended in
+    /// another state.
+    #[test]
+    fn a_diverged_replica_is_reported() {
+        let diverged = |finals: Vec<ShardFinal>| -> Vec<Violation> {
+            audit(&finals, &BTreeMap::new())
+                .into_iter()
+                .filter(|v| matches!(v, Violation::ReplicaDivergence { .. }))
+                .collect()
+        };
+        let at_site_0 = |shards: Vec<usize>| vec![Violation::ReplicaDivergence { site: 0, shards }];
+        let same = || shard_final(3, 0, true);
+        assert!(diverged(vec![same(), same(), same()]).is_empty());
+        assert_eq!(
+            diverged(vec![same(), shard_final(2, 0, true)]),
+            at_site_0(vec![1])
+        );
+        assert_eq!(
+            diverged(vec![same(), same(), shard_final(3, 1, true)]),
+            at_site_0(vec![2])
+        );
+        assert_eq!(
+            diverged(vec![same(), shard_final(3, 0, false)]),
+            at_site_0(vec![1])
+        );
+        assert_eq!(
+            diverged(vec![shard_final(3, 1, true), same()]),
+            at_site_0(vec![0])
+        );
+    }
 }
 
 /// A bounded-exhaustive model of the lease protocol, run against the
