@@ -11,6 +11,7 @@ use containers::{ImageManifest, Runtime};
 use proptest::prelude::*;
 use registry::{Registry, RegistryProfile};
 use simcore::{DurationDist, SimRng};
+use simnet::{Packet, SocketAddr};
 
 use super::*;
 use crate::scheduler::NearestReadyFirst;
