@@ -43,8 +43,6 @@ struct Node {
 
 #[derive(Debug, Clone)]
 struct Link {
-    a: NodeId,
-    b: NodeId,
     /// One-way propagation latency.
     latency: SimDuration,
     /// Bandwidth in bits per second.
@@ -126,8 +124,6 @@ impl Topology {
         assert!(bandwidth_bps > 0, "zero-bandwidth link");
         let id = LinkId(self.links.len());
         self.links.push(Link {
-            a,
-            b,
             latency,
             bandwidth_bps,
         });
@@ -138,9 +134,6 @@ impl Topology {
 
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-    pub fn link_count(&self) -> usize {
-        self.links.len()
     }
 
     pub fn node_name(&self, id: NodeId) -> &str {
@@ -155,13 +148,6 @@ impl Topology {
 
     pub fn link_latency(&self, id: LinkId) -> SimDuration {
         self.links[id.0].latency
-    }
-    pub fn link_bandwidth(&self, id: LinkId) -> u64 {
-        self.links[id.0].bandwidth_bps
-    }
-    /// The two nodes a link joins.
-    pub fn link_endpoints(&self, id: LinkId) -> (NodeId, NodeId) {
-        (self.links[id.0].a, self.links[id.0].b)
     }
 
     pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = (NodeId, LinkId)> + '_ {

@@ -1,7 +1,7 @@
 //! The flow table's expiry schedule costs per flow, not per hit: however many
-//! packets hit the table it holds one record per entry, a sweep takes exactly
-//! the records it evicts, and an idle-timeout entry removed another way
-//! leaves no record behind.
+//! packets hit the table it holds one record per entry per timeout, a sweep
+//! takes exactly the records it evicts, and an entry removed another way —
+//! idle or hard timeout — leaves no record behind.
 
 use simcore::{SimDuration, SimTime};
 use simnet::openflow::{Action, FlowMatch, FlowSpec, FlowTable, PortId};
@@ -9,6 +9,7 @@ use simnet::{IpAddr, Packet, SocketAddr};
 
 const FLOWS: usize = 1_680;
 const IDLE: SimDuration = SimDuration::from_secs(10);
+const HARD: SimDuration = SimDuration::from_secs(30);
 
 fn client(i: usize) -> IpAddr {
     IpAddr::new(10, 1, (i / 250) as u8, (i % 250) as u8)
@@ -102,4 +103,62 @@ fn removed_entries_leave_no_record_behind() {
     table.expire_discard(at(20_000) + IDLE);
     assert_eq!(table.len(), live);
     assert_eq!(table.expiry_records(), live);
+}
+
+/// Even flows idle and hard out, odd ones only hard out.
+fn hard_spec(i: usize) -> FlowSpec {
+    let spec = FlowSpec::new(FlowMatch::client_to_service(client(i), service(i)))
+        .priority(100)
+        .action(Action::Output(PortId(1)))
+        .hard(HARD)
+        .cookie((i % 42) as u64);
+    if i.is_multiple_of(2) {
+        spec.idle(IDLE)
+    } else {
+        spec
+    }
+}
+
+fn timeouts(i: usize) -> usize {
+    1 + usize::from(i.is_multiple_of(2))
+}
+
+#[test]
+fn hard_timeouts_hold_one_record_per_timeout() {
+    let mut table = FlowTable::new();
+    for i in 0..FLOWS {
+        table.install(SimTime::ZERO, hard_spec(i));
+    }
+    let records: usize = (0..FLOWS).map(timeouts).sum();
+    assert_eq!(table.expiry_records(), records);
+    assert_eq!(table.next_expiry(), Some(SimTime::ZERO + IDLE));
+    for n in 0..10_000usize {
+        table.lookup(at(n as u64), &packet(n % FLOWS));
+    }
+    assert_eq!(table.expiry_records(), records);
+
+    // Replacement, strict delete and cookie delete, all long before any
+    // deadline: each removed entry takes every record it had.
+    for i in 0..10 {
+        table.install(at(20_000), hard_spec(i));
+    }
+    assert_eq!(table.expiry_records(), records);
+    let deleted = [100, 101].map(|i| table.delete_matching(at(20_000), &hard_spec(i).matcher));
+    assert!(deleted.iter().all(|d| d.len() == 1));
+    assert_eq!(table.delete_by_cookie(at(20_000), 8).len(), FLOWS / 42);
+    let live: Vec<usize> = (0..FLOWS)
+        .filter(|&i| i != 100 && i != 101 && i % 42 != 8)
+        .collect();
+    assert_eq!(table.len(), live.len());
+    assert_eq!(
+        table.expiry_records(),
+        live.iter().map(|&i| timeouts(i)).sum::<usize>()
+    );
+
+    // The last hard deadline evicts every survivor, idle or not.
+    let evicted = table.expire(at(20_000) + HARD);
+    assert_eq!(evicted.len(), live.len());
+    assert!(table.is_empty());
+    assert_eq!(table.expiry_records(), 0);
+    assert_eq!(table.next_expiry(), None);
 }
