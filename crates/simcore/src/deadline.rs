@@ -13,9 +13,12 @@
 //!   order they were last touched, so a list per timeout *class*, kept in
 //!   touch order, has its oldest entry at the head: a touch is a
 //!   move-to-tail, a removal an unlink, the next deadline the minimum over
-//!   class heads. No record is ever left behind.
-//! * Any other deadline — a hard timeout, a due time computed by a policy —
-//!   goes in a [`DeadlineIndex`].
+//!   class heads. No record is ever left behind. A hard timeout — due a
+//!   fixed `timeout` after an install stamp nothing ever moves — is the
+//!   same shape with no touches: the flow table keeps its hard timeouts in
+//!   a second `IdleOrder` stamped with the install instant.
+//! * Any other deadline — a due time computed by a policy — goes in a
+//!   [`DeadlineIndex`].
 //!
 //! # `IdleOrder`
 //!

@@ -5,10 +5,10 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
 //! * [`EventQueue`] — a deterministic future-event list (a min-heap of same-instant
 //!   runs) with stable FIFO tie-breaking and O(1) cancellation,
-//! * [`IdleOrder`] — idle timeouts in last-touch order, one list per
-//!   timeout: a touch is a move-to-tail, "next due" the minimum over heads,
-//! * [`DeadlineIndex`] — the lazy keyed-deadline index behind hard timeouts
-//!   and due lists: exact O(1) "next due", no work on a forward touch,
+//! * [`IdleOrder`] — idle and hard timeouts in last-touch order, one list
+//!   per timeout: a touch is a move-to-tail, "next due" the minimum over heads,
+//! * [`DeadlineIndex`] — the lazy keyed-deadline index behind due lists:
+//!   exact O(1) "next due", no work on a forward touch,
 //! * [`SlotIndex`] — an open-addressing index from an owner's keys to its
 //!   record slots, 8 bytes a bucket, that never stores a key,
 //! * [`rng::SimRng`] — a splittable, seedable random-number generator with *named
@@ -30,7 +30,11 @@
 //! across replicas ([`runner`]) or across shards between lookahead barriers
 //! ([`shard_runner`]), never inside a shard's event stream (see DESIGN.md §7).
 
+// The counting allocator is the one place that needs `unsafe`.
+#![deny(unsafe_code)]
+
 #[cfg(feature = "counting-alloc")]
+#[allow(unsafe_code)]
 pub mod alloc_count;
 pub mod deadline;
 pub mod dethash;

@@ -73,49 +73,46 @@ where
         return (seeds.iter().map(|&s| f(s)).collect(), meta);
     }
 
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
     // edgelint: allow(threading) — work-stealing cursor orders only which
-    // thread claims a chunk; slots are written by input index, so the output
-    // is schedule-independent
+    // thread claims a chunk; each result carries its input index and is
+    // placed by it, so the output is schedule-independent
     let cursor = AtomicUsize::new(0);
-    let slots_ptr = SlotVec(slots.as_mut_ptr());
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            let f = &f;
-            let cursor = &cursor;
-            let slots_ptr = &slots_ptr;
-            scope.spawn(move |_| loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                for (i, &seed) in seeds[start..end].iter().enumerate() {
-                    let r = f(seed);
-                    // SAFETY: each index belongs to exactly one claimed
-                    // chunk, so no two threads write the same slot; the scope
-                    // guarantees all writes complete before `slots` is read.
-                    unsafe { slots_ptr.0.add(start + i).write(Some(r)) };
-                }
-            });
-        }
+    let done: Vec<Vec<(usize, R)>> = crossbeam::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|_| {
+                    let mut done = Vec::new();
+                    loop {
+                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                        if start >= n {
+                            return done;
+                        }
+                        let end = (start + chunk).min(n);
+                        for (i, &seed) in seeds[start..end].iter().enumerate() {
+                            done.push((start + i, f(seed)));
+                        }
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("runner thread panicked"))
+            .collect()
     })
     .expect("runner thread panicked");
 
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
+    slots.resize_with(n, || None);
+    for (i, r) in done.into_iter().flatten() {
+        slots[i] = Some(r);
+    }
     let results = slots
         .into_iter()
         .map(|r| r.expect("every slot filled"))
         .collect();
     (results, meta)
 }
-
-/// Wrapper so the raw pointer can be captured by the scoped threads.
-struct SlotVec<R>(*mut Option<R>);
-// SAFETY: disjoint-index writes only, synchronized by the crossbeam scope join.
-unsafe impl<R: Send> Sync for SlotVec<R> {}
-unsafe impl<R: Send> Send for SlotVec<R> {}
 
 fn effective_threads(requested: usize, jobs: usize) -> usize {
     let hw = std::thread::available_parallelism()
