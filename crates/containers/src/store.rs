@@ -44,10 +44,6 @@ impl ImageStore {
         self.images.contains_key(image)
     }
 
-    pub fn has_layer(&self, digest: LayerDigest) -> bool {
-        self.layers.contains_key(&digest)
-    }
-
     /// Layers of `manifest` that are *not* on disk — the actual pull set.
     pub fn missing_layers(&self, manifest: &ImageManifest) -> Vec<Layer> {
         manifest

@@ -175,10 +175,6 @@ impl Criterion {
     pub fn sample_size(&mut self, _n: usize) -> &mut Self {
         self
     }
-
-    pub fn configure_from_args(&mut self) -> &mut Self {
-        self
-    }
 }
 
 fn run_one<F: FnMut(&mut Bencher)>(name: &str, throughput: Option<Throughput>, mut f: F) {

@@ -128,14 +128,6 @@ impl DurationDist {
         DurationDist(Dist::log_normal_median(median_ms, sigma))
     }
 
-    /// Uniform in `[lo_ms, hi_ms)`.
-    pub fn uniform_ms(lo_ms: f64, hi_ms: f64) -> Self {
-        DurationDist(Dist::Uniform {
-            lo: lo_ms,
-            hi: hi_ms,
-        })
-    }
-
     pub fn zero() -> Self {
         DurationDist(Dist::Constant(0.0))
     }

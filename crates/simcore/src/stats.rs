@@ -210,9 +210,6 @@ impl TimeSeries {
         self.bins[idx.min(last)] += 1;
     }
 
-    pub fn bin_width(&self) -> SimDuration {
-        self.bin
-    }
     pub fn bins(&self) -> &[u64] {
         &self.bins
     }

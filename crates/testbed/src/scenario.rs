@@ -182,11 +182,6 @@ impl ScenarioConfig {
         self
     }
 
-    pub fn with_scheduler(mut self, scheduler: SchedulerSpec) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// The edge sites this scenario runs on: explicit `sites` if set, else
     /// one EGS-class site per entry of `backends` (the paper's layout).
     pub fn resolved_sites(&self) -> Vec<(SiteSpec, ClusterKind)> {

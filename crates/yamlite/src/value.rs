@@ -34,10 +34,6 @@ impl Yaml {
         Yaml::Str(s.into())
     }
 
-    pub fn is_null(&self) -> bool {
-        matches!(self, Yaml::Null)
-    }
-
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Yaml::Bool(b) => Some(*b),
@@ -68,13 +64,6 @@ impl Yaml {
     }
 
     pub fn as_seq(&self) -> Option<&[Yaml]> {
-        match self {
-            Yaml::Seq(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_seq_mut(&mut self) -> Option<&mut Vec<Yaml>> {
         match self {
             Yaml::Seq(v) => Some(v),
             _ => None,
