@@ -7,7 +7,7 @@ use cluster::CapacityShortfall;
 use simcore::{DeadlineIndex, DetHashMap, SimDuration, SimTime};
 
 use super::packet::flow_pair;
-use super::{Controller, ControllerOutput, DeltaKind};
+use super::{Controller, ControllerOutput, DeltaKind, INGRESS};
 use crate::catalog::ServiceId;
 use crate::dispatcher::{AdmissionError, InstanceKey};
 use crate::scheduler::ClusterId;
@@ -230,7 +230,7 @@ impl Controller {
             }
             // Deploy at the cluster the Global Scheduler would pick for the
             // future (BEST semantics with no requesting client).
-            let decision = self.decide(now, addr, super::INGRESS);
+            let decision = self.decide(now, addr, INGRESS);
             let Some(target) = decision.target_for_future() else {
                 continue;
             };

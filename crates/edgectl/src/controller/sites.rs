@@ -338,8 +338,9 @@ mod tests {
     }
 
     /// The prewarm path books without admission, so it can over-book a site:
-    /// that booking is one capacity violation. Shrinking back within
-    /// capacity and releasing count none.
+    /// each booking that leaves it over capacity is one violation. A release
+    /// never counts, even one that leaves the site over capacity, and neither
+    /// does a shrink back within it.
     #[test]
     fn an_over_booking_counts_once_and_its_unwinding_never() {
         let rng = SimRng::seed_from_u64(1);
@@ -356,7 +357,7 @@ mod tests {
             ..SiteCapacity::UNLIMITED
         };
         c.configure_site(site, capacity, Vec::new());
-        let [a, b] = [1u8, 2].map(|s| {
+        let [a, b, d] = [1u8, 2, 3].map(|s| {
             let template = ServiceTemplate::single(
                 format!("svc-{s}"),
                 "nginx",
@@ -367,26 +368,25 @@ mod tests {
                 .register(SocketAddr::new(IpAddr::new(93, 184, 0, s), 80), template);
             c.catalog.id_of(&format!("svc-{s}")).expect("registered")
         });
+        let step = |c: &Controller, replicas: u32, violations: u64| {
+            assert_eq!(c.site_allocation(site).replicas, replicas);
+            assert_eq!(c.stats.capacity_violations, violations);
+            assert_allocation_is_the_bookings(&c.clusters[site.0]);
+        };
 
         c.note_external_deployment(site, a, 2);
-        assert_eq!(c.stats.capacity_violations, 0, "a booking that fits");
+        step(&c, 2, 0);
         c.note_external_deployment(site, b, 1);
-        assert_eq!(
-            c.stats.capacity_violations, 1,
-            "three replicas on a two-replica site"
-        );
-        assert_eq!(c.site_allocation(site).replicas, 3);
-        assert_allocation_is_the_bookings(&c.clusters[site.0]);
-
+        step(&c, 3, 1);
+        c.note_external_deployment(site, d, 1);
+        step(&c, 4, 2);
+        c.clusters[site.0].release(d);
+        step(&c, 3, 2);
         let demand = c.demand_of(site, a).expect("booked");
-        assert!(
-            !c.clusters[site.0].set_booking(a, demand, 1),
-            "a shrink back within capacity"
-        );
-        assert_allocation_is_the_bookings(&c.clusters[site.0]);
+        let over = c.clusters[site.0].set_booking(a, demand, 1);
+        assert!(!over, "a shrink back within capacity");
+        step(&c, 2, 2);
         c.clusters[site.0].release(b);
-        assert_allocation_is_the_bookings(&c.clusters[site.0]);
-        assert_eq!(c.site_allocation(site).replicas, 1);
-        assert_eq!(c.stats.capacity_violations, 1);
+        step(&c, 1, 2);
     }
 }

@@ -75,9 +75,9 @@ where
 
     // edgelint: allow(threading) — work-stealing cursor orders only which
     // thread claims a chunk; each result carries its input index and is
-    // placed by it, so the output is schedule-independent
+    // sorted back by it, so the output is schedule-independent
     let cursor = AtomicUsize::new(0);
-    let done: Vec<Vec<(usize, R)>> = crossbeam::scope(|scope| {
+    let mut done: Vec<(usize, R)> = crossbeam::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|_| {
@@ -97,21 +97,14 @@ where
             .collect();
         workers
             .into_iter()
-            .map(|w| w.join().expect("runner thread panicked"))
+            .flat_map(|w| w.join().expect("runner thread panicked"))
             .collect()
     })
     .expect("runner thread panicked");
 
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    for (i, r) in done.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    let results = slots
-        .into_iter()
-        .map(|r| r.expect("every slot filled"))
-        .collect();
-    (results, meta)
+    assert_eq!(done.len(), n, "every seed ran once");
+    done.sort_unstable_by_key(|&(i, _)| i);
+    (done.into_iter().map(|(_, r)| r).collect(), meta)
 }
 
 fn effective_threads(requested: usize, jobs: usize) -> usize {
