@@ -2,15 +2,19 @@
 //!
 //! Paper §II: "The services to be redirected to the edge are first registered
 //! with a mobile edge platform provider, identified by their unique
-//! combination of domain name/IP address and port number." This module maps
-//! that cloud-facing address to the deployable service definition.
+//! combination of domain name/IP address and port number." A PacketIn
+//! probes that cloud-facing address once ([`ServiceCatalog::lookup`]); from
+//! there on the controller deals in the service's [`ServiceId`], the dense
+//! index registration interns the template's name to.
 //!
-//! Service names are **interned**: registration assigns each distinct name a
-//! stable, copyable [`ServiceId`] (a `u32`). The controller's hot path —
-//! FlowMemory keys, scheduler calls, pending-deployment maps — passes ids
-//! around instead of cloning `String`s, and resolves back to the name only at
-//! the cluster-backend boundary, borrowed through [`ServiceCatalog::name_of`]
-//! (no allocation and no refcount touched).
+//! The registrations live in one `Vec` indexed by id, each beside its name
+//! and flow cookie: [`ServiceCatalog::get`] is an index, and the name is
+//! borrowed at the cluster-backend boundary ([`ServiceCatalog::name_of`]).
+//! The only hash maps are address → id and the name interner. There is one
+//! registration per id (DESIGN.md §5i): a known name registered at another
+//! address binds that address to the same id and replaces the id's template;
+//! an address re-registered under another name leaves its old id; an id no
+//! address binds is not registered.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,19 +23,30 @@ use cluster::{ResourceRequest, ServiceTemplate};
 use simcore::DetHashMap;
 use simnet::SocketAddr;
 
-/// Interned service name: a stable dense index into the catalog's name table.
-/// Ids are never re-used — re-registering a previously seen name yields the
-/// same id, and unregistration does not free it.
+/// Interned service name: a stable dense index into the catalog. Ids are
+/// never re-used — re-registering a previously seen name yields the same id,
+/// even after no address binds it any more.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ServiceId(pub u32);
+
+impl ServiceId {
+    /// `lane[self]`, growing `lane` with defaults to reach it. Per-service
+    /// state on the per-request path lives in such dense lanes, where the
+    /// default value means "absent" (DESIGN.md §5i).
+    pub(crate) fn slot<T: Default>(self, lane: &mut Vec<T>) -> &mut T {
+        let i = self.0 as usize;
+        if i >= lane.len() {
+            lane.resize_with(i + 1, T::default);
+        }
+        &mut lane[i]
+    }
+}
 
 /// One registered edge service.
 #[derive(Debug, Clone)]
 pub struct RegisteredService {
     /// Interned name (see [`ServiceId`]).
     pub id: ServiceId,
-    /// The cloud address clients use (the flow-match key).
-    pub cloud_addr: SocketAddr,
     /// The deployable definition (from the annotation engine). Shared so the
     /// deployment pipeline can hold it without deep-copying container lists.
     pub template: Arc<ServiceTemplate>,
@@ -41,25 +56,28 @@ pub struct RegisteredService {
     pub demand: ResourceRequest,
 }
 
-/// Cloud address → service lookup, as the Dispatcher uses it on PacketIn.
-///
-/// Everything the per-request path needs from a registration is on the
-/// [`RegisteredService`] the one address probe returns — id, template and
-/// its precomputed demand — so a PacketIn never derefs the template for a
-/// number (DESIGN.md §5i, per-request data layout).
+/// The registered services: cloud address → id, and id → registration.
 #[derive(Debug, Default, Clone)]
 pub struct ServiceCatalog {
-    // Probed on every PacketIn, so a fast deterministic hasher; `services()`
-    // sorts by address before exposing entries, keeping diagnostics and
-    // audits in address order regardless of map internals.
-    by_addr: DetHashMap<SocketAddr, RegisteredService>,
-    by_name: HashMap<Arc<str>, SocketAddr>,
-    /// Interner: name → id and id → name.
+    /// Indexed by [`ServiceId`]: one entry per interned name.
+    entries: Vec<Entry>,
+    /// The address each registration was made at → its id. Probed on every
+    /// PacketIn, so a fast deterministic hasher.
+    by_addr: DetHashMap<SocketAddr, ServiceId>,
+    /// The name interner: name → id.
     ids: HashMap<Arc<str>, ServiceId>,
-    names: Vec<Arc<str>>,
-    /// [`cookie_for`] of each interned name, hashed once here instead of on
-    /// every flow the controller emits.
-    cookies: Vec<u64>,
+}
+
+#[derive(Debug, Clone)]
+struct Entry {
+    name: Arc<str>,
+    /// [`cookie_for`] the name, hashed once here instead of on every flow the
+    /// controller emits.
+    cookie: u64,
+    /// How many addresses `by_addr` binds to this id.
+    addrs: u32,
+    /// The current registration; `None` while no address binds the id.
+    registered: Option<RegisteredService>,
 }
 
 /// Stable flow cookie derived from a service name (diagnostics only): FNV-1a
@@ -82,33 +100,37 @@ impl ServiceCatalog {
     }
 
     /// Intern a service name, assigning a fresh [`ServiceId`] on first sight.
-    pub fn intern(&mut self, name: &str) -> ServiceId {
+    fn intern(&mut self, name: &str) -> ServiceId {
         if let Some(&id) = self.ids.get(name) {
             return id;
         }
-        let arc: Arc<str> = Arc::from(name);
-        let id = ServiceId(self.names.len() as u32);
-        self.names.push(Arc::clone(&arc));
-        self.cookies.push(cookie_for(name));
-        self.ids.insert(arc, id);
+        let name: Arc<str> = Arc::from(name);
+        let id = ServiceId(self.entries.len() as u32);
+        self.entries.push(Entry {
+            cookie: cookie_for(&name),
+            name: Arc::clone(&name),
+            addrs: 0,
+            registered: None,
+        });
+        self.ids.insert(name, id);
         id
     }
 
     /// The interned name behind `id` as a shared handle (refcount bump, no
     /// allocation). Panics on an id this catalog never issued.
     pub fn name_arc(&self, id: ServiceId) -> Arc<str> {
-        Arc::clone(&self.names[id.0 as usize])
+        Arc::clone(&self.entries[id.0 as usize].name)
     }
 
     /// The interned name behind `id`, borrowed.
     pub fn name_of(&self, id: ServiceId) -> &str {
-        &self.names[id.0 as usize]
+        &self.entries[id.0 as usize].name
     }
 
     /// The flow cookie of service `id` — its name's hash, computed when the
     /// name was interned.
     pub fn cookie_of(&self, id: ServiceId) -> u64 {
-        self.cookies[id.0 as usize]
+        self.entries[id.0 as usize].cookie
     }
 
     /// The id a name was interned under, if any.
@@ -116,64 +138,58 @@ impl ServiceCatalog {
         self.ids.get(name).copied()
     }
 
-    /// Register a service. Replaces any previous registration of the same
-    /// address (re-registration updates the definition) and returns the
-    /// previous entry if there was one. The template's name is interned; the
-    /// assigned [`ServiceId`] is stable across re-registrations. The new
-    /// entry's `demand` is computed here from the new template.
-    pub fn register(
-        &mut self,
-        cloud_addr: SocketAddr,
-        template: ServiceTemplate,
-    ) -> Option<RegisteredService> {
+    /// Register `template` at `cloud_addr` under the one registration rule
+    /// (see the module doc): the address is bound to the id of the
+    /// template's name, that id's registration becomes this template (its
+    /// `demand` computed here), and an id the address leaves with no address
+    /// bound is no longer registered.
+    pub fn register(&mut self, cloud_addr: SocketAddr, template: ServiceTemplate) {
         let id = self.intern(&template.name);
-        self.by_name.insert(self.name_arc(id), cloud_addr);
-        self.by_addr.insert(
-            cloud_addr,
-            RegisteredService {
-                id,
-                cloud_addr,
-                demand: template.resource_request(),
-                template: Arc::new(template),
-            },
-        )
-    }
-
-    pub fn unregister(&mut self, cloud_addr: SocketAddr) -> Option<RegisteredService> {
-        let entry = self.by_addr.remove(&cloud_addr)?;
-        self.by_name.remove(entry.template.name.as_str());
-        Some(entry)
+        let previous = self.by_addr.insert(cloud_addr, id);
+        if previous != Some(id) {
+            self.entries[id.0 as usize].addrs += 1;
+            if let Some(old) = previous {
+                let old = &mut self.entries[old.0 as usize];
+                old.addrs -= 1;
+                if old.addrs == 0 {
+                    old.registered = None;
+                }
+            }
+        }
+        self.entries[id.0 as usize].registered = Some(RegisteredService {
+            id,
+            demand: template.resource_request(),
+            template: Arc::new(template),
+        });
     }
 
     /// The Dispatcher's PacketIn lookup: is this destination a registered
-    /// edge service?
-    pub fn lookup(&self, addr: SocketAddr) -> Option<&RegisteredService> {
-        self.by_addr.get(&addr)
+    /// edge service, and which? A bound address's id is always registered,
+    /// so the probe reads no entry: the id is all a PacketIn carries on.
+    pub fn lookup(&self, addr: SocketAddr) -> Option<ServiceId> {
+        self.by_addr.get(&addr).copied()
     }
 
-    pub fn lookup_name(&self, name: &str) -> Option<&RegisteredService> {
-        self.by_addr.get(self.by_name.get(name)?)
+    /// The registration of service `id`, if an address binds it.
+    pub fn get(&self, id: ServiceId) -> Option<&RegisteredService> {
+        self.entries.get(id.0 as usize)?.registered.as_ref()
     }
 
-    pub fn len(&self) -> usize {
-        self.by_addr.len()
-    }
-    pub fn is_empty(&self) -> bool {
-        self.by_addr.is_empty()
-    }
-
+    /// Every registered service, in id order.
     pub fn services(&self) -> impl Iterator<Item = &RegisteredService> {
-        let mut entries: Vec<&RegisteredService> = self.by_addr.values().collect();
-        entries.sort_by_key(|s| s.cloud_addr);
-        entries.into_iter()
+        self.entries.iter().filter_map(|e| e.registered.as_ref())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
     use simcore::DurationDist;
     use simnet::IpAddr;
+
+    use super::*;
 
     fn addr(d: u8) -> SocketAddr {
         SocketAddr::new(IpAddr::new(93, 184, 0, d), 80)
@@ -183,24 +199,39 @@ mod tests {
         ServiceTemplate::single(name, "nginx:1.23.2", 80, DurationDist::zero())
     }
 
+    /// The registration at `a`, reached through its id.
+    fn at(c: &ServiceCatalog, a: SocketAddr) -> Option<&RegisteredService> {
+        c.get(c.lookup(a)?)
+    }
+
+    /// The registration of `name`, reached by name.
+    fn by_name<'a>(c: &'a ServiceCatalog, name: &str) -> Option<&'a RegisteredService> {
+        c.get(c.id_of(name)?)
+    }
+
     #[test]
     fn register_lookup_roundtrip() {
         let mut c = ServiceCatalog::new();
-        assert!(c.register(addr(1), tpl("svc-a")).is_none());
-        assert_eq!(c.lookup(addr(1)).unwrap().template.name, "svc-a");
+        c.register(addr(1), tpl("svc-a"));
+        let s = at(&c, addr(1)).unwrap();
+        assert_eq!(s.template.name, "svc-a");
         assert!(c.lookup(addr(2)).is_none());
-        assert_eq!(c.lookup_name("svc-a").unwrap().cloud_addr, addr(1));
-        assert_eq!(c.len(), 1);
+        assert_eq!(by_name(&c, "svc-a").unwrap().id, s.id);
+        assert_eq!(c.services().count(), 1);
     }
 
+    /// Re-registering an address under another name leaves the old name
+    /// unregistered: nothing reached by it answers with the new service.
     #[test]
     fn reregistration_replaces() {
         let mut c = ServiceCatalog::new();
         c.register(addr(1), tpl("old"));
-        let prev = c.register(addr(1), tpl("new")).unwrap();
-        assert_eq!(prev.template.name, "old");
-        assert_eq!(c.lookup(addr(1)).unwrap().template.name, "new");
-        assert_eq!(c.len(), 1);
+        let old = c.id_of("old").unwrap();
+        c.register(addr(1), tpl("new"));
+        assert_eq!(at(&c, addr(1)).unwrap().template.name, "new");
+        assert!(c.get(old).is_none());
+        assert!(by_name(&c, "old").is_none());
+        assert_eq!(c.services().count(), 1);
     }
 
     /// The stored demand is the current template's, whichever way the
@@ -209,7 +240,7 @@ mod tests {
     fn demand_follows_the_registered_template() {
         let mut c = ServiceCatalog::new();
         let demand_matches = |c: &ServiceCatalog| {
-            let s = c.lookup(addr(1)).expect("registered");
+            let s = at(c, addr(1)).expect("registered");
             assert_eq!(s.demand, s.template.resource_request());
             s.demand
         };
@@ -226,20 +257,10 @@ mod tests {
         assert_eq!(doubled.cpu_millis, single.cpu_millis + 100);
         assert_eq!(doubled.memory_mib, single.memory_mib + 65);
 
-        c.unregister(addr(1));
+        // Away under another name and back: the demand is the new template's.
+        c.register(addr(1), tpl("other"));
         c.register(addr(1), tpl("svc"));
         assert_eq!(demand_matches(&c), single);
-    }
-
-    #[test]
-    fn unregister_removes_both_indexes() {
-        let mut c = ServiceCatalog::new();
-        c.register(addr(1), tpl("svc"));
-        assert!(c.unregister(addr(1)).is_some());
-        assert!(c.lookup(addr(1)).is_none());
-        assert!(c.lookup_name("svc").is_none());
-        assert!(c.unregister(addr(1)).is_none());
-        assert!(c.is_empty());
     }
 
     #[test]
@@ -247,23 +268,103 @@ mod tests {
         let mut c = ServiceCatalog::new();
         c.register(addr(1), tpl("alpha"));
         c.register(addr(2), tpl("beta"));
-        let alpha = c.lookup(addr(1)).unwrap().id;
-        let beta = c.lookup(addr(2)).unwrap().id;
+        let alpha = c.lookup(addr(1)).unwrap();
+        let beta = c.lookup(addr(2)).unwrap();
         assert_ne!(alpha, beta);
         assert_eq!(c.name_of(alpha), "alpha");
         assert_eq!(c.name_of(beta), "beta");
         assert_eq!(c.id_of("alpha"), Some(alpha));
         assert_eq!(c.id_of("gamma"), None);
-        // Re-registering the same name (even at another address) keeps the id.
+        // Registering the same name at another address keeps the id.
         c.register(addr(3), tpl("alpha"));
-        assert_eq!(c.lookup(addr(3)).unwrap().id, alpha);
-        // Unregistration does not free the id.
-        c.unregister(addr(1));
+        assert_eq!(c.lookup(addr(3)), Some(alpha));
+        // An id no address binds any more keeps its name.
+        c.register(addr(1), tpl("beta"));
+        c.register(addr(3), tpl("beta"));
+        assert!(c.get(alpha).is_none());
         assert_eq!(c.name_of(alpha), "alpha");
         assert_eq!(&*c.name_arc(alpha), "alpha");
         // The cookie is the name's hash, whichever way the name got here.
         assert_eq!(c.cookie_of(alpha), cookie_for("alpha"));
         assert_ne!(c.cookie_of(alpha), c.cookie_of(beta));
         assert_eq!(cookie_for(""), 0xcbf2_9ce4_8422_2325);
+    }
+
+    const NAMES: [&str; 3] = ["alpha", "beta", "gamma"];
+
+    /// The registration rule as plain maps: which name each address binds,
+    /// the version of each name's latest template, and the names in the
+    /// order they were first registered (the id order).
+    #[derive(Default)]
+    struct Model {
+        bound: BTreeMap<u8, usize>,
+        version: BTreeMap<usize, u16>,
+        first_seen: Vec<usize>,
+    }
+
+    impl Model {
+        fn register(&mut self, a: u8, n: usize, version: u16) {
+            self.bound.insert(a, n);
+            self.version.insert(n, version);
+            if !self.first_seen.contains(&n) {
+                self.first_seen.push(n);
+            }
+        }
+
+        /// `(name, template version)` of name `n`, if an address binds it.
+        fn registration(&self, n: usize) -> Option<(&'static str, u16)> {
+            self.bound
+                .values()
+                .any(|&b| b == n)
+                .then(|| (NAMES[n], self.version[&n]))
+        }
+    }
+
+    /// `(name, template version)` of a registration, checking its stored
+    /// fields against each other on the way.
+    fn seen(c: &ServiceCatalog, s: Option<&RegisteredService>) -> Option<(String, u16)> {
+        let s = s?;
+        assert_eq!(s.demand, s.template.resource_request());
+        assert_eq!(c.name_of(s.id), s.template.name);
+        assert_eq!(c.id_of(&s.template.name), Some(s.id));
+        Some((s.template.name.clone(), s.template.port))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any sequence of registrations over four addresses and three names
+        /// leaves the catalog answering as the registration rule says, by
+        /// address, by id, by name and in `services()`.
+        #[test]
+        fn catalog_follows_the_registration_rule(
+            ops in prop::collection::vec((0u8..4, 0usize..3), 0..24),
+        ) {
+            let mut c = ServiceCatalog::new();
+            let mut model = Model::default();
+            for (i, &(a, n)) in ops.iter().enumerate() {
+                let version = 8000 + i as u16;
+                let mut template = tpl(NAMES[n]);
+                template.port = version;
+                template.containers[0].cpu_millis = 100 + u32::from(version);
+                c.register(addr(a), template);
+                model.register(a, n, version);
+
+                let owned = |m: Option<(&str, u16)>| m.map(|(name, v)| (name.to_owned(), v));
+                for a in 0..4 {
+                    let want = model.bound.get(&a).and_then(|&n| model.registration(n));
+                    prop_assert_eq!(seen(&c, at(&c, addr(a))), owned(want), "lookup({}) after {:?}", a, &ops[..=i]);
+                }
+                for (n, name) in NAMES.iter().enumerate() {
+                    let want = owned(model.registration(n));
+                    prop_assert_eq!(seen(&c, by_name(&c, name)), want.clone(), "{} by name after {:?}", name, &ops[..=i]);
+                    let id = model.first_seen.iter().position(|&f| f == n);
+                    prop_assert_eq!(c.id_of(name), id.map(|id| ServiceId(id as u32)));
+                }
+                let services: Vec<_> = c.services().map(|s| seen(&c, Some(s))).collect();
+                let want: Vec<_> = model.first_seen.iter().filter_map(|&n| owned(model.registration(n)).map(Some)).collect();
+                prop_assert_eq!(services, want, "services() after {:?}", &ops[..=i]);
+            }
+        }
     }
 }

@@ -29,10 +29,10 @@ use simcore::{DetHashMap, SimDuration, SimTime};
 use simnet::openflow::{BufferId, FlowMatch, FlowSpec, PortId};
 use simnet::IpAddr;
 
-use crate::catalog::{RegisteredService, ServiceCatalog, ServiceId};
+use crate::catalog::{ServiceCatalog, ServiceId};
 use crate::dispatcher::{
-    AdmissionError, DeployError, DeployMachine, DeployPhaseKind, Dispatcher, InstanceKey,
-    MachineOutcome, StepCtx,
+    AdmissionError, DeployError, DeployMachine, DeployOrder, DeployPhaseKind, Dispatcher,
+    InstanceKey, MachineOutcome, StepCtx,
 };
 use crate::flowmemory::FlowMemory;
 use crate::predictor::{NoPrediction, Predictor};
@@ -545,17 +545,21 @@ impl Controller {
         self.client_ports.get(&ip).map(|&(s, _)| s)
     }
 
-    /// Start a deployment machine at `now` (steps already due run on the
-    /// next pump, same call stack).
+    /// Start a deployment machine for registered service `sid` at `now`
+    /// (steps already due run on the next pump, same call stack).
     fn start_machine(
         &mut self,
         now: SimTime,
         cluster: ClusterId,
-        service: &RegisteredService,
+        sid: ServiceId,
         waited: bool,
         proactive: bool,
     ) -> &mut DeployMachine {
-        let (sid, template) = (service.id, &service.template);
+        let service = self
+            .catalog
+            .get(sid)
+            .expect("only a registered service is deployed");
+        let template = &service.template;
         let site = &mut self.clusters[cluster.0];
         self.stats.capacity_violations += u64::from(site.book(sid, service.demand, 1));
         let record = DeploymentRecord {
@@ -569,21 +573,18 @@ impl Controller {
             ready_detected: SimTime::FAR_FUTURE,
             waited,
         };
-        let created = site.status_of(now, sid, &template.name).created;
-        let images_cached = site.backend.has_images(template);
-        // The machine owns the displaced Remove-phase bookkeeping so a
-        // failure can restore it.
-        let saved = self.scaled_to_zero.remove((cluster, sid));
-        let m = self.dispatcher.start(
+        let m = self.dispatcher.start(DeployOrder {
             now,
             cluster,
-            sid,
-            Arc::clone(template),
+            service: sid,
+            template: Arc::clone(template),
             record,
-            images_cached,
-            created,
-            saved,
-        );
+            created: site.status_of(now, sid, &template.name).created,
+            images_cached: site.backend.has_images(template),
+            // The machine owns the displaced Remove-phase bookkeeping so a
+            // failure can restore it.
+            saved_scaled_to_zero: self.scaled_to_zero.remove((cluster, sid)),
+        });
         m.proactive = proactive;
         m
     }

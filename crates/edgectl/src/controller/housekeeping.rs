@@ -214,11 +214,9 @@ impl Controller {
     fn run_predict(&mut self, now: SimTime, horizon: SimDuration) {
         let nominations = self.predictor.predict(now, horizon);
         for addr in nominations {
-            let Some(service) = self.catalog.lookup(addr) else {
+            let Some(sid) = self.catalog.lookup(addr) else {
                 continue;
             };
-            let service = service.clone();
-            let sid = service.id;
             let name = self.catalog.name_of(sid);
             // Already running (or being deployed) somewhere? Nothing to do.
             let anywhere_ready = self
@@ -230,12 +228,12 @@ impl Controller {
             }
             // Deploy at the cluster the Global Scheduler would pick for the
             // future (BEST semantics with no requesting client).
-            let decision = self.decide(now, addr, INGRESS);
+            let decision = self.decide(now, sid, INGRESS);
             let Some(target) = decision.target_for_future() else {
                 continue;
             };
             // Nothing is in flight here (checked above); admission applies.
-            if self.admit(target, &service).is_err() {
+            if self.admit(target, sid).is_err() {
                 continue;
             }
             if !self.gate_acquire(now, target, sid) {
@@ -244,7 +242,7 @@ impl Controller {
             }
             // Counted as proactive when (and if) the machine completes: a
             // failed proactive deployment is not a proactive deployment.
-            self.start_machine(now, target, &service, false, true);
+            self.start_machine(now, target, sid, false, true);
         }
     }
 

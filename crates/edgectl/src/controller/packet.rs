@@ -6,7 +6,7 @@ use simnet::openflow::{Action, BufferId, FlowMatch, FlowSpec, PortId};
 use simnet::{IpAddr, Packet, Protocol, SocketAddr};
 
 use super::{Controller, ControllerOutput, SwitchId, INGRESS};
-use crate::catalog::{cookie_for, RegisteredService, ServiceId};
+use crate::catalog::{cookie_for, ServiceId};
 use crate::dispatcher::Waiter;
 use crate::flowmemory::FlowKey;
 use crate::scheduler::ClusterId;
@@ -150,21 +150,21 @@ impl Controller {
         }
 
         // 2. Registered service? Unregistered destinations pass through to
-        //    the cloud untouched.
-        let Some(sid) = self.catalog.lookup(packet.dst).map(|s| s.id) else {
+        //    the cloud untouched. This is the request's one address probe:
+        //    from here on the service is its id.
+        let Some(sid) = self.catalog.lookup(packet.dst) else {
             return self.cloud_outputs(w.decide_at, &w, None, out);
         };
         self.predictor.observe(now, packet.dst);
 
         // 3. Feed the Global Scheduler the Dispatcher's system view.
-        let decision = self.decide(now, packet.dst, sw);
+        let decision = self.decide(now, sid, sw);
 
         // 4. Kick off the BEST deployment first (without waiting it runs in
         //    parallel with serving the current request elsewhere).
         if let Some(best) = decision.best {
             if decision.fast != Some(best) {
-                let service = self.registered_at(packet.dst);
-                self.request_best_deployment(now, best, &service);
+                self.request_best_deployment(now, best, sid);
             }
         }
 
@@ -187,10 +187,7 @@ impl Controller {
             }
             // On-demand deployment WITH waiting (paper Fig. 5): hold the
             // buffered packet until the port opens.
-            Some(fast) => {
-                let service = self.registered_at(packet.dst);
-                self.hold_on_deployment(now, fast, &service, &w, out)
-            }
+            Some(fast) => self.hold_on_deployment(now, fast, sid, &w, out),
             None => self.cloud_outputs(w.decide_at, &w, Some(sid), out),
         };
         // Advance any machine whose step is already due (e.g. the scale-up a
@@ -200,17 +197,11 @@ impl Controller {
     }
 
     /// BEST-side deployment request (never holds the current request).
-    fn request_best_deployment(
-        &mut self,
-        now: SimTime,
-        best: ClusterId,
-        service: &RegisteredService,
-    ) {
-        let sid = service.id;
+    fn request_best_deployment(&mut self, now: SimTime, best: ClusterId, sid: ServiceId) {
         // Admission control: a BEST decision targeting a site that cannot
         // take the deployment is dropped — the caller already serves the
         // request at FAST or the cloud, which *is* the fall-through.
-        if !self.deployment_exists(now, best, sid) && self.admit(best, service).is_err() {
+        if !self.deployment_exists(now, best, sid) && self.admit(best, sid).is_err() {
             return;
         }
         if let Some(m) = self.dispatcher.find_mut(best, sid) {
@@ -232,7 +223,7 @@ impl Controller {
             self.stats.lease_rejections += 1;
             return;
         }
-        self.start_machine(now, best, service, false, false)
+        self.start_machine(now, best, sid, false, false)
             .wants_retarget = true;
     }
 
@@ -243,15 +234,14 @@ impl Controller {
         &mut self,
         now: SimTime,
         fast: ClusterId,
-        service: &RegisteredService,
+        sid: ServiceId,
         w: &Waiter,
         out: &mut Vec<ControllerOutput>,
     ) {
-        let sid = service.id;
         // Admission control: the scheduler picked a with-waiting deployment
         // at `fast`, but the site may not take it (capacity / labels). Fall
         // through to the nearest other ready instance, else the cloud.
-        if !self.deployment_exists(now, fast, sid) && self.admit(fast, service).is_err() {
+        if !self.deployment_exists(now, fast, sid) && self.admit(fast, sid).is_err() {
             let name = self.catalog.name_of(sid);
             let fallback = self
                 .clusters
@@ -287,23 +277,13 @@ impl Controller {
                 self.memory.forget(w.key);
                 return self.cloud_outputs(w.decide_at, w, Some(sid), out);
             }
-            self.start_machine(now, fast, service, true, false);
+            self.start_machine(now, fast, sid, true, false);
         }
         self.dispatcher
             .find_mut(fast, sid)
             .expect("found or just started")
             .waiters
             .push(w.clone());
-    }
-
-    /// The registration of the service at cloud address `addr` — copied (a
-    /// template refcount bump) only on the paths that may start a
-    /// deployment, never on the per-PacketIn scheduling path.
-    fn registered_at(&self, addr: SocketAddr) -> RegisteredService {
-        self.catalog
-            .lookup(addr)
-            .expect("only a registered service's PacketIn deploys")
-            .clone()
     }
 
     /// Local-Scheduler instance selection: pick one ready replica endpoint

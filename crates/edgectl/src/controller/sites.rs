@@ -2,7 +2,6 @@
 //! control and its resource bookings, plus the per-decision system view the
 //! Global Scheduler reads. A site's bookings are edited only here.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use cluster::{
@@ -13,7 +12,7 @@ use simnet::openflow::PortId;
 use simnet::SocketAddr;
 
 use super::{Controller, SwitchId};
-use crate::catalog::{RegisteredService, ServiceId};
+use crate::catalog::ServiceId;
 use crate::dispatcher::AdmissionError;
 use crate::scheduler::{ClusterId, ClusterView, Decision, SchedulingContext};
 
@@ -35,9 +34,10 @@ pub(super) struct AttachedCluster {
     pub(super) labels: Arc<[String]>,
     /// Resources currently booked on the site: the sum of `admitted`.
     allocated: ResourceAllocation,
-    /// Per-service booking: the per-replica demand admitted and how many
-    /// replicas are booked.
-    admitted: HashMap<ServiceId, (ResourceRequest, u32)>,
+    /// Dense per-service bookings (DESIGN.md §5i), indexed by [`ServiceId`]:
+    /// the per-replica demand a service was admitted at and how many
+    /// replicas it holds; `None` for a service not booked here.
+    admitted: Vec<Option<(ResourceRequest, u32)>>,
     /// Dense per-service snapshot cache (DESIGN.md §5i), indexed by
     /// [`ServiceId`]. Each entry is validated against the epoch of the
     /// backend scope it was read from and its own validity window before
@@ -74,7 +74,7 @@ impl AttachedCluster {
             capacity: SiteCapacity::UNLIMITED,
             labels: Arc::from(Vec::new()),
             allocated: ResourceAllocation::default(),
-            admitted: HashMap::new(),
+            admitted: Vec::new(),
             snap_cache: Vec::new(),
         }
     }
@@ -90,11 +90,7 @@ impl AttachedCluster {
         sid: ServiceId,
         name: &str,
     ) -> (&ServiceStatus, &[SocketAddr]) {
-        let idx = sid.0 as usize;
-        if idx >= self.snap_cache.len() {
-            self.snap_cache.resize_with(idx + 1, SnapEntry::default);
-        }
-        let e = &mut self.snap_cache[idx];
+        let e = sid.slot(&mut self.snap_cache);
         if !(e.snapped_at <= now && now < e.stable_until && e.epoch == self.backend.epoch(e.scope))
         {
             // The entry keeps its endpoint buffer, so a re-read allocates
@@ -115,6 +111,11 @@ impl AttachedCluster {
         self.snapshot(now, sid, name).0.clone()
     }
 
+    /// `sid`'s booking here, if it holds one.
+    fn booking(&self, sid: ServiceId) -> Option<(ResourceRequest, u32)> {
+        self.admitted.get(sid.0 as usize).copied().flatten()
+    }
+
     /// Book `replicas` replicas of `sid` — grow, shrink, or release at zero.
     /// A service booked here keeps the per-replica demand it was admitted
     /// at; one not booked yet is booked at `demand`. Returns whether a
@@ -126,23 +127,19 @@ impl AttachedCluster {
         demand: ResourceRequest,
         replicas: u32,
     ) -> bool {
-        let (demand, booked) = self.admitted.get(&sid).copied().unwrap_or((demand, 0));
+        let (demand, booked) = self.booking(sid).unwrap_or((demand, 0));
         if replicas > booked {
             self.allocated.add(&demand, replicas - booked);
         } else {
             self.allocated.remove(&demand, booked - replicas);
         }
-        if replicas == 0 {
-            self.admitted.remove(&sid);
-            return false;
-        }
-        self.admitted.insert(sid, (demand, replicas));
-        self.allocated.exceeds(&self.capacity)
+        *sid.slot(&mut self.admitted) = (replicas > 0).then_some((demand, replicas));
+        replicas > 0 && self.allocated.exceeds(&self.capacity)
     }
 
     /// Release the booking `sid` holds here, if any.
     pub(super) fn release(&mut self, sid: ServiceId) {
-        if let Some(&(demand, _)) = self.admitted.get(&sid) {
+        if let Some((demand, _)) = self.booking(sid) {
             self.set_booking(sid, demand, 0);
         }
     }
@@ -150,7 +147,7 @@ impl AttachedCluster {
     /// [`AttachedCluster::set_booking`] for a service not booked here yet;
     /// a re-deployment reuses the reservation it holds.
     pub(super) fn book(&mut self, sid: ServiceId, demand: ResourceRequest, replicas: u32) -> bool {
-        !self.admitted.contains_key(&sid) && self.set_booking(sid, demand, replicas)
+        self.booking(sid).is_none() && self.set_booking(sid, demand, replicas)
     }
 
     /// Autoscale clamp: the largest total replica count of `sid`, at
@@ -162,7 +159,7 @@ impl AttachedCluster {
         demand: ResourceRequest,
         want: u32,
     ) -> u32 {
-        let booked = self.admitted.get(&sid).map_or(0, |&(_, r)| r);
+        let booked = self.booking(sid).map_or(0, |(_, r)| r);
         if self.capacity.is_unlimited() || want <= booked {
             return want;
         }
@@ -230,23 +227,20 @@ impl Controller {
     /// The per-replica demand of `sid` on `cluster`: what its booking there
     /// was admitted at, else what the catalog registers.
     pub(super) fn demand_of(&self, cluster: ClusterId, sid: ServiceId) -> Option<ResourceRequest> {
-        let booked = self.clusters[cluster.0].admitted.get(&sid).map(|&(d, _)| d);
-        booked.or_else(|| {
-            let registered = self.catalog.lookup_name(self.catalog.name_of(sid))?;
-            Some(registered.demand)
-        })
+        let booked = self.clusters[cluster.0].booking(sid).map(|(d, _)| d);
+        booked.or_else(|| Some(self.catalog.get(sid)?.demand))
     }
 
-    /// Run the Global Scheduler for the service registered at `addr`, as
-    /// seen from switch `sw`. The Dispatcher's system view it decides on —
-    /// per-cluster status at `now`, including whether a deployment is in
-    /// flight there — stays in `views_scratch` until the next decision.
-    pub(super) fn decide(&mut self, now: SimTime, addr: SocketAddr, sw: SwitchId) -> Decision {
+    /// Run the Global Scheduler for registered service `sid`, as seen from
+    /// switch `sw`. The Dispatcher's system view it decides on — per-cluster
+    /// status at `now`, including whether a deployment is in flight there —
+    /// stays in `views_scratch` until the next decision.
+    pub(super) fn decide(&mut self, now: SimTime, sid: ServiceId, sw: SwitchId) -> Decision {
         let service = self
             .catalog
-            .lookup(addr)
+            .get(sid)
             .expect("only a registered service is scheduled");
-        let (sid, name) = (service.id, self.catalog.name_of(service.id));
+        let name = self.catalog.name_of(sid);
         let views = &mut self.views_scratch;
         views.clear();
         for (i, c) in self.clusters.iter_mut().enumerate() {
@@ -296,15 +290,19 @@ impl Controller {
     pub(super) fn admit(
         &mut self,
         cluster: ClusterId,
-        service: &RegisteredService,
+        sid: ServiceId,
     ) -> Result<(), AdmissionError> {
+        let service = self
+            .catalog
+            .get(sid)
+            .expect("only a registered service is admitted");
         let site = &self.clusters[cluster.0];
         let err = if let Some(label) = service.template.requirements.first_unmet(&site.labels) {
             AdmissionError::RequirementsUnmet {
                 cluster,
                 label: label.to_owned(),
             }
-        } else if site.admitted.contains_key(&service.id) {
+        } else if site.booking(sid).is_some() {
             return Ok(());
         } else {
             match site.capacity.admits(&site.allocated, &service.demand) {
@@ -331,7 +329,7 @@ mod tests {
     /// The site's allocation is the sum of its bookings.
     fn assert_allocation_is_the_bookings(site: &AttachedCluster) {
         let mut sum = ResourceAllocation::default();
-        for (demand, replicas) in site.admitted.values() {
+        for (demand, replicas) in site.admitted.iter().flatten() {
             sum.add(demand, *replicas);
         }
         assert_eq!(site.allocated, sum);

@@ -196,6 +196,22 @@ pub(crate) struct StepCtx<'a> {
     pub probe_rtt: SimDuration,
 }
 
+/// What [`Dispatcher::start`] starts: the deployment of `service` at
+/// `cluster`, triggered at `now`, and what the backend already holds of it.
+pub(crate) struct DeployOrder {
+    pub now: SimTime,
+    pub cluster: ClusterId,
+    pub service: ServiceId,
+    pub template: Arc<ServiceTemplate>,
+    pub record: DeploymentRecord,
+    /// The images are on the site: skip the Pull phase.
+    pub images_cached: bool,
+    /// The service objects exist: skip the Create phase.
+    pub created: bool,
+    /// The `scaled_to_zero` entry the deployment displaces.
+    pub saved_scaled_to_zero: Option<SimTime>,
+}
+
 /// One in-flight deployment.
 pub(crate) struct DeployMachine {
     /// Creation ordinal (strictly increasing across all machines).
@@ -401,8 +417,9 @@ pub(crate) type InstanceKey = (ClusterId, ServiceId);
 #[derive(Default)]
 pub(crate) struct Dispatcher {
     machines: DetHashMap<InstanceKey, DeployMachine>,
-    /// In-flight machines per service, over all clusters.
-    per_service: DetHashMap<ServiceId, u32>,
+    /// In-flight machines per service, over all clusters: a dense lane
+    /// indexed by [`ServiceId`] (DESIGN.md §5i).
+    per_service: Vec<u32>,
     /// Due order, keyed `(seq, key)` so machines due at one instant step
     /// oldest first; settled (see [`simcore::deadline`]) before every
     /// `&mut self` method returns. The truth is the `next_step` of the
@@ -433,7 +450,9 @@ impl Dispatcher {
     }
 
     pub fn any_for_service(&self, service: ServiceId) -> bool {
-        self.per_service.contains_key(&service)
+        self.per_service
+            .get(service.0 as usize)
+            .is_some_and(|&n| n > 0)
     }
 
     /// `(service, cluster)` of every in-flight machine, oldest first.
@@ -444,36 +463,27 @@ impl Dispatcher {
         by_seq.iter().map(|m| (m.service, m.cluster)).collect()
     }
 
-    /// Start a machine at `now`; phases whose issue instants are already due
-    /// run when the controller pumps the machines (same call stack).
-    #[allow(clippy::too_many_arguments)]
-    pub fn start(
-        &mut self,
-        now: SimTime,
-        cluster: ClusterId,
-        service: ServiceId,
-        template: Arc<ServiceTemplate>,
-        record: DeploymentRecord,
-        images_cached: bool,
-        created: bool,
-        saved_scaled_to_zero: Option<SimTime>,
-    ) -> &mut DeployMachine {
+    /// Start the machine `order` describes; phases whose issue instants are
+    /// already due run when the controller pumps the machines (same call
+    /// stack).
+    pub fn start(&mut self, order: DeployOrder) -> &mut DeployMachine {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let phase = if !images_cached {
+        let phase = if !order.images_cached {
             DeployPhase::Pulling
-        } else if !created {
+        } else if !order.created {
             DeployPhase::Creating
         } else {
             DeployPhase::ScalingUp
         };
-        let key = (cluster, service);
+        let (now, service) = (order.now, order.service);
+        let key = (order.cluster, service);
         let machine = DeployMachine {
             seq,
-            cluster,
+            cluster: order.cluster,
             service,
-            template,
-            record,
+            template: order.template,
+            record: order.record,
             phase,
             next_step: now,
             attempt: 0,
@@ -482,12 +492,12 @@ impl Dispatcher {
             waiters: Vec::new(),
             wants_retarget: false,
             proactive: false,
-            skip_create: created,
-            saved_scaled_to_zero,
+            skip_create: order.created,
+            saved_scaled_to_zero: order.saved_scaled_to_zero,
         };
         let displaced = self.machines.insert(key, machine);
         debug_assert!(displaced.is_none(), "one machine per (cluster, service)");
-        *self.per_service.entry(service).or_insert(0) += 1;
+        *service.slot(&mut self.per_service) += 1;
         // The old top still tells the truth, so there is nothing to settle.
         self.due.file(now, (seq, key));
         self.machines.get_mut(&key).expect("just inserted")
@@ -531,12 +541,7 @@ impl Dispatcher {
 
     pub fn remove(&mut self, key: InstanceKey) -> DeployMachine {
         let machine = self.machines.remove(&key).expect("machine is in flight");
-        match self.per_service.get_mut(&machine.service) {
-            Some(n) if *n > 1 => *n -= 1,
-            _ => {
-                self.per_service.remove(&machine.service);
-            }
-        }
+        self.per_service[machine.service.0 as usize] -= 1;
         self.settle_due();
         machine
     }

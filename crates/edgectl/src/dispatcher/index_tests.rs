@@ -145,7 +145,16 @@ fn start(d: &mut Dispatcher, oracle: &mut Oracle, at: SimTime, key: InstanceKey)
         waited: false,
     };
     let seq = d
-        .start(at, cluster, service, template, record, false, false, None)
+        .start(DeployOrder {
+            now: at,
+            cluster,
+            service,
+            template,
+            record,
+            images_cached: false,
+            created: false,
+            saved_scaled_to_zero: None,
+        })
         .seq;
     oracle.rows.push(Row {
         seq,

@@ -23,11 +23,8 @@
 //! under finite [`cluster::SiteCapacity`] they only ever nominate sites the
 //! dispatcher will admit.
 
-use std::collections::HashMap;
-
 use simcore::SimDuration;
 
-use crate::catalog::ServiceId;
 use crate::scheduler::{
     nearest, ClusterId, ClusterView, Decision, GlobalScheduler, SchedulingContext,
 };
@@ -41,8 +38,10 @@ pub struct BoundedCostProvisioning {
     /// Latency assumed for cloud-served requests when no edge instance is
     /// ready anywhere (the views carry no cloud distance).
     pub cloud_latency: SimDuration,
-    /// Accumulated rent per service since its last deployment decision.
-    accrued: HashMap<ServiceId, f64>,
+    /// Accumulated rent per service since its last deployment decision: a
+    /// dense lane indexed by [`ServiceId`](crate::ServiceId), zero for a
+    /// service that owes none.
+    accrued: Vec<f64>,
 }
 
 impl Default for BoundedCostProvisioning {
@@ -50,7 +49,7 @@ impl Default for BoundedCostProvisioning {
         BoundedCostProvisioning {
             deploy_cost_secs: 1.0,
             cloud_latency: SimDuration::from_millis(40),
-            accrued: HashMap::new(),
+            accrued: Vec::new(),
         }
     }
 }
@@ -76,7 +75,7 @@ impl GlobalScheduler for BoundedCostProvisioning {
             .expect("nearest returns an id from views")];
         if candidate_view.status.is_ready() {
             // Already bought: serve at the optimum, reset the meter.
-            self.accrued.insert(ctx.service, 0.0);
+            *ctx.service.slot(&mut self.accrued) = 0.0;
             return Decision::fast(candidate);
         }
         if candidate_view.deploying {
@@ -98,7 +97,7 @@ impl GlobalScheduler for BoundedCostProvisioning {
             None => self.cloud_latency,
         };
         let rent = (remote.as_secs_f64() - candidate_view.distance.as_secs_f64()).max(0.0);
-        let paid = self.accrued.entry(ctx.service).or_insert(0.0);
+        let paid = ctx.service.slot(&mut self.accrued);
         *paid += rent;
         if *paid >= self.deploy_cost_secs {
             // Buy: deploy at the candidate without waiting; the current
@@ -172,7 +171,7 @@ mod tests {
     use simcore::SimTime;
 
     use super::*;
-    use crate::catalog::ServiceCatalog;
+    use crate::catalog::{ServiceCatalog, ServiceId};
     use crate::scheduler::testutil::view;
     use crate::scheduler::{ClusterId, ClusterView};
 

@@ -2,10 +2,10 @@
 //!
 //! * The **Global Scheduler** chooses the edge *cluster*. It receives the
 //!   Dispatcher's view of every cluster (a [`SchedulingContext`]: cluster
-//!   views, the service's resource demand and placement requirements, and a
-//!   catalog handle) and returns two results (paper §IV-B): **FAST** — the
-//!   fastest location for the *current* request — and **BEST** — the best
-//!   location for *future* requests. BEST is empty when it equals FAST; FAST
+//!   views, the service's id, resource demand and placement requirements)
+//!   and returns two results (paper §IV-B): **FAST** — the fastest location
+//!   for the *current* request — and **BEST** — the best location for
+//!   *future* requests. BEST is empty when it equals FAST; FAST
 //!   empty means "forward toward the cloud".
 //!   If FAST == BEST and no instance runs there yet, the Dispatcher performs
 //!   on-demand deployment **with waiting** (the request is held). If BEST is
@@ -196,7 +196,7 @@ impl ClusterViewBuilder {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct SchedulingContext<'a> {
-    /// The requested service (interned; resolve names via `catalog`).
+    /// The requested service.
     pub service: ServiceId,
     /// Per-cluster views, ordered by the controller's cluster list;
     /// distances are from the requesting client's ingress switch.
@@ -205,19 +205,20 @@ pub struct SchedulingContext<'a> {
     pub demand: ResourceRequest,
     /// The service's placement constraints.
     pub requirements: &'a DeploymentRequirements,
-    /// Catalog handle for policies that need names or other registrations.
-    pub catalog: &'a ServiceCatalog,
     /// Decision instant (virtual time).
     pub now: SimTime,
 }
 
 impl<'a> SchedulingContext<'a> {
+    /// The context of one decision. `_catalog` is not read — no policy
+    /// needs the catalog — and goes once `edgebench`'s scheduler replay
+    /// (built outside the workspace) stops passing it.
     pub fn new(
         service: ServiceId,
         views: &'a [ClusterView],
         demand: ResourceRequest,
         requirements: &'a DeploymentRequirements,
-        catalog: &'a ServiceCatalog,
+        _catalog: &ServiceCatalog,
         now: SimTime,
     ) -> SchedulingContext<'a> {
         SchedulingContext {
@@ -225,7 +226,6 @@ impl<'a> SchedulingContext<'a> {
             views,
             demand,
             requirements,
-            catalog,
             now,
         }
     }
@@ -305,7 +305,7 @@ pub trait GlobalScheduler: Send {
     fn name(&self) -> &'static str;
 
     /// Decide FAST and BEST for the request described by `ctx` (views,
-    /// service id and demand, catalog handle).
+    /// service id and demand).
     fn decide(&mut self, ctx: &SchedulingContext<'_>) -> Decision;
 }
 

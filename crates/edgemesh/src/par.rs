@@ -434,7 +434,8 @@ impl MeshShard {
     fn replay(&mut self, at: SimTime, op: &SiteOp) {
         let mut b = self.handles[op.site].borrow_mut();
         let controller = &self.core.controller;
-        let template = |name: &str| controller.catalog.lookup_name(name).map(|s| &s.template);
+        let catalog = &controller.catalog;
+        let template = |name: &str| catalog.get(catalog.id_of(name)?).map(|s| &s.template);
         let ok = match &op.call {
             SiteCall::Pull { template: name } => {
                 template(name).is_some_and(|t| b.pull(at, t, controller.registries()).is_ok())

@@ -131,7 +131,7 @@ pub fn controller(
     if cfg.phase_setup == PhaseSetup::Running {
         for c in (0..c3.sites.len()).filter(|&c| prewarmed(cfg, c)) {
             for addr in service_addrs {
-                let service = controller.catalog.lookup(*addr).expect("registered").id;
+                let service = controller.catalog.lookup(*addr).expect("registered");
                 controller.note_external_deployment(ClusterId(c), service, 1);
             }
         }

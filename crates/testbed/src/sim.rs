@@ -382,13 +382,9 @@ impl Testbed {
             .service_addrs
             .iter()
             .map(|&addr| {
-                Arc::clone(
-                    &controller
-                        .catalog
-                        .lookup(addr)
-                        .expect("registered")
-                        .template,
-                )
+                let catalog = &controller.catalog;
+                let sid = catalog.lookup(addr).expect("registered");
+                Arc::clone(&catalog.get(sid).expect("registered").template)
             })
             .collect();
         bringup::prewarm(&self.cfg, &templates, controller.clusters_mut())
@@ -740,7 +736,7 @@ impl Engine<CrashTick> for FlowModel {
         for k in 0..services {
             let addr = shard.service_addrs[(start + k) % services];
             let catalog = &shard.controller.catalog;
-            let name = catalog.name_arc(catalog.lookup(addr).expect("registered").id);
+            let name = catalog.name_arc(catalog.lookup(addr).expect("registered"));
             if shard
                 .controller
                 .cluster_mut(cluster)
