@@ -357,8 +357,9 @@ pub trait ClusterBackend {
     /// whether the service has been created)?
     fn has_images(&self, template: &ServiceTemplate) -> bool;
 
-    /// Is the service port connectable at `now`? (The controller's probe.)
-    /// Provided; no backend overrides it.
+    /// Is the service port connectable at `now`? Provided; no backend
+    /// overrides it. The controller's probes do not call it: they read
+    /// [`ClusterBackend::observe`] through its snapshot cache.
     fn is_ready(&self, now: SimTime, service: &str) -> bool {
         self.status(now, service).is_ready()
     }

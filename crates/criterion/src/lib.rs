@@ -11,6 +11,10 @@
 //! before/after on the same machine, which is all this repo's acceptance
 //! criteria need; it does not attempt criterion's outlier analysis or HTML
 //! reports.
+//!
+//! Like criterion, a bench binary takes a name filter: `cargo bench --bench
+//! NAME -- cold_catalog` runs only the benchmarks whose full name (`group/id`)
+//! contains `cold_catalog` (see [`Criterion::with_args`]).
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -152,21 +156,39 @@ fn report(name: &str, ns: f64, throughput: Option<Throughput>) {
 /// Top-level harness handle, mirroring `criterion::Criterion`.
 #[derive(Default)]
 pub struct Criterion {
-    _priv: (),
+    /// Run only the benchmarks whose full name contains this.
+    filter: Option<String>,
 }
 
 impl Criterion {
+    /// The harness [`criterion_main!`] builds from the bench binary's
+    /// arguments: the first one that does not start with `-` is a substring
+    /// filter on benchmark names, so `cargo bench`'s own `--bench` flag is
+    /// skipped. With no such argument every benchmark runs.
+    pub fn with_args<I: IntoIterator<Item = String>>(args: I) -> Criterion {
+        Criterion {
+            filter: args.into_iter().find(|a| !a.starts_with('-')),
+        }
+    }
+
+    /// Does the filter select the benchmark named `name`?
+    fn selects(&self, name: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| name.contains(f))
+    }
+
     pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        run_one(name, None, f);
+        if self.selects(name) {
+            run_one(name, None, f);
+        }
         self
     }
 
     pub fn benchmark_group<S: Into<String>>(&mut self, name: S) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
-            _parent: self,
+            parent: self,
             name: name.into(),
             throughput: None,
         }
@@ -185,7 +207,7 @@ fn run_one<F: FnMut(&mut Bencher)>(name: &str, throughput: Option<Throughput>, m
 
 /// Named group of related benchmarks, mirroring `criterion::BenchmarkGroup`.
 pub struct BenchmarkGroup<'a> {
-    _parent: &'a mut Criterion,
+    parent: &'a mut Criterion,
     name: String,
     throughput: Option<Throughput>,
 }
@@ -205,7 +227,10 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
-        run_one(&format!("{}/{}", self.name, id), self.throughput, f);
+        let name = format!("{}/{}", self.name, id);
+        if self.parent.selects(&name) {
+            run_one(&name, self.throughput, f);
+        }
         self
     }
 
@@ -218,10 +243,7 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &P),
     {
-        run_one(&format!("{}/{}", self.name, id), self.throughput, |b| {
-            f(b, input)
-        });
-        self
+        self.bench_function(id, |b| f(b, input))
     }
 
     pub fn finish(self) {}
@@ -230,18 +252,20 @@ impl BenchmarkGroup<'_> {
 #[macro_export]
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
-        pub fn $group() {
-            let mut c = $crate::Criterion::default();
-            $( $target(&mut c); )+
+        pub fn $group(c: &mut $crate::Criterion) {
+            $( $target(c); )+
         }
     };
 }
 
+/// The bench binary's `main`: one [`Criterion`] built by
+/// [`Criterion::with_args`] from the command line, handed to every group.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            $( $group(); )+
+            let mut c = $crate::Criterion::with_args(::std::env::args().skip(1));
+            $( $group(&mut c); )+
         }
     };
 }
@@ -265,6 +289,37 @@ mod tests {
         g.throughput(Throughput::Elements(4));
         g.bench_with_input(BenchmarkId::new("sq", 3), &3u64, |b, &n| b.iter(|| n * n));
         g.finish();
+    }
+
+    #[test]
+    fn the_first_positional_argument_filters_benchmark_names() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let mut c = Criterion::with_args(args(&["--bench", "cold", "warm"]));
+        assert_eq!(c.filter.as_deref(), Some("cold"));
+        let mut ran = Vec::new();
+        c.bench_function("packet_in_cold", |b| {
+            ran.push("packet_in_cold");
+            b.iter(|| 1)
+        });
+        c.bench_function("packet_in_warm", |b| {
+            ran.push("packet_in_warm");
+            b.iter(|| 1)
+        });
+        let mut g = c.benchmark_group("cold_catalog");
+        g.bench_with_input("n", &2u64, |b, &n| {
+            ran.push("cold_catalog/n");
+            b.iter(|| n)
+        });
+        g.bench_function("m", |b| {
+            ran.push("cold_catalog/m");
+            b.iter(|| 1)
+        });
+        g.finish();
+        assert_eq!(ran, ["packet_in_cold", "cold_catalog/n", "cold_catalog/m"]);
+
+        // `cargo bench` with no filter passes only its own flag.
+        assert_eq!(Criterion::with_args(args(&["--bench"])).filter, None);
+        assert!(Criterion::with_args(Vec::new()).selects("anything"));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::dispatcher::{
     AdmissionError, DeployError, DeployMachine, DeployOrder, DeployPhaseKind, Dispatcher,
     InstanceKey, MachineOutcome, StepCtx,
 };
-use crate::flowmemory::FlowMemory;
+use crate::flowmemory::{FlowMemory, MemorizedFlow};
 use crate::predictor::{NoPrediction, Predictor};
 use crate::scheduler::{
     ClusterId, ClusterView, GlobalScheduler, LocalScheduler, NearestWaiting, RoundRobinLocal,
@@ -46,7 +46,7 @@ mod packet;
 mod sites;
 
 use housekeeping::{DueQueue, PredictSchedule, ScaledToZero};
-use sites::AttachedCluster;
+pub(crate) use sites::AttachedCluster;
 
 /// Controller tuning knobs.
 #[derive(Debug, Clone)]
@@ -313,6 +313,11 @@ pub struct Controller {
     /// The scheduler view of the last decision (see
     /// [`Controller::decide`]); its buffer is reused by the next.
     views_scratch: Vec<ClusterView>,
+    /// The flows the last housekeeping pass expired and the `(service,
+    /// cluster)` scale-down candidates it drew from them; both buffers are
+    /// reused by the next pass.
+    expired_scratch: Vec<MemorizedFlow>,
+    candidates_scratch: Vec<(ServiceId, ClusterId)>,
     /// Pending flow moves produced by BEST deployments, due at the ready
     /// instant.
     retarget_queue: DueQueue,
@@ -430,6 +435,8 @@ impl ControllerBuilder {
             dispatcher: Dispatcher::default(),
             client_ports: DetHashMap::default(),
             views_scratch: Vec::new(),
+            expired_scratch: Vec::new(),
+            candidates_scratch: Vec::new(),
             retarget_queue: DueQueue::default(),
             scaled_to_zero: ScaledToZero::default(),
             predictor: Box::new(NoPrediction),
@@ -597,16 +604,16 @@ impl Controller {
                 let Some(key) = self.dispatcher.due(now) else {
                     return;
                 };
-                let (ClusterId(cluster_idx), _) = key;
-                let probe_rtt = self.clusters[cluster_idx].distances[0] * 2;
+                let (cluster, _) = key;
+                let site = &mut self.clusters[cluster.0];
                 let mut ctx = StepCtx {
-                    backend: self.clusters[cluster_idx].backend.as_mut(),
+                    probe_rtt: site.distances[0] * 2,
+                    site,
                     registries: &self.registries,
                     retries: self.config.deploy_retries,
                     backoff: self.config.retry_backoff,
                     probe_interval: self.config.probe_interval,
                     probe_timeout: self.config.probe_timeout,
-                    probe_rtt,
                 };
                 (key, self.dispatcher.advance(key, &mut ctx))
             };

@@ -306,15 +306,18 @@ impl Controller {
             }
         }
 
-        let expired = self.memory.expire(now);
+        let mut expired = std::mem::take(&mut self.expired_scratch);
+        self.memory.expire_into(now, &mut expired);
         if self.config.scale_down_idle {
             // Group by (service, cluster); scale down instances nobody
             // references anymore. Candidates whose backend call failed on an
             // earlier pass retry once their back-off is due.
-            let mut candidates: Vec<(ServiceId, ClusterId)> = expired
-                .iter()
-                .filter_map(|f| f.cluster.map(|c| (f.service, c)))
-                .collect();
+            let mut candidates = std::mem::take(&mut self.candidates_scratch);
+            candidates.extend(
+                expired
+                    .iter()
+                    .filter_map(|f| f.cluster.map(|c| (f.service, c))),
+            );
             candidates.extend(
                 self.scale_down_retries
                     .take_due(now)
@@ -322,7 +325,7 @@ impl Controller {
             );
             candidates.sort();
             candidates.dedup();
-            for (service, cluster) in candidates {
+            for &(service, cluster) in &candidates {
                 if self.memory.flows_for_service(service, Some(cluster)) == 0 {
                     let name = self.catalog.name_of(service);
                     let site = &mut self.clusters[cluster.0];
@@ -346,7 +349,11 @@ impl Controller {
                     }
                 }
             }
+            candidates.clear();
+            self.candidates_scratch = candidates;
         }
+        expired.clear();
+        self.expired_scratch = expired;
 
         // Remove phase (Fig. 4): services idle at zero replicas long enough
         // are deleted entirely; their cached images stay on disk, so a later

@@ -16,9 +16,13 @@ use crate::catalog::ServiceId;
 use crate::dispatcher::AdmissionError;
 use crate::scheduler::{ClusterId, ClusterView, Decision, SchedulingContext};
 
-/// One attached cluster: the backend plus where it sits.
-pub(super) struct AttachedCluster {
-    pub(super) backend: Box<dyn ClusterBackend>,
+/// One attached cluster: the backend plus where it sits. The controller's
+/// reads of service state — PacketIns, housekeeping and the deployment
+/// machines' probes alike — go through [`AttachedCluster::snapshot`];
+/// mutations call `backend` directly, and each stamps the scope it changes,
+/// which invalidates the cached read.
+pub(crate) struct AttachedCluster {
+    pub(crate) backend: Box<dyn ClusterBackend>,
     /// Per-switch latency to this cluster's host; indexed by [`SwitchId`].
     /// "Nearest" is always relative to the requesting client's ingress
     /// switch.
@@ -62,7 +66,7 @@ struct SnapEntry {
 impl AttachedCluster {
     /// A site reachable via `port` on the primary switch, with unlimited
     /// capacity, no labels and nothing booked.
-    pub(super) fn new(
+    pub(crate) fn new(
         backend: Box<dyn ClusterBackend>,
         distance: SimDuration,
         port: PortId,
@@ -84,7 +88,7 @@ impl AttachedCluster {
     /// `now` is outside the cached entry's validity window (earlier than the
     /// read — PDES re-stamping — or at or past `stable_until`) or the epoch
     /// of the scope it was read from has moved.
-    pub(super) fn snapshot(
+    pub(crate) fn snapshot(
         &mut self,
         now: SimTime,
         sid: ServiceId,

@@ -19,22 +19,26 @@
 //! protocol: each phase starts at the previous phase's end, a failed call
 //! repeats after `retry_backoff` up to `deploy_retries` times per phase, and
 //! probes run on the grid `accepted_at + k·probe_interval` up to and
-//! including `accepted_at + probe_timeout`. `tests/dispatcher_protocol.rs`
-//! checks every run against that rule from a log of the backend calls.
+//! including `accepted_at + probe_timeout`. Each probe on the grid is
+//! answered by the site's snapshot (`AttachedCluster::snapshot`), so it
+//! reaches the backend only when the held read has expired or a mutation
+//! stamped its scope; the phase calls go to the backend itself.
+//! `tests/dispatcher_protocol.rs` checks every run against that rule from a
+//! log of the backend calls and reads.
 //! Backend faults (a crash injected between phases or during the probe
 //! window) land while a deployment is mid-flight and are observed by the next
 //! step, which can retry the phase or fail over to the cloud.
 
 use std::sync::Arc;
 
-use cluster::{ClusterBackend, ClusterError, ServiceTemplate};
+use cluster::{ClusterError, ServiceTemplate};
 use registry::RegistrySet;
 use simcore::{DeadlineIndex, DetHashMap, SimDuration, SimTime};
 use simnet::openflow::{BufferId, PortId};
 use simnet::Packet;
 
 use crate::catalog::ServiceId;
-use crate::controller::{DeploymentRecord, SwitchId};
+use crate::controller::{AttachedCluster, DeploymentRecord, SwitchId};
 use crate::flowmemory::FlowKey;
 use crate::scheduler::ClusterId;
 
@@ -181,11 +185,11 @@ pub(crate) struct Waiter {
     pub packet: Packet,
 }
 
-/// Everything the controller hands a machine step: the target cluster's
-/// backend plus the tuning knobs the old closure-based pipeline read from
-/// `ControllerConfig`.
+/// Everything the controller hands a machine step: the target site — its
+/// backend for the phase calls, its snapshot cache for every read — plus the
+/// tuning knobs the old closure-based pipeline read from `ControllerConfig`.
 pub(crate) struct StepCtx<'a> {
-    pub backend: &'a mut dyn ClusterBackend,
+    pub site: &'a mut AttachedCluster,
     pub registries: &'a RegistrySet,
     pub retries: u32,
     pub backoff: SimDuration,
@@ -262,7 +266,11 @@ impl DeployMachine {
         let name = self.template.name.as_str();
         match self.phase {
             DeployPhase::Pulling => {
-                match ctx.backend.pull(issued, &self.template, ctx.registries) {
+                match ctx
+                    .site
+                    .backend
+                    .pull(issued, &self.template, ctx.registries)
+                {
                     Ok(end) => {
                         self.record.pull = Some((issued, end));
                         self.next_step = end;
@@ -278,7 +286,7 @@ impl DeployMachine {
                 }
             }
             DeployPhase::Creating => {
-                let result = match ctx.backend.create(issued, &self.template) {
+                let result = match ctx.site.backend.create(issued, &self.template) {
                     Err(ClusterError::AlreadyCreated(_)) => Ok(issued),
                     other => other,
                 };
@@ -295,7 +303,7 @@ impl DeployMachine {
                     Err(e) => self.retry_or_fail(e, DeployPhaseKind::Creating, ctx),
                 }
             }
-            DeployPhase::ScalingUp => match ctx.backend.scale_up(issued, name, 1) {
+            DeployPhase::ScalingUp => match ctx.site.backend.scale_up(issued, name, 1) {
                 Ok(receipt) => {
                     self.record.scale_up =
                         Some((issued, receipt.accepted_at, receipt.expected_ready));
@@ -309,7 +317,9 @@ impl DeployMachine {
                 expected_ready,
             } => {
                 let probe_t = issued;
-                if ctx.backend.is_ready(probe_t, name) {
+                // One read answers the probe and the crash observation.
+                let (status, _) = ctx.site.snapshot(probe_t, self.service, name);
+                if status.is_ready() {
                     let ready_detected = probe_t + ctx.probe_rtt;
                     self.phase = DeployPhase::Finalizing { ready_detected };
                     self.next_step = ready_detected;
@@ -321,13 +331,11 @@ impl DeployMachine {
                 // instance died mid-deployment. Re-issue the scale-up (plain
                 // Docker restarts the crashed container; self-healing
                 // backends accept it as a no-op) within the retry budget.
-                let status = ctx.backend.status(probe_t, name);
                 if probe_t >= expected_ready
-                    && status.ready_replicas == 0
                     && status.desired_replicas > 0
                     && self.recoveries < ctx.retries
                 {
-                    if let Ok(receipt) = ctx.backend.scale_up(probe_t, name, 1) {
+                    if let Ok(receipt) = ctx.site.backend.scale_up(probe_t, name, 1) {
                         self.recoveries += 1;
                         self.enter_probing(receipt, ctx);
                         return MachineOutcome::Recovered;
@@ -347,14 +355,10 @@ impl DeployMachine {
                 // event landing between the successful probe and this
                 // instant). Never hand waiters a dead endpoint: fall back
                 // into a recovery scale-up, or fail the deployment.
-                if ctx
-                    .backend
-                    .replica_endpoints(ready_detected, name)
-                    .is_empty()
-                {
-                    let status = ctx.backend.status(ready_detected, name);
+                let (status, endpoints) = ctx.site.snapshot(ready_detected, self.service, name);
+                if endpoints.is_empty() {
                     if status.desired_replicas > 0 && self.recoveries < ctx.retries {
-                        if let Ok(receipt) = ctx.backend.scale_up(ready_detected, name, 1) {
+                        if let Ok(receipt) = ctx.site.backend.scale_up(ready_detected, name, 1) {
                             self.recoveries += 1;
                             self.enter_probing(receipt, ctx);
                             return MachineOutcome::Recovered;

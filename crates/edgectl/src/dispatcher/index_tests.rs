@@ -4,7 +4,7 @@
 //! after any sequence of start / advance / abort / remove. The scan lives
 //! here, as the oracle; the dispatcher itself no longer contains one.
 
-use cluster::{ClusterBackend, DockerCluster};
+use cluster::DockerCluster;
 use containers::image::synthesize_layers;
 use containers::{ImageManifest, Runtime};
 use proptest::prelude::*;
@@ -164,10 +164,11 @@ fn start(d: &mut Dispatcher, oracle: &mut Oracle, at: SimTime, key: InstanceKey)
     });
 }
 
-/// One real backend per cluster, so `advance` walks machines through the
-/// phases (and their different step instants) the controller sees.
+/// One site over a real backend per cluster, so `advance` walks machines
+/// through the phases (and their different step instants) the controller
+/// sees.
 struct World {
-    backends: Vec<DockerCluster>,
+    sites: Vec<AttachedCluster>,
     registries: RegistrySet,
 }
 
@@ -180,26 +181,24 @@ impl World {
         ));
         let mut registries = RegistrySet::new();
         registries.add(hub);
-        let backends = (0..CLUSTERS)
+        let sites = (0..CLUSTERS)
             .map(|c| {
                 let rng = SimRng::seed_from_u64(seed).stream_indexed("cluster", c);
-                DockerCluster::new(
+                let backend = DockerCluster::new(
                     format!("edge-{c}"),
                     IpAddr::new(10, 0, c as u8, 100),
                     Runtime::egs(rng.stream("rt")),
                     rng.stream("docker"),
-                )
+                );
+                AttachedCluster::new(Box::new(backend), SimDuration::from_micros(80), PortId(1))
             })
             .collect();
-        World {
-            backends,
-            registries,
-        }
+        World { sites, registries }
     }
 
     fn ctx(&mut self, cluster: ClusterId) -> StepCtx<'_> {
         StepCtx {
-            backend: &mut self.backends[cluster.0] as &mut dyn ClusterBackend,
+            site: &mut self.sites[cluster.0],
             registries: &self.registries,
             retries: 1,
             backoff: SimDuration::from_millis(250),

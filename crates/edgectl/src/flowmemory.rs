@@ -564,12 +564,20 @@ impl FlowMemory {
     /// sorted by key. Unlinks list heads: O(evicted) before the sort.
     pub fn expire(&mut self, now: SimTime) -> Vec<MemorizedFlow> {
         let mut expired = Vec::new();
-        while let Some(handle) = self.order.first_due(now) {
-            let key = self.slab.get(handle).key;
-            expired.push(self.detach(key).expect("a listed handle is a live flow"));
-        }
+        self.expire_into(now, &mut expired);
         expired.sort_by_key(|f| f.key);
         expired
+    }
+
+    /// [`FlowMemory::expire`] appending the evicted entries to a
+    /// caller-owned buffer, in eviction order rather than by key (the
+    /// allocation-free form the controller's housekeeping pass drives).
+    /// O(evicted).
+    pub fn expire_into(&mut self, now: SimTime, out: &mut Vec<MemorizedFlow>) {
+        while let Some(handle) = self.order.first_due(now) {
+            let key = self.slab.get(handle).key;
+            out.push(self.detach(key).expect("a listed handle is a live flow"));
+        }
     }
 
     /// Earliest instant any entry could expire. O(1): the least recently

@@ -1231,3 +1231,40 @@ fn deploying_another_service_costs_a_ready_service_no_read() {
     assert_eq!(release_time(&second), t2 + c.config().processing_delay);
     assert_eq!(reads.get(), before, "B's deployment invalidated A's read");
 }
+
+/// The deployment machine's probes read through the site's snapshot cache:
+/// a cold Kubernetes deployment's whole probe loop — every probe on the
+/// `probe_interval` grid from the scale-up's accept instant to the pod's
+/// `connectable_at`, the `Finalizing` check and the held request's release —
+/// costs the first probe's read, the one when `connectable_at` passes and at
+/// most one more, not a read per grid point.
+#[test]
+fn a_cold_k8s_probe_loop_costs_a_constant_number_of_reads() {
+    let (mut c, reads) = counting_k8s_controller(63);
+    let site = edgectl::ClusterId(0);
+    let svc = c.catalog.id_of("edge-nginx").expect("registered");
+    let out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    assert!(flow_mods(&out).is_empty(), "the request is held");
+
+    // Step until the scale-up was issued and the machine waits to probe.
+    while c.deployment_phase(site, svc) != Some(edgectl::DeployPhaseKind::Probing) {
+        let at = c.next_wakeup().expect("the deployment is in flight");
+        c.on_wakeup(at);
+    }
+    let before = reads.get();
+    let released = release_time(&pump(&mut c));
+    let loop_reads = reads.get() - before;
+
+    let record = &c.stats.deployments[0];
+    let (_, accepted_at, _) = record.scale_up.expect("scaled up");
+    // `counting_k8s_controller` attaches the site 300 µs away.
+    let ready_probe = record.ready_detected - SimDuration::from_micros(300) * 2;
+    let probes =
+        ready_probe.since(accepted_at).as_nanos() / c.config().probe_interval.as_nanos() + 1;
+    assert_eq!(released, record.ready_detected);
+    assert!(probes >= 10, "a cold K8s scale-up spans {probes} probes");
+    assert!(
+        loop_reads <= 3,
+        "{loop_reads} backend reads for {probes} probes"
+    );
+}

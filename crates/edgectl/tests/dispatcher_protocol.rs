@@ -1,23 +1,30 @@
 //! The deployment protocol, checked from the backend's side of the wire.
 //!
-//! A recording wrapper logs every `pull` / `create` / `scale_up` call and
-//! every `is_ready` probe the controller makes: service, instant, result. A
-//! pure oracle ([`protocol`]) reads that log — it never calls a backend — and
-//! derives, machine by machine, what the paper's pipeline (Pull → Create →
-//! Scale-Up → poll port, Fig. 4) must have produced:
+//! A recording wrapper logs every call the controller makes that mutates a
+//! service — `pull` / `create` / `scale_up`, idle `scale_down` and `remove` —
+//! and every `observe` read, with its instant, readiness and `stable_until`.
+//! The controller answers its probes from the site's snapshot cache, so a
+//! probe reaches the backend only when no held read is still exact; the log
+//! holds the reads that answer them. A pure oracle ([`protocol`]) reads that
+//! log — it never calls a backend — and derives, machine by machine, what
+//! the paper's pipeline (Pull → Create → Scale-Up → poll port, Fig. 4) must
+//! have produced:
 //!
 //! - a deployment's first call is issued at its trigger instant;
 //! - a failed call repeats `retry_backoff` later, at most `deploy_retries`
 //!   times per phase, and the phase fails after that;
 //! - each phase starts at the instant the previous one returned;
-//! - probes run on the grid `accepted_at + k·probe_interval` (k ≥ 0); the
-//!   first ready probe, plus `probe_rtt`, is `ready_detected`, and the
-//!   deployment fails iff no grid point at or before
-//!   `accepted_at + probe_timeout` was ready.
+//! - probes run on the grid `accepted_at + k·probe_interval` (k ≥ 0), each
+//!   answered by a logged read that covers it ([`ready_at`]; a grid point no
+//!   read covers fails the check); the first ready probe, plus `probe_rtt`,
+//!   is `ready_detected`, and the deployment fails iff no grid point at or
+//!   before `accepted_at + probe_timeout` was ready.
 //!
 //! The test then holds the controller to the oracle: its deployment records,
-//! `retried_operations`, `failed_deployments`, and the release instant of
-//! every request ([`release_at`] is the one rule for a held request).
+//! `retried_operations`, `failed_deployments`, the status deltas it announces
+//! (a failed machine is `Gone` at the first grid point past its window, or at
+//! its last failed call), and the release instant of every request
+//! ([`release_at`] is the one rule for a held request).
 //!
 //! Because the check is per machine, the generator needs no envelope:
 //! services overlap in time, failing deployments get piggybacked requests,
@@ -34,8 +41,8 @@ use cluster::{
 use containers::image::synthesize_layers;
 use containers::{ImageManifest, ImageRef, Runtime};
 use edgectl::{
-    ClusterId, Controller, ControllerConfig, ControllerOutput, DeploymentRecord, NearestReadyFirst,
-    NearestWaiting,
+    ClusterId, Controller, ControllerConfig, ControllerOutput, DeltaKind, DeploymentRecord,
+    NearestReadyFirst, NearestWaiting, StatusDelta,
 };
 use proptest::prelude::*;
 use registry::{Registry, RegistryProfile, RegistrySet};
@@ -59,7 +66,14 @@ enum Op {
     Pull(Result<SimTime, ClusterError>),
     Create(Result<SimTime, ClusterError>),
     ScaleUp(Result<ScaleReceipt, ClusterError>),
-    Probe(bool),
+    ScaleDown(Result<SimTime, ClusterError>),
+    Remove(Result<SimTime, ClusterError>),
+    /// An `observe`: readiness at the call's instant, unchanged until
+    /// `stable_until` unless the service is mutated.
+    Read {
+        ready: bool,
+        stable_until: SimTime,
+    },
 }
 
 impl Op {
@@ -68,8 +82,15 @@ impl Op {
             Op::Pull(_) => "pull",
             Op::Create(_) => "create",
             Op::ScaleUp(_) => "scale_up",
-            Op::Probe(_) => "probe",
+            Op::ScaleDown(_) => "scale_down",
+            Op::Remove(_) => "remove",
+            Op::Read { .. } => "read",
         }
+    }
+
+    /// A call a deployment machine issues: the calls [`machine`] parses.
+    fn is_phase(&self) -> bool {
+        matches!(self, Op::Pull(_) | Op::Create(_) | Op::ScaleUp(_))
     }
 }
 
@@ -144,21 +165,20 @@ impl ClusterBackend for Recording {
         self.record(now, service, Op::ScaleUp(result.clone()));
         result
     }
-    fn is_ready(&self, now: SimTime, service: &str) -> bool {
-        let ready = self.inner.is_ready(now, service);
-        self.record(now, service, Op::Probe(ready));
-        ready
-    }
     fn scale_down(
         &mut self,
         now: SimTime,
         service: &str,
         replicas: u32,
     ) -> Result<SimTime, ClusterError> {
-        self.inner.scale_down(now, service, replicas)
+        let result = self.inner.scale_down(now, service, replicas);
+        self.record(now, service, Op::ScaleDown(result.clone()));
+        result
     }
     fn remove(&mut self, now: SimTime, service: &str) -> Result<SimTime, ClusterError> {
-        self.inner.remove(now, service)
+        let result = self.inner.remove(now, service);
+        self.record(now, service, Op::Remove(result.clone()));
+        result
     }
     fn delete_image(&mut self, now: SimTime, image: &ImageRef) -> bool {
         self.inner.delete_image(now, image)
@@ -169,7 +189,13 @@ impl ClusterBackend for Recording {
         service: &str,
         endpoints: Option<&mut Vec<SocketAddr>>,
     ) -> ServiceSnapshot {
-        self.inner.observe(now, service, endpoints)
+        let snap = self.inner.observe(now, service, endpoints);
+        let read = Op::Read {
+            ready: snap.status.is_ready(),
+            stable_until: snap.stable_until,
+        };
+        self.record(now, service, read);
+        snap
     }
     fn epoch(&self, scope: Scope) -> u64 {
         self.inner.epoch(scope)
@@ -241,9 +267,35 @@ fn release_at(held_on: Option<&Machine>, decide_at: SimTime) -> SimTime {
     }
 }
 
-/// Walks one service's calls, one machine at a time.
+/// What the log says of a service's readiness at probe instant `g`, given
+/// all of that service's calls in log order: the answer of the latest read
+/// `r` with `r.at <= g < r.stable_until` that no mutation of the service
+/// invalidates — one in `(r.at, g)`, or one before `g` logged after `r` (at
+/// `r.at` itself). A mutation at `g` comes after the probe: at one instant
+/// the controller steps its machines before housekeeping runs, and a
+/// machine's own calls follow its read. `None` if no read covers `g`.
+fn ready_at(calls: &[&Call], g: SimTime) -> Option<bool> {
+    calls.iter().enumerate().rev().find_map(|(i, r)| {
+        let Op::Read {
+            ready,
+            stable_until,
+        } = r.op
+        else {
+            return None;
+        };
+        let invalidated = calls
+            .iter()
+            .enumerate()
+            .any(|(j, m)| !matches!(m.op, Op::Read { .. }) && m.at < g && (j > i || m.at > r.at));
+        (r.at <= g && g < stable_until && !invalidated).then_some(ready)
+    })
+}
+
+/// Walks one service's phase calls, one machine at a time; `all` is every
+/// call of the service, reads included, for [`ready_at`].
 struct Cursor<'a> {
     calls: Vec<&'a Call>,
+    all: Vec<&'a Call>,
     next: usize,
 }
 
@@ -288,7 +340,7 @@ fn phase(
             // An "already created" answer is a create that had nothing to do.
             Op::Create(r) => matches!(r, Err(e) if !matches!(e, ClusterError::AlreadyCreated(_))),
             Op::ScaleUp(r) => r.is_err(),
-            Op::Probe(_) => unreachable!("phases are backend calls"),
+            _ => unreachable!("the cursor walks phase calls only"),
         };
         if !failed {
             return Ok(Ok((at, op)));
@@ -360,7 +412,9 @@ fn machine(cur: &mut Cursor<'_>, p: &Protocol) -> Result<Machine, String> {
     let deadline = receipt.accepted_at + p.probe_timeout;
     let mut probe = receipt.accepted_at;
     while probe <= deadline {
-        if let Op::Probe(true) = cur.expect(probe, "probe")? {
+        let ready = ready_at(&cur.all, probe)
+            .ok_or_else(|| format!("{}: no read covers the probe at {probe}", record.service))?;
+        if ready {
             record.ready_detected = probe + p.probe_rtt;
             return Ok(Machine {
                 end: record.ready_detected,
@@ -382,8 +436,13 @@ fn protocol(log: &[Call], p: &Protocol) -> Result<BTreeMap<String, Vec<Machine>>
         by_service.entry(&call.service).or_default().push(call);
     }
     let mut out = BTreeMap::new();
-    for (service, calls) in by_service {
-        let mut cur = Cursor { calls, next: 0 };
+    for (service, all) in by_service {
+        let calls = all.iter().copied().filter(|c| c.op.is_phase()).collect();
+        let mut cur = Cursor {
+            calls,
+            all,
+            next: 0,
+        };
         let mut machines: Vec<Machine> = Vec::new();
         while let Some(call) = cur.peek() {
             if let Some(prev) = machines.last() {
@@ -417,13 +476,12 @@ fn held_on<'a>(arrival: &Arrival, machines: &'a [Machine], p: &Protocol) -> Opti
 }
 
 /// Hold the controller's run to what the oracle derives from its log.
-fn check(
-    c: &Controller,
-    outputs: &[ControllerOutput],
-    log: &[Call],
-    arrivals: &[Arrival],
-    p: &Protocol,
-) -> Result<(), String> {
+fn check(c: &Controller, run: &Run, log: &[Call], p: &Protocol) -> Result<(), String> {
+    let Run {
+        outputs,
+        arrivals,
+        deltas,
+    } = run;
     let machines = protocol(log, p)?;
     let none = Vec::new();
 
@@ -451,6 +509,39 @@ fn check(
             "deployment records\ncontroller: {}\nlog: {}",
             render(&got),
             render(&want)
+        ));
+    }
+
+    // Each machine's end is announced: `Ready` at `ready_detected`, `Gone`
+    // at the instant it gave up; so is every idle scale-down and removal.
+    let mut want_deltas: Vec<(String, SimTime, &str)> = machines
+        .iter()
+        .flat_map(|(service, ms)| {
+            ms.iter().map(move |m| {
+                let kind = if m.ready { "Ready" } else { "Gone" };
+                (service.clone(), m.end, kind)
+            })
+        })
+        .collect();
+    want_deltas.extend(log.iter().filter_map(|call| match call.op {
+        Op::ScaleDown(Ok(_)) | Op::Remove(Ok(_)) => Some((call.service.clone(), call.at, "Gone")),
+        _ => None,
+    }));
+    let mut got_deltas: Vec<(String, SimTime, &str)> = deltas
+        .iter()
+        .map(|d| {
+            let kind = match d.kind {
+                DeltaKind::Ready => "Ready",
+                DeltaKind::Gone => "Gone",
+            };
+            (c.catalog.name_of(d.service).to_owned(), d.origin, kind)
+        })
+        .collect();
+    want_deltas.sort();
+    got_deltas.sort();
+    if got_deltas != want_deltas {
+        return Err(format!(
+            "status deltas\ncontroller: {got_deltas:?}\nlog: {want_deltas:?}"
         ));
     }
 
@@ -619,7 +710,8 @@ fn config_for(sc: &Scenario) -> ControllerConfig {
 fn build(sc: &Scenario, log: &Log) -> Controller {
     let b = Controller::builder(config_for(sc))
         .registries(registries())
-        .cloud_port(CLOUD_PORT);
+        .cloud_port(CLOUD_PORT)
+        .emit_status_deltas();
     let mut c = if sc.waiting {
         b.global(NearestWaiting).build()
     } else {
@@ -652,11 +744,18 @@ fn build(sc: &Scenario, log: &Log) -> Controller {
     c
 }
 
+/// What one driven run produced.
+struct Run {
+    outputs: Vec<ControllerOutput>,
+    arrivals: Vec<Arrival>,
+    deltas: Vec<StatusDelta>,
+}
+
 /// Drive the controller through the schedule, pumping every wakeup due
 /// before each packet-in (the simulator's event loop in miniature), then
 /// drain everything that remains — machine completions, retarget FlowMods,
 /// idle expiry, scale-downs and removals.
-fn run(c: &mut Controller, ev: &[(SimTime, u8, u8)]) -> (Vec<ControllerOutput>, Vec<Arrival>) {
+fn run(c: &mut Controller, ev: &[(SimTime, u8, u8)], log: &Log) -> Run {
     let mut out = Vec::new();
     let mut arrivals = Vec::new();
     let pump_until = |c: &mut Controller, upto: SimTime, out: &mut Vec<ControllerOutput>| {
@@ -670,7 +769,11 @@ fn run(c: &mut Controller, ev: &[(SimTime, u8, u8)]) -> (Vec<ControllerOutput>, 
     for (i, &(t, s, cl)) in ev.iter().enumerate() {
         pump_until(c, t, &mut out);
         let service = service_name(s);
+        // The driver's own read is not the controller's: keep it out of the
+        // log.
+        let logged = log.borrow().len();
         let ready = c.cluster(EDGE).status(t, &service).is_ready();
+        log.borrow_mut().truncate(logged);
         arrivals.push(Arrival {
             at: t,
             service,
@@ -689,15 +792,19 @@ fn run(c: &mut Controller, ev: &[(SimTime, u8, u8)]) -> (Vec<ControllerOutput>, 
         SimTime::ZERO + SimDuration::from_secs(1_000_000),
         &mut out,
     );
-    (out, arrivals)
+    Run {
+        outputs: out,
+        arrivals,
+        deltas: c.drain_status_deltas(),
+    }
 }
 
 fn assert_protocol(sc: &Scenario) -> Result<(), TestCaseError> {
     let log = Log::default();
     let mut c = build(sc, &log);
-    let (outputs, arrivals) = run(&mut c, &events(sc));
+    let run = run(&mut c, &events(sc), &log);
     let p = Protocol::of(&config_for(sc), sc.waiting);
-    check(&c, &outputs, &log.borrow(), &arrivals, &p).map_err(TestCaseError)?;
+    check(&c, &run, &log.borrow(), &p).map_err(TestCaseError)?;
     // No held request is left dangling after the drain.
     prop_assert!(c.in_flight_deployments().is_empty());
     prop_assert!(c.memory().iter().all(|f| !f.pending));
@@ -725,7 +832,7 @@ fn generated_scenarios_leave_the_old_envelope() {
         let sc = strategy.generate(&mut rng);
         let log = Log::default();
         let mut c = build(&sc, &log);
-        let (_, arrivals) = run(&mut c, &events(&sc));
+        let Run { arrivals, .. } = run(&mut c, &events(&sc), &log);
         let p = Protocol::of(&config_for(&sc), sc.waiting);
         let machines = protocol(&log.borrow(), &p).expect("the property test checks this");
         let spans: Vec<(SimTime, SimTime)> = machines
