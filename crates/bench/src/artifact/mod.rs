@@ -131,7 +131,7 @@ pub struct Row {
 }
 
 impl Row {
-    pub fn new(cols: &'static [Col]) -> Row {
+    pub(crate) fn new(cols: &'static [Col]) -> Row {
         let vals = vec![None; cols.len()];
         Row { cols, vals }
     }

@@ -21,7 +21,7 @@ pub static LAYOUT: Layout = Layout {
 };
 
 /// One comparison policy: display name + `SchedulerSpec` constructor.
-pub type Policy = (&'static str, fn() -> SchedulerSpec);
+pub(crate) type Policy = (&'static str, fn() -> SchedulerSpec);
 
 /// The policies the ablation compares (every registry entry that makes
 /// sense on a Docker-only continuum).

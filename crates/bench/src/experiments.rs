@@ -17,7 +17,7 @@ use workload::{ServiceKind, ServiceProfile, Trace, TraceConfig};
 use crate::report::{fmt_ms, Table};
 
 /// Seeds used for replicated measurements.
-pub fn default_seeds() -> Vec<u64> {
+pub(crate) fn default_seeds() -> Vec<u64> {
     (1..=31).collect()
 }
 
@@ -248,7 +248,7 @@ pub fn fig11(seeds: &[u64]) -> Experiment {
 }
 
 /// Fig. 12: total time (median) to *create + scale up*.
-pub fn fig12(seeds: &[u64]) -> Experiment {
+pub(crate) fn fig12(seeds: &[u64]) -> Experiment {
     Experiment {
         id: "Fig. 12",
         effective_threads: fanout_threads(seeds),
@@ -349,7 +349,7 @@ fn wait_table(phase: PhaseSetup, seeds: &[u64]) -> Table {
 
 /// Fig. 14: wait time (median) until the services are ready after being
 /// scaled up (the controller's port polling; included in Fig. 11).
-pub fn fig14(seeds: &[u64]) -> Experiment {
+pub(crate) fn fig14(seeds: &[u64]) -> Experiment {
     Experiment {
         id: "Fig. 14",
         effective_threads: fanout_threads(seeds),
@@ -362,7 +362,7 @@ pub fn fig14(seeds: &[u64]) -> Experiment {
 }
 
 /// Fig. 15: wait time (median) after create + scale-up (included in Fig. 12).
-pub fn fig15(seeds: &[u64]) -> Experiment {
+pub(crate) fn fig15(seeds: &[u64]) -> Experiment {
     Experiment {
         id: "Fig. 15",
         effective_threads: fanout_threads(seeds),
@@ -400,7 +400,7 @@ pub fn fig16(seeds: &[u64]) -> Experiment {
 // ---------------------------------------------------------------------------
 
 /// §VII: compare deployment strategies on the bigFlows trace.
-pub fn hybrid(seeds: &[u64]) -> Experiment {
+pub(crate) fn hybrid(seeds: &[u64]) -> Experiment {
     let mut t = Table::new([
         "Strategy",
         "median first-request",

@@ -6,5 +6,4 @@ pub mod artifact;
 pub mod experiments;
 pub mod report;
 
-pub use experiments::{all, Experiment};
 pub use report::{fmt_ms, Table};

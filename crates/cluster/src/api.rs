@@ -85,7 +85,7 @@ pub struct ServiceSnapshot {
 impl ServiceSnapshot {
     /// A service the backend does not know: nothing is there until a
     /// `create`, which is a mutation, so absence never expires by time.
-    pub fn absent() -> ServiceSnapshot {
+    pub(crate) fn absent() -> ServiceSnapshot {
         ServiceSnapshot {
             status: ServiceStatus::absent(),
             stable_until: SimTime::FAR_FUTURE,

@@ -214,6 +214,7 @@ impl DeploymentRequirements {
         DeploymentRequirements::default()
     }
 
+    #[doc(hidden)] // tests check an empty request with it
     pub fn is_empty(&self) -> bool {
         self.label_match_all.is_empty() && self.label_match_none.is_empty()
     }

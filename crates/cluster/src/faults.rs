@@ -16,6 +16,7 @@ use crate::template::ServiceTemplate;
 
 /// Failure probabilities and latency inflation per operation class.
 #[derive(Debug, Clone)]
+#[doc(hidden)] // the fault harness of the dispatcher tests
 pub struct FaultPlan {
     /// Probability that a pull fails (registry error).
     pub pull_failure: f64,
@@ -32,6 +33,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// No faults (the wrapper becomes a transparent pass-through).
+    #[doc(hidden)] // the fault harness of the dispatcher tests
     pub fn none() -> FaultPlan {
         FaultPlan {
             pull_failure: 0.0,
@@ -43,6 +45,7 @@ impl FaultPlan {
     }
 
     /// A uniformly flaky backend.
+    #[doc(hidden)] // the fault harness of the dispatcher tests
     pub fn flaky(rate: f64) -> FaultPlan {
         FaultPlan {
             pull_failure: rate,
@@ -55,6 +58,7 @@ impl FaultPlan {
 }
 
 /// A backend wrapper injecting faults per a [`FaultPlan`].
+#[doc(hidden)] // the fault harness of the dispatcher tests
 pub struct FaultyCluster<B> {
     pub inner: B,
     plan: FaultPlan,
@@ -64,6 +68,7 @@ pub struct FaultyCluster<B> {
 }
 
 impl<B: ClusterBackend> FaultyCluster<B> {
+    #[doc(hidden)] // the fault harness of the dispatcher tests
     pub fn new(inner: B, plan: FaultPlan, rng: SimRng) -> FaultyCluster<B> {
         FaultyCluster {
             inner,
@@ -275,7 +280,7 @@ mod tests {
         let b = f.pull(SimTime::ZERO, &tpl(), &regs).unwrap();
         // same seeds inside differ, but the 500 ms floor must show
         assert!(b >= a, "b={b} a={a}");
-        assert!(b.as_millis_f64() >= 500.0);
+        assert!(b.since(SimTime::ZERO).as_millis_f64() >= 500.0);
     }
 
     #[test]

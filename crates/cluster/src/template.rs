@@ -66,7 +66,7 @@ impl ServiceTemplate {
         }
     }
 
-    pub fn images(&self) -> impl Iterator<Item = &ImageRef> {
+    pub(crate) fn images(&self) -> impl Iterator<Item = &ImageRef> {
         self.containers.iter().map(|c| &c.image)
     }
 
@@ -74,11 +74,11 @@ impl ServiceTemplate {
         self.containers.len()
     }
 
-    pub fn total_cpu_millis(&self) -> u32 {
+    pub(crate) fn total_cpu_millis(&self) -> u32 {
         self.containers.iter().map(|c| c.cpu_millis).sum()
     }
 
-    pub fn total_mem_bytes(&self) -> u64 {
+    pub(crate) fn total_mem_bytes(&self) -> u64 {
         self.containers.iter().map(|c| c.mem_bytes).sum()
     }
 

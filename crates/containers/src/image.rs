@@ -23,7 +23,7 @@ pub struct Layer {
 
 impl Layer {
     /// A layer with a typical ~2.5x compression ratio.
-    pub fn new(digest: u64, compressed_bytes: u64) -> Layer {
+    pub(crate) fn new(digest: u64, compressed_bytes: u64) -> Layer {
         Layer {
             digest: LayerDigest(digest),
             compressed_bytes,
@@ -82,10 +82,6 @@ impl ImageManifest {
         self.layers.iter().map(|l| l.compressed_bytes).sum()
     }
 
-    pub fn uncompressed_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.uncompressed_bytes).sum()
-    }
-
     pub fn layer_count(&self) -> usize {
         self.layers.len()
     }
@@ -127,7 +123,6 @@ mod tests {
         let m = ImageManifest::new("nginx:1.23.2", vec![Layer::new(1, 100), Layer::new(2, 50)]);
         assert_eq!(m.compressed_bytes(), 150);
         assert_eq!(m.layer_count(), 2);
-        assert_eq!(m.uncompressed_bytes(), 250 + 125);
     }
 
     #[test]

@@ -19,8 +19,6 @@ pub mod image;
 pub mod runtime;
 pub mod store;
 
-pub use image::{ImageManifest, ImageRef, Layer, LayerDigest};
-pub use runtime::{
-    Container, ContainerId, ContainerSpec, ContainerState, CostModel, Runtime, RuntimeError,
-};
-pub use store::{ImageStore, StoreStats};
+pub use image::{ImageManifest, ImageRef, Layer};
+pub use runtime::{ContainerId, ContainerSpec, ContainerState, CostModel, Runtime, RuntimeError};
+pub use store::ImageStore;

@@ -120,11 +120,12 @@ impl Container {
     }
 
     /// Is the service inside accepting connections at `now`?
-    pub fn is_ready(&self, now: SimTime) -> bool {
+    pub(crate) fn is_ready(&self, now: SimTime) -> bool {
         matches!(self.state_at(now), ContainerState::Running) && now >= self.ready_at
     }
 
     /// The instant the port opens (only meaningful after `start`).
+    #[doc(hidden)] // tests read the readiness instant
     pub fn ready_at(&self) -> SimTime {
         self.ready_at
     }
@@ -133,7 +134,7 @@ impl Container {
     /// observable state (`state_at` / `is_ready`) can still change without a
     /// runtime mutation; `None` once fully settled. Used to bound the
     /// validity of controller-side status snapshots (DESIGN.md §5i).
-    pub fn next_transition_after(&self, now: SimTime) -> Option<SimTime> {
+    pub(crate) fn next_transition_after(&self, now: SimTime) -> Option<SimTime> {
         let mut next: Option<SimTime> = None;
         let mut consider = |t: SimTime| {
             if t > now {
@@ -219,15 +220,10 @@ impl Runtime {
         Runtime::new(CostModel::egs(), rng, 12_000, 32 * (1 << 30))
     }
 
-    /// A Raspberry Pi 4B runtime: 4 cores, 4 GiB.
-    pub fn raspberry_pi(rng: SimRng) -> Runtime {
-        Runtime::new(CostModel::raspberry_pi(), rng, 4_000, 4 * (1 << 30))
-    }
-
-    pub fn cpu_free_millis(&self) -> u32 {
+    pub(crate) fn cpu_free_millis(&self) -> u32 {
         self.cpu_capacity_millis - self.cpu_used_millis
     }
-    pub fn mem_free_bytes(&self) -> u64 {
+    pub(crate) fn mem_free_bytes(&self) -> u64 {
         self.mem_capacity_bytes - self.mem_used_bytes
     }
 
@@ -385,22 +381,12 @@ impl Runtime {
         self.get(id).is_some_and(|c| c.is_ready(now))
     }
 
-    /// See [`Container::next_transition_after`].
+    /// See `Container::next_transition_after`.
     pub fn port_transition_after(&self, now: SimTime, id: ContainerId) -> Option<SimTime> {
         self.get(id).and_then(|c| c.next_transition_after(now))
     }
 
-    /// All containers whose state at `now` matches `state`.
-    pub fn containers_in_state(
-        &self,
-        now: SimTime,
-        state: ContainerState,
-    ) -> impl Iterator<Item = &Container> {
-        self.containers
-            .values()
-            .filter(move |c| c.state_at(now) == state)
-    }
-
+    #[doc(hidden)] // tests count live containers with it
     pub fn container_count(&self) -> usize {
         self.containers
             .values()
@@ -563,10 +549,15 @@ mod tests {
             ));
             let (id, created) = rt.create(t(0), spec(0)).unwrap();
             let (running, _) = rt.start(created, id).unwrap();
-            running.as_millis_f64()
+            running.since(SimTime::ZERO).as_millis_f64()
         };
         let egs = run(Runtime::egs(SimRng::seed_from_u64(7)));
-        let pi = run(Runtime::raspberry_pi(SimRng::seed_from_u64(7)));
+        let pi = run(Runtime::new(
+            CostModel::raspberry_pi(),
+            SimRng::seed_from_u64(7),
+            4_000,
+            4 * (1 << 30),
+        ));
         assert!(pi > egs * 2.5, "pi={pi} egs={egs}");
     }
 
@@ -595,24 +586,5 @@ mod tests {
         // a crashed container can be restarted
         let (_, ready2) = rt.start(ready + SimDuration::from_secs(2), id).unwrap();
         assert!(rt.is_port_open(ready2, id));
-    }
-
-    #[test]
-    fn containers_in_state_filters() {
-        let mut rt = rt();
-        let (a, created_a) = rt.create(t(0), spec(0)).unwrap();
-        let (_b, _) = rt.create(t(0), spec(0)).unwrap();
-        rt.start(created_a, a).unwrap();
-        let later = t(10_000);
-        assert_eq!(
-            rt.containers_in_state(later, ContainerState::Running)
-                .count(),
-            1
-        );
-        assert_eq!(
-            rt.containers_in_state(later, ContainerState::Created)
-                .count(),
-            1
-        );
     }
 }

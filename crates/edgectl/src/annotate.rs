@@ -27,13 +27,13 @@ use yamlite::Yaml;
 pub const EDGE_SERVICE_LABEL: &str = "edge.service";
 /// Optional annotation carrying the service's measured app-init median (ms);
 /// used by the simulation to model readiness.
-pub const APP_INIT_ANNOTATION: &str = "edge.service/app-init-ms";
+pub(crate) const APP_INIT_ANNOTATION: &str = "edge.service/app-init-ms";
 /// Optional annotation: comma-separated site labels the service *requires*
 /// (affinity); compiled into [`DeploymentRequirements::label_match_all`].
-pub const AFFINITY_ANNOTATION: &str = "edge.service/affinity";
+pub(crate) const AFFINITY_ANNOTATION: &str = "edge.service/affinity";
 /// Optional annotation: comma-separated site labels the service *refuses*
 /// (anti-affinity); compiled into [`DeploymentRequirements::label_match_none`].
-pub const ANTI_AFFINITY_ANNOTATION: &str = "edge.service/anti-affinity";
+pub(crate) const ANTI_AFFINITY_ANNOTATION: &str = "edge.service/anti-affinity";
 
 /// Controller-side inputs to annotation.
 #[derive(Debug, Clone)]

@@ -95,7 +95,7 @@ pub(crate) const fn cookie_for(name: &str) -> u64 {
 }
 
 impl ServiceCatalog {
-    pub fn new() -> ServiceCatalog {
+    pub(crate) fn new() -> ServiceCatalog {
         ServiceCatalog::default()
     }
 
@@ -129,7 +129,7 @@ impl ServiceCatalog {
 
     /// The flow cookie of service `id` — its name's hash, computed when the
     /// name was interned.
-    pub fn cookie_of(&self, id: ServiceId) -> u64 {
+    pub(crate) fn cookie_of(&self, id: ServiceId) -> u64 {
         self.entries[id.0 as usize].cookie
     }
 

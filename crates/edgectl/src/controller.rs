@@ -112,7 +112,7 @@ pub const INGRESS: SwitchId = SwitchId(0);
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ControllerOutput {
     /// Install (or replace) the flow entry described by `spec` — feed the
-    /// spec straight into [`simnet::Switch::flow_mod`].
+    /// spec straight into [`simnet::openflow::Switch::flow_mod`].
     FlowMod {
         at: SimTime,
         switch: SwitchId,
@@ -131,8 +131,9 @@ pub enum ControllerOutput {
         buffer_id: BufferId,
     },
     /// Tear down every installed entry matching `matcher` — feed it into
-    /// [`simnet::FlowTable::delete_matching`]. Emitted on client handover so
-    /// the departing ingress stops rewriting a client it no longer serves.
+    /// [`simnet::openflow::FlowTable::delete_matching`]. Emitted on client
+    /// handover so the departing ingress stops rewriting a client it no
+    /// longer serves.
     FlowDelete {
         at: SimTime,
         switch: SwitchId,
@@ -346,6 +347,7 @@ pub struct Controller {
 /// Diagnostic record of a dispatcher deployment that ended in `Failed`:
 /// which phase gave up, and why.
 #[derive(Debug, Clone)]
+#[doc(hidden)] // diagnostics the controller tests read
 pub struct DeployFailure {
     pub cluster: ClusterId,
     pub service: ServiceId,
@@ -366,7 +368,7 @@ pub struct DeployFailure {
 ///     .global(NearestReadyFirst)
 ///     .cloud_port(PortId(2))
 ///     .build();
-/// assert_eq!(controller.switch_count(), 1);
+/// assert!(controller.in_flight_deployments().is_empty());
 /// ```
 pub struct ControllerBuilder {
     config: ControllerConfig,
@@ -512,7 +514,7 @@ impl Controller {
     }
 
     /// Number of switches under this controller.
-    pub fn switch_count(&self) -> usize {
+    pub(crate) fn switch_count(&self) -> usize {
         self.cloud_ports.len()
     }
 
@@ -538,11 +540,13 @@ impl Controller {
         &self.memory
     }
 
+    #[doc(hidden)] // diagnostics the controller tests read
     pub fn config(&self) -> &ControllerConfig {
         &self.config
     }
 
     /// Where the Dispatcher last saw each client (location tracking).
+    #[doc(hidden)] // diagnostics the controller tests read
     pub fn client_location(&self, ip: IpAddr) -> Option<PortId> {
         self.client_ports.get(&ip).map(|&(_, p)| p)
     }
@@ -747,6 +751,7 @@ impl Controller {
     /// housekeeping, in that order (matching the event order of the previous
     /// per-surface events). Idempotent on spurious or early wakeups — every
     /// component checks its own due instant.
+    #[doc(hidden)] // the `Vec` wrapper tests call; the event loops use `on_wakeup_into`
     pub fn on_wakeup(&mut self, now: SimTime) -> Vec<ControllerOutput> {
         let mut out = Vec::new();
         self.on_wakeup_into(now, &mut out);
@@ -770,6 +775,7 @@ impl Controller {
 
     /// Coarse phase of the in-flight deployment of `service` on `cluster`,
     /// or `None` if no deployment of it is in flight there.
+    #[doc(hidden)] // diagnostics the controller tests read
     pub fn deployment_phase(
         &self,
         cluster: ClusterId,
@@ -782,6 +788,7 @@ impl Controller {
 
     /// The most recent deployment failure observed by the dispatcher —
     /// which phase gave up and why (`None` until a machine fails).
+    #[doc(hidden)] // diagnostics the controller tests read
     pub fn last_deploy_failure(&self) -> Option<&DeployFailure> {
         self.last_deploy_failure.as_ref()
     }

@@ -64,6 +64,7 @@ impl Controller {
 
     /// Handle a table-miss PacketIn from the primary switch (single-switch
     /// convenience wrapper around [`Controller::on_packet_in_at`]).
+    #[doc(hidden)] // the `Vec` wrapper tests call; the event loops use `on_packet_in_at_into`
     pub fn on_packet_in(
         &mut self,
         now: SimTime,
@@ -75,6 +76,7 @@ impl Controller {
     }
 
     /// Handle a table-miss PacketIn from switch `sw`.
+    #[doc(hidden)] // the `Vec` wrapper tests call; the event loops use `on_packet_in_at_into`
     pub fn on_packet_in_at(
         &mut self,
         now: SimTime,

@@ -224,6 +224,7 @@ impl Controller {
 
     /// The most recent admission rejection, if any (diagnostics for tests and
     /// the verifier; cleared never, overwritten on each rejection).
+    #[doc(hidden)] // diagnostics the controller tests read
     pub fn last_admission_error(&self) -> Option<&AdmissionError> {
         self.last_admission_error.as_ref()
     }

@@ -79,9 +79,10 @@ pub enum DeployError {
 }
 
 /// Why admission control refused to start a deployment at a site. A scheduler
-/// [`crate::Decision`] is advisory — the dispatcher re-checks the target's
-/// [`cluster::SiteCapacity`] and labels at deployment time and falls through
-/// to next-best/cloud on rejection instead of overcommitting the site.
+/// [`crate::scheduler::Decision`] is advisory — the dispatcher re-checks the
+/// target's [`cluster::SiteCapacity`] and labels at deployment time and falls
+/// through to next-best/cloud on rejection instead of overcommitting the
+/// site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmissionError {
     /// The site's remaining capacity cannot hold the service's demand.
@@ -95,16 +96,6 @@ pub enum AdmissionError {
         /// The first affinity label missing or anti-affinity label present.
         label: String,
     },
-}
-
-impl AdmissionError {
-    /// The rejecting site.
-    pub fn cluster(&self) -> ClusterId {
-        match self {
-            AdmissionError::Capacity { cluster, .. }
-            | AdmissionError::RequirementsUnmet { cluster, .. } => *cluster,
-        }
-    }
 }
 
 impl std::fmt::Display for AdmissionError {
@@ -341,13 +332,15 @@ impl DeployMachine {
                         return MachineOutcome::Recovered;
                     }
                 }
-                self.next_step = probe_t + ctx.probe_interval;
-                if self.next_step > deadline {
+                // A failure stays stamped at the probe that decided it.
+                let next_probe = probe_t + ctx.probe_interval;
+                if next_probe > deadline {
                     return MachineOutcome::Failed {
                         phase: DeployPhaseKind::Probing,
                         error: DeployError::ProbeTimeout { deadline },
                     };
                 }
+                self.next_step = next_probe;
                 MachineOutcome::Progressed
             }
             DeployPhase::Finalizing { ready_detected } => {
@@ -436,16 +429,16 @@ pub(crate) struct Dispatcher {
 
 impl Dispatcher {
     /// Ordinal the next machine will get — machines started so far.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
-    pub fn find(&self, cluster: ClusterId, service: ServiceId) -> Option<&DeployMachine> {
+    pub(crate) fn find(&self, cluster: ClusterId, service: ServiceId) -> Option<&DeployMachine> {
         self.machines.get(&(cluster, service))
     }
 
     /// Mutable access to everything about a machine except when it steps.
-    pub fn find_mut(
+    pub(crate) fn find_mut(
         &mut self,
         cluster: ClusterId,
         service: ServiceId,
@@ -453,14 +446,14 @@ impl Dispatcher {
         self.machines.get_mut(&(cluster, service))
     }
 
-    pub fn any_for_service(&self, service: ServiceId) -> bool {
+    pub(crate) fn any_for_service(&self, service: ServiceId) -> bool {
         self.per_service
             .get(service.0 as usize)
             .is_some_and(|&n| n > 0)
     }
 
     /// `(service, cluster)` of every in-flight machine, oldest first.
-    pub fn in_flight(&self) -> Vec<(ServiceId, ClusterId)> {
+    pub(crate) fn in_flight(&self) -> Vec<(ServiceId, ClusterId)> {
         // edgelint: allow(det-collections) — sorted by seq before exposure
         let mut by_seq: Vec<&DeployMachine> = self.machines.values().collect();
         by_seq.sort_unstable_by_key(|m| m.seq);
@@ -470,7 +463,7 @@ impl Dispatcher {
     /// Start the machine `order` describes; phases whose issue instants are
     /// already due run when the controller pumps the machines (same call
     /// stack).
-    pub fn start(&mut self, order: DeployOrder) -> &mut DeployMachine {
+    pub(crate) fn start(&mut self, order: DeployOrder) -> &mut DeployMachine {
         let seq = self.next_seq;
         self.next_seq += 1;
         let phase = if !order.images_cached {
@@ -509,7 +502,7 @@ impl Dispatcher {
 
     /// The machine with the smallest `(next_step, seq)`, if its step is due
     /// at or before `now`.
-    pub fn due(&self, now: SimTime) -> Option<InstanceKey> {
+    pub(crate) fn due(&self, now: SimTime) -> Option<InstanceKey> {
         self.due
             .peek()
             .filter(|&(at, _)| at <= now)
@@ -517,18 +510,18 @@ impl Dispatcher {
     }
 
     /// Earliest pending step across all machines.
-    pub fn next_step_at(&self) -> Option<SimTime> {
+    pub(crate) fn next_step_at(&self) -> Option<SimTime> {
         self.due.next()
     }
 
     /// Issue the step machine `key` has due.
-    pub fn advance(&mut self, key: InstanceKey, ctx: &mut StepCtx<'_>) -> MachineOutcome {
+    pub(crate) fn advance(&mut self, key: InstanceKey, ctx: &mut StepCtx<'_>) -> MachineOutcome {
         self.rekey(key, |m| m.advance(ctx))
     }
 
     /// Make machine `key` due at `at` instead of its own next step (a lease
     /// revocation ends it at the abort instant).
-    pub fn reschedule(&mut self, key: InstanceKey, at: SimTime) {
+    pub(crate) fn reschedule(&mut self, key: InstanceKey, at: SimTime) {
         self.rekey(key, |m| m.next_step = at);
     }
 
@@ -543,7 +536,7 @@ impl Dispatcher {
         result
     }
 
-    pub fn remove(&mut self, key: InstanceKey) -> DeployMachine {
+    pub(crate) fn remove(&mut self, key: InstanceKey) -> DeployMachine {
         let machine = self.machines.remove(&key).expect("machine is in flight");
         self.per_service[machine.service.0 as usize] -= 1;
         self.settle_due();
@@ -559,7 +552,7 @@ impl Dispatcher {
         });
     }
 
-    pub fn record_completed(&mut self, seq: u64) {
+    pub(crate) fn record_completed(&mut self, seq: u64) {
         match self.completed.binary_search(&seq) {
             Ok(_) => {}
             Err(pos) => self.completed.insert(pos, seq),
@@ -567,7 +560,7 @@ impl Dispatcher {
     }
 
     /// Did any machine with ordinal in `[lo, hi)` complete successfully?
-    pub fn completed_in(&self, lo: u64, hi: u64) -> bool {
+    pub(crate) fn completed_in(&self, lo: u64, hi: u64) -> bool {
         let start = self.completed.partition_point(|&s| s < lo);
         self.completed.get(start).is_some_and(|&s| s < hi)
     }

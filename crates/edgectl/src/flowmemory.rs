@@ -76,7 +76,7 @@ pub struct FlowKey {
 pub struct MemorizedFlow {
     pub key: FlowKey,
     /// The service's interned id (for scale-down bookkeeping) — resolve to a
-    /// name with [`crate::ServiceCatalog::name_of`].
+    /// name with [`crate::catalog::ServiceCatalog::name_of`].
     pub service: ServiceId,
     /// Where the flow redirects to.
     pub target: SocketAddr,
@@ -506,6 +506,7 @@ impl FlowMemory {
 
     /// Drop all flows pointing at `service` on `cluster` (instance retired).
     /// O(flows of that instance), not O(all flows).
+    #[doc(hidden)] // the model test drives it
     pub fn forget_service(&mut self, service: ServiceId, cluster: Option<ClusterId>) -> usize {
         let Some(at) = self.chains.find(service, pack(cluster)) else {
             return 0;
@@ -527,7 +528,7 @@ impl FlowMemory {
     /// (on-demand *without waiting*, paper Fig. 3). Returns the affected keys
     /// so the controller can re-install switch rules. Walks the chains of
     /// `service` and nothing else.
-    pub fn retarget_service(
+    pub(crate) fn retarget_service(
         &mut self,
         service: ServiceId,
         target: SocketAddr,
@@ -573,7 +574,7 @@ impl FlowMemory {
     /// caller-owned buffer, in eviction order rather than by key (the
     /// allocation-free form the controller's housekeeping pass drives).
     /// O(evicted).
-    pub fn expire_into(&mut self, now: SimTime, out: &mut Vec<MemorizedFlow>) {
+    pub(crate) fn expire_into(&mut self, now: SimTime, out: &mut Vec<MemorizedFlow>) {
         while let Some(handle) = self.order.first_due(now) {
             let key = self.slab.get(handle).key;
             out.push(self.detach(key).expect("a listed handle is a live flow"));
@@ -597,7 +598,11 @@ impl FlowMemory {
     /// instance is idle and a candidate for scale-down. Pending placeholders
     /// count too: a held request protects its deployment from scale-down.
     /// O(clusters serving `service`).
-    pub fn flows_for_service(&self, service: ServiceId, cluster: Option<ClusterId>) -> usize {
+    pub(crate) fn flows_for_service(
+        &self,
+        service: ServiceId,
+        cluster: Option<ClusterId>,
+    ) -> usize {
         let cluster = pack(cluster);
         self.chains
             .list(service)
@@ -605,9 +610,11 @@ impl FlowMemory {
             .map_or(0, |c| c.count as usize)
     }
 
+    #[doc(hidden)] // the model and bound tests read it
     pub fn len(&self) -> usize {
         self.index.len()
     }
+    #[doc(hidden)] // tests; clippy pairs it with `len`
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
     }
@@ -616,7 +623,7 @@ impl FlowMemory {
     /// the autoscaler's demand signal, in `(service, cluster)` order (cloud
     /// `None` first). O(services ever linked + pairs): walks the lane in id
     /// order and sorts each service's few chains by cluster.
-    pub fn services_with_flows(&self) -> Vec<(ServiceId, Option<ClusterId>, usize)> {
+    pub(crate) fn services_with_flows(&self) -> Vec<(ServiceId, Option<ClusterId>, usize)> {
         let mut pairs = Vec::new();
         for s in 0..self.chains.lanes.len() as u32 {
             let from = pairs.len();

@@ -41,21 +41,16 @@ pub mod predictor;
 pub mod provisioning;
 pub mod scheduler;
 
-pub use annotate::{
-    annotate, annotate_documents, AnnotateError, AnnotateOptions, AnnotatedService,
-};
-pub use catalog::{RegisteredService, ServiceCatalog, ServiceId};
+pub use annotate::{annotate, annotate_documents, AnnotateOptions};
+pub use catalog::{RegisteredService, ServiceId};
 pub use controller::{
     Controller, ControllerBuilder, ControllerConfig, ControllerOutput, ControllerStats, DeltaKind,
-    DeployFailure, DeployGate, DeploymentRecord, StatusDelta, SwitchId,
+    DeployGate, DeploymentRecord, StatusDelta, SwitchId,
 };
 pub use dispatcher::{AdmissionError, DeployError, DeployPhaseKind};
-pub use flowmemory::{FlowKey, FlowMemory, FlowMemoryError, MemorizedFlow};
-pub use policy::{RegistryEntry, SchedulerRegistry, SchedulerSpec, UnknownPolicy};
-pub use predictor::{NoPrediction, OraclePredictor, PopularityPredictor, Predictor};
-pub use provisioning::{BoundedCostProvisioning, TierSpillPlacement};
+pub use flowmemory::{FlowKey, FlowMemory};
+pub use policy::{SchedulerRegistry, SchedulerSpec};
+pub use predictor::{OraclePredictor, PopularityPredictor};
 pub use scheduler::{
-    ClusterId, ClusterView, ClusterViewBuilder, Decision, GlobalScheduler, HybridDockerFirst,
-    HybridWasmFirst, LeastLoaded, LoadFraction, LocalScheduler, NearestReadyFirst, NearestWaiting,
-    RoundRobinLocal, SchedulingContext,
+    ClusterId, ClusterView, NearestReadyFirst, NearestWaiting, RoundRobinLocal, SchedulingContext,
 };

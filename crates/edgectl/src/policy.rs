@@ -28,7 +28,7 @@ impl SchedulerSpec {
         SchedulerSpec { name: name.into() }
     }
 
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -41,6 +41,7 @@ impl SchedulerSpec {
     pub fn hybrid_docker_first() -> SchedulerSpec {
         SchedulerSpec::named("hybrid-docker-first")
     }
+    #[doc(hidden)] // the end-to-end tests select it
     pub fn hybrid_wasm_first() -> SchedulerSpec {
         SchedulerSpec::named("hybrid-wasm-first")
     }
@@ -100,7 +101,7 @@ pub struct RegistryEntry {
 }
 
 impl RegistryEntry {
-    pub fn create(&self) -> Box<dyn GlobalScheduler> {
+    pub(crate) fn create(&self) -> Box<dyn GlobalScheduler> {
         (self.factory)()
     }
 }
@@ -171,7 +172,7 @@ impl SchedulerRegistry {
     }
 
     /// Canonical policy names, in listing order.
-    pub fn names(&self) -> Vec<&'static str> {
+    pub(crate) fn names(&self) -> Vec<&'static str> {
         self.entries.iter().map(|e| e.name).collect()
     }
 

@@ -11,7 +11,7 @@
 //!
 //! Implementations:
 //!
-//! * [`NoPrediction`] — the paper's evaluated baseline (pure on-demand),
+//! * `NoPrediction` — the paper's evaluated baseline (pure on-demand),
 //! * [`PopularityPredictor`] — exponentially-decayed request counts; predicts
 //!   the services most likely to be requested again (captures re-deployment
 //!   after scale-down and steady popularity),
@@ -54,7 +54,7 @@ impl Predictor for Box<dyn Predictor> {
 
 /// The no-op baseline: pure on-demand deployment (the paper's setting).
 #[derive(Debug, Default, Clone)]
-pub struct NoPrediction;
+pub(crate) struct NoPrediction;
 
 impl Predictor for NoPrediction {
     fn name(&self) -> &'static str {
@@ -95,14 +95,6 @@ impl PopularityPredictor {
     fn decayed(&self, score: f64, since: SimDuration) -> f64 {
         let half_lives = since.as_secs_f64() / self.half_life.as_secs_f64();
         score * 0.5_f64.powf(half_lives)
-    }
-
-    /// Current decayed score of a service (diagnostics).
-    pub fn score(&self, now: SimTime, service: SocketAddr) -> f64 {
-        self.scores
-            .get(&service)
-            .map(|&(s, at)| self.decayed(s, now.since(at)))
-            .unwrap_or(0.0)
     }
 }
 
@@ -171,6 +163,14 @@ mod tests {
     use super::*;
     use simnet::IpAddr;
 
+    /// The decayed score `predict` ranks by.
+    fn score(p: &PopularityPredictor, now: SimTime, service: SocketAddr) -> f64 {
+        p.scores
+            .get(&service)
+            .map(|&(s, at)| p.decayed(s, now.since(at)))
+            .unwrap_or(0.0)
+    }
+
     fn addr(d: u8) -> SocketAddr {
         SocketAddr::new(IpAddr::new(93, 184, 0, d), 80)
     }
@@ -205,13 +205,13 @@ mod tests {
         for _ in 0..4 {
             p.observe(t(0), addr(1));
         }
-        assert!((p.score(t(0), addr(1)) - 4.0).abs() < 1e-9);
+        assert!((score(&p, t(0), addr(1)) - 4.0).abs() < 1e-9);
         assert!(
-            (p.score(t(10), addr(1)) - 2.0).abs() < 1e-9,
+            (score(&p, t(10), addr(1)) - 2.0).abs() < 1e-9,
             "one half-life"
         );
         assert!(
-            (p.score(t(20), addr(1)) - 1.0).abs() < 1e-9,
+            (score(&p, t(20), addr(1)) - 1.0).abs() < 1e-9,
             "two half-lives"
         );
         // after enough decay the service drops below threshold
@@ -223,7 +223,7 @@ mod tests {
         let mut p = PopularityPredictor::new(SimDuration::from_secs(10), 5, 0.0);
         p.observe(t(0), addr(1));
         p.observe(t(10), addr(1)); // old score halved, +1
-        assert!((p.score(t(10), addr(1)) - 1.5).abs() < 1e-9);
+        assert!((score(&p, t(10), addr(1)) - 1.5).abs() < 1e-9);
     }
 
     #[test]
@@ -244,6 +244,6 @@ mod tests {
     #[test]
     fn unknown_service_scores_zero() {
         let p = PopularityPredictor::new(SimDuration::from_secs(10), 5, 0.0);
-        assert_eq!(p.score(t(0), addr(9)), 0.0);
+        assert_eq!(score(&p, t(0), addr(9)), 0.0);
     }
 }

@@ -3,7 +3,7 @@
 //! Two provable-guarantee algorithms from the related work, adapted to the
 //! paper's FAST/BEST decision interface:
 //!
-//! * [`BoundedCostProvisioning`] — the rent-or-buy (ski-rental) scheme of
+//! * `BoundedCostProvisioning` — the rent-or-buy (ski-rental) scheme of
 //!   *"Dynamic service provisioning in the edge-cloud continuum with bounded
 //!   resources"* (arXiv:2202.08903). Serving a request remotely "rents" at
 //!   the latency gap between the remote location and the best edge site;
@@ -11,7 +11,7 @@
 //!   accumulated rent of a service reaches the deployment cost, which bounds
 //!   total cost to at most twice the offline optimum (the classic 2-
 //!   competitive ski-rental argument).
-//! * [`TierSpillPlacement`] — the distributed asynchronous placement of
+//! * `TierSpillPlacement` — the distributed asynchronous placement of
 //!   *"A scalable multi-tier edge-cloud placement"* line (arXiv:2312.11187):
 //!   sites are ordered into latency tiers; each request is served by the
 //!   lowest tier holding a ready instance and placed at the lowest tier with
@@ -31,7 +31,7 @@ use crate::scheduler::{
 
 /// Ski-rental dynamic service provisioning (arXiv:2202.08903).
 #[derive(Debug, Clone)]
-pub struct BoundedCostProvisioning {
+pub(crate) struct BoundedCostProvisioning {
     /// The "buy" price: accumulated remote-serving rent (in seconds of extra
     /// latency) that triggers an edge deployment.
     pub deploy_cost_secs: f64,
@@ -114,7 +114,7 @@ impl GlobalScheduler for BoundedCostProvisioning {
 
 /// Multi-tier spill placement (arXiv:2312.11187).
 #[derive(Debug, Clone, Default)]
-pub struct TierSpillPlacement;
+pub(crate) struct TierSpillPlacement;
 
 impl GlobalScheduler for TierSpillPlacement {
     fn name(&self) -> &'static str {

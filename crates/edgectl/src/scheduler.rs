@@ -47,11 +47,11 @@ pub struct ClusterId(pub usize);
 pub struct LoadFraction(f64);
 
 impl LoadFraction {
-    pub const ZERO: LoadFraction = LoadFraction(0.0);
+    pub(crate) const ZERO: LoadFraction = LoadFraction(0.0);
 
     /// Clamp `raw` into `[0, 1]`; NaN becomes 0 (an unknown load must not
     /// poison scheduler comparisons).
-    pub fn new(raw: f64) -> LoadFraction {
+    pub(crate) fn new(raw: f64) -> LoadFraction {
         if raw.is_nan() {
             LoadFraction(0.0)
         } else {
@@ -59,7 +59,7 @@ impl LoadFraction {
         }
     }
 
-    pub fn value(self) -> f64 {
+    pub(crate) fn value(self) -> f64 {
         self.0
     }
 }
@@ -141,7 +141,11 @@ impl ClusterView {
     /// Would this site admit one more deployment of `demand` under
     /// `requirements`? (The same predicate the dispatcher enforces at
     /// admission time.)
-    pub fn admits(&self, demand: &ResourceRequest, requirements: &DeploymentRequirements) -> bool {
+    pub(crate) fn admits(
+        &self,
+        demand: &ResourceRequest,
+        requirements: &DeploymentRequirements,
+    ) -> bool {
         requirements.satisfied_by(&self.labels)
             && self.capacity.admits(&self.allocated, demand).is_ok()
     }
@@ -160,12 +164,12 @@ pub struct ClusterViewBuilder {
 
 impl ClusterViewBuilder {
     /// Raw load in; clamped into a [`LoadFraction`].
-    pub fn load(mut self, load: f64) -> ClusterViewBuilder {
+    pub(crate) fn load(mut self, load: f64) -> ClusterViewBuilder {
         self.view.load = LoadFraction::new(load);
         self
     }
 
-    pub fn deploying(mut self, deploying: bool) -> ClusterViewBuilder {
+    pub(crate) fn deploying(mut self, deploying: bool) -> ClusterViewBuilder {
         self.view.deploying = deploying;
         self
     }
@@ -175,7 +179,7 @@ impl ClusterViewBuilder {
         self
     }
 
-    pub fn allocated(mut self, allocated: ResourceAllocation) -> ClusterViewBuilder {
+    pub(crate) fn allocated(mut self, allocated: ResourceAllocation) -> ClusterViewBuilder {
         self.view.allocated = allocated;
         self
     }
@@ -232,15 +236,14 @@ impl<'a> SchedulingContext<'a> {
 
     /// Is `view` an eligible deployment target for this request (labels
     /// satisfied, capacity left)?
-    pub fn eligible(&self, view: &ClusterView) -> bool {
+    pub(crate) fn eligible(&self, view: &ClusterView) -> bool {
         view.admits(&self.demand, self.requirements)
     }
 }
 
-/// The Global Scheduler's verdict. Construct via [`Decision::cloud`],
-/// [`Decision::fast`], [`Decision::deploy_at`] or
-/// [`Decision::serve_and_deploy`] — not struct literals — so the layout can
-/// evolve.
+/// The Global Scheduler's verdict. Construct via `Decision::cloud`,
+/// `Decision::fast` or `Decision::serve_and_deploy` — not struct
+/// literals — so the layout can evolve.
 #[must_use = "a scheduling decision does nothing until the dispatcher acts on it"]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
@@ -253,7 +256,7 @@ pub struct Decision {
 
 impl Decision {
     /// Forward toward the cloud; deploy nowhere.
-    pub fn cloud() -> Decision {
+    pub(crate) fn cloud() -> Decision {
         Decision {
             fast: None,
             best: None,
@@ -262,26 +265,17 @@ impl Decision {
 
     /// Serve at `id` — redirecting if an instance is ready, else deploying
     /// there *with waiting* (paper Fig. 5).
-    pub fn fast(id: ClusterId) -> Decision {
+    pub(crate) fn fast(id: ClusterId) -> Decision {
         Decision {
             fast: Some(id),
             best: None,
         }
     }
 
-    /// Serve the current request from the cloud while deploying at `id`
-    /// *without waiting* (paper Fig. 3 with no ready instance).
-    pub fn deploy_at(id: ClusterId) -> Decision {
-        Decision {
-            fast: None,
-            best: Some(id),
-        }
-    }
-
     /// General form: serve at `fast` (or the cloud) while deploying at
     /// `best` for the future. Normalizes `best == fast` to an empty BEST —
     /// the canonical encoding every paper policy uses.
-    pub fn serve_and_deploy(fast: Option<ClusterId>, best: Option<ClusterId>) -> Decision {
+    pub(crate) fn serve_and_deploy(fast: Option<ClusterId>, best: Option<ClusterId>) -> Decision {
         Decision {
             fast,
             best: if best == fast { None } else { best },
@@ -289,13 +283,13 @@ impl Decision {
     }
 
     /// Normalized accessor: where should future requests land?
-    pub fn target_for_future(&self) -> Option<ClusterId> {
+    pub(crate) fn target_for_future(&self) -> Option<ClusterId> {
         self.best.or(self.fast)
     }
 
     /// Is this decision an on-demand deployment *without* waiting
     /// (deploy at BEST while the current request goes elsewhere)?
-    pub fn is_without_waiting(&self) -> bool {
+    pub(crate) fn is_without_waiting(&self) -> bool {
         self.best.is_some() && self.best != self.fast
     }
 }
@@ -311,8 +305,6 @@ pub trait GlobalScheduler: Send {
 
 /// Picks an instance (replica) within a cluster.
 pub trait LocalScheduler: Send {
-    fn name(&self) -> &'static str;
-
     /// Choose a replica index in `[0, ready_replicas)`.
     fn pick(&mut self, service: ServiceId, ready_replicas: u32) -> u32;
 }
@@ -331,10 +323,6 @@ impl GlobalScheduler for Box<dyn GlobalScheduler> {
 }
 
 impl LocalScheduler for Box<dyn LocalScheduler> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
     fn pick(&mut self, service: ServiceId, ready_replicas: u32) -> u32 {
         (**self).pick(service, ready_replicas)
     }
@@ -386,7 +374,7 @@ impl GlobalScheduler for NearestReadyFirst {
 /// (nearest Docker cluster, deploying with waiting); BEST is the nearest
 /// Kubernetes cluster.
 #[derive(Debug, Default, Clone)]
-pub struct HybridDockerFirst;
+pub(crate) struct HybridDockerFirst;
 
 impl GlobalScheduler for HybridDockerFirst {
     fn name(&self) -> &'static str {
@@ -408,7 +396,7 @@ impl GlobalScheduler for HybridDockerFirst {
 /// container cluster that takes over once its instance is up — keeping the
 /// flexibility/compatibility containers offer for the steady state.
 #[derive(Debug, Default, Clone)]
-pub struct HybridWasmFirst;
+pub(crate) struct HybridWasmFirst;
 
 impl GlobalScheduler for HybridWasmFirst {
     fn name(&self) -> &'static str {
@@ -430,7 +418,7 @@ impl GlobalScheduler for HybridWasmFirst {
 /// the cluster's CPU load, spilling to farther clusters when the near one is
 /// saturated.
 #[derive(Debug, Clone)]
-pub struct LeastLoaded {
+pub(crate) struct LeastLoaded {
     /// How strongly load inflates effective distance (0 = ignore load).
     pub load_weight: f64,
 }
@@ -486,10 +474,6 @@ pub struct RoundRobinLocal {
 }
 
 impl LocalScheduler for RoundRobinLocal {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
     fn pick(&mut self, _service: ServiceId, ready_replicas: u32) -> u32 {
         if ready_replicas == 0 {
             return 0;
@@ -621,13 +605,13 @@ mod tests {
             }
         );
         assert_eq!(
-            Decision::deploy_at(b),
+            Decision::serve_and_deploy(None, Some(b)),
             Decision {
                 fast: None,
                 best: Some(b)
             }
         );
-        assert!(Decision::deploy_at(b).is_without_waiting());
+        assert!(Decision::serve_and_deploy(None, Some(b)).is_without_waiting());
         // serve_and_deploy normalizes best == fast to empty BEST
         assert_eq!(
             Decision::serve_and_deploy(Some(a), Some(a)),

@@ -22,7 +22,7 @@
 //!
 //! The test then holds the controller to the oracle: its deployment records,
 //! `retried_operations`, `failed_deployments`, the status deltas it announces
-//! (a failed machine is `Gone` at the first grid point past its window, or at
+//! (a failed machine is `Gone` at the last grid point in its window, or at
 //! its last failed call), and the release instant of every request
 //! ([`release_at`] is the one rule for a held request).
 //!
@@ -425,8 +425,9 @@ fn machine(cur: &mut Cursor<'_>, p: &Protocol) -> Result<Machine, String> {
         }
         probe += p.probe_interval;
     }
-    // The machine notices the closed window at the first grid point past it.
-    Ok(failed(probe, record, retried))
+    // The machine fails at the probe that decided it: the last grid point in
+    // its window.
+    Ok(failed(probe - p.probe_interval, record, retried))
 }
 
 /// What the log implies: every machine, per service in start order.
@@ -876,4 +877,43 @@ fn generated_scenarios_leave_the_old_envelope() {
         retried_shared > 10,
         "retries on multi-request services: {retried_shared}"
     );
+}
+
+/// A probe-timeout failure ends its machine at the probe that decided it,
+/// so a request arriving before the next grid point starts the next
+/// deployment after the old machine's `Gone`, not while it is in flight.
+/// Here svc-0 times out and is requested again 22 ms after its last probe.
+#[test]
+fn a_request_just_after_a_probe_timeout_deploys_after_the_failure() {
+    let sc = Scenario {
+        waiting: false,
+        retries: 1,
+        fault_rate: Some(50),
+        remove_after_s: None,
+        backend_seed: 80,
+        services: vec![
+            SvcPlan {
+                slow: true,
+                start_ms: 237,
+                piggyback: 2,
+                later: vec![124, 130, 139],
+                client_salt: 0,
+            },
+            SvcPlan {
+                slow: false,
+                start_ms: 2022,
+                piggyback: 3,
+                later: vec![],
+                client_salt: 1,
+            },
+            SvcPlan {
+                slow: false,
+                start_ms: 610,
+                piggyback: 1,
+                later: vec![130],
+                client_salt: 3,
+            },
+        ],
+    };
+    assert_protocol(&sc).unwrap();
 }

@@ -13,13 +13,13 @@
 
 /// One lexical token with the 1-based line it starts on.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     pub line: u32,
     pub kind: TokenKind,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword (`HashMap`, `for`, `self`, ...).
     Ident(String),
     /// A single punctuation character (`.`, `:`, `(`, `<`, ...). Multi-char
@@ -32,21 +32,21 @@ pub enum TokenKind {
 }
 
 impl TokenKind {
-    pub fn ident(&self) -> Option<&str> {
+    pub(crate) fn ident(&self) -> Option<&str> {
         match self {
             TokenKind::Ident(s) => Some(s.as_str()),
             _ => None,
         }
     }
 
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         matches!(self, TokenKind::Punct(p) if *p == c)
     }
 }
 
 /// A `// edgelint: allow(<lint>) — <reason>` directive found in a comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllowDirective {
+pub(crate) struct AllowDirective {
     pub line: u32,
     /// The raw lint name inside the parentheses (validated by the caller).
     pub lint: String,
@@ -58,7 +58,7 @@ pub struct AllowDirective {
 
 /// Lexer output: the token stream plus the comment side channels.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub(crate) struct Lexed {
     pub tokens: Vec<Token>,
     pub allows: Vec<AllowDirective>,
     /// `code_lines[n]` is true when 1-based line `n+1` holds at least one
@@ -67,7 +67,7 @@ pub struct Lexed {
 }
 
 impl Lexed {
-    pub fn line_has_code(&self, line: u32) -> bool {
+    pub(crate) fn line_has_code(&self, line: u32) -> bool {
         self.code_lines
             .get(line as usize - 1)
             .copied()
@@ -75,7 +75,7 @@ impl Lexed {
     }
 }
 
-pub fn lex(source: &str) -> Lexed {
+pub(crate) fn lex(source: &str) -> Lexed {
     let mut out = Lexed {
         code_lines: vec![false; source.lines().count().max(1)],
         ..Lexed::default()

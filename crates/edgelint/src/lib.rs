@@ -95,7 +95,7 @@ impl Lint {
         }
     }
 
-    pub fn from_name(name: &str) -> Option<Lint> {
+    pub(crate) fn from_name(name: &str) -> Option<Lint> {
         Lint::ALL.into_iter().find(|l| l.name() == name)
     }
 

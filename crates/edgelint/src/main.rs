@@ -48,7 +48,7 @@ fn print_taxonomy() {
 }
 
 /// Shared driver, also called by `edgesim lint`.
-pub fn run(root: &Path) -> ExitCode {
+pub(crate) fn run(root: &Path) -> ExitCode {
     let violations = match edgelint::check_workspace(root) {
         Ok(v) => v,
         Err(e) => {

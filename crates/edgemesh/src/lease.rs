@@ -38,9 +38,6 @@ use simcore::SimTime;
 struct LeaseState {
     /// Current holder (shard index) per `(cluster, service)`.
     held: BTreeMap<(ClusterId, ServiceId), usize>,
-    granted: u64,
-    rejected: u64,
-    released: u64,
 }
 
 /// The shared lease table. Clone-cheap handles ([`LeaseTable::handle`]) are
@@ -70,31 +67,15 @@ impl LeaseTable {
     }
 
     /// Every held lease as `(cluster, service, holder)`, in key order.
-    pub fn holders(&self) -> Vec<(ClusterId, ServiceId, usize)> {
+    pub(crate) fn holders(&self) -> Vec<(ClusterId, ServiceId, usize)> {
         let st = self.state.borrow();
         st.held.iter().map(|(&(c, s), &h)| (c, s, h)).collect()
     }
 
     /// The shard currently holding the lease on `(cluster, service)`.
+    #[doc(hidden)] // the lease tests read the holder
     pub fn holder(&self, cluster: ClusterId, service: ServiceId) -> Option<usize> {
         self.state.borrow().held.get(&(cluster, service)).copied()
-    }
-
-    /// Total acquisitions granted (first-time grants, not idempotent
-    /// re-acquisitions by the holder).
-    pub fn granted(&self) -> u64 {
-        self.state.borrow().granted
-    }
-
-    /// Total acquisitions rejected because another shard held the lease —
-    /// each one is a duplicate deployment that did not happen.
-    pub fn rejected(&self) -> u64 {
-        self.state.borrow().rejected
-    }
-
-    /// Total releases by the holding shard.
-    pub fn released(&self) -> u64 {
-        self.state.borrow().released
     }
 }
 
@@ -105,25 +86,14 @@ pub struct LeaseHandle {
     state: Rc<RefCell<LeaseState>>,
 }
 
-impl LeaseHandle {
-    /// Which shard this handle acquires for.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-}
-
 impl DeployGate for LeaseHandle {
     fn try_acquire(&mut self, _now: SimTime, cluster: ClusterId, service: ServiceId) -> bool {
         let mut st = self.state.borrow_mut();
         match st.held.get(&(cluster, service)).copied() {
             Some(holder) if holder == self.shard => true,
-            Some(_) => {
-                st.rejected += 1;
-                false
-            }
+            Some(_) => false,
             None => {
                 st.held.insert((cluster, service), self.shard);
-                st.granted += 1;
                 true
             }
         }
@@ -133,7 +103,6 @@ impl DeployGate for LeaseHandle {
         let mut st = self.state.borrow_mut();
         if st.held.get(&(cluster, service)).copied() == Some(self.shard) {
             st.held.remove(&(cluster, service));
-            st.released += 1;
         }
     }
 }
@@ -157,10 +126,6 @@ mod tests {
         a.release(SimTime::ZERO, C0, S0);
         assert!(b.try_acquire(SimTime::ZERO, C0, S0));
         assert_eq!(table.holder(C0, S0), Some(1));
-        assert_eq!(
-            (table.granted(), table.rejected(), table.released()),
-            (2, 1, 1)
-        );
     }
 
     #[test]
@@ -169,7 +134,6 @@ mod tests {
         let mut a = table.handle(3);
         assert!(a.try_acquire(SimTime::ZERO, C0, S0));
         assert!(a.try_acquire(SimTime::ZERO, C0, S0));
-        assert_eq!(table.granted(), 1, "re-acquisition is not a new grant");
         assert_eq!(table.held(), 1);
     }
 
@@ -181,7 +145,6 @@ mod tests {
         assert!(a.try_acquire(SimTime::ZERO, C0, S1));
         b.release(SimTime::ZERO, C0, S1);
         assert_eq!(table.holder(C0, S1), Some(0), "only the holder can release");
-        assert_eq!(table.released(), 0);
     }
 
     #[test]

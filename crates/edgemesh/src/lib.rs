@@ -50,7 +50,7 @@ pub mod par;
 pub mod result;
 pub mod shared;
 
-pub use lease::{LeaseHandle, LeaseTable};
+pub use lease::LeaseTable;
 pub use par::{run_windowed, run_windowed_audited, validate_threads, ThreadsExceedShards};
 pub use result::{MeshRecord, MeshRunResult, ShardSummary};
 pub use shared::{SharedBackend, SharedHandle};
@@ -106,6 +106,7 @@ fn bigflows_trace(cfg: &ScenarioConfig) -> Trace {
 /// `shards = 1` delegation (the plain testbed keeps no per-tag ledger — its
 /// single event loop cannot blackhole a session across a handover, the
 /// failure mode the analysis exists for).
+#[doc(hidden)] // one integration test audits handovers through it
 pub fn continuity_view(trace: &Trace, result: &MeshRunResult) -> Option<ContinuityView> {
     if result.single.is_some() {
         return None;

@@ -45,7 +45,7 @@ pub struct ShardSummary {
 impl ShardSummary {
     /// One shard's counters: its controller's stats plus the machines it
     /// aborted on a lease revocation.
-    pub fn of(st: &edgectl::ControllerStats, lease_revocations: u64) -> ShardSummary {
+    pub(crate) fn of(st: &edgectl::ControllerStats, lease_revocations: u64) -> ShardSummary {
         ShardSummary {
             deployments: st.deployments.len() as u64,
             memory_hits: st.memory_hits,
@@ -126,7 +126,7 @@ pub struct MeshRunResult {
 impl MeshRunResult {
     /// Wrap a single-controller [`testbed::RunResult`] so `shards = 1` mesh
     /// runs are the plain testbed, byte for byte.
-    pub fn from_single(result: testbed::RunResult) -> MeshRunResult {
+    pub(crate) fn from_single(result: testbed::RunResult) -> MeshRunResult {
         MeshRunResult {
             shards: 1,
             threads: 1,

@@ -48,9 +48,9 @@ fn plain_sweep_hashes_match_bench_mesh_json() {
 #[test]
 fn churn_sweep_hashes_match_bench_mesh_json() {
     for (shards, pinned) in [
-        (2, 0x8562_6cfa_26f3_aa71_u64),
-        (4, 0xea75_67d9_57b4_d11e),
-        (8, 0x375a_f59d_6425_0451),
+        (2, 0x31a3_1dbe_4492_c5b7_u64),
+        (4, 0xa7e4_8cec_b477_12df),
+        (8, 0xcdb0_64fe_a8fc_e6a7),
     ] {
         let mut cfg = mesh_cfg(shards, 1);
         cfg.controller.scale_down_idle = true;

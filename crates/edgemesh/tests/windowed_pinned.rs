@@ -203,7 +203,7 @@ fn churn_is_pinned() {
     cfg.controller.scale_down_idle = true;
     cfg.controller.memory_idle_timeout = SimDuration::from_secs(30);
     cfg.controller.remove_after = Some(SimDuration::from_secs(60));
-    assert_eq!(digest(cfg, &bigflows(42)), 0x4e59_dcd6_df6c_7956);
+    assert_eq!(digest(cfg, &bigflows(42)), 0x4016_ced9_4cb3_6068);
 }
 
 #[test]

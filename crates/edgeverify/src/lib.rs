@@ -85,7 +85,7 @@ pub struct RuleRef {
 }
 
 impl RuleRef {
-    pub fn of(entry: &FlowEntry) -> RuleRef {
+    pub(crate) fn of(entry: &FlowEntry) -> RuleRef {
         RuleRef {
             id: entry.id,
             priority: entry.priority,
@@ -106,7 +106,7 @@ impl fmt::Display for RuleRef {
 }
 
 /// Render a matcher compactly for reports.
-pub fn describe_match(m: &FlowMatch) -> String {
+pub(crate) fn describe_match(m: &FlowMatch) -> String {
     let mut parts: Vec<String> = Vec::new();
     if let Some(p) = m.protocol {
         parts.push(format!("{p:?}").to_lowercase());
@@ -438,7 +438,7 @@ impl Verifier {
     }
 
     /// [`Verifier::check`] with an explicit switch index for reports.
-    pub fn check_switch(&self, switch: usize, table: &FlowTable) -> Vec<Violation> {
+    pub(crate) fn check_switch(&self, switch: usize, table: &FlowTable) -> Vec<Violation> {
         table::check_table(switch, table)
     }
 

@@ -34,31 +34,35 @@ fn redirect_pair(
 ) -> FlowId {
     let forward = table.install(
         t0(),
-        FlowSpec::new(FlowMatch::client_to_service(client_ip, service))
-            .priority(100)
-            .actions(vec![
-                Action::SetDstIp(target.ip),
-                Action::SetDstPort(target.port),
-                Action::Output(PortId(1)),
-            ])
-            .idle_opt(idle),
+        FlowSpec {
+            idle_timeout: idle,
+            ..FlowSpec::new(FlowMatch::client_to_service(client_ip, service))
+                .priority(100)
+                .actions(vec![
+                    Action::SetDstIp(target.ip),
+                    Action::SetDstPort(target.port),
+                    Action::Output(PortId(1)),
+                ])
+        },
     );
     table.install(
         t0(),
-        FlowSpec::new(FlowMatch {
-            protocol: Some(simnet::Protocol::Tcp),
-            src_ip: Some(target.ip),
-            src_port: Some(target.port),
-            dst_ip: Some(client_ip),
-            ..FlowMatch::default()
-        })
-        .priority(100)
-        .actions(vec![
-            Action::SetSrcIp(service.ip),
-            Action::SetSrcPort(service.port),
-            Action::Output(PortId(2)),
-        ])
-        .idle_opt(idle),
+        FlowSpec {
+            idle_timeout: idle,
+            ..FlowSpec::new(FlowMatch {
+                protocol: Some(simnet::Protocol::Tcp),
+                src_ip: Some(target.ip),
+                src_port: Some(target.port),
+                dst_ip: Some(client_ip),
+                ..FlowMatch::default()
+            })
+            .priority(100)
+            .actions(vec![
+                Action::SetSrcIp(service.ip),
+                Action::SetSrcPort(service.port),
+                Action::Output(PortId(2)),
+            ])
+        },
     );
     forward
 }

@@ -19,5 +19,5 @@ pub mod pull;
 pub mod set;
 
 pub use profile::RegistryProfile;
-pub use pull::{PullError, PullOutcome, Registry};
+pub use pull::{PullError, Registry};
 pub use set::RegistrySet;

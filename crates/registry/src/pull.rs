@@ -28,13 +28,6 @@ pub struct PullOutcome {
     pub layers_cached: usize,
 }
 
-impl PullOutcome {
-    /// Did this pull move any bytes at all?
-    pub fn was_cached(&self) -> bool {
-        self.layers_downloaded == 0
-    }
-}
-
 /// Pull failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PullError {
@@ -64,12 +57,8 @@ impl Registry {
         self.images.insert(manifest.reference.clone(), manifest);
     }
 
-    pub fn has(&self, image: &ImageRef) -> bool {
+    pub(crate) fn has(&self, image: &ImageRef) -> bool {
         self.images.contains_key(image)
-    }
-
-    pub fn manifest(&self, image: &ImageRef) -> Option<&ImageManifest> {
-        self.images.get(image)
     }
 
     /// Pull `image` into `store`, starting at `now`.
@@ -262,7 +251,7 @@ mod tests {
                 &mut rng(),
             )
             .unwrap();
-        assert!(again.was_cached());
+        assert_eq!(again.layers_downloaded, 0);
         assert_eq!(again.completed_at, SimTime::from_secs_f64(100.0));
         assert_eq!(again.layers_cached, 6);
     }

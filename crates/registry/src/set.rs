@@ -35,10 +35,6 @@ impl RegistrySet {
         idx
     }
 
-    pub fn clear_mirror(&mut self) {
-        self.mirror = None;
-    }
-
     /// The registry a pull of `image` will hit: the mirror if it has the
     /// image, else the first registry that publishes it.
     pub fn route(&self, image: &ImageRef) -> Option<&Registry> {
@@ -48,13 +44,6 @@ impl RegistrySet {
             }
         }
         self.registries.iter().find(|r| r.has(image))
-    }
-
-    pub fn len(&self) -> usize {
-        self.registries.len()
-    }
-    pub fn is_empty(&self) -> bool {
-        self.registries.is_empty()
     }
 }
 
@@ -125,14 +114,6 @@ mod tests {
                 .profile
                 .name,
             "gcr"
-        );
-        s.clear_mirror();
-        assert_eq!(
-            s.route(&ImageRef::new("nginx:1.23.2"))
-                .unwrap()
-                .profile
-                .name,
-            "docker-hub"
         );
     }
 }

@@ -188,6 +188,7 @@ impl IdleOrder {
     }
 
     /// The least recently touched member of the list of `timeout`.
+    #[doc(hidden)] // the model tests walk the lists
     pub fn front(&self, timeout: SimDuration) -> Option<u32> {
         self.class_of(timeout).map(|c| self.classes[c].head)
     }
@@ -208,6 +209,7 @@ impl IdleOrder {
 
     /// The members of the list of `timeout`, head first (tests and
     /// diagnostics).
+    #[doc(hidden)] // the model tests walk the lists
     pub fn iter(&self, timeout: SimDuration) -> impl Iterator<Item = u32> + '_ {
         let mut at = self.front(timeout).unwrap_or(NIL);
         std::iter::from_fn(move || {
@@ -228,6 +230,7 @@ impl IdleOrder {
         self.len
     }
 
+    #[doc(hidden)] // tests; clippy pairs it with `len`
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -357,15 +360,18 @@ impl<K: Ord + Copy> DeadlineIndex<K> {
     }
 
     /// Every record, in no particular order (tests and diagnostics).
+    #[doc(hidden)] // the model tests read the records
     pub fn records(&self) -> impl Iterator<Item = (SimTime, K)> + '_ {
         self.heap.iter().map(|&Reverse(record)| record)
     }
 
     /// How many records are held; see the module doc for the bound.
+    #[doc(hidden)] // the bound tests count the records
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
+    #[doc(hidden)] // tests; clippy pairs it with `len`
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }

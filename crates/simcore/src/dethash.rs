@@ -17,7 +17,7 @@
 //! not leak into simulation-visible state; the `det-collections` edgelint
 //! rule applies to these aliases exactly as it does to the std types.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
 const K: u64 = 0x517c_c1b7_2722_0a95;
@@ -101,19 +101,6 @@ impl BuildHasher for DetBuildHasher {
 /// `HashMap` with the deterministic fast hasher. Drop-in for hot-path maps.
 pub type DetHashMap<K, V> = HashMap<K, V, DetBuildHasher>;
 
-/// `HashSet` with the deterministic fast hasher.
-pub type DetHashSet<T> = HashSet<T, DetBuildHasher>;
-
-/// Construct an empty [`DetHashMap`] with at least `capacity` slots.
-pub fn det_map_with_capacity<K, V>(capacity: usize) -> DetHashMap<K, V> {
-    DetHashMap::with_capacity_and_hasher(capacity, DetBuildHasher)
-}
-
-/// Construct an empty [`DetHashSet`] with at least `capacity` slots.
-pub fn det_set_with_capacity<T>(capacity: usize) -> DetHashSet<T> {
-    DetHashSet::with_capacity_and_hasher(capacity, DetBuildHasher)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,14 +139,11 @@ mod tests {
 
     #[test]
     fn map_round_trip() {
-        let mut m: DetHashMap<u64, &str> = det_map_with_capacity(4);
+        let mut m: DetHashMap<u64, &str> = DetHashMap::default();
         m.insert(1, "one");
         m.insert(2, "two");
         assert_eq!(m.get(&1), Some(&"one"));
         assert_eq!(m.remove(&2), Some("two"));
         assert!(!m.contains_key(&2));
-        let mut s: DetHashSet<u64> = det_set_with_capacity(4);
-        assert!(s.insert(9));
-        assert!(!s.insert(9));
     }
 }

@@ -40,7 +40,7 @@ impl Dist {
     /// This is the calibration-friendly constructor: the paper reports medians,
     /// so model configs specify the median and a spread (`sigma`) and the
     /// distribution lands the median exactly.
-    pub fn log_normal_median(median: f64, sigma: f64) -> Dist {
+    pub(crate) fn log_normal_median(median: f64, sigma: f64) -> Dist {
         assert!(median > 0.0, "log-normal median must be positive");
         Dist::LogNormal {
             mu: median.ln(),
@@ -48,13 +48,8 @@ impl Dist {
         }
     }
 
-    /// A constant distribution.
-    pub fn constant(v: f64) -> Dist {
-        Dist::Constant(v)
-    }
-
     /// Draw one sample.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> f64 {
         match self {
             Dist::Constant(v) => *v,
             Dist::Uniform { lo, hi } => rng.range_f64(*lo, *hi),
@@ -87,6 +82,7 @@ impl Dist {
 
     /// The theoretical mean, where a closed form exists (used by tests and by
     /// capacity planning in the workload generator).
+    #[doc(hidden)] // tests hold sample means to it
     pub fn mean(&self) -> Option<f64> {
         match self {
             Dist::Constant(v) => Some(*v),
@@ -119,6 +115,7 @@ fn sample_standard_normal(rng: &mut SimRng) -> f64 {
 pub struct DurationDist(pub Dist);
 
 impl DurationDist {
+    #[doc(hidden)] // tests build fixed-delay models with it
     pub fn constant_ms(ms: f64) -> Self {
         DurationDist(Dist::Constant(ms))
     }
@@ -180,10 +177,6 @@ impl Zipf {
         let total = *self.cum.last().unwrap();
         let lo = if i == 0 { 0.0 } else { self.cum[i - 1] };
         (self.cum[i] - lo) / total
-    }
-
-    pub fn support(&self) -> usize {
-        self.cum.len()
     }
 }
 

@@ -49,13 +49,13 @@ pub mod stats;
 pub mod time;
 
 pub use deadline::{DeadlineIndex, IdleOrder};
-pub use dethash::{det_map_with_capacity, det_set_with_capacity, DetHashMap, DetHashSet};
-pub use dist::{Dist, DurationDist};
+pub use dethash::DetHashMap;
+pub use dist::DurationDist;
 pub use fnv::{FnvStream, Lit, TraceSink};
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
-pub use runner::{run_seeds, run_seeds_meta, RunnerMeta};
+pub use runner::{run_seeds, RunnerMeta};
 pub use shard_runner::{ShardActor, ShardCrew};
 pub use slot_index::SlotIndex;
-pub use stats::{LogHistogram, Percentiles, Summary, TimeSeries};
+pub use stats::{LogHistogram, Percentiles, TimeSeries};
 pub use time::{SimDuration, SimTime};

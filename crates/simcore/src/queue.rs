@@ -183,6 +183,7 @@ impl<E> EventQueue<E> {
 
     /// Cancel a scheduled event. Returns `true` if the event was still pending
     /// (i.e. had not fired and had not already been cancelled).
+    #[doc(hidden)] // no caller yet; the queue tests cover it
     pub fn cancel(&mut self, id: EventId) -> bool {
         let Some(slot) = self.slots.get_mut(id.index as usize) else {
             return false;
@@ -260,17 +261,12 @@ impl<E> EventQueue<E> {
         self.events[run.tail as usize].as_mut()
     }
 
-    /// Pre-size the payload lane for `additional` more live events, avoiding
-    /// its incremental growth on the hot path.
-    pub fn reserve(&mut self, additional: usize) {
-        self.events.reserve(additional);
-    }
-
     /// Number of live (non-cancelled) pending events.
     pub fn len(&self) -> usize {
         self.live
     }
 
+    #[doc(hidden)] // tests; clippy pairs it with `len`
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }

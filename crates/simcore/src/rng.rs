@@ -101,7 +101,7 @@ impl SimRng {
     }
 
     /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -119,7 +119,7 @@ impl SimRng {
     }
 
     /// Uniform in `[lo, hi)`. `lo == hi` returns `lo`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         debug_assert!(lo <= hi);
         lo + (hi - lo) * self.f64()
     }
@@ -142,12 +142,6 @@ impl SimRng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi]` (inclusive). Panics if `lo > hi`.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "range_u64: lo > hi");
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Uniform `usize` index in `[0, n)`.
     pub fn index(&mut self, n: usize) -> usize {
         self.below(n as u64) as usize
@@ -156,19 +150,6 @@ impl SimRng {
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64() < p.clamp(0.0, 1.0)
-    }
-
-    /// Pick a uniformly random element of a slice. Panics on empty input.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.index(items.len())]
-    }
-
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
     }
 }
 
@@ -253,31 +234,6 @@ mod tests {
         for &c in &counts {
             assert!((9000..11000).contains(&c), "counts={counts:?}");
         }
-    }
-
-    #[test]
-    fn range_u64_inclusive_bounds() {
-        let mut r = SimRng::seed_from_u64(8);
-        let mut saw_lo = false;
-        let mut saw_hi = false;
-        for _ in 0..10_000 {
-            let v = r.range_u64(3, 5);
-            assert!((3..=5).contains(&v));
-            saw_lo |= v == 3;
-            saw_hi |= v == 5;
-        }
-        assert!(saw_lo && saw_hi);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::seed_from_u64(13);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "50 elements should not shuffle to identity");
     }
 
     #[test]

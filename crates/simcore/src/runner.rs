@@ -23,7 +23,7 @@ pub struct RunnerMeta {
 
 impl RunnerMeta {
     /// The meta a `run_seeds(seeds, threads, _)` call of this shape executes
-    /// under. Pure — no threads are spawned; [`run_seeds_meta`] uses the same
+    /// under. Pure — no threads are spawned; `run_seeds_meta` uses the same
     /// computation, so a plan always matches the actual execution.
     pub fn plan(threads: usize, jobs: usize) -> RunnerMeta {
         let threads = effective_threads(threads, jobs);
@@ -57,7 +57,7 @@ where
 /// Threads claim seeds in chunks (one `fetch_add` per chunk, not per seed):
 /// neighbouring seeds stay on one core and the shared cursor line is touched
 /// `n / chunk` times instead of `n`.
-pub fn run_seeds_meta<R, F>(seeds: &[u64], threads: usize, f: F) -> (Vec<R>, RunnerMeta)
+pub(crate) fn run_seeds_meta<R, F>(seeds: &[u64], threads: usize, f: F) -> (Vec<R>, RunnerMeta)
 where
     R: Send,
     F: Fn(u64) -> R + Sync,

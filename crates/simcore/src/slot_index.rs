@@ -166,20 +166,24 @@ impl SlotIndex {
     }
 
     /// How many keys are stored.
+    #[doc(hidden)] // the model test reads the index
     pub fn len(&self) -> usize {
         self.len
     }
 
+    #[doc(hidden)] // tests; clippy pairs it with `len`
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// How many buckets the array has (tests and diagnostics).
+    #[doc(hidden)] // the model test reads the index
     pub fn capacity(&self) -> usize {
         self.buckets.len()
     }
 
     /// Every `(hash, slot)` stored, in bucket order (tests and diagnostics).
+    #[doc(hidden)] // the model test reads the index
     pub fn entries(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.buckets
             .iter()

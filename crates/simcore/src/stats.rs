@@ -1,95 +1,12 @@
-//! Statistics used by the benchmark harness: streaming summaries (Welford),
-//! exact percentiles over collected samples, and time-binned counters for the
-//! request/deployment rate figures (Figs. 9–10).
+//! Statistics used by the benchmark harness: exact percentiles over
+//! collected samples, and time-binned counters for the request/deployment
+//! rate figures (Figs. 9–10).
 
 use crate::time::{SimDuration, SimTime};
 
-/// Streaming mean/variance/min/max via Welford's algorithm.
-#[derive(Debug, Clone, Default)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    pub fn new() -> Summary {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_millis_f64());
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.mean
-        }
-    }
-    /// Sample variance (n-1 denominator).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merge another summary into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 /// Exact percentiles over a collected sample set.
 ///
-/// Values are stored; [`Percentiles::quantile`] sorts lazily on first query
+/// Values are stored; `Percentiles::quantile` sorts lazily on first query
 /// (and caches sortedness). Sample unit is whatever the caller records —
 /// the harness uses milliseconds throughout.
 #[derive(Debug, Clone, Default)]
@@ -115,18 +32,6 @@ impl Percentiles {
         self.record(d.as_millis_f64());
     }
 
-    pub fn extend(&mut self, other: &Percentiles) {
-        self.values.extend_from_slice(&other.values);
-        self.sorted = false;
-    }
-
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     fn ensure_sorted(&mut self) {
         if !self.sorted {
             // total_cmp: NaN samples sort to the end instead of panicking,
@@ -138,7 +43,7 @@ impl Percentiles {
 
     /// Quantile by linear interpolation between closest ranks;
     /// `q` in `[0, 1]`. Returns NaN on an empty set.
-    pub fn quantile(&mut self, q: f64) -> f64 {
+    pub(crate) fn quantile(&mut self, q: f64) -> f64 {
         if self.values.is_empty() {
             return f64::NAN;
         }
@@ -170,15 +75,8 @@ impl Percentiles {
     pub fn p99(&mut self) -> f64 {
         self.quantile(0.99)
     }
-    pub fn min(&mut self) -> f64 {
-        self.quantile(0.0)
-    }
     pub fn max(&mut self) -> f64 {
         self.quantile(1.0)
-    }
-
-    pub fn values(&self) -> &[f64] {
-        &self.values
     }
 }
 
@@ -210,12 +108,6 @@ impl TimeSeries {
         self.bins[idx.min(last)] += 1;
     }
 
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum()
-    }
     pub fn peak(&self) -> u64 {
         self.bins.iter().copied().max().unwrap_or(0)
     }
@@ -236,13 +128,13 @@ impl TimeSeries {
 ///
 /// ```
 /// use simcore::stats::LogHistogram;
+/// use simcore::SimDuration;
 /// let mut h = LogHistogram::new(1.0, 2.0, 12); // 1ms, 2ms, 4ms, ... buckets
-/// h.record(0.4);
-/// h.record(3.0);
-/// h.record(700.0);
-/// assert_eq!(h.count(), 3);
-/// let buckets = h.buckets();
-/// assert_eq!(buckets[0].2, 1); // <1ms
+/// h.record_duration(SimDuration::from_micros(400));
+/// h.record_duration(SimDuration::from_millis(3));
+/// h.record_duration(SimDuration::from_millis(700));
+/// let cdf = h.cdf();
+/// assert!((cdf[0].1 - 1.0 / 3.0).abs() < 1e-12); // one of three below 1ms
 /// ```
 #[derive(Debug, Clone)]
 pub struct LogHistogram {
@@ -266,7 +158,7 @@ impl LogHistogram {
     }
 
     /// Record a sample (same unit as the edges; the harness uses ms).
-    pub fn record(&mut self, x: f64) {
+    pub(crate) fn record(&mut self, x: f64) {
         let mut edge = self.first_edge;
         let mut idx = 0;
         while x >= edge && idx + 1 < self.counts.len() {
@@ -281,13 +173,9 @@ impl LogHistogram {
         self.record(d.as_millis_f64());
     }
 
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
     /// (lower edge, upper edge, count) triples; the last bucket is open-ended
     /// (`upper = f64::INFINITY`).
-    pub fn buckets(&self) -> Vec<(f64, f64, u64)> {
+    pub(crate) fn buckets(&self) -> Vec<(f64, f64, u64)> {
         let mut out = Vec::with_capacity(self.counts.len());
         let mut lo = 0.0;
         let mut hi = self.first_edge;
@@ -343,47 +231,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_basic() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.138089935).abs() < 1e-6);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn summary_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Summary::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_empty_is_nan_mean() {
-        let s = Summary::new();
-        assert!(s.mean().is_nan());
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
     fn percentiles_median_odd_even() {
         let mut p = Percentiles::new();
         for x in [5.0, 1.0, 3.0] {
@@ -400,7 +247,7 @@ mod tests {
         for x in 0..100 {
             p.record(x as f64);
         }
-        assert_eq!(p.min(), 0.0);
+        assert_eq!(p.quantile(0.0), 0.0);
         assert_eq!(p.max(), 99.0);
         assert!((p.p90() - 89.1).abs() < 1e-9);
     }
@@ -418,8 +265,8 @@ mod tests {
         ts.record(SimTime::from_secs_f64(0.9));
         ts.record(SimTime::from_secs_f64(3.0));
         ts.record(SimTime::from_secs_f64(99.0)); // past horizon → last bin
-        assert_eq!(ts.bins(), &[2, 0, 0, 1, 1]);
-        assert_eq!(ts.total(), 4);
+        let counts: Vec<u64> = ts.points().map(|(_, c)| c).collect();
+        assert_eq!(counts, [2, 0, 0, 1, 1]);
         assert_eq!(ts.peak(), 2);
     }
 
@@ -437,7 +284,7 @@ mod tests {
         for x in [0.5, 0.9, 5.0, 50.0, 500.0, 5000.0, 50000.0] {
             h.record(x);
         }
-        assert_eq!(h.count(), 7);
+        assert_eq!(h.total, 7);
         let b = h.buckets();
         assert_eq!(b.len(), 5);
         assert_eq!(b[0].2, 2); // <1

@@ -16,7 +16,6 @@ pub struct SimDuration(u64);
 
 impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     pub const fn from_nanos(n: u64) -> Self {
         SimDuration(n)
@@ -49,12 +48,6 @@ impl SimDuration {
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
     pub const fn as_secs(self) -> u64 {
         self.0 / 1_000_000_000
     }
@@ -67,18 +60,6 @@ impl SimDuration {
 
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
-    }
-
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
     }
 
     /// Multiply by a non-negative float factor (used for jitter / scaling knobs).
@@ -111,23 +92,12 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
 
     /// Duration since an earlier instant; zero if `earlier` is actually later
     /// (model code treats causality violations as "no time elapsed" rather than
     /// panicking, because they can only arise from zero-latency feedback loops).
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
-    }
-
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
     }
 }
 
@@ -272,8 +242,6 @@ mod tests {
         assert_eq!(b - a, SimDuration::ZERO); // saturates
         assert_eq!(a * 3, SimDuration::from_millis(300));
         assert_eq!(a / 4, SimDuration::from_millis(25));
-        assert_eq!(a.max(b), a);
-        assert_eq!(a.min(b), b);
     }
 
     #[test]

@@ -14,7 +14,7 @@ impl IpAddr {
         IpAddr(((a as u32) << 24) | ((b as u32) << 16) | ((c as u32) << 8) | d as u32)
     }
 
-    pub const fn octets(self) -> [u8; 4] {
+    pub(crate) const fn octets(self) -> [u8; 4] {
         [
             (self.0 >> 24) as u8,
             (self.0 >> 16) as u8,

@@ -29,9 +29,7 @@ pub mod tcp;
 pub mod topology;
 
 pub use addr::{IpAddr, SocketAddr};
-pub use openflow::{
-    Action, ActionList, FlowEntry, FlowMatch, FlowSpec, FlowTable, IpNet, PacketVerdict, Switch,
-};
+pub use openflow::{Action, FlowMatch, FlowSpec, IpNet};
 pub use packet::{Packet, Protocol};
 pub use tcp::TcpModel;
-pub use topology::{LinkId, NodeId, NodeKind, PathInfo, PathTree, Topology};
+pub use topology::{NodeId, PathTree};

@@ -53,19 +53,20 @@
 //!   entry with both sits in both. `next_expiry` reads the list heads and an
 //!   eviction sweep unlinks heads, O(1) per evicted entry, and no record
 //!   outlives its entry.
-//! * Nothing indexes entries by id or cookie — no packet, install or sweep
-//!   asks — so `get` and `delete_by_cookie` are O(table) scans.
+//! * Nothing indexes entries by id — no packet, install or sweep asks — so
+//!   `get` is an O(table) scan.
 //!
 //! [`FlowEntry`] is a view, not storage: [`FlowTable::get`],
-//! [`FlowTable::find`], [`FlowTable::iter_ordered`] and every
-//! [`FlowRemoved`] build one from the record on demand, and
+//! [`FlowTable::find`], [`FlowTable::iter_ordered`] and
+//! [`FlowTable::delete_matching`] build one from the record on demand, and
 //! [`FlowTable::lookup`] hands a hit's actions out by value. The switch's own
 //! hit path builds no list at all: it applies a record's packed actions as it
 //! decodes them.
 //!
-//! The observable semantics are unchanged: OpenFlow priority order with
-//! stable insertion order inside a priority level, `OFPFC_ADD` replace
-//! semantics, and `FlowRemoved` notifications in table order.
+//! The observable semantics are OpenFlow's: priority order with stable
+//! insertion order inside a priority level and `OFPFC_ADD` replace
+//! semantics. An eviction sweep reports nothing (no controller reads
+//! `FLOW_REMOVED`; FlowMemory keeps its own timeouts).
 
 use std::cmp::Reverse;
 
@@ -106,7 +107,7 @@ impl IpNet {
         IpNet { addr, prefix }
     }
 
-    pub fn contains(&self, ip: IpAddr) -> bool {
+    pub(crate) fn contains(&self, ip: IpAddr) -> bool {
         let mask = if self.prefix == 0 {
             0
         } else {
@@ -117,13 +118,13 @@ impl IpNet {
 
     /// Every address in `other` is also in `self` (CIDR containment: a
     /// shorter-or-equal prefix whose network covers `other`'s network).
-    pub fn subsumes(&self, other: &IpNet) -> bool {
+    pub(crate) fn subsumes(&self, other: &IpNet) -> bool {
         self.prefix <= other.prefix && self.contains(other.addr)
     }
 
     /// The two prefixes share at least one address. For CIDR prefixes this is
     /// exactly "one contains the other" — partial overlap is impossible.
-    pub fn intersects(&self, other: &IpNet) -> bool {
+    pub(crate) fn intersects(&self, other: &IpNet) -> bool {
         self.subsumes(other) || other.subsumes(self)
     }
 }
@@ -216,6 +217,7 @@ pub struct FlowMatch {
 
 impl FlowMatch {
     /// Match any packet.
+    #[doc(hidden)] // tests build catch-all rules with it
     pub fn any() -> FlowMatch {
         FlowMatch::default()
     }
@@ -231,6 +233,7 @@ impl FlowMatch {
     }
 
     /// Match everything destined into `net` (a topology route).
+    #[doc(hidden)] // tests build masked rules with it
     pub fn to_net(net: IpNet) -> FlowMatch {
         FlowMatch {
             dst_net: Some(net),
@@ -239,6 +242,7 @@ impl FlowMatch {
     }
 
     /// Match everything whose source lies in `net`.
+    #[doc(hidden)] // tests build masked rules with it
     pub fn from_net(net: IpNet) -> FlowMatch {
         FlowMatch {
             src_net: Some(net),
@@ -446,7 +450,7 @@ pub enum Action {
 /// An action list with inline capacity for the common case.
 ///
 /// Controller-installed redirects carry at most three actions (two rewrites
-/// plus an output), so the list stores up to [`ActionList::INLINE`] actions
+/// plus an output), so the list stores up to `ActionList::INLINE` actions
 /// in place — cloning an installed entry's actions on the per-packet apply
 /// path then copies a few words instead of heap-allocating a `Vec`. Longer
 /// lists (seeded experiment flows, synthetic tests) spill to a `Vec`
@@ -461,17 +465,17 @@ pub enum ActionList {
 
 impl ActionList {
     /// Inline capacity; pushes past this spill to the heap.
-    pub const INLINE: usize = 4;
+    pub(crate) const INLINE: usize = 4;
     const PAD: Action = Action::Drop;
 
-    pub fn new() -> ActionList {
+    pub(crate) fn new() -> ActionList {
         ActionList::Inline {
             len: 0,
             items: [Self::PAD; Self::INLINE],
         }
     }
 
-    pub fn push(&mut self, action: Action) {
+    pub(crate) fn push(&mut self, action: Action) {
         match self {
             ActionList::Inline { len, items } => {
                 if (*len as usize) < Self::INLINE {
@@ -488,7 +492,7 @@ impl ActionList {
         }
     }
 
-    pub fn as_slice(&self) -> &[Action] {
+    pub(crate) fn as_slice(&self) -> &[Action] {
         match self {
             ActionList::Inline { len, items } => &items[..*len as usize],
             ActionList::Spilled(v) => v,
@@ -611,6 +615,7 @@ impl FlowSpec {
 
     /// Replace the action list (accepts a `Vec<Action>`, a slice or an
     /// [`ActionList`]).
+    #[doc(hidden)] // tests set whole action lists with it
     pub fn actions(mut self, actions: impl Into<ActionList>) -> FlowSpec {
         self.actions = actions.into();
         self
@@ -622,22 +627,10 @@ impl FlowSpec {
         self
     }
 
-    /// Like [`FlowSpec::idle`] but taking an `Option` (for call-sites that
-    /// thread an optional timeout through).
-    pub fn idle_opt(mut self, timeout: Option<SimDuration>) -> FlowSpec {
-        self.idle_timeout = timeout;
-        self
-    }
-
     /// Evict this long after installation regardless of use.
+    #[doc(hidden)] // tests give rules hard timeouts with it
     pub fn hard(mut self, timeout: SimDuration) -> FlowSpec {
         self.hard_timeout = Some(timeout);
-        self
-    }
-
-    /// Like [`FlowSpec::hard`] but taking an `Option`.
-    pub fn hard_opt(mut self, timeout: Option<SimDuration>) -> FlowSpec {
-        self.hard_timeout = timeout;
         self
     }
 
@@ -665,33 +658,10 @@ pub struct FlowEntry {
     pub packets: u64,
 }
 
-impl FlowEntry {
-    /// Table order: priority descending, then insertion order ascending.
-    fn rank(&self) -> (Reverse<u16>, FlowId) {
-        (Reverse(self.priority), self.id)
-    }
-}
-
-/// Why a flow entry left the table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemovalReason {
-    IdleTimeout,
-    HardTimeout,
-    Deleted,
-}
-
-/// A flow-removed notification (OpenFlow `OFPT_FLOW_REMOVED`); the controller
-/// uses idle-timeout removals to drive FlowMemory expiry and scale-down.
-#[derive(Debug, Clone)]
-pub struct FlowRemoved {
-    pub entry: FlowEntry,
-    pub reason: RemovalReason,
-    pub at: SimTime,
-}
-
 /// What [`FlowTable::lookup`] hands back for a hit: the winning entry's id and
 /// a copy of its actions.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[doc(hidden)] // what the test entry `FlowTable::lookup` returns
 pub struct Hit {
     pub id: FlowId,
     pub actions: ActionList,
@@ -1031,10 +1001,12 @@ pub struct FlowTable {
 }
 
 impl FlowTable {
+    #[doc(hidden)] // the model test and the `flow_table` bench drive the table directly
     pub fn new() -> FlowTable {
         FlowTable::default()
     }
 
+    #[doc(hidden)] // the model test and the `flow_table` bench drive the table directly
     pub fn len(&self) -> usize {
         self.len
     }
@@ -1048,6 +1020,7 @@ impl FlowTable {
     /// OpenFlow `OFPFC_ADD` semantics: an entry with the same `(priority,
     /// match)` replaces the existing one (counters reset), so re-installing a
     /// redirect simply overwrites it.
+    #[doc(hidden)] // the model test and the `flow_table` bench drive the table directly
     pub fn install(&mut self, now: SimTime, spec: FlowSpec) -> FlowId {
         let slot = self.insert(now, spec);
         self.slab.get(slot).id
@@ -1222,6 +1195,7 @@ impl FlowTable {
 
     /// Find the highest-priority matching entry, updating its stats; a hit
     /// hands back its id and actions.
+    #[doc(hidden)] // the model test and the `flow_table` bench drive the table directly
     pub fn lookup(&mut self, now: SimTime, p: &Packet) -> Option<Hit> {
         let slot = self.touch(now, p)?;
         Some(Hit {
@@ -1262,7 +1236,7 @@ impl FlowTable {
 
     /// Remove all entries whose matcher equals `matcher` (OpenFlow strict
     /// delete). Returns the removed entries in table order.
-    pub fn delete_matching(&mut self, now: SimTime, matcher: &FlowMatch) -> Vec<FlowRemoved> {
+    pub fn delete_matching(&mut self, matcher: &FlowMatch) -> Vec<FlowEntry> {
         let slots: Vec<u32> = if matcher.is_exact() {
             // The key pins the whole matcher, so the chain *is* the result
             // set (already in table order).
@@ -1279,72 +1253,20 @@ impl FlowTable {
                 .filter(|&s| self.slab.matcher(s) == *matcher)
                 .collect()
         };
-        self.remove_slots(now, slots, RemovalReason::Deleted)
-    }
-
-    /// Remove all entries carrying `cookie`; returns them in table order.
-    /// O(table): no cookie index is kept, since no packet or controller path
-    /// deletes by cookie.
-    pub fn delete_by_cookie(&mut self, now: SimTime, cookie: u64) -> Vec<FlowRemoved> {
-        let mut slots: Vec<u32> = self
-            .slab
-            .live()
-            .filter(|&s| self.slab.cold[s as usize].cookie == cookie)
-            .collect();
-        slots.sort_by_key(|&s| self.slab.rank(s));
-        self.remove_slots(now, slots, RemovalReason::Deleted)
-    }
-
-    fn remove_slots(
-        &mut self,
-        now: SimTime,
-        slots: Vec<u32>,
-        reason: RemovalReason,
-    ) -> Vec<FlowRemoved> {
         slots
             .into_iter()
             .map(|slot| {
                 let entry = self.slab.view(slot);
                 self.detach(slot);
-                FlowRemoved {
-                    entry,
-                    reason,
-                    at: now,
-                }
+                entry
             })
             .collect()
     }
 
-    /// Evict entries whose idle or hard timeout has elapsed at `now`.
-    /// Notifications come back in table order, hard timeouts reported in
-    /// preference to idle ones, exactly like the scan-based implementation.
-    pub fn expire(&mut self, now: SimTime) -> Vec<FlowRemoved> {
-        let mut removed: Vec<FlowRemoved> = Vec::new();
-        while let Some(slot) = self.first_due(now) {
-            let entry = self.slab.view(slot);
-            self.detach(slot);
-            let hard_elapsed = entry
-                .hard_timeout
-                .is_some_and(|h| now.since(entry.installed_at) >= h);
-            removed.push(FlowRemoved {
-                entry,
-                reason: if hard_elapsed {
-                    RemovalReason::HardTimeout
-                } else {
-                    RemovalReason::IdleTimeout
-                },
-                at: now,
-            });
-        }
-        removed.sort_by_key(|r| r.entry.rank());
-        removed
-    }
-
-    /// [`FlowTable::expire`] without materializing the notifications: evict
-    /// everything due at `now` and build no view of it. The testbed's event
-    /// loop discards its sweep results, so the hot path takes this
-    /// no-`Vec`, no-sort variant; the eviction *order* is unobservable here
-    /// because nothing is reported.
+    /// Evict every entry whose idle or hard timeout has elapsed at `now`.
+    /// Nothing is reported: no controller reads flow-removed notifications
+    /// (FlowMemory keeps its own timeouts), so the sweep builds no view and
+    /// its eviction order is unobservable.
     pub fn expire_discard(&mut self, now: SimTime) {
         while let Some(slot) = self.first_due(now) {
             self.detach(slot);
@@ -1419,6 +1341,7 @@ impl FlowTable {
     /// if one exists, `id` can never match a packet. O(table) to find `id`;
     /// diagnostics use it, the `debug_assertions` install hook asks
     /// `FlowTable::shadowing` by slot.
+    #[doc(hidden)] // the only test entry to the debug-build `shadowing` probe
     pub fn shadowed_by(&self, id: FlowId) -> Option<FlowId> {
         self.shadowing(self.slot_of(id)?)
     }
@@ -1583,15 +1506,6 @@ impl Switch {
         }
     }
 
-    pub fn port_count(&self) -> usize {
-        self.port_count
-    }
-
-    /// Number of packets parked at the switch awaiting controller decisions.
-    pub fn buffered_count(&self) -> usize {
-        self.buffered.len()
-    }
-
     /// Peek a parked packet without releasing it — lets an engine attribute
     /// a buffered-packet outcome (release failure, discard) to the packet's
     /// tag before deciding its fate.
@@ -1680,19 +1594,6 @@ impl Switch {
         id
     }
 
-    /// Controller → switch: release a buffered packet through `actions`
-    /// (OpenFlow `PacketOut`). Returns the forwarding outcome; `None` if the
-    /// buffer id is unknown (already released or expired).
-    pub fn packet_out(
-        &mut self,
-        now: SimTime,
-        buffer_id: BufferId,
-        actions: &[Action],
-    ) -> Option<PacketVerdict> {
-        let packet = self.buffered.remove(&buffer_id)?;
-        Some(self.apply(now, packet, actions.iter().copied()))
-    }
-
     /// Controller → switch: re-inject a buffered packet through the flow
     /// table (OpenFlow `OFPP_TABLE`). This is what the paper's controller does
     /// after a `FlowMod`: the released packet hits the freshly installed rule.
@@ -1723,13 +1624,7 @@ impl Switch {
         self.buffered.remove(&buffer_id)
     }
 
-    /// Run a timeout sweep; returns flow-removed notifications.
-    pub fn sweep(&mut self, now: SimTime) -> Vec<FlowRemoved> {
-        self.table.expire(now)
-    }
-
-    /// [`Switch::sweep`] for callers that discard the notifications: no
-    /// `Vec`, no table-order sort (see [`FlowTable::expire_discard`]).
+    /// Run a timeout sweep (see [`FlowTable::expire_discard`]).
     pub fn sweep_discard(&mut self, now: SimTime) {
         self.table.expire_discard(now);
     }

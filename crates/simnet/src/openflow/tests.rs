@@ -251,7 +251,7 @@ proptest::proptest! {
             proptest::prop_assert_eq!(table.shadowing(slot), shadowed_by_walk(&table, id));
         }
         for matcher in deletes {
-            table.delete_matching(t(1), &matcher);
+            table.delete_matching(&matcher);
         }
         let ids: Vec<FlowId> = table.iter_ordered().map(|e| e.id).collect();
         for id in ids {
@@ -354,10 +354,12 @@ fn table_miss_buffers_and_raises_packet_in() {
     let mut sw = Switch::new(4);
     let p = service_packet();
     match sw.receive(t(0), p) {
-        PacketVerdict::PacketIn { packet, .. } => assert_eq!(packet, p),
+        PacketVerdict::PacketIn { packet, buffer_id } => {
+            assert_eq!(packet, p);
+            assert_eq!(sw.buffered_packet(buffer_id), Some(&p));
+        }
         other => panic!("expected PacketIn, got {other:?}"),
     }
-    assert_eq!(sw.buffered_count(), 1);
     assert_eq!(sw.stats.table_misses, 1);
 }
 
@@ -530,31 +532,6 @@ fn same_priority_exact_vs_masked_insertion_order_wins() {
 }
 
 #[test]
-fn packet_out_releases_buffered_packet() {
-    let mut sw = Switch::new(4);
-    let PacketVerdict::PacketIn { buffer_id, .. } = sw.receive(t(0), service_packet()) else {
-        panic!("expected PacketIn");
-    };
-    let verdict = sw
-        .packet_out(
-            t(2),
-            buffer_id,
-            &[Action::SetDstIp(ip(50)), Action::Output(PortId(1))],
-        )
-        .unwrap();
-    match verdict {
-        PacketVerdict::Forward { packet, out_port } => {
-            assert_eq!(packet.dst.ip, ip(50));
-            assert_eq!(out_port, PortId(1));
-        }
-        other => panic!("{other:?}"),
-    }
-    assert_eq!(sw.buffered_count(), 0);
-    // double release fails
-    assert!(sw.packet_out(t(3), buffer_id, &[]).is_none());
-}
-
-#[test]
 fn packet_out_via_table_uses_installed_flow() {
     let mut sw = Switch::new(4);
     let PacketVerdict::PacketIn { buffer_id, .. } = sw.receive(t(0), service_packet()) else {
@@ -587,7 +564,7 @@ fn resubmission_miss_drops_instead_of_rebuffering() {
         sw.packet_out_via_table(t(1), buffer_id),
         Some(PacketVerdict::Dropped)
     );
-    assert_eq!(sw.buffered_count(), 0);
+    assert!(sw.buffered_packet(buffer_id).is_none());
 }
 
 #[test]
@@ -601,11 +578,9 @@ fn idle_timeout_expires_unused_flows() {
             .idle(SimDuration::from_secs(5))
             .cookie(7),
     );
-    assert!(table.expire(t(4999)).is_empty());
-    let removed = table.expire(t(5000));
-    assert_eq!(removed.len(), 1);
-    assert_eq!(removed[0].reason, RemovalReason::IdleTimeout);
-    assert_eq!(removed[0].entry.cookie, 7);
+    table.expire_discard(t(4999));
+    assert_eq!(table.len(), 1);
+    table.expire_discard(t(5000));
     assert!(table.is_empty());
 }
 
@@ -621,8 +596,10 @@ fn traffic_refreshes_idle_timer() {
     );
     let p = service_packet();
     assert!(table.lookup(t(3000), &p).is_some());
-    assert!(table.expire(t(5000)).is_empty(), "refreshed at t=3s");
-    assert_eq!(table.expire(t(8000)).len(), 1);
+    table.expire_discard(t(5000));
+    assert_eq!(table.len(), 1, "refreshed at t=3s");
+    table.expire_discard(t(8000));
+    assert!(table.is_empty());
 }
 
 #[test]
@@ -638,9 +615,10 @@ fn hard_timeout_fires_even_with_traffic() {
     );
     let p = service_packet();
     assert!(table.lookup(t(9000), &p).is_some());
-    let removed = table.expire(t(10_000));
-    assert_eq!(removed.len(), 1);
-    assert_eq!(removed[0].reason, RemovalReason::HardTimeout);
+    table.expire_discard(t(9999));
+    assert_eq!(table.len(), 1);
+    table.expire_discard(t(10_000));
+    assert!(table.is_empty());
 }
 
 #[test]
@@ -684,74 +662,36 @@ fn next_expiry_follows_refreshes_and_deletes() {
     table.lookup(t(4000), &p);
     assert_eq!(table.next_expiry(), Some(t(8000)));
     // deleting the second leaves only the refreshed deadline
-    table.delete_matching(t(4000), &FlowMatch::to_service(sa(201, 80)));
+    table.delete_matching(&FlowMatch::to_service(sa(201, 80)));
     assert_eq!(table.next_expiry(), Some(t(9000)));
     assert!(table.get(id).is_some());
 }
 
 #[test]
-fn expire_reports_in_table_order() {
-    let mut table = FlowTable::new();
-    // Install in an order different from table order; give the *later*
-    // table position the earlier deadline.
-    table.install(
-        t(0),
-        FlowSpec::new(FlowMatch::to_service(sa(200, 80)))
-            .priority(1)
-            .idle(SimDuration::from_secs(1))
-            .cookie(1),
-    );
-    table.install(
-        t(0),
-        FlowSpec::new(FlowMatch::to_service(sa(201, 80)))
-            .priority(9)
-            .idle(SimDuration::from_secs(2))
-            .cookie(2),
-    );
-    let removed = table.expire(t(60_000));
-    assert_eq!(removed.len(), 2);
-    assert_eq!(removed[0].entry.cookie, 2, "higher priority first");
-    assert_eq!(removed[1].entry.cookie, 1);
-}
-
-#[test]
-fn delete_by_cookie_and_matcher() {
+fn delete_matching_is_strict() {
     let mut table = FlowTable::new();
     let m = FlowMatch::to_service(sa(200, 80));
-    table.install(t(0), FlowSpec::new(m).priority(1).cookie(42));
-    table.install(t(0), FlowSpec::new(FlowMatch::any()).priority(1).cookie(42));
+    table.install(t(0), FlowSpec::new(m).priority(1));
+    table.install(t(0), FlowSpec::new(FlowMatch::any()).priority(1));
     table.install(
         t(0),
-        FlowSpec::new(FlowMatch::to_service(sa(201, 80)))
-            .priority(1)
-            .cookie(1),
+        FlowSpec::new(FlowMatch::to_service(sa(201, 80))).priority(1),
     );
-    assert_eq!(table.delete_matching(t(1), &m).len(), 1);
-    assert_eq!(table.delete_by_cookie(t(1), 42).len(), 1);
-    assert_eq!(table.len(), 1);
+    assert_eq!(table.delete_matching(&m).len(), 1);
+    assert_eq!(table.len(), 2);
 }
 
 #[test]
-fn delete_by_cookie_spans_priorities_in_table_order() {
+fn delete_matching_spans_priorities_in_table_order() {
     let mut table = FlowTable::new();
-    table.install(t(0), FlowSpec::new(FlowMatch::any()).priority(1).cookie(7));
-    table.install(
-        t(0),
-        FlowSpec::new(FlowMatch::to_service(sa(200, 80)))
-            .priority(9)
-            .cookie(7),
-    );
-    table.install(
-        t(0),
-        FlowSpec::new(FlowMatch::to_service(sa(201, 80)))
-            .priority(5)
-            .cookie(8),
-    );
-    let removed = table.delete_by_cookie(t(1), 7);
-    assert_eq!(removed.len(), 2);
-    assert_eq!(removed[0].entry.priority, 9);
-    assert_eq!(removed[1].entry.priority, 1);
-    assert!(removed.iter().all(|r| r.reason == RemovalReason::Deleted));
+    let m = FlowMatch::to_service(sa(200, 80));
+    for priority in [1, 9, 5] {
+        table.install(t(0), FlowSpec::new(m).priority(priority));
+    }
+    table.install(t(0), FlowSpec::new(FlowMatch::any()).priority(3));
+    let removed = table.delete_matching(&m);
+    let priorities: Vec<u16> = removed.iter().map(|e| e.priority).collect();
+    assert_eq!(priorities, [9, 5, 1]);
     assert_eq!(table.len(), 1);
 }
 
@@ -801,8 +741,8 @@ fn a_touch_at_an_earlier_instant_moves_next_expiry_earlier() {
     assert!(table.lookup(t(500), &service_packet()).is_some());
     assert_eq!(table.next_expiry(), Some(t(600)));
     assert_eq!(table.next_expiry(), brute_force_next_expiry(&table));
-    let evicted = table.expire(t(600));
-    assert_eq!(evicted.len(), 1);
+    table.expire_discard(t(600));
+    assert_eq!(table.len(), 1);
     assert_eq!(table.next_expiry(), Some(t(1300)));
 }
 
@@ -881,7 +821,7 @@ fn exact_key_hash_spreads_over_the_bucket_index_bits() {
 fn slots_are_reused_but_ids_are_not() {
     let mut table = FlowTable::new();
     let first = table.install(t(0), FlowSpec::new(FlowMatch::any()).priority(1).cookie(1));
-    table.delete_by_cookie(t(1), 1);
+    table.delete_matching(&FlowMatch::any());
     let second = table.install(t(2), FlowSpec::new(FlowMatch::any()).priority(1).cookie(2));
     assert!(second > first, "flow ids must stay monotonic");
     assert!(table.get(first).is_none());

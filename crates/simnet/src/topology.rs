@@ -11,7 +11,7 @@
 
 use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use simcore::SimDuration;
 
@@ -22,24 +22,6 @@ pub struct NodeId(pub usize);
 /// Index of a link in a [`Topology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkId(pub usize);
-
-/// What a node *is* — used for display and for sanity checks when wiring the
-/// testbed (e.g. a switch port must attach to a link).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeKind {
-    /// An end host (client UE, edge server, registry host).
-    Host,
-    /// A forwarding element (the OVS switch, the gNB in 5G terms).
-    Switch,
-    /// The remote cloud (origin servers, public registries).
-    Cloud,
-}
-
-#[derive(Debug, Clone)]
-struct Node {
-    name: String,
-    kind: NodeKind,
-}
 
 #[derive(Debug, Clone)]
 struct Link {
@@ -52,27 +34,19 @@ struct Link {
 /// Result of a path query: total one-way latency, bottleneck bandwidth and
 /// the hop sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[doc(hidden)] // what the reference `Topology::path` returns
 pub struct PathInfo {
     pub latency: SimDuration,
     pub bottleneck_bps: u64,
     pub hops: Vec<NodeId>,
 }
 
-impl PathInfo {
-    /// Round-trip time along this path.
-    pub fn rtt(&self) -> SimDuration {
-        self.latency * 2
-    }
-}
-
 /// An undirected graph of nodes and links.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
-    nodes: Vec<Node>,
     links: Vec<Link>,
     /// adjacency: node -> [(neighbor, link)]
     adj: Vec<Vec<(NodeId, LinkId)>>,
-    by_name: HashMap<String, NodeId>,
     /// Shortest-path searches run so far (see [`Topology::searches`]).
     searches: Cell<u64>,
 }
@@ -98,16 +72,9 @@ impl Topology {
         Topology::default()
     }
 
-    /// Add a node; names must be unique (they key config and output tables).
-    pub fn add_node(&mut self, name: impl Into<String>, kind: NodeKind) -> NodeId {
-        let name = name.into();
-        assert!(
-            !self.by_name.contains_key(&name),
-            "duplicate node name {name:?}"
-        );
-        let id = NodeId(self.nodes.len());
-        self.by_name.insert(name.clone(), id);
-        self.nodes.push(Node { name, kind });
+    /// Add a node.
+    pub fn add_node(&mut self) -> NodeId {
+        let id = NodeId(self.adj.len());
         self.adj.push(Vec::new());
         id
     }
@@ -132,24 +99,17 @@ impl Topology {
         id
     }
 
+    #[doc(hidden)] // tests size their reference searches by it
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.adj.len()
     }
 
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.nodes[id.0].name
-    }
-    pub fn node_kind(&self, id: NodeId) -> NodeKind {
-        self.nodes[id.0].kind
-    }
-    pub fn lookup(&self, name: &str) -> Option<NodeId> {
-        self.by_name.get(name).copied()
-    }
-
+    #[doc(hidden)] // the reference tests sum hop latencies with it
     pub fn link_latency(&self, id: LinkId) -> SimDuration {
         self.links[id.0].latency
     }
 
+    #[doc(hidden)] // the reference tests walk the graph with it
     pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = (NodeId, LinkId)> + '_ {
         self.adj[id.0].iter().copied()
     }
@@ -158,6 +118,7 @@ impl Topology {
     /// of equal latency, the one with the widest bottleneck — so latency and
     /// bottleneck are functions of the graph, not of the search direction.
     /// Returns `None` if unreachable.
+    #[doc(hidden)] // reference implementation the `PathTree` tests compare against
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<PathInfo> {
         // The graph is undirected: search outward from `dst`, stop once
         // `src` is settled, and read the hops off toward the root.
@@ -169,6 +130,7 @@ impl Topology {
     }
 
     /// One-way latency between two nodes (None if unreachable).
+    #[doc(hidden)] // reference implementation the `PathTree` tests compare against
     pub fn latency(&self, src: NodeId, dst: NodeId) -> Option<SimDuration> {
         self.path(src, dst).map(|p| p.latency)
     }
@@ -199,7 +161,7 @@ impl Topology {
     /// final even across zero-latency links.
     fn search(&self, root: NodeId, stop_at: Option<NodeId>) -> Vec<Label> {
         self.searches.set(self.searches.get() + 1);
-        let mut labels = vec![UNREACHED; self.nodes.len()];
+        let mut labels = vec![UNREACHED; self.adj.len()];
         labels[root.0] = Label {
             dist_ns: 0,
             bottleneck_bps: u64::MAX,
@@ -243,7 +205,9 @@ pub struct PathTree {
 }
 
 impl PathTree {
-    /// The destination every path in this tree leads to.
+    /// The destination every path in this tree leads to (tests check which
+    /// host a tree serves).
+    #[doc(hidden)]
     pub fn root(&self) -> NodeId {
         self.root
     }
@@ -263,6 +227,7 @@ impl PathTree {
     }
 
     /// The full path `src` → root, hops included (allocates the hop list).
+    #[doc(hidden)] // the hop list the reference tests compare
     pub fn path(&self, src: NodeId) -> Option<PathInfo> {
         let label = self.label(src)?;
         let mut hops = vec![src];
@@ -292,9 +257,9 @@ mod tests {
     /// a --1ms-- b --2ms-- c, plus a --10ms-- c direct (slower).
     fn triangle() -> (Topology, NodeId, NodeId, NodeId) {
         let mut t = Topology::new();
-        let a = t.add_node("a", NodeKind::Host);
-        let b = t.add_node("b", NodeKind::Switch);
-        let c = t.add_node("c", NodeKind::Host);
+        let a = t.add_node();
+        let b = t.add_node();
+        let c = t.add_node();
         t.add_link(a, b, ms(1), GBPS);
         t.add_link(b, c, ms(2), GBPS / 10);
         t.add_link(a, c, ms(10), GBPS);
@@ -308,7 +273,6 @@ mod tests {
         assert_eq!(p.latency, ms(3));
         assert_eq!(p.hops.len(), 3);
         assert_eq!(p.bottleneck_bps, GBPS / 10);
-        assert_eq!(p.rtt(), ms(6));
     }
 
     #[test]
@@ -322,35 +286,17 @@ mod tests {
     #[test]
     fn unreachable_is_none() {
         let mut t = Topology::new();
-        let a = t.add_node("a", NodeKind::Host);
-        let b = t.add_node("b", NodeKind::Host);
+        let a = t.add_node();
+        let b = t.add_node();
         assert!(t.path(a, b).is_none());
         assert!(t.latency(a, b).is_none());
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        let (t, a, b, _c) = triangle();
-        assert_eq!(t.lookup("a"), Some(a));
-        assert_eq!(t.lookup("b"), Some(b));
-        assert_eq!(t.lookup("zzz"), None);
-        assert_eq!(t.node_name(a), "a");
-        assert_eq!(t.node_kind(b), NodeKind::Switch);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate node name")]
-    fn duplicate_name_panics() {
-        let mut t = Topology::new();
-        t.add_node("x", NodeKind::Host);
-        t.add_node("x", NodeKind::Host);
     }
 
     #[test]
     #[should_panic(expected = "self-loop")]
     fn self_loop_panics() {
         let mut t = Topology::new();
-        let a = t.add_node("a", NodeKind::Host);
+        let a = t.add_node();
         t.add_link(a, a, ms(1), GBPS);
     }
 
@@ -358,12 +304,12 @@ mod tests {
     fn star_topology_paths() {
         // 20 clients around one switch, like the evaluation topology.
         let mut t = Topology::new();
-        let sw = t.add_node("ovs", NodeKind::Switch);
-        let egs = t.add_node("egs", NodeKind::Host);
+        let sw = t.add_node();
+        let egs = t.add_node();
         t.add_link(sw, egs, SimDuration::from_micros(100), 10 * GBPS);
         let clients: Vec<NodeId> = (0..20)
-            .map(|i| {
-                let c = t.add_node(format!("pi{i}"), NodeKind::Host);
+            .map(|_| {
+                let c = t.add_node();
                 t.add_link(c, sw, SimDuration::from_micros(200), GBPS);
                 c
             })
@@ -401,8 +347,8 @@ mod tests {
     #[test]
     fn tree_reports_unreachable_sources() {
         let mut t = Topology::new();
-        let a = t.add_node("a", NodeKind::Host);
-        let b = t.add_node("b", NodeKind::Host);
+        let a = t.add_node();
+        let b = t.add_node();
         let tree = t.tree_to(a);
         assert_eq!(tree.latency(a), Some(SimDuration::ZERO));
         assert!(tree.latency(b).is_none());
@@ -414,10 +360,10 @@ mod tests {
     fn equal_latency_ties_take_the_wider_path() {
         // a → d over b (1 Gbps) or over c (10 Gbps), 2 ms either way.
         let mut t = Topology::new();
-        let a = t.add_node("a", NodeKind::Host);
-        let b = t.add_node("b", NodeKind::Switch);
-        let c = t.add_node("c", NodeKind::Switch);
-        let d = t.add_node("d", NodeKind::Host);
+        let a = t.add_node();
+        let b = t.add_node();
+        let c = t.add_node();
+        let d = t.add_node();
         t.add_link(a, b, ms(1), GBPS);
         t.add_link(b, d, ms(1), GBPS);
         t.add_link(a, c, ms(1), 10 * GBPS);

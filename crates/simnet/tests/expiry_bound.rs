@@ -63,8 +63,7 @@ fn a_million_hits_leave_one_record_per_flow() {
     assert_eq!(table.expiry_records(), FLOWS);
     // … and the sweep that evicts them pops those records and no other:
     // as many records as entries before it, none of either after.
-    let evicted = table.expire(now + IDLE);
-    assert_eq!(evicted.len(), FLOWS);
+    table.expire_discard(now + IDLE);
     assert!(table.is_empty());
     assert_eq!(table.expiry_records(), 0);
     assert_eq!(table.next_expiry(), None);
@@ -85,12 +84,15 @@ fn removed_entries_leave_no_record_behind() {
     assert_eq!(table.len(), FLOWS);
     assert_eq!(table.expiry_records(), FLOWS);
 
-    // Strict delete and cookie delete.
-    let by_matcher = table.delete_matching(at(20_000), &spec(100).matcher).len();
+    // Strict deletes: one flow, then the forty of one service.
+    let by_matcher = table.delete_matching(&spec(100).matcher).len();
     assert_eq!(by_matcher, 1);
-    let by_cookie = table.delete_by_cookie(at(20_000), 7).len();
-    assert_eq!(by_cookie, FLOWS / 42);
-    let live = FLOWS - by_matcher - by_cookie;
+    let by_service: usize = (7..FLOWS)
+        .step_by(42)
+        .map(|i| table.delete_matching(&spec(i).matcher).len())
+        .sum();
+    assert_eq!(by_service, FLOWS / 42);
+    let live = FLOWS - by_matcher - by_service;
     assert_eq!(table.len(), live);
     assert_eq!(table.expiry_records(), live);
 
@@ -137,15 +139,19 @@ fn hard_timeouts_hold_one_record_per_timeout() {
     }
     assert_eq!(table.expiry_records(), records);
 
-    // Replacement, strict delete and cookie delete, all long before any
-    // deadline: each removed entry takes every record it had.
+    // Replacement and strict deletes, all long before any deadline: each
+    // removed entry takes every record it had.
     for i in 0..10 {
         table.install(at(20_000), hard_spec(i));
     }
     assert_eq!(table.expiry_records(), records);
-    let deleted = [100, 101].map(|i| table.delete_matching(at(20_000), &hard_spec(i).matcher));
+    let deleted = [100, 101].map(|i| table.delete_matching(&hard_spec(i).matcher));
     assert!(deleted.iter().all(|d| d.len() == 1));
-    assert_eq!(table.delete_by_cookie(at(20_000), 8).len(), FLOWS / 42);
+    let by_service: usize = (8..FLOWS)
+        .step_by(42)
+        .map(|i| table.delete_matching(&hard_spec(i).matcher).len())
+        .sum();
+    assert_eq!(by_service, FLOWS / 42);
     let live: Vec<usize> = (0..FLOWS)
         .filter(|&i| i != 100 && i != 101 && i % 42 != 8)
         .collect();
@@ -156,8 +162,7 @@ fn hard_timeouts_hold_one_record_per_timeout() {
     );
 
     // The last hard deadline evicts every survivor, idle or not.
-    let evicted = table.expire(at(20_000) + HARD);
-    assert_eq!(evicted.len(), live.len());
+    table.expire_discard(at(20_000) + HARD);
     assert!(table.is_empty());
     assert_eq!(table.expiry_records(), 0);
     assert_eq!(table.next_expiry(), None);

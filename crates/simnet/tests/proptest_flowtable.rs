@@ -2,8 +2,8 @@
 //! arbitrary operation sequences mixing exact, wildcard and masked (`IpNet`)
 //! entries, the hash-indexed implementation must behave exactly like a naive
 //! linear scan over a priority-ordered list — identical match results,
-//! identical eviction order, identical `FlowRemoved` reasons, identical
-//! `next_expiry` schedule — also when a packet is stamped with an instant
+//! identical survivors of every eviction sweep (`expire_discard`, the one
+//! expiry path the switch runs), identical `next_expiry` schedule — also when a packet is stamped with an instant
 //! before the previous touch, as a PDES shard re-stamping its input does.
 //! Timeouts are drawn so both expiry schedules see traffic: idle-only entries
 //! share three idle timeouts (touch-ordered lists of several members), and
@@ -12,8 +12,8 @@
 //! The table stores entries as packed records and hands out views, so every
 //! view is compared with the model field by field after every op: `get` of
 //! every id the model holds (and of one it dropped), `find` of every packet
-//! in the universe, the whole of `iter_ordered`, each `FlowRemoved.entry`,
-//! and the actions a `lookup` hit hands back. Action lists run from 0 to 6
+//! in the universe, the whole of `iter_ordered`, each entry a strict delete
+//! removes, and the actions a `lookup` hit hands back. Action lists run from 0 to 6
 //! actions, some with an output port past 32 bits, so records whose actions
 //! pack and records whose actions spill to the side table mix; a matcher is
 //! often installed at two or three priorities in one op, so same-matcher
@@ -22,8 +22,7 @@
 use proptest::prelude::*;
 use simcore::{SimDuration, SimTime};
 use simnet::openflow::{
-    Action, ActionList, FlowEntry, FlowId, FlowMatch, FlowRemoved, FlowSpec, FlowTable, IpNet,
-    PortId, RemovalReason,
+    Action, ActionList, FlowEntry, FlowId, FlowMatch, FlowSpec, FlowTable, IpNet, PortId,
 };
 use simnet::{IpAddr, Packet, SocketAddr};
 
@@ -116,9 +115,6 @@ enum Op {
     DeleteMatching {
         matcher: FlowMatch,
     },
-    DeleteByCookie {
-        cookie: u64,
-    },
 }
 
 /// `(idle_ms, hard_ms)` of an install.
@@ -153,7 +149,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         }),
         1 => (0u64..3000).prop_map(|advance_ms| Op::Expire { advance_ms }),
         1 => matcher_strategy().prop_map(|matcher| Op::DeleteMatching { matcher }),
-        1 => (0u64..3).prop_map(|cookie| Op::DeleteByCookie { cookie }),
     ]
 }
 
@@ -262,44 +257,16 @@ impl Model {
             .map(ModelEntry::view)
     }
 
-    fn expire(&mut self, now: SimTime) -> Vec<(FlowEntry, RemovalReason)> {
-        let mut removed = Vec::new();
-        self.entries.retain(|e| {
-            if e.deadline().is_some_and(|d| d <= now) {
-                // Hard timeouts are reported in preference to idle ones.
-                let hard_elapsed = e.hard.is_some_and(|h| now.since(e.installed) >= h);
-                let reason = if hard_elapsed {
-                    RemovalReason::HardTimeout
-                } else {
-                    RemovalReason::IdleTimeout
-                };
-                removed.push((e.view(), reason));
-                false
-            } else {
-                true
-            }
-        });
-        removed
+    fn expire(&mut self, now: SimTime) {
+        self.entries
+            .retain(|e| e.deadline().is_none_or(|d| d > now));
     }
 
-    fn delete_matching(&mut self, matcher: &FlowMatch) -> Vec<(FlowEntry, RemovalReason)> {
+    fn delete_matching(&mut self, matcher: &FlowMatch) -> Vec<FlowEntry> {
         let mut removed = Vec::new();
         self.entries.retain(|e| {
             if &e.matcher == matcher {
-                removed.push((e.view(), RemovalReason::Deleted));
-                false
-            } else {
-                true
-            }
-        });
-        removed
-    }
-
-    fn delete_by_cookie(&mut self, cookie: u64) -> Vec<(FlowEntry, RemovalReason)> {
-        let mut removed = Vec::new();
-        self.entries.retain(|e| {
-            if e.cookie == cookie {
-                removed.push((e.view(), RemovalReason::Deleted));
+                removed.push(e.view());
                 false
             } else {
                 true
@@ -313,9 +280,23 @@ impl Model {
     }
 }
 
-/// The notifications as the model reports them: entry + reason, in order.
-fn removals(removed: Vec<FlowRemoved>) -> Vec<(FlowEntry, RemovalReason)> {
-    removed.into_iter().map(|r| (r.entry, r.reason)).collect()
+/// Sweep both at `now`, then compare what survives and the next deadline.
+fn sweep(table: &mut FlowTable, model: &mut Model, now: SimTime) -> Result<(), TestCaseError> {
+    table.expire_discard(now);
+    model.expire(now);
+    let want: Vec<FlowEntry> = model.entries.iter().map(ModelEntry::view).collect();
+    prop_assert_eq!(
+        table.iter_ordered().collect::<Vec<_>>(),
+        want,
+        "survivors at {}",
+        now
+    );
+    prop_assert_eq!(
+        table.next_expiry(),
+        model.next_expiry(),
+        "next_expiry after the sweep"
+    );
+    Ok(())
 }
 
 /// Every view the table hands out equals the model's, field by field.
@@ -360,12 +341,14 @@ proptest! {
                     for priority in priorities {
                         let got = table.install(
                             now,
-                            FlowSpec::new(matcher)
-                                .priority(priority)
-                                .actions(actions.as_slice())
-                                .idle_opt(idle)
-                                .hard_opt(hard)
-                                .cookie(cookie),
+                            FlowSpec {
+                                idle_timeout: idle,
+                                hard_timeout: hard,
+                                ..FlowSpec::new(matcher)
+                                    .priority(priority)
+                                    .actions(actions.as_slice())
+                                    .cookie(cookie)
+                            },
                         );
                         let want = model.install(now, matcher, priority, &actions, idle, hard, cookie);
                         prop_assert_eq!(got.0, want, "install ids diverged");
@@ -374,8 +357,7 @@ proptest! {
                 Op::Packet { client, dst, advance_ms } => {
                     now += SimDuration::from_millis(advance_ms);
                     // Expire first in both: the testbed sweeps before receive.
-                    let evicted = removals(table.expire(now));
-                    prop_assert_eq!(evicted, model.expire(now), "pre-lookup eviction");
+                    sweep(&mut table, &mut model, now)?;
                     let p = packet(client, dst);
                     let got = table.lookup(now, &p).map(|hit| (hit.id.0, hit.actions));
                     let want = model.lookup(now, &p);
@@ -390,16 +372,11 @@ proptest! {
                 }
                 Op::Expire { advance_ms } => {
                     now += SimDuration::from_millis(advance_ms);
-                    let evicted = removals(table.expire(now));
-                    prop_assert_eq!(evicted, model.expire(now), "eviction at {}", now);
+                    sweep(&mut table, &mut model, now)?;
                 }
                 Op::DeleteMatching { matcher } => {
-                    let got = removals(table.delete_matching(now, &matcher));
+                    let got = table.delete_matching(&matcher);
                     prop_assert_eq!(got, model.delete_matching(&matcher), "strict delete");
-                }
-                Op::DeleteByCookie { cookie } => {
-                    let got = removals(table.delete_by_cookie(now, cookie));
-                    prop_assert_eq!(got, model.delete_by_cookie(cookie), "cookie delete");
                 }
             }
             prop_assert_eq!(table.len(), model.entries.len(), "table size");
@@ -429,8 +406,9 @@ proptest! {
             );
         }
         let at = table.next_expiry().expect("entries have timeouts");
-        prop_assert!(table.expire(at - SimDuration::from_nanos(1)).is_empty(),
-            "nothing may expire before next_expiry");
-        prop_assert!(!table.expire(at).is_empty(), "something must expire at next_expiry");
+        table.expire_discard(at - SimDuration::from_nanos(1));
+        prop_assert_eq!(table.len(), idles.len(), "nothing may expire before next_expiry");
+        table.expire_discard(at);
+        prop_assert!(table.len() < idles.len(), "something must expire at next_expiry");
     }
 }

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use simcore::SimDuration;
-use simnet::topology::{NodeKind, Topology};
+use simnet::topology::Topology;
 use simnet::NodeId;
 
 /// A random graph: n nodes, a spanning chain (for connectivity on a subset)
@@ -19,9 +19,7 @@ fn graph_strategy() -> impl Strategy<Value = (usize, Vec<(usize, usize, u64)>)> 
 
 fn build(n: usize, edges: &[(usize, usize, u64)]) -> (Topology, Vec<simnet::NodeId>) {
     let mut t = Topology::new();
-    let nodes: Vec<_> = (0..n)
-        .map(|i| t.add_node(format!("n{i}"), NodeKind::Host))
-        .collect();
+    let nodes: Vec<_> = (0..n).map(|_| t.add_node()).collect();
     for &(a, b, w) in edges {
         if a != b {
             t.add_link(
@@ -75,7 +73,7 @@ proptest! {
                 if want[i][j] >= INF {
                     prop_assert!(got.is_none(), "{i}->{j} should be unreachable");
                 } else {
-                    let got = got.expect("reachable").as_micros();
+                    let got = got.expect("reachable").as_nanos() / 1_000;
                     prop_assert_eq!(got, want[i][j], "{}->{}", i, j);
                 }
             }
@@ -97,12 +95,12 @@ proptest! {
                     let hop_lat = topo
                         .neighbors(w[0])
                         .filter(|&(nb, _)| nb == w[1])
-                        .map(|(_, l)| topo.link_latency(l).as_micros())
+                        .map(|(_, l)| topo.link_latency(l).as_nanos() / 1_000)
                         .min();
                     let hop_lat = hop_lat.expect("hops must be adjacent");
                     sum += hop_lat;
                 }
-                prop_assert_eq!(sum, path.latency.as_micros());
+                prop_assert_eq!(sum, path.latency.as_nanos() / 1_000);
             }
         }
     }
@@ -146,9 +144,7 @@ fn connected_graph_strategy() -> impl Strategy<Value = (usize, Vec<Edge>)> {
 
 fn build_edges(n: usize, edges: &[Edge]) -> (Topology, Vec<NodeId>) {
     let mut t = Topology::new();
-    let nodes: Vec<_> = (0..n)
-        .map(|i| t.add_node(format!("n{i}"), NodeKind::Host))
-        .collect();
+    let nodes: Vec<_> = (0..n).map(|_| t.add_node()).collect();
     for &(a, b, w, bw) in edges {
         t.add_link(nodes[a], nodes[b], SimDuration::from_micros(w), bw);
     }
@@ -199,7 +195,7 @@ fn trees_agree_with_paths(
             let want = topo.path(nodes[i], nodes[j]).expect("connected");
             let got = tree.path(nodes[i]).ok_or(format!("{i}->{j} unreachable"))?;
             let (widest, shortest_paths) = widest_and_count(i, j, edges, &dist);
-            if got.latency != want.latency || got.latency.as_micros() != dist[i][j] {
+            if got.latency != want.latency || got.latency.as_nanos() / 1_000 != dist[i][j] {
                 return Err(format!("{i}->{j} latency {:?}", got.latency));
             }
             if got.bottleneck_bps != want.bottleneck_bps || got.bottleneck_bps != widest {

@@ -13,7 +13,7 @@
 //! names; the testbed and the mesh are the one-switch case. What differs between the engines is an
 //! [`Engine`]: which switch a trace request enters at (if at this shard),
 //! what a released request becomes — served, or handed over a trunk
-//! ([`IngressShard::forward`]) — and the events only that engine has.
+//! (`IngressShard::forward`) — and the events only that engine has.
 //!
 //! **Per-request state lives only while a SYN is buffered.** The shard reads
 //! its SYNs from the time-sorted trace through a cursor and a small reorder
@@ -311,7 +311,7 @@ impl<X, A: Access> IngressShard<X, A> {
     /// Hand a released request over a trunk: its packet reaches `switch`'s
     /// table at `at`. The request keeps its trace position and `syn_at`,
     /// and its `hops` grows by one.
-    pub fn forward(&mut self, at: SimTime, switch: SwitchId, mut request: Released) {
+    pub(crate) fn forward(&mut self, at: SimTime, switch: SwitchId, mut request: Released) {
         request.switch = switch;
         request.hops += 1;
         self.push(at, Ev::Transit(request));
@@ -395,7 +395,7 @@ impl<X, A: Access> IngressShard<X, A> {
 
     /// Account the request at trace position `idx` as lost (a request
     /// neither released nor in this ledger was blackholed).
-    pub fn lose(&mut self, idx: usize) {
+    pub(crate) fn lose(&mut self, idx: usize) {
         self.lost += 1;
         self.lost_idx.push(idx as u32);
     }
@@ -425,7 +425,7 @@ impl<X, A: Access> IngressShard<X, A> {
     }
 
     /// High-water mark of the future-event list.
-    pub fn peak_queue_depth(&self) -> usize {
+    pub(crate) fn peak_queue_depth(&self) -> usize {
         self.events.peak_len()
     }
 
@@ -441,7 +441,7 @@ impl<X, A: Access> IngressShard<X, A> {
 
     /// High-water mark of the in-flight slab: the most requests buffered at
     /// the switches at once.
-    pub fn peak_in_flight(&self) -> usize {
+    pub(crate) fn peak_in_flight(&self) -> usize {
         self.lanes.len()
     }
 
@@ -704,7 +704,7 @@ impl<X, A: Access> IngressShard<X, A> {
                 self.lose_buffered(tag);
             }
             ControllerOutput::FlowDelete { matcher, .. } => {
-                switch.table.delete_matching(now, &matcher);
+                switch.table.delete_matching(&matcher);
             }
         }
     }

@@ -34,11 +34,11 @@ pub mod sim;
 pub mod topology;
 
 pub use config::scenario_from_yaml;
-pub use edgectl::{SchedulerRegistry, SchedulerSpec};
+pub use edgectl::SchedulerSpec;
 pub use fabric::{run_mobility, FabricConfig, FabricResult};
 pub use scenario::{MeshParams, PhaseSetup, PredictorKind, ScenarioConfig};
 pub use sim::{
     generate_workload, measure_first_request, run_bigflows, run_bigflows_audited,
-    run_trace_scenario, AllocProfile, AuditReport, RunResult, Testbed,
+    run_trace_scenario, AllocProfile, RunResult, Testbed,
 };
-pub use topology::{C3Topology, SiteSpec, CLOUD_PORT, DOCKER_PORT, K8S_PORT};
+pub use topology::{C3Topology, SiteSpec, CLOUD_PORT};

@@ -93,7 +93,7 @@ pub struct ScenarioConfig {
     pub sites: Vec<(SiteSpec, ClusterKind)>,
     /// Which Global Scheduler policy drives the run, by registry name (see
     /// [`edgectl::SchedulerRegistry`]). Unknown names fail at build time with
-    /// the registry's typed [`edgectl::UnknownPolicy`] error.
+    /// the registry's typed [`edgectl::policy::UnknownPolicy`] error.
     pub scheduler: SchedulerSpec,
     /// Pull from the private LAN registry instead of Docker Hub / GCR.
     pub private_registry: bool,

@@ -8,19 +8,13 @@
 use cluster::SiteCapacity;
 use simcore::SimDuration;
 use simnet::openflow::PortId;
-use simnet::topology::{NodeId, NodeKind, PathTree, Topology};
+use simnet::topology::{NodeId, PathTree, Topology};
 use simnet::IpAddr;
 
 use crate::ingress::Access;
 
 /// Switch port toward the cloud/WAN.
 pub const CLOUD_PORT: PortId = PortId(0);
-/// Switch port toward the EGS host for the Docker backend, in the standard
-/// two-site layout built by [`C3Topology::build`].
-pub const DOCKER_PORT: PortId = PortId(1);
-/// Switch port toward the EGS host for the Kubernetes backend, in the
-/// standard two-site layout.
-pub const K8S_PORT: PortId = PortId(2);
 
 const GBPS: u64 = 1_000_000_000;
 
@@ -98,6 +92,7 @@ impl SiteSpec {
     }
 
     /// Advertise placement labels on this site.
+    #[doc(hidden)] // tests give sites affinity labels with it
     pub fn with_labels(mut self, labels: impl IntoIterator<Item = impl Into<String>>) -> SiteSpec {
         self.labels = labels.into_iter().map(Into::into).collect();
         self
@@ -128,27 +123,20 @@ pub struct C3Topology {
 }
 
 impl C3Topology {
-    /// The standard evaluation network (paper Fig. 8): both backends on the
-    /// EGS, `n_clients` Raspberry Pis. Site 0 answers on [`DOCKER_PORT`],
-    /// site 1 on [`K8S_PORT`].
-    pub fn build(n_clients: usize) -> C3Topology {
-        C3Topology::build_sites(&[SiteSpec::egs("egs-a"), SiteSpec::egs("egs-b")], n_clients)
-    }
-
     /// Build a network with an arbitrary list of edge sites (hierarchical
     /// continuum scenarios).
     pub fn build_sites(sites: &[SiteSpec], n_clients: usize) -> C3Topology {
         assert!(!sites.is_empty(), "at least one edge site");
         let mut net = Topology::new();
-        let switch = net.add_node("ovs", NodeKind::Switch);
-        let cloud = net.add_node("cloud", NodeKind::Cloud);
+        let switch = net.add_node();
+        let cloud = net.add_node();
         // WAN to the cloud: tens of ms.
         net.add_link(switch, cloud, SimDuration::from_millis(25), GBPS);
 
         let mut site_hosts = Vec::with_capacity(sites.len());
         let mut site_ips = Vec::with_capacity(sites.len());
         for (i, site) in sites.iter().enumerate() {
-            let node = net.add_node(site.name.clone(), NodeKind::Host);
+            let node = net.add_node();
             net.add_link(switch, node, site.latency, site.bandwidth_bps);
             site_hosts.push(node);
             site_ips.push(IpAddr::new(10, 0, i as u8, 100));
@@ -157,7 +145,7 @@ impl C3Topology {
         let mut clients = Vec::with_capacity(n_clients);
         let mut client_ips = Vec::with_capacity(n_clients);
         for i in 0..n_clients {
-            let node = net.add_node(format!("pi{i:02}"), NodeKind::Host);
+            let node = net.add_node();
             net.add_link(node, switch, SimDuration::from_micros(200), GBPS);
             clients.push(node);
             // 250 clients per /24 so city-scale client counts stay unique
@@ -190,7 +178,7 @@ impl C3Topology {
     }
 
     /// First client port; client `i` sits on `client_port_base() + i`.
-    pub fn client_port_base(&self) -> usize {
+    pub(crate) fn client_port_base(&self) -> usize {
         1 + self.site_hosts.len()
     }
 
@@ -200,7 +188,7 @@ impl C3Topology {
     }
 
     /// The site a switch port leads to, if it is a site port.
-    pub fn site_of_port(&self, port: PortId) -> Option<usize> {
+    pub(crate) fn site_of_port(&self, port: PortId) -> Option<usize> {
         (port != CLOUD_PORT && port.0 <= self.site_hosts.len()).then(|| port.0 - 1)
     }
 
@@ -224,6 +212,7 @@ impl C3Topology {
     }
 
     /// One-way latency switch → cloud.
+    #[doc(hidden)] // tests hold the tree latencies to it
     pub fn switch_cloud_latency(&self) -> SimDuration {
         self.switch_tree
             .latency(self.cloud)
@@ -261,7 +250,7 @@ mod tests {
 
     #[test]
     fn builds_paper_shape() {
-        let c3 = C3Topology::build(20);
+        let c3 = C3Topology::build_sites(&[SiteSpec::egs("egs-a"), SiteSpec::egs("egs-b")], 20);
         assert_eq!(c3.clients.len(), 20);
         assert_eq!(c3.client_ips.len(), 20);
         assert_eq!(c3.site_hosts.len(), 2);
@@ -277,14 +266,14 @@ mod tests {
         }
         // cloud is an order of magnitude farther
         assert!(c3.switch_cloud_latency() > c3.switch_site_latency(0) * 100);
-        // standard port constants hold in this layout
-        assert_eq!(c3.site_port(0), DOCKER_PORT);
-        assert_eq!(c3.site_port(1), K8S_PORT);
+        // the sites answer on the ports after the cloud's
+        assert_eq!(c3.site_port(0), PortId(1));
+        assert_eq!(c3.site_port(1), PortId(2));
     }
 
     #[test]
     fn client_ports_distinct_and_after_sites() {
-        let c3 = C3Topology::build(5);
+        let c3 = C3Topology::build_sites(&[SiteSpec::egs("egs-a"), SiteSpec::egs("egs-b")], 5);
         let mut ports: Vec<usize> = (0..5).map(|i| c3.client_port(i).0).collect();
         ports.dedup();
         assert_eq!(ports.len(), 5);

@@ -1,23 +1,23 @@
 //! Pluggable arrival processes — the workload engine's core abstraction.
 //!
-//! An [`ArrivalModel`] decides *when* each service's requests arrive and
-//! *which client* issues each one; the [`crate::mix::ServiceMix`] decides how
+//! An `ArrivalModel` decides *when* each service's requests arrive and
+//! *which client* issues each one; the `crate::mix::ServiceMix` decides how
 //! many requests each service gets. The split means every model stresses the
 //! same service population, so runs across models differ only in temporal
 //! shape:
 //!
-//! * [`Bigflows`] — the paper's replay shape: front-loaded first-seen offsets
+//! * `Bigflows` — the paper's replay shape: front-loaded first-seen offsets
 //!   plus uniform order statistics. Byte-identical to the historical
 //!   `Trace::generate`, so it is the default model and keeps every pinned
 //!   hash.
-//! * [`Poisson`] — homogeneous Poisson (uniform order statistics over the
+//! * `Poisson` — homogeneous Poisson (uniform order statistics over the
 //!   whole window, no front-loading): the stationary baseline.
-//! * [`Mmpp`] — a two-state Markov-modulated Poisson process: each service
+//! * `Mmpp` — a two-state Markov-modulated Poisson process: each service
 //!   alternates ON/OFF phases (random phase offset) and arrives
 //!   `burst_ratio`× faster while ON. Bursty but stationary in the mean.
-//! * [`Diurnal`] — a sinusoidal rate curve over the window (a compressed
+//! * `Diurnal` — a sinusoidal rate curve over the window (a compressed
 //!   day): arrivals concentrate around the configured peak.
-//! * [`FlashCrowd`] — thousands of clients slam one cold service inside a
+//! * `FlashCrowd` — thousands of clients slam one cold service inside a
 //!   short window: the on-demand deployment race the paper motivates, and
 //!   the lease-contention stressor for the controller mesh.
 //!
@@ -32,10 +32,7 @@ use crate::spec::WorkloadConfig;
 
 /// A named arrival process. Implementations must be deterministic in the
 /// provided RNG: no ambient state, no iteration-order dependence.
-pub trait ArrivalModel {
-    /// The registry name this model was created under.
-    fn name(&self) -> &'static str;
-
+pub(crate) trait ArrivalModel {
     /// Redistribute the mix's per-service request counts before placement.
     /// The default keeps the popularity law untouched; [`FlashCrowd`]
     /// concentrates mass on the spike target. Implementations must preserve
@@ -68,13 +65,9 @@ fn push(out: &mut Vec<TraceRequest>, at_s: f64, svc: usize, client: usize) {
 /// one first-seen offset, then per request an arrival time and a client —
 /// must stay byte-identical to the historical `Trace::generate` loop: the
 /// pinned seed-42 metrics hash replays through it.
-pub struct Bigflows;
+pub(crate) struct Bigflows;
 
 impl ArrivalModel for Bigflows {
-    fn name(&self) -> &'static str {
-        "bigflows"
-    }
-
     fn generate_service(
         &self,
         svc: usize,
@@ -98,13 +91,9 @@ impl ArrivalModel for Bigflows {
 }
 
 /// Homogeneous Poisson: uniform order statistics over the full window.
-pub struct Poisson;
+pub(crate) struct Poisson;
 
 impl ArrivalModel for Poisson {
-    fn name(&self) -> &'static str {
-        "poisson"
-    }
-
     fn generate_service(
         &self,
         svc: usize,
@@ -124,7 +113,7 @@ impl ArrivalModel for Poisson {
 /// `burst_ratio`) and OFF (`burst_off` long, rate 1) phases; each service
 /// gets a random phase offset so bursts decorrelate across services.
 /// Arrivals are placed by inverting the piecewise-linear cumulative rate.
-pub struct Mmpp {
+pub(crate) struct Mmpp {
     pub burst_on_s: f64,
     pub burst_off_s: f64,
     pub burst_ratio: f64,
@@ -183,10 +172,6 @@ impl Mmpp {
 }
 
 impl ArrivalModel for Mmpp {
-    fn name(&self) -> &'static str {
-        "mmpp"
-    }
-
     fn generate_service(
         &self,
         svc: usize,
@@ -211,7 +196,7 @@ impl ArrivalModel for Mmpp {
 /// the window). Inverted through a fixed cumulative grid — deterministic,
 /// no transcendental-accumulation drift across platforms beyond the libm
 /// guarantees the rest of the sim already relies on.
-pub struct Diurnal {
+pub(crate) struct Diurnal {
     /// Peak position as a fraction of the window, in `[0, 1)`.
     pub peak: f64,
     /// Rate swing around the mean, in `[0, 1)`. 0 degenerates to Poisson.
@@ -224,10 +209,6 @@ pub struct Diurnal {
 const DIURNAL_BINS: usize = 4096;
 
 impl ArrivalModel for Diurnal {
-    fn name(&self) -> &'static str {
-        "diurnal"
-    }
-
     fn generate_service(
         &self,
         svc: usize,
@@ -274,20 +255,16 @@ impl ArrivalModel for Diurnal {
 /// service inside `[spike_at, spike_at + spike_window)` — the target stays
 /// cold until the spike, then thousands of clients hit it at once. The
 /// remaining services run Poisson background traffic.
-pub struct FlashCrowd {
+pub(crate) struct FlashCrowd {
     pub spike_at_s: f64,
     pub spike_window_s: f64,
     pub spike_fraction: f64,
 }
 
 /// The flash crowd always targets the popularity-rank-0 service.
-pub const FLASH_CROWD_TARGET: usize = 0;
+pub(crate) const FLASH_CROWD_TARGET: usize = 0;
 
 impl ArrivalModel for FlashCrowd {
-    fn name(&self) -> &'static str {
-        "flash-crowd"
-    }
-
     /// Drain background services down to (at most) the mix floor until the
     /// spike target holds `spike_fraction` of the total. Deterministic — no
     /// RNG: the donors are visited in descending-popularity order so the
@@ -524,10 +501,10 @@ mod tests {
                 spike_fraction: 0.5,
             }),
         ];
-        for model in &models {
+        for (i, model) in models.iter().enumerate() {
             let a = gen(model.as_ref(), &cfg, 11);
             let b = gen(model.as_ref(), &cfg, 11);
-            assert_eq!(a, b, "{} not deterministic", model.name());
+            assert_eq!(a, b, "model {i} not deterministic");
         }
     }
 

@@ -208,20 +208,6 @@ impl Trace {
         })
     }
 
-    /// Serialize to the CSV format [`Trace::from_csv`] reads.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("time_s,service,client\n");
-        for r in &self.requests {
-            out.push_str(&format!(
-                "{:.6},{},{}\n",
-                r.at.as_secs_f64(),
-                r.service,
-                r.client
-            ));
-        }
-        out
-    }
-
     /// Count of requests per service.
     pub fn per_service_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.config.services];
@@ -229,18 +215,6 @@ impl Trace {
             counts[r.service] += 1;
         }
         counts
-    }
-
-    /// The instant each service is first requested — when replayed through
-    /// the controller, its deployment time (Fig. 10).
-    pub fn first_request_times(&self) -> Vec<SimTime> {
-        let mut first = vec![SimTime::FAR_FUTURE; self.config.services];
-        for r in &self.requests {
-            if r.at < first[r.service] {
-                first[r.service] = r.at;
-            }
-        }
-        first
     }
 }
 
@@ -292,7 +266,10 @@ mod tests {
     fn deployments_front_loaded() {
         // Fig. 10: most services appear early; a burst in the first seconds.
         let t = trace(4);
-        let first = t.first_request_times();
+        let mut first = vec![SimTime::FAR_FUTURE; t.config.services];
+        for r in &t.requests {
+            first[r.service] = first[r.service].min(r.at);
+        }
         let early = first.iter().filter(|t| t.as_secs_f64() < 60.0).count();
         assert!(
             early >= 28,
@@ -393,7 +370,11 @@ mod tests {
     #[test]
     fn csv_roundtrips_generated_trace() {
         let t = Trace::generate(TraceConfig::default(), &mut SimRng::seed_from_u64(4));
-        let csv = t.to_csv();
+        let mut csv = String::from("time_s,service,client\n");
+        for r in &t.requests {
+            let at = r.at.as_secs_f64();
+            csv.push_str(&format!("{at:.6},{},{}\n", r.service, r.client));
+        }
         let back = Trace::from_csv(&csv, t.config.clients).unwrap();
         assert_eq!(back.requests.len(), t.requests.len());
         assert_eq!(back.service_addrs, t.service_addrs);

@@ -1,27 +1,9 @@
 //! timecurl semantics: the paper measures `time_total` — "everything from
 //! when Curl starts establishing a TCP connection until it gets a response
-//! for the HTTP request". This module carries the per-service HTTP exchange
-//! shape and the timing breakdown the testbed records per request.
+//! for the HTTP request". This module carries the timing breakdown the
+//! testbed records per request.
 
 use simcore::{SimDuration, SimTime};
-
-use crate::services::ServiceProfile;
-
-/// The wire shape of one HTTP exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HttpExchange {
-    pub request_bytes: u64,
-    pub response_bytes: u64,
-}
-
-impl HttpExchange {
-    pub fn for_service(profile: &ServiceProfile) -> HttpExchange {
-        HttpExchange {
-            request_bytes: profile.request_bytes,
-            response_bytes: profile.response_bytes,
-        }
-    }
-}
 
 /// One measured request, as timecurl would log it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,6 +97,7 @@ impl Records {
         self.rows.len()
     }
 
+    #[doc(hidden)] // clippy pairs it with `len`
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
@@ -189,15 +172,6 @@ impl Iterator for Iter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::services::ServiceKind;
-
-    #[test]
-    fn exchange_mirrors_profile() {
-        let p = ServiceProfile::of(ServiceKind::ResNet);
-        let e = HttpExchange::for_service(&p);
-        assert_eq!(e.request_bytes, 83 * 1024);
-        assert_eq!(e.response_bytes, p.response_bytes);
-    }
 
     #[test]
     fn time_total_is_difference() {

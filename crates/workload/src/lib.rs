@@ -23,10 +23,8 @@ pub mod mobility;
 pub mod services;
 pub mod spec;
 
-pub use arrival::ArrivalModel;
 pub use bigflows::{Trace, TraceConfig, TraceRequest};
-pub use client::{HttpExchange, Records};
-pub use mix::ServiceMix;
-pub use mobility::{departures, generate_handovers, ingress_at, Handover};
+pub use client::Records;
+pub use mobility::{departures, ingress_at, Handover};
 pub use services::{ServiceKind, ServiceProfile};
-pub use spec::{ModelEntry, UnknownModel, WorkloadConfig, WorkloadRegistry};
+pub use spec::{WorkloadConfig, WorkloadRegistry};

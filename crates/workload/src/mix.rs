@@ -1,35 +1,33 @@
-//! Service-mix model: the popularity law and per-service HTTP exchange
-//! shapes, decoupled from the bigFlows generator so every arrival model
-//! ([`crate::arrival`]) shares one notion of "which services exist and how
-//! much traffic each gets".
+//! Service-mix model: the popularity law, decoupled from the bigFlows
+//! generator so every arrival model ([`crate::arrival`]) shares one notion
+//! of "which services exist and how much traffic each gets".
 //!
 //! The popularity allocation is byte-for-byte the historical bigFlows one
 //! (Zipf weights over a per-service floor, exact total), so the default
 //! workload pipeline reproduces the paper's 42-service / 1708-request
 //! marginals and the pinned seed-42 trace hash.
 
-use simcore::{dist::Zipf, SimDuration, SimRng};
+use simcore::{dist::Zipf, SimRng};
 use simnet::{IpAddr, SocketAddr};
 
 use crate::bigflows::TraceConfig;
-use crate::client::HttpExchange;
 
 /// The service population and its traffic split. Plain borrowed view over a
 /// [`TraceConfig`] — the mix is a *law*, the config carries the numbers.
 #[derive(Debug, Clone, Copy)]
-pub struct ServiceMix<'a> {
+pub(crate) struct ServiceMix<'a> {
     pub config: &'a TraceConfig,
 }
 
 impl<'a> ServiceMix<'a> {
-    pub fn new(config: &'a TraceConfig) -> ServiceMix<'a> {
+    pub(crate) fn new(config: &'a TraceConfig) -> ServiceMix<'a> {
         ServiceMix { config }
     }
 
     /// Allocate per-service request counts: Zipf weights with a floor,
     /// exact sum. Identical RNG consumption to the historical bigFlows
     /// `popularity_counts` — the pinned trace hashes depend on it.
-    pub fn counts(&self, rng: &mut SimRng) -> Vec<usize> {
+    pub(crate) fn counts(&self, rng: &mut SimRng) -> Vec<usize> {
         let c = self.config;
         let zipf = Zipf::new(c.services, c.zipf_exponent);
         let spare = c.total_requests - c.services * c.min_per_service;
@@ -49,7 +47,7 @@ impl<'a> ServiceMix<'a> {
 
     /// Synthetic public addresses: 93.184.x.y:80 (TEST-NET-ish), one per
     /// service, in popularity-rank order.
-    pub fn service_addrs(&self) -> Vec<SocketAddr> {
+    pub(crate) fn service_addrs(&self) -> Vec<SocketAddr> {
         (0..self.config.services)
             .map(|i| {
                 SocketAddr::new(
@@ -60,55 +58,18 @@ impl<'a> ServiceMix<'a> {
             .collect()
     }
 
-    /// The HTTP exchange shape of service `svc` — what one request/response
-    /// pair of that service weighs on the wire. Deterministic in the service
-    /// index (no RNG): the popularity rank cycles through five archetypes,
-    /// from a bare health-check-sized page to a model-inference upload.
-    pub fn exchange(&self, svc: usize) -> HttpExchange {
-        // Archetypes: (request bytes, response bytes).
-        const SHAPES: [(u64, u64); 5] = [
-            (220, 612),      // static landing page
-            (260, 4_096),    // templated html
-            (310, 16_384),   // JSON API payload
-            (280, 131_072),  // media thumbnail
-            (4_096, 24_576), // inference: fat request, structured reply
-        ];
-        let (request_bytes, response_bytes) = SHAPES[svc % SHAPES.len()];
-        HttpExchange {
-            request_bytes,
-            response_bytes,
-        }
-    }
-
-    /// Total bytes offered by `counts` requests under this mix's exchange
-    /// shapes — the bench's offered-load figure.
-    pub fn offered_bytes(&self, counts: &[usize]) -> u64 {
-        counts
-            .iter()
-            .enumerate()
-            .map(|(svc, &n)| {
-                let e = self.exchange(svc);
-                (e.request_bytes + e.response_bytes) * n as u64
-            })
-            .sum()
-    }
-
     /// The trace window in seconds.
-    pub fn horizon(&self) -> f64 {
+    pub(crate) fn horizon(&self) -> f64 {
         self.config.duration.as_secs_f64()
     }
 
     /// Mean of the front-loaded "service first seen" offset, seconds.
-    pub fn first_seen_mean(&self) -> f64 {
+    pub(crate) fn first_seen_mean(&self) -> f64 {
         self.config.first_seen_mean.as_secs_f64()
     }
 
-    pub fn clients(&self) -> usize {
+    pub(crate) fn clients(&self) -> usize {
         self.config.clients
-    }
-
-    pub fn duration(&self) -> SimDuration {
-        self.config.duration
     }
 }
 
@@ -148,22 +109,5 @@ mod tests {
         addrs.sort_unstable();
         addrs.dedup();
         assert_eq!(addrs.len(), 42);
-    }
-
-    #[test]
-    fn exchange_shapes_deterministic_and_varied() {
-        let c = cfg();
-        let mix = ServiceMix::new(&c);
-        assert_eq!(mix.exchange(0), mix.exchange(0));
-        assert_eq!(mix.exchange(0), mix.exchange(5));
-        assert_ne!(mix.exchange(0), mix.exchange(3));
-        let counts = vec![1; 5];
-        let total: u64 = (0..5)
-            .map(|i| {
-                let e = mix.exchange(i);
-                e.request_bytes + e.response_bytes
-            })
-            .sum();
-        assert_eq!(mix.offered_bytes(&counts), total);
     }
 }

@@ -24,12 +24,12 @@ pub struct Handover {
 
 /// The label of the dedicated mobility RNG stream, derived from the trace
 /// seed root. Kept public so tests can reproduce the schedule.
-pub const MOBILITY_STREAM: &str = "workload-mobility";
+pub(crate) const MOBILITY_STREAM: &str = "workload-mobility";
 
 /// Generate a sorted handover schedule: each client performs
 /// `per_client` expected handovers (the fractional part is a Bernoulli
 /// extra), uniformly placed over the window. Deterministic in `rng`.
-pub fn generate_handovers(
+pub(crate) fn generate_handovers(
     clients: usize,
     duration: SimDuration,
     per_client: f64,

@@ -68,7 +68,7 @@ impl WorkloadConfig {
     ///
     /// RNG discipline: arrival draws consume `rng` directly (byte-identical
     /// to the historical bigFlows path for the default config); the mobility
-    /// schedule runs on the derived [`MOBILITY_STREAM`], which never
+    /// schedule runs on the derived `MOBILITY_STREAM`, which never
     /// advances `rng` — the same seed gives the same requests with mobility
     /// on or off.
     pub fn generate(&self, rng: &mut SimRng) -> Result<Trace, UnknownModel> {
@@ -205,7 +205,10 @@ impl WorkloadRegistry {
     }
 
     /// Build the arrival model `cfg.model` names, configured by `cfg`.
-    pub fn create(&self, cfg: &WorkloadConfig) -> Result<Box<dyn ArrivalModel>, UnknownModel> {
+    pub(crate) fn create(
+        &self,
+        cfg: &WorkloadConfig,
+    ) -> Result<Box<dyn ArrivalModel>, UnknownModel> {
         Ok((self.resolve(&cfg.model)?.factory)(cfg))
     }
 }

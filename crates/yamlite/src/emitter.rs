@@ -222,7 +222,7 @@ mod tests {
     #[test]
     fn empty_collections_flow_form() {
         let mut y = Yaml::map();
-        y.insert("e1", Yaml::seq());
+        y.insert("e1", Yaml::Seq(Vec::new()));
         y.insert("e2", Yaml::map());
         let s = to_string(&y);
         assert_eq!(s, "e1: []\ne2: {}\n");

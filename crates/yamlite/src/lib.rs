@@ -26,7 +26,7 @@ mod parser;
 mod value;
 
 pub use emitter::{to_string, to_string_all};
-pub use parser::{parse, parse_all, ParseError};
+pub use parser::{parse, parse_all};
 pub use value::Yaml;
 
 #[cfg(test)]

@@ -25,11 +25,6 @@ impl Yaml {
         Yaml::Map(Vec::new())
     }
 
-    /// An empty sequence.
-    pub fn seq() -> Yaml {
-        Yaml::Seq(Vec::new())
-    }
-
     pub fn str(s: impl Into<String>) -> Yaml {
         Yaml::Str(s.into())
     }
@@ -119,14 +114,6 @@ impl Yaml {
         }
     }
 
-    /// Append to a sequence. Panics if `self` is not a sequence.
-    pub fn push(&mut self, value: Yaml) {
-        match self {
-            Yaml::Seq(v) => v.push(value),
-            other => panic!("push into non-seq Yaml value: {other:?}"),
-        }
-    }
-
     /// Navigate a dotted path through nested mappings; sequence elements are
     /// addressed with numeric segments: `spec.containers.0.image`.
     pub fn at(&self, path: &str) -> Option<&Yaml> {
@@ -142,6 +129,7 @@ impl Yaml {
     }
 
     /// Mutable [`Yaml::at`].
+    #[doc(hidden)] // tests edit parsed documents with it
     pub fn at_mut(&mut self, path: &str) -> Option<&mut Yaml> {
         let mut cur = self;
         for seg in path.split('.') {
@@ -246,11 +234,9 @@ mod tests {
         root.insert("metadata", meta);
         let mut spec = Yaml::map();
         spec.insert("replicas", Yaml::Int(3));
-        let mut cont = Yaml::seq();
         let mut c0 = Yaml::map();
         c0.insert("image", Yaml::str("nginx:1.23.2"));
-        cont.push(c0);
-        spec.insert("containers", cont);
+        spec.insert("containers", Yaml::Seq(vec![c0]));
         root.insert("spec", spec);
         root
     }
