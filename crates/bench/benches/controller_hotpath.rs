@@ -6,15 +6,18 @@
 //! (`mesh_4x2`) — since all three read backend state through the same
 //! snapshot cache. `controller_packet_in_cold_catalog` is the ready-instance
 //! PacketIn at `city_1000x`'s population, where per-service and per-client
-//! state no longer fits in cache.
+//! state no longer fits in cache. Every PacketIn goes through
+//! `on_packet_in_at_into` with one reused output buffer, as the event loops
+//! drive it.
 
 use cluster::{ClusterBackend, DockerCluster, K8sCluster, K8sTimings, ServiceTemplate};
 use containers::image::synthesize_layers;
 use containers::{CostModel, ImageManifest, Runtime};
 use criterion::{criterion_group, criterion_main, Criterion};
-use edgectl::{ClusterId, Controller, ControllerConfig, FlowKey, FlowMemory, NearestWaiting};
-use edgemesh::shared::share;
-use edgemesh::SharedBackend;
+use edgectl::controller::INGRESS;
+use edgectl::scheduler::NearestWaiting;
+use edgectl::{ClusterId, Controller, ControllerConfig, FlowKey, FlowMemory};
+use edgemesh::shared::{share, SharedBackend};
 use registry::{Registry, RegistryProfile, RegistrySet};
 use simcore::{DurationDist, SimDuration, SimRng, SimTime};
 use simnet::openflow::{BufferId, PortId};
@@ -111,12 +114,14 @@ fn bench_packet_in_ready_instance(c: &mut Criterion) {
             |b| {
                 let (mut ctl, warm) = warm_controller(site);
                 let mut tag = 0u64;
+                let mut out = Vec::new();
                 b.iter(|| {
                     tag += 1;
                     // vary client so the memory fast path isn't hit
                     let client = IpAddr::new(10, 1, ((tag >> 8) & 0xff) as u8, (tag & 0xff) as u8);
                     let p = Packet::syn(SocketAddr::new(client, 40000), service_addr(1), tag);
-                    let out = ctl.on_packet_in(warm, p, BufferId(tag), PortId(5));
+                    out.clear();
+                    ctl.on_packet_in_at_into(warm, INGRESS, p, BufferId(tag), PortId(5), &mut out);
                     std::hint::black_box(out.len())
                 });
             },
@@ -180,13 +185,15 @@ fn bench_packet_in_cold_catalog(c: &mut Criterion) {
         let (mut ctl, warm) = city_controller();
         let mut rng = SimRng::seed_from_u64(7);
         let mut tag = 0u64;
+        let mut out = Vec::new();
         b.iter(|| {
             tag += 1;
             let client = rng.index(CITY_CLIENTS);
             let ip = IpAddr::new(10, 1, (client / 250) as u8, (client % 250 + 1) as u8);
             let service = city_service_addr(rng.index(CITY_SERVICES));
             let p = Packet::syn(SocketAddr::new(ip, 40000), service, tag);
-            let out = ctl.on_packet_in(warm, p, BufferId(tag), PortId(5));
+            out.clear();
+            ctl.on_packet_in_at_into(warm, INGRESS, p, BufferId(tag), PortId(5), &mut out);
             std::hint::black_box(out.len())
         });
     });
@@ -199,16 +206,20 @@ fn bench_packet_in_memory_hit(c: &mut Criterion) {
             let client = IpAddr::new(10, 1, 0, 1);
             // prime the memory
             let p = Packet::syn(SocketAddr::new(client, 40000), service_addr(1), 0);
-            ctl.on_packet_in(warm, p, BufferId(0), PortId(5));
+            let mut out = Vec::new();
+            ctl.on_packet_in_at_into(warm, INGRESS, p, BufferId(0), PortId(5), &mut out);
             let mut tag = 1u64;
             b.iter(|| {
                 tag += 1;
                 let p = Packet::syn(SocketAddr::new(client, 40000), service_addr(1), tag);
-                let out = ctl.on_packet_in(
+                out.clear();
+                ctl.on_packet_in_at_into(
                     warm + SimDuration::from_millis(tag),
+                    INGRESS,
                     p,
                     BufferId(tag),
                     PortId(5),
+                    &mut out,
                 );
                 std::hint::black_box(out.len())
             });

@@ -1,5 +1,5 @@
 //! The controller's wakeup surface as the event loop pays for it: one
-//! `next_wakeup()` (the re-arm after every event) plus one `on_wakeup` with
+//! `next_wakeup()` (the re-arm after every event) plus one `on_wakeup_into` with
 //! nothing due (a superseded wakeup firing), with 10 / 1 000 / 10 000
 //! services scaled to zero awaiting the Remove phase and 1 / 100 / 1 000
 //! deployment machines in flight. Both calls read heads of time-ordered
@@ -9,7 +9,9 @@ use cluster::{DockerCluster, ServiceTemplate};
 use containers::image::synthesize_layers;
 use containers::{CostModel, ImageManifest, Runtime};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use edgectl::{ClusterId, Controller, ControllerConfig, NearestWaiting};
+use edgectl::controller::INGRESS;
+use edgectl::scheduler::NearestWaiting;
+use edgectl::{ClusterId, Controller, ControllerConfig};
 use registry::{Registry, RegistryProfile, RegistrySet};
 use simcore::{DurationDist, SimDuration, SimRng, SimTime};
 use simnet::openflow::{BufferId, PortId};
@@ -45,7 +47,15 @@ fn packet_in(c: &mut Controller, now: SimTime, service: usize) {
         40_000,
     );
     let packet = Packet::syn(client, service_addr(service), service as u64);
-    c.on_packet_in(now, packet, BufferId(service as u64), PortId(5));
+    let mut out = Vec::new();
+    c.on_packet_in_at_into(
+        now,
+        INGRESS,
+        packet,
+        BufferId(service as u64),
+        PortId(5),
+        &mut out,
+    );
 }
 
 /// A controller with `zero` services scaled to zero (each served one flow,
@@ -97,7 +107,7 @@ fn controller(zero: usize, machines: usize) -> (Controller, SimTime) {
     // Let every flow expire: housekeeping scales the instances to zero.
     let idle = warm + SimDuration::from_secs(60);
     while let Some(at) = c.next_wakeup().filter(|&at| at <= idle) {
-        c.on_wakeup(at);
+        c.on_wakeup_into(at, &mut Vec::new());
     }
     assert_eq!(c.stats.scale_downs as usize, zero);
 

@@ -214,11 +214,6 @@ impl DeploymentRequirements {
         DeploymentRequirements::default()
     }
 
-    #[doc(hidden)] // tests check an empty request with it
-    pub fn is_empty(&self) -> bool {
-        self.label_match_all.is_empty() && self.label_match_none.is_empty()
-    }
-
     /// First constraint `labels` fails to satisfy, if any.
     pub fn first_unmet<'a>(&'a self, labels: &[String]) -> Option<&'a str> {
         for want in &self.label_match_all {
@@ -315,7 +310,7 @@ mod tests {
     fn requirements_matching() {
         let labels = vec!["gpu".to_owned(), "zone-a".to_owned()];
         let mut reqs = DeploymentRequirements::none();
-        assert!(reqs.is_empty());
+        assert_eq!(reqs, DeploymentRequirements::default());
         assert!(reqs.satisfied_by(&labels));
         reqs.label_match_all.push("gpu".to_owned());
         assert!(reqs.satisfied_by(&labels));

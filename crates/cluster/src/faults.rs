@@ -16,7 +16,7 @@ use crate::template::ServiceTemplate;
 
 /// Failure probabilities and latency inflation per operation class.
 #[derive(Debug, Clone)]
-#[doc(hidden)] // the fault harness of the dispatcher tests
+#[doc(hidden)] // edgectl's controller and protocol tests inject faults with it
 pub struct FaultPlan {
     /// Probability that a pull fails (registry error).
     pub pull_failure: f64,
@@ -33,7 +33,6 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// No faults (the wrapper becomes a transparent pass-through).
-    #[doc(hidden)] // the fault harness of the dispatcher tests
     pub fn none() -> FaultPlan {
         FaultPlan {
             pull_failure: 0.0,
@@ -45,7 +44,6 @@ impl FaultPlan {
     }
 
     /// A uniformly flaky backend.
-    #[doc(hidden)] // the fault harness of the dispatcher tests
     pub fn flaky(rate: f64) -> FaultPlan {
         FaultPlan {
             pull_failure: rate,
@@ -58,7 +56,7 @@ impl FaultPlan {
 }
 
 /// A backend wrapper injecting faults per a [`FaultPlan`].
-#[doc(hidden)] // the fault harness of the dispatcher tests
+#[doc(hidden)] // edgectl's controller and protocol tests inject faults with it
 pub struct FaultyCluster<B> {
     pub inner: B,
     plan: FaultPlan,
@@ -68,7 +66,6 @@ pub struct FaultyCluster<B> {
 }
 
 impl<B: ClusterBackend> FaultyCluster<B> {
-    #[doc(hidden)] // the fault harness of the dispatcher tests
     pub fn new(inner: B, plan: FaultPlan, rng: SimRng) -> FaultyCluster<B> {
         FaultyCluster {
             inner,

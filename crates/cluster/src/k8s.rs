@@ -609,8 +609,12 @@ mod tests {
         // port opens ~= created + chain + start + 110ms; connectable must be
         // at least a probe period after the container started running
         let pod = &c.services["nginx-svc"].pods[0];
-        let port_open = c.runtime.get(pod.containers[0]).unwrap().ready_at();
-        assert!(connectable > port_open, "endpoints lag readiness");
+        // The port was open strictly before the endpoint turned connectable.
+        let before = connectable - SimDuration::from_nanos(1);
+        assert!(
+            c.runtime.is_port_open(before, pod.containers[0]),
+            "endpoints lag readiness"
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   kubelet sync, sandbox + containers, readiness probes and endpoints
 //!   propagation (~3 s total, Fig. 11),
 //! * [`wasm`] — a serverless WebAssembly runtime (the paper's future work),
-//! * [`faults`] — [`FaultyCluster`], a fault-injecting wrapper around any
+//! * [`faults`] — [`FaultyCluster`](faults::FaultyCluster), a fault-injecting wrapper around any
 //!   backend; it forwards reads and the epoch to the backend it wraps.
 
 pub mod api;
@@ -43,7 +43,6 @@ pub use capacity::{
     CapacityShortfall, DeploymentRequirements, ResourceAllocation, ResourceRequest, SiteCapacity,
 };
 pub use docker::DockerCluster;
-pub use faults::{FaultPlan, FaultyCluster};
 pub use k8s::{K8sCluster, K8sTimings};
 pub use template::{ContainerTemplate, ServiceTemplate};
 pub use wasm::{WasmEdgeCluster, WasmTimings};

@@ -110,6 +110,6 @@ mod tests {
         assert_eq!(req.cpu_millis, 250);
         assert_eq!(req.memory_mib, 256);
         assert_eq!(req.replicas, 1);
-        assert!(t.requirements.is_empty());
+        assert_eq!(t.requirements, DeploymentRequirements::none());
     }
 }

@@ -1,5 +1,5 @@
 //! The observation contract holds for every backend: Docker, Kubernetes and
-//! wasm, bare and inside [`FaultyCluster`] — see `common` for the property.
+//! wasm, bare and inside [`FaultyCluster`](cluster::faults::FaultyCluster) — see `common` for the property.
 //! The mutation check at the bottom proves it can fail: hide any one
 //! method's epoch movement, drop the image store's shared stamp, or stamp
 //! the other service instead of the named one, and some generated sequence
@@ -9,10 +9,10 @@ mod common;
 
 use std::collections::HashMap;
 
+use cluster::faults::{FaultPlan, FaultyCluster};
 use cluster::{
-    ClusterBackend, ClusterError, ClusterKind, CrashOutcome, DockerCluster, FaultPlan,
-    FaultyCluster, K8sCluster, K8sTimings, ScaleReceipt, Scope, ServiceSnapshot, ServiceTemplate,
-    WasmEdgeCluster, WasmTimings,
+    ClusterBackend, ClusterError, ClusterKind, CrashOutcome, DockerCluster, K8sCluster, K8sTimings,
+    ScaleReceipt, Scope, ServiceSnapshot, ServiceTemplate, WasmEdgeCluster, WasmTimings,
 };
 use common::{drive, ops, Call, Op, SERVICES};
 use containers::{ImageRef, Runtime};
@@ -48,7 +48,7 @@ fn wasm(seed: u64) -> WasmEdgeCluster {
     WasmEdgeCluster::new("w", IP, SimRng::seed_from_u64(seed), WasmTimings::egs())
 }
 
-/// The property on a backend bare, behind a transparent [`FaultyCluster`],
+/// The property on a backend bare, behind a transparent [`FaultyCluster`](cluster::faults::FaultyCluster),
 /// and behind one that fails about a third of the calls it is asked to make.
 fn exact_bare_and_faulty<B: ClusterBackend>(make: fn(u64) -> B, seed: u64, seq: &[Op]) {
     let faults = SimRng::seed_from_u64(seed).stream("faults");

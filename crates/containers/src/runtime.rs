@@ -124,12 +124,6 @@ impl Container {
         matches!(self.state_at(now), ContainerState::Running) && now >= self.ready_at
     }
 
-    /// The instant the port opens (only meaningful after `start`).
-    #[doc(hidden)] // tests read the readiness instant
-    pub fn ready_at(&self) -> SimTime {
-        self.ready_at
-    }
-
     /// Earliest instant strictly after `now` at which this container's
     /// observable state (`state_at` / `is_ready`) can still change without a
     /// runtime mutation; `None` once fully settled. Used to bound the
@@ -386,7 +380,8 @@ impl Runtime {
         self.get(id).and_then(|c| c.next_transition_after(now))
     }
 
-    #[doc(hidden)] // tests count live containers with it
+    /// How many containers exist and are not removed.
+    #[doc(hidden)] // cluster's Kubernetes tests count live containers with it
     pub fn container_count(&self) -> usize {
         self.containers
             .values()

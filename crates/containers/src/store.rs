@@ -16,12 +16,12 @@ use simcore::DetHashMap;
 use crate::image::{ImageManifest, ImageRef, Layer, LayerDigest};
 
 /// Occupancy counters for a node's store.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[doc(hidden)] // what the test probe `ImageStore::stats` returns
-pub struct StoreStats {
-    pub images: usize,
-    pub layers: usize,
-    pub disk_bytes: u64,
+pub(crate) struct StoreStats {
+    pub(crate) images: usize,
+    pub(crate) layers: usize,
+    pub(crate) disk_bytes: u64,
 }
 
 /// The image/layer store of a single node.
@@ -85,8 +85,8 @@ impl ImageStore {
         true
     }
 
-    #[doc(hidden)] // tests read the store totals with it
-    pub fn stats(&self) -> StoreStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> StoreStats {
         StoreStats {
             images: self.images.len(),
             layers: self.layers.len(),
@@ -98,6 +98,9 @@ impl ImageStore {
         }
     }
 }
+
+#[cfg(test)]
+mod model_tests;
 
 #[cfg(test)]
 mod tests {

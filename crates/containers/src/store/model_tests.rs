@@ -4,8 +4,8 @@
 
 use std::collections::{HashMap, HashSet};
 
-use containers::image::synthesize_layers;
-use containers::{ImageManifest, ImageStore};
+use crate::image::synthesize_layers;
+use crate::{ImageManifest, ImageStore};
 use proptest::prelude::*;
 
 /// A small universe of images with deliberately overlapping layers.

@@ -608,7 +608,7 @@ spec:
             "image: slow/app:1\nmetadata:\n  annotations:\n    {APP_INIT_ANNOTATION}: 2300\n"
         );
         let out = annotate(&parse(&src).unwrap(), &opts()).unwrap();
-        let mean = out.template.containers[0].app_init.0.mean().unwrap();
+        let mean = out.template.containers[0].app_init.0.mean();
         assert!(mean > 2000.0, "annotation median 2300 ms, mean={mean}");
     }
 
@@ -625,7 +625,7 @@ spec:
         assert_eq!(out.template.requirements.label_match_none, vec!["far-edge"]);
         // absent annotations → no constraints
         let plain = annotate(&parse("image: nginx:1.23.2\n").unwrap(), &opts()).unwrap();
-        assert!(plain.template.requirements.is_empty());
+        assert_eq!(plain.template.requirements, DeploymentRequirements::none());
         // a non-string value lints
         let bad = format!("image: nginx:1.23.2\nmetadata:\n  annotations:\n    {AFFINITY_ANNOTATION}:\n      - gpu\n");
         assert!(matches!(

@@ -3,7 +3,7 @@
 //! itself (Pull → Create → Scale-Up → poll port) lives in
 //! [`crate::dispatcher`] as per-deployment state machines; the event loop
 //! drives everything through the single
-//! [`Controller::next_wakeup`]/[`Controller::on_wakeup`] surface.
+//! [`Controller::next_wakeup`]/[`Controller::on_wakeup_into`] surface.
 //!
 //! This file holds the public types, the builder, the wakeup surface and
 //! the deployment-machine lifecycle. Each other decision has one private
@@ -30,9 +30,10 @@ use simnet::openflow::{BufferId, FlowMatch, FlowSpec, PortId};
 use simnet::IpAddr;
 
 use crate::catalog::{ServiceCatalog, ServiceId};
+#[cfg(test)]
+use crate::dispatcher::{AdmissionError, DeployPhaseKind};
 use crate::dispatcher::{
-    AdmissionError, DeployError, DeployMachine, DeployOrder, DeployPhaseKind, Dispatcher,
-    InstanceKey, MachineOutcome, StepCtx,
+    DeployError, DeployMachine, DeployOrder, Dispatcher, InstanceKey, MachineOutcome, StepCtx,
 };
 use crate::flowmemory::{FlowMemory, MemorizedFlow};
 use crate::predictor::{NoPrediction, Predictor};
@@ -306,7 +307,7 @@ pub struct Controller {
     /// Per-switch port toward the cloud/WAN uplink (directly or via trunks).
     cloud_ports: Vec<PortId>,
     /// The deployment pipeline: one state machine per in-flight deployment,
-    /// advanced by [`Controller::on_wakeup`].
+    /// advanced by [`Controller::on_wakeup_into`].
     dispatcher: Dispatcher,
     /// Dispatcher-tracked client locations: which switch and port each
     /// client was last seen at (paper §IV-B).
@@ -326,11 +327,11 @@ pub struct Controller {
     scaled_to_zero: ScaledToZero,
     predictor: Box<dyn Predictor>,
     predict: Option<PredictSchedule>,
-    /// Most recent dispatcher deployment failure (diagnostics; see
-    /// [`Controller::last_deploy_failure`]).
+    /// Most recent dispatcher deployment failure (what the tests read).
+    #[cfg(test)]
     last_deploy_failure: Option<DeployFailure>,
-    /// Most recent admission rejection (diagnostics; see
-    /// [`Controller::last_admission_error`]).
+    /// Most recent admission rejection (what the tests read).
+    #[cfg(test)]
     last_admission_error: Option<AdmissionError>,
     /// Mesh deployment-lease hook; `None` (the default) grants everything.
     gate: Option<Box<dyn DeployGate>>,
@@ -346,13 +347,12 @@ pub struct Controller {
 
 /// Diagnostic record of a dispatcher deployment that ended in `Failed`:
 /// which phase gave up, and why.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-#[doc(hidden)] // diagnostics the controller tests read
-pub struct DeployFailure {
-    pub cluster: ClusterId,
-    pub service: ServiceId,
-    pub phase: DeployPhaseKind,
-    pub error: DeployError,
+pub(crate) struct DeployFailure {
+    pub(crate) cluster: ClusterId,
+    pub(crate) phase: DeployPhaseKind,
+    pub(crate) error: DeployError,
 }
 
 /// Fluent constructor for [`Controller`] — every dependency has a default
@@ -361,7 +361,8 @@ pub struct DeployFailure {
 /// name the pieces they care about:
 ///
 /// ```
-/// use edgectl::{Controller, ControllerConfig, NearestReadyFirst};
+/// use edgectl::scheduler::NearestReadyFirst;
+/// use edgectl::{Controller, ControllerConfig};
 /// use simnet::openflow::PortId;
 ///
 /// let controller = Controller::builder(ControllerConfig::default())
@@ -443,7 +444,9 @@ impl ControllerBuilder {
             scaled_to_zero: ScaledToZero::default(),
             predictor: Box::new(NoPrediction),
             predict: None,
+            #[cfg(test)]
             last_deploy_failure: None,
+            #[cfg(test)]
             last_admission_error: None,
             gate: self.gate,
             emit_deltas: self.emit_deltas,
@@ -540,14 +543,14 @@ impl Controller {
         &self.memory
     }
 
-    #[doc(hidden)] // diagnostics the controller tests read
-    pub fn config(&self) -> &ControllerConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> &ControllerConfig {
         &self.config
     }
 
     /// Where the Dispatcher last saw each client (location tracking).
-    #[doc(hidden)] // diagnostics the controller tests read
-    pub fn client_location(&self, ip: IpAddr) -> Option<PortId> {
+    #[cfg(test)]
+    pub(crate) fn client_location(&self, ip: IpAddr) -> Option<PortId> {
         self.client_ports.get(&ip).map(|&(_, p)| p)
     }
 
@@ -627,9 +630,7 @@ impl Controller {
                 MachineOutcome::Ready { ready_detected } => {
                     self.finalize_machine(key, ready_detected, out)
                 }
-                MachineOutcome::Failed { phase, error } => {
-                    self.fail_machine(key, phase, error, out)
-                }
+                MachineOutcome::Failed(error) => self.fail_machine(key, error, out),
             }
         }
     }
@@ -669,7 +670,6 @@ impl Controller {
     fn fail_machine(
         &mut self,
         key: InstanceKey,
-        phase: DeployPhaseKind,
         error: DeployError,
         out: &mut Vec<ControllerOutput>,
     ) {
@@ -678,12 +678,14 @@ impl Controller {
         self.clusters[m.cluster.0].release(m.service);
         self.stats.retried_operations += m.retried;
         self.stats.failed_deployments += 1;
-        self.last_deploy_failure = Some(DeployFailure {
-            cluster: m.cluster,
-            service: m.service,
-            phase,
-            error,
-        });
+        #[cfg(test)]
+        {
+            self.last_deploy_failure = Some(DeployFailure {
+                cluster: m.cluster,
+                phase: m.phase.kind(),
+                error,
+            });
+        }
         if let Some(at) = m.saved_scaled_to_zero {
             self.scaled_to_zero.restore(key, at);
         }
@@ -749,17 +751,9 @@ impl Controller {
     /// Run every piece of controller-internal work due at or before `now`:
     /// predict ticks, deployment machine steps, retarget drains and
     /// housekeeping, in that order (matching the event order of the previous
-    /// per-surface events). Idempotent on spurious or early wakeups — every
-    /// component checks its own due instant.
-    #[doc(hidden)] // the `Vec` wrapper tests call; the event loops use `on_wakeup_into`
-    pub fn on_wakeup(&mut self, now: SimTime) -> Vec<ControllerOutput> {
-        let mut out = Vec::new();
-        self.on_wakeup_into(now, &mut out);
-        out
-    }
-
-    /// [`Controller::on_wakeup`] appending into a caller-owned buffer (the
-    /// allocation-free form the testbed's event loop drives).
+    /// per-surface events), appending outputs to the caller-owned `out`.
+    /// Idempotent on spurious or early wakeups — every component checks its
+    /// own due instant.
     pub fn on_wakeup_into(&mut self, now: SimTime, out: &mut Vec<ControllerOutput>) {
         self.run_predict_due(now);
         self.pump_machines(now, out);
@@ -775,8 +769,8 @@ impl Controller {
 
     /// Coarse phase of the in-flight deployment of `service` on `cluster`,
     /// or `None` if no deployment of it is in flight there.
-    #[doc(hidden)] // diagnostics the controller tests read
-    pub fn deployment_phase(
+    #[cfg(test)]
+    pub(crate) fn deployment_phase(
         &self,
         cluster: ClusterId,
         service: ServiceId,
@@ -788,8 +782,8 @@ impl Controller {
 
     /// The most recent deployment failure observed by the dispatcher —
     /// which phase gave up and why (`None` until a machine fails).
-    #[doc(hidden)] // diagnostics the controller tests read
-    pub fn last_deploy_failure(&self) -> Option<&DeployFailure> {
+    #[cfg(test)]
+    pub(crate) fn last_deploy_failure(&self) -> Option<&DeployFailure> {
         self.last_deploy_failure.as_ref()
     }
 
@@ -805,5 +799,13 @@ impl Controller {
     }
 }
 
+#[cfg(test)]
+mod capacity_tests;
+#[cfg(test)]
+mod fault_tests;
+#[cfg(test)]
+mod flow_tests;
+#[cfg(test)]
+mod test_support;
 #[cfg(test)]
 mod wakeup_tests;

@@ -12,11 +12,13 @@
 //! after readiness (admission short-circuit on the existing deployment).
 
 use cluster::{DockerCluster, ServiceTemplate, SiteCapacity};
-use containers::image::synthesize_layers;
-use containers::{ImageManifest, Runtime};
-use edgectl::{ClusterId, Controller, ControllerConfig, NearestWaiting};
+use containers::Runtime;
 use proptest::prelude::*;
-use registry::{Registry, RegistryProfile, RegistrySet};
+
+use super::test_support::registries;
+use crate::controller::INGRESS;
+use crate::scheduler::NearestWaiting;
+use crate::{ClusterId, Controller, ControllerConfig};
 use simcore::{DurationDist, SimDuration, SimRng, SimTime};
 use simnet::openflow::{BufferId, PortId};
 use simnet::{IpAddr, Packet, SocketAddr};
@@ -26,17 +28,6 @@ const CLIENT_PORT: PortId = PortId(1);
 const DOCKER_PORT: PortId = PortId(2);
 const SERVICES: usize = 3;
 const EDGE: ClusterId = ClusterId(0);
-
-fn registries() -> RegistrySet {
-    let mut hub = Registry::new(RegistryProfile::docker_hub());
-    hub.publish(ImageManifest::new(
-        "nginx:1.23.2",
-        synthesize_layers(1, 141_000_000, 6),
-    ));
-    let mut s = RegistrySet::new();
-    s.add(hub);
-    s
-}
 
 fn controller(backend_seed: u64, capacity: SiteCapacity) -> Controller {
     let rng = SimRng::seed_from_u64(backend_seed);
@@ -92,7 +83,7 @@ fn run_schedule(
             if w > now {
                 break;
             }
-            let _ = c.on_wakeup(w);
+            c.on_wakeup_into(w, &mut Vec::new());
             prop_assert!(within(&c), "overbooked after wakeup at {w}");
         }
         if crash {
@@ -106,14 +97,21 @@ fn run_schedule(
             SocketAddr::new(IpAddr::new(93, 184, 0, service as u8 + 1), 80),
             tag,
         );
-        let _ = c.on_packet_in(now, packet, BufferId(tag), CLIENT_PORT);
+        c.on_packet_in_at_into(
+            now,
+            INGRESS,
+            packet,
+            BufferId(tag),
+            CLIENT_PORT,
+            &mut Vec::new(),
+        );
         prop_assert!(within(&c), "overbooked after packet-in at {now}");
     }
     // Drain: let every in-flight machine finish (or die), still checking.
     let mut guard = 0;
     while !c.in_flight_deployments().is_empty() {
         let Some(w) = c.next_wakeup() else { break };
-        let _ = c.on_wakeup(w);
+        c.on_wakeup_into(w, &mut Vec::new());
         prop_assert!(within(&c), "overbooked during drain at {w}");
         guard += 1;
         prop_assert!(guard < 10_000, "drain did not terminate");
@@ -154,7 +152,14 @@ fn the_books_detect_an_overbooked_site() {
         SocketAddr::new(IpAddr::new(93, 184, 0, 1), 80),
         1,
     );
-    let _ = c.on_packet_in(SimTime::ZERO, packet, BufferId(1), CLIENT_PORT);
+    c.on_packet_in_at_into(
+        SimTime::ZERO,
+        INGRESS,
+        packet,
+        BufferId(1),
+        CLIENT_PORT,
+        &mut Vec::new(),
+    );
     let allocated = c.site_allocation(EDGE);
     assert!(allocated.replicas > 0, "the deploy must have booked");
     let tiny = SiteCapacity::new(allocated.cpu_millis as u32 - 1, 65_536);

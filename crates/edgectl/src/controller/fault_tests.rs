@@ -11,20 +11,20 @@
 //! the service already there — protocol cases `dispatcher_protocol.rs`'s
 //! generated runs do not reach.
 
+use super::test_support::{packet, packet_in, registries, release_time, service_addr};
+use crate::dispatcher::{AdmissionError, DeployError, DeployPhaseKind};
+use crate::scheduler::NearestWaiting;
+use crate::{ClusterId, Controller, ControllerConfig, ControllerOutput};
+use cluster::faults::{FaultPlan, FaultyCluster};
 use cluster::{
-    ClusterBackend, ClusterError, ClusterKind, CrashOutcome, DockerCluster, FaultPlan,
-    FaultyCluster, ScaleReceipt, ServiceSnapshot, ServiceTemplate, SiteCapacity,
+    ClusterBackend, ClusterError, ClusterKind, CrashOutcome, DockerCluster, ScaleReceipt,
+    ServiceSnapshot, ServiceTemplate, SiteCapacity,
 };
-use containers::image::synthesize_layers;
-use containers::{ImageManifest, ImageRef, Runtime};
-use edgectl::{
-    AdmissionError, ClusterId, Controller, ControllerConfig, ControllerOutput, DeployError,
-    DeployPhaseKind, NearestWaiting,
-};
-use registry::{Registry, RegistryProfile, RegistrySet};
+use containers::{ImageRef, Runtime};
+use registry::RegistrySet;
 use simcore::{DurationDist, SimDuration, SimRng, SimTime};
 use simnet::openflow::{Action, BufferId, FlowSpec, PortId};
-use simnet::{IpAddr, Packet, SocketAddr};
+use simnet::{IpAddr, SocketAddr};
 
 const CLOUD_PORT: PortId = PortId(0);
 const CLIENT_PORT: PortId = PortId(1);
@@ -35,29 +35,6 @@ const DOCKER_PORT: PortId = PortId(2);
 /// roll and passes a later one (verified; the shim RNG is a fixed stream
 /// per seed, so this cannot rot silently — the test asserts both halves).
 const FLAKY_SCALE_DOWN_SEED: u64 = 0;
-
-fn registries() -> RegistrySet {
-    let mut hub = Registry::new(RegistryProfile::docker_hub());
-    hub.publish(ImageManifest::new(
-        "nginx:1.23.2",
-        synthesize_layers(1, 141_000_000, 6),
-    ));
-    let mut s = RegistrySet::new();
-    s.add(hub);
-    s
-}
-
-fn service_addr() -> SocketAddr {
-    SocketAddr::new(IpAddr::new(93, 184, 0, 1), 80)
-}
-
-fn packet(client: u8, tag: u64) -> Packet {
-    Packet::syn(
-        SocketAddr::new(IpAddr::new(10, 1, 0, client), 40_000),
-        service_addr(),
-        tag,
-    )
-}
 
 fn docker(seed: u64) -> DockerCluster {
     let rng = SimRng::seed_from_u64(seed);
@@ -169,19 +146,9 @@ fn controller_with(backend: Box<dyn ClusterBackend>, config: ControllerConfig) -
     c
 }
 
-fn release_time(outputs: &[ControllerOutput]) -> SimTime {
-    outputs
-        .iter()
-        .find_map(|o| match o {
-            ControllerOutput::ReleaseViaTable { at, .. } => Some(*at),
-            _ => None,
-        })
-        .expect("outputs must release the buffered packet")
-}
-
 fn pump_one(c: &mut Controller, out: &mut Vec<ControllerOutput>) -> SimTime {
     let at = c.next_wakeup().expect("a wakeup must be armed");
-    out.extend(c.on_wakeup(at));
+    c.on_wakeup_into(at, out);
     at
 }
 
@@ -206,7 +173,13 @@ fn fault_between_create_and_scale_up_is_observed_and_retried() {
     );
 
     let svc = c.catalog.id_of("edge-nginx").expect("registered");
-    let mut out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    let mut out = packet_in(
+        &mut c,
+        SimTime::ZERO,
+        packet(1, 1),
+        BufferId(0),
+        CLIENT_PORT,
+    );
     assert!(out.is_empty(), "request is held while the machine runs");
 
     // Walk wakeups until the failed scale-up parks the machine in its
@@ -284,7 +257,13 @@ fn scale_up_retry_exhaustion_fails_over_to_cloud() {
         config,
     );
 
-    let mut out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    let mut out = packet_in(
+        &mut c,
+        SimTime::ZERO,
+        packet(1, 1),
+        BufferId(0),
+        CLIENT_PORT,
+    );
     while !c.in_flight_deployments().is_empty() {
         pump_one(&mut c, &mut out);
     }
@@ -332,7 +311,13 @@ fn replica_crash_during_probe_window_is_recovered() {
     let svc = c.catalog.id_of("edge-nginx").expect("registered");
     let edge = ClusterId(0);
 
-    let mut out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    let mut out = packet_in(
+        &mut c,
+        SimTime::ZERO,
+        packet(1, 1),
+        BufferId(0),
+        CLIENT_PORT,
+    );
 
     // Advance until the machine enters the probe loop.
     let mut probing_at = None;
@@ -391,7 +376,13 @@ fn probe_timeout_records_failed_probing_phase() {
         ),
     );
 
-    let mut out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    let mut out = packet_in(
+        &mut c,
+        SimTime::ZERO,
+        packet(1, 1),
+        BufferId(0),
+        CLIENT_PORT,
+    );
     while !c.in_flight_deployments().is_empty() {
         pump_one(&mut c, &mut out);
     }
@@ -411,7 +402,7 @@ fn probe_timeout_records_failed_probing_phase() {
 /// Deploy one service with waiting and pump until the machine completes;
 /// returns the instant the deployment was detected ready.
 fn deploy_and_settle(c: &mut Controller) -> SimTime {
-    let mut out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    let mut out = packet_in(c, SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
     while !c.in_flight_deployments().is_empty() {
         pump_one(c, &mut out);
     }
@@ -490,7 +481,13 @@ fn admission_rejection_falls_back_to_cloud() {
     // with 100m free can never admit it.
     c.configure_site(ClusterId(0), SiteCapacity::new(100, 4_096), Vec::new());
 
-    let out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    let out = packet_in(
+        &mut c,
+        SimTime::ZERO,
+        packet(1, 1),
+        BufferId(0),
+        CLIENT_PORT,
+    );
 
     assert!(
         c.in_flight_deployments().is_empty(),
@@ -534,7 +531,13 @@ fn unmet_affinity_label_is_rejected_with_the_label_named() {
     template.requirements.label_match_all = vec!["accelerator:gpu".into()];
     c.catalog.register(service_addr(), template);
 
-    let out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    let out = packet_in(
+        &mut c,
+        SimTime::ZERO,
+        packet(1, 1),
+        BufferId(0),
+        CLIENT_PORT,
+    );
 
     assert!(c.in_flight_deployments().is_empty());
     assert_eq!(c.stats.admission_rejections, 1);
@@ -625,6 +628,8 @@ struct Scripted {
     accept_takes: SimDuration,
     ready_after: SimDuration,
     ready_at: Option<SimTime>,
+    /// The replica dies at this instant and stays dead.
+    dies_at: Option<SimTime>,
 }
 
 const PULL_TAKES: SimDuration = SimDuration::from_millis(100);
@@ -713,7 +718,7 @@ impl ClusterBackend for Scripted {
         endpoints: Option<&mut Vec<SocketAddr>>,
     ) -> ServiceSnapshot {
         let endpoint = SocketAddr::new(IpAddr::new(10, 0, 0, 100), 32_768);
-        let ready = self.ready_at.is_some_and(|t| now >= t);
+        let ready = self.ready_at.is_some_and(|t| now >= t) && self.dies_at.is_none_or(|t| now < t);
         if let (true, Some(out)) = (ready, endpoints) {
             out.push(endpoint);
         }
@@ -758,7 +763,13 @@ fn at_ms(ms: u64) -> SimTime {
 /// deployment is over. Probes every 50 ms (the default).
 fn deploy_scripted(backend: Scripted, config: ControllerConfig) -> (Controller, SimTime) {
     let mut c = controller_with(Box::new(backend), config);
-    let mut out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    let mut out = packet_in(
+        &mut c,
+        SimTime::ZERO,
+        packet(1, 1),
+        BufferId(0),
+        CLIENT_PORT,
+    );
     while !c.in_flight_deployments().is_empty() {
         pump_one(&mut c, &mut out);
     }
@@ -816,6 +827,39 @@ fn the_probe_window_is_closed_at_both_ends() {
             }
         }
     }
+}
+
+/// A replica that answers the probe and dies before the probe's round trip
+/// ends, with no recovery budget, fails the deployment as a death at the
+/// detection instant — not as a probe timeout.
+#[test]
+fn a_replica_dying_after_the_probe_fails_as_a_death_not_a_timeout() {
+    // The scale-up is accepted at 20 ms and the port is open at once, so the
+    // probe at 20 ms succeeds and readiness would be detected one round trip
+    // later; the replica dies half-way through that round trip.
+    let backend = Scripted {
+        images: true,
+        created: true,
+        accept_takes: SimDuration::from_millis(20),
+        dies_at: Some(at_ms(20) + PROBE_RTT / 2),
+        ..Scripted::default()
+    };
+    let config = ControllerConfig {
+        deploy_retries: 0,
+        ..Default::default()
+    };
+    let (c, _) = deploy_scripted(backend, config);
+    assert!(c.stats.deployments.is_empty());
+    assert_eq!(c.stats.failed_deployments, 1);
+    assert_eq!(c.stats.cloud_forwards, 1);
+    let failure = c.last_deploy_failure().expect("failure recorded");
+    assert_eq!(failure.phase, DeployPhaseKind::Probing);
+    assert_eq!(
+        failure.error,
+        DeployError::DiedAfterProbe {
+            at: at_ms(20) + PROBE_RTT
+        }
+    );
 }
 
 /// Every phase gets the full retry budget: a pull that spends all its
@@ -881,7 +925,13 @@ fn a_scale_up_racing_an_orphaned_create_is_retried() {
     let mut c = controller_with(Box::new(docker(9)), ControllerConfig::default());
     let svc = c.catalog.id_of("edge-nginx").expect("registered");
     let edge = ClusterId(0);
-    let mut out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    let mut out = packet_in(
+        &mut c,
+        SimTime::ZERO,
+        packet(1, 1),
+        BufferId(0),
+        CLIENT_PORT,
+    );
     // The pull ends and the create is issued at `now`; the machine waits
     // for it in ScalingUp.
     let mut now = SimTime::ZERO;
@@ -897,7 +947,7 @@ fn a_scale_up_racing_an_orphaned_create_is_retried() {
         "the held request goes to the cloud"
     );
 
-    let mut out = c.on_packet_in(now, packet(2, 2), BufferId(1), CLIENT_PORT);
+    let mut out = packet_in(&mut c, now, packet(2, 2), BufferId(1), CLIENT_PORT);
     while !c.in_flight_deployments().is_empty() {
         pump_one(&mut c, &mut out);
     }

@@ -4,11 +4,12 @@
 //! deployment with and without waiting, FlowMemory fast path, piggybacking,
 //! idle scale-down, and failure fallback to the cloud.
 
+use super::test_support::{client_ip, packet, packet_in, registries, release_time, service_addr};
+use crate::scheduler::{NearestReadyFirst, NearestWaiting};
+use crate::{Controller, ControllerConfig, ControllerOutput};
 use cluster::{ClusterBackend, DockerCluster, K8sCluster, K8sTimings, ServiceTemplate};
-use containers::image::synthesize_layers;
-use containers::{ImageManifest, Runtime};
-use edgectl::{Controller, ControllerConfig, ControllerOutput, NearestReadyFirst, NearestWaiting};
-use registry::{Registry, RegistryProfile, RegistrySet};
+use containers::Runtime;
+use registry::RegistrySet;
 use simcore::{DurationDist, SimDuration, SimRng, SimTime};
 use simnet::openflow::{Action, BufferId, FlowMatch, FlowSpec, PortId};
 use simnet::{IpAddr, Packet, SocketAddr};
@@ -17,17 +18,6 @@ const CLOUD_PORT: PortId = PortId(0);
 const CLIENT_PORT: PortId = PortId(1);
 const DOCKER_PORT: PortId = PortId(2);
 const K8S_PORT: PortId = PortId(3);
-
-fn registries() -> RegistrySet {
-    let mut hub = Registry::new(RegistryProfile::docker_hub());
-    hub.publish(ImageManifest::new(
-        "nginx:1.23.2",
-        synthesize_layers(1, 141_000_000, 6),
-    ));
-    let mut s = RegistrySet::new();
-    s.add(hub);
-    s
-}
 
 fn docker_backend(seed: u64) -> Box<dyn ClusterBackend> {
     let rng = SimRng::seed_from_u64(seed);
@@ -59,22 +49,6 @@ fn nginx_template() -> ServiceTemplate {
     )
 }
 
-fn service_addr() -> SocketAddr {
-    SocketAddr::new(IpAddr::new(93, 184, 0, 1), 80)
-}
-
-fn client_ip(n: u8) -> IpAddr {
-    IpAddr::new(10, 1, 0, n)
-}
-
-fn packet(client: u8, tag: u64) -> Packet {
-    Packet::syn(
-        SocketAddr::new(client_ip(client), 40000),
-        service_addr(),
-        tag,
-    )
-}
-
 /// A controller with one Docker cluster, NearestWaiting policy.
 fn waiting_controller(seed: u64) -> Controller {
     let mut c = Controller::builder(ControllerConfig::default())
@@ -89,16 +63,6 @@ fn waiting_controller(seed: u64) -> Controller {
     );
     c.catalog.register(service_addr(), nginx_template());
     c
-}
-
-fn release_time(outputs: &[ControllerOutput]) -> SimTime {
-    outputs
-        .iter()
-        .find_map(|o| match o {
-            ControllerOutput::ReleaseViaTable { at, .. } => Some(*at),
-            _ => None,
-        })
-        .expect("outputs must release the buffered packet")
 }
 
 fn flow_mods(outputs: &[ControllerOutput]) -> Vec<&ControllerOutput> {
@@ -116,7 +80,7 @@ fn pump(c: &mut Controller) -> Vec<ControllerOutput> {
     let mut out = Vec::new();
     while !c.in_flight_deployments().is_empty() {
         let Some(at) = c.next_wakeup() else { break };
-        out.extend(c.on_wakeup(at));
+        c.on_wakeup_into(at, &mut out);
     }
     out
 }
@@ -129,7 +93,7 @@ fn pump_until(c: &mut Controller, upto: SimTime) -> Vec<ControllerOutput> {
         if at > upto {
             break;
         }
-        out.extend(c.on_wakeup(at));
+        c.on_wakeup_into(at, &mut out);
     }
     out
 }
@@ -143,7 +107,7 @@ fn deliver(
     b: BufferId,
     port: PortId,
 ) -> Vec<ControllerOutput> {
-    let mut out = c.on_packet_in(t, p, b, port);
+    let mut out = packet_in(c, t, p, b, port);
     out.extend(pump(c));
     out
 }
@@ -281,7 +245,7 @@ fn memory_fast_path_skips_scheduler() {
 
     // Same client again shortly after: memory hit, instant outputs.
     let t2 = ready + SimDuration::from_secs(2);
-    let out2 = c.on_packet_in(t2, packet(1, 2), BufferId(1), CLIENT_PORT);
+    let out2 = packet_in(&mut c, t2, packet(1, 2), BufferId(1), CLIENT_PORT);
     assert_eq!(c.stats.memory_hits, 1);
     assert_eq!(c.stats.deployments.len(), 1, "no new deployment");
     let released = release_time(&out2);
@@ -295,9 +259,15 @@ fn memory_fast_path_skips_scheduler() {
 #[test]
 fn concurrent_requests_piggyback_on_one_deployment() {
     let mut c = waiting_controller(5);
-    c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    packet_in(
+        &mut c,
+        SimTime::ZERO,
+        packet(1, 1),
+        BufferId(0),
+        CLIENT_PORT,
+    );
     let t_mid = SimTime::ZERO + SimDuration::from_millis(500);
-    c.on_packet_in(t_mid, packet(2, 2), BufferId(1), CLIENT_PORT);
+    packet_in(&mut c, t_mid, packet(2, 2), BufferId(1), CLIENT_PORT);
 
     // Both requests are held on the same in-flight machine; pumping it to
     // completion releases them together.
@@ -323,7 +293,7 @@ fn unregistered_service_goes_to_cloud() {
     let mut c = waiting_controller(6);
     let other = SocketAddr::new(IpAddr::new(8, 8, 8, 8), 443);
     let p = Packet::syn(SocketAddr::new(client_ip(1), 40000), other, 9);
-    let outputs = c.on_packet_in(SimTime::ZERO, p, BufferId(0), CLIENT_PORT);
+    let outputs = packet_in(&mut c, SimTime::ZERO, p, BufferId(0), CLIENT_PORT);
     assert_eq!(c.stats.cloud_forwards, 1);
     assert_eq!(c.stats.deployments.len(), 0);
     // forward flow outputs to the cloud port without rewriting
@@ -367,7 +337,7 @@ fn without_waiting_detours_to_ready_cluster_and_retargets() {
     let receipt = c.cluster_mut(far).scale_up(t, "edge-nginx", 1).unwrap();
     let warm = receipt.expected_ready + SimDuration::from_secs(1);
 
-    let outputs = c.on_packet_in(warm, packet(1, 1), BufferId(0), CLIENT_PORT);
+    let outputs = packet_in(&mut c, warm, packet(1, 1), BufferId(0), CLIENT_PORT);
     // Released immediately toward the far instance.
     let released = release_time(&outputs);
     assert!(released - warm <= SimDuration::from_millis(5));
@@ -431,7 +401,13 @@ fn no_ready_instance_and_no_wait_policy_forwards_to_cloud() {
     );
     c.catalog.register(service_addr(), nginx_template());
 
-    let outputs = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    let outputs = packet_in(
+        &mut c,
+        SimTime::ZERO,
+        packet(1, 1),
+        BufferId(0),
+        CLIENT_PORT,
+    );
     assert_eq!(c.stats.cloud_forwards, 1, "first request goes to the cloud");
     let released = release_time(&outputs);
     assert!(released - SimTime::ZERO <= SimDuration::from_millis(5));
@@ -493,7 +469,7 @@ fn tick_scales_down_idle_instance_and_reports_next_wakeup() {
     pump_until(&mut c, late);
     assert_eq!(c.stats.scale_downs, 1);
     assert_eq!(c.next_wakeup(), None, "no flows left to expire");
-    let status = c.cluster(edgectl::ClusterId(0)).status(late, "edge-nginx");
+    let status = c.cluster(crate::ClusterId(0)).status(late, "edge-nginx");
     assert_eq!(status.ready_replicas, 0);
     assert!(status.created, "scale down keeps the service objects");
 }
@@ -521,14 +497,20 @@ fn probe_quantization_bounds_detection_lag() {
 #[test]
 fn client_location_tracked() {
     let mut c = waiting_controller(13);
-    c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    packet_in(
+        &mut c,
+        SimTime::ZERO,
+        packet(1, 1),
+        BufferId(0),
+        CLIENT_PORT,
+    );
     assert_eq!(c.client_location(client_ip(1)), Some(CLIENT_PORT));
     assert_eq!(c.client_location(client_ip(99)), None);
 }
 
 #[test]
 fn retries_recover_from_transient_faults() {
-    use cluster::{FaultPlan, FaultyCluster};
+    use cluster::faults::{FaultPlan, FaultyCluster};
 
     // A backend that fails half its calls: with retries the deployment
     // succeeds; without them it frequently falls back to the cloud.
@@ -588,7 +570,7 @@ fn retries_recover_from_transient_faults() {
 
 #[test]
 fn retry_backoff_delays_deployment() {
-    use cluster::{FaultPlan, FaultyCluster};
+    use cluster::faults::{FaultPlan, FaultyCluster};
 
     // Deterministically fail the first pull attempt only: total deployment
     // time gains one backoff period.
@@ -668,7 +650,8 @@ fn autoscaler_grows_replicas_with_flow_count() {
     );
     let ready = release_time(&out);
     for i in 2..=12u8 {
-        c.on_packet_in(
+        packet_in(
+            &mut c,
             ready + SimDuration::from_secs(i as u64),
             packet(i, i as u64),
             BufferId(i as u64),
@@ -684,17 +667,18 @@ fn autoscaler_grows_replicas_with_flow_count() {
     pump_until(&mut c, tick_at);
     assert_eq!(c.stats.autoscale_ups, 1);
     let later = tick_at + SimDuration::from_secs(5);
-    let status = c.cluster(edgectl::ClusterId(0)).status(later, "edge-nginx");
+    let status = c.cluster(crate::ClusterId(0)).status(later, "edge-nginx");
     assert_eq!(status.ready_replicas, 3, "autoscaled to ceil(11/4)");
 
     // The Local Scheduler now spreads subsequent clients across replicas.
     let eps = c
-        .cluster(edgectl::ClusterId(0))
+        .cluster(crate::ClusterId(0))
         .replica_endpoints(later, "edge-nginx");
     assert_eq!(eps.len(), 3);
     let mut seen = std::collections::HashSet::new();
     for i in 13..=18u8 {
-        let out = c.on_packet_in(
+        let out = packet_in(
+            &mut c,
             later + SimDuration::from_millis(i as u64),
             packet(i, 100 + i as u64),
             BufferId(100 + i as u64),
@@ -729,7 +713,8 @@ fn autoscaler_disabled_by_default() {
     );
     let ready = release_time(&out);
     for i in 2..=12u8 {
-        c.on_packet_in(
+        packet_in(
+            &mut c,
             ready + SimDuration::from_millis(i as u64),
             packet(i, i as u64),
             BufferId(i as u64),
@@ -739,7 +724,7 @@ fn autoscaler_disabled_by_default() {
     pump_until(&mut c, ready + SimDuration::from_secs(2));
     assert_eq!(c.stats.autoscale_ups, 0);
     let status = c
-        .cluster(edgectl::ClusterId(0))
+        .cluster(crate::ClusterId(0))
         .status(ready + SimDuration::from_secs(10), "edge-nginx");
     assert_eq!(status.ready_replicas, 1);
 }
@@ -762,7 +747,8 @@ fn client_mobility_reverse_flow_follows_new_port() {
 
     // The client roams: same IP, new switch port (e.g. moved to another AP).
     let new_port = PortId(7);
-    let out2 = c.on_packet_in(
+    let out2 = packet_in(
+        &mut c,
         ready + SimDuration::from_secs(1),
         packet(1, 2),
         BufferId(1),
@@ -829,7 +815,7 @@ fn probe_timeout_falls_back_to_cloud() {
 
 #[test]
 fn multi_switch_decisions_are_relative_to_ingress() {
-    use edgectl::SwitchId;
+    use crate::SwitchId;
 
     // Two switches, one Docker site behind each. A client behind switch 0
     // must be served by site 0; a client behind switch 1 by site 1.
@@ -861,15 +847,17 @@ fn multi_switch_decisions_are_relative_to_ingress() {
     c.catalog.register(service_addr(), nginx_template());
 
     // Client A behind switch 0 → deployment lands on site 0.
-    let mut out_a = c.on_packet_in_at(
+    let mut out_a = Vec::new();
+    c.on_packet_in_at_into(
         SimTime::ZERO,
         SwitchId(0),
         packet(1, 1),
         BufferId(0),
         PortId(5),
+        &mut out_a,
     );
     out_a.extend(pump(&mut c));
-    assert_eq!(c.stats.deployments[0].cluster, edgectl::ClusterId(0));
+    assert_eq!(c.stats.deployments[0].cluster, crate::ClusterId(0));
     let ControllerOutput::FlowMod {
         spec: FlowSpec { actions, .. },
         switch,
@@ -886,12 +874,14 @@ fn multi_switch_decisions_are_relative_to_ingress() {
 
     // Client B behind switch 1 → deployment lands on site 1, flows installed
     // on switch 1 pointing at ITS local port.
-    let mut out_b = c.on_packet_in_at(
+    let mut out_b = Vec::new();
+    c.on_packet_in_at_into(
         SimTime::ZERO + SimDuration::from_secs(10),
         sw1,
         packet(2, 2),
         BufferId(1),
         PortId(6),
+        &mut out_b,
     );
     out_b.extend(pump(&mut c));
     assert_eq!(c.stats.deployments[1].cluster, s1);
@@ -963,7 +953,7 @@ fn remove_phase_deletes_long_idle_services() {
     assert_eq!(c.stats.scale_downs, 1);
     assert_eq!(c.stats.removals, 0);
     assert!(
-        c.cluster(edgectl::ClusterId(0))
+        c.cluster(crate::ClusterId(0))
             .status(t1, "edge-nginx")
             .created
     );
@@ -977,7 +967,7 @@ fn remove_phase_deletes_long_idle_services() {
     pump_until(&mut c, t2);
     assert_eq!(c.stats.removals, 1);
     assert!(
-        !c.cluster(edgectl::ClusterId(0))
+        !c.cluster(crate::ClusterId(0))
             .status(t2, "edge-nginx")
             .created
     );
@@ -1028,7 +1018,7 @@ fn revived_service_escapes_pending_removal() {
     pump_until(&mut c, t1 + SimDuration::from_secs(121));
     assert_eq!(c.stats.removals, 0);
     assert!(
-        c.cluster(edgectl::ClusterId(0))
+        c.cluster(crate::ClusterId(0))
             .status(t1 + SimDuration::from_secs(121), "edge-nginx")
             .created
     );
@@ -1157,15 +1147,15 @@ fn k8s_packet_ins_at_one_epoch_share_one_backend_read() {
 
     // Two new clients find the service ready after a cached pull: neither
     // PacketIn reads the backend.
-    c.cluster_mut(edgectl::ClusterId(0))
+    c.cluster_mut(crate::ClusterId(0))
         .pull(t1, &nginx_template(), &registries())
         .expect("cached pull");
     let before = reads.get();
-    let first = c.on_packet_in(t1, packet(2, 2), BufferId(1), CLIENT_PORT);
+    let first = packet_in(&mut c, t1, packet(2, 2), BufferId(1), CLIENT_PORT);
     assert_eq!(release_time(&first), t1 + c.config().processing_delay);
     assert_eq!(reads.get(), before, "a cached pull invalidates nothing");
     let t2 = t1 + SimDuration::from_millis(5);
-    let second = c.on_packet_in(t2, packet(3, 3), BufferId(2), CLIENT_PORT);
+    let second = packet_in(&mut c, t2, packet(3, 3), BufferId(2), CLIENT_PORT);
     assert_eq!(release_time(&second), t2 + c.config().processing_delay);
     assert_eq!(reads.get(), before, "the second PacketIn reads nothing");
 
@@ -1174,11 +1164,11 @@ fn k8s_packet_ins_at_one_epoch_share_one_backend_read() {
     // redirected to the dead endpoint.
     let t3 = t2 + SimDuration::from_millis(5);
     let outcome = c
-        .cluster_mut(edgectl::ClusterId(0))
+        .cluster_mut(crate::ClusterId(0))
         .inject_crash(t3, "edge-nginx");
     let recovered = outcome.recovery().expect("the kubelet restarts the pod");
     let before = reads.get();
-    let third = c.on_packet_in(t3, packet(4, 4), BufferId(3), CLIENT_PORT);
+    let third = packet_in(&mut c, t3, packet(4, 4), BufferId(3), CLIENT_PORT);
     assert!(
         reads.get() > before,
         "the crash invalidated the cached read"
@@ -1219,15 +1209,15 @@ fn deploying_another_service_costs_a_ready_service_no_read() {
     assert!(release_time(&b_out) > t1, "B was deployed on demand");
     assert!(!flow_mods(&b_out).is_empty(), "and B's request redirected");
     assert!(c
-        .cluster(edgectl::ClusterId(0))
+        .cluster(crate::ClusterId(0))
         .status(release_time(&b_out), "edge-nginx-b")
         .is_ready());
 
     let before = reads.get();
     let t2 = release_time(&b_out) + SimDuration::from_secs(1);
-    let first = c.on_packet_in(t2, packet(3, 3), BufferId(2), CLIENT_PORT);
+    let first = packet_in(&mut c, t2, packet(3, 3), BufferId(2), CLIENT_PORT);
     assert_eq!(release_time(&first), t2 + c.config().processing_delay);
-    let second = c.on_packet_in(t2, packet(4, 4), BufferId(3), CLIENT_PORT);
+    let second = packet_in(&mut c, t2, packet(4, 4), BufferId(3), CLIENT_PORT);
     assert_eq!(release_time(&second), t2 + c.config().processing_delay);
     assert_eq!(reads.get(), before, "B's deployment invalidated A's read");
 }
@@ -1241,15 +1231,21 @@ fn deploying_another_service_costs_a_ready_service_no_read() {
 #[test]
 fn a_cold_k8s_probe_loop_costs_a_constant_number_of_reads() {
     let (mut c, reads) = counting_k8s_controller(63);
-    let site = edgectl::ClusterId(0);
+    let site = crate::ClusterId(0);
     let svc = c.catalog.id_of("edge-nginx").expect("registered");
-    let out = c.on_packet_in(SimTime::ZERO, packet(1, 1), BufferId(0), CLIENT_PORT);
+    let out = packet_in(
+        &mut c,
+        SimTime::ZERO,
+        packet(1, 1),
+        BufferId(0),
+        CLIENT_PORT,
+    );
     assert!(flow_mods(&out).is_empty(), "the request is held");
 
     // Step until the scale-up was issued and the machine waits to probe.
-    while c.deployment_phase(site, svc) != Some(edgectl::DeployPhaseKind::Probing) {
+    while c.deployment_phase(site, svc) != Some(crate::dispatcher::DeployPhaseKind::Probing) {
         let at = c.next_wakeup().expect("the deployment is in flight");
-        c.on_wakeup(at);
+        c.on_wakeup_into(at, &mut Vec::new());
     }
     let before = reads.get();
     let released = release_time(&pump(&mut c));

@@ -3,13 +3,12 @@
 //! and the Remove phase — with the time-ordered structures that keep each
 //! source's next instant a peek.
 
-use cluster::CapacityShortfall;
 use simcore::{DeadlineIndex, DetHashMap, SimDuration, SimTime};
 
 use super::packet::flow_pair;
 use super::{Controller, ControllerOutput, DeltaKind, INGRESS};
 use crate::catalog::ServiceId;
-use crate::dispatcher::{AdmissionError, InstanceKey};
+use crate::dispatcher::InstanceKey;
 use crate::scheduler::ClusterId;
 
 /// Proactive-deployment cadence, owned by the controller so predict runs are
@@ -246,7 +245,7 @@ impl Controller {
         }
     }
 
-    /// Expiry housekeeping, run from [`Controller::on_wakeup`] when a flow
+    /// Expiry housekeeping, run from [`Controller::on_wakeup_into`] when a flow
     /// expiry or Remove-phase deadline is due (early wakeups are no-ops, so
     /// the pass fires at the same instants the dedicated tick events used
     /// to).
@@ -288,13 +287,17 @@ impl Controller {
                 });
                 if granted < want {
                     self.stats.admission_rejections += 1;
-                    self.last_admission_error = Some(AdmissionError::Capacity {
-                        cluster,
-                        shortfall: CapacityShortfall::Replicas {
-                            requested: want,
-                            free: granted,
-                        },
-                    });
+                    #[cfg(test)]
+                    {
+                        self.last_admission_error =
+                            Some(crate::dispatcher::AdmissionError::Capacity {
+                                cluster,
+                                shortfall: cluster::CapacityShortfall::Replicas {
+                                    requested: want,
+                                    free: granted,
+                                },
+                            });
+                    }
                 }
                 if granted > have && site.backend.scale_up(now, name, granted).is_ok() {
                     self.stats.autoscale_ups += 1;

@@ -30,14 +30,14 @@ impl Controller {
         cluster: ClusterId,
         service: ServiceId,
     ) -> Option<Vec<ControllerOutput>> {
-        let phase = self.dispatcher.find(cluster, service)?.phase.kind();
+        self.dispatcher.find(cluster, service)?;
         let key = (cluster, service);
         // Fail at the abort instant, not the machine's own next step:
         // `fail_machine` stamps the failure (and the `Gone` delta) with
         // `next_step`.
         self.dispatcher.reschedule(key, now);
         let mut out = Vec::new();
-        self.fail_machine(key, phase, DeployError::LeaseRevoked, &mut out);
+        self.fail_machine(key, DeployError::LeaseRevoked, &mut out);
         Some(out)
     }
 

@@ -5,7 +5,7 @@ use simcore::{SimDuration, SimTime};
 use simnet::openflow::{Action, BufferId, FlowMatch, FlowSpec, PortId};
 use simnet::{IpAddr, Packet, Protocol, SocketAddr};
 
-use super::{Controller, ControllerOutput, SwitchId, INGRESS};
+use super::{Controller, ControllerOutput, SwitchId};
 use crate::catalog::{cookie_for, ServiceId};
 use crate::dispatcher::Waiter;
 use crate::flowmemory::FlowKey;
@@ -62,38 +62,10 @@ impl Controller {
         out
     }
 
-    /// Handle a table-miss PacketIn from the primary switch (single-switch
-    /// convenience wrapper around [`Controller::on_packet_in_at`]).
-    #[doc(hidden)] // the `Vec` wrapper tests call; the event loops use `on_packet_in_at_into`
-    pub fn on_packet_in(
-        &mut self,
-        now: SimTime,
-        packet: Packet,
-        buffer_id: BufferId,
-        in_port: PortId,
-    ) -> Vec<ControllerOutput> {
-        self.on_packet_in_at(now, INGRESS, packet, buffer_id, in_port)
-    }
-
-    /// Handle a table-miss PacketIn from switch `sw`.
-    #[doc(hidden)] // the `Vec` wrapper tests call; the event loops use `on_packet_in_at_into`
-    pub fn on_packet_in_at(
-        &mut self,
-        now: SimTime,
-        sw: SwitchId,
-        packet: Packet,
-        buffer_id: BufferId,
-        in_port: PortId,
-    ) -> Vec<ControllerOutput> {
-        let mut out = Vec::new();
-        self.on_packet_in_at_into(now, sw, packet, buffer_id, in_port, &mut out);
-        out
-    }
-
-    /// [`Controller::on_packet_in_at`] appending into a caller-owned buffer —
-    /// the allocation-free form the testbed's event loop drives. The
-    /// outputs appended are exactly (and in the same order as) what the
-    /// `Vec`-returning wrapper would have returned.
+    /// Handle a table-miss PacketIn from switch `sw` (the single-switch
+    /// setup's is [`INGRESS`](super::INGRESS)), appending the answer to
+    /// `out`: the caller owns the buffer, so the event loops reuse one and
+    /// allocate nothing per PacketIn.
     pub fn on_packet_in_at_into(
         &mut self,
         now: SimTime,

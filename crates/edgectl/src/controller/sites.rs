@@ -222,10 +222,10 @@ impl Controller {
         self.stats.capacity_violations += u64::from(over);
     }
 
-    /// The most recent admission rejection, if any (diagnostics for tests and
-    /// the verifier; cleared never, overwritten on each rejection).
-    #[doc(hidden)] // diagnostics the controller tests read
-    pub fn last_admission_error(&self) -> Option<&AdmissionError> {
+    /// The most recent admission rejection, if any (cleared never,
+    /// overwritten on each rejection).
+    #[cfg(test)]
+    pub(crate) fn last_admission_error(&self) -> Option<&AdmissionError> {
         self.last_admission_error.as_ref()
     }
 
@@ -316,7 +316,10 @@ impl Controller {
             }
         };
         self.stats.admission_rejections += 1;
-        self.last_admission_error = Some(err.clone());
+        #[cfg(test)]
+        {
+            self.last_admission_error = Some(err.clone());
+        }
         Err(err)
     }
 }

@@ -5,7 +5,8 @@
 //! every pending instant. That brute-force minimum lives here, as the oracle;
 //! the controller reads heads of time-ordered structures and scans nothing.
 
-use cluster::{DockerCluster, FaultPlan, FaultyCluster, ServiceTemplate};
+use cluster::faults::{FaultPlan, FaultyCluster};
+use cluster::{DockerCluster, ServiceTemplate};
 use containers::image::synthesize_layers;
 use containers::{ImageManifest, Runtime};
 use proptest::prelude::*;
@@ -179,8 +180,14 @@ impl Driver {
                 let src = SocketAddr::new(IpAddr::new(10, 1, 0, client + 1), 40_000);
                 let packet = Packet::syn(src, service_addr(service), self.packets);
                 let port = PortId(3 + usize::from(client));
-                self.c
-                    .on_packet_in(self.now, packet, BufferId(self.packets), port);
+                self.c.on_packet_in_at_into(
+                    self.now,
+                    INGRESS,
+                    packet,
+                    BufferId(self.packets),
+                    port,
+                    &mut Vec::new(),
+                );
                 self.packets += 1;
             }
             Op::RemoteReady { cluster, service } => {
@@ -208,7 +215,7 @@ impl Driver {
                     match self.c.next_wakeup() {
                         Some(at) if at <= end => {
                             self.now = self.now.max(at);
-                            self.c.on_wakeup(self.now);
+                            self.c.on_wakeup_into(self.now, &mut Vec::new());
                             self.seen.wakeups += 1;
                             self.seen.retries_queued += self.c.scale_down_retries.due.len() as u64;
                             self.check()?;

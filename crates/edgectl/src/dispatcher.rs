@@ -42,17 +42,18 @@ use crate::controller::{AttachedCluster, DeploymentRecord, SwitchId};
 use crate::flowmemory::FlowKey;
 use crate::scheduler::ClusterId;
 
-/// Which pipeline phase a deployment machine is in (coarse, introspective
-/// view — [`crate::Controller::deployment_phase`] reports this for tests and
-/// diagnostics).
+/// Which pipeline phase a deployment machine is in (the coarse view the
+/// controller tests read).
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeployPhaseKind {
+pub(crate) enum DeployPhaseKind {
     Pulling,
     Creating,
     ScalingUp,
     Probing,
 }
 
+#[cfg(test)]
 impl std::fmt::Display for DeployPhaseKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -71,6 +72,9 @@ pub enum DeployError {
     Cluster(ClusterError),
     /// The port never opened within the probe window.
     ProbeTimeout { deadline: SimTime },
+    /// The replica that answered the last probe died before the probe's
+    /// round trip ended, at `at`, and the recovery budget was spent.
+    DiedAfterProbe { at: SimTime },
     /// The deployment lease on `(cluster, service)` was revoked: another
     /// controller shard won the window-boundary merge for the same
     /// deployment decision, so this machine is aborted mid-flight
@@ -136,6 +140,7 @@ pub(crate) enum DeployPhase {
 }
 
 impl DeployPhase {
+    #[cfg(test)]
     pub(crate) fn kind(&self) -> DeployPhaseKind {
         match self {
             DeployPhase::Pulling => DeployPhaseKind::Pulling,
@@ -157,11 +162,9 @@ pub(crate) enum MachineOutcome {
     Recovered,
     /// The port was seen open; the controller finalizes (stats, waiters).
     Ready { ready_detected: SimTime },
-    /// The deployment is dead; held requests fall back to the cloud.
-    Failed {
-        phase: DeployPhaseKind,
-        error: DeployError,
-    },
+    /// The deployment is dead, in the machine's current phase; held
+    /// requests fall back to the cloud.
+    Failed(DeployError),
 }
 
 /// A request held (buffered at its switch) until this deployment is ready —
@@ -273,7 +276,7 @@ impl DeployMachine {
                         };
                         MachineOutcome::Progressed
                     }
-                    Err(e) => self.retry_or_fail(e, DeployPhaseKind::Pulling, ctx),
+                    Err(e) => self.retry_or_fail(e, ctx),
                 }
             }
             DeployPhase::Creating => {
@@ -291,7 +294,7 @@ impl DeployMachine {
                         self.phase = DeployPhase::ScalingUp;
                         MachineOutcome::Progressed
                     }
-                    Err(e) => self.retry_or_fail(e, DeployPhaseKind::Creating, ctx),
+                    Err(e) => self.retry_or_fail(e, ctx),
                 }
             }
             DeployPhase::ScalingUp => match ctx.site.backend.scale_up(issued, name, 1) {
@@ -301,7 +304,7 @@ impl DeployMachine {
                     self.enter_probing(receipt, ctx);
                     MachineOutcome::Progressed
                 }
-                Err(e) => self.retry_or_fail(e, DeployPhaseKind::ScalingUp, ctx),
+                Err(e) => self.retry_or_fail(e, ctx),
             },
             DeployPhase::Probing {
                 deadline,
@@ -335,10 +338,7 @@ impl DeployMachine {
                 // A failure stays stamped at the probe that decided it.
                 let next_probe = probe_t + ctx.probe_interval;
                 if next_probe > deadline {
-                    return MachineOutcome::Failed {
-                        phase: DeployPhaseKind::Probing,
-                        error: DeployError::ProbeTimeout { deadline },
-                    };
+                    return MachineOutcome::Failed(DeployError::ProbeTimeout { deadline });
                 }
                 self.next_step = next_probe;
                 MachineOutcome::Progressed
@@ -357,12 +357,9 @@ impl DeployMachine {
                             return MachineOutcome::Recovered;
                         }
                     }
-                    return MachineOutcome::Failed {
-                        phase: DeployPhaseKind::Probing,
-                        error: DeployError::ProbeTimeout {
-                            deadline: ready_detected,
-                        },
-                    };
+                    return MachineOutcome::Failed(DeployError::DiedAfterProbe {
+                        at: ready_detected,
+                    });
                 }
                 MachineOutcome::Ready { ready_detected }
             }
@@ -380,22 +377,15 @@ impl DeployMachine {
         self.attempt = 0;
     }
 
-    fn retry_or_fail(
-        &mut self,
-        error: ClusterError,
-        phase: DeployPhaseKind,
-        ctx: &StepCtx<'_>,
-    ) -> MachineOutcome {
+    /// Retry the current phase after back-off, or fail the machine in it.
+    fn retry_or_fail(&mut self, error: ClusterError, ctx: &StepCtx<'_>) -> MachineOutcome {
         if self.attempt < ctx.retries {
             self.attempt += 1;
             self.retried += 1;
             self.next_step += ctx.backoff;
             MachineOutcome::Progressed
         } else {
-            MachineOutcome::Failed {
-                phase,
-                error: DeployError::Cluster(error),
-            }
+            MachineOutcome::Failed(DeployError::Cluster(error))
         }
     }
 }

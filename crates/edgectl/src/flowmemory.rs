@@ -24,7 +24,7 @@
 //!   and are the first to be reused, so the slab's size follows the largest
 //!   number of flows alive at once, not the number ever seen.
 //! * **Intrusive `(service, cluster)` chains.** The secondary index that
-//!   makes the scale-down queries (`flows_for_service`, `forget_service`,
+//!   makes the scale-down queries (`flows_for_service`,
 //!   `services_with_flows`, `retarget_service`) proportional to the flows of
 //!   the touched service is a doubly-linked chain through the slab (`prev` /
 //!   `next`), its head and length kept per service in a short list of
@@ -504,25 +504,6 @@ impl FlowMemory {
         self.detach(key)
     }
 
-    /// Drop all flows pointing at `service` on `cluster` (instance retired).
-    /// O(flows of that instance), not O(all flows).
-    #[doc(hidden)] // the model test drives it
-    pub fn forget_service(&mut self, service: ServiceId, cluster: Option<ClusterId>) -> usize {
-        let Some(at) = self.chains.find(service, pack(cluster)) else {
-            return 0;
-        };
-        let chain = self.chains.swap_remove(service, at);
-        let mut handle = chain.head;
-        while handle != NIL {
-            let slot = self.slab.get(handle);
-            let next = slot.next;
-            self.index.remove(&slot.key);
-            self.release(handle);
-            handle = next;
-        }
-        chain.count as usize
-    }
-
     /// Retarget every live flow of `service` to a new instance — what happens
     /// when the BEST deployment becomes ready and future requests move over
     /// (on-demand *without waiting*, paper Fig. 3). Returns the affected keys
@@ -587,9 +568,8 @@ impl FlowMemory {
         self.order.next()
     }
 
-    /// How many flows the expiry order holds — one per flow (tests assert
-    /// it).
-    #[doc(hidden)]
+    /// How many flows the expiry order holds — one per flow.
+    #[doc(hidden)] // the `memory_bound` allocation binary divides bytes by it
     pub fn expiry_records(&self) -> usize {
         self.order.len()
     }
@@ -610,11 +590,12 @@ impl FlowMemory {
             .map_or(0, |c| c.count as usize)
     }
 
-    #[doc(hidden)] // the model and bound tests read it
+    /// How many flows are memorized.
+    #[doc(hidden)] // the `memory_bound` allocation binary counts flows by it
     pub fn len(&self) -> usize {
         self.index.len()
     }
-    #[doc(hidden)] // tests; clippy pairs it with `len`
+    #[doc(hidden)] // clippy pairs it with `len`
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
     }
@@ -913,7 +894,9 @@ mod tests {
         );
         assert_eq!(m.flows_for_service(ServiceId(0), Some(ClusterId(0))), 2);
         assert_eq!(m.flows_for_service(ServiceId(0), Some(ClusterId(1))), 0);
-        assert_eq!(m.forget_service(ServiceId(0), Some(ClusterId(0))), 2);
+        m.forget(key(1, 1));
+        m.forget(key(2, 1));
+        assert_eq!(m.flows_for_service(ServiceId(0), Some(ClusterId(0))), 0);
         assert_eq!(m.len(), 1);
     }
 
@@ -1372,15 +1355,17 @@ mod tests {
                     same("forget", m.forget(key(c, s)), model.remove(key(c, s)))?;
                 }
                 Op::ForgetService { s, cluster } => {
+                    // Every flow of one instance, one `forget` each: its
+                    // chain empties and leaves the service's list.
                     let (service, cluster) = (sid(s), cluster.map(ClusterId));
                     let gone = model.keys_where(|f| f.service == service && f.cluster == cluster);
                     for &key in &gone {
-                        model.remove(key);
+                        same("forget", m.forget(key), model.remove(key))?;
                     }
                     same(
-                        "forget_service",
-                        m.forget_service(service, cluster),
-                        gone.len(),
+                        "flows_for_service",
+                        m.flows_for_service(service, cluster),
+                        0,
                     )?;
                 }
                 Op::Retarget { s, cluster, port } => {

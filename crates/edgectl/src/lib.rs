@@ -23,7 +23,7 @@
 //! * [`controller`] — the controller event loop: PacketIn handling, on-demand
 //!   deployment *with* and *without* waiting via the dispatcher, flow
 //!   installation and idle scale-down, all scheduled through one
-//!   `next_wakeup`/`on_wakeup` surface,
+//!   `next_wakeup`/`on_wakeup_into` surface,
 //! * [`predictor`] — proactive pre-deployment (the paper's §VII outlook:
 //!   on-demand "more so when combined with good prediction").
 
@@ -44,13 +44,10 @@ pub mod scheduler;
 pub use annotate::{annotate, annotate_documents, AnnotateOptions};
 pub use catalog::{RegisteredService, ServiceId};
 pub use controller::{
-    Controller, ControllerBuilder, ControllerConfig, ControllerOutput, ControllerStats, DeltaKind,
-    DeployGate, DeploymentRecord, StatusDelta, SwitchId,
+    Controller, ControllerBuilder, ControllerConfig, ControllerOutput, ControllerStats, DeployGate,
+    DeploymentRecord, StatusDelta, SwitchId,
 };
-pub use dispatcher::{AdmissionError, DeployError, DeployPhaseKind};
 pub use flowmemory::{FlowKey, FlowMemory};
 pub use policy::{SchedulerRegistry, SchedulerSpec};
 pub use predictor::{OraclePredictor, PopularityPredictor};
-pub use scheduler::{
-    ClusterId, ClusterView, NearestReadyFirst, NearestWaiting, RoundRobinLocal, SchedulingContext,
-};
+pub use scheduler::{ClusterId, ClusterView, RoundRobinLocal, SchedulingContext};

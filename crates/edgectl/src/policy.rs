@@ -41,10 +41,6 @@ impl SchedulerSpec {
     pub fn hybrid_docker_first() -> SchedulerSpec {
         SchedulerSpec::named("hybrid-docker-first")
     }
-    #[doc(hidden)] // the end-to-end tests select it
-    pub fn hybrid_wasm_first() -> SchedulerSpec {
-        SchedulerSpec::named("hybrid-wasm-first")
-    }
     pub fn least_loaded() -> SchedulerSpec {
         SchedulerSpec::named("least-loaded")
     }

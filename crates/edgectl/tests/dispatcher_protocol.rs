@@ -34,15 +34,17 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use cluster::faults::{FaultPlan, FaultyCluster};
 use cluster::{
-    ClusterBackend, ClusterError, ClusterKind, CrashOutcome, DockerCluster, FaultPlan,
-    FaultyCluster, ScaleReceipt, Scope, ServiceSnapshot, ServiceTemplate,
+    ClusterBackend, ClusterError, ClusterKind, CrashOutcome, DockerCluster, ScaleReceipt, Scope,
+    ServiceSnapshot, ServiceTemplate,
 };
 use containers::image::synthesize_layers;
 use containers::{ImageManifest, ImageRef, Runtime};
+use edgectl::controller::{DeltaKind, INGRESS};
+use edgectl::scheduler::{NearestReadyFirst, NearestWaiting};
 use edgectl::{
-    ClusterId, Controller, ControllerConfig, ControllerOutput, DeltaKind, DeploymentRecord,
-    NearestReadyFirst, NearestWaiting, StatusDelta,
+    ClusterId, Controller, ControllerConfig, ControllerOutput, DeploymentRecord, StatusDelta,
 };
 use proptest::prelude::*;
 use registry::{Registry, RegistryProfile, RegistrySet};
@@ -764,7 +766,7 @@ fn run(c: &mut Controller, ev: &[(SimTime, u8, u8)], log: &Log) -> Run {
             if at > upto {
                 break;
             }
-            out.extend(c.on_wakeup(at));
+            c.on_wakeup_into(at, out);
         }
     };
     for (i, &(t, s, cl)) in ev.iter().enumerate() {
@@ -786,7 +788,7 @@ fn run(c: &mut Controller, ev: &[(SimTime, u8, u8)], log: &Log) -> Run {
             service_addr(s),
             i as u64,
         );
-        out.extend(c.on_packet_in(t, p, BufferId(i as u64), CLIENT_PORT));
+        c.on_packet_in_at_into(t, INGRESS, p, BufferId(i as u64), CLIENT_PORT, &mut out);
     }
     pump_until(
         c,

@@ -78,9 +78,13 @@ fn forgotten_flows_leave_no_record_behind() {
     }
 
     assert!(memory.forget(key(100)).is_some());
-    let of_service = memory.forget_service(ServiceId(7), Some(ClusterId(0)));
-    assert_eq!(of_service, FLOWS / SERVICES);
-    let live = FLOWS - 1 - of_service;
+    // Every flow of service 7, one `forget` each.
+    let of_service = (7..FLOWS).step_by(SERVICES);
+    for i in of_service.clone() {
+        assert!(memory.forget(key(i)).is_some());
+    }
+    assert_eq!(of_service.len(), FLOWS / SERVICES);
+    let live = FLOWS - 1 - of_service.len();
     assert_eq!(memory.len(), live);
     assert_eq!(memory.expiry_records(), live);
 

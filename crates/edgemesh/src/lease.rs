@@ -73,8 +73,8 @@ impl LeaseTable {
     }
 
     /// The shard currently holding the lease on `(cluster, service)`.
-    #[doc(hidden)] // the lease tests read the holder
-    pub fn holder(&self, cluster: ClusterId, service: ServiceId) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn holder(&self, cluster: ClusterId, service: ServiceId) -> Option<usize> {
         self.state.borrow().held.get(&(cluster, service)).copied()
     }
 }
@@ -106,6 +106,9 @@ impl DeployGate for LeaseHandle {
         }
     }
 }
+
+#[cfg(test)]
+mod model_tests;
 
 #[cfg(test)]
 mod tests {

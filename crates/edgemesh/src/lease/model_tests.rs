@@ -5,9 +5,10 @@
 use std::collections::BTreeMap;
 
 use edgectl::{ClusterId, DeployGate, ServiceId};
-use edgemesh::LeaseTable;
 use proptest::prelude::*;
 use simcore::SimTime;
+
+use crate::LeaseTable;
 
 const SHARDS: usize = 4;
 

@@ -51,9 +51,8 @@ pub mod result;
 pub mod shared;
 
 pub use lease::LeaseTable;
-pub use par::{run_windowed, run_windowed_audited, validate_threads, ThreadsExceedShards};
+pub use par::{run_windowed_audited, validate_threads};
 pub use result::{MeshRecord, MeshRunResult, ShardSummary};
-pub use shared::{SharedBackend, SharedHandle};
 
 use edgeverify::{ContinuityView, Violation};
 use testbed::{ScenarioConfig, Testbed};
@@ -100,24 +99,11 @@ fn bigflows_trace(cfg: &ScenarioConfig) -> Trace {
     testbed::generate_workload(cfg)
 }
 
-/// Build the session-continuity accounting for a multi-shard run: per-tag
+/// The session-continuity accounting of a multi-shard run: per-tag
 /// completion counts from the completion records plus the loss ledger, ready
-/// for [`edgeverify::Verifier::check_continuity`]. Returns `None` for the
-/// `shards = 1` delegation (the plain testbed keeps no per-tag ledger — its
-/// single event loop cannot blackhole a session across a handover, the
-/// failure mode the analysis exists for).
-#[doc(hidden)] // one integration test audits handovers through it
-pub fn continuity_view(trace: &Trace, result: &MeshRunResult) -> Option<ContinuityView> {
-    if result.single.is_some() {
-        return None;
-    }
-    Some(continuity_view_parts(
-        trace,
-        &result.records,
-        &result.lost_tags,
-    ))
-}
-
+/// for [`edgeverify::Verifier::check_continuity`]. (A `shards = 1` run keeps
+/// no per-tag ledger: its single event loop cannot blackhole a session
+/// across a handover, the failure mode the analysis exists for.)
 pub(crate) fn continuity_view_parts(
     trace: &Trace,
     records: &[MeshRecord],

@@ -561,20 +561,19 @@ impl ShardActor for MeshShard {
 
 /// The test-only hooks of a run ([`run_windowed_hooked`]); all off in
 /// production.
-#[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TestHooks {
+pub(crate) struct TestHooks {
     /// Sensitivity hook: perturb the barrier merge order (tie-break and
     /// fan-out order reversed). The determinism regression suite asserts the
     /// canonical hash *changes* under this mutation — proof the pinned
     /// hashes actually pin the merge order.
-    pub perturb: bool,
+    pub(crate) perturb: bool,
     /// Seeded fault for the session-continuity analysis: this client's
     /// post-handover requests are silently swallowed (never served, never
     /// accounted lost). The mutation test asserts the continuity check flags
     /// the blackholed sessions — proof the analysis is live, not vacuously
     /// green.
-    pub blackhole_victim: Option<usize>,
+    pub(crate) blackhole_victim: Option<usize>,
 }
 
 /// Build shard `shard`'s full state. Runs *on the thread that owns the
@@ -698,10 +697,9 @@ pub fn run_windowed_audited(
     run_windowed_hooked(cfg, trace, threads, TestHooks::default())
 }
 
-/// Test-only: the per-site bookings shard `shard`'s controller ends bring-up
-/// with (`tests/bringup.rs` holds them to the single-controller testbed's).
-#[doc(hidden)]
-pub fn shard_site_allocations(
+/// The per-site bookings shard `shard`'s controller ends bring-up with.
+#[cfg(test)]
+pub(crate) fn shard_site_allocations(
     cfg: &ScenarioConfig,
     trace: &Trace,
     shard: usize,
@@ -714,8 +712,7 @@ pub fn shard_site_allocations(
 }
 
 /// [`run_windowed_audited`] with test hooks switched on.
-#[doc(hidden)]
-pub fn run_windowed_hooked(
+pub(crate) fn run_windowed_hooked(
     cfg: ScenarioConfig,
     trace: &Trace,
     threads: usize,
@@ -1064,9 +1061,12 @@ fn audit(
 }
 
 #[cfg(test)]
+mod hook_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use edgectl::DeltaKind;
+    use edgectl::controller::DeltaKind;
 
     const LATENCY: SimDuration = SimDuration::from_micros(500);
     const INTERVAL: SimDuration = SimDuration::from_millis(50);
@@ -1268,7 +1268,7 @@ mod tests {
 #[cfg(test)]
 mod protocol_model {
     use super::*;
-    use edgectl::DeltaKind;
+    use edgectl::controller::DeltaKind;
 
     /// The model mesh's link latency, which is also its window length.
     const LINK: SimDuration = SimDuration::from_millis(10);

@@ -2,12 +2,12 @@
 //! departing controller to tear its flows down while the new ingress
 //! re-learns them on the next PacketIn. These tests pin thread-invariance of
 //! the mesh hash under mobility, hold a handover tied with a SYN to the
-//! single-controller testbed, and prove the session-continuity analysis end
-//! to end — including a seeded-fault mutation run that must be *caught*, so
-//! a regression that silently disables the analysis fails loudly. The
+//! single-controller testbed, and resolve flash-crowd contention with
+//! leases. The session-continuity analysis, with its seeded-fault mutation
+//! run, needs the engine's test hooks and lives in `par`'s tests. The
 //! outcome of two mobile runs is pinned in `windowed_pinned.rs`.
 
-use edgeverify::Violation;
+use edgemesh::par::run_windowed;
 use simcore::SimRng;
 use testbed::{MeshParams, ScenarioConfig};
 use workload::{ingress_at, Trace, TraceConfig, WorkloadConfig};
@@ -42,78 +42,12 @@ fn mesh_cfg(seed: u64, shards: usize) -> ScenarioConfig {
 #[test]
 fn mesh_hash_is_thread_invariant_under_mobility() {
     let trace = mobile_trace(21, "mmpp", 3.0);
-    let a = edgemesh::run_windowed(mesh_cfg(21, 4), &trace, 1);
-    let b = edgemesh::run_windowed(mesh_cfg(21, 4), &trace, 2);
-    let c = edgemesh::run_windowed(mesh_cfg(21, 4), &trace, 4);
+    let a = run_windowed(mesh_cfg(21, 4), &trace, 1);
+    let b = run_windowed(mesh_cfg(21, 4), &trace, 2);
+    let c = run_windowed(mesh_cfg(21, 4), &trace, 4);
     assert!(a.handovers > 0);
     assert_eq!(a.mesh_hash(), b.mesh_hash(), "1 vs 2 threads");
     assert_eq!(a.mesh_hash(), c.mesh_hash(), "1 vs 4 threads");
-}
-
-/// The mobility acceptance bar: every session in a handover-heavy run either
-/// completes exactly once or is explicitly accounted lost — the audited run
-/// (which includes the continuity analysis) reports zero violations.
-#[test]
-fn mobile_sessions_complete_exactly_once() {
-    let trace = mobile_trace(31, "bigflows", 2.0);
-    let (result, violations) = edgemesh::run_windowed_audited(mesh_cfg(31, 2), &trace, 2);
-    assert!(result.handovers > 0, "no handovers exercised");
-    assert!(
-        violations.is_empty(),
-        "continuity/coherence violations: {violations:?}"
-    );
-    assert_eq!(
-        result.completed + result.lost,
-        trace.requests.len() as u64,
-        "a session fell through the handover gap"
-    );
-    let view = edgemesh::continuity_view(&trace, &result).expect("multi-shard run");
-    assert_eq!(view.completions.len(), trace.requests.len());
-}
-
-/// Mutation test: seed a fault that swallows one mobile client's
-/// post-handover requests (served nowhere, accounted nowhere) and assert the
-/// continuity analysis flags exactly that client's sessions as blackholed.
-/// This is the proof the `mobile_sessions_complete_exactly_once` green run
-/// is meaningful — the analysis can actually fail.
-#[test]
-fn blackholed_handover_is_flagged() {
-    let trace = mobile_trace(31, "bigflows", 2.0);
-    let shards = 2;
-    // Pick a client that issues at least one request from its post-handover
-    // ingress — the requests the seeded fault will swallow.
-    let victim = (0..trace.config.clients)
-        .find(|&c| {
-            trace.requests.iter().any(|r| {
-                r.client == c && ingress_at(&trace.handovers, c, r.at, shards) != c % shards
-            })
-        })
-        .expect("some client must issue post-handover requests");
-    let hooks = edgemesh::par::TestHooks {
-        blackhole_victim: Some(victim),
-        ..Default::default()
-    };
-    let (result, violations) =
-        edgemesh::par::run_windowed_hooked(mesh_cfg(31, shards), &trace, 2, hooks);
-    let blackholed: Vec<_> = violations
-        .iter()
-        .filter_map(|v| match v {
-            Violation::BlackholedSession { tag, client } => Some((*tag, *client)),
-            _ => None,
-        })
-        .collect();
-    assert!(
-        !blackholed.is_empty(),
-        "seeded blackhole was not flagged — the continuity analysis is dead"
-    );
-    assert!(
-        blackholed.iter().all(|&(_, c)| c as usize == victim),
-        "only the victim's sessions may be blackholed: {blackholed:?}"
-    );
-    assert!(
-        (result.completed + result.lost) < trace.requests.len() as u64,
-        "the seeded fault swallowed nothing"
-    );
 }
 
 /// The flash-crowd acceptance bar: thousands of arrivals slam one cold
@@ -124,7 +58,7 @@ fn blackholed_handover_is_flagged() {
 fn flash_crowd_contention_is_resolved_by_leases() {
     let trace = mobile_trace(41, "flash-crowd", 0.0);
     let cfg = mesh_cfg(41, 4);
-    let result = edgemesh::run_windowed(cfg, &trace, 2);
+    let result = run_windowed(cfg, &trace, 2);
     assert_eq!(
         result.duplicate_deployments, 0,
         "split-brain deployments under flash crowd"
@@ -148,7 +82,8 @@ fn flash_crowd_contention_is_resolved_by_leases() {
 #[test]
 fn handover_and_syn_at_the_same_instant_agree_with_the_testbed() {
     use simcore::{SimDuration, SimTime};
-    use workload::{Handover, TraceRequest};
+    use workload::mobility::Handover;
+    use workload::TraceRequest;
 
     let cfg = ScenarioConfig {
         clients: 2,
@@ -197,8 +132,8 @@ fn handover_and_syn_at_the_same_instant_agree_with_the_testbed() {
         trace.service_addrs.clone(),
     )
     .run_trace(&trace);
-    let one = edgemesh::run_windowed(cfg.clone(), &trace, 1);
-    let two = edgemesh::run_windowed(cfg, &trace, 2);
+    let one = run_windowed(cfg.clone(), &trace, 1);
+    let two = run_windowed(cfg, &trace, 2);
 
     let counters = |completed: u64, lost: u64, handovers: u64| (completed, lost, handovers);
     let expected = counters(4, 0, 1);

@@ -16,7 +16,7 @@ use cluster::{
 use common::{drive, ops, Rig};
 use containers::Runtime;
 use edgemesh::shared::share;
-use edgemesh::{SharedBackend, SharedHandle};
+use edgemesh::shared::{SharedBackend, SharedHandle};
 use proptest::prelude::*;
 use simcore::SimRng;
 use simnet::IpAddr;

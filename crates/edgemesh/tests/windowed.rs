@@ -3,15 +3,15 @@
 //! replay the two shipped federation scenarios —
 //! `examples/scenarios/mesh_lossy_wan.yaml` (lossy metro WAN) and
 //! `examples/scenarios/mesh_scaledown.yaml` (instance churn) — at
-//! threads ∈ {1, 2, 8} and assert byte-identical mesh traces, then prove
-//! the check is *live* with a mutation test: perturbing the window-boundary
-//! merge tie-break must change the hash.
+//! threads ∈ {1, 2, 8} and assert byte-identical mesh traces. The mutation
+//! test that proves the check *live* — perturbing the window-boundary merge
+//! tie-break must change the hash — needs the engine's test hooks and lives
+//! in `par`'s tests.
 
-use edgemesh::{run_mesh_bigflows, validate_threads, ThreadsExceedShards};
-use simcore::{SimDuration, SimTime};
-use simnet::{IpAddr, SocketAddr};
+use edgemesh::par::ThreadsExceedShards;
+use edgemesh::{run_mesh_bigflows, validate_threads};
+use simcore::SimDuration;
 use testbed::{MeshParams, ScenarioConfig};
-use workload::{Trace, TraceConfig, TraceRequest};
 
 /// `examples/scenarios/mesh_lossy_wan.yaml`, parameterized over shard and
 /// thread count: 5 ms one-way gossip latency, 10% delta loss, leases on.
@@ -93,59 +93,6 @@ fn scaledown_churn_trace_is_thread_invariant() {
         );
         assert_eq!(base.mesh_hash(), run.mesh_hash());
     }
-}
-
-/// Mutation test: the thread-invariance above is only evidence if the hash
-/// actually reacts to merge-order changes. Under engineered contention —
-/// every client asking for the same cold service at the same instant — the
-/// shards' lease acquires tie on time, so the `(origin, seq)` tie-break
-/// alone decides which shard wins the deployment. Reversing it must change
-/// the winner and with it the trace; if it doesn't, the determinism
-/// regression above is checking nothing.
-#[test]
-fn perturbed_merge_tie_break_changes_the_hash() {
-    let config = TraceConfig {
-        services: 1,
-        total_requests: 8,
-        clients: 8,
-        min_per_service: 1,
-        ..TraceConfig::default()
-    };
-    let trace = Trace {
-        requests: (0..8)
-            .map(|client| TraceRequest {
-                at: SimTime::ZERO,
-                service: 0,
-                client,
-            })
-            .collect(),
-        service_addrs: vec![SocketAddr::new(IpAddr::new(93, 184, 1, 1), 80)],
-        config,
-        handovers: Vec::new(),
-    };
-    let cfg = ScenarioConfig {
-        seed: 7,
-        clients: 8,
-        mesh: MeshParams {
-            shards: 4,
-            link_latency: SimDuration::from_millis(100),
-            gossip_interval: SimDuration::from_millis(20),
-            ..MeshParams::default()
-        },
-        ..ScenarioConfig::default()
-    };
-    let canonical = edgemesh::run_windowed(cfg.clone(), &trace, 1);
-    let hooks = edgemesh::par::TestHooks {
-        perturb: true,
-        ..Default::default()
-    };
-    let (perturbed, _) = edgemesh::par::run_windowed_hooked(cfg, &trace, 1, hooks);
-    assert_ne!(
-        canonical.mesh_hash(),
-        perturbed.mesh_hash(),
-        "reversed merge tie-break left the mesh trace untouched — the \
-         determinism regression test would pass vacuously"
-    );
 }
 
 /// The user-facing contract for the `threads` knob: `0` normalizes to 1,

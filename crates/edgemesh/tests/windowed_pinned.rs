@@ -24,7 +24,8 @@ use edgeverify::Violation;
 use simcore::{FnvStream, SimDuration, SimRng, SimTime};
 use simnet::{IpAddr, SocketAddr};
 use testbed::{MeshParams, ScenarioConfig};
-use workload::{Handover, Trace, TraceConfig, TraceRequest, WorkloadConfig};
+use workload::mobility::Handover;
+use workload::{Trace, TraceConfig, TraceRequest, WorkloadConfig};
 
 /// The canonical rendering the digest folds.
 fn render(r: &MeshRunResult, violations: &[Violation]) -> String {

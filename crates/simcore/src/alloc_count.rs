@@ -74,7 +74,7 @@ pub fn total() -> u64 {
 
 /// Heap bytes live right now, as requested from the allocator. Diff two
 /// reads to size what a region of work keeps.
-#[doc(hidden)] // the memory-bound tests read it
+#[doc(hidden)] // the `memory_bound` and `alloc_regression` allocation binaries read it
 pub fn live_bytes() -> u64 {
     LIVE_BYTES.load(Ordering::Relaxed)
 }

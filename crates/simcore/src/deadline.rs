@@ -188,8 +188,8 @@ impl IdleOrder {
     }
 
     /// The least recently touched member of the list of `timeout`.
-    #[doc(hidden)] // the model tests walk the lists
-    pub fn front(&self, timeout: SimDuration) -> Option<u32> {
+    #[cfg(test)]
+    pub(crate) fn front(&self, timeout: SimDuration) -> Option<u32> {
         self.class_of(timeout).map(|c| self.classes[c].head)
     }
 
@@ -207,10 +207,9 @@ impl IdleOrder {
             .map(|c| c.head)
     }
 
-    /// The members of the list of `timeout`, head first (tests and
-    /// diagnostics).
-    #[doc(hidden)] // the model tests walk the lists
-    pub fn iter(&self, timeout: SimDuration) -> impl Iterator<Item = u32> + '_ {
+    /// The members of the list of `timeout`, head first.
+    #[cfg(test)]
+    pub(crate) fn iter(&self, timeout: SimDuration) -> impl Iterator<Item = u32> + '_ {
         let mut at = self.front(timeout).unwrap_or(NIL);
         std::iter::from_fn(move || {
             let handle = (at != NIL).then_some(at)?;
@@ -230,7 +229,7 @@ impl IdleOrder {
         self.len
     }
 
-    #[doc(hidden)] // tests; clippy pairs it with `len`
+    #[doc(hidden)] // clippy pairs it with `len`
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -360,22 +359,25 @@ impl<K: Ord + Copy> DeadlineIndex<K> {
     }
 
     /// Every record, in no particular order (tests and diagnostics).
-    #[doc(hidden)] // the model tests read the records
+    #[doc(hidden)] // edgectl's wakeup-surface oracle reads the records
     pub fn records(&self) -> impl Iterator<Item = (SimTime, K)> + '_ {
         self.heap.iter().map(|&Reverse(record)| record)
     }
 
     /// How many records are held; see the module doc for the bound.
-    #[doc(hidden)] // the bound tests count the records
+    #[doc(hidden)] // edgectl's wakeup-surface oracle counts queued retries by it
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    #[doc(hidden)] // tests; clippy pairs it with `len`
+    #[doc(hidden)] // clippy pairs it with `len`
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 }
+
+#[cfg(test)]
+mod model_tests;
 
 #[cfg(test)]
 mod tests {

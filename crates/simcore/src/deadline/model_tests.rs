@@ -1,4 +1,4 @@
-//! Model tests of the two schedules in `simcore::deadline`, each against a
+//! Model tests of the two schedules in `deadline`, each against a
 //! `BTreeMap` truth driven at **non-monotone** instants (every op draws its
 //! own instant — a windowed PDES shard re-stamps entries behind the latest
 //! touch).
@@ -20,8 +20,8 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::{DeadlineIndex, IdleOrder, SimDuration, SimTime};
 use proptest::prelude::*;
-use simcore::{DeadlineIndex, IdleOrder, SimDuration, SimTime};
 
 #[derive(Debug, Clone)]
 enum Op {

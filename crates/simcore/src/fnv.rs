@@ -59,7 +59,7 @@ impl FnvStream {
     }
 
     /// One-shot convenience: the digest of `bytes`.
-    #[doc(hidden)] // the byte fold the digest tests hold the literal folds to
+    #[doc(hidden)] // testbed's and edgemesh's digest tests hold the literal folds to it
     pub fn hash_bytes(bytes: &[u8]) -> u64 {
         let mut s = FnvStream::new();
         s.update(bytes);

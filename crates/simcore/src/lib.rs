@@ -4,7 +4,7 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
 //! * [`EventQueue`] — a deterministic future-event list (a min-heap of same-instant
-//!   runs) with stable FIFO tie-breaking and O(1) cancellation,
+//!   runs) with stable FIFO tie-breaking,
 //! * [`IdleOrder`] — idle and hard timeouts in last-touch order, one list
 //!   per timeout: a touch is a move-to-tail, "next due" the minimum over heads,
 //! * [`DeadlineIndex`] — the lazy keyed-deadline index behind due lists:
@@ -52,7 +52,7 @@ pub use deadline::{DeadlineIndex, IdleOrder};
 pub use dethash::DetHashMap;
 pub use dist::DurationDist;
 pub use fnv::{FnvStream, Lit, TraceSink};
-pub use queue::{EventId, EventQueue};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use runner::{run_seeds, RunnerMeta};
 pub use shard_runner::{ShardActor, ShardCrew};

@@ -1,5 +1,5 @@
 //! The future-event list: a binary min-heap of *runs* — FIFOs of events due
-//! at one instant — with **deterministic FIFO tie-breaking** and O(1) cancel.
+//! at one instant — with **deterministic FIFO tie-breaking**.
 //!
 //! Determinism is the load-bearing property here. Two events scheduled for the
 //! same instant pop in the order they were pushed, so a simulation run is a pure
@@ -26,9 +26,10 @@
 //!
 //! Keys live in the heap, payloads out of line: the heap holds
 //! `(time, seq, run)`, a run record is `(time, head, tail)`, a per-slot lane
-//! holds `(seq, next, generation)` and the payloads sit in their own lane
-//! (`None` once fired or cancelled), so sifting and linking never move an
-//! event.
+//! holds `(seq, next)` and the payloads sit in their own lane (`None` once
+//! fired), so sifting and linking never move an event. A pop frees the head's
+//! slot at once, so the top run's head is always a queued event, which makes
+//! [`EventQueue::peek_time`] a true O(1) `&self` accessor.
 //!
 //! Two accessors edit a queued payload where it stands, so an event that
 //! stands for several can be split or grown without moving in the order:
@@ -38,18 +39,13 @@
 //! with no seq in between. The ingress core stores a chain of duplicate
 //! controller wakeups as one entry with a copy count through these two.
 //!
-//! Cancellation marks the slot dead and bumps its generation: [`EventId`]s are
-//! generation-tagged, so a stale id (already fired or already cancelled) is a
-//! no-op returning `false` even after the slot has been reused. A dead slot
-//! stays linked until it reaches its run's head and is only then freed, so a
-//! slot is never reused while linked. The top run's head is kept live, which
-//! makes [`EventQueue::peek_time`] a true O(1) `&self` accessor.
+//! The queue has no cancel: nothing in the simulator withdraws an event
+//! (ROADMAP item 6(a) adds one with its first caller).
 //!
 //! A model-based proptest (`tests/proptest_queue.rs`) holds the queue to a
-//! binary-heap + tombstone oracle over thousands of push / cancel / pop / peek
-//! interleavings, including same-instant bursts and cancels inside runs, and
-//! holds entries grown and split through the two accessors to the oracle
-//! with every copy pushed on its own.
+//! binary-heap oracle over thousands of push / pop / peek interleavings,
+//! including same-instant bursts, and holds entries grown and split through
+//! the two accessors to the oracle with every copy pushed on its own.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -58,23 +54,11 @@ use crate::time::SimTime;
 
 const NIL: u32 = u32::MAX;
 
-/// Identifies a scheduled event so it can be cancelled before it fires.
-///
-/// Generation-tagged: once the event fires or is cancelled the id goes stale,
-/// and [`EventQueue::cancel`] on a stale id returns `false` — even if the
-/// internal slot has since been reused for a new event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId {
-    index: u32,
-    generation: u32,
-}
-
 /// Ordering of one event slot; its payload sits in `events`.
 struct Slot {
     seq: u64,
     /// Next slot in the same run (FIFO), or `NIL`.
     next: u32,
-    generation: u32,
 }
 
 /// The FIFO of events due at one instant.
@@ -92,8 +76,6 @@ struct Run {
 /// let mut q = EventQueue::new();
 /// q.push(SimTime::from_nanos(10), "b");
 /// q.push(SimTime::from_nanos(5), "a");
-/// let id = q.push(SimTime::from_nanos(7), "dropped");
-/// q.cancel(id);
 /// assert_eq!(q.pop(), Some((SimTime::from_nanos(5), "a")));
 /// assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "b")));
 /// assert_eq!(q.pop(), None);
@@ -107,8 +89,8 @@ pub struct EventQueue<E> {
     /// only run a push may append to.
     last_run: u32,
     slots: Vec<Slot>,
-    /// Payload lane, parallel to `slots`: `None` once fired or cancelled
-    /// (and while on the free list).
+    /// Payload lane, parallel to `slots`: `None` once fired (while the slot
+    /// is on the free list).
     events: Vec<Option<E>>,
     free: Vec<u32>,
     live: usize,
@@ -138,11 +120,11 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedule `event` to fire at `time`. Returns an id usable with
-    /// [`EventQueue::cancel`]. Times at or before the last popped instant are
-    /// fine: the queue is a strict `(time, seq)` priority queue, so an event
-    /// pushed "in the past" simply becomes the next minimum.
-    pub fn push(&mut self, time: SimTime, event: E) -> EventId {
+    /// Schedule `event` to fire at `time`. Times at or before the last
+    /// popped instant are fine: the queue is a strict `(time, seq)` priority
+    /// queue, so an event pushed "in the past" simply becomes the next
+    /// minimum.
+    pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let index = self.alloc(seq, event);
@@ -175,57 +157,38 @@ impl<E> EventQueue<E> {
 
         self.live += 1;
         self.peak = self.peak.max(self.live);
-        EventId {
-            index,
-            generation: self.slots[index as usize].generation,
-        }
     }
 
-    /// Cancel a scheduled event. Returns `true` if the event was still pending
-    /// (i.e. had not fired and had not already been cancelled).
-    #[doc(hidden)] // no caller yet; the queue tests cover it
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(slot) = self.slots.get_mut(id.index as usize) else {
-            return false;
-        };
-        if slot.generation != id.generation || self.events[id.index as usize].is_none() {
-            return false;
-        }
-        slot.generation = slot.generation.wrapping_add(1);
-        self.events[id.index as usize] = None;
-        self.live -= 1;
-        // The slot stays linked and is freed once it reaches its run's head;
-        // only the top run's head must be live right away.
-        if self
-            .top_run()
-            .is_some_and(|run| self.runs[run as usize].head == id.index)
-        {
-            self.settle();
-        }
-        true
-    }
-
-    /// Pop the earliest live event.
+    /// Pop the earliest event. Its slot is freed; an emptied run leaves the
+    /// heap.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let run = self.top_run()?;
-        let Run { time, head, .. } = self.runs[run as usize];
-        let slot = &mut self.slots[head as usize];
-        slot.generation = slot.generation.wrapping_add(1);
+        let record = &mut self.runs[run as usize];
+        let (time, head) = (record.time, record.head);
         let event = self.events[head as usize]
             .take()
-            .expect("the top run's head is live");
+            .expect("the top run's head is queued");
         self.live -= 1;
-        self.retire_head(run);
-        self.settle();
+        self.free.push(head);
+        let next = self.slots[head as usize].next;
+        if next == NIL {
+            self.heap.pop();
+            self.free_runs.push(run);
+            if self.last_run == run {
+                self.last_run = NIL;
+            }
+        } else {
+            record.head = next;
+        }
         Some((time, event))
     }
 
-    /// The timestamp of the earliest live event, if any. O(1), `&self`.
+    /// The timestamp of the earliest event, if any. O(1), `&self`.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.top_run().map(|run| self.runs[run as usize].time)
     }
 
-    /// `(time, seq)` of the earliest live event, if any. O(1), `&self`.
+    /// `(time, seq)` of the earliest event, if any. O(1), `&self`.
     ///
     /// The sequence number totally orders same-instant events (FIFO push
     /// order), which lets a caller merging an *external* sorted stream with
@@ -238,15 +201,15 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// The earliest live event's time and payload, the payload to edit in
+    /// The earliest event's time and payload, the payload to edit in
     /// place: the event keeps its `(time, seq)` place in line. O(1).
     pub fn peek_mut(&mut self) -> Option<(SimTime, &mut E)> {
         let run = &self.runs[self.top_run()? as usize];
         Some((run.time, self.events[run.head as usize].as_mut()?))
     }
 
-    /// The payload of the most recent push, if it is still queued (neither
-    /// popped nor cancelled) and due at `time`. O(1).
+    /// The payload of the most recent push, if it is still queued (not
+    /// popped) and due at `time`. O(1).
     ///
     /// A push at `time` now would take the next seq, so no event can pop
     /// between that push and this one: a caller may fold the new event into
@@ -261,12 +224,12 @@ impl<E> EventQueue<E> {
         self.events[run.tail as usize].as_mut()
     }
 
-    /// Number of live (non-cancelled) pending events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
         self.live
     }
 
-    #[doc(hidden)] // tests; clippy pairs it with `len`
+    #[doc(hidden)] // clippy pairs it with `len`
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
@@ -276,7 +239,7 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
-    /// High-water mark of live entries over the queue's lifetime.
+    /// High-water mark of pending entries over the queue's lifetime.
     pub fn peak_len(&self) -> usize {
         self.peak
     }
@@ -295,42 +258,9 @@ impl<E> EventQueue<E> {
         } else {
             let index = u32::try_from(self.slots.len()).expect("slots fit in u32 indices");
             assert_ne!(index, NIL, "event slots full");
-            self.slots.push(Slot {
-                seq,
-                next: NIL,
-                generation: 0,
-            });
+            self.slots.push(Slot { seq, next: NIL });
             self.events.push(Some(event));
             index
-        }
-    }
-
-    /// Unlink and free the head slot of `run`, which must be the top run; an
-    /// emptied run leaves the heap.
-    fn retire_head(&mut self, run: u32) {
-        let record = &mut self.runs[run as usize];
-        let head = record.head;
-        let next = self.slots[head as usize].next;
-        self.free.push(head);
-        if next == NIL {
-            self.heap.pop();
-            self.free_runs.push(run);
-            if self.last_run == run {
-                self.last_run = NIL;
-            }
-        } else {
-            record.head = next;
-        }
-    }
-
-    /// Free cancelled slots off the top run's head until it is live (or the
-    /// heap is empty).
-    fn settle(&mut self) {
-        while let Some(run) = self.top_run() {
-            if self.events[self.runs[run as usize].head as usize].is_some() {
-                return;
-            }
-            self.retire_head(run);
         }
     }
 }
@@ -410,9 +340,6 @@ mod tests {
         q.push(t(7), 2);
         assert_eq!(q.last_push_mut(t(5)), None, "no longer the most recent");
         *q.last_push_mut(t(7)).unwrap() += 10;
-        let id = q.push(t(5), 3);
-        q.cancel(id);
-        assert_eq!(q.last_push_mut(t(5)), None, "cancelled");
         q.push(t(9), 4);
         assert_eq!(q.pop(), Some((t(5), 1)));
         assert_eq!(q.pop(), Some((t(7), 12)));
@@ -437,33 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_delivery() {
-        let mut q = EventQueue::new();
-        let a = q.push(t(1), "a");
-        let b = q.push(t(2), "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double-cancel reports false");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((t(2), "b")));
-        assert!(!q.cancel(b), "cancel after fire reports false");
-    }
-
-    #[test]
-    fn cancel_of_fired_generation_is_false_even_after_slot_reuse() {
-        // A stale EventId stays a no-op `false` after its slot has been
-        // recycled for a newer event.
-        let mut q = EventQueue::new();
-        let a = q.push(t(1), "a");
-        assert_eq!(q.pop(), Some((t(1), "a")));
-        assert!(!q.cancel(a), "cancel of fired generation");
-        let b = q.push(t(2), "b"); // reuses a's slot
-        assert!(!q.cancel(a), "stale id must not cancel the reused slot");
-        assert_eq!(q.len(), 1);
-        assert!(q.cancel(b));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
     fn events_in_the_past_and_at_now_still_fire_in_order() {
         // After popping at t=100, events pushed at or before 100 are still
         // delivered, in (time, seq) order.
@@ -479,19 +379,6 @@ mod tests {
         assert_eq!(q.pop(), Some((t(100), "at-now-1")));
         assert_eq!(q.pop(), Some((t(100), "at-now-2")));
         assert_eq!(q.pop(), Some((t(101), "future")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn cancel_of_an_event_pushed_into_the_past() {
-        let mut q = EventQueue::new();
-        q.push(t(1000), "a");
-        assert_eq!(q.pop(), Some((t(1000), "a")));
-        let past = q.push(t(10), "past");
-        q.push(t(2000), "b");
-        assert!(q.cancel(past));
-        assert_eq!(q.peek_time(), Some(t(2000)));
-        assert_eq!(q.pop(), Some((t(2000), "b")));
         assert_eq!(q.pop(), None);
     }
 
@@ -524,31 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        // An id from a different queue instance (valid index, wrong
-        // generation / no slots) must not cancel anything.
-        let mut other: EventQueue<()> = EventQueue::new();
-        let foreign = other.push(t(5), ());
-        assert!(!q.cancel(foreign));
-        // And one whose slot index was never allocated here either.
-        let id = q.push(t(1), ());
-        q.pop();
-        assert!(!q.cancel(id));
-    }
-
-    #[test]
-    fn peek_time_skips_tombstones() {
-        let mut q = EventQueue::new();
-        let a = q.push(t(1), "a");
-        q.push(t(5), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(5)));
-        assert_eq!(q.pop(), Some((t(5), "b")));
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
     fn peek_is_a_shared_reference_accessor() {
         let mut q = EventQueue::new();
         q.push(t(9), ());
@@ -561,10 +423,10 @@ mod tests {
     fn len_tracks_live_entries() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        let a = q.push(t(1), 1);
+        q.push(t(1), 1);
         q.push(t(2), 2);
         assert_eq!(q.len(), 2);
-        q.cancel(a);
+        q.pop();
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());

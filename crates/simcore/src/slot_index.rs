@@ -166,25 +166,20 @@ impl SlotIndex {
     }
 
     /// How many keys are stored.
-    #[doc(hidden)] // the model test reads the index
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    #[doc(hidden)] // tests; clippy pairs it with `len`
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// How many buckets the array has (tests and diagnostics).
-    #[doc(hidden)] // the model test reads the index
-    pub fn capacity(&self) -> usize {
+    /// How many buckets the array has.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.buckets.len()
     }
 
-    /// Every `(hash, slot)` stored, in bucket order (tests and diagnostics).
-    #[doc(hidden)] // the model test reads the index
-    pub fn entries(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+    /// Every `(hash, slot)` stored, in bucket order.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.buckets
             .iter()
             .filter(|b| b.slot != EMPTY)
@@ -210,6 +205,9 @@ impl SlotIndex {
         }
     }
 }
+
+#[cfg(test)]
+mod model_tests;
 
 #[cfg(test)]
 mod tests {
@@ -248,7 +246,7 @@ mod tests {
 
     /// Mutation, by hand: empty a bucket without the backward shift. The key
     /// the probe run carried past it is lost — what the model test in
-    /// `tests/proptest_slot_index.rs` catches when the shift is deleted from
+    /// `slot_index/model_tests.rs` catches when the shift is deleted from
     /// `remove_at`.
     #[test]
     fn a_hole_left_in_a_run_loses_the_keys_after_it() {

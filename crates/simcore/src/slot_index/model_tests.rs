@@ -1,4 +1,4 @@
-//! Model test of `simcore::SlotIndex` against a `BTreeMap` truth. The owner
+//! Model test of `SlotIndex` against a `BTreeMap` truth. The owner
 //! is a slab of keys with a free list, as the flow table's is; each case
 //! draws every key's hash from a narrow band, so keys collide, share homes,
 //! and run past the end of the array and wrap. Inserts, repoints, removals,
@@ -13,8 +13,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::slot_index::{Probe, SlotIndex};
 use proptest::prelude::*;
-use simcore::slot_index::{Probe, SlotIndex};
 
 /// Keys `0..KEYS`.
 const KEYS: u16 = 40;

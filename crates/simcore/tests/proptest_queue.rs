@@ -1,19 +1,14 @@
 //! Model-based property tests: `EventQueue` must behave exactly like a
-//! binary-heap + tombstone oracle (the pre-runs event core, kept here as
-//! the executable specification) under arbitrary push / cancel / pop / peek
-//! interleavings: same winners, same order, same `peek_time_seq`, same cancel
-//! semantics, including `u64::MAX`, same-instant FIFO bursts, cancels inside
-//! runs and cancel-after-fire on stale ids.
+//! binary-heap oracle (the pre-runs event core, kept here as the executable
+//! specification) under arbitrary push / pop / peek interleavings: same
+//! winners, same order, same `peek_time_seq`, including `u64::MAX` and
+//! same-instant FIFO bursts.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use proptest::prelude::*;
-use simcore::{EventId, EventQueue, SimTime};
-
-/// Identifies an event scheduled on a [`HeapEventQueue`]: its push ordinal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HeapEventId(u64);
+use simcore::{EventQueue, SimTime};
 
 struct Entry<E> {
     time: SimTime,
@@ -43,12 +38,10 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The oracle: binary heap plus a tombstone set for cancellation, with the
-/// same `(time, seq)` FIFO semantics.
+/// The oracle: a binary heap with the same `(time, seq)` FIFO semantics.
 struct HeapEventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    pending: HashSet<u64>,
 }
 
 impl<E> HeapEventQueue<E> {
@@ -56,62 +49,37 @@ impl<E> HeapEventQueue<E> {
         HeapEventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            pending: HashSet::new(),
         }
     }
 
-    fn push(&mut self, time: SimTime, event: E) -> HeapEventId {
+    /// Push `event`; returns its push ordinal.
+    fn push(&mut self, time: SimTime, event: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { time, seq, event });
-        self.pending.insert(seq);
-        HeapEventId(seq)
-    }
-
-    fn cancel(&mut self, id: HeapEventId) -> bool {
-        self.pending.remove(&id.0)
+        seq
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.pending.remove(&entry.seq) {
-                return Some((entry.time, entry.event));
-            }
-        }
-        None
+        self.heap.pop().map(|entry| (entry.time, entry.event))
     }
 
-    /// `(time, push ordinal)` of the entry `pop` would return next (drains
-    /// tombstones, hence `&mut`).
-    fn peek_time_seq(&mut self) -> Option<(SimTime, u64)> {
-        while let Some(top) = self.heap.peek() {
-            if self.pending.contains(&top.seq) {
-                return Some((top.time, top.seq));
-            }
-            self.heap.pop();
-        }
-        None
+    /// `(time, push ordinal)` of the entry `pop` would return next.
+    fn peek_time_seq(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|top| (top.time, top.seq))
     }
 
-    fn peek_time(&mut self) -> Option<SimTime> {
+    fn peek_time(&self) -> Option<SimTime> {
         self.peek_time_seq().map(|(time, _)| time)
     }
 
     fn len(&self) -> usize {
-        self.pending.len()
+        self.heap.len()
     }
 
     fn scheduled_total(&self) -> u64 {
         self.next_seq
     }
-}
-
-/// Where in a burst's still-live events a cancel lands.
-#[derive(Debug, Clone, Copy)]
-enum Pos {
-    Head,
-    Middle,
-    Tail,
 }
 
 #[derive(Debug, Clone)]
@@ -125,13 +93,6 @@ enum Op {
         time_ns: u64,
         len: usize,
     },
-    /// Cancel the n-th still-tracked id (modulo live count).
-    Cancel(usize),
-    /// Cancel the head, middle or tail of the n-th burst's live events.
-    CancelInBurst(usize, Pos),
-    /// Cancel an id that already fired or was already cancelled — both
-    /// implementations must report `false`.
-    CancelStale(usize),
     Pop,
     Peek,
 }
@@ -156,153 +117,60 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         5 => (time_strategy(), any::<u32>())
             .prop_map(|(time_ns, value)| Op::Push { time_ns, value }),
-        1 => (0usize..16).prop_map(Op::Cancel),
-        1 => (0usize..16).prop_map(Op::CancelStale),
         4 => Just(Op::Pop),
         2 => Just(Op::Peek),
     ]
 }
 
-fn pos_strategy() -> impl Strategy<Value = Pos> {
-    prop_oneof![Just(Pos::Head), Just(Pos::Middle), Just(Pos::Tail)]
-}
-
 /// Shaped like the simulator's queues: bursts of 2–50 pushes at a few
 /// recurring instants (wakeup chains re-armed 1 s ahead), single pushes at
-/// other instants (a PacketIn's outputs), pops, and cancels aimed at a
-/// burst's head, middle and tail.
+/// other instants (a PacketIn's outputs), and pops.
 fn workload_op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => ((0u64..8).prop_map(|s| s * 1_000_000_000), 2usize..=50)
             .prop_map(|(time_ns, len)| Op::Burst { time_ns, len }),
         4 => (0u64..8_000_000_000, any::<u32>())
             .prop_map(|(time_ns, value)| Op::Push { time_ns, value }),
-        3 => ((0usize..16), pos_strategy()).prop_map(|(n, pos)| Op::CancelInBurst(n, pos)),
-        1 => (0usize..16).prop_map(Op::CancelStale),
         8 => Just(Op::Pop),
         1 => Just(Op::Peek),
     ]
 }
 
-/// Both implementations plus the ids issued in lockstep.
-struct Lockstep {
-    queue: EventQueue<u32>,
-    heap: HeapEventQueue<u32>,
-    /// `(queue id, oracle id, time, push ordinal)` of every pending event.
-    live_ids: Vec<(EventId, HeapEventId, u64, u64)>,
-    /// Ids of fired or cancelled events.
-    stale_ids: Vec<(EventId, HeapEventId)>,
-}
-
-impl Lockstep {
-    /// Push to both; returns the push ordinal.
-    fn push(&mut self, time_ns: u64, value: u32) -> u64 {
-        let qid = self.queue.push(SimTime::from_nanos(time_ns), value);
-        let hid = self.heap.push(SimTime::from_nanos(time_ns), value);
-        self.live_ids.push((qid, hid, time_ns, hid.0));
-        hid.0
-    }
-
-    /// Cancel the `i`-th live id in both; returns both outcomes.
-    fn cancel(&mut self, i: usize) -> (bool, bool) {
-        let (qid, hid, _, _) = self.live_ids.remove(i);
-        self.stale_ids.push((qid, hid));
-        (self.queue.cancel(qid), self.heap.cancel(hid))
-    }
-}
-
 /// Drive `EventQueue` and the oracle in lockstep through `ops`, checking
 /// `peek_time_seq`, `len` and `scheduled_total` after every op, then drain.
 fn run_lockstep(ops: Vec<Op>) -> Result<(), TestCaseError> {
-    let mut both = Lockstep {
-        queue: EventQueue::new(),
-        heap: HeapEventQueue::new(),
-        live_ids: Vec::new(),
-        stale_ids: Vec::new(),
-    };
-    // Push ordinals of each burst, in push order.
-    let mut bursts: Vec<Vec<u64>> = Vec::new();
-
+    let mut queue = EventQueue::new();
+    let mut heap = HeapEventQueue::new();
     for op in ops {
         match op {
             Op::Push { time_ns, value } => {
-                both.push(time_ns, value);
+                queue.push(SimTime::from_nanos(time_ns), value);
+                heap.push(SimTime::from_nanos(time_ns), value);
             }
             Op::Burst { time_ns, len } => {
-                bursts.push((0..len).map(|i| both.push(time_ns, i as u32)).collect());
-            }
-            Op::Cancel(n) => {
-                if !both.live_ids.is_empty() {
-                    let (q, h) = both.cancel(n % both.live_ids.len());
-                    prop_assert_eq!(q, h, "cancel outcome must agree");
-                }
-            }
-            Op::CancelInBurst(n, pos) if !bursts.is_empty() => {
-                let live: Vec<usize> = bursts[n % bursts.len()]
-                    .iter()
-                    .filter_map(|&ord| both.live_ids.iter().position(|id| id.3 == ord))
-                    .collect();
-                let at = match pos {
-                    Pos::Head => live.first(),
-                    Pos::Middle => live.get(live.len() / 2),
-                    Pos::Tail => live.last(),
-                };
-                if let Some(&i) = at {
-                    prop_assert_eq!(both.cancel(i), (true, true), "a live burst member cancels");
-                }
-            }
-            Op::CancelInBurst(..) => {}
-            Op::CancelStale(n) => {
-                if !both.stale_ids.is_empty() {
-                    let (qid, hid) = both.stale_ids[n % both.stale_ids.len()];
-                    prop_assert!(!both.queue.cancel(qid), "stale id must be a no-op");
-                    prop_assert!(!both.heap.cancel(hid));
+                for i in 0..len as u32 {
+                    queue.push(SimTime::from_nanos(time_ns), i);
+                    heap.push(SimTime::from_nanos(time_ns), i);
                 }
             }
             Op::Pop => {
-                let q = both.queue.pop();
-                let h = both.heap.pop();
-                prop_assert_eq!(&q, &h, "pop must agree");
-                if q.is_some() {
-                    // The fired entry is the live one with the minimal
-                    // (time, push order); its ids go stale.
-                    let i = both
-                        .live_ids
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &(_, _, t, ord))| (t, ord))
-                        .map(|(i, _)| i)
-                        .expect("a live id must back a successful pop");
-                    let (qid, hid, _, _) = both.live_ids.remove(i);
-                    both.stale_ids.push((qid, hid));
-                }
+                prop_assert_eq!(queue.pop(), heap.pop(), "pop must agree");
             }
             Op::Peek => {
-                prop_assert_eq!(
-                    both.queue.peek_time(),
-                    both.heap.peek_time(),
-                    "peek_time must agree"
-                );
+                prop_assert_eq!(queue.peek_time(), heap.peek_time(), "peek_time must agree");
             }
         }
         prop_assert_eq!(
-            both.queue.peek_time_seq(),
-            both.heap.peek_time_seq(),
+            queue.peek_time_seq(),
+            heap.peek_time_seq(),
             "peek_time_seq must name the next entry's (time, push ordinal)"
         );
-        prop_assert_eq!(both.queue.len(), both.heap.len(), "live counts must agree");
-        prop_assert_eq!(both.queue.is_empty(), both.heap.len() == 0);
-        prop_assert_eq!(both.queue.scheduled_total(), both.heap.scheduled_total());
+        prop_assert_eq!(queue.len(), heap.len(), "live counts must agree");
+        prop_assert_eq!(queue.is_empty(), heap.len() == 0);
+        prop_assert_eq!(queue.scheduled_total(), heap.scheduled_total());
     }
 
-    // Drain both: remaining orders must agree completely, and every id that
-    // ever existed must now be stale in both implementations.
-    let Lockstep {
-        mut queue,
-        mut heap,
-        live_ids,
-        stale_ids,
-    } = both;
+    // Drain both: remaining orders must agree completely.
     loop {
         prop_assert_eq!(queue.peek_time_seq(), heap.peek_time_seq());
         let q = queue.pop();
@@ -311,11 +179,6 @@ fn run_lockstep(ops: Vec<Op>) -> Result<(), TestCaseError> {
         if q.is_none() {
             break;
         }
-    }
-    let remaining = live_ids.into_iter().map(|(qid, hid, _, _)| (qid, hid));
-    for (qid, hid) in remaining.chain(stale_ids) {
-        prop_assert!(!queue.cancel(qid), "cancel-after-fire must be false");
-        prop_assert!(!heap.cancel(hid));
     }
     Ok(())
 }
@@ -330,8 +193,6 @@ enum CopyOp {
     PopOne,
     /// Pop the head entry with all its copies.
     PopWhole,
-    /// Cancel the n-th live entry (modulo live count) with all its copies.
-    Cancel(usize),
 }
 
 /// A few instants and values, so pushes keep landing behind an equal one.
@@ -341,20 +202,19 @@ fn copy_op_strategy() -> impl Strategy<Value = CopyOp> {
             .prop_map(|(time_ns, value)| CopyOp::Push { time_ns, value }),
         3 => Just(CopyOp::PopOne),
         1 => Just(CopyOp::PopWhole),
-        1 => (0usize..16).prop_map(CopyOp::Cancel),
     ]
 }
 
-/// One live entry of the copy-counting queue and the oracle ids of its
-/// copies, earliest first.
+/// One live entry of the copy-counting queue — its queue push ordinal —
+/// and the oracle push ordinals of its copies, earliest first.
 struct Copies {
-    id: EventId,
-    oracle: VecDeque<HeapEventId>,
+    push: u64,
+    oracle: VecDeque<u64>,
 }
 
 /// Retire the copy the oracle popped from its entry; true if the entry went
 /// with it.
-fn retire(live: &mut Vec<Copies>, popped: HeapEventId) -> bool {
+fn retire(live: &mut Vec<Copies>, popped: u64) -> bool {
     let i = live
         .iter()
         .position(|e| e.oracle.front() == Some(&popped))
@@ -375,7 +235,8 @@ fn run_copy_lockstep(ops: Vec<CopyOp>) -> Result<(), TestCaseError> {
     let mut queue: EventQueue<(u32, u32)> = EventQueue::new();
     let mut heap = HeapEventQueue::new();
     let mut live: Vec<Copies> = Vec::new();
-    let mut newest: Option<EventId> = None;
+    // Queue push ordinal of the most recent push.
+    let mut pushes = 0u64;
     for op in ops {
         match op {
             CopyOp::Push { time_ns, value } => {
@@ -386,17 +247,17 @@ fn run_copy_lockstep(ops: Vec<CopyOp>) -> Result<(), TestCaseError> {
                         *copies += 1;
                         let entry = live
                             .iter_mut()
-                            .find(|e| Some(e.id) == newest)
+                            .find(|e| e.push + 1 == pushes)
                             .expect("only the most recent push, still queued, can grow");
                         entry.oracle.push_back(copy);
                     }
                     _ => {
-                        let id = queue.push(time, (value, 1));
-                        newest = Some(id);
+                        queue.push(time, (value, 1));
                         live.push(Copies {
-                            id,
+                            push: pushes,
                             oracle: [copy].into(),
                         });
+                        pushes += 1;
                     }
                 }
             }
@@ -408,7 +269,7 @@ fn run_copy_lockstep(ops: Vec<CopyOp>) -> Result<(), TestCaseError> {
                     }
                     _ => (queue.pop().map(|(t, (v, _))| (t, v)), true),
                 };
-                let seq = heap.peek_time_seq().map(|(_, seq)| HeapEventId(seq));
+                let seq = heap.peek_time_seq().map(|(_, seq)| seq);
                 prop_assert_eq!(got, heap.pop(), "one copy pops like one push");
                 if let Some(seq) = seq {
                     prop_assert_eq!(retire(&mut live, seq), whole);
@@ -417,22 +278,13 @@ fn run_copy_lockstep(ops: Vec<CopyOp>) -> Result<(), TestCaseError> {
             CopyOp::PopWhole => {
                 if let Some((t, (v, copies))) = queue.pop() {
                     for k in 1..=copies {
-                        let seq = heap.peek_time_seq().map(|(_, seq)| HeapEventId(seq));
+                        let seq = heap.peek_time_seq().map(|(_, seq)| seq);
                         prop_assert_eq!(Some((t, v)), heap.pop(), "every copy, in a row");
                         let emptied = retire(&mut live, seq.unwrap());
                         prop_assert_eq!(emptied, k == copies, "the entry held its copies");
                     }
                 } else {
                     prop_assert_eq!(heap.pop(), None);
-                }
-            }
-            CopyOp::Cancel(n) => {
-                if !live.is_empty() {
-                    let entry = live.remove(n % live.len());
-                    prop_assert!(queue.cancel(entry.id));
-                    for copy in entry.oracle {
-                        prop_assert!(heap.cancel(copy));
-                    }
                 }
             }
         }
@@ -475,9 +327,8 @@ proptest! {
         run_lockstep(ops)?;
     }
 
-    /// The same lockstep over workload-shaped ops: same-instant bursts, runs
-    /// reopened at an instant after pushes elsewhere, and cancels at a
-    /// burst's head, middle and tail.
+    /// The same lockstep over workload-shaped ops: same-instant bursts and
+    /// runs reopened at an instant after pushes elsewhere.
     #[test]
     fn workload_shaped_ops_match_reference(
         ops in prop::collection::vec(workload_op_strategy(), 0..120)

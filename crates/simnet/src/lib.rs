@@ -32,4 +32,4 @@ pub use addr::{IpAddr, SocketAddr};
 pub use openflow::{Action, FlowMatch, FlowSpec, IpNet};
 pub use packet::{Packet, Protocol};
 pub use tcp::TcpModel;
-pub use topology::{NodeId, PathTree};
+pub use topology::PathTree;

@@ -216,12 +216,6 @@ pub struct FlowMatch {
 }
 
 impl FlowMatch {
-    /// Match any packet.
-    #[doc(hidden)] // tests build catch-all rules with it
-    pub fn any() -> FlowMatch {
-        FlowMatch::default()
-    }
-
     /// Match every TCP packet addressed to `dst` (service-wide rule).
     pub fn to_service(dst: SocketAddr) -> FlowMatch {
         FlowMatch {
@@ -233,8 +227,8 @@ impl FlowMatch {
     }
 
     /// Match everything destined into `net` (a topology route).
-    #[doc(hidden)] // tests build masked rules with it
-    pub fn to_net(net: IpNet) -> FlowMatch {
+    #[cfg(test)]
+    pub(crate) fn to_net(net: IpNet) -> FlowMatch {
         FlowMatch {
             dst_net: Some(net),
             ..FlowMatch::default()
@@ -242,8 +236,8 @@ impl FlowMatch {
     }
 
     /// Match everything whose source lies in `net`.
-    #[doc(hidden)] // tests build masked rules with it
-    pub fn from_net(net: IpNet) -> FlowMatch {
+    #[cfg(test)]
+    pub(crate) fn from_net(net: IpNet) -> FlowMatch {
         FlowMatch {
             src_net: Some(net),
             ..FlowMatch::default()
@@ -615,7 +609,6 @@ impl FlowSpec {
 
     /// Replace the action list (accepts a `Vec<Action>`, a slice or an
     /// [`ActionList`]).
-    #[doc(hidden)] // tests set whole action lists with it
     pub fn actions(mut self, actions: impl Into<ActionList>) -> FlowSpec {
         self.actions = actions.into();
         self
@@ -628,8 +621,8 @@ impl FlowSpec {
     }
 
     /// Evict this long after installation regardless of use.
-    #[doc(hidden)] // tests give rules hard timeouts with it
-    pub fn hard(mut self, timeout: SimDuration) -> FlowSpec {
+    #[cfg(test)]
+    pub(crate) fn hard(mut self, timeout: SimDuration) -> FlowSpec {
         self.hard_timeout = Some(timeout);
         self
     }
@@ -661,7 +654,6 @@ pub struct FlowEntry {
 /// What [`FlowTable::lookup`] hands back for a hit: the winning entry's id and
 /// a copy of its actions.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[doc(hidden)] // what the test entry `FlowTable::lookup` returns
 pub struct Hit {
     pub id: FlowId,
     pub actions: ActionList,
@@ -1001,12 +993,12 @@ pub struct FlowTable {
 }
 
 impl FlowTable {
-    #[doc(hidden)] // the model test and the `flow_table` bench drive the table directly
+    /// An empty table.
     pub fn new() -> FlowTable {
         FlowTable::default()
     }
 
-    #[doc(hidden)] // the model test and the `flow_table` bench drive the table directly
+    /// How many entries are installed.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -1020,7 +1012,6 @@ impl FlowTable {
     /// OpenFlow `OFPFC_ADD` semantics: an entry with the same `(priority,
     /// match)` replaces the existing one (counters reset), so re-installing a
     /// redirect simply overwrites it.
-    #[doc(hidden)] // the model test and the `flow_table` bench drive the table directly
     pub fn install(&mut self, now: SimTime, spec: FlowSpec) -> FlowId {
         let slot = self.insert(now, spec);
         self.slab.get(slot).id
@@ -1195,7 +1186,6 @@ impl FlowTable {
 
     /// Find the highest-priority matching entry, updating its stats; a hit
     /// hands back its id and actions.
-    #[doc(hidden)] // the model test and the `flow_table` bench drive the table directly
     pub fn lookup(&mut self, now: SimTime, p: &Packet) -> Option<Hit> {
         let slot = self.touch(now, p)?;
         Some(Hit {
@@ -1289,8 +1279,8 @@ impl FlowTable {
     }
 
     /// How many expiry records the table holds: one list position per
-    /// entry per timeout it has (tests assert it).
-    #[doc(hidden)]
+    /// entry per timeout it has.
+    #[doc(hidden)] // the `memory_bound` allocation binary divides bytes by it
     pub fn expiry_records(&self) -> usize {
         self.idle.len() + self.hard.len()
     }
@@ -1339,19 +1329,19 @@ impl FlowTable {
 
     /// First entry earlier in table order whose matcher fully covers `id`'s —
     /// if one exists, `id` can never match a packet. O(table) to find `id`;
-    /// diagnostics use it, the `debug_assertions` install hook asks
-    /// `FlowTable::shadowing` by slot.
-    #[doc(hidden)] // the only test entry to the debug-build `shadowing` probe
-    pub fn shadowed_by(&self, id: FlowId) -> Option<FlowId> {
+    /// the `debug_assertions` install hook asks `FlowTable::shadowing` by
+    /// slot.
+    #[cfg(test)]
+    pub(crate) fn shadowed_by(&self, id: FlowId) -> Option<FlowId> {
         self.shadowing(self.slot_of(id)?)
     }
 
-    /// [`FlowTable::shadowed_by`] for the entry in `slot`. An exact rule is
-    /// covered by an exact rule only if that rule's shape is a subset of its
-    /// own and that rule's key is its own key projected onto that shape: one
-    /// index probe per such live shape, whose chain head is the earliest
-    /// candidate. Otherwise it is covered by a masked rule ahead of it. A
-    /// masked rule takes the table walk.
+    /// The first entry earlier in table order that covers the entry in
+    /// `slot`, if any. An exact rule is covered by an exact rule only if that
+    /// rule's shape is a subset of its own and that rule's key is its own key
+    /// projected onto that shape: one index probe per such live shape, whose
+    /// chain head is the earliest candidate. Otherwise it is covered by a
+    /// masked rule ahead of it. A masked rule takes the table walk.
     fn shadowing(&self, slot: u32) -> Option<FlowId> {
         let target = *self.slab.get(slot);
         let rank = target.rank();
@@ -1642,5 +1632,9 @@ impl Switch {
     }
 }
 
+#[cfg(test)]
+mod expiry_tests;
+#[cfg(test)]
+mod model_tests;
 #[cfg(test)]
 mod tests;

@@ -3,9 +3,9 @@
 //! takes exactly the records it evicts, and an entry removed another way —
 //! idle or hard timeout — leaves no record behind.
 
+use crate::openflow::{Action, FlowMatch, FlowSpec, FlowTable, PortId};
+use crate::{IpAddr, Packet, SocketAddr};
 use simcore::{SimDuration, SimTime};
-use simnet::openflow::{Action, FlowMatch, FlowSpec, FlowTable, PortId};
-use simnet::{IpAddr, Packet, SocketAddr};
 
 const FLOWS: usize = 1_680;
 const IDLE: SimDuration = SimDuration::from_secs(10);

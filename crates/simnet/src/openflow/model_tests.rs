@@ -19,12 +19,12 @@
 //! often installed at two or three priorities in one op, so same-matcher
 //! chains form, grow, are replaced into and are deleted from.
 
-use proptest::prelude::*;
-use simcore::{SimDuration, SimTime};
-use simnet::openflow::{
+use crate::openflow::{
     Action, ActionList, FlowEntry, FlowId, FlowMatch, FlowSpec, FlowTable, IpNet, PortId,
 };
-use simnet::{IpAddr, Packet, SocketAddr};
+use crate::{IpAddr, Packet, SocketAddr};
+use proptest::prelude::*;
+use simcore::{SimDuration, SimTime};
 
 fn client_ip(c: u8) -> IpAddr {
     IpAddr::new(10, 0, 0, c)
@@ -54,7 +54,7 @@ fn matcher_strategy() -> impl Strategy<Value = FlowMatch> {
             src_ip: Some(client_ip(c)),
             ..FlowMatch::default()
         }),
-        1 => Just(FlowMatch::any()),
+        1 => Just(FlowMatch::default()),
         2 => (0u8..4, prefix).prop_map(|(c, p)| {
             FlowMatch::from_net(IpNet::new(client_ip(c), p))
         }),

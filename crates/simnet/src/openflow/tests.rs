@@ -111,8 +111,8 @@ fn flow_match_subsumption() {
     assert!(!narrow.subsumes(&broad));
     assert!(broad.subsumes(&broad));
     // wildcard covers everything
-    assert!(FlowMatch::any().subsumes(&broad));
-    assert!(!broad.subsumes(&FlowMatch::any()));
+    assert!(FlowMatch::default().subsumes(&broad));
+    assert!(!broad.subsumes(&FlowMatch::default()));
     // a /16 route covers the exact ips and the /24s under it
     let wide = FlowMatch::to_net(IpNet::new(IpAddr::new(10, 0, 0, 0), 16));
     assert!(wide.subsumes(&broad));
@@ -342,7 +342,7 @@ fn masked_match_routes_by_prefix() {
 #[test]
 fn match_wildcards() {
     let p = service_packet();
-    assert!(FlowMatch::any().matches(&p));
+    assert!(FlowMatch::default().matches(&p));
     assert!(FlowMatch::to_service(sa(200, 80)).matches(&p));
     assert!(!FlowMatch::to_service(sa(200, 443)).matches(&p));
     assert!(FlowMatch::client_to_service(ip(1), sa(200, 80)).matches(&p));
@@ -417,7 +417,9 @@ fn priority_order_wins() {
     let mut sw = Switch::new(4);
     sw.flow_mod(
         t(0),
-        FlowSpec::new(FlowMatch::any()).priority(1).actions(out(0)),
+        FlowSpec::new(FlowMatch::default())
+            .priority(1)
+            .actions(out(0)),
     );
     sw.flow_mod(
         t(0),
@@ -437,11 +439,15 @@ fn same_priority_same_match_replaces() {
     let mut sw = Switch::new(4);
     sw.flow_mod(
         t(0),
-        FlowSpec::new(FlowMatch::any()).priority(5).actions(out(1)),
+        FlowSpec::new(FlowMatch::default())
+            .priority(5)
+            .actions(out(1)),
     );
     sw.flow_mod(
         t(0),
-        FlowSpec::new(FlowMatch::any()).priority(5).actions(out(2)),
+        FlowSpec::new(FlowMatch::default())
+            .priority(5)
+            .actions(out(2)),
     );
     assert_eq!(sw.table.len(), 1);
     match sw.receive(t(1), service_packet()) {
@@ -461,7 +467,9 @@ fn same_priority_different_match_first_wins() {
     );
     sw.flow_mod(
         t(0),
-        FlowSpec::new(FlowMatch::any()).priority(5).actions(out(2)),
+        FlowSpec::new(FlowMatch::default())
+            .priority(5)
+            .actions(out(2)),
     );
     match sw.receive(t(1), service_packet()) {
         PacketVerdict::Forward { out_port, .. } => assert_eq!(out_port, PortId(1)),
@@ -607,7 +615,7 @@ fn hard_timeout_fires_even_with_traffic() {
     let mut table = FlowTable::new();
     table.install(
         t(0),
-        FlowSpec::new(FlowMatch::any())
+        FlowSpec::new(FlowMatch::default())
             .priority(10)
             .actions(out(0))
             .idle(SimDuration::from_secs(60))
@@ -626,7 +634,7 @@ fn next_expiry_tracks_minimum() {
     let mut table = FlowTable::new();
     table.install(
         t(0),
-        FlowSpec::new(FlowMatch::any())
+        FlowSpec::new(FlowMatch::default())
             .priority(1)
             .idle(SimDuration::from_secs(30)),
     );
@@ -672,7 +680,7 @@ fn delete_matching_is_strict() {
     let mut table = FlowTable::new();
     let m = FlowMatch::to_service(sa(200, 80));
     table.install(t(0), FlowSpec::new(m).priority(1));
-    table.install(t(0), FlowSpec::new(FlowMatch::any()).priority(1));
+    table.install(t(0), FlowSpec::new(FlowMatch::default()).priority(1));
     table.install(
         t(0),
         FlowSpec::new(FlowMatch::to_service(sa(201, 80))).priority(1),
@@ -688,7 +696,7 @@ fn delete_matching_spans_priorities_in_table_order() {
     for priority in [1, 9, 5] {
         table.install(t(0), FlowSpec::new(m).priority(priority));
     }
-    table.install(t(0), FlowSpec::new(FlowMatch::any()).priority(3));
+    table.install(t(0), FlowSpec::new(FlowMatch::default()).priority(3));
     let removed = table.delete_matching(&m);
     let priorities: Vec<u16> = removed.iter().map(|e| e.priority).collect();
     assert_eq!(priorities, [9, 5, 1]);
@@ -698,7 +706,7 @@ fn delete_matching_spans_priorities_in_table_order() {
 #[test]
 fn lookup_updates_stats() {
     let mut table = FlowTable::new();
-    let id = table.install(t(0), FlowSpec::new(FlowMatch::any()).priority(1));
+    let id = table.install(t(0), FlowSpec::new(FlowMatch::default()).priority(1));
     let p = service_packet();
     table.lookup(t(5), &p);
     table.lookup(t(9), &p);
@@ -820,9 +828,15 @@ fn exact_key_hash_spreads_over_the_bucket_index_bits() {
 #[test]
 fn slots_are_reused_but_ids_are_not() {
     let mut table = FlowTable::new();
-    let first = table.install(t(0), FlowSpec::new(FlowMatch::any()).priority(1).cookie(1));
-    table.delete_matching(&FlowMatch::any());
-    let second = table.install(t(2), FlowSpec::new(FlowMatch::any()).priority(1).cookie(2));
+    let first = table.install(
+        t(0),
+        FlowSpec::new(FlowMatch::default()).priority(1).cookie(1),
+    );
+    table.delete_matching(&FlowMatch::default());
+    let second = table.install(
+        t(2),
+        FlowSpec::new(FlowMatch::default()).priority(1).cookie(2),
+    );
     assert!(second > first, "flow ids must stay monotonic");
     assert!(table.get(first).is_none());
     assert_eq!(table.get(second).unwrap().cookie, 2);
@@ -832,7 +846,10 @@ fn slots_are_reused_but_ids_are_not() {
 #[test]
 fn iter_ordered_walks_table_order() {
     let mut table = FlowTable::new();
-    table.install(t(0), FlowSpec::new(FlowMatch::any()).priority(1).cookie(1));
+    table.install(
+        t(0),
+        FlowSpec::new(FlowMatch::default()).priority(1).cookie(1),
+    );
     table.install(
         t(0),
         FlowSpec::new(FlowMatch::to_service(sa(200, 80)))
@@ -854,7 +871,7 @@ fn drop_action() {
     let mut sw = Switch::new(1);
     sw.flow_mod(
         t(0),
-        FlowSpec::new(FlowMatch::any())
+        FlowSpec::new(FlowMatch::default())
             .priority(1)
             .action(Action::Drop),
     );
@@ -867,7 +884,7 @@ fn to_controller_action_buffers() {
     let mut sw = Switch::new(1);
     sw.flow_mod(
         t(0),
-        FlowSpec::new(FlowMatch::any())
+        FlowSpec::new(FlowMatch::default())
             .priority(1)
             .action(Action::ToController),
     );

@@ -34,7 +34,7 @@ struct Link {
 /// Result of a path query: total one-way latency, bottleneck bandwidth and
 /// the hop sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[doc(hidden)] // what the reference `Topology::path` returns
+#[doc(hidden)] // what `Topology::path` returns to the tier-1 `routing_scale` test
 pub struct PathInfo {
     pub latency: SimDuration,
     pub bottleneck_bps: u64,
@@ -99,18 +99,13 @@ impl Topology {
         id
     }
 
-    #[doc(hidden)] // tests size their reference searches by it
-    pub fn node_count(&self) -> usize {
-        self.adj.len()
-    }
-
-    #[doc(hidden)] // the reference tests sum hop latencies with it
-    pub fn link_latency(&self, id: LinkId) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn link_latency(&self, id: LinkId) -> SimDuration {
         self.links[id.0].latency
     }
 
-    #[doc(hidden)] // the reference tests walk the graph with it
-    pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = (NodeId, LinkId)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn neighbors(&self, id: NodeId) -> impl Iterator<Item = (NodeId, LinkId)> + '_ {
         self.adj[id.0].iter().copied()
     }
 
@@ -118,7 +113,7 @@ impl Topology {
     /// of equal latency, the one with the widest bottleneck — so latency and
     /// bottleneck are functions of the graph, not of the search direction.
     /// Returns `None` if unreachable.
-    #[doc(hidden)] // reference implementation the `PathTree` tests compare against
+    #[doc(hidden)] // the reference the tier-1 `routing_scale` test holds `PathTree` to
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<PathInfo> {
         // The graph is undirected: search outward from `dst`, stop once
         // `src` is settled, and read the hops off toward the root.
@@ -130,8 +125,8 @@ impl Topology {
     }
 
     /// One-way latency between two nodes (None if unreachable).
-    #[doc(hidden)] // reference implementation the `PathTree` tests compare against
-    pub fn latency(&self, src: NodeId, dst: NodeId) -> Option<SimDuration> {
+    #[cfg(test)]
+    pub(crate) fn latency(&self, src: NodeId, dst: NodeId) -> Option<SimDuration> {
         self.path(src, dst).map(|p| p.latency)
     }
 
@@ -205,9 +200,8 @@ pub struct PathTree {
 }
 
 impl PathTree {
-    /// The destination every path in this tree leads to (tests check which
-    /// host a tree serves).
-    #[doc(hidden)]
+    /// The destination every path in this tree leads to.
+    #[doc(hidden)] // the tier-1 `routing_scale` test checks which host a tree serves
     pub fn root(&self) -> NodeId {
         self.root
     }
@@ -227,7 +221,7 @@ impl PathTree {
     }
 
     /// The full path `src` → root, hops included (allocates the hop list).
-    #[doc(hidden)] // the hop list the reference tests compare
+    #[doc(hidden)] // the tier-1 `routing_scale` test compares the hop list
     pub fn path(&self, src: NodeId) -> Option<PathInfo> {
         let label = self.label(src)?;
         let mut hops = vec![src];
@@ -244,6 +238,9 @@ impl PathTree {
         })
     }
 }
+
+#[cfg(test)]
+mod model_tests;
 
 #[cfg(test)]
 mod tests {

@@ -3,10 +3,10 @@
 //! [`PathTree`]s against the per-pair [`Topology::path`] they replace on
 //! every hot path.
 
+use crate::topology::NodeId;
+use crate::topology::{PathTree, Topology};
 use proptest::prelude::*;
 use simcore::SimDuration;
-use simnet::topology::Topology;
-use simnet::NodeId;
 
 /// A random graph: n nodes, a spanning chain (for connectivity on a subset)
 /// plus random extra edges.
@@ -17,7 +17,7 @@ fn graph_strategy() -> impl Strategy<Value = (usize, Vec<(usize, usize, u64)>)> 
     })
 }
 
-fn build(n: usize, edges: &[(usize, usize, u64)]) -> (Topology, Vec<simnet::NodeId>) {
+fn build(n: usize, edges: &[(usize, usize, u64)]) -> (Topology, Vec<NodeId>) {
     let mut t = Topology::new();
     let nodes: Vec<_> = (0..n).map(|_| t.add_node()).collect();
     for &(a, b, w) in edges {
@@ -185,7 +185,7 @@ fn trees_agree_with_paths(
     topo: &Topology,
     nodes: &[NodeId],
     edges: &[Edge],
-    trees: &[simnet::PathTree],
+    trees: &[PathTree],
 ) -> Result<(), String> {
     let n = nodes.len();
     let unit: Vec<(usize, usize, u64)> = edges.iter().map(|&(a, b, w, _)| (a, b, w)).collect();

@@ -35,10 +35,10 @@ pub mod topology;
 
 pub use config::scenario_from_yaml;
 pub use edgectl::SchedulerSpec;
-pub use fabric::{run_mobility, FabricConfig, FabricResult};
+pub use fabric::{run_mobility, FabricConfig};
 pub use scenario::{MeshParams, PhaseSetup, PredictorKind, ScenarioConfig};
 pub use sim::{
     generate_workload, measure_first_request, run_bigflows, run_bigflows_audited,
-    run_trace_scenario, AllocProfile, RunResult, Testbed,
+    run_trace_scenario, RunResult, Testbed,
 };
 pub use topology::{C3Topology, SiteSpec, CLOUD_PORT};

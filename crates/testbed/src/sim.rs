@@ -355,7 +355,7 @@ impl Testbed {
     }
 
     /// The controller, for inspection in tests.
-    #[doc(hidden)]
+    #[doc(hidden)] // edgemesh's bring-up test reads the testbed controller's books
     pub fn controller(&self) -> &edgectl::Controller {
         &self.shard.controller
     }

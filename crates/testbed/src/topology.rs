@@ -90,13 +90,6 @@ impl SiteSpec {
         self.capacity = capacity;
         self
     }
-
-    /// Advertise placement labels on this site.
-    #[doc(hidden)] // tests give sites affinity labels with it
-    pub fn with_labels(mut self, labels: impl IntoIterator<Item = impl Into<String>>) -> SiteSpec {
-        self.labels = labels.into_iter().map(Into::into).collect();
-        self
-    }
 }
 
 /// The built topology plus the lookups the event loop needs.
@@ -212,7 +205,7 @@ impl C3Topology {
     }
 
     /// One-way latency switch → cloud.
-    #[doc(hidden)] // tests hold the tree latencies to it
+    #[doc(hidden)] // the tier-1 `routing_scale` test holds the tree latencies to it
     pub fn switch_cloud_latency(&self) -> SimDuration {
         self.switch_tree
             .latency(self.cloud)
@@ -255,8 +248,15 @@ mod tests {
         assert_eq!(c3.client_ips.len(), 20);
         assert_eq!(c3.site_hosts.len(), 2);
         assert_eq!(c3.port_count(), 23);
-        assert_eq!(c3.net.node_count(), 24); // switch + cloud + 2 sites + 20 pis
-                                             // every client reaches both sites through the switch
+        // switch + cloud + 2 sites + 20 pis, each a node of its own
+        let nodes: std::collections::BTreeSet<NodeId> = [c3.switch, c3.cloud]
+            .iter()
+            .chain(&c3.site_hosts)
+            .chain(&c3.clients)
+            .copied()
+            .collect();
+        assert_eq!(nodes.len(), 24);
+        // every client reaches both sites through the switch
         for i in 0..20 {
             for &host in &c3.site_hosts {
                 let p = c3.net.path(c3.clients[i], host).unwrap();

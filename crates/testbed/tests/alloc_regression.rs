@@ -17,7 +17,8 @@
 use cluster::{ClusterKind, SiteCapacity};
 use edgectl::SchedulerSpec;
 use simcore::{SimDuration, SimRng};
-use testbed::{AllocProfile, ScenarioConfig, SiteSpec, Testbed};
+use testbed::sim::AllocProfile;
+use testbed::{ScenarioConfig, SiteSpec, Testbed};
 use workload::{Trace, TraceConfig};
 
 /// The pinned budget, per build profile. Optimized builds — the profile the
@@ -57,26 +58,28 @@ fn allocs_per_request(cfg: ScenarioConfig, trace: &Trace) -> (f64, AllocProfile)
 fn three_tiers(scale: usize) -> Vec<(SiteSpec, ClusterKind)> {
     let cpu = |millis: u32| millis * scale as u32;
     let mem = |mib: u64| mib * scale as u64;
-    let near = SiteSpec::pi("near-edge", SimDuration::from_micros(200))
-        .with_nodes(2 * scale)
-        .with_capacity(
-            SiteCapacity::new(cpu(2_000), mem(3_072)).with_max_replicas(10 * scale as u32),
-        )
-        .with_labels(["tier:near"]);
+    let near = SiteSpec {
+        labels: vec!["tier:near".into()],
+        ..SiteSpec::pi("near-edge", SimDuration::from_micros(200))
+            .with_nodes(2 * scale)
+            .with_capacity(
+                SiteCapacity::new(cpu(2_000), mem(3_072)).with_max_replicas(10 * scale as u32),
+            )
+    };
     let metro = SiteSpec {
         latency: SimDuration::from_millis(2),
+        labels: vec!["tier:metro".into()],
         ..SiteSpec::egs("metro-egs")
     }
     .with_nodes(scale)
-    .with_capacity(SiteCapacity::new(cpu(8_000), mem(16_384)).with_max_replicas(40 * scale as u32))
-    .with_labels(["tier:metro"]);
+    .with_capacity(SiteCapacity::new(cpu(8_000), mem(16_384)).with_max_replicas(40 * scale as u32));
     let regional = SiteSpec {
         latency: SimDuration::from_millis(8),
+        labels: vec!["tier:regional".into()],
         ..SiteSpec::egs("regional-dc")
     }
     .with_nodes(4 * scale)
-    .with_capacity(SiteCapacity::new(cpu(64_000), mem(131_072)))
-    .with_labels(["tier:regional"]);
+    .with_capacity(SiteCapacity::new(cpu(64_000), mem(131_072)));
     [near, metro, regional]
         .into_iter()
         .map(|site| (site, ClusterKind::Docker))

@@ -357,7 +357,7 @@ fn wasm_first_hybrid_serves_fast_then_hands_over_to_containers() {
     let mut cfg = ScenarioConfig::default().with_seed(21);
     cfg.service = ServiceKind::WasmWeb;
     cfg.backends = vec![ClusterKind::Wasm, ClusterKind::Docker];
-    cfg.scheduler = SchedulerSpec::hybrid_wasm_first();
+    cfg.scheduler = SchedulerSpec::named("hybrid-wasm-first");
     let (_, result) = run_bigflows(cfg);
     assert_eq!(result.records.len(), 1708);
     assert_eq!(result.lost, 0);

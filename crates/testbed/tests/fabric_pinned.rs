@@ -1,6 +1,6 @@
 //! The distributed fabric's results, pinned.
 //!
-//! An FNV-1a digest over a canonical rendering of [`FabricResult`]: every
+//! An FNV-1a digest over a canonical rendering of [`FabricResult`](testbed::fabric::FabricResult): every
 //! request record, every deployment record, `lost` and
 //! `deployments_per_site`, all instants in integer nanoseconds. The four
 //! configurations are `FabricConfig::default()` and the three rows of
@@ -18,7 +18,8 @@
 use std::fmt::Write;
 
 use simcore::{FnvStream, SimDuration, SimTime};
-use testbed::{run_mobility, FabricConfig, FabricResult};
+use testbed::fabric::FabricResult;
+use testbed::{run_mobility, FabricConfig};
 
 fn ns(t: SimTime) -> u64 {
     t.as_nanos()

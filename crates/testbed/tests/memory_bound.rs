@@ -9,7 +9,8 @@ use cluster::ClusterKind;
 use simcore::alloc_count::live_bytes;
 use simcore::SimRng;
 use testbed::{ScenarioConfig, SiteSpec, Testbed};
-use workload::{Records, Trace, TraceConfig};
+use workload::client::Records;
+use workload::{Trace, TraceConfig};
 
 #[test]
 fn run_state_follows_the_requests_in_flight() {

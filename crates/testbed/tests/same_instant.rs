@@ -17,7 +17,7 @@
 //! and through the windowed engine at two shards, whose trace also hashes
 //! the `events=` / `windows=` / `stalls=` header.
 
-use edgemesh::run_windowed;
+use edgemesh::par::run_windowed;
 use simcore::{SimDuration, SimTime};
 use simnet::{IpAddr, SocketAddr};
 use testbed::{MeshParams, ScenarioConfig, Testbed};

@@ -24,7 +24,6 @@ pub mod services;
 pub mod spec;
 
 pub use bigflows::{Trace, TraceConfig, TraceRequest};
-pub use client::Records;
-pub use mobility::{departures, ingress_at, Handover};
+pub use mobility::{departures, ingress_at};
 pub use services::{ServiceKind, ServiceProfile};
 pub use spec::{WorkloadConfig, WorkloadRegistry};

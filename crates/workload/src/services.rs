@@ -345,7 +345,6 @@ mod tests {
                 .app_init
                 .0
                 .mean()
-                .unwrap()
         };
         assert!(mean(ServiceKind::Asm, 0) < mean(ServiceKind::Nginx, 0));
         assert!(mean(ServiceKind::Nginx, 0) < mean(ServiceKind::NginxPy, 1));
@@ -382,16 +381,8 @@ mod tests {
 
     #[test]
     fn server_time_ordering() {
-        let asm = ServiceProfile::of(ServiceKind::Asm)
-            .server_time
-            .0
-            .mean()
-            .unwrap();
-        let resnet = ServiceProfile::of(ServiceKind::ResNet)
-            .server_time
-            .0
-            .mean()
-            .unwrap();
+        let asm = ServiceProfile::of(ServiceKind::Asm).server_time.0.mean();
+        let resnet = ServiceProfile::of(ServiceKind::ResNet).server_time.0.mean();
         assert!(resnet > asm * 100.0, "inference ≫ static file serving");
     }
 

@@ -129,7 +129,7 @@ impl Yaml {
     }
 
     /// Mutable [`Yaml::at`].
-    #[doc(hidden)] // tests edit parsed documents with it
+    #[doc(hidden)] // edgeverify's `verify` tests edit parsed documents with it
     pub fn at_mut(&mut self, path: &str) -> Option<&mut Yaml> {
         let mut cur = self;
         for seg in path.split('.') {

@@ -5,7 +5,9 @@
 use cluster::{DockerCluster, ServiceTemplate};
 use containers::image::synthesize_layers;
 use containers::{ImageManifest, Runtime};
-use edgectl::{Controller, ControllerConfig, ControllerOutput, NearestWaiting};
+use edgectl::controller::INGRESS;
+use edgectl::scheduler::NearestWaiting;
+use edgectl::{Controller, ControllerConfig, ControllerOutput};
 use registry::{Registry, RegistryProfile, RegistrySet};
 use simcore::{DurationDist, SimDuration, SimRng, SimTime};
 use simnet::openflow::{PacketVerdict, PortId, Switch};
@@ -60,14 +62,15 @@ fn round_trip_is_transparent_to_the_client() {
     let PacketVerdict::PacketIn { buffer_id, packet } = switch.receive(t0, syn) else {
         panic!("first packet must miss");
     };
-    let mut outputs = controller.on_packet_in(t0, packet, buffer_id, PortId(5));
+    let mut outputs = Vec::new();
+    controller.on_packet_in_at_into(t0, INGRESS, packet, buffer_id, PortId(5), &mut outputs);
     // The dispatcher finishes the deployment over discrete wakeups; drive
     // them like the simulator's event loop would until the machine drains.
     while !controller.in_flight_deployments().is_empty() {
         let Some(at) = controller.next_wakeup() else {
             break;
         };
-        outputs.extend(controller.on_wakeup(at));
+        controller.on_wakeup_into(at, &mut outputs);
     }
     let mut release_verdict = None;
     for o in outputs {
