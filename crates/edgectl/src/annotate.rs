@@ -608,7 +608,7 @@ spec:
             "image: slow/app:1\nmetadata:\n  annotations:\n    {APP_INIT_ANNOTATION}: 2300\n"
         );
         let out = annotate(&parse(&src).unwrap(), &opts()).unwrap();
-        let mean = out.template.containers[0].app_init.0.mean();
+        let mean = out.template.containers[0].app_init.0.mean().unwrap();
         assert!(mean > 2000.0, "annotation median 2300 ms, mean={mean}");
     }
 

@@ -30,10 +30,9 @@ use simnet::openflow::{BufferId, FlowMatch, FlowSpec, PortId};
 use simnet::IpAddr;
 
 use crate::catalog::{ServiceCatalog, ServiceId};
-#[cfg(test)]
-use crate::dispatcher::{AdmissionError, DeployPhaseKind};
 use crate::dispatcher::{
-    DeployError, DeployMachine, DeployOrder, Dispatcher, InstanceKey, MachineOutcome, StepCtx,
+    AdmissionError, DeployError, DeployMachine, DeployOrder, DeployPhaseKind, Dispatcher,
+    InstanceKey, MachineOutcome, StepCtx,
 };
 use crate::flowmemory::{FlowMemory, MemorizedFlow};
 use crate::predictor::{NoPrediction, Predictor};
@@ -327,11 +326,9 @@ pub struct Controller {
     scaled_to_zero: ScaledToZero,
     predictor: Box<dyn Predictor>,
     predict: Option<PredictSchedule>,
-    /// Most recent dispatcher deployment failure (what the tests read).
-    #[cfg(test)]
+    /// Most recent dispatcher deployment failure (diagnostics).
     last_deploy_failure: Option<DeployFailure>,
-    /// Most recent admission rejection (what the tests read).
-    #[cfg(test)]
+    /// Most recent admission rejection (diagnostics).
     last_admission_error: Option<AdmissionError>,
     /// Mesh deployment-lease hook; `None` (the default) grants everything.
     gate: Option<Box<dyn DeployGate>>,
@@ -347,12 +344,18 @@ pub struct Controller {
 
 /// Diagnostic record of a dispatcher deployment that ended in `Failed`:
 /// which phase gave up, and why.
-#[cfg(test)]
 #[derive(Debug, Clone)]
 pub(crate) struct DeployFailure {
     pub(crate) cluster: ClusterId,
     pub(crate) phase: DeployPhaseKind,
     pub(crate) error: DeployError,
+}
+
+impl std::fmt::Display for DeployFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (cluster, phase, error) = (self.cluster.0, self.phase, &self.error);
+        write!(f, "cluster {cluster} failed in {phase}: {error}")
+    }
 }
 
 /// Fluent constructor for [`Controller`] — every dependency has a default
@@ -444,9 +447,7 @@ impl ControllerBuilder {
             scaled_to_zero: ScaledToZero::default(),
             predictor: Box::new(NoPrediction),
             predict: None,
-            #[cfg(test)]
             last_deploy_failure: None,
-            #[cfg(test)]
             last_admission_error: None,
             gate: self.gate,
             emit_deltas: self.emit_deltas,
@@ -678,14 +679,11 @@ impl Controller {
         self.clusters[m.cluster.0].release(m.service);
         self.stats.retried_operations += m.retried;
         self.stats.failed_deployments += 1;
-        #[cfg(test)]
-        {
-            self.last_deploy_failure = Some(DeployFailure {
-                cluster: m.cluster,
-                phase: m.phase.kind(),
-                error,
-            });
-        }
+        self.last_deploy_failure = Some(DeployFailure {
+            cluster: m.cluster,
+            phase: m.phase.kind(),
+            error,
+        });
         if let Some(at) = m.saved_scaled_to_zero {
             self.scaled_to_zero.restore(key, at);
         }

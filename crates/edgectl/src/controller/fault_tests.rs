@@ -854,11 +854,11 @@ fn a_replica_dying_after_the_probe_fails_as_a_death_not_a_timeout() {
     assert_eq!(c.stats.cloud_forwards, 1);
     let failure = c.last_deploy_failure().expect("failure recorded");
     assert_eq!(failure.phase, DeployPhaseKind::Probing);
+    let died = at_ms(20) + PROBE_RTT;
+    assert_eq!(failure.error, DeployError::DiedAfterProbe { at: died });
     assert_eq!(
-        failure.error,
-        DeployError::DiedAfterProbe {
-            at: at_ms(20) + PROBE_RTT
-        }
+        failure.to_string(),
+        format!("cluster 0 failed in Probing: replica dead after the probe at {died}")
     );
 }
 

@@ -3,12 +3,13 @@
 //! and the Remove phase — with the time-ordered structures that keep each
 //! source's next instant a peek.
 
+use cluster::CapacityShortfall;
 use simcore::{DeadlineIndex, DetHashMap, SimDuration, SimTime};
 
 use super::packet::flow_pair;
 use super::{Controller, ControllerOutput, DeltaKind, INGRESS};
 use crate::catalog::ServiceId;
-use crate::dispatcher::InstanceKey;
+use crate::dispatcher::{AdmissionError, InstanceKey};
 use crate::scheduler::ClusterId;
 
 /// Proactive-deployment cadence, owned by the controller so predict runs are
@@ -232,7 +233,7 @@ impl Controller {
                 continue;
             };
             // Nothing is in flight here (checked above); admission applies.
-            if self.admit(target, sid).is_err() {
+            if !self.admit(target, sid) {
                 continue;
             }
             if !self.gate_acquire(now, target, sid) {
@@ -287,17 +288,13 @@ impl Controller {
                 });
                 if granted < want {
                     self.stats.admission_rejections += 1;
-                    #[cfg(test)]
-                    {
-                        self.last_admission_error =
-                            Some(crate::dispatcher::AdmissionError::Capacity {
-                                cluster,
-                                shortfall: cluster::CapacityShortfall::Replicas {
-                                    requested: want,
-                                    free: granted,
-                                },
-                            });
-                    }
+                    self.last_admission_error = Some(AdmissionError::Capacity {
+                        cluster,
+                        shortfall: CapacityShortfall::Replicas {
+                            requested: want,
+                            free: granted,
+                        },
+                    });
                 }
                 if granted > have && site.backend.scale_up(now, name, granted).is_ok() {
                     self.stats.autoscale_ups += 1;

@@ -20,7 +20,7 @@ impl Controller {
     /// Abort the in-flight deployment machine for `(cluster, service)`: the
     /// deployment lease was revoked because another shard won the
     /// window-boundary merge for the same decision. Routes through the
-    /// ordinary failure path ([`DeployError::LeaseRevoked`]) so bookings are
+    /// ordinary failure path (`DeployError::LeaseRevoked`) so bookings are
     /// released, Remove-phase bookkeeping is restored, a `Gone` delta is
     /// emitted and every held request falls back to the cloud. Returns the
     /// resulting controller outputs; `None` if no such machine is in flight.

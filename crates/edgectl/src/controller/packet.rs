@@ -175,7 +175,7 @@ impl Controller {
         // Admission control: a BEST decision targeting a site that cannot
         // take the deployment is dropped — the caller already serves the
         // request at FAST or the cloud, which *is* the fall-through.
-        if !self.deployment_exists(now, best, sid) && self.admit(best, sid).is_err() {
+        if !self.deployment_exists(now, best, sid) && !self.admit(best, sid) {
             return;
         }
         if let Some(m) = self.dispatcher.find_mut(best, sid) {
@@ -215,7 +215,7 @@ impl Controller {
         // Admission control: the scheduler picked a with-waiting deployment
         // at `fast`, but the site may not take it (capacity / labels). Fall
         // through to the nearest other ready instance, else the cloud.
-        if !self.deployment_exists(now, fast, sid) && self.admit(fast, sid).is_err() {
+        if !self.deployment_exists(now, fast, sid) && !self.admit(fast, sid) {
             let name = self.catalog.name_of(sid);
             let fallback = self
                 .clusters

@@ -291,12 +291,9 @@ impl Controller {
     /// Admission control for starting a new deployment of `sid` at
     /// `cluster`: placement labels first, then capacity against the current
     /// allocation (a service already booked there re-admits for free — its
-    /// resources are still reserved). Rejections are counted and recorded.
-    pub(super) fn admit(
-        &mut self,
-        cluster: ClusterId,
-        sid: ServiceId,
-    ) -> Result<(), AdmissionError> {
+    /// resources are still reserved). Returns whether the site admits it;
+    /// a rejection is counted and recorded.
+    pub(super) fn admit(&mut self, cluster: ClusterId, sid: ServiceId) -> bool {
         let service = self
             .catalog
             .get(sid)
@@ -308,19 +305,16 @@ impl Controller {
                 label: label.to_owned(),
             }
         } else if site.booking(sid).is_some() {
-            return Ok(());
+            return true;
         } else {
             match site.capacity.admits(&site.allocated, &service.demand) {
-                Ok(()) => return Ok(()),
+                Ok(()) => return true,
                 Err(shortfall) => AdmissionError::Capacity { cluster, shortfall },
             }
         };
         self.stats.admission_rejections += 1;
-        #[cfg(test)]
-        {
-            self.last_admission_error = Some(err.clone());
-        }
-        Err(err)
+        self.last_admission_error = Some(err);
+        false
     }
 }
 

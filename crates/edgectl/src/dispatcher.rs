@@ -42,9 +42,8 @@ use crate::controller::{AttachedCluster, DeploymentRecord, SwitchId};
 use crate::flowmemory::FlowKey;
 use crate::scheduler::ClusterId;
 
-/// Which pipeline phase a deployment machine is in (the coarse view the
-/// controller tests read).
-#[cfg(test)]
+/// Which pipeline phase a deployment machine is in (the coarse view a
+/// deployment failure records).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DeployPhaseKind {
     Pulling,
@@ -53,7 +52,6 @@ pub(crate) enum DeployPhaseKind {
     Probing,
 }
 
-#[cfg(test)]
 impl std::fmt::Display for DeployPhaseKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -67,7 +65,7 @@ impl std::fmt::Display for DeployPhaseKind {
 
 /// Why a deployment machine ended in `Failed`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeployError {
+pub(crate) enum DeployError {
     /// A phase exhausted its retries on a backend error.
     Cluster(ClusterError),
     /// The port never opened within the probe window.
@@ -82,13 +80,24 @@ pub enum DeployError {
     LeaseRevoked,
 }
 
+impl std::fmt::Display for DeployError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DeployError::Cluster(e) => write!(f, "backend error: {e}"),
+            DeployError::ProbeTimeout { deadline } => write!(f, "port not open by {deadline}"),
+            DeployError::DiedAfterProbe { at } => write!(f, "replica dead after the probe at {at}"),
+            DeployError::LeaseRevoked => f.write_str("deployment lease revoked"),
+        }
+    }
+}
+
 /// Why admission control refused to start a deployment at a site. A scheduler
 /// [`crate::scheduler::Decision`] is advisory — the dispatcher re-checks the
 /// target's [`cluster::SiteCapacity`] and labels at deployment time and falls
 /// through to next-best/cloud on rejection instead of overcommitting the
 /// site.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdmissionError {
+pub(crate) enum AdmissionError {
     /// The site's remaining capacity cannot hold the service's demand.
     Capacity {
         cluster: ClusterId,
@@ -140,7 +149,6 @@ pub(crate) enum DeployPhase {
 }
 
 impl DeployPhase {
-    #[cfg(test)]
     pub(crate) fn kind(&self) -> DeployPhaseKind {
         match self {
             DeployPhase::Pulling => DeployPhaseKind::Pulling,

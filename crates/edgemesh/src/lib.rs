@@ -99,11 +99,24 @@ fn bigflows_trace(cfg: &ScenarioConfig) -> Trace {
     testbed::generate_workload(cfg)
 }
 
-/// The session-continuity accounting of a multi-shard run: per-tag
+/// Build the session-continuity accounting for a multi-shard run: per-tag
 /// completion counts from the completion records plus the loss ledger, ready
-/// for [`edgeverify::Verifier::check_continuity`]. (A `shards = 1` run keeps
-/// no per-tag ledger: its single event loop cannot blackhole a session
-/// across a handover, the failure mode the analysis exists for.)
+/// for [`edgeverify::Verifier::check_continuity`]. Returns `None` for the
+/// `shards = 1` delegation (the plain testbed keeps no per-tag ledger — its
+/// single event loop cannot blackhole a session across a handover, the
+/// failure mode the analysis exists for).
+#[cfg(test)]
+pub(crate) fn continuity_view(trace: &Trace, result: &MeshRunResult) -> Option<ContinuityView> {
+    if result.single.is_some() {
+        return None;
+    }
+    Some(continuity_view_parts(
+        trace,
+        &result.records,
+        &result.lost_tags,
+    ))
+}
+
 pub(crate) fn continuity_view_parts(
     trace: &Trace,
     records: &[MeshRecord],

@@ -7,7 +7,7 @@
 use cluster::{ClusterKind, SiteCapacity};
 use edgectl::ClusterId;
 use edgeverify::Violation;
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{SimDuration, SimTime};
 use simnet::{IpAddr, SocketAddr};
 use testbed::{MeshParams, PhaseSetup, ScenarioConfig, SiteSpec, Testbed};
 use workload::{ingress_at, Trace, TraceConfig, TraceRequest, WorkloadConfig};
@@ -15,30 +15,26 @@ use workload::{ingress_at, Trace, TraceConfig, TraceRequest, WorkloadConfig};
 use super::{
     run_windowed, run_windowed_audited, run_windowed_hooked, shard_site_allocations, TestHooks,
 };
-use crate::continuity_view_parts;
+use crate::continuity_view;
 
-/// Generate a mobility workload the same way `testbed::generate_workload`
-/// does (same seed derivation), so scenario-file runs replay these traces.
-fn mobile_trace(seed: u64, model: &str, handovers_per_client: f64) -> Trace {
-    let wl = WorkloadConfig {
-        model: model.into(),
-        handovers_per_client,
-        mix: TraceConfig::default(),
-        ..WorkloadConfig::default()
-    };
-    wl.generate(&mut SimRng::seed_from_u64(seed ^ 0xB16F_1085))
-        .expect("builtin model")
-}
-
-fn mesh_cfg(seed: u64, shards: usize) -> ScenarioConfig {
-    ScenarioConfig {
-        seed,
+/// A handover-heavy run: seed 31's bigflows trace with two handovers per
+/// client, generated from the scenario as `edgesim` generates it, over
+/// `shards` ingress shards.
+fn mobile_run(shards: usize) -> (ScenarioConfig, Trace) {
+    let cfg = ScenarioConfig {
+        seed: 31,
         mesh: MeshParams {
             shards,
             ..MeshParams::default()
         },
+        workload: WorkloadConfig {
+            handovers_per_client: 2.0,
+            ..WorkloadConfig::default()
+        },
         ..ScenarioConfig::default()
-    }
+    };
+    let trace = testbed::generate_workload(&cfg);
+    (cfg, trace)
 }
 
 /// Mutation test of the thread-invariance suites (`tests/windowed.rs`):
@@ -98,8 +94,8 @@ fn perturbed_merge_tie_break_changes_the_hash() {
 /// (which includes the continuity analysis) reports zero violations.
 #[test]
 fn mobile_sessions_complete_exactly_once() {
-    let trace = mobile_trace(31, "bigflows", 2.0);
-    let (result, violations) = run_windowed_audited(mesh_cfg(31, 2), &trace, 2);
+    let (cfg, trace) = mobile_run(2);
+    let (result, violations) = run_windowed_audited(cfg, &trace, 2);
     assert!(result.handovers > 0, "no handovers exercised");
     assert!(
         violations.is_empty(),
@@ -110,8 +106,7 @@ fn mobile_sessions_complete_exactly_once() {
         trace.requests.len() as u64,
         "a session fell through the handover gap"
     );
-    assert!(result.single.is_none(), "multi-shard run");
-    let view = continuity_view_parts(&trace, &result.records, &result.lost_tags);
+    let view = continuity_view(&trace, &result).expect("multi-shard run");
     assert_eq!(view.completions.len(), trace.requests.len());
 }
 
@@ -122,8 +117,8 @@ fn mobile_sessions_complete_exactly_once() {
 /// is meaningful — the analysis can actually fail.
 #[test]
 fn blackholed_handover_is_flagged() {
-    let trace = mobile_trace(31, "bigflows", 2.0);
     let shards = 2;
+    let (cfg, trace) = mobile_run(shards);
     // Pick a client that issues at least one request from its post-handover
     // ingress — the requests the seeded fault will swallow.
     let victim = (0..trace.config.clients)
@@ -137,7 +132,7 @@ fn blackholed_handover_is_flagged() {
         blackhole_victim: Some(victim),
         ..Default::default()
     };
-    let (result, violations) = run_windowed_hooked(mesh_cfg(31, shards), &trace, 2, hooks);
+    let (result, violations) = run_windowed_hooked(cfg, &trace, 2, hooks);
     let blackholed: Vec<_> = violations
         .iter()
         .filter_map(|v| match v {

@@ -76,7 +76,7 @@ mod tests {
         let hub = RegistryProfile::docker_hub();
         let lan = RegistryProfile::private_lan();
         assert!(hub.tcp.rtt > lan.tcp.rtt * 10);
-        assert!(hub.manifest_fetch.0.mean() > lan.manifest_fetch.0.mean());
+        assert!(hub.manifest_fetch.0.mean().unwrap() > lan.manifest_fetch.0.mean().unwrap());
         assert_eq!(hub.max_concurrent_layers, 3);
     }
 }

@@ -17,8 +17,20 @@ use crate::time::SimDuration;
 pub enum Dist {
     /// Always `value`.
     Constant(f64),
+    /// Uniform on `[lo, hi)`.
+    Uniform { lo: f64, hi: f64 },
+    /// Exponential with the given mean (not rate).
+    Exponential { mean: f64 },
+    /// Normal via Box–Muller.
+    Normal { mean: f64, std_dev: f64 },
     /// Log-normal parameterised by the *underlying* normal's mu/sigma.
     LogNormal { mu: f64, sigma: f64 },
+    /// Pareto (Lomax-style, `x_min * U^{-1/alpha}`); heavy-tailed sizes.
+    Pareto { x_min: f64, alpha: f64 },
+    /// Discrete distribution over `(value, weight)` pairs.
+    Empirical(Vec<(f64, f64)>),
+    /// Shifted copy of another distribution: `offset + inner`.
+    Shifted { offset: f64, inner: Box<Dist> },
 }
 
 impl Dist {
@@ -40,16 +52,50 @@ impl Dist {
     pub(crate) fn sample(&self, rng: &mut SimRng) -> f64 {
         match self {
             Dist::Constant(v) => *v,
+            Dist::Uniform { lo, hi } => rng.range_f64(*lo, *hi),
+            Dist::Exponential { mean } => {
+                // Inverse CDF; guard against ln(0).
+                let u = 1.0 - rng.f64();
+                -mean * u.ln()
+            }
+            Dist::Normal { mean, std_dev } => mean + std_dev * sample_standard_normal(rng),
             Dist::LogNormal { mu, sigma } => (mu + sigma * sample_standard_normal(rng)).exp(),
+            Dist::Pareto { x_min, alpha } => {
+                let u = 1.0 - rng.f64();
+                x_min / u.powf(1.0 / alpha)
+            }
+            Dist::Empirical(pairs) => {
+                assert!(!pairs.is_empty(), "empty empirical distribution");
+                let total: f64 = pairs.iter().map(|(_, w)| *w).sum();
+                let mut x = rng.f64() * total;
+                for (v, w) in pairs {
+                    if x < *w {
+                        return *v;
+                    }
+                    x -= *w;
+                }
+                pairs.last().unwrap().0
+            }
+            Dist::Shifted { offset, inner } => offset + inner.sample(rng),
         }
     }
 
-    /// The theoretical mean.
+    /// The theoretical mean, where a closed form exists.
     #[doc(hidden)] // tests in registry, edgectl and workload hold sample means to it
-    pub fn mean(&self) -> f64 {
+    pub fn mean(&self) -> Option<f64> {
         match self {
-            Dist::Constant(v) => *v,
-            Dist::LogNormal { mu, sigma } => (mu + sigma * sigma / 2.0).exp(),
+            Dist::Constant(v) => Some(*v),
+            Dist::Uniform { lo, hi } => Some((lo + hi) / 2.0),
+            Dist::Exponential { mean } => Some(*mean),
+            Dist::Normal { mean, .. } => Some(*mean),
+            Dist::LogNormal { mu, sigma } => Some((mu + sigma * sigma / 2.0).exp()),
+            Dist::Pareto { x_min, alpha } if *alpha > 1.0 => Some(alpha * x_min / (alpha - 1.0)),
+            Dist::Pareto { .. } => None,
+            Dist::Empirical(pairs) => {
+                let total: f64 = pairs.iter().map(|(_, w)| *w).sum();
+                Some(pairs.iter().map(|(v, w)| v * w).sum::<f64>() / total)
+            }
+            Dist::Shifted { offset, inner } => inner.mean().map(|m| m + offset),
         }
     }
 }
@@ -156,6 +202,37 @@ mod tests {
     }
 
     #[test]
+    fn uniform_within_bounds_and_mean() {
+        let d = Dist::Uniform { lo: 2.0, hi: 4.0 };
+        let mut r = rng();
+        for _ in 0..1000 {
+            let x = d.sample(&mut r);
+            assert!((2.0..4.0).contains(&x));
+        }
+        assert!((sample_mean(&d, 50_000) - 3.0).abs() < 0.02);
+    }
+
+    #[test]
+    fn exponential_mean_converges() {
+        let d = Dist::Exponential { mean: 7.0 };
+        assert!((sample_mean(&d, 200_000) - 7.0).abs() < 0.15);
+    }
+
+    #[test]
+    fn normal_mean_and_spread() {
+        let d = Dist::Normal {
+            mean: 10.0,
+            std_dev: 2.0,
+        };
+        let mut r = rng();
+        let xs: Vec<f64> = (0..100_000).map(|_| d.sample(&mut r)).collect();
+        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
+        assert!((mean - 10.0).abs() < 0.05, "mean={mean}");
+        assert!((var.sqrt() - 2.0).abs() < 0.05, "sd={}", var.sqrt());
+    }
+
+    #[test]
     fn log_normal_median_lands() {
         let d = Dist::log_normal_median(500.0, 0.25);
         let mut r = rng();
@@ -174,8 +251,43 @@ mod tests {
             mu: 1.0,
             sigma: 0.5,
         };
-        let want = d.mean();
+        let want = d.mean().unwrap();
         assert!((sample_mean(&d, 300_000) - want).abs() / want < 0.02);
+    }
+
+    #[test]
+    fn pareto_heavy_tail() {
+        let d = Dist::Pareto {
+            x_min: 1.0,
+            alpha: 2.0,
+        };
+        let mut r = rng();
+        let xs: Vec<f64> = (0..100_000).map(|_| d.sample(&mut r)).collect();
+        assert!(xs.iter().all(|&x| x >= 1.0));
+        // mean = alpha*xmin/(alpha-1) = 2
+        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+        assert!((mean - 2.0).abs() < 0.25, "mean={mean}");
+    }
+
+    #[test]
+    fn empirical_respects_weights() {
+        let d = Dist::Empirical(vec![(1.0, 1.0), (2.0, 3.0)]);
+        let mut r = rng();
+        let n = 40_000;
+        let twos = (0..n).filter(|_| d.sample(&mut r) == 2.0).count();
+        let frac = twos as f64 / n as f64;
+        assert!((frac - 0.75).abs() < 0.02, "frac={frac}");
+    }
+
+    #[test]
+    fn shifted_offsets() {
+        let d = Dist::Shifted {
+            offset: 100.0,
+            inner: Box::new(Dist::Constant(5.0)),
+        };
+        let mut r = rng();
+        assert_eq!(d.sample(&mut r), 105.0);
+        assert_eq!(d.mean(), Some(105.0));
     }
 
     #[test]

@@ -118,6 +118,12 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
+    /// Uniform in `[lo, hi)`. `lo == hi` returns `lo`.
+    pub(crate) fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
+        debug_assert!(lo <= hi);
+        lo + (hi - lo) * self.f64()
+    }
+
     /// Uniform integer in `[0, n)` using Lemire's unbiased method. Panics if `n == 0`.
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0)");

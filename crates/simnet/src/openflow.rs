@@ -1342,6 +1342,7 @@ impl FlowTable {
     /// projected onto that shape: one index probe per such live shape, whose
     /// chain head is the earliest candidate. Otherwise it is covered by a
     /// masked rule ahead of it. A masked rule takes the table walk.
+    #[cfg(any(test, debug_assertions))]
     fn shadowing(&self, slot: u32) -> Option<FlowId> {
         let target = *self.slab.get(slot);
         let rank = target.rank();

@@ -99,6 +99,11 @@ impl Topology {
         id
     }
 
+    #[doc(hidden)] // testbed's topology shape test counts the nodes
+    pub fn node_count(&self) -> usize {
+        self.adj.len()
+    }
+
     #[cfg(test)]
     pub(crate) fn link_latency(&self, id: LinkId) -> SimDuration {
         self.links[id.0].latency

@@ -249,6 +249,7 @@ mod tests {
         assert_eq!(c3.site_hosts.len(), 2);
         assert_eq!(c3.port_count(), 23);
         // switch + cloud + 2 sites + 20 pis, each a node of its own
+        assert_eq!(c3.net.node_count(), 24);
         let nodes: std::collections::BTreeSet<NodeId> = [c3.switch, c3.cloud]
             .iter()
             .chain(&c3.site_hosts)

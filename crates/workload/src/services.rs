@@ -345,6 +345,7 @@ mod tests {
                 .app_init
                 .0
                 .mean()
+                .unwrap()
         };
         assert!(mean(ServiceKind::Asm, 0) < mean(ServiceKind::Nginx, 0));
         assert!(mean(ServiceKind::Nginx, 0) < mean(ServiceKind::NginxPy, 1));
@@ -381,8 +382,16 @@ mod tests {
 
     #[test]
     fn server_time_ordering() {
-        let asm = ServiceProfile::of(ServiceKind::Asm).server_time.0.mean();
-        let resnet = ServiceProfile::of(ServiceKind::ResNet).server_time.0.mean();
+        let asm = ServiceProfile::of(ServiceKind::Asm)
+            .server_time
+            .0
+            .mean()
+            .unwrap();
+        let resnet = ServiceProfile::of(ServiceKind::ResNet)
+            .server_time
+            .0
+            .mean()
+            .unwrap();
         assert!(resnet > asm * 100.0, "inference ≫ static file serving");
     }
 
